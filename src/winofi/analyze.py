@@ -28,7 +28,6 @@ from .inject import (
     neuron_level_inject,
     op_level_hook,
     replay_neuron_masks,
-    replay_op_hook,
 )
 from .modelio import Dataset, ModelDef
 from .runtime import enumerate_ops, run_inference, top1
@@ -133,6 +132,7 @@ class Campaign:
         else:
             self.refs = self.clean_top1
         self.clean_correct = sum(int(a == b) for a, b in zip(self.clean_top1, self.refs))
+        self._clean_captures: dict = {}  # conv layer_id -> clean dequantized outputs
 
     @property
     def sample_count(self) -> int:
@@ -146,14 +146,12 @@ class Campaign:
 
     def corrupted_output(self, trial: int, sample_idx: int, ber: float, scope: Scope,
                          trace: Optional[FaultTrace] = None, replay: Optional[FaultTrace] = None,
-                         capture: tuple = ()):
+                         capture: tuple = (), protected=()):
         x = self.dataset.samples[sample_idx]
         cfg = InjectionConfig(self.granularity, ber, self.seed, scope, fault_bits=self.fault_bits)
         if self.granularity is Granularity.OP_LEVEL:
-            if replay is not None:
-                hook = replay_op_hook(replay.masks_for(trial, sample_idx, "op"))
-            else:
-                hook, _ = op_level_hook(cfg, self.opspace, trial=trial, sample=sample_idx, trace=trace)
+            hook, _ = op_level_hook(cfg, self.opspace, trial=trial, sample=sample_idx,
+                                    trace=trace, replay=replay, protected=protected)
             return run_inference(
                 self.model, x, self.engine, hook,
                 ranges=self.ranges, range_mode=self.range_mode, capture=capture,
@@ -181,24 +179,20 @@ class Campaign:
 
     def trial_correct(self, trial: int, ber: float, scope: Scope,
                       trace: Optional[FaultTrace] = None, replay: Optional[FaultTrace] = None,
-                      rmse_layers: tuple = (), rmse_acc: Optional[dict] = None) -> int:
+                      rmse_layers: tuple = (), rmse_acc: Optional[dict] = None, protected=()) -> int:
         correct = 0
         for i, ref in enumerate(self.refs):
             res = self.corrupted_output(trial, i, ber, scope, trace=trace, replay=replay,
-                                        capture=rmse_layers)
+                                        capture=rmse_layers, protected=protected)
             correct += int(top1(res.output) == ref)
-            if rmse_layers:
-                for lid in rmse_layers:
-                    clean = self._clean_capture(lid)[i]
-                    faulty = res.conv_outputs[lid].dequantize()
-                    rmse_acc[lid].append(float(np.sqrt(np.mean((faulty - clean) ** 2))))
+            for lid in rmse_layers:
+                clean = self._clean_capture(lid)[i]
+                faulty = res.conv_outputs[lid].dequantize()
+                rmse_acc[lid].append(float(np.sqrt(np.mean((faulty - clean) ** 2))))
         return correct
 
     def _clean_capture(self, layer_id: int) -> list:
-        cache = getattr(self, "_clean_captures", None)
-        if cache is None:
-            cache = {}
-            self._clean_captures = cache
+        cache = self._clean_captures
         if layer_id not in cache:
             cache[layer_id] = [
                 run_inference(self.model, s, self.engine, ranges=self.ranges,
@@ -219,11 +213,16 @@ class Campaign:
         trace: Optional[FaultTrace] = None,
         replay: Optional[FaultTrace] = None,
         rmse_layers: tuple = (),
+        protected=(),
         meta: Optional[dict] = None,
     ) -> CampaignResult:
+        """Accuracy over ``trials`` trials of the dataset. ``replay`` and the
+        TMR-``protected`` op ranges are passed on to ``op_level_hook``."""
         if trials < 1:
             raise ConfigError("trials must be >= 1")
         scope = scope if scope is not None else self.base_scope
+        if replay is not None:
+            replay.validate(self.opspace, protected)
         rmse_acc = {lid: [] for lid in rmse_layers}
         if ber == 0.0 and replay is None:
             # zero flips: every trial is the same deterministic inference
@@ -231,11 +230,11 @@ class Campaign:
                                          rmse_layers=rmse_layers, rmse_acc=rmse_acc)
             per_trial = [correct] * trials
         elif self.workers > 1 and trials > 1 and replay is None and trace is None and not rmse_layers:
-            per_trial = self._parallel_trials(ber, trials, scope)
+            per_trial = self._parallel_trials(ber, trials, scope, protected)
         else:
             per_trial = [
                 self.trial_correct(t, ber, scope, trace=trace, replay=replay,
-                                   rmse_layers=rmse_layers, rmse_acc=rmse_acc)
+                                   rmse_layers=rmse_layers, rmse_acc=rmse_acc, protected=protected)
                 for t in range(trials)
             ]
         accs = [c / self.sample_count for c in per_trial]
@@ -260,12 +259,12 @@ class Campaign:
             meta=info,
         )
 
-    def _parallel_trials(self, ber: float, trials: int, scope: Scope) -> list:
+    def _parallel_trials(self, ber: float, trials: int, scope: Scope, protected) -> list:
         workers = min(self.workers, trials)
         blocks = [list(range(w, trials, workers)) for w in range(workers)]
         payload = (
             self.model, self.dataset, self.engine, self.granularity.value, self.seed,
-            scope, self.fault_bits, self.refs, self.ranges, self.range_mode, ber,
+            scope, self.fault_bits, self.refs, self.ranges, self.range_mode, ber, protected,
         )
         out: dict[int, int] = {}
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -273,17 +272,33 @@ class Campaign:
                 out.update(res)
         return [out[t] for t in range(trials)]
 
+    def vulnerability(self, kind: str, subjects, ber: float, trials: int) -> list[VulnReport]:
+        """One VulnReport per (subject_id, scope) pair: the paired per-trial
+        accuracy gain of running under that scope against one shared run
+        under the base scope."""
+        raw = self.run_point(ber, trials)
+        reports = []
+        for subject_id, scope in subjects:
+            prot = self.run_point(ber, trials, scope)
+            deltas = [
+                (p - r) / self.sample_count
+                for p, r in zip(prot.per_trial_correct, raw.per_trial_correct)
+            ]
+            dmean, dci = mean_ci95(deltas)
+            reports.append(VulnReport(kind, subject_id, prot.mean_accuracy, raw.mean_accuracy, dmean, dci))
+        return reports
+
 
 def _trial_block_worker(args):
     (model, dataset, engine, granularity, seed, scope, fault_bits, refs,
-     ranges, range_mode, ber), block = args
+     ranges, range_mode, ber, protected), block = args
     camp = Campaign(
         model, dataset, engine,
         granularity=Granularity(granularity), seed=seed, scope=scope,
         fault_bits=fault_bits, ranges=ranges, range_mode=range_mode, workers=1,
     )
     camp.refs = refs
-    return {t: camp.trial_correct(t, ber, scope) for t in block}
+    return {t: camp.trial_correct(t, ber, scope, protected=protected) for t in block}
 
 
 # ---------------------------------------------------------------------------
@@ -331,27 +346,14 @@ def rmse_layer(
 ) -> float:
     """RMSE between fault-free and faulty dequantized outputs of one conv
     layer, averaged over trials."""
-    engine = engine or model.engine
-    space = enumerate_ops(model, engine, fault_bits=cfg.fault_bits)
-    if layer_id not in space.neuron_sizes:
+    camp = Campaign(
+        model, Dataset([x]), engine, granularity=cfg.granularity, seed=cfg.seed,
+        scope=cfg.scope, fault_bits=cfg.fault_bits, workers=1,
+    )
+    if layer_id not in camp.opspace.neuron_sizes:
         raise ConfigError(f"layer {layer_id} is not a conv layer of this model")
     trials = trials if trials is not None else cfg.trials
-    clean = run_inference(model, x, engine, capture=(layer_id,)).conv_outputs[layer_id].dequantize()
-    offsets = space.neuron_offsets
-    total = 0.0
-    for t in range(trials):
-        if cfg.granularity is Granularity.OP_LEVEL:
-            hook, _ = op_level_hook(cfg, space, trial=t)
-            res = run_inference(model, x, engine, hook, capture=(layer_id,))
-        else:
-
-            def neuron_fn(lid, out, _t=t):
-                return neuron_level_inject(out, cfg, lid, trial=_t, neuron_offset=offsets[lid])
-
-            res = run_inference(model, x, engine, neuron_fn=neuron_fn, capture=(layer_id,))
-        faulty = res.conv_outputs[layer_id].dequantize()
-        total += float(np.sqrt(np.mean((faulty - clean) ** 2)))
-    return total / trials
+    return camp.run_point(cfg.ber, trials, rmse_layers=(layer_id,)).layer_rmse[layer_id]
 
 
 def layer_vulnerability(
@@ -376,19 +378,7 @@ def layer_vulnerability(
     layers = camp.opspace.conv_layer_ids()
     if len(layers) < 2:
         raise ConfigError("layer vulnerability needs at least 2 conv layers")
-    raw = camp.run_point(ber, trials)
-    reports = []
-    for lid in layers:
-        prot = camp.run_point(ber, trials, scope.excluding_layer(lid))
-        deltas = [
-            (p - r) / camp.sample_count
-            for p, r in zip(prot.per_trial_correct, raw.per_trial_correct)
-        ]
-        dmean, dci = mean_ci95(deltas)
-        reports.append(
-            VulnReport("layer", lid, prot.mean_accuracy, raw.mean_accuracy, dmean, dci)
-        )
-    return reports
+    return camp.vulnerability("layer", [(lid, scope.excluding_layer(lid)) for lid in layers], ber, trials)
 
 
 def optype_vulnerability(
@@ -409,17 +399,10 @@ def optype_vulnerability(
         model, dataset, engine, seed=seed, scope=scope, fault_bits=fault_bits,
         use_labels=use_labels, workers=workers,
     )
-    raw = camp.run_point(ber, trials)
-    out = []
-    for typ in (OpType.MUL, OpType.ADD):
-        prot = camp.run_point(ber, trials, scope.excluding_optype(typ))
-        deltas = [
-            (p - r) / camp.sample_count
-            for p, r in zip(prot.per_trial_correct, raw.per_trial_correct)
-        ]
-        dmean, dci = mean_ci95(deltas)
-        out.append(VulnReport("optype", typ.name, prot.mean_accuracy, raw.mean_accuracy, dmean, dci))
-    return out[0], out[1]
+    mul, add = camp.vulnerability(
+        "optype", [(typ.name, scope.excluding_optype(typ)) for typ in (OpType.MUL, OpType.ADD)], ber, trials
+    )
+    return mul, add
 
 
 # ---------------------------------------------------------------------------

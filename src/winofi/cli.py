@@ -20,18 +20,16 @@ import sys
 from . import __version__
 from .analyze import (
     Campaign,
-    CampaignResult,
     campaign_csv,
     campaign_json,
     layer_vulnerability,
-    mean_ci95,
     optype_vulnerability,
     sweep_ber,
     vuln_csv,
     vuln_json,
 )
 from .errors import BitPositionError, ConfigError, ShapeError
-from .inject import FaultTrace, Granularity, InjectionConfig, Scope
+from .inject import FaultTrace, Granularity, Scope
 from .mitigate import RangeProfile, profile_ranges
 from .modelio import (
     builtin_model,
@@ -42,18 +40,16 @@ from .modelio import (
     save_dataset,
     save_model,
 )
-from .runtime import enumerate_ops, top1
+from .runtime import enumerate_ops
 from .tmr import (
     CostModel,
     TmrPlan,
-    full_protection_overhead,
     make_segment_eval,
     measure_segment_vulnerability,
     plan_tmr,
-    run_with_tmr,
     segment_ops,
-    tmr_overhead,
 )
+from .tmr import run_with_tmr  # noqa: F401 - perfbench/tracing.py rebinds cli.run_with_tmr
 
 log = logging.getLogger("winofi")
 
@@ -121,6 +117,13 @@ def _parse_ber_list(text) -> list:
     if not out:
         raise ConfigError("empty --ber list")
     return out
+
+
+def _single_ber(cfg: dict) -> float:
+    bers = _parse_ber_list(cfg.get("ber", "0"))
+    if len(bers) != 1:
+        raise ConfigError(f"{cfg.get('command')} expects a single --ber")
+    return bers[0]
 
 
 def _parse_fault_bits(text):
@@ -212,40 +215,36 @@ def cmd_sweep(cfg: dict, replay=None) -> None:
         log.info("saved fault trace to %s", cfg["save_trace"])
 
 
-def cmd_layer_vuln(cfg: dict, replay=None) -> None:
+def _cmd_vuln(cfg: dict, analysis) -> None:
     model, dataset = _load_pair(cfg)
     kw = _campaign_kwargs(cfg)
-    kw.pop("granularity", None)
-    kw.pop("ranges", None)
-    kw.pop("range_mode", None)
-    bers = _parse_ber_list(cfg.get("ber", "0"))
-    if len(bers) != 1:
-        raise ConfigError("layer-vuln expects a single --ber")
-    reports = layer_vulnerability(
-        model, dataset, cfg.get("engine"), bers[0],
+    for key in ("granularity", "ranges", "range_mode"):
+        kw.pop(key)
+    ber = _single_ber(cfg)
+    reports = analysis(
+        model, dataset, cfg.get("engine"), ber,
         trials=int(cfg.get("trials", 100)), seed=int(cfg.get("seed", 0)), **kw,
     )
     meta = _meta(cfg)
-    meta["ber"] = bers[0]
+    meta["ber"] = ber
     _write_output(cfg, _render_vuln(cfg, reports, meta))
 
 
+def cmd_layer_vuln(cfg: dict, replay=None) -> None:
+    _cmd_vuln(cfg, layer_vulnerability)
+
+
 def cmd_optype_vuln(cfg: dict, replay=None) -> None:
-    model, dataset = _load_pair(cfg)
+    _cmd_vuln(cfg, optype_vulnerability)
+
+
+def _tmr_campaign(cfg: dict, model, dataset) -> Campaign:
+    """The op-level campaign plan-tmr and eval-tmr run on (no range profile)."""
     kw = _campaign_kwargs(cfg)
-    kw.pop("granularity", None)
-    kw.pop("ranges", None)
-    kw.pop("range_mode", None)
-    bers = _parse_ber_list(cfg.get("ber", "0"))
-    if len(bers) != 1:
-        raise ConfigError("optype-vuln expects a single --ber")
-    mul, add = optype_vulnerability(
-        model, dataset, cfg.get("engine"), bers[0],
-        trials=int(cfg.get("trials", 100)), seed=int(cfg.get("seed", 0)), **kw,
+    return Campaign(
+        model, dataset, cfg.get("engine"), seed=int(cfg.get("seed", 0)), scope=kw["scope"],
+        fault_bits=kw["fault_bits"], use_labels=kw["use_labels"], workers=kw["workers"],
     )
-    meta = _meta(cfg)
-    meta["ber"] = bers[0]
-    _write_output(cfg, _render_vuln(cfg, [mul, add], meta))
 
 
 def cmd_plan_tmr(cfg: dict, replay=None) -> None:
@@ -254,22 +253,13 @@ def cmd_plan_tmr(cfg: dict, replay=None) -> None:
         raise ConfigError("--segment-size is required")
     if "target_acc" not in cfg:
         raise ConfigError("--target-acc is required")
-    bers = _parse_ber_list(cfg.get("ber", "0"))
-    if len(bers) != 1:
-        raise ConfigError("plan-tmr expects a single --ber")
-    ber = bers[0]
+    ber = _single_ber(cfg)
     trials = int(cfg.get("trials", 100))
-    seed = int(cfg.get("seed", 0))
-    kw = _campaign_kwargs(cfg)
-    engine = cfg.get("engine") or model.engine
-    camp = Campaign(
-        model, dataset, engine, seed=seed, scope=kw["scope"],
-        fault_bits=kw["fault_bits"], use_labels=kw["use_labels"], workers=kw["workers"],
-    )
+    camp = _tmr_campaign(cfg, model, dataset)
     segments = segment_ops(camp.opspace.total_ops, int(cfg["segment_size"]))
     log.info("measuring vulnerability of %d segments", len(segments))
     reports = measure_segment_vulnerability(
-        model, dataset, engine, ber, segments, trials, seed, campaign=camp
+        model, dataset, camp.engine, ber, segments, trials, camp.seed, campaign=camp
     )
     cost = CostModel(
         add_weight=float(cfg.get("cost_add", 1.0)), mul_weight=float(cfg.get("cost_mul", 6.67))
@@ -281,7 +271,7 @@ def cmd_plan_tmr(cfg: dict, replay=None) -> None:
         make_segment_eval(camp, ber, trials),
         opspace=camp.opspace,
         cost=cost,
-        direct_opspace=enumerate_ops(model, "direct", fault_bits=kw["fault_bits"]),
+        direct_opspace=enumerate_ops(model, "direct", fault_bits=camp.fault_bits),
         v_ci=[r.ci95_halfwidth for r in reports],
         literal_do_while=bool(cfg.get("literal_do_while", False)),
     )
@@ -300,32 +290,13 @@ def cmd_eval_tmr(cfg: dict, replay=None) -> None:
     if cfg.get("save_trace") and len(bers) != 1:
         raise ConfigError("--save-trace needs a single-BER campaign")
     trials = int(cfg.get("trials", 100))
-    seed = int(cfg.get("seed", 0))
-    kw = _campaign_kwargs(cfg)
-    engine = cfg.get("engine") or model.engine
-    camp = Campaign(
-        model, dataset, engine, seed=seed, scope=kw["scope"],
-        fault_bits=kw["fault_bits"], use_labels=kw["use_labels"], workers=1,
-    )
+    camp = _tmr_campaign(cfg, model, dataset)
+    plan.check_fits(camp.opspace)
     trace = FaultTrace() if cfg.get("save_trace") else None
-    results = []
-    for ber in bers:
-        per_trial = []
-        for t in range(trials):
-            correct = 0
-            for i, s in enumerate(dataset.samples):
-                icfg = InjectionConfig(Granularity.OP_LEVEL, ber, seed, kw["scope"], fault_bits=kw["fault_bits"])
-                out = run_with_tmr(model, s, engine, plan, icfg, trial=t, sample=i,
-                                   trace=trace, replay=replay)
-                correct += int(top1(out) == camp.refs[i])
-            per_trial.append(correct)
-        accs = [c / camp.sample_count for c in per_trial]
-        mean, ci = mean_ci95(accs)
-        results.append(CampaignResult(
-            ber=ber, trials=trials, sample_count=camp.sample_count,
-            per_trial_correct=per_trial, mean_accuracy=mean, ci95_halfwidth=ci,
-            clean_accuracy=camp.clean_accuracy,
-        ))
+    results = [
+        camp.run_point(ber, trials, trace=trace, replay=replay, protected=plan.protected_ranges)
+        for ber in bers
+    ]
     _write_output(cfg, _render_campaign(cfg, results, _meta(cfg)))
     if trace is not None:
         trace.save_jsonl(cfg["save_trace"])

@@ -216,8 +216,27 @@ class FaultTrace:
             self._index_len = len(self.events)
         return dict(self._index.get((trial, sample, kind, copy), {}))
 
-    def copies_present(self, trial: int, sample: int) -> set:
-        return {cp for t, s, _k, _i, _b, cp in self.events if t == trial and s == sample}
+    def validate(self, opspace: OpSpace, protected=()) -> None:
+        """Raise ConfigError unless every event fits ``opspace``: indices in
+        range, bits below the op's or neuron's width, and copies 1-2 only
+        when some op range is protected."""
+        copies = 3 if protected else 1
+        for _t, _s, kind, idx, bit, copy in self.events:
+            if kind == KIND_OP:
+                if not 0 <= idx < opspace.total_ops:
+                    raise ConfigError(f"trace op_id {idx} outside [0, {opspace.total_ops})")
+                width = opspace.op_width(idx)
+            else:
+                if not 0 <= idx < opspace.total_neurons:
+                    raise ConfigError(f"trace neuron {idx} outside [0, {opspace.total_neurons})")
+                width = opspace.bit_width
+            if not 0 <= bit < width:
+                raise ConfigError(f"trace bit {bit} of {kind} {idx} outside [0, {width})")
+            if not 0 <= copy < copies:
+                raise ConfigError(
+                    f"trace copy {copy} of {kind} {idx} outside [0, {copies}); "
+                    "copies 1-2 exist only for TMR-protected ops"
+                )
 
     def save_jsonl(self, path: str) -> None:
         with open(path, "w") as f:
@@ -269,6 +288,15 @@ def sample_op_flips(opspace: OpSpace, seed: int, trial: int, sample: int, ber: f
     return flips
 
 
+def _vote(a: int, b: int, c: int) -> int:
+    """Majority of three copies; the median when all three differ."""
+    if a == b or a == c:
+        return a
+    if b == c:
+        return b
+    return sorted((a, b, c))[1]
+
+
 def op_level_hook(
     cfg: InjectionConfig,
     opspace: OpSpace,
@@ -276,44 +304,59 @@ def op_level_hook(
     trial: int = 0,
     sample: int = 0,
     trace: Optional[FaultTrace] = None,
+    replay: Optional[FaultTrace] = None,
+    protected=(),
 ):
     """Instrumentation callback flipping in-scope op result bits.
 
-    Returns (hook, trace); the trace accumulates exactly the applied flips.
+    Flips are sampled for (cfg.seed, trial, sample) or taken from ``replay``.
+    Ops inside the sorted [start, end) ``protected`` ranges run under TMR:
+    three copies with independent flips (copies 0-2), majority-voted. Every
+    other op takes the copy-0 flips. Returns (hook, trace); the trace
+    accumulates exactly the applied flips, in (op, copy, bit) order.
     """
     if cfg.granularity is not Granularity.OP_LEVEL:
         raise ConfigError("op_level_hook needs an OP_LEVEL config")
     if trace is None:
         trace = FaultTrace()
-    flips = sample_op_flips(opspace, cfg.seed, trial, sample, cfg.ber)
+    copies = 3 if protected else 1
+    if replay is not None:
+        tables = [replay.masks_for(trial, sample, KIND_OP, copy=c) for c in range(copies)]
+    else:
+        tables = [sample_op_flips(opspace, cfg.seed, trial, sample, cfg.ber, copy=c) for c in range(copies)]
+    # {op_id: mask} for single ops, {op_id: (m0, m1, m2)} for protected ones
+    faults = tables[0]
+    if protected:
+        starts = [a for a, _ in protected]
+        for op_id in set().union(*tables):
+            i = bisect.bisect_right(starts, op_id) - 1
+            if i >= 0 and op_id < protected[i][1]:
+                faults[op_id] = tuple(t.get(op_id, 0) for t in tables)
     scope = cfg.scope
     events = trace.events
 
-    def hook(op_id, layer_id, op_type, stage, value, _get=flips.get, _allows=scope.allows, _append=events.append):
+    def record(op_id, mask, copy):
+        b = 0
+        while mask:
+            if mask & 1:
+                events.append((trial, sample, KIND_OP, op_id, b, copy))
+            mask >>= 1
+            b += 1
+
+    def hook(op_id, layer_id, op_type, stage, value, _get=faults.get, _allows=scope.allows):
         m = _get(op_id)
         if m is None:
             return value
         if not _allows(layer_id, op_type, op_id):
             return value
-        mm, b = m, 0
-        while mm:
-            if mm & 1:
-                _append((trial, sample, KIND_OP, op_id, b, 0))
-            mm >>= 1
-            b += 1
-        return value ^ m
+        if isinstance(m, int):
+            record(op_id, m, 0)
+            return value ^ m
+        for copy in range(3):
+            record(op_id, m[copy], copy)
+        return _vote(value ^ m[0], value ^ m[1], value ^ m[2])
 
     return hook, trace
-
-
-def replay_op_hook(masks: dict, *, trial: int = 0, sample: int = 0):
-    """Hook applying an exact {op_id: mask} table (no sampling, no scope)."""
-
-    def hook(op_id, layer_id, op_type, stage, value, _get=masks.get):
-        m = _get(op_id)
-        return value if m is None else value ^ m
-
-    return hook
 
 
 # ---------------------------------------------------------------------------

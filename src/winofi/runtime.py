@@ -24,13 +24,14 @@ from .errors import ConfigError, ShapeError
 from .modelio import (
     ConstrainedReluLayer,
     ConvLayer,
-    Dataset,
     FlattenLayer,
     LinearLayer,
     ModelDef,
     ReluLayer,
 )
 from .qtensor import QTensor, QuantParams
+
+MAX_FAULT_BITS = 64
 
 # Region op patterns.
 PAT_MAC = 0  # alternating MUL (even offset) / ADD (odd offset)
@@ -173,12 +174,6 @@ class OpSpace:
     def conv_layer_ids(self) -> list[int]:
         return sorted(self.stage_counts)
 
-    def layer_range(self, layer_id: int) -> tuple[int, int]:
-        rs = [r for r in self.regions if r.layer_id == layer_id]
-        if not rs:
-            raise ConfigError(f"layer {layer_id} owns no operations")
-        return rs[0].start, rs[-1].end
-
     # -- per-op lookup --------------------------------------------------------
 
     def region_of(self, op_id: int) -> Region:
@@ -236,21 +231,21 @@ def _resolve_fault_bits(fault_bits, bit_width: int) -> tuple[int, int]:
 
     Default: multiply results are exposed at their product-register width
     (2x the operand width), adds at the model bit width. The wider multiply
-    window is what makes multiplications the more vulnerable op type.
+    window is what makes multiplications the more vulnerable op type. No
+    window may be wider than MAX_FAULT_BITS, the widest accumulator register.
     """
     if fault_bits is None:
         return 2 * bit_width, bit_width
     if isinstance(fault_bits, int):
-        if fault_bits < 1:
-            raise ConfigError("fault_bits must be >= 1")
-        return fault_bits, fault_bits
-    try:
-        wm = int(fault_bits.get("MUL", fault_bits.get(OpType.MUL, bit_width)))
-        wa = int(fault_bits.get("ADD", fault_bits.get(OpType.ADD, bit_width)))
-    except AttributeError:
-        raise ConfigError(f"fault_bits must be None, int, or a MUL/ADD mapping, got {fault_bits!r}")
-    if wm < 1 or wa < 1:
-        raise ConfigError("fault_bits must be >= 1")
+        wm = wa = fault_bits
+    else:
+        try:
+            wm = int(fault_bits.get("MUL", fault_bits.get(OpType.MUL, bit_width)))
+            wa = int(fault_bits.get("ADD", fault_bits.get(OpType.ADD, bit_width)))
+        except AttributeError:
+            raise ConfigError(f"fault_bits must be None, int, or a MUL/ADD mapping, got {fault_bits!r}")
+    if not (1 <= wm <= MAX_FAULT_BITS and 1 <= wa <= MAX_FAULT_BITS):
+        raise ConfigError(f"fault_bits must be in [1, {MAX_FAULT_BITS}], got MUL:{wm},ADD:{wa}")
     return wm, wa
 
 
@@ -400,10 +395,3 @@ def top1(output: QTensor) -> int:
     """Deterministic top-1: argmax over the flattened output, first index wins."""
     return int(np.argmax(output.data))
 
-
-def clean_outputs(model: ModelDef, dataset: Dataset, engine: Optional[str] = None) -> list[QTensor]:
-    return [run_inference(model, s, engine).output for s in dataset.samples]
-
-
-def clean_top1(model: ModelDef, dataset: Dataset, engine: Optional[str] = None) -> list[int]:
-    return [top1(o) for o in clean_outputs(model, dataset, engine)]

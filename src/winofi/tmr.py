@@ -14,9 +14,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .analyze import Campaign, VulnReport, mean_ci95
+from .analyze import Campaign, VulnReport
 from .errors import ConfigError
-from .inject import FaultTrace, Granularity, InjectionConfig, Scope, sample_op_flips
+from .inject import FaultTrace, InjectionConfig, Scope, op_level_hook
+from .inject import sample_op_flips  # noqa: F401 - perfbench/tracing.py rebinds tmr.sample_op_flips
 from .modelio import Dataset, ModelDef
 from .qtensor import QTensor
 from .runtime import OpSpace, enumerate_ops, run_inference
@@ -123,6 +124,12 @@ class TmrPlan:
         """P = (protected ops) / M; equals n*m/M except for a short tail segment."""
         return self.protected_op_count / self.total_ops if self.total_ops else 0.0
 
+    def check_fits(self, opspace: OpSpace) -> None:
+        if self.total_ops != opspace.total_ops:
+            raise ConfigError(
+                f"plan covers {self.total_ops} ops but {opspace.engine} enumeration has {opspace.total_ops}"
+            )
+
     def to_dict(self) -> dict:
         return {
             "segment_size": self.segment_size,
@@ -189,17 +196,8 @@ def measure_segment_vulnerability(
         model, dataset, engine, seed=seed, scope=scope, fault_bits=fault_bits,
         use_labels=use_labels, workers=workers,
     )
-    raw = camp.run_point(ber, trials)
-    reports = []
-    for seg in segments:
-        prot = camp.run_point(ber, trials, camp.base_scope.excluding_op_ranges([seg.op_range]))
-        deltas = [
-            (p - r) / camp.sample_count
-            for p, r in zip(prot.per_trial_correct, raw.per_trial_correct)
-        ]
-        dmean, dci = mean_ci95(deltas)
-        reports.append(VulnReport("segment", seg.index, prot.mean_accuracy, raw.mean_accuracy, dmean, dci))
-    return reports
+    subjects = [(seg.index, camp.base_scope.excluding_op_ranges([seg.op_range])) for seg in segments]
+    return camp.vulnerability("segment", subjects, ber, trials)
 
 
 def plan_tmr(
@@ -285,14 +283,6 @@ def make_segment_eval(campaign: Campaign, ber: float, trials: int) -> Callable:
 # TMR-executing inference
 
 
-def _vote(a: int, b: int, c: int) -> int:
-    if a == b or a == c:
-        return a
-    if b == c:
-        return b
-    return sorted((a, b, c))[1]
-
-
 def run_with_tmr(
     model: ModelDef,
     x: QTensor,
@@ -305,71 +295,11 @@ def run_with_tmr(
     trace: Optional[FaultTrace] = None,
     replay: Optional[FaultTrace] = None,
 ) -> QTensor:
-    """One inference with per-op TMR: protected ops run three copies under
-    independent fault draws and majority-vote (median if all three differ);
-    unprotected ops run once under the copy-0 draws."""
-    if cfg.granularity is not Granularity.OP_LEVEL:
-        raise ConfigError("TMR execution protects operations; use an OP_LEVEL config")
+    """One inference with per-op TMR over ``plan``'s protected segments (see
+    ``op_level_hook``)."""
     engine = engine or model.engine
     space = enumerate_ops(model, engine, fault_bits=cfg.fault_bits)
-    if plan.total_ops != space.total_ops:
-        raise ConfigError(
-            f"plan covers {plan.total_ops} ops but {engine} enumeration has {space.total_ops}"
-        )
-    ranges = plan.protected_ranges
-    starts = [r[0] for r in ranges]
-    ends = [r[1] for r in ranges]
-
-    import bisect as _bisect
-
-    def protected(op_id: int) -> bool:
-        i = _bisect.bisect_right(starts, op_id) - 1
-        return i >= 0 and op_id < ends[i]
-
-    if replay is not None:
-        tables = [replay.masks_for(trial, sample, "op", copy=c) for c in range(3)]
-    elif ranges:
-        tables = [sample_op_flips(space, cfg.seed, trial, sample, cfg.ber, copy=c) for c in range(3)]
-    else:
-        tables = [sample_op_flips(space, cfg.seed, trial, sample, cfg.ber, copy=0), {}, {}]
-    merged: dict[int, list] = {}
-    for c, tab in enumerate(tables):
-        for op, m in tab.items():
-            merged.setdefault(op, [0, 0, 0])[c] = m
-
-    scope = cfg.scope
-    events = trace.events if trace is not None else None
-
-    def record(op_id, mask, copy):
-        if events is None:
-            return
-        b = 0
-        while mask:
-            if mask & 1:
-                events.append((trial, sample, "op", op_id, b, copy))
-            mask >>= 1
-            b += 1
-
-    def hook(op_id, layer_id, op_type, stage, value, _get=merged.get):
-        ms = _get(op_id)
-        if ms is None:
-            return value
-        if not scope.allows(layer_id, op_type, op_id):
-            return value
-        if protected(op_id):
-            vals = []
-            for c in range(3):
-                m = ms[c]
-                if m:
-                    record(op_id, m, c)
-                    vals.append(value ^ m)
-                else:
-                    vals.append(value)
-            return _vote(*vals)
-        m = ms[0]
-        if not m:
-            return value
-        record(op_id, m, 0)
-        return value ^ m
-
+    plan.check_fits(space)
+    hook, _ = op_level_hook(cfg, space, trial=trial, sample=sample, trace=trace, replay=replay,
+                            protected=plan.protected_ranges)
     return run_inference(model, x, engine, hook).output

@@ -244,3 +244,79 @@ def test_stdout_output(assets, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "ber,trials,samples" in out
+
+
+def _sweep_with_trace(assets, tmp_path, granularity):
+    out = tmp_path / "orig.csv"
+    trace = tmp_path / "trace.jsonl"
+    code = run_cli(
+        "sweep", "--model", assets["model"], "--dataset", assets["dataset"],
+        "--engine", "direct", "--granularity", granularity,
+        "--ber", "2e-4", "--trials", "2", "--seed", "4",
+        "--out", str(out), "--save-trace", str(trace),
+    )
+    assert code == 0
+    return out, trace
+
+
+@pytest.mark.parametrize("granularity,record", [
+    ("op", {"op_id": 99999999, "bit": 300}),  # op_id outside the op space
+    ("op", {"op_id": 1, "bit": 16}),  # op 1 is a 16-bit ADD
+    ("op", {"op_id": 0, "bit": 0, "copy": 1}),  # a TMR copy in an unprotected run
+    ("neuron", {"neuron": 99999999, "bit": 0}),
+    ("neuron", {"neuron": 0, "bit": 16}),  # the model is 16-bit
+])
+def test_replay_rejects_trace_outside_op_space(assets, tmp_path, capsys, granularity, record):
+    out, trace = _sweep_with_trace(assets, tmp_path, granularity)
+    trace.write_text(json.dumps(dict(record, trial=0, sample=0)) + "\n")
+    code = run_cli("replay", "--results", str(out), "--trace", str(trace), "--out", str(tmp_path / "r.csv"))
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "ConfigError"
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("bits,expected", [("100", 2), ("MUL:65,ADD:16", 2), ("64", 0)])
+def test_fault_window_at_most_64_bits(assets, tmp_path, bits, expected):
+    code = run_cli(
+        "sweep", "--model", assets["model"], "--dataset", assets["dataset"],
+        "--ber", "1e-4", "--trials", "1", "--fault-bits", bits, "--out", str(tmp_path / "r.csv"),
+    )
+    assert code == expected
+
+
+def _write_plan(assets, path, engine, n, n_segments):
+    from winofi.modelio import load_model
+    from winofi.runtime import enumerate_ops
+    from winofi.tmr import TmrPlan
+
+    total = enumerate_ops(load_model(assets["model"]), engine).total_ops
+    plan = TmrPlan(segment_size=-(-total // n_segments), total_ops=total,
+                   order=list(range(n_segments))[::-1], n=n, achieved_acc=0.0, target_acc=0.0)
+    plan.save_json(str(path))
+
+
+def _rows(path):
+    return [l for l in path.read_text().splitlines() if not l.startswith("#")]
+
+
+def test_eval_tmr_without_protection_equals_sweep(assets, tmp_path):
+    plan = tmp_path / "plan.json"
+    _write_plan(assets, plan, "winograd", n=0, n_segments=1)
+    common = ("--model", assets["model"], "--dataset", assets["dataset"], "--engine", "winograd",
+              "--ber", "1e-4", "--trials", "6", "--seed", "5")
+    assert run_cli("sweep", *common, "--out", str(tmp_path / "sweep.csv")) == 0
+    assert run_cli("eval-tmr", *common, "--plan", str(plan), "--out", str(tmp_path / "eval.csv")) == 0
+    assert _rows(tmp_path / "eval.csv") == _rows(tmp_path / "sweep.csv")
+
+
+def test_eval_tmr_workers_do_not_change_bytes(assets, tmp_path):
+    plan = tmp_path / "plan.json"
+    _write_plan(assets, plan, "direct", n=2, n_segments=3)
+    for workers in ("1", "2"):
+        code = run_cli(
+            "eval-tmr", "--model", assets["model"], "--dataset", assets["dataset"], "--engine", "direct",
+            "--plan", str(plan), "--ber", "1e-3,3e-3", "--trials", "4", "--seed", "10",
+            "--workers", workers, "--out", str(tmp_path / f"eval{workers}.csv"),
+        )
+        assert code == 0
+    assert (tmp_path / "eval2.csv").read_bytes() == (tmp_path / "eval1.csv").read_bytes()

@@ -13,7 +13,6 @@ from winofi.inject import (
     bit_ratio,
     neuron_level_inject,
     op_level_hook,
-    replay_op_hook,
     sample_op_flips,
 )
 from winofi.modelio import generate_dataset, generate_toy_model
@@ -173,7 +172,7 @@ def test_replay_reproduces_output(model, sample):
     cfg = cfg_op(1e-4, seed=31)
     hook, trace = op_level_hook(cfg, space)
     corrupted = run_inference(model, sample, "direct", hook).output
-    replay = replay_op_hook(trace.masks_for(0, 0, "op"))
+    replay, _ = op_level_hook(cfg, space, replay=trace)
     again = run_inference(model, sample, "direct", replay).output
     assert corrupted == again
 
@@ -207,6 +206,19 @@ def test_scope_change_preserves_other_flips(model, sample):
     dropped = full_keys - scoped_keys
     assert all(space.op_info(e[3])[0] == layers[1] for e in dropped)
     assert len(dropped) > 0
+
+
+def test_replay_honours_scope(model, sample):
+    # replayed flips pass the same scope check as sampled ones
+    space = enumerate_ops(model, "direct")
+    hook, full = op_level_hook(cfg_op(1e-3, seed=19), space)
+    run_inference(model, sample, "direct", hook)
+    scoped_cfg = cfg_op(1e-3, seed=19, scope=Scope(exclude_layers=frozenset({space.conv_layer_ids()[1]})))
+    hook, scoped = op_level_hook(scoped_cfg, space)
+    want = run_inference(model, sample, "direct", hook).output
+    hook, replayed = op_level_hook(scoped_cfg, space, replay=full)
+    assert run_inference(model, sample, "direct", hook).output == want
+    assert replayed == scoped != full
 
 
 def test_protected_range_scope(model, sample):

@@ -379,3 +379,27 @@ def test_full_protection_beats_unprotected(model, dataset):
     prot_acc = sum(correct) / (trials * len(dataset))
     assert prot_acc >= raw.mean_accuracy
     assert prot_acc >= 0.99  # triple execution voting wipes out sparse faults
+
+def test_op_level_hook_replays_saved_tmr_trace(model, dataset, tmp_path):
+    # eval-tmr's campaign point saves copies 0-2; replaying that trace through
+    # op_level_hook with the plan's ranges reproduces every faulty output
+    from winofi.inject import op_level_hook
+
+    space = enumerate_ops(model, "direct")
+    plan = TmrPlan(segment_size=-(-space.total_ops // 2), total_ops=space.total_ops,
+                   order=[1, 0], n=1, achieved_acc=0.0, target_acc=0.0)
+    ber, trials = 2e-3, 2
+    camp = Campaign(model, dataset, "direct", seed=74, workers=1)
+    trace = FaultTrace()
+    camp.run_point(ber, trials, trace=trace, protected=plan.protected_ranges)
+    assert {e[5] for e in trace.events} == {0, 1, 2}
+    path = tmp_path / "trace.jsonl"
+    trace.save_jsonl(str(path))
+    saved = FaultTrace.load_jsonl(str(path))
+    cfg = InjectionConfig(ber=ber, seed=74)
+    for t in range(trials):
+        for i, x in enumerate(dataset.samples):
+            want = camp.corrupted_output(t, i, ber, camp.base_scope, protected=plan.protected_ranges).output
+            hook, _ = op_level_hook(cfg, space, trial=t, sample=i, replay=saved,
+                                    protected=plan.protected_ranges)
+            assert run_inference(model, x, "direct", hook).output == want
