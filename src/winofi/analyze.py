@@ -27,7 +27,6 @@ from .inject import (
     Scope,
     neuron_level_inject,
     op_level_hook,
-    replay_neuron_masks,
 )
 from .modelio import Dataset, ModelDef
 from .runtime import enumerate_ops, run_inference, top1
@@ -158,19 +157,11 @@ class Campaign:
             )
         offsets = self.opspace.neuron_offsets
 
-        if replay is not None:
-            masks = replay.masks_for(trial, sample_idx, "neuron")
-
-            def neuron_fn(layer_id, out):
-                return replay_neuron_masks(out, masks, offsets[layer_id])
-
-        else:
-
-            def neuron_fn(layer_id, out):
-                return neuron_level_inject(
-                    out, cfg, layer_id, trial=trial, sample=sample_idx,
-                    neuron_offset=offsets[layer_id], trace=trace,
-                )
+        def neuron_fn(layer_id, out):
+            return neuron_level_inject(
+                out, cfg, layer_id, trial=trial, sample=sample_idx,
+                neuron_offset=offsets[layer_id], trace=trace, replay=replay,
+            )
 
         return run_inference(
             self.model, x, self.engine, neuron_fn=neuron_fn,
@@ -262,13 +253,9 @@ class Campaign:
     def _parallel_trials(self, ber: float, trials: int, scope: Scope, protected) -> list:
         workers = min(self.workers, trials)
         blocks = [list(range(w, trials, workers)) for w in range(workers)]
-        payload = (
-            self.model, self.dataset, self.engine, self.granularity.value, self.seed,
-            scope, self.fault_bits, self.refs, self.ranges, self.range_mode, ber, protected,
-        )
         out: dict[int, int] = {}
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for res in pool.map(_trial_block_worker, [(payload, b) for b in blocks]):
+            for res in pool.map(_trial_block_worker, [(self, ber, scope, protected, b) for b in blocks]):
                 out.update(res)
         return [out[t] for t in range(trials)]
 
@@ -290,14 +277,7 @@ class Campaign:
 
 
 def _trial_block_worker(args):
-    (model, dataset, engine, granularity, seed, scope, fault_bits, refs,
-     ranges, range_mode, ber, protected), block = args
-    camp = Campaign(
-        model, dataset, engine,
-        granularity=Granularity(granularity), seed=seed, scope=scope,
-        fault_bits=fault_bits, ranges=ranges, range_mode=range_mode, workers=1,
-    )
-    camp.refs = refs
+    camp, ber, scope, protected, block = args
     return {t: camp.trial_correct(t, ber, scope, protected=protected) for t in block}
 
 

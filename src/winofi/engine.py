@@ -16,7 +16,7 @@ path that matches the hooked path element-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Optional
 
@@ -68,6 +68,61 @@ G2_F2X2_3X3 = np.array([[2, 0, 0], [1, 1, 1], [1, -1, 1], [0, 0, 2]], dtype=np.i
 
 
 @dataclass(frozen=True)
+class _Transform:
+    """Straight-line ADD program computing M X M^T on a flat, row-major X.
+
+    Each row of M is one add chain: it starts at the row's first positive
+    term and adds or subtracts the other terms in index order; a coefficient
+    of 2 repeats its term, so doublings are self-additions. The rows pass
+    M X runs before the columns pass (M X) M^T, each in row-major output
+    order. Slots hold X, then M X, then the result; step (dst, a, b,
+    subtract) sets slot dst to slot a +/- slot b, and a chain's partial sums
+    land in its own dst slot.
+    """
+
+    steps: tuple
+    pad: list  # zero slots appended to X
+    out: int  # first slot of the result
+
+    @classmethod
+    def of(cls, m: np.ndarray, cols: int) -> "_Transform":
+        r, rows = m.shape  # X is rows x cols, the result r x r
+        t0, out = rows * cols, (rows + r) * cols
+        steps = []
+
+        def chain(row, dst, slots):
+            terms = [(slots[j], c < 0) for j, c in enumerate(row) for _ in range(abs(c))]
+            a = terms.pop(next(i for i, (_, neg) in enumerate(terms) if not neg))[0]
+            for b, sub in terms:
+                steps.append((dst, a, b, sub))
+                a = dst
+
+        for i, row in enumerate(m.tolist()):
+            for j in range(cols):
+                chain(row, t0 + i * cols + j, range(j, t0, cols))
+        for i in range(r):
+            for j, row in enumerate(m.tolist()):
+                chain(row, out + i * r + j, range(t0 + i * cols, t0 + (i + 1) * cols))
+        return cls(tuple(steps), [0] * (out + r * r - t0), out)
+
+
+_ADD = int(OpType.ADD)
+_INPUT_TF = _Transform.of(BT_F2X2_3X3, 4)
+_FILTER_TF = _Transform.of(G2_F2X2_3X3, 3)
+_INVERSE_TF = _Transform.of(AT_F2X2_3X3, 4)
+
+
+def _hooked_transform(tf: _Transform, x: list, hook: Hook, op_id: int, layer_id: int, stage: int) -> list:
+    """Run ``tf`` on the flat list ``x`` through ``hook``, one ADD per step
+    starting at ``op_id``; returns the flat result."""
+    buf = x + tf.pad
+    for dst, a, b, sub in tf.steps:
+        buf[dst] = hook(op_id, layer_id, _ADD, stage, buf[a] - buf[b] if sub else buf[a] + buf[b])
+        op_id += 1
+    return buf[tf.out :]
+
+
+@dataclass(frozen=True)
 class WinogradConfig:
     """F(2x2, 3x3): 4x4 input tiles, 2x2 output tiles, 16 multiplies per tile.
 
@@ -77,22 +132,7 @@ class WinogradConfig:
     it through the hook as WG_FILTER_TF ADDs instead.
     """
 
-    m_tile: int = 2
-    bt: np.ndarray = field(default_factory=lambda: BT_F2X2_3X3.copy())
-    g: np.ndarray = field(default_factory=lambda: G_F2X2_3X3.copy())
-    at: np.ndarray = field(default_factory=lambda: AT_F2X2_3X3.copy())
     instrument_filter_transform: bool = False
-
-    def __post_init__(self):
-        if self.m_tile != 2:
-            raise ShapeError("only the F(2x2,3x3) tile size is supported")
-        if not (
-            np.array_equal(self.bt, BT_F2X2_3X3)
-            and np.array_equal(self.g, G_F2X2_3X3)
-            and np.array_equal(self.at, AT_F2X2_3X3)
-        ):
-            raise ShapeError("transform matrices must be the exact F(2x2,3x3) constants")
-        assert (self.m_tile + 3 - 1) ** 2 == 16
 
     @staticmethod
     def tile_grid(out_h: int, out_w: int) -> tuple[int, int]:
@@ -265,6 +305,8 @@ def conv_winograd(
     Within a layer the op stream is: filter transform for every (k, c), then
     per tile the stages input transform (per c), element-wise multiply
     (per k, c), channel-sum accumulation (per k, c), inverse transform (per k).
+    Each transform runs as the add-chain program derived from its matrix (see
+    :class:`_Transform`); every tile quantity is a flat row-major list.
     Odd output planes are computed on a tile grid rounded up to even and the
     padded outputs discarded.
     """
@@ -283,148 +325,61 @@ def conv_winograd(
     xp = np.zeros((n_, c_, 2 * ty_ + 2, 2 * tx_ + 2), dtype=np.int64)
     xp[:, :, pad : pad + h, pad : pad + w] = x.array
     xl = xp.tolist()
-    wl = spec.weights.array.tolist()
-    bias = spec.bias
+    b4 = [4 * int(b) for b in spec.bias] if spec.bias is not None else [0] * k_
     lo, hi = oq.int_min, oq.int_max
-    out = np.empty((n_, k_, oh, ow), dtype=np.int64)
-    mul, add = int(OpType.MUL), int(OpType.ADD)
-    s_ftf, s_itf = int(Stage.WG_FILTER_TF), int(Stage.WG_INPUT_TF)
-    s_ew, s_cs, s_inv = int(Stage.WG_EWMUL), int(Stage.WG_CHANNEL_SUM), int(Stage.WG_INVERSE_TF)
+    out = np.empty((n_, k_, 2 * ty_, 2 * tx_), dtype=np.int64)
+    mul = int(OpType.MUL)
+    s_itf, s_ew, s_cs, s_inv = (
+        int(Stage.WG_INPUT_TF), int(Stage.WG_EWMUL), int(Stage.WG_CHANNEL_SUM), int(Stage.WG_INVERSE_TF)
+    )
+    n_itf, n_inv = len(_INPUT_TF.steps), len(_INVERSE_TF.steps)
     op_id = op_base
 
-    if not cfg.instrument_filter_transform:
-        u_arr = np.matmul(np.matmul(G2_F2X2_3X3, spec.weights.array), G2_F2X2_3X3.T)
-        u_all = u_arr.tolist()
+    # Filter transform (2G) g (2G)^T, one flat 4x4 U per (k, c) in that order.
+    if cfg.instrument_filter_transform:
+        n_ftf = len(_FILTER_TF.steps)
+        u_all = [
+            _hooked_transform(_FILTER_TF, g, hook, op_id + i * n_ftf, layer_id, int(Stage.WG_FILTER_TF))
+            for i, g in enumerate(spec.weights.array.reshape(k_ * c_, 9).tolist())
+        ]
+        op_id += k_ * c_ * n_ftf
     else:
-        # Filter transform (2G) g (2G)^T per (k, c); the doublings are emitted
-        # as self-additions so the stage is pure ADDs.
-        u_all = []
-    for k in range(k_ if cfg.instrument_filter_transform else 0):
-        uk = []
-        for c in range(c_):
-            g = wl[k][c]
-            t = [[0] * 3 for _ in range(4)]
-            for j in range(3):
-                t[0][j] = hook(op_id, layer_id, add, s_ftf, g[0][j] + g[0][j])
-                op_id += 1
-            for j in range(3):
-                s = hook(op_id, layer_id, add, s_ftf, g[0][j] + g[1][j])
-                op_id += 1
-                t[1][j] = hook(op_id, layer_id, add, s_ftf, s + g[2][j])
-                op_id += 1
-            for j in range(3):
-                s = hook(op_id, layer_id, add, s_ftf, g[0][j] - g[1][j])
-                op_id += 1
-                t[2][j] = hook(op_id, layer_id, add, s_ftf, s + g[2][j])
-                op_id += 1
-            for j in range(3):
-                t[3][j] = hook(op_id, layer_id, add, s_ftf, g[2][j] + g[2][j])
-                op_id += 1
-            u = [[0] * 4 for _ in range(4)]
-            for i in range(4):
-                ti = t[i]
-                u[i][0] = hook(op_id, layer_id, add, s_ftf, ti[0] + ti[0])
-                op_id += 1
-                s = hook(op_id, layer_id, add, s_ftf, ti[0] + ti[1])
-                op_id += 1
-                u[i][1] = hook(op_id, layer_id, add, s_ftf, s + ti[2])
-                op_id += 1
-                s = hook(op_id, layer_id, add, s_ftf, ti[0] - ti[1])
-                op_id += 1
-                u[i][2] = hook(op_id, layer_id, add, s_ftf, s + ti[2])
-                op_id += 1
-                u[i][3] = hook(op_id, layer_id, add, s_ftf, ti[2] + ti[2])
-                op_id += 1
-            uk.append(u)
-        u_all.append(uk)
+        u_all = np.matmul(np.matmul(G2_F2X2_3X3, spec.weights.array), G2_F2X2_3X3.T).reshape(k_ * c_, 16).tolist()
 
     for n in range(n_):
         xn = xl[n]
         for ty in range(ty_):
+            y0 = 2 * ty
             for tx in range(tx_):
-                y0, x0 = 2 * ty, 2 * tx
+                x0 = 2 * tx
                 # Input transform B^T d B per input channel.
                 v_all = []
-                for c in range(c_):
-                    d = [xn[c][y0 + i][x0 : x0 + 4] for i in range(4)]
-                    t = [[0] * 4 for _ in range(4)]
-                    for j in range(4):
-                        t[0][j] = hook(op_id, layer_id, add, s_itf, d[0][j] - d[2][j])
-                        op_id += 1
-                    for j in range(4):
-                        t[1][j] = hook(op_id, layer_id, add, s_itf, d[1][j] + d[2][j])
-                        op_id += 1
-                    for j in range(4):
-                        t[2][j] = hook(op_id, layer_id, add, s_itf, d[2][j] - d[1][j])
-                        op_id += 1
-                    for j in range(4):
-                        t[3][j] = hook(op_id, layer_id, add, s_itf, d[1][j] - d[3][j])
-                        op_id += 1
-                    v = [[0] * 4 for _ in range(4)]
-                    for i in range(4):
-                        ti = t[i]
-                        v[i][0] = hook(op_id, layer_id, add, s_itf, ti[0] - ti[2])
-                        op_id += 1
-                        v[i][1] = hook(op_id, layer_id, add, s_itf, ti[1] + ti[2])
-                        op_id += 1
-                        v[i][2] = hook(op_id, layer_id, add, s_itf, ti[2] - ti[1])
-                        op_id += 1
-                        v[i][3] = hook(op_id, layer_id, add, s_itf, ti[1] - ti[3])
-                        op_id += 1
-                    v_all.append(v)
-                # Element-wise multiply in the transform domain.
-                p_all = [[None] * c_ for _ in range(k_)]
+                for xc in xn:
+                    r0, r1, r2, r3 = xc[y0 : y0 + 4]
+                    d = r0[x0 : x0 + 4] + r1[x0 : x0 + 4] + r2[x0 : x0 + 4] + r3[x0 : x0 + 4]
+                    v_all.append(_hooked_transform(_INPUT_TF, d, hook, op_id, layer_id, s_itf))
+                    op_id += n_itf
+                # Element-wise multiply in the transform domain, per (k, c).
+                p_all = []
+                for u, v in zip(u_all, v_all * k_):
+                    p_all.append([hook(op_id + e, layer_id, mul, s_ew, u[e] * v[e]) for e in range(16)])
+                    op_id += 16
+                # Channel sum per k, accumulated in the transform domain.
+                s_all = []
                 for k in range(k_):
-                    uk = u_all[k]
-                    for c in range(c_):
-                        u, v = uk[c], v_all[c]
-                        p = [0] * 16
-                        for i in range(4):
-                            ui, vi = u[i], v[i]
-                            for j in range(4):
-                                p[4 * i + j] = hook(op_id, layer_id, mul, s_ew, ui[j] * vi[j])
-                                op_id += 1
-                        p_all[k][c] = p
-                # Channel sum, accumulated in the transform domain.
-                s_acc = [[0] * 16 for _ in range(k_)]
-                for k in range(k_):
-                    sk = s_acc[k]
-                    for c in range(c_):
-                        pc = p_all[k][c]
-                        for e in range(16):
-                            sk[e] = hook(op_id, layer_id, add, s_cs, sk[e] + pc[e])
-                            op_id += 1
-                # Inverse transform A^T S A per output channel.
-                for k in range(k_):
-                    sk = s_acc[k]
-                    m = [[0] * 4 for _ in range(2)]
-                    for j in range(4):
-                        s = hook(op_id, layer_id, add, s_inv, sk[j] + sk[4 + j])
-                        op_id += 1
-                        m[0][j] = hook(op_id, layer_id, add, s_inv, s + sk[8 + j])
-                        op_id += 1
-                    for j in range(4):
-                        s = hook(op_id, layer_id, add, s_inv, sk[4 + j] - sk[8 + j])
-                        op_id += 1
-                        m[1][j] = hook(op_id, layer_id, add, s_inv, s - sk[12 + j])
-                        op_id += 1
-                    b4 = 4 * int(bias[k]) if bias is not None else 0
-                    for i in range(2):
-                        mi = m[i]
-                        s = hook(op_id, layer_id, add, s_inv, mi[0] + mi[1])
-                        op_id += 1
-                        y_a = hook(op_id, layer_id, add, s_inv, s + mi[2])
-                        op_id += 1
-                        s = hook(op_id, layer_id, add, s_inv, mi[1] - mi[2])
-                        op_id += 1
-                        y_b = hook(op_id, layer_id, add, s_inv, s - mi[3])
-                        op_id += 1
-                        oy = y0 + i
-                        if oy < oh:
-                            if x0 < ow:
-                                out[n, k, oy, x0] = requant_scalar(y_a + b4, shift, lo, hi)
-                            if x0 + 1 < ow:
-                                out[n, k, oy, x0 + 1] = requant_scalar(y_b + b4, shift, lo, hi)
+                    sk = [0] * 16
+                    for p in p_all[k * c_ : (k + 1) * c_]:
+                        sk = [hook(op_id + e, layer_id, _ADD, s_cs, sk[e] + p[e]) for e in range(16)]
+                        op_id += 16
+                    s_all.append(sk)
+                # Inverse transform A^T S A per output channel; the padded
+                # outputs of ragged edge tiles are cropped below.
+                for k, sk in enumerate(s_all):
+                    y = _hooked_transform(_INVERSE_TF, sk, hook, op_id, layer_id, s_inv)
+                    op_id += n_inv
+                    for e in range(4):
+                        out[n, k, y0 + e // 2, x0 + e % 2] = requant_scalar(y[e] + b4[k], shift, lo, hi)
+    out = out[:, :, :oh, :ow].copy()
     return QTensor(out.shape, out, oq)
 
 
@@ -456,14 +411,16 @@ def direct_layer_counts(n: int, c: int, k: int, oh: int, ow: int) -> dict[Stage,
 def winograd_layer_counts(
     n: int, c: int, k: int, oh: int, ow: int, include_filter_tf: bool = False
 ) -> dict[Stage, dict[OpType, int]]:
+    """Per-stage op counts; the per-tile stages come first, in the order each
+    tile emits them. Transform adds are the programs' step counts."""
     ty, tx = WinogradConfig.tile_grid(oh, ow)
     tiles = n * ty * tx
     counts = {
-        Stage.WG_INPUT_TF: {OpType.MUL: 0, OpType.ADD: 32 * c * tiles},
+        Stage.WG_INPUT_TF: {OpType.MUL: 0, OpType.ADD: len(_INPUT_TF.steps) * c * tiles},
         Stage.WG_EWMUL: {OpType.MUL: 16 * k * c * tiles, OpType.ADD: 0},
         Stage.WG_CHANNEL_SUM: {OpType.MUL: 0, OpType.ADD: 16 * k * c * tiles},
-        Stage.WG_INVERSE_TF: {OpType.MUL: 0, OpType.ADD: 24 * k * tiles},
+        Stage.WG_INVERSE_TF: {OpType.MUL: 0, OpType.ADD: len(_INVERSE_TF.steps) * k * tiles},
     }
     if include_filter_tf:
-        counts[Stage.WG_FILTER_TF] = {OpType.MUL: 0, OpType.ADD: 42 * k * c}
+        counts[Stage.WG_FILTER_TF] = {OpType.MUL: 0, OpType.ADD: len(_FILTER_TF.steps) * k * c}
     return counts

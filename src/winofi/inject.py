@@ -248,18 +248,25 @@ class FaultTrace:
 
     @staticmethod
     def load_jsonl(path: str) -> "FaultTrace":
+        try:
+            f = open(path)
+        except OSError as e:
+            raise ConfigError(f"cannot read fault trace: {e}") from e
         events = []
-        with open(path) as f:
-            for line in f:
+        with f:
+            for n, line in enumerate(f, 1):
                 line = line.strip()
                 if not line:
                     continue
                 rec = json.loads(line)
-                kind = KIND_OP if "op_id" in rec else KIND_NEURON
-                idx = rec["op_id"] if kind == KIND_OP else rec["neuron"]
-                events.append(
-                    (rec.get("trial", 0), rec.get("sample", 0), kind, int(idx), int(rec["bit"]), rec.get("copy", 0))
-                )
+                try:
+                    kind = KIND_OP if "op_id" in rec else KIND_NEURON
+                    idx = rec["op_id"] if kind == KIND_OP else rec["neuron"]
+                    events.append(
+                        (rec.get("trial", 0), rec.get("sample", 0), kind, int(idx), int(rec["bit"]), rec.get("copy", 0))
+                    )
+                except (KeyError, TypeError, AttributeError) as e:
+                    raise ConfigError(f"{path}:{n}: a trace record needs an op_id or neuron and a bit: {line}") from e
         return FaultTrace(events)
 
 
@@ -372,41 +379,39 @@ def neuron_level_inject(
     sample: int = 0,
     neuron_offset: int = 0,
     trace: Optional[FaultTrace] = None,
+    replay: Optional[FaultTrace] = None,
 ) -> QTensor:
     """Flip bits of a conv layer's requantized output neurons.
 
     Draws are keyed by (seed, trial, sample, layer), independent of the engine
     that produced the output: identical outputs give identical corruption.
+    ``replay`` supplies the flips instead, as the trace's global neuron
+    indices for (trial, sample). Layers outside the scope are never struck.
     """
     if cfg.granularity is not Granularity.NEURON_LEVEL:
         raise ConfigError("neuron_level_inject needs a NEURON_LEVEL config")
     if not cfg.scope.allows_layer(layer_id):
         return output
     width = output.qparams.bit_width
-    total = output.size * width
-    pos = sample_flip_positions(cfg.seed, (STREAM_NEURON, trial, sample, layer_id), total, cfg.ber)
-    if pos.size == 0:
+    if replay is not None:
+        end = neuron_offset + output.size
+        local = {i - neuron_offset: m for i, m in replay.masks_for(trial, sample, KIND_NEURON).items()
+                 if neuron_offset <= i < end}
+        uniq = np.fromiter(local.keys(), dtype=np.int64, count=len(local))
+        masks = np.fromiter(local.values(), dtype=np.int64, count=len(local))
+    else:
+        pos = sample_flip_positions(cfg.seed, (STREAM_NEURON, trial, sample, layer_id), output.size * width, cfg.ber)
+        ids = (pos // width).astype(np.int64)
+        bits = (pos % width).astype(np.int64)
+        uniq, inv = np.unique(ids, return_inverse=True)
+        masks = np.zeros(uniq.size, dtype=np.int64)
+        np.bitwise_or.at(masks, inv, np.int64(1) << bits)
+        if trace is not None:
+            for i, b in zip(ids.tolist(), bits.tolist()):
+                trace.events.append((trial, sample, KIND_NEURON, neuron_offset + i, b, 0))
+    if uniq.size == 0:
         return output
-    ids = (pos // width).astype(np.int64)
-    bits = (pos % width).astype(np.int64)
-    uniq, inv = np.unique(ids, return_inverse=True)
-    masks = np.zeros(uniq.size, dtype=np.int64)
-    np.bitwise_or.at(masks, inv, np.int64(1) << bits)
-    if trace is not None:
-        for i, b in zip(ids.tolist(), bits.tolist()):
-            trace.events.append((trial, sample, KIND_NEURON, neuron_offset + i, b, 0))
-    flipped = flip_array_with_masks(output.data, uniq, masks, width)
-    return output.with_data(flipped)
-
-
-def replay_neuron_masks(output: QTensor, masks: dict, neuron_offset: int = 0) -> QTensor:
-    """Apply exact {global_neuron_index: mask} flips to one layer's output."""
-    local = {i - neuron_offset: m for i, m in masks.items() if neuron_offset <= i < neuron_offset + output.size}
-    if not local:
-        return output
-    idx = np.fromiter(local.keys(), dtype=np.int64)
-    msk = np.fromiter(local.values(), dtype=np.int64)
-    return output.with_data(flip_array_with_masks(output.data, idx, msk, output.qparams.bit_width))
+    return output.with_data(flip_array_with_masks(output.data, uniq, masks, width))
 
 
 # ---------------------------------------------------------------------------

@@ -95,32 +95,21 @@ class OpSpace:
             neuron_sizes[layer_id] = k * oh * ow
             if engine == "direct":
                 counts = eng.direct_layer_counts(n, c, k, oh, ow)
+                runs = [(Stage.DIRECT_MAC, sum(counts[Stage.DIRECT_MAC].values()))]
             else:
                 counts = eng.winograd_layer_counts(n, c, k, oh, ow, self.include_filter_tf)
-            stage_counts[layer_id] = counts
-            if engine == "direct":
-                total = counts[Stage.DIRECT_MAC][OpType.MUL] + counts[Stage.DIRECT_MAC][OpType.ADD]
-                regions.append(Region(op_id, op_id + total, layer_id, Stage.DIRECT_MAC, PAT_MAC))
-                op_id += total
-            else:
                 # The executed winograd stream interleaves stages per tile; regions
-                # mirror the exact emission order of conv_winograd.
+                # mirror the exact emission order of conv_winograd, which a
+                # one-tile layer's counts list stage by stage.
+                one_tile = eng.winograd_layer_counts(1, c, k, 2, 2)
+                per_tile = [(stage, sum(t.values())) for stage, t in one_tile.items()]
                 ty, tx = eng.WinogradConfig.tile_grid(oh, ow)
-                tiles = n * ty * tx
-                if self.include_filter_tf:
-                    ftf = counts[Stage.WG_FILTER_TF][OpType.ADD]
-                    regions.append(Region(op_id, op_id + ftf, layer_id, Stage.WG_FILTER_TF, PAT_ADD))
-                    op_id += ftf
-                per_tile = (
-                    (Stage.WG_INPUT_TF, 32 * c, PAT_ADD),
-                    (Stage.WG_EWMUL, 16 * k * c, PAT_MUL),
-                    (Stage.WG_CHANNEL_SUM, 16 * k * c, PAT_ADD),
-                    (Stage.WG_INVERSE_TF, 24 * k, PAT_ADD),
-                )
-                for _ in range(tiles):
-                    for stage, cnt, pat in per_tile:
-                        regions.append(Region(op_id, op_id + cnt, layer_id, stage, pat))
-                        op_id += cnt
+                ftf = counts.get(Stage.WG_FILTER_TF)
+                runs = ([(Stage.WG_FILTER_TF, ftf[OpType.ADD])] if ftf else []) + per_tile * (n * ty * tx)
+            stage_counts[layer_id] = counts
+            for stage, cnt in runs:
+                regions.append(Region(op_id, op_id + cnt, layer_id, stage, _STAGE_PATTERNS[stage]))
+                op_id += cnt
 
         self.regions = regions
         self._region_starts = [r.start for r in regions]
@@ -238,12 +227,11 @@ def _resolve_fault_bits(fault_bits, bit_width: int) -> tuple[int, int]:
         return 2 * bit_width, bit_width
     if isinstance(fault_bits, int):
         wm = wa = fault_bits
+    elif isinstance(fault_bits, dict) and set(fault_bits) <= {"MUL", "ADD", OpType.MUL, OpType.ADD}:
+        wm = int(fault_bits.get("MUL", fault_bits.get(OpType.MUL, bit_width)))
+        wa = int(fault_bits.get("ADD", fault_bits.get(OpType.ADD, bit_width)))
     else:
-        try:
-            wm = int(fault_bits.get("MUL", fault_bits.get(OpType.MUL, bit_width)))
-            wa = int(fault_bits.get("ADD", fault_bits.get(OpType.ADD, bit_width)))
-        except AttributeError:
-            raise ConfigError(f"fault_bits must be None, int, or a MUL/ADD mapping, got {fault_bits!r}")
+        raise ConfigError(f"fault_bits must be None, int, or a MUL/ADD mapping, got {fault_bits!r}")
     if not (1 <= wm <= MAX_FAULT_BITS and 1 <= wa <= MAX_FAULT_BITS):
         raise ConfigError(f"fault_bits must be in [1, {MAX_FAULT_BITS}], got MUL:{wm},ADD:{wa}")
     return wm, wa

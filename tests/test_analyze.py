@@ -277,7 +277,12 @@ def test_sweep_with_per_layer_rmse(model, dataset):
     assert all(v > 0 for v in res[1].layer_rmse.values())
 
 
-def test_workers_do_not_change_results(model, dataset):
-    seq = sweep_ber(model, dataset, "direct", [2e-4], trials=6, seed=51, workers=1)
-    par = sweep_ber(model, dataset, "direct", [2e-4], trials=6, seed=51, workers=2)
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+@pytest.mark.parametrize("use_labels", [False, True], ids=["clean-refs", "labels"])
+def test_workers_do_not_change_results(model, dataset, engine, use_labels):
+    if use_labels:
+        dataset = Dataset(dataset.samples, [(i + 1) % 4 for i in range(len(dataset))])
+    kw = dict(trials=6, seed=51, use_labels=use_labels)
+    seq = sweep_ber(model, dataset, engine, [2e-4], workers=1, **kw)
+    par = sweep_ber(model, dataset, engine, [2e-4], workers=2, **kw)
     assert seq[0].per_trial_correct == par[0].per_trial_correct

@@ -265,17 +265,44 @@ def _sweep_with_trace(assets, tmp_path, granularity):
     ("op", {"op_id": 0, "bit": 0, "copy": 1}),  # a TMR copy in an unprotected run
     ("neuron", {"neuron": 99999999, "bit": 0}),
     ("neuron", {"neuron": 0, "bit": 16}),  # the model is 16-bit
+    ("op", {"op_id": 0}),  # a record without a bit
+    ("op", None),  # no trace file at all
 ])
 def test_replay_rejects_trace_outside_op_space(assets, tmp_path, capsys, granularity, record):
     out, trace = _sweep_with_trace(assets, tmp_path, granularity)
-    trace.write_text(json.dumps(dict(record, trial=0, sample=0)) + "\n")
+    if record is None:
+        trace.unlink()
+    else:
+        trace.write_text(json.dumps(dict(record, trial=0, sample=0)) + "\n")
     code = run_cli("replay", "--results", str(out), "--trace", str(trace), "--out", str(tmp_path / "r.csv"))
     assert code == 2
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "ConfigError"
     assert not (tmp_path / "r.csv").exists()
 
 
-@pytest.mark.parametrize("bits,expected", [("100", 2), ("MUL:65,ADD:16", 2), ("64", 0)])
+def test_neuron_replay_honours_scope(assets, tmp_path):
+    # The campaign excludes layer 0, so replayed flips on its neurons must not land.
+    out = tmp_path / "orig.csv"
+    code = run_cli(
+        "sweep", "--model", assets["model"], "--dataset", assets["dataset"],
+        "--granularity", "neuron", "--scope", "exclude_layers=0",
+        "--ber", "1e-3", "--trials", "1", "--seed", "4", "--out", str(out),
+    )
+    assert code == 0
+    trace = tmp_path / "layer0.jsonl"
+    trace.write_text("".join(
+        json.dumps({"trial": 0, "sample": s, "neuron": i, "bit": 15}) + "\n"
+        for s in range(4) for i in range(16)
+    ))
+    replayed = tmp_path / "replay.csv"
+    code = run_cli("replay", "--results", str(out), "--trace", str(trace), "--out", str(replayed))
+    assert code == 0
+    header, row = _rows(replayed)
+    cols = dict(zip(header.split(","), row.split(",")))
+    assert cols["mean_accuracy"] == cols["clean_accuracy"]
+
+
+@pytest.mark.parametrize("bits,expected", [("100", 2), ("MUL:65,ADD:16", 2), ("64", 0), ("MUL:32,ADDD:16", 2)])
 def test_fault_window_at_most_64_bits(assets, tmp_path, bits, expected):
     code = run_cli(
         "sweep", "--model", assets["model"], "--dataset", assets["dataset"],

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,9 @@ from winofi.engine import (
     conv_winograd,
 )
 from winofi.errors import ShapeError
+from winofi.modelio import generate_dataset, generate_toy_model
 from winofi.qtensor import QTensor, QuantParams
+from winofi.runtime import run_inference
 
 from conftest import CountingHook, brute_force_conv3x3, random_qtensor
 
@@ -42,8 +46,6 @@ def test_winograd_matrices_are_the_f2x2_3x3_constants():
     assert G_F2X2_3X3.shape == (4, 3)
     assert AT_F2X2_3X3.shape == (2, 4)
     assert np.array_equal(G2_F2X2_3X3, (2 * G_F2X2_3X3).astype(np.int64))
-    cfg = WinogradConfig()
-    assert (cfg.m_tile + 3 - 1) ** 2 == 16
     # The transforms must compute convolution exactly: A^T ((G g G^T) . (B^T d B)) A
     rng = np.random.default_rng(5)
     d = rng.integers(-50, 50, size=(4, 4)).astype(float)
@@ -54,13 +56,6 @@ def test_winograd_matrices_are_the_f2x2_3x3_constants():
         for j in range(2):
             ref[i, j] = np.sum(d[i : i + 3, j : j + 3] * g)
     assert np.allclose(y, ref)
-
-
-def test_winograd_config_rejects_other_constants():
-    with pytest.raises(ShapeError):
-        WinogradConfig(m_tile=4)
-    with pytest.raises(ShapeError):
-        WinogradConfig(at=np.zeros((2, 4), dtype=np.int64))
 
 
 def test_convspec_rejects_bad_geometry(rng):
@@ -246,3 +241,30 @@ def test_hook_can_corrupt_results(rng):
     diff = faulty.array != clean.array
     assert diff.sum() == 1
     assert diff[0, 0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "instrument, digest",
+    [
+        (False, "b96ab6540c08c3c9d87def318beef017b1624518a6e5099b6a122305d762daf5"),
+        (True, "7938ffd066677863972cef1b8485697437267442d24cca84c35ec5f3a1572fcd"),
+    ],
+    ids=["precomputed-filter-tf", "instrumented-filter-tf"],
+)
+def test_winograd_op_stream_digest(instrument, digest):
+    # Pins every hooked op's id, layer, type, stage and (faulty) value in
+    # emission order, plus the logits, on ragged 3x3-output tiles.
+    model = generate_toy_model(depth=2, channels=3, hw=5, bit_width=8, seed=11)
+    x = generate_dataset(model, 1, seed=2).samples[0]
+    h = hashlib.sha256()
+
+    def hook(op_id, layer_id, op_type, stage, value):
+        if op_id % 3 == 0:
+            value ^= 1 << (op_id % 5)
+        h.update(f"{op_id},{layer_id},{op_type},{stage},{value};".encode())
+        return value
+
+    cfg = WinogradConfig(instrument_filter_transform=instrument)
+    res = run_inference(model, x, "winograd", hook, wg_cfg=cfg)
+    h.update(res.output.data.tobytes())
+    assert h.hexdigest() == digest
