@@ -20,7 +20,6 @@ from .engine import (
     G_F2X2_3X3,
     WINOGRAD_F2X2_3X3,
     ConvSpec,
-    OpRecord,
     OpType,
     Stage,
     WinogradConfig,

@@ -119,6 +119,10 @@ class Campaign:
         self.range_mode = range_mode
         self.workers = workers if workers is not None else default_workers()
         self.opspace = enumerate_ops(model, self.engine, fault_bits=fault_bits)
+        conv = set(self.opspace.conv_layer_ids())
+        stray = sorted(((scope.include_layers or frozenset()) | scope.exclude_layers) - conv)
+        if stray:
+            raise ConfigError(f"scope layer ids {stray} are not conv layers of this model (conv layers: {sorted(conv)})")
         clean = [
             run_inference(model, s, self.engine, ranges=ranges, range_mode=range_mode).output
             for s in dataset.samples
@@ -213,7 +217,7 @@ class Campaign:
             raise ConfigError("trials must be >= 1")
         scope = scope if scope is not None else self.base_scope
         if replay is not None:
-            replay.validate(self.opspace, protected)
+            replay.validate(self.opspace, trials, self.sample_count, protected)
         rmse_acc = {lid: [] for lid in rmse_layers}
         if ber == 0.0 and replay is None:
             # zero flips: every trial is the same deterministic inference

@@ -44,17 +44,6 @@ class Stage(IntEnum):
 Hook = Callable[[int, int, int, int, int], int]
 
 
-@dataclass(frozen=True)
-class OpRecord:
-    """Identity of one primitive operation within an inference."""
-
-    op_id: int
-    layer_id: int
-    op_type: OpType
-    stage: Stage
-    bit_width: int
-
-
 # F(2x2, 3x3) transform constants (exact rationals; G carries halves).
 BT_F2X2_3X3 = np.array(
     [[1, 0, -1, 0], [0, 1, 1, 0], [0, -1, 1, 0], [0, 1, 0, -1]], dtype=np.int64

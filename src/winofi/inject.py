@@ -12,7 +12,6 @@ draws of anything else, which is what paired-scope campaigns rely on.
 
 from __future__ import annotations
 
-import bisect
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -46,6 +45,13 @@ def _parse_ranges(text: str) -> tuple:
     return tuple(out)
 
 
+def _in_ranges(op_ids: np.ndarray, ranges) -> np.ndarray:
+    """Mask of the ``op_ids`` inside the sorted, non-overlapping [start, end)
+    ``ranges``: an id is inside when an odd number of bounds lie at or below it."""
+    bounds = np.asarray(ranges, dtype=np.int64).reshape(-1)
+    return np.searchsorted(bounds, op_ids, side="right") % 2 == 1
+
+
 @dataclass(frozen=True)
 class Scope:
     """Pure, deterministic predicate selecting which ops/neurons can be struck.
@@ -71,33 +77,27 @@ class Scope:
             else:
                 merged.append((a, b))
         object.__setattr__(self, "exclude_op_ranges", tuple(merged))
-        object.__setattr__(self, "_range_starts", [r[0] for r in merged])
 
-    def _in_excluded_range(self, op_id: int) -> bool:
-        idx = bisect.bisect_right(self._range_starts, op_id) - 1
-        return idx >= 0 and op_id < self.exclude_op_ranges[idx][1]
-
-    def allows(self, layer_id: int, op_type: int, op_id: int) -> bool:
-        if self.include_layers is not None and layer_id not in self.include_layers:
-            return False
-        if layer_id in self.exclude_layers:
-            return False
-        if self.include_optypes is not None and op_type not in self.include_optypes:
-            return False
-        if op_type in self.exclude_optypes:
-            return False
-        if self.exclude_op_ranges and self._in_excluded_range(op_id):
-            return False
-        return True
+    def keep(self, opspace: OpSpace, op_ids: np.ndarray) -> np.ndarray:
+        """Mask of the ops ``op_ids`` that this scope lets faults strike."""
+        keep = ~_in_ranges(op_ids, self.exclude_op_ranges)
+        filters = ((self.include_layers, self.exclude_layers), (self.include_optypes, self.exclude_optypes))
+        if all(included is None and not excluded for included, excluded in filters):
+            return keep
+        layer, _stage, typ = opspace.classify(op_ids)
+        # kind="sort": the default lookup table costs more to set up than
+        # these few-element sets take to search
+        for values, (included, excluded) in zip((layer, typ), filters):
+            if included is not None:
+                keep &= np.isin(values, list(included), kind="sort")
+            if excluded:
+                keep &= ~np.isin(values, list(excluded), kind="sort")
+        return keep
 
     def allows_layer(self, layer_id: int) -> bool:
         if self.include_layers is not None and layer_id not in self.include_layers:
             return False
         return layer_id not in self.exclude_layers
-
-    def matches(self, record) -> bool:
-        """Predicate over an OpRecord."""
-        return self.allows(record.layer_id, int(record.op_type), record.op_id)
 
     # -- derived scopes (used by vulnerability campaigns) ---------------------
 
@@ -137,7 +137,11 @@ class Scope:
                 if key in ("include_layers", "exclude_layers"):
                     kw[key] = frozenset(int(v) for v in val.split(",") if v)
                 elif key in ("include_optypes", "exclude_optypes"):
-                    kw[key] = frozenset(OpType[v.strip().upper()] for v in val.split(",") if v)
+                    names = [v.strip().upper() for v in val.split(",") if v]
+                    unknown = sorted(set(names) - set(OpType.__members__))
+                    if unknown:
+                        raise ConfigError(f"unknown op type(s) {unknown} in {key}; expected MUL or ADD")
+                    kw[key] = frozenset(OpType[v] for v in names)
                 elif key == "exclude_ops":
                     kw["exclude_op_ranges"] = _parse_ranges(val)
                 else:
@@ -216,27 +220,37 @@ class FaultTrace:
             self._index_len = len(self.events)
         return dict(self._index.get((trial, sample, kind, copy), {}))
 
-    def validate(self, opspace: OpSpace, protected=()) -> None:
-        """Raise ConfigError unless every event fits ``opspace``: indices in
-        range, bits below the op's or neuron's width, and copies 1-2 only
-        when some op range is protected."""
+    def validate(self, opspace: OpSpace, trials: int, samples: int, protected=()) -> None:
+        """Raise ConfigError unless every event fits the campaign: trial and
+        sample inside [0, trials) and [0, samples), index inside the op or
+        neuron space, bit below the op's or neuron's width, and copies 1-2
+        only when some op range is protected."""
+        if not self.events:
+            return
+        t, s, kind, idx, bit, copy = zip(*self.events)
+        t, s, idx, bit, copy = (np.array(v, dtype=np.int64) for v in (t, s, idx, bit, copy))
+        op = np.array(kind) == KIND_OP
+        size = np.where(op, opspace.total_ops, opspace.total_neurons)
+        inside = (0 <= idx) & (idx < size)
+        width = np.full(idx.shape, opspace.bit_width)
+        width[op & inside] = opspace.op_widths(idx[op & inside])
         copies = 3 if protected else 1
-        for _t, _s, kind, idx, bit, copy in self.events:
-            if kind == KIND_OP:
-                if not 0 <= idx < opspace.total_ops:
-                    raise ConfigError(f"trace op_id {idx} outside [0, {opspace.total_ops})")
-                width = opspace.op_width(idx)
-            else:
-                if not 0 <= idx < opspace.total_neurons:
-                    raise ConfigError(f"trace neuron {idx} outside [0, {opspace.total_neurons})")
-                width = opspace.bit_width
-            if not 0 <= bit < width:
-                raise ConfigError(f"trace bit {bit} of {kind} {idx} outside [0, {width})")
-            if not 0 <= copy < copies:
-                raise ConfigError(
-                    f"trace copy {copy} of {kind} {idx} outside [0, {copies}); "
-                    "copies 1-2 exist only for TMR-protected ops"
-                )
+        checks = (
+            ((0 <= t) & (t < trials), "trial {t} outside [0, {trials})"),
+            ((0 <= s) & (s < samples), "sample {s} outside [0, {samples})"),
+            (inside, "{kind} {idx} outside [0, {size})"),
+            ((0 <= bit) & (bit < width), "bit {bit} of {kind} {idx} outside [0, {width})"),
+            ((0 <= copy) & (copy < copies),
+             "copy {copy} of {kind} {idx} outside [0, {copies}); copies 1-2 exist only for TMR-protected ops"),
+        )
+        bad = ~np.stack([ok for ok, _ in checks])  # (check, event)
+        if bad.any():
+            i = int(np.argmax(bad.any(axis=0)))
+            msg = checks[int(np.argmax(bad[:, i]))][1]
+            raise ConfigError("trace " + msg.format(
+                t=t[i], s=s[i], kind=kind[i], idx=idx[i], bit=bit[i], copy=copy[i],
+                trials=trials, samples=samples, size=size[i], width=width[i], copies=copies,
+            ))
 
     def save_jsonl(self, path: str) -> None:
         with open(path, "w") as f:
@@ -262,11 +276,13 @@ class FaultTrace:
                 try:
                     kind = KIND_OP if "op_id" in rec else KIND_NEURON
                     idx = rec["op_id"] if kind == KIND_OP else rec["neuron"]
-                    events.append(
-                        (rec.get("trial", 0), rec.get("sample", 0), kind, int(idx), int(rec["bit"]), rec.get("copy", 0))
-                    )
+                    fields = (rec.get("trial", 0), rec.get("sample", 0), idx, rec["bit"], rec.get("copy", 0))
                 except (KeyError, TypeError, AttributeError) as e:
                     raise ConfigError(f"{path}:{n}: a trace record needs an op_id or neuron and a bit: {line}") from e
+                if not all(type(v) is int and abs(v) < 1 << 63 for v in fields):
+                    raise ConfigError(f"{path}:{n}: trial, sample, index, bit and copy must be 64-bit integers: {line}")
+                t, s, idx, bit, copy = fields
+                events.append((t, s, kind, idx, bit, copy))
         return FaultTrace(events)
 
 
@@ -274,25 +290,35 @@ class FaultTrace:
 # Op-level injection
 
 
+def _flip_masks(pos: np.ndarray, width: int, widths=None) -> tuple[np.ndarray, np.ndarray]:
+    """Turn ascending flat flip positions over ``width``-bit words into
+    (ids, masks): the struck word ids, ascending, and one uint64 XOR mask per
+    id. Bits at or above ``widths(ids)``, each word's own width, are dropped."""
+    ids, bits = np.divmod(pos, width)
+    if widths is not None:
+        fits = bits < widths(ids)
+        ids, bits = ids[fits], bits[fits]
+    uniq, first = np.unique(ids, return_index=True)
+    return uniq, np.bitwise_or.reduceat(np.left_shift(np.uint64(1), bits.astype(np.uint64)), first)
+
+
+def _record(events: list, trial: int, sample: int, kind: str, idx: int, mask: int, copy: int) -> None:
+    """Append one event per set bit of ``mask``, lowest bit first."""
+    b = 0
+    while mask:
+        if mask & 1:
+            events.append((trial, sample, kind, idx, b, copy))
+        mask >>= 1
+        b += 1
+
+
 def sample_op_flips(opspace: OpSpace, seed: int, trial: int, sample: int, ber: float, copy: int = 0) -> dict:
     """Draw this inference's op flips over the full op-bit space: a sparse
     {op_id: xor_mask} table, a pure function of (seed, trial, sample, copy)."""
     wpad = opspace.width_pad
-    total = opspace.total_ops * wpad
-    pos = sample_flip_positions(seed, (STREAM_OP, trial, sample, copy), total, ber)
-    if pos.size == 0:
-        return {}
-    ids = pos // wpad
-    bits = pos % wpad
-    flips: dict[int, int] = {}
-    if opspace.uniform_width:
-        for i, b in zip(ids.tolist(), bits.tolist()):
-            flips[i] = flips.get(i, 0) | (1 << b)
-    else:
-        for i, b in zip(ids.tolist(), bits.tolist()):
-            if b < opspace.op_width(i):
-                flips[i] = flips.get(i, 0) | (1 << b)
-    return flips
+    pos = sample_flip_positions(seed, (STREAM_OP, trial, sample, copy), opspace.total_ops * wpad, ber)
+    ids, masks = _flip_masks(pos, wpad, None if opspace.uniform_width else opspace.op_widths)
+    return dict(zip(ids.tolist(), masks.tolist()))
 
 
 def _vote(a: int, b: int, c: int) -> int:
@@ -319,8 +345,10 @@ def op_level_hook(
     Flips are sampled for (cfg.seed, trial, sample) or taken from ``replay``.
     Ops inside the sorted [start, end) ``protected`` ranges run under TMR:
     three copies with independent flips (copies 0-2), majority-voted. Every
-    other op takes the copy-0 flips. Returns (hook, trace); the trace
-    accumulates exactly the applied flips, in (op, copy, bit) order.
+    other op takes the copy-0 flips. Scope and protection are decided here,
+    once for the whole table. Returns (hook, trace); while the inference
+    runs, the trace accumulates exactly the applied flips, in (op, copy, bit)
+    order.
     """
     if cfg.granularity is not Granularity.OP_LEVEL:
         raise ConfigError("op_level_hook needs an OP_LEVEL config")
@@ -334,33 +362,22 @@ def op_level_hook(
     # {op_id: mask} for single ops, {op_id: (m0, m1, m2)} for protected ones
     faults = tables[0]
     if protected:
-        starts = [a for a, _ in protected]
-        for op_id in set().union(*tables):
-            i = bisect.bisect_right(starts, op_id) - 1
-            if i >= 0 and op_id < protected[i][1]:
-                faults[op_id] = tuple(t.get(op_id, 0) for t in tables)
-    scope = cfg.scope
+        ids = np.fromiter(set().union(*tables), dtype=np.int64)
+        for op_id in ids[_in_ranges(ids, protected)].tolist():
+            faults[op_id] = tuple(t.get(op_id, 0) for t in tables)
+    ids = np.fromiter(faults, dtype=np.int64, count=len(faults))
+    faults = {op_id: faults[op_id] for op_id in ids[cfg.scope.keep(opspace, ids)].tolist()}
     events = trace.events
 
-    def record(op_id, mask, copy):
-        b = 0
-        while mask:
-            if mask & 1:
-                events.append((trial, sample, KIND_OP, op_id, b, copy))
-            mask >>= 1
-            b += 1
-
-    def hook(op_id, layer_id, op_type, stage, value, _get=faults.get, _allows=scope.allows):
+    def hook(op_id, layer_id, op_type, stage, value, _get=faults.get):
         m = _get(op_id)
         if m is None:
             return value
-        if not _allows(layer_id, op_type, op_id):
-            return value
         if isinstance(m, int):
-            record(op_id, m, 0)
+            _record(events, trial, sample, KIND_OP, op_id, m, 0)
             return value ^ m
         for copy in range(3):
-            record(op_id, m[copy], copy)
+            _record(events, trial, sample, KIND_OP, op_id, m[copy], copy)
         return _vote(value ^ m[0], value ^ m[1], value ^ m[2])
 
     return hook, trace
@@ -401,14 +418,10 @@ def neuron_level_inject(
         masks = np.fromiter(local.values(), dtype=np.int64, count=len(local))
     else:
         pos = sample_flip_positions(cfg.seed, (STREAM_NEURON, trial, sample, layer_id), output.size * width, cfg.ber)
-        ids = (pos // width).astype(np.int64)
-        bits = (pos % width).astype(np.int64)
-        uniq, inv = np.unique(ids, return_inverse=True)
-        masks = np.zeros(uniq.size, dtype=np.int64)
-        np.bitwise_or.at(masks, inv, np.int64(1) << bits)
+        uniq, masks = _flip_masks(pos, width)
         if trace is not None:
-            for i, b in zip(ids.tolist(), bits.tolist()):
-                trace.events.append((trial, sample, KIND_NEURON, neuron_offset + i, b, 0))
+            for i, m in zip(uniq.tolist(), masks.tolist()):
+                _record(trace.events, trial, sample, KIND_NEURON, neuron_offset + i, m, 0)
     if uniq.size == 0:
         return output
     return output.with_data(flip_array_with_masks(output.data, uniq, masks, width))

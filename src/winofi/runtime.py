@@ -12,14 +12,13 @@ and own no op_ids.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import engine as eng
-from .engine import OpRecord, OpType, Stage
+from .engine import OpType, Stage
 from .errors import ConfigError, ShapeError
 from .modelio import (
     ConstrainedReluLayer,
@@ -33,41 +32,26 @@ from .qtensor import QTensor, QuantParams
 
 MAX_FAULT_BITS = 64
 
-# Region op patterns.
-PAT_MAC = 0  # alternating MUL (even offset) / ADD (odd offset)
-PAT_MUL = 1
-PAT_ADD = 2
-
+# Op type pattern of a region: its ops' OpType, or PAT_MAC when MULs (even
+# offsets) and ADDs (odd offsets) alternate.
+PAT_MAC = 2
 _STAGE_PATTERNS = {
     Stage.DIRECT_MAC: PAT_MAC,
-    Stage.WG_FILTER_TF: PAT_ADD,
-    Stage.WG_INPUT_TF: PAT_ADD,
-    Stage.WG_EWMUL: PAT_MUL,
-    Stage.WG_CHANNEL_SUM: PAT_ADD,
-    Stage.WG_INVERSE_TF: PAT_ADD,
+    Stage.WG_FILTER_TF: OpType.ADD,
+    Stage.WG_INPUT_TF: OpType.ADD,
+    Stage.WG_EWMUL: OpType.MUL,
+    Stage.WG_CHANNEL_SUM: OpType.ADD,
+    Stage.WG_INVERSE_TF: OpType.ADD,
 }
 
 
-@dataclass(frozen=True)
-class Region:
-    """A contiguous op_id run sharing layer, stage and type pattern."""
-
-    start: int
-    end: int
-    layer_id: int
-    stage: Stage
-    pattern: int
-
-
-def _evens_in(lo: int, hi: int) -> int:
-    """Count of even integers in [lo, hi)."""
-    if hi <= lo:
-        return 0
-    return (hi + 1) // 2 - (lo + 1) // 2
-
-
 class OpSpace:
-    """Canonical operation address space of one inference."""
+    """Canonical operation address space of one inference.
+
+    The op stream is stored once, as parallel arrays over its regions: region
+    r is the op_id run [starts[r], ends[r]) of one layer (``layers[r]``) and
+    stage (``stages[r]``) whose op types follow ``patterns[r]``.
+    """
 
     def __init__(self, model: ModelDef, engine: str, input_shape, fault_bits=None, wg_cfg=None):
         if engine not in ("direct", "winograd"):
@@ -81,11 +65,8 @@ class OpSpace:
         self.width_add = wa
         self.width_pad = max(wm, wa)
 
-        regions: list[Region] = []
-        stage_counts: dict[int, dict[Stage, dict[OpType, int]]] = {}
+        runs = []  # (layer_id, stage, op count) in emission order
         neuron_sizes: dict[int, int] = {}
-        op_id = 0
-        n = 1  # one sample per inference
         for layer_id, (layer, in_shape, out_shape, spec) in enumerate(model.execution_plan()):
             if not isinstance(layer, ConvLayer):
                 continue
@@ -94,27 +75,24 @@ class OpSpace:
             k = layer.out_channels
             neuron_sizes[layer_id] = k * oh * ow
             if engine == "direct":
-                counts = eng.direct_layer_counts(n, c, k, oh, ow)
-                runs = [(Stage.DIRECT_MAC, sum(counts[Stage.DIRECT_MAC].values()))]
-            else:
-                counts = eng.winograd_layer_counts(n, c, k, oh, ow, self.include_filter_tf)
-                # The executed winograd stream interleaves stages per tile; regions
-                # mirror the exact emission order of conv_winograd, which a
-                # one-tile layer's counts list stage by stage.
-                one_tile = eng.winograd_layer_counts(1, c, k, 2, 2)
-                per_tile = [(stage, sum(t.values())) for stage, t in one_tile.items()]
-                ty, tx = eng.WinogradConfig.tile_grid(oh, ow)
-                ftf = counts.get(Stage.WG_FILTER_TF)
-                runs = ([(Stage.WG_FILTER_TF, ftf[OpType.ADD])] if ftf else []) + per_tile * (n * ty * tx)
-            stage_counts[layer_id] = counts
-            for stage, cnt in runs:
-                regions.append(Region(op_id, op_id + cnt, layer_id, stage, _STAGE_PATTERNS[stage]))
-                op_id += cnt
+                counts = eng.direct_layer_counts(1, c, k, oh, ow)
+                runs.append((layer_id, Stage.DIRECT_MAC, sum(counts[Stage.DIRECT_MAC].values())))
+                continue
+            # The executed winograd stream interleaves stages per tile; regions
+            # mirror the exact emission order of conv_winograd, which a
+            # one-tile layer's counts list stage by stage.
+            if self.include_filter_tf:
+                ftf = eng.winograd_layer_counts(1, c, k, oh, ow, True)[Stage.WG_FILTER_TF]
+                runs.append((layer_id, Stage.WG_FILTER_TF, ftf[OpType.ADD]))
+            ty, tx = eng.WinogradConfig.tile_grid(oh, ow)
+            one_tile = eng.winograd_layer_counts(1, c, k, 2, 2)
+            runs += [(layer_id, stage, sum(t.values())) for stage, t in one_tile.items()] * (ty * tx)
 
-        self.regions = regions
-        self._region_starts = [r.start for r in regions]
-        self.total_ops = op_id
-        self.stage_counts = stage_counts
+        self.layers, self.stages, sizes = np.array(runs, dtype=np.int64).reshape(-1, 3).T
+        self.ends = np.cumsum(sizes)
+        self.starts = self.ends - sizes
+        self.patterns = np.array([_STAGE_PATTERNS[s] for s in range(len(Stage))])[self.stages]
+        self.total_ops = int(self.ends[-1]) if runs else 0
         self.neuron_sizes = neuron_sizes
         offs = {}
         off = 0
@@ -126,19 +104,22 @@ class OpSpace:
 
     # -- counts -------------------------------------------------------------
 
+    def _muls_below(self, op_id: int) -> np.ndarray:
+        """MUL ops of each region below ``op_id``."""
+        n = np.clip(op_id - self.starts, 0, self.ends - self.starts)
+        return np.select([self.patterns == OpType.MUL, self.patterns == PAT_MAC], [n, (n + 1) // 2], 0)
+
     def count(self, layer_id=None, stage=None, op_type=None) -> int:
-        total = 0
-        for lid, stages in self.stage_counts.items():
-            if layer_id is not None and lid != layer_id:
-                continue
-            for stg, types in stages.items():
-                if stage is not None and stg != stage:
-                    continue
-                for typ, cnt in types.items():
-                    if op_type is not None and typ != op_type:
-                        continue
-                    total += cnt
-        return total
+        sel = np.ones(self.starts.shape, dtype=bool)
+        if layer_id is not None:
+            sel &= self.layers == layer_id
+        if stage is not None:
+            sel &= self.stages == stage
+        ops = int((self.ends - self.starts)[sel].sum())
+        muls = int(self._muls_below(self.total_ops)[sel].sum())
+        if op_type is None:
+            return ops
+        return muls if op_type == OpType.MUL else ops - muls
 
     @property
     def total_muls(self) -> int:
@@ -161,57 +142,35 @@ class OpSpace:
         return self.width_mul == self.width_add
 
     def conv_layer_ids(self) -> list[int]:
-        return sorted(self.stage_counts)
-
-    # -- per-op lookup --------------------------------------------------------
-
-    def region_of(self, op_id: int) -> Region:
-        if not 0 <= op_id < self.total_ops:
-            raise ConfigError(f"op_id {op_id} outside [0, {self.total_ops})")
-        idx = bisect.bisect_right(self._region_starts, op_id) - 1
-        return self.regions[idx]
-
-    def op_info(self, op_id: int) -> tuple[int, Stage, OpType]:
-        r = self.region_of(op_id)
-        if r.pattern == PAT_MUL:
-            typ = OpType.MUL
-        elif r.pattern == PAT_ADD:
-            typ = OpType.ADD
-        else:
-            typ = OpType.MUL if (op_id - r.start) % 2 == 0 else OpType.ADD
-        return r.layer_id, r.stage, typ
-
-    def record_of(self, op_id: int) -> OpRecord:
-        layer_id, stage, typ = self.op_info(op_id)
-        width = self.width_mul if typ == OpType.MUL else self.width_add
-        return OpRecord(op_id=op_id, layer_id=layer_id, op_type=typ, stage=stage, bit_width=width)
-
-    def op_width(self, op_id: int) -> int:
-        return self.width_mul if self.op_info(op_id)[2] == OpType.MUL else self.width_add
+        return sorted(self.neuron_sizes)
 
     def mul_add_in_range(self, start: int, end: int) -> tuple[int, int]:
         """(MUL, ADD) op counts inside [start, end), computed arithmetically."""
         start = max(0, start)
-        end = min(self.total_ops, end)
-        muls = adds = 0
-        if end <= start:
-            return 0, 0
-        idx = bisect.bisect_right(self._region_starts, start) - 1
-        for r in self.regions[idx:]:
-            if r.start >= end:
-                break
-            a, b = max(start, r.start), min(end, r.end)
-            if b <= a:
-                continue
-            if r.pattern == PAT_MUL:
-                muls += b - a
-            elif r.pattern == PAT_ADD:
-                adds += b - a
-            else:
-                m = _evens_in(a - r.start, b - r.start)
-                muls += m
-                adds += (b - a) - m
-        return muls, adds
+        end = max(start, min(self.total_ops, end))
+        muls = int((self._muls_below(end) - self._muls_below(start)).sum())
+        return muls, end - start - muls
+
+    # -- per-op lookup --------------------------------------------------------
+
+    def classify(self, op_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(layer_id, stage, op_type) arrays of the ops ``op_ids``."""
+        ids = np.asarray(op_ids, dtype=np.int64)
+        if ids.size and not (0 <= ids.min() and ids.max() < self.total_ops):
+            raise ConfigError(f"op_ids outside [0, {self.total_ops})")
+        r = np.searchsorted(self.starts, ids, side="right") - 1
+        pattern = self.patterns[r]
+        return self.layers[r], self.stages[r], np.where(pattern == PAT_MAC, (ids - self.starts[r]) & 1, pattern)
+
+    def op_widths(self, op_ids) -> np.ndarray:
+        return np.array([self.width_mul, self.width_add])[self.classify(op_ids)[2]]  # indexed by OpType
+
+    def op_info(self, op_id: int) -> tuple[int, Stage, OpType]:
+        layer_id, stage, typ = (int(v[0]) for v in self.classify([op_id]))
+        return layer_id, Stage(stage), OpType(typ)
+
+    def op_width(self, op_id: int) -> int:
+        return int(self.op_widths([op_id])[0])
 
 
 def _resolve_fault_bits(fault_bits, bit_width: int) -> tuple[int, int]:

@@ -129,6 +129,9 @@ class TmrPlan:
             raise ConfigError(
                 f"plan covers {self.total_ops} ops but {opspace.engine} enumeration has {opspace.total_ops}"
             )
+        n_seg = len(self.segments)
+        if sorted(self.order) != list(range(n_seg)) or not 0 <= self.n <= n_seg:
+            raise ConfigError(f"plan order must list each of its {n_seg} segments once, and n must lie in [0, {n_seg}]")
 
     def to_dict(self) -> dict:
         return {

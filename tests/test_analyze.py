@@ -286,3 +286,77 @@ def test_workers_do_not_change_results(model, dataset, engine, use_labels):
     seq = sweep_ber(model, dataset, engine, [2e-4], workers=1, **kw)
     par = sweep_ber(model, dataset, engine, [2e-4], workers=2, **kw)
     assert seq[0].per_trial_correct == par[0].per_trial_correct
+
+
+# ---------------------------------------------------------------------------
+# Pinned trace and logit bytes of scoped, replayed and TMR-protected runs
+
+
+def _pinned_runs(engine, tmp_path):
+    """The unscoped flip count and three toycnn-int16 runs of 2 trials x 3
+    samples, each as (applied flips, trace JSONL bytes, logit bytes): a sweep
+    point under layer, op-type and op-range exclusions; the unscoped trace
+    replayed through a narrower scope; and an eval-tmr point with two
+    protected ranges."""
+    from winofi.modelio import builtin_model
+
+    model = builtin_model("toycnn-int16")
+    camp = Campaign(model, generate_dataset(model, 3, seed=61), engine, seed=62)
+    total = camp.opspace.total_ops
+    excluded = Scope(exclude_layers=frozenset({2}), exclude_optypes=frozenset({OpType.ADD}),
+                     exclude_op_ranges=((total // 10, total // 5), (total - 900, total)))
+    narrow = Scope(include_layers=frozenset({0, 4}), include_optypes=frozenset({OpType.MUL}),
+                   exclude_op_ranges=((total // 2, total // 2 + 2000),))
+    protected = [(0, total // 4), (total // 2, total // 2 + total // 8)]
+    unscoped = FaultTrace()
+    for t in range(2):
+        for i in range(3):
+            camp.corrupted_output(t, i, 1e-4, Scope(), trace=unscoped)
+
+    def run(ber, scope, **kw):
+        trace, logits = FaultTrace(), b""
+        for t in range(2):
+            for i in range(3):
+                out = camp.corrupted_output(t, i, ber, scope, trace=trace, **kw).output
+                logits += out.array.astype(np.int64).tobytes()
+        path = tmp_path / f"{engine}-{len(trace)}.jsonl"
+        trace.save_jsonl(str(path))
+        return len(trace), path.read_bytes(), logits
+
+    runs = [run(1e-4, excluded), run(1e-4, narrow, replay=unscoped),
+            run(1e-3, Scope(exclude_layers=frozenset({0})), protected=protected)]
+    return len(unscoped), runs
+
+
+# sha256 of (trace JSONL, logits) per run, computed before the scope and
+# protection checks moved out of the per-op hook
+PINNED_DIGESTS = {
+    "direct": [
+        ("2eef1aa7e0b405d7afa792375ac3b7b4ae72f5137fa5a9285999259868f1b29c",
+         "d6dda657999aed93775b28646a8554444a3b6e9b0fe1bc74ba43c5d85e5ae2da"),
+        ("8b5a0e7a901398a6cf06c87514c16bbbebf082addcff5ba2688b045ad327b46b",
+         "4722f903f4116d5bea79e248e8e78f7dade2d599511663f2e3c5a68ad98d6da2"),
+        ("f79eecceeac4a7d3dde5b074127c4b80b59dbe8880c9dd963815c9956eaa53f2",
+         "28e171d1fe3e7a01fcc208b26926fc6f41b5666e8070509da9cc663de354a756"),
+    ],
+    "winograd": [
+        ("f55ad853b70b980813dc170db8d0ae48d5565ee2446f408fb13b9ad37ce04246",
+         "98adf1d177f85a66b8be19e2a1e3501cc3a969286eaa5fee83a106cf24de7dab"),
+        ("014dd5fe8f186f19b0d51b36cc75a5f48b8a279c97c02ed8dd0f88ef013afadb",
+         "bd9f505a86401e6cd869d4e67d0ce541198cf119975e358e7ae5f011ee676772"),
+        ("21214aeef1c0da7bc96ac703542e9b994e3940371678b0fc761d8ac3fb6ff71b",
+         "64272f40012421a09ea1db01b7d90988da6674e5e43a0d826a4a0c975aa6be15"),
+    ],
+}
+
+
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+def test_scoped_replayed_and_tmr_trace_bytes_are_pinned(engine, tmp_path):
+    import hashlib
+
+    n_unscoped, runs = _pinned_runs(engine, tmp_path)
+    # every run applies flips, and the two scoped runs drop some
+    assert all(n > 0 for n, _, _ in runs)
+    assert runs[0][0] < n_unscoped and runs[1][0] < n_unscoped
+    got = [(hashlib.sha256(trace).hexdigest(), hashlib.sha256(logits).hexdigest()) for _, trace, logits in runs]
+    assert got == PINNED_DIGESTS[engine]

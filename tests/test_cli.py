@@ -267,14 +267,36 @@ def _sweep_with_trace(assets, tmp_path, granularity):
     ("neuron", {"neuron": 0, "bit": 16}),  # the model is 16-bit
     ("op", {"op_id": 0}),  # a record without a bit
     ("op", None),  # no trace file at all
+    ("op", {"op_id": 0, "bit": 0, "trial": 102}),  # the campaign ran trials 0-1
+    ("op", {"op_id": 0, "bit": 0, "sample": 4}),  # and samples 0-3
+    ("neuron", {"neuron": 0, "bit": 0, "trial": -1}),
+    ("op", {"op_id": 0, "bit": 0, "sample": "0"}),  # a string, not an integer
+    ("op", {"op_id": 0, "bit": 0, "copy": "1"}),
 ])
 def test_replay_rejects_trace_outside_op_space(assets, tmp_path, capsys, granularity, record):
     out, trace = _sweep_with_trace(assets, tmp_path, granularity)
     if record is None:
         trace.unlink()
     else:
-        trace.write_text(json.dumps(dict(record, trial=0, sample=0)) + "\n")
+        trace.write_text(json.dumps(dict({"trial": 0, "sample": 0}, **record)) + "\n")
     code = run_cli("replay", "--results", str(out), "--trace", str(trace), "--out", str(tmp_path / "r.csv"))
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "ConfigError"
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("scope", [
+    "include_optypes=FOO",
+    "exclude_optypes=MUL,DIV",
+    "include_layers=5",  # the linear layer, which owns no ops
+    "exclude_layers=1",  # a relu
+    "include_layers=0,9",  # no such layer
+])
+def test_bad_scope_exits_2(assets, tmp_path, capsys, scope):
+    code = run_cli(
+        "sweep", "--model", assets["model"], "--dataset", assets["dataset"],
+        "--ber", "1e-3", "--trials", "1", "--scope", scope, "--out", str(tmp_path / "r.csv"),
+    )
     assert code == 2
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "ConfigError"
     assert not (tmp_path / "r.csv").exists()
@@ -334,6 +356,21 @@ def test_eval_tmr_without_protection_equals_sweep(assets, tmp_path):
     assert run_cli("sweep", *common, "--out", str(tmp_path / "sweep.csv")) == 0
     assert run_cli("eval-tmr", *common, "--plan", str(plan), "--out", str(tmp_path / "eval.csv")) == 0
     assert _rows(tmp_path / "eval.csv") == _rows(tmp_path / "sweep.csv")
+
+
+@pytest.mark.parametrize("fields", [
+    {"order": [9, 0, 1, 2]},  # no segment 9
+    {"order": [1, 1, 0, 2]},  # segment 1 twice, so its op range is protected twice
+    {"n": 5},  # more segments than the plan has
+])
+def test_eval_tmr_rejects_malformed_plan(assets, tmp_path, capsys, fields):
+    plan = tmp_path / "plan.json"
+    _write_plan(assets, plan, "winograd", n=2, n_segments=4)
+    plan.write_text(json.dumps(dict(json.loads(plan.read_text()), **fields)))
+    code = run_cli("eval-tmr", "--model", assets["model"], "--dataset", assets["dataset"], "--engine", "winograd",
+                   "--plan", str(plan), "--ber", "1e-4", "--trials", "1", "--out", str(tmp_path / "eval.csv"))
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "ConfigError"
 
 
 def test_eval_tmr_workers_do_not_change_bytes(assets, tmp_path):

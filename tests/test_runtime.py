@@ -1,8 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from winofi.engine import OpType, Stage
+from winofi.engine import OpType, Stage, WinogradConfig
 from winofi.errors import ShapeError
+from winofi.inject import Scope
 from winofi.modelio import generate_dataset, generate_toy_model
 from winofi.runtime import enumerate_ops, run_inference, top1
 
@@ -103,21 +108,6 @@ def test_op_info_and_region_lookup(toy8):
             assert space.op_info(int(op_id)) == rec.info[int(op_id)]
 
 
-def test_record_of_and_scope_matching(toy8):
-    from winofi.engine import OpRecord
-    from winofi.inject import Scope
-
-    space = enumerate_ops(toy8, "winograd")
-    rec = space.record_of(0)
-    assert isinstance(rec, OpRecord)
-    assert rec.op_id == 0
-    assert rec.bit_width in (space.width_mul, space.width_add)
-    assert space.op_info(0) == (rec.layer_id, rec.stage, rec.op_type)
-    scope = Scope(exclude_layers=frozenset({rec.layer_id}))
-    assert not scope.matches(rec)
-    assert Scope().matches(rec)
-
-
 def test_mul_add_in_range_arithmetic(toy8):
     for engine in ("direct", "winograd"):
         space = enumerate_ops(toy8, engine)
@@ -128,6 +118,73 @@ def test_mul_add_in_range_arithmetic(toy8):
             got_m, got_a = space.mul_add_in_range(a, b)
             assert got_m == muls
             assert got_a == (b - a) - muls
+
+
+@functools.lru_cache(maxsize=None)
+def _recorded_stream(engine, filter_tf):
+    """(OpSpace, recorded (layer, stage, type) rows indexed by op_id) of a
+    two-conv model whose 7x7 planes leave ragged Winograd edge tiles."""
+    model = generate_toy_model(depth=2, channels=3, bit_width=8, seed=13, hw=7)
+    wg_cfg = WinogradConfig(instrument_filter_transform=filter_tf)
+    rows = []
+
+    def hook(op_id, layer_id, op_type, stage, value):
+        rows.append((op_id, layer_id, stage, op_type))
+        return value
+
+    run_inference(model, generate_dataset(model, 1, seed=3).samples[0], engine, hook, wg_cfg=wg_cfg)
+    rec = np.array(rows, dtype=np.int64)
+    assert (rec[:, 0] == np.arange(len(rows))).all()
+    return enumerate_ops(model, engine, wg_cfg=wg_cfg), rec[:, 1:]
+
+
+def _scopes(space):
+    layer_sets = st.frozensets(st.sampled_from(space.conv_layer_ids()))
+    type_sets = st.frozensets(st.sampled_from(list(OpType)))
+    ranges = st.lists(st.tuples(st.integers(0, space.total_ops), st.integers(1, space.total_ops // 8))
+                      .map(lambda r: (r[0], r[0] + r[1])), max_size=4)
+    return st.builds(Scope, st.none() | layer_sets, layer_sets, st.none() | type_sets, type_sets, ranges.map(tuple))
+
+
+def _allowed(scope, op_id, layer, typ):
+    return ((scope.include_layers is None or layer in scope.include_layers)
+            and layer not in scope.exclude_layers
+            and (scope.include_optypes is None or typ in scope.include_optypes)
+            and typ not in scope.exclude_optypes
+            and not any(a <= op_id < b for a, b in scope.exclude_op_ranges))
+
+
+@pytest.mark.parametrize("filter_tf", [False, True], ids=["fixed-filter", "hooked-filter"])
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_classify_keep_and_counts_match_recorded_stream(engine, filter_tf, data):
+    space, rec = _recorded_stream(engine, filter_tf)
+    total = space.total_ops
+    scope = data.draw(_scopes(space))
+    # random ids plus both sides of every recorded stage change and scope range edge
+    stage_starts = np.flatnonzero((np.diff(rec[:, :2], axis=0) != 0).any(axis=1)) + 1
+    edges = np.concatenate([stage_starts - 1, stage_starts, np.ravel(scope.exclude_op_ranges), [0, total - 1]])
+    drawn = data.draw(st.lists(st.integers(0, total - 1), max_size=300))
+    ids = np.concatenate([np.array(drawn, dtype=np.int64), edges[(edges >= 0) & (edges < total)]]).astype(np.int64)
+    layer, stage, typ = space.classify(ids)
+    assert (np.stack([layer, stage, typ], axis=1) == rec[ids]).all()
+
+    want = [_allowed(scope, i, lay, t) for i, (lay, _, t) in zip(ids.tolist(), rec[ids].tolist())]
+    assert scope.keep(space, ids).tolist() == want
+
+    lid = data.draw(st.none() | st.sampled_from(space.conv_layer_ids()))
+    stg = data.draw(st.none() | st.sampled_from(list(Stage)))
+    typ1 = data.draw(st.none() | st.sampled_from(list(OpType)))
+    sel = np.ones(total, dtype=bool)
+    for col, v in enumerate((lid, stg, typ1)):
+        if v is not None:
+            sel &= rec[:, col] == v
+    assert space.count(lid, stg, typ1) == int(sel.sum())
+
+    a, b = data.draw(st.integers(-5, total + 5)), data.draw(st.integers(-5, total + 5))
+    inside = rec[max(0, a) : max(0, min(total, b)), 2]
+    assert space.mul_add_in_range(a, b) == (int((inside == OpType.MUL).sum()), int((inside == OpType.ADD).sum()))
 
 
 def test_op_bit_totals(toy8, toy16):
