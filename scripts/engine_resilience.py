@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from winofi.analyze import campaign_csv, sweep_ber
+from winofi.analyze import Campaign, campaign_csv, sweep_ber
 from winofi.modelio import builtin_model, generate_dataset, load_model
 
 BERS = [0.0, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4]
@@ -33,7 +33,7 @@ def main():
     results = {}
     for engine in ("direct", "winograd"):
         print(f"sweeping {engine} ...", file=sys.stderr)
-        res = sweep_ber(model, dataset, engine, BERS, trials=args.trials, seed=args.seed)
+        res = sweep_ber(Campaign(model, dataset, engine, seed=args.seed), BERS, trials=args.trials)
         results[engine] = res
         path = os.path.join(args.out, f"resilience-{engine}.csv")
         with open(path, "w") as f:

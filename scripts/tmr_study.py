@@ -51,10 +51,7 @@ def main():
             size = -(-space.total_ops // n_seg)
             segments = segment_ops(space.total_ops, size)
             print(f"measuring {engine} x{len(segments)} segments ...", file=sys.stderr)
-            reports = measure_segment_vulnerability(
-                model, dataset, engine, args.ber, segments, args.trials, args.seed,
-                campaign=camp,
-            )
+            reports = measure_segment_vulnerability(camp, args.ber, segments, args.trials)
             plan = plan_tmr(
                 [r.delta for r in reports], segments, target,
                 make_segment_eval(camp, args.ber, args.trials),

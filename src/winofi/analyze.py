@@ -209,7 +209,6 @@ class Campaign:
         replay: Optional[FaultTrace] = None,
         rmse_layers: tuple = (),
         protected=(),
-        meta: Optional[dict] = None,
     ) -> CampaignResult:
         """Accuracy over ``trials`` trials of the dataset. ``replay`` and the
         TMR-``protected`` op ranges are passed on to ``op_level_hook``."""
@@ -240,8 +239,6 @@ class Campaign:
             "seed": self.seed,
             "scope": scope.to_text(),
         }
-        if meta:
-            info.update(meta)
         return CampaignResult(
             ber=ber,
             trials=trials,
@@ -290,30 +287,15 @@ def _trial_block_worker(args):
 
 
 def sweep_ber(
-    model: ModelDef,
-    dataset: Dataset,
-    engine: Optional[str],
+    camp: Campaign,
     ber_list,
     trials: int,
-    seed: int,
     *,
-    granularity: Granularity = Granularity.OP_LEVEL,
-    scope: Scope = Scope(),
-    fault_bits=None,
-    use_labels: bool = False,
-    ranges=None,
-    range_mode: str = "clamp",
-    workers: Optional[int] = None,
     trace: Optional[FaultTrace] = None,
     replay: Optional[FaultTrace] = None,
     rmse_layers: tuple = (),
 ) -> list[CampaignResult]:
     """One CampaignResult per BER; the BER=0 point equals clean accuracy exactly."""
-    camp = Campaign(
-        model, dataset, engine,
-        granularity=granularity, seed=seed, scope=scope, fault_bits=fault_bits,
-        use_labels=use_labels, ranges=ranges, range_mode=range_mode, workers=workers,
-    )
     return [
         camp.run_point(ber, trials, trace=trace, replay=replay, rmse_layers=rmse_layers)
         for ber in ber_list
@@ -340,52 +322,20 @@ def rmse_layer(
     return camp.run_point(cfg.ber, trials, rmse_layers=(layer_id,)).layer_rmse[layer_id]
 
 
-def layer_vulnerability(
-    model: ModelDef,
-    dataset: Dataset,
-    engine: Optional[str],
-    ber: float,
-    trials: int,
-    seed: int,
-    *,
-    scope: Scope = Scope(),
-    fault_bits=None,
-    use_labels: bool = False,
-    workers: Optional[int] = None,
-) -> list[VulnReport]:
+def layer_vulnerability(camp: Campaign, ber: float, trials: int) -> list[VulnReport]:
     """Per-layer accuracy gain from keeping that layer fault-free, paired
     against one shared unprotected baseline."""
-    camp = Campaign(
-        model, dataset, engine, seed=seed, scope=scope, fault_bits=fault_bits,
-        use_labels=use_labels, workers=workers,
-    )
     layers = camp.opspace.conv_layer_ids()
     if len(layers) < 2:
         raise ConfigError("layer vulnerability needs at least 2 conv layers")
-    return camp.vulnerability("layer", [(lid, scope.excluding_layer(lid)) for lid in layers], ber, trials)
+    subjects = [(lid, camp.base_scope.excluding_layer(lid)) for lid in layers]
+    return camp.vulnerability("layer", subjects, ber, trials)
 
 
-def optype_vulnerability(
-    model: ModelDef,
-    dataset: Dataset,
-    engine: Optional[str],
-    ber: float,
-    trials: int,
-    seed: int,
-    *,
-    scope: Scope = Scope(),
-    fault_bits=None,
-    use_labels: bool = False,
-    workers: Optional[int] = None,
-) -> tuple[VulnReport, VulnReport]:
+def optype_vulnerability(camp: Campaign, ber: float, trials: int) -> tuple[VulnReport, VulnReport]:
     """(MUL report, ADD report): accuracy with that op type kept fault-free."""
-    camp = Campaign(
-        model, dataset, engine, seed=seed, scope=scope, fault_bits=fault_bits,
-        use_labels=use_labels, workers=workers,
-    )
-    mul, add = camp.vulnerability(
-        "optype", [(typ.name, scope.excluding_optype(typ)) for typ in (OpType.MUL, OpType.ADD)], ber, trials
-    )
+    subjects = [(typ.name, camp.base_scope.excluding_optype(typ)) for typ in (OpType.MUL, OpType.ADD)]
+    mul, add = camp.vulnerability("optype", subjects, ber, trials)
     return mul, add
 
 

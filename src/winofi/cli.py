@@ -2,10 +2,11 @@
 
 Subcommands: sweep, layer-vuln, optype-vuln, plan-tmr, eval-tmr,
 profile-ranges, replay, gen-model, gen-dataset. Config files (--config) hold
-the same keys as the flags; flags override file values. Result files embed
-tool version, seed, config hash, and the effective config, so any campaign
-can be re-run or replayed exactly. Logs go to stderr; results go to files or
-stdout. Exit codes: 0 ok, 2 config error, 1 runtime error.
+the subcommand's flags plus ``command`` and nothing else; flags override file
+values. Result files embed tool version, seed, config hash, and the effective
+config, so any campaign can be re-run or replayed exactly. Logs go to stderr;
+results go to files or stdout. Exit codes: 0 ok, 2 config error, 1 runtime
+error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .analyze import (
     vuln_csv,
     vuln_json,
 )
-from .errors import BitPositionError, ConfigError, ShapeError
+from .errors import BitPositionError, ConfigError, ShapeError, open_input
 from .inject import FaultTrace, Granularity, Scope
 from .mitigate import RangeProfile, profile_ranges
 from .modelio import (
@@ -71,18 +72,17 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _effective_config(args: argparse.Namespace, command: str) -> dict:
-    file_cfg = {}
+    cfg = {}
     if getattr(args, "config", None):
-        try:
-            with open(args.config) as f:
-                file_cfg = json.load(f)
-        except OSError as e:
-            raise ConfigError(f"cannot read config file: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file is not valid JSON: {e}") from e
-        if not isinstance(file_cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
-    cfg = dict(file_cfg)
+        with open_input(args.config, "config file") as f:
+            cfg = json.load(f)
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
+        # vars(args) holds every flag of the subcommand and "command", which
+        # result files embed so that their config runs again as a config file
+        unknown = sorted(set(cfg) - (set(vars(args)) - {"config", "func", "verbose"}))
+        if unknown:
+            raise ConfigError(f"config file {args.config}: {unknown} are not flags of {command}")
     for key, val in vars(args).items():
         if key in ("config", "func") or val is None:
             continue
@@ -151,20 +151,6 @@ def _write_output(cfg: dict, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _campaign_kwargs(cfg: dict):
-    scope = Scope.parse(cfg.get("scope", "")) if isinstance(cfg.get("scope", ""), str) else cfg["scope"]
-    ranges = RangeProfile.load_json(cfg["ranges"]) if cfg.get("ranges") else None
-    return dict(
-        granularity=Granularity(cfg.get("granularity", "op")),
-        scope=scope,
-        fault_bits=_parse_fault_bits(cfg.get("fault_bits")),
-        use_labels=bool(cfg.get("use_labels", False)),
-        ranges=ranges,
-        range_mode=cfg.get("range_mode", "clamp"),
-        workers=cfg.get("workers"),
-    )
-
-
 def _load_pair(cfg: dict):
     if "model" not in cfg:
         raise ConfigError("a --model directory is required")
@@ -173,6 +159,23 @@ def _load_pair(cfg: dict):
     model = load_model(cfg["model"], strict=not cfg.get("lenient", False))
     dataset = load_dataset(cfg["dataset"], strict=not cfg.get("lenient", False))
     return model, dataset
+
+
+def _campaign(cfg: dict) -> Campaign:
+    """The Campaign of every campaign command; commands without a
+    --granularity, --ranges or --range-mode flag get their defaults."""
+    model, dataset = _load_pair(cfg)
+    return Campaign(
+        model, dataset, cfg.get("engine"),
+        granularity=Granularity(cfg.get("granularity", "op")),
+        seed=int(cfg.get("seed", 0)),
+        scope=Scope.parse(cfg.get("scope", "")),
+        fault_bits=_parse_fault_bits(cfg.get("fault_bits")),
+        use_labels=bool(cfg.get("use_labels", False)),
+        ranges=RangeProfile.load_json(cfg["ranges"]) if cfg.get("ranges") else None,
+        range_mode=cfg.get("range_mode", "clamp"),
+        workers=cfg.get("workers"),
+    )
 
 
 def _render_campaign(cfg: dict, results, meta: dict) -> str:
@@ -192,7 +195,6 @@ def _render_vuln(cfg: dict, reports, meta: dict) -> str:
 
 
 def cmd_sweep(cfg: dict, replay=None) -> None:
-    model, dataset = _load_pair(cfg)
     bers = _parse_ber_list(cfg.get("ber", "0"))
     trace = FaultTrace() if cfg.get("save_trace") else None
     if trace is not None and len(bers) != 1:
@@ -200,15 +202,7 @@ def cmd_sweep(cfg: dict, replay=None) -> None:
             "--save-trace needs a single-BER campaign (a trace cannot tell "
             "flips of different BER points apart); run one sweep per point"
         )
-    results = sweep_ber(
-        model, dataset, cfg.get("engine"),
-        bers,
-        trials=int(cfg.get("trials", 100)),
-        seed=int(cfg.get("seed", 0)),
-        trace=trace,
-        replay=replay,
-        **_campaign_kwargs(cfg),
-    )
+    results = sweep_ber(_campaign(cfg), bers, int(cfg.get("trials", 100)), trace=trace, replay=replay)
     _write_output(cfg, _render_campaign(cfg, results, _meta(cfg)))
     if trace is not None:
         trace.save_jsonl(cfg["save_trace"])
@@ -216,15 +210,8 @@ def cmd_sweep(cfg: dict, replay=None) -> None:
 
 
 def _cmd_vuln(cfg: dict, analysis) -> None:
-    model, dataset = _load_pair(cfg)
-    kw = _campaign_kwargs(cfg)
-    for key in ("granularity", "ranges", "range_mode"):
-        kw.pop(key)
     ber = _single_ber(cfg)
-    reports = analysis(
-        model, dataset, cfg.get("engine"), ber,
-        trials=int(cfg.get("trials", 100)), seed=int(cfg.get("seed", 0)), **kw,
-    )
+    reports = analysis(_campaign(cfg), ber, int(cfg.get("trials", 100)))
     meta = _meta(cfg)
     meta["ber"] = ber
     _write_output(cfg, _render_vuln(cfg, reports, meta))
@@ -238,29 +225,17 @@ def cmd_optype_vuln(cfg: dict, replay=None) -> None:
     _cmd_vuln(cfg, optype_vulnerability)
 
 
-def _tmr_campaign(cfg: dict, model, dataset) -> Campaign:
-    """The op-level campaign plan-tmr and eval-tmr run on (no range profile)."""
-    kw = _campaign_kwargs(cfg)
-    return Campaign(
-        model, dataset, cfg.get("engine"), seed=int(cfg.get("seed", 0)), scope=kw["scope"],
-        fault_bits=kw["fault_bits"], use_labels=kw["use_labels"], workers=kw["workers"],
-    )
-
-
 def cmd_plan_tmr(cfg: dict, replay=None) -> None:
-    model, dataset = _load_pair(cfg)
     if "segment_size" not in cfg:
         raise ConfigError("--segment-size is required")
     if "target_acc" not in cfg:
         raise ConfigError("--target-acc is required")
     ber = _single_ber(cfg)
     trials = int(cfg.get("trials", 100))
-    camp = _tmr_campaign(cfg, model, dataset)
+    camp = _campaign(cfg)
     segments = segment_ops(camp.opspace.total_ops, int(cfg["segment_size"]))
     log.info("measuring vulnerability of %d segments", len(segments))
-    reports = measure_segment_vulnerability(
-        model, dataset, camp.engine, ber, segments, trials, camp.seed, campaign=camp
-    )
+    reports = measure_segment_vulnerability(camp, ber, segments, trials)
     cost = CostModel(
         add_weight=float(cfg.get("cost_add", 1.0)), mul_weight=float(cfg.get("cost_mul", 6.67))
     )
@@ -271,7 +246,7 @@ def cmd_plan_tmr(cfg: dict, replay=None) -> None:
         make_segment_eval(camp, ber, trials),
         opspace=camp.opspace,
         cost=cost,
-        direct_opspace=enumerate_ops(model, "direct", fault_bits=camp.fault_bits),
+        direct_opspace=enumerate_ops(camp.model, "direct", fault_bits=camp.fault_bits),
         v_ci=[r.ci95_halfwidth for r in reports],
         literal_do_while=bool(cfg.get("literal_do_while", False)),
     )
@@ -282,7 +257,6 @@ def cmd_plan_tmr(cfg: dict, replay=None) -> None:
 
 
 def cmd_eval_tmr(cfg: dict, replay=None) -> None:
-    model, dataset = _load_pair(cfg)
     if "plan" not in cfg:
         raise ConfigError("--plan file is required")
     plan = TmrPlan.load_json(cfg["plan"])
@@ -290,7 +264,7 @@ def cmd_eval_tmr(cfg: dict, replay=None) -> None:
     if cfg.get("save_trace") and len(bers) != 1:
         raise ConfigError("--save-trace needs a single-BER campaign")
     trials = int(cfg.get("trials", 100))
-    camp = _tmr_campaign(cfg, model, dataset)
+    camp = _campaign(cfg)
     plan.check_fits(camp.opspace)
     trace = FaultTrace() if cfg.get("save_trace") else None
     results = [
@@ -318,21 +292,14 @@ _REPLAYABLE = {
 
 
 def _extract_embedded_config(path: str) -> tuple[dict, str]:
-    try:
-        with open(path) as f:
-            text = f.read()
-    except OSError as e:
-        raise ConfigError(f"cannot read result file: {e}") from e
-    if text.lstrip().startswith("{"):
-        doc = json.loads(text)
-        meta = doc.get("meta", {})
-        if "config" not in meta:
-            raise ConfigError("result file carries no embedded config")
-        return json.loads(meta["config"]), "json"
-    for line in text.splitlines():
-        if line.startswith("# config="):
-            return json.loads(line[len("# config=") :]), "csv"
-    raise ConfigError("result file carries no embedded config")
+    with open_input(path, "result file") as f:
+        text = f.read()
+        if text.lstrip().startswith("{"):
+            return json.loads(json.loads(text)["meta"]["config"]), "json"
+        for line in text.splitlines():
+            if line.startswith("# config="):
+                return json.loads(line[len("# config=") :]), "csv"
+    raise ConfigError(f"result file {path} carries no embedded config")
 
 
 def cmd_replay(cfg: dict, replay=None) -> None:

@@ -13,14 +13,14 @@ draws of anything else, which is what paired-scope campaigns rely on.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
 from .engine import OpType
-from .errors import ConfigError
+from .errors import ConfigError, open_input
 from .qtensor import QTensor, flip_array_with_masks
 from .rng import STREAM_NEURON, STREAM_OP, sample_flip_positions
 from .runtime import OpSpace
@@ -102,24 +102,13 @@ class Scope:
     # -- derived scopes (used by vulnerability campaigns) ---------------------
 
     def excluding_layer(self, layer_id: int) -> "Scope":
-        return self._replace(exclude_layers=self.exclude_layers | {layer_id})
+        return replace(self, exclude_layers=self.exclude_layers | {layer_id})
 
     def excluding_optype(self, op_type: OpType) -> "Scope":
-        return self._replace(exclude_optypes=self.exclude_optypes | {op_type})
+        return replace(self, exclude_optypes=self.exclude_optypes | {op_type})
 
     def excluding_op_ranges(self, ranges) -> "Scope":
-        return self._replace(exclude_op_ranges=tuple(self.exclude_op_ranges) + tuple(ranges))
-
-    def _replace(self, **kw) -> "Scope":
-        base = dict(
-            include_layers=self.include_layers,
-            exclude_layers=self.exclude_layers,
-            include_optypes=self.include_optypes,
-            exclude_optypes=self.exclude_optypes,
-            exclude_op_ranges=self.exclude_op_ranges,
-        )
-        base.update(kw)
-        return Scope(**base)
+        return replace(self, exclude_op_ranges=tuple(self.exclude_op_ranges) + tuple(ranges))
 
     # -- parsing (CLI --scope flag) -------------------------------------------
 
@@ -262,12 +251,8 @@ class FaultTrace:
 
     @staticmethod
     def load_jsonl(path: str) -> "FaultTrace":
-        try:
-            f = open(path)
-        except OSError as e:
-            raise ConfigError(f"cannot read fault trace: {e}") from e
         events = []
-        with f:
+        with open_input(path, "fault trace") as f:
             for n, line in enumerate(f, 1):
                 line = line.strip()
                 if not line:

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, open_input
 from .modelio import Dataset, ModelDef
 from .qtensor import QTensor
 from .runtime import constrain, run_inference
@@ -69,7 +69,7 @@ class RangeProfile:
 
     @staticmethod
     def load_json(path: str) -> "RangeProfile":
-        with open(path) as f:
+        with open_input(path, "range profile") as f:
             return RangeProfile.from_dict(json.load(f))
 
 

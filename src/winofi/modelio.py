@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .engine import ConvSpec
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, open_input
 from .qtensor import QTensor, QuantParams, pow2_scale_for, quantize
 
 log = logging.getLogger("winofi")
@@ -263,21 +263,18 @@ _LAYER_KEYS = {
 
 
 def load_model(path: str, strict: bool = True) -> ModelDef:
-    try:
-        with open(os.path.join(path, "manifest.json")) as f:
-            manifest = json.load(f)
-    except OSError as e:
-        raise ConfigError(f"cannot read model manifest: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"model manifest is not valid JSON: {e}") from e
+    with open_input(os.path.join(path, "manifest.json"), "model manifest") as f:
+        return _model_from_manifest(path, json.load(f), strict)
 
+
+def _model_from_manifest(path: str, manifest: dict, strict: bool) -> ModelDef:
     _check_keys("manifest", manifest, _TOP_KEYS, strict)
     if "format_version" not in manifest:
         raise ConfigError("model manifest is missing the mandatory format_version field")
     if manifest["format_version"] != FORMAT_VERSION:
         raise ConfigError(f"unsupported model format_version {manifest['format_version']}")
 
-    with open(os.path.join(path, manifest["blob"]["file"]), "rb") as f:
+    with open_input(os.path.join(path, manifest["blob"]["file"]), "weights blob", "rb") as f:
         blob = f.read()
     digest = hashlib.sha256(blob).hexdigest()
     if digest != manifest["blob"]["sha256"]:
@@ -397,13 +394,11 @@ def save_dataset(ds: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str, strict: bool = True) -> Dataset:
-    try:
-        with open(os.path.join(path, "dataset.json")) as f:
-            meta = json.load(f)
-    except OSError as e:
-        raise ConfigError(f"cannot read dataset: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"dataset.json is not valid JSON: {e}") from e
+    with open_input(os.path.join(path, "dataset.json"), "dataset") as f:
+        return _dataset_from_meta(path, json.load(f), strict)
+
+
+def _dataset_from_meta(path: str, meta: dict, strict: bool) -> Dataset:
     _check_keys(
         "dataset.json",
         meta,
@@ -412,7 +407,7 @@ def load_dataset(path: str, strict: bool = True) -> Dataset:
     )
     if meta.get("format_version") != FORMAT_VERSION:
         raise ConfigError("unsupported or missing dataset format_version")
-    with open(os.path.join(path, meta["blob"]["file"]), "rb") as f:
+    with open_input(os.path.join(path, meta["blob"]["file"]), "dataset blob", "rb") as f:
         blob = f.read()
     if hashlib.sha256(blob).hexdigest() != meta["blob"]["sha256"]:
         raise ConfigError("dataset blob checksum mismatch")
@@ -429,7 +424,7 @@ def load_dataset(path: str, strict: bool = True) -> Dataset:
     labels = None
     if meta.get("labels"):
         labels = []
-        with open(os.path.join(path, meta["labels"])) as f:
+        with open_input(os.path.join(path, meta["labels"]), "dataset labels") as f:
             next(f)
             for line in f:
                 _, lab = line.strip().split(",")

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .analyze import Campaign, VulnReport
-from .errors import ConfigError
-from .inject import FaultTrace, InjectionConfig, Scope, op_level_hook
+from .errors import ConfigError, open_input
+from .inject import FaultTrace, InjectionConfig, op_level_hook
 from .inject import sample_op_flips  # noqa: F401 - perfbench/tracing.py rebinds tmr.sample_op_flips
-from .modelio import Dataset, ModelDef
+from .modelio import ModelDef
 from .qtensor import QTensor
 from .runtime import OpSpace, enumerate_ops, run_inference
 
@@ -173,32 +173,16 @@ class TmrPlan:
 
     @staticmethod
     def load_json(path: str) -> "TmrPlan":
-        with open(path) as f:
+        with open_input(path, "TMR plan") as f:
             return TmrPlan.from_dict(json.load(f))
 
 
 def measure_segment_vulnerability(
-    model: ModelDef,
-    dataset: Dataset,
-    engine: Optional[str],
-    ber: float,
-    segments: Sequence[Segment],
-    trials: int,
-    seed: int,
-    *,
-    scope: Scope = Scope(),
-    fault_bits=None,
-    use_labels: bool = False,
-    workers: Optional[int] = None,
-    campaign: Optional[Campaign] = None,
+    camp: Campaign, ber: float, segments: Sequence[Segment], trials: int
 ) -> list[VulnReport]:
     """V_i = paired accuracy gain with segment i's ops fault-free; acc_raw is
     measured once and shared. CI half-widths expose the vulnerability
     resolution limit at fine granularities."""
-    camp = campaign or Campaign(
-        model, dataset, engine, seed=seed, scope=scope, fault_bits=fault_bits,
-        use_labels=use_labels, workers=workers,
-    )
     subjects = [(seg.index, camp.base_scope.excluding_op_ranges([seg.op_range])) for seg in segments]
     return camp.vulnerability("segment", subjects, ber, trials)
 

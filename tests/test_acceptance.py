@@ -178,8 +178,8 @@ def test_criterion_04_neuron_level_indistinguishable(micro16, micro16_data):
         rows = {}
         for engine in ("direct", "winograd"):
             res = sweep_ber(
-                micro16, micro16_data, engine, [1e-3, 1e-2], trials=20, seed=seed,
-                granularity=Granularity.NEURON_LEVEL,
+                Campaign(micro16, micro16_data, engine, seed=seed, granularity=Granularity.NEURON_LEVEL),
+                [1e-3, 1e-2], trials=20,
             )
             rows[engine] = campaign_csv(res).splitlines()[1:]
             assert all(r.per_trial_correct for r in res)
@@ -197,7 +197,7 @@ def test_criterion_05_engine_resilience_trend(micro16, micro16_data):
     bers = [1e-6, 1e-5, 3e-5, 1e-4, 3e-4]
     res = {}
     for engine in ("direct", "winograd"):
-        res[engine] = sweep_ber(micro16, micro16_data, engine, bers, trials=100, seed=5)
+        res[engine] = sweep_ber(Campaign(micro16, micro16_data, engine, seed=5), bers, trials=100)
     clean = res["direct"][0].clean_accuracy
     dropped = [i for i, r in enumerate(res["direct"]) if clean - r.mean_accuracy >= 0.05]
     assert dropped, "no BER point degraded the direct engine by 5+ points"
@@ -223,7 +223,7 @@ def test_criterion_05_engine_resilience_trend(micro16, micro16_data):
 
 def test_criterion_06_optype_trend(micro16, micro16_data):
     ber = 3e-5
-    mul, add = optype_vulnerability(micro16, micro16_data, "direct", ber, trials=100, seed=11)
+    mul, add = optype_vulnerability(Campaign(micro16, micro16_data, "direct", seed=11), ber, trials=100)
     degradation = 1.0 - mul.acc_raw
     assert 0.10 <= degradation <= 0.40, f"operating point off: raw degradation {degradation:.2f}"
     assert mul.delta > add.delta
@@ -287,9 +287,7 @@ def test_criterion_08_planner_properties(micro16, micro16_data):
     # achieved accuracy non-decreasing in n in expectation (paired prefixes)
     ber, trials = 1e-4, 60
     camp = Campaign(micro16, micro16_data, "direct", seed=33)
-    reports = measure_segment_vulnerability(
-        micro16, micro16_data, "direct", ber, segments, trials, seed=33, campaign=camp
-    )
+    reports = measure_segment_vulnerability(camp, ber, segments, trials)
     order = sorted(range(len(segments)), key=lambda i: (-reports[i].delta, i))
     eval_fn = make_segment_eval(camp, ber, trials)
     prefix_accs = [eval_fn([segments[i] for i in order[:n]]) for n in range(len(segments) + 1)]

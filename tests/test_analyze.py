@@ -58,7 +58,7 @@ def test_mean_ci95():
 
 
 def test_sweep_ber_zero_equals_clean(model, dataset):
-    res = sweep_ber(model, dataset, "direct", [0.0], trials=5, seed=1)
+    res = sweep_ber(Campaign(model, dataset, "direct", seed=1), [0.0], trials=5)
     assert len(res) == 1
     r = res[0]
     assert r.mean_accuracy == r.clean_accuracy == 1.0
@@ -67,7 +67,7 @@ def test_sweep_ber_zero_equals_clean(model, dataset):
 
 
 def test_sweep_accuracy_degrades_with_ber(model, dataset):
-    res = sweep_ber(model, dataset, "direct", [0.0, 3e-5, 3e-3], trials=20, seed=2)
+    res = sweep_ber(Campaign(model, dataset, "direct", seed=2), [0.0, 3e-5, 3e-3], trials=20)
     accs = [r.mean_accuracy for r in res]
     assert accs[0] == 1.0
     assert accs[2] < accs[0]
@@ -75,15 +75,15 @@ def test_sweep_accuracy_degrades_with_ber(model, dataset):
 
 
 def test_sweep_is_reproducible(model, dataset):
-    a = sweep_ber(model, dataset, "winograd", [1e-4], trials=10, seed=3)
-    b = sweep_ber(model, dataset, "winograd", [1e-4], trials=10, seed=3)
+    a = sweep_ber(Campaign(model, dataset, "winograd", seed=3), [1e-4], trials=10)
+    b = sweep_ber(Campaign(model, dataset, "winograd", seed=3), [1e-4], trials=10)
     assert a[0].per_trial_correct == b[0].per_trial_correct
 
 
 def test_neuron_sweep_engine_indistinguishable(model, dataset):
-    kw = dict(trials=8, seed=4, granularity=Granularity.NEURON_LEVEL)
-    d = sweep_ber(model, dataset, "direct", [1e-3, 1e-2], **kw)
-    w = sweep_ber(model, dataset, "winograd", [1e-3, 1e-2], **kw)
+    kw = dict(seed=4, granularity=Granularity.NEURON_LEVEL)
+    d = sweep_ber(Campaign(model, dataset, "direct", **kw), [1e-3, 1e-2], trials=8)
+    w = sweep_ber(Campaign(model, dataset, "winograd", **kw), [1e-3, 1e-2], trials=8)
     for rd, rw in zip(d, w):
         assert rd.per_trial_correct == rw.per_trial_correct
         assert rd.row()["mean_accuracy"] == rw.row()["mean_accuracy"]
@@ -91,9 +91,10 @@ def test_neuron_sweep_engine_indistinguishable(model, dataset):
 
 def test_trace_and_replay_round_trip(model, dataset):
     trace = FaultTrace()
-    first = sweep_ber(model, dataset, "direct", [2e-4], trials=6, seed=5, trace=trace)
+    camp = Campaign(model, dataset, "direct", seed=5)
+    first = sweep_ber(camp, [2e-4], trials=6, trace=trace)
     assert len(trace) > 0
-    again = sweep_ber(model, dataset, "direct", [2e-4], trials=6, seed=5, replay=trace)
+    again = sweep_ber(camp, [2e-4], trials=6, replay=trace)
     assert first[0].per_trial_correct == again[0].per_trial_correct
 
 
@@ -188,7 +189,7 @@ def test_layer_vulnerability_tracks_op_mass():
     big = max(bits, key=bits.get)
     assert bits[big] / sum(bits.values()) > 0.85
     ds = generate_dataset(model, 6, seed=41)
-    reports = layer_vulnerability(model, ds, "direct", ber=2e-4, trials=60, seed=42)
+    reports = layer_vulnerability(Campaign(model, ds, "direct", seed=42), ber=2e-4, trials=60)
     assert len(reports) == 2
     best = max(reports, key=lambda r: r.delta)
     assert best.subject_id == big
@@ -196,7 +197,7 @@ def test_layer_vulnerability_tracks_op_mass():
 
 
 def test_layer_vulnerability_ber_zero_all_deltas_zero(model, dataset):
-    reports = layer_vulnerability(model, dataset, "direct", ber=0.0, trials=3, seed=43)
+    reports = layer_vulnerability(Campaign(model, dataset, "direct", seed=43), ber=0.0, trials=3)
     assert all(r.delta == 0.0 for r in reports)
     assert all(r.acc_prot == r.acc_raw for r in reports)
 
@@ -212,7 +213,7 @@ def test_protecting_all_layers_recovers_clean(model, dataset):
 
 
 def test_optype_vulnerability_ber_zero(model, dataset):
-    mul, add = optype_vulnerability(model, dataset, "direct", ber=0.0, trials=3, seed=45)
+    mul, add = optype_vulnerability(Campaign(model, dataset, "direct", seed=45), ber=0.0, trials=3)
     assert mul.delta == add.delta == 0.0
     assert mul.subject_id == "MUL" and add.subject_id == "ADD"
 
@@ -242,7 +243,7 @@ def test_paired_scope_campaigns_share_flips(model, dataset):
 
 
 def test_campaign_csv_columns(model, dataset):
-    res = sweep_ber(model, dataset, "direct", [0.0, 1e-4], trials=3, seed=48)
+    res = sweep_ber(Campaign(model, dataset, "direct", seed=48), [0.0, 1e-4], trials=3)
     text = campaign_csv(res, meta={"seed": 48})
     lines = text.strip().split("\n")
     assert lines[0] == "# seed=48"
@@ -252,7 +253,7 @@ def test_campaign_csv_columns(model, dataset):
 
 
 def test_vuln_csv_columns(model, dataset):
-    mul, add = optype_vulnerability(model, dataset, "direct", ber=0.0, trials=2, seed=49)
+    mul, add = optype_vulnerability(Campaign(model, dataset, "direct", seed=49), ber=0.0, trials=2)
     text = vuln_csv([mul, add])
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(VULN_COLUMNS)
@@ -261,7 +262,7 @@ def test_vuln_csv_columns(model, dataset):
 
 
 def test_campaign_json_shape(model, dataset):
-    res = sweep_ber(model, dataset, "direct", [0.0], trials=2, seed=50)
+    res = sweep_ber(Campaign(model, dataset, "direct", seed=50), [0.0], trials=2)
     doc = campaign_json(res, meta={"engine": "direct"})
     assert doc["meta"]["engine"] == "direct"
     assert doc["results"][0]["ber"] == 0.0
@@ -270,7 +271,7 @@ def test_campaign_json_shape(model, dataset):
 
 def test_sweep_with_per_layer_rmse(model, dataset):
     lids = tuple(model.conv_layer_ids())
-    res = sweep_ber(model, dataset, "direct", [0.0, 2e-4], trials=5, seed=52,
+    res = sweep_ber(Campaign(model, dataset, "direct", seed=52), [0.0, 2e-4], trials=5,
                     rmse_layers=lids)
     assert res[0].layer_rmse == {lid: 0.0 for lid in lids}
     assert set(res[1].layer_rmse) == set(lids)
@@ -282,9 +283,9 @@ def test_sweep_with_per_layer_rmse(model, dataset):
 def test_workers_do_not_change_results(model, dataset, engine, use_labels):
     if use_labels:
         dataset = Dataset(dataset.samples, [(i + 1) % 4 for i in range(len(dataset))])
-    kw = dict(trials=6, seed=51, use_labels=use_labels)
-    seq = sweep_ber(model, dataset, engine, [2e-4], workers=1, **kw)
-    par = sweep_ber(model, dataset, engine, [2e-4], workers=2, **kw)
+    kw = dict(seed=51, use_labels=use_labels)
+    seq = sweep_ber(Campaign(model, dataset, engine, workers=1, **kw), [2e-4], trials=6)
+    par = sweep_ber(Campaign(model, dataset, engine, workers=2, **kw), [2e-4], trials=6)
     assert seq[0].per_trial_correct == par[0].per_trial_correct
 
 

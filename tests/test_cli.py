@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 
@@ -384,3 +385,93 @@ def test_eval_tmr_workers_do_not_change_bytes(assets, tmp_path):
         )
         assert code == 0
     assert (tmp_path / "eval2.csv").read_bytes() == (tmp_path / "eval1.csv").read_bytes()
+
+
+def _campaign_config(assets, tmp_path, command):
+    """A config file's worth of flags that runs ``command`` on the test assets."""
+    cfg = {"model": assets["model"], "dataset": assets["dataset"], "engine": "direct",
+           "ber": "3e-4", "trials": 1}
+    if command == "plan-tmr":
+        cfg.update(segment_size=100000, target_acc=0.0)
+    if command == "eval-tmr":
+        _write_plan(assets, tmp_path / "plan.json", "direct", n=1, n_segments=2)
+        cfg["plan"] = str(tmp_path / "plan.json")
+    return cfg
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("sweep", {"trails": 5, "bers": "1e-3"}),
+    ("layer-vuln", {"granularity": "neuron", "ranges": "prof.json", "range_mode": "zero"}),
+    ("optype-vuln", {"granularity": "neuron"}),
+    ("plan-tmr", {"granularity": "neuron"}),
+    ("eval-tmr", {"granularity": "neuron"}),
+])
+def test_config_keys_must_be_flags_of_the_subcommand(assets, tmp_path, capsys, command, extra):
+    cfg = _campaign_config(assets, tmp_path, command)
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(cfg))
+    assert run_cli(command, "--config", str(cfgfile), "--out", str(tmp_path / "ok")) == 0
+    cfgfile.write_text(json.dumps(dict(cfg, **extra)))
+    assert run_cli(command, "--config", str(cfgfile), "--out", str(tmp_path / "r")) == 2
+    rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert rec["error"] == "ConfigError"
+    assert all(repr(key) in rec["message"] for key in extra)
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("sweep", ("--fault-bits", "12", "--granularity", "neuron")),
+    ("layer-vuln", ("--scope", "exclude_optypes=ADD")),
+])
+def test_embedded_config_runs_again_as_config_file(assets, tmp_path, command, flags):
+    first = tmp_path / "first.csv"
+    code = run_cli(command, "--model", assets["model"], "--dataset", assets["dataset"],
+                   "--ber", "3e-4", "--trials", "3", "--seed", "12", *flags, "--out", str(first))
+    assert code == 0
+    embedded = next(l for l in first.read_text().splitlines() if l.startswith("# config="))
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(embedded[len("# config="):])
+    assert run_cli(command, "--config", str(cfgfile), "--out", str(tmp_path / "again.csv")) == 0
+    assert (tmp_path / "again.csv").read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("case", [
+    "no-weights", "manifest-without-blob", "conv-without-weight", "no-samples",
+    "no-ranges", "no-plan", "plan-without-total_ops",
+])
+def test_missing_or_malformed_input_file_exits_2(assets, tmp_path, capsys, case):
+    model, data = tmp_path / "model", tmp_path / "data"
+    shutil.copytree(assets["model"], model)
+    shutil.copytree(assets["dataset"], data)
+    manifest = json.loads((model / "manifest.json").read_text())
+    argv = ["sweep", "--model", str(model), "--dataset", str(data), "--ber", "1e-4", "--trials", "1"]
+    if case == "no-weights":
+        broken = model / "weights.bin"
+        broken.unlink()
+    elif case == "manifest-without-blob":
+        del manifest["blob"]
+        broken = model / "manifest.json"
+        broken.write_text(json.dumps(manifest))
+    elif case == "conv-without-weight":
+        del manifest["layers"][0]["weight"]
+        broken = model / "manifest.json"
+        broken.write_text(json.dumps(manifest))
+    elif case == "no-samples":
+        broken = data / "samples.bin"
+        broken.unlink()
+    elif case == "no-ranges":
+        broken = tmp_path / "missing-ranges.json"
+        argv += ["--ranges", str(broken)]
+    else:
+        broken = tmp_path / "plan.json"
+        if case == "plan-without-total_ops":
+            _write_plan(assets, broken, "direct", n=1, n_segments=2)
+            plan = json.loads(broken.read_text())
+            del plan["total_ops"]
+            broken.write_text(json.dumps(plan))
+        argv = ["eval-tmr", *argv[1:], "--plan", str(broken)]
+    assert run_cli(*argv, "--out", str(tmp_path / "r.csv")) == 2
+    rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert rec["error"] == "ConfigError"
+    assert str(broken) in rec["message"]
+    assert not (tmp_path / "r.csv").exists()

@@ -142,7 +142,7 @@ def test_overhead_strictly_increases_with_n(model):
 def test_segment_vulnerability_ber_zero(model, dataset):
     space = enumerate_ops(model, "direct")
     segs = segment_ops(space.total_ops, space.total_ops // 4)
-    reports = measure_segment_vulnerability(model, dataset, "direct", 0.0, segs, trials=3, seed=64)
+    reports = measure_segment_vulnerability(Campaign(model, dataset, "direct", seed=64), 0.0, segs, trials=3)
     assert all(r.delta == 0.0 for r in reports)
 
 
@@ -156,9 +156,7 @@ def test_segment_vulnerability_concentrated_faults(model, dataset):
         s.op_range for s in segs if s.index != target.index
     ))
     camp = Campaign(model, dataset, "direct", seed=65, scope=scope)
-    reports = measure_segment_vulnerability(
-        model, dataset, "direct", 3e-4, segs, trials=40, seed=65, campaign=camp
-    )
+    reports = measure_segment_vulnerability(camp, 3e-4, segs, trials=40)
     best = max(reports, key=lambda r: r.delta)
     assert best.subject_id == target.index
     assert best.delta > 0
@@ -250,9 +248,7 @@ def test_plan_two_segment_constructed_case(model, dataset):
     segs = [Segment(0, 0, half), Segment(1, half, space.total_ops)]
     scope = Scope(exclude_op_ranges=((half, space.total_ops),))  # faults only in A
     camp = Campaign(model, dataset, "direct", seed=66, scope=scope)
-    reports = measure_segment_vulnerability(
-        model, dataset, "direct", 2e-4, segs, trials=30, seed=66, campaign=camp
-    )
+    reports = measure_segment_vulnerability(camp, 2e-4, segs, trials=30)
     v = [r.delta for r in reports]
     assert v[0] > v[1]
     eval_fn = make_segment_eval(camp, 2e-4, trials=30)
