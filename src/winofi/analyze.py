@@ -157,7 +157,7 @@ class Campaign:
                                     trace=trace, replay=replay, protected=protected)
             return run_inference(
                 self.model, x, self.engine, hook,
-                ranges=self.ranges, range_mode=self.range_mode, capture=capture,
+                ranges=self.ranges, range_mode=self.range_mode, capture=capture, struck=hook.struck,
             )
         offsets = self.opspace.neuron_offsets
 
@@ -260,6 +260,11 @@ class Campaign:
                 out.update(res)
         return [out[t] for t in range(trials)]
 
+    def require_op_level(self, analysis: str) -> None:
+        """Raise ConfigError unless faults strike ops, which ``analysis`` needs."""
+        if self.granularity is not Granularity.OP_LEVEL:
+            raise ConfigError(f"{analysis} needs an op-level Campaign: neuron faults have no op type or op id")
+
     def vulnerability(self, kind: str, subjects, ber: float, trials: int) -> list[VulnReport]:
         """One VulnReport per (subject_id, scope) pair: the paired per-trial
         accuracy gain of running under that scope against one shared run
@@ -334,6 +339,7 @@ def layer_vulnerability(camp: Campaign, ber: float, trials: int) -> list[VulnRep
 
 def optype_vulnerability(camp: Campaign, ber: float, trials: int) -> tuple[VulnReport, VulnReport]:
     """(MUL report, ADD report): accuracy with that op type kept fault-free."""
+    camp.require_op_level("optype_vulnerability")
     subjects = [(typ.name, camp.base_scope.excluding_optype(typ)) for typ in (OpType.MUL, OpType.ADD)]
     mul, add = camp.vulnerability("optype", subjects, ber, trials)
     return mul, add

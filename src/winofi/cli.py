@@ -71,7 +71,31 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(_canonical(cfg).encode()).hexdigest()[:16]
 
 
-def _effective_config(args: argparse.Namespace, command: str) -> dict:
+def _subcommand_flags(parser: argparse.ArgumentParser, command: str) -> dict:
+    """The flags of ``command``, as {dest: argparse action}."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions}
+
+
+def _file_value(flag: argparse.Action, value, path: str):
+    """A config file's ``value`` for ``flag``, checked as the flag would
+    parse it: a JSON bool for a switch, an integer for an int flag, a number
+    for a float flag, a string otherwise, and one of the flag's choices."""
+    if flag.nargs == 0:
+        ok = isinstance(value, bool)
+    elif flag.type is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif flag.type is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        value = float(value) if ok else value
+    else:
+        ok = isinstance(value, str)
+    if not ok or (flag.choices is not None and value not in flag.choices):
+        raise ConfigError(f"config file {path}: {value!r} is not a valid {flag.option_strings[0]} value")
+    return value
+
+
+def _effective_config(args: argparse.Namespace, command: str, flags: dict) -> dict:
     cfg = {}
     if getattr(args, "config", None):
         with open_input(args.config, "config file") as f:
@@ -83,6 +107,7 @@ def _effective_config(args: argparse.Namespace, command: str) -> dict:
         unknown = sorted(set(cfg) - (set(vars(args)) - {"config", "func", "verbose"}))
         if unknown:
             raise ConfigError(f"config file {args.config}: {unknown} are not flags of {command}")
+        cfg = {k: v if k == "command" else _file_value(flags[k], v, args.config) for k, v in cfg.items()}
     for key, val in vars(args).items():
         if key in ("config", "func") or val is None:
             continue
@@ -107,8 +132,6 @@ def _meta(cfg: dict) -> dict:
 
 
 def _parse_ber_list(text) -> list:
-    if isinstance(text, (list, tuple)):
-        return [float(b) for b in text]
     out = []
     for part in str(text).split(","):
         part = part.strip()
@@ -127,10 +150,8 @@ def _single_ber(cfg: dict) -> float:
 
 
 def _parse_fault_bits(text):
-    if text is None or isinstance(text, int):
-        return text
-    if isinstance(text, dict):
-        return text
+    if text is None:
+        return None
     text = str(text)
     if ":" in text:
         out = {}
@@ -454,14 +475,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        cfg = _effective_config(args, args.command)
+        cfg = _effective_config(args, args.command, _subcommand_flags(parser, args.command))
         args.func(cfg)
         return 0
     except (ConfigError, ShapeError, BitPositionError, ValueError) as e:

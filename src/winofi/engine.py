@@ -12,6 +12,12 @@ The hook sees each operation's widened integer result exactly once, in a
 canonical order that is stable for a fixed (weights, input shape, engine), and
 may return a modified integer. ``hook=None`` selects a vectorized fault-free
 path that matches the hooked path element-exactly.
+
+A layer's ops group into output units: a direct output pixel, or a Winograd
+(tile, output channel). Passing the sorted ids of the only ops the hook
+changes as ``struck`` runs the vectorized path and then just the units owning
+a struck op through the hook, in op-id order; ``struck=None`` runs every unit
+through it and is the reference for that fast path.
 """
 
 from __future__ import annotations
@@ -220,64 +226,91 @@ def _check_input(x: QTensor, spec: ConvSpec) -> tuple[int, int, int, int]:
     return n, c, h, w
 
 
-def conv_direct(x: QTensor, spec: ConvSpec, hook: Optional[Hook] = None, *, layer_id: int = 0, op_base: int = 0) -> QTensor:
+def _padded(x: QTensor, pad: int, hp: int, wp: int) -> np.ndarray:
+    """``x`` zero-padded by ``pad`` at the top and left into an (N, C, hp, wp) array."""
+    n_, c_, h, w = x.shape
+    xp = np.zeros((n_, c_, hp, wp), dtype=np.int64)
+    xp[:, :, pad : pad + h, pad : pad + w] = x.array
+    return xp
+
+
+def _struck_offsets(struck, op_base: int, n_ops: int) -> np.ndarray:
+    """Offsets from ``op_base`` of the sorted ``struck`` op ids inside [op_base, op_base + n_ops)."""
+    struck = np.asarray(struck, dtype=np.int64)
+    lo, hi = np.searchsorted(struck, [op_base, op_base + n_ops])
+    return struck[lo:hi] - op_base
+
+
+def conv_direct(
+    x: QTensor,
+    spec: ConvSpec,
+    hook: Optional[Hook] = None,
+    *,
+    layer_id: int = 0,
+    op_base: int = 0,
+    struck=None,
+) -> QTensor:
     """Stride-1 cross-correlation with per-MAC instrumentation.
 
     Canonical op order: output channel, output row, output col, input channel,
     kernel row, kernel col; each MAC emits its MUL then its accumulation ADD.
+    The 18*C ops of one output pixel form its unit. ``struck=None`` runs every
+    unit through the hook; given the sorted ``struck`` op ids, the vectorized
+    kernel computes the output and only the units owning a struck op rerun
+    through the hook, in op-id order.
     """
     n_, c_, h, w = _check_input(x, spec)
     oh, ow = spec.out_hw(h, w)
     shift = spec.requant_shift(x.qparams)
     oq = spec.out_qparams
+    pad, k_ = spec.padding, spec.out_channels
+    xp = _padded(x, pad, h + 2 * pad, w + 2 * pad)
     if hook is None:
-        return _conv_direct_vec(x, spec, oh, ow, shift)
+        out = _conv_direct_vec(xp, spec, shift)
+        return QTensor(out.shape, out, oq)
 
-    pad = spec.padding
-    xp = np.zeros((n_, c_, h + 2 * pad, w + 2 * pad), dtype=np.int64)
-    xp[:, :, pad : pad + h, pad : pad + w] = x.array
+    chain = 18 * c_
+    size = n_ * k_ * oh * ow
+    if struck is None:
+        out = np.empty(size, dtype=np.int64)
+        units = range(size)
+    else:
+        out = _conv_direct_vec(xp, spec, shift).reshape(-1)
+        units = dict.fromkeys((_struck_offsets(struck, op_base, size * chain) // chain).tolist())
+        if not units:
+            return QTensor((n_, k_, oh, ow), out, oq)
     xl = xp.tolist()
     wl = spec.weights.array.tolist()
-    bias = spec.bias
+    bias = spec.bias.tolist() if spec.bias is not None else [0] * k_
     lo, hi = oq.int_min, oq.int_max
-    out = np.empty((n_, spec.out_channels, oh, ow), dtype=np.int64)
     mul, add, stg = int(OpType.MUL), int(OpType.ADD), int(Stage.DIRECT_MAC)
-    op_id = op_base
-    for n in range(n_):
-        xn = xl[n]
-        for k in range(spec.out_channels):
-            wk = wl[k]
-            b = int(bias[k]) if bias is not None else 0
-            for oy in range(oh):
-                for ox in range(ow):
-                    acc = b
-                    for c in range(c_):
-                        xc = xn[c]
-                        wkc = wk[c]
-                        for ry in range(3):
-                            xrow = xc[oy + ry]
-                            wrow = wkc[ry]
-                            for rx in range(3):
-                                p = wrow[rx] * xrow[ox + rx]
-                                p = hook(op_id, layer_id, mul, stg, p)
-                                op_id += 1
-                                acc = hook(op_id, layer_id, add, stg, acc + p)
-                                op_id += 1
-                    out[n, k, oy, ox] = requant_scalar(acc, shift, lo, hi)
-    return QTensor(out.shape, out, oq)
+    for u in units:
+        rest, ox = divmod(u, ow)
+        rest, oy = divmod(rest, oh)
+        n, k = divmod(rest, k_)
+        op_id = op_base + u * chain
+        acc = bias[k]
+        for xc, wkc in zip(xl[n], wl[k]):
+            for ry in range(3):
+                xrow = xc[oy + ry]
+                wrow = wkc[ry]
+                for rx in range(3):
+                    p = wrow[rx] * xrow[ox + rx]
+                    p = hook(op_id, layer_id, mul, stg, p)
+                    op_id += 1
+                    acc = hook(op_id, layer_id, add, stg, acc + p)
+                    op_id += 1
+        out[u] = requant_scalar(acc, shift, lo, hi)
+    return QTensor((n_, k_, oh, ow), out, oq)
 
 
-def _conv_direct_vec(x: QTensor, spec: ConvSpec, oh: int, ow: int, shift: int) -> QTensor:
-    n_, c_, h, w = x.shape
-    pad = spec.padding
-    xp = np.zeros((n_, c_, h + 2 * pad, w + 2 * pad), dtype=np.int64)
-    xp[:, :, pad : pad + h, pad : pad + w] = x.array
+def _conv_direct_vec(xp: np.ndarray, spec: ConvSpec, shift: int) -> np.ndarray:
+    """Requantized output of the padded input ``xp``."""
     win = sliding_window_view(xp, (3, 3), axis=(2, 3))  # (N, C, OH, OW, 3, 3)
     acc = np.einsum("nchwyx,kcyx->nkhw", win, spec.weights.array, dtype=np.int64)
     if spec.bias is not None:
         acc = acc + spec.bias[None, :, None, None]
-    out = requant_array(acc, shift, spec.out_qparams.int_min, spec.out_qparams.int_max)
-    return QTensor(out.shape, out, spec.out_qparams)
+    return requant_array(acc, shift, spec.out_qparams.int_min, spec.out_qparams.int_max)
 
 
 def conv_winograd(
@@ -288,6 +321,7 @@ def conv_winograd(
     *,
     layer_id: int = 0,
     op_base: int = 0,
+    struck=None,
 ) -> QTensor:
     """F(2x2,3x3) convolution, element-exact with :func:`conv_direct`.
 
@@ -298,6 +332,15 @@ def conv_winograd(
     :class:`_Transform`); every tile quantity is a flat row-major list.
     Odd output planes are computed on a tile grid rounded up to even and the
     padded outputs discarded.
+
+    A (tile, k) unit owns the tile's element-wise multiplies, channel sums
+    and inverse transform of output channel k; a tile's input transform feeds
+    all of its units. ``struck=None`` runs every unit through the hook. Given
+    the sorted ``struck`` op ids, the vectorized kernel computes the output
+    and only the struck units rerun through the hook: a struck input-transform
+    op makes every k of its tile a unit, and a struck filter-transform op
+    every unit of the layer. Tiles run in op-id order, each stage by stage
+    over its units' k ascending, so the hook sees ops in op-id order.
     """
     if cfg is None:
         cfg = WINOGRAD_F2X2_3X3
@@ -306,79 +349,101 @@ def conv_winograd(
     # +2: Winograd folds the deferred /4 of the doubled filter transform here.
     shift = spec.requant_shift(x.qparams) + 2
     oq = spec.out_qparams
-    if hook is None:
-        return _conv_winograd_vec(x, spec, oh, ow, shift)
-
     k_, pad = spec.out_channels, spec.padding
     ty_, tx_ = WinogradConfig.tile_grid(oh, ow)
-    xp = np.zeros((n_, c_, 2 * ty_ + 2, 2 * tx_ + 2), dtype=np.int64)
-    xp[:, :, pad : pad + h, pad : pad + w] = x.array
-    xl = xp.tolist()
+    xp = _padded(x, pad, 2 * ty_ + 2, 2 * tx_ + 2)
+    if hook is None:
+        out = _conv_winograd_vec(xp, spec, oh, ow, shift)
+        return QTensor(out.shape, out, oq)
+
+    n_itf, n_inv, n_ftf = len(_INPUT_TF.steps), len(_INVERSE_TF.steps), len(_FILTER_TF.steps)
+    ftf_ops = k_ * c_ * n_ftf if cfg.instrument_filter_transform else 0
+    tile_ops = c_ * n_itf + 32 * k_ * c_ + k_ * n_inv
+    n_tiles = n_ * ty_ * tx_
+    offs = None if struck is None else _struck_offsets(struck, op_base, ftf_ops + n_tiles * tile_ops)
+    # tile -> output channels of its units, where -1 marks a struck input
+    # transform and so every k
+    if offs is None or (offs.size and offs[0] < ftf_ops):
+        out = np.empty((n_, k_, oh, ow), dtype=np.int64)
+        units = dict.fromkeys(range(n_tiles), (-1,))
+    else:
+        out = _conv_winograd_vec(xp, spec, oh, ow, shift)
+        tile, o = np.divmod(offs - ftf_ops, tile_ops)
+        o -= c_ * n_itf
+        ks = np.where(o < 0, -1, np.where(o < 32 * k_ * c_, o // (16 * c_) % k_, (o - 32 * k_ * c_) // n_inv))
+        units = {}
+        for t, k in zip(tile.tolist(), ks.tolist()):
+            units.setdefault(t, set()).add(k)
+        if not units:
+            return QTensor(out.shape, out, oq)
+
     b4 = [4 * int(b) for b in spec.bias] if spec.bias is not None else [0] * k_
     lo, hi = oq.int_min, oq.int_max
-    out = np.empty((n_, k_, 2 * ty_, 2 * tx_), dtype=np.int64)
     mul = int(OpType.MUL)
     s_itf, s_ew, s_cs, s_inv = (
         int(Stage.WG_INPUT_TF), int(Stage.WG_EWMUL), int(Stage.WG_CHANNEL_SUM), int(Stage.WG_INVERSE_TF)
     )
-    n_itf, n_inv = len(_INPUT_TF.steps), len(_INVERSE_TF.steps)
-    op_id = op_base
 
     # Filter transform (2G) g (2G)^T, one flat 4x4 U per (k, c) in that order.
-    if cfg.instrument_filter_transform:
-        n_ftf = len(_FILTER_TF.steps)
+    if ftf_ops:
         u_all = [
-            _hooked_transform(_FILTER_TF, g, hook, op_id + i * n_ftf, layer_id, int(Stage.WG_FILTER_TF))
+            _hooked_transform(_FILTER_TF, g, hook, op_base + i * n_ftf, layer_id, int(Stage.WG_FILTER_TF))
             for i, g in enumerate(spec.weights.array.reshape(k_ * c_, 9).tolist())
         ]
-        op_id += k_ * c_ * n_ftf
     else:
         u_all = np.matmul(np.matmul(G2_F2X2_3X3, spec.weights.array), G2_F2X2_3X3.T).reshape(k_ * c_, 16).tolist()
 
-    for n in range(n_):
-        xn = xl[n]
-        for ty in range(ty_):
-            y0 = 2 * ty
-            for tx in range(tx_):
-                x0 = 2 * tx
-                # Input transform B^T d B per input channel.
-                v_all = []
-                for xc in xn:
-                    r0, r1, r2, r3 = xc[y0 : y0 + 4]
-                    d = r0[x0 : x0 + 4] + r1[x0 : x0 + 4] + r2[x0 : x0 + 4] + r3[x0 : x0 + 4]
-                    v_all.append(_hooked_transform(_INPUT_TF, d, hook, op_id, layer_id, s_itf))
-                    op_id += n_itf
-                # Element-wise multiply in the transform domain, per (k, c).
-                p_all = []
-                for u, v in zip(u_all, v_all * k_):
-                    p_all.append([hook(op_id + e, layer_id, mul, s_ew, u[e] * v[e]) for e in range(16)])
-                    op_id += 16
-                # Channel sum per k, accumulated in the transform domain.
-                s_all = []
-                for k in range(k_):
-                    sk = [0] * 16
-                    for p in p_all[k * c_ : (k + 1) * c_]:
-                        sk = [hook(op_id + e, layer_id, _ADD, s_cs, sk[e] + p[e]) for e in range(16)]
-                        op_id += 16
-                    s_all.append(sk)
-                # Inverse transform A^T S A per output channel; the padded
-                # outputs of ragged edge tiles are cropped below.
-                for k, sk in enumerate(s_all):
-                    y = _hooked_transform(_INVERSE_TF, sk, hook, op_id, layer_id, s_inv)
-                    op_id += n_inv
-                    for e in range(4):
-                        out[n, k, y0 + e // 2, x0 + e % 2] = requant_scalar(y[e] + b4[k], shift, lo, hi)
-    out = out[:, :, :oh, :ow].copy()
+    for t, touched in units.items():
+        n, ty = divmod(t, ty_ * tx_)
+        ty, tx = divmod(ty, tx_)
+        y0, x0 = 2 * ty, 2 * tx
+        op_id = op_base + ftf_ops + t * tile_ops
+        d = xp[n, :, y0 : y0 + 4, x0 : x0 + 4]
+        # Input transform B^T d B per input channel.
+        if -1 in touched:
+            k_list = range(k_)
+            v_all = [
+                _hooked_transform(_INPUT_TF, dc, hook, op_id + c * n_itf, layer_id, s_itf)
+                for c, dc in enumerate(d.reshape(c_, 16).tolist())
+            ]
+        else:
+            k_list = sorted(touched)
+            v_all = np.matmul(np.matmul(BT_F2X2_3X3, d), BT_F2X2_3X3.T).reshape(c_, 16).tolist()
+        op_id += c_ * n_itf
+        # Element-wise multiply in the transform domain, per (k, c).
+        p_all = {}
+        for k in k_list:
+            base = op_id + 16 * c_ * k
+            p_all[k] = [
+                [hook(base + 16 * c + e, layer_id, mul, s_ew, u[e] * v[e]) for e in range(16)]
+                for c, (u, v) in enumerate(zip(u_all[k * c_ : (k + 1) * c_], v_all))
+            ]
+        op_id += 16 * k_ * c_
+        # Channel sum per k, accumulated in the transform domain.
+        s_all = {}
+        for k in k_list:
+            base = op_id + 16 * c_ * k
+            sk = [0] * 16
+            for c, p in enumerate(p_all[k]):
+                sk = [hook(base + 16 * c + e, layer_id, _ADD, s_cs, sk[e] + p[e]) for e in range(16)]
+            s_all[k] = sk
+        op_id += 16 * k_ * c_
+        # Inverse transform A^T S A per output channel; the padded outputs of
+        # ragged edge tiles are dropped.
+        for k in k_list:
+            y = _hooked_transform(_INVERSE_TF, s_all[k], hook, op_id + k * n_inv, layer_id, s_inv)
+            for e in range(4):
+                oy, ox = y0 + e // 2, x0 + e % 2
+                if oy < oh and ox < ow:
+                    out[n, k, oy, ox] = requant_scalar(y[e] + b4[k], shift, lo, hi)
     return QTensor(out.shape, out, oq)
 
 
-def _conv_winograd_vec(x: QTensor, spec: ConvSpec, oh: int, ow: int, shift: int) -> QTensor:
-    n_, c_, h, w = x.shape
-    pad = spec.padding
-    ty_, tx_ = WinogradConfig.tile_grid(oh, ow)
-    xp = np.zeros((n_, c_, 2 * ty_ + 2, 2 * tx_ + 2), dtype=np.int64)
-    xp[:, :, pad : pad + h, pad : pad + w] = x.array
+def _conv_winograd_vec(xp: np.ndarray, spec: ConvSpec, oh: int, ow: int, shift: int) -> np.ndarray:
+    """Requantized output of the padded input ``xp``."""
+    n_ = xp.shape[0]
     tiles = sliding_window_view(xp, (4, 4), axis=(2, 3))[:, :, ::2, ::2]  # (N,C,TY,TX,4,4)
+    ty_, tx_ = tiles.shape[2:4]
     v = np.matmul(np.matmul(BT_F2X2_3X3, tiles), BT_F2X2_3X3.T)
     u = np.matmul(np.matmul(G2_F2X2_3X3, spec.weights.array), G2_F2X2_3X3.T)  # (K,C,4,4)
     s = np.einsum("kcij,nctuij->nktuij", u, v, dtype=np.int64)
@@ -386,8 +451,7 @@ def _conv_winograd_vec(x: QTensor, spec: ConvSpec, oh: int, ow: int, shift: int)
     if spec.bias is not None:
         y = y + 4 * spec.bias[None, :, None, None, None, None]
     plane = y.transpose(0, 1, 2, 4, 3, 5).reshape(n_, spec.out_channels, 2 * ty_, 2 * tx_)
-    out = requant_array(plane[:, :, :oh, :ow], shift, spec.out_qparams.int_min, spec.out_qparams.int_max)
-    return QTensor(out.shape, out, spec.out_qparams)
+    return requant_array(plane[:, :, :oh, :ow], shift, spec.out_qparams.int_min, spec.out_qparams.int_max)
 
 
 # Per-layer op counting (must match the hooked emission exactly; checked in tests).

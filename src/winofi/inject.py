@@ -152,9 +152,6 @@ class Scope:
         return ";".join(parts)
 
 
-EVERYTHING = Scope()
-
-
 @dataclass
 class InjectionConfig:
     granularity: Granularity = Granularity.OP_LEVEL
@@ -195,9 +192,6 @@ class FaultTrace:
 
     def __eq__(self, other):
         return isinstance(other, FaultTrace) and self.events == other.events
-
-    def key_set(self):
-        return set(self.events)
 
     def masks_for(self, trial: int, sample: int, kind: str, copy: int = 0) -> dict:
         if self._index is None or self._index_len != len(self.events):
@@ -333,7 +327,8 @@ def op_level_hook(
     other op takes the copy-0 flips. Scope and protection are decided here,
     once for the whole table. Returns (hook, trace); while the inference
     runs, the trace accumulates exactly the applied flips, in (op, copy, bit)
-    order.
+    order. ``hook.struck`` holds the sorted ids of the ops the hook changes,
+    the ``struck`` argument of ``run_inference``.
     """
     if cfg.granularity is not Granularity.OP_LEVEL:
         raise ConfigError("op_level_hook needs an OP_LEVEL config")
@@ -350,8 +345,9 @@ def op_level_hook(
         ids = np.fromiter(set().union(*tables), dtype=np.int64)
         for op_id in ids[_in_ranges(ids, protected)].tolist():
             faults[op_id] = tuple(t.get(op_id, 0) for t in tables)
-    ids = np.fromiter(faults, dtype=np.int64, count=len(faults))
-    faults = {op_id: faults[op_id] for op_id in ids[cfg.scope.keep(opspace, ids)].tolist()}
+    ids = np.array(sorted(faults), dtype=np.int64)
+    struck = ids[cfg.scope.keep(opspace, ids)]
+    faults = {op_id: faults[op_id] for op_id in struck.tolist()}
     events = trace.events
 
     def hook(op_id, layer_id, op_type, stage, value, _get=faults.get):
@@ -365,6 +361,7 @@ def op_level_hook(
             _record(events, trial, sample, KIND_OP, op_id, m[copy], copy)
         return _vote(value ^ m[0], value ^ m[1], value ^ m[2])
 
+    hook.struck = struck
     return hook, trace
 
 

@@ -183,6 +183,7 @@ def measure_segment_vulnerability(
     """V_i = paired accuracy gain with segment i's ops fault-free; acc_raw is
     measured once and shared. CI half-widths expose the vulnerability
     resolution limit at fine granularities."""
+    camp.require_op_level("measure_segment_vulnerability")
     subjects = [(seg.index, camp.base_scope.excluding_op_ranges([seg.op_range])) for seg in segments]
     return camp.vulnerability("segment", subjects, ber, trials)
 
@@ -289,4 +290,4 @@ def run_with_tmr(
     plan.check_fits(space)
     hook, _ = op_level_hook(cfg, space, trial=trial, sample=sample, trace=trace, replay=replay,
                             protected=plan.protected_ranges)
-    return run_inference(model, x, engine, hook).output
+    return run_inference(model, x, engine, hook, struck=hook.struck).output

@@ -218,6 +218,12 @@ def test_optype_vulnerability_ber_zero(model, dataset):
     assert mul.subject_id == "MUL" and add.subject_id == "ADD"
 
 
+def test_optype_vulnerability_rejects_neuron_campaign(model, dataset):
+    camp = Campaign(model, dataset, "direct", granularity=Granularity.NEURON_LEVEL, seed=45)
+    with pytest.raises(ConfigError, match="op-level"):
+        optype_vulnerability(camp, ber=3e-3, trials=2)
+
+
 def test_protecting_both_optypes_recovers_clean(model, dataset):
     camp = Campaign(model, dataset, "direct", seed=46)
     scope = Scope().excluding_optype(OpType.MUL).excluding_optype(OpType.ADD)
@@ -232,8 +238,8 @@ def test_paired_scope_campaigns_share_flips(model, dataset):
     camp.run_point(3e-4, trials=3, trace=t_full)
     lid = camp.opspace.conv_layer_ids()[0]
     camp.run_point(3e-4, trials=3, scope=Scope().excluding_layer(lid), trace=t_scoped)
-    full = t_full.key_set()
-    scoped = t_scoped.key_set()
+    full = set(t_full.events)
+    scoped = set(t_scoped.events)
     assert scoped <= full
     assert all(camp.opspace.op_info(e[3])[0] == lid for e in full - scoped)
 

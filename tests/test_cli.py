@@ -419,6 +419,20 @@ def test_config_keys_must_be_flags_of_the_subcommand(assets, tmp_path, capsys, c
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("key,value", [("workers", "2"), ("trials", 2.5), ("use_labels", "no")])
+def test_config_values_must_parse_as_their_flag(assets, tmp_path, capsys, key, value):
+    cfg = _campaign_config(assets, tmp_path, "sweep")
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(cfg))
+    assert run_cli("sweep", "--config", str(cfgfile), "--out", str(tmp_path / "ok")) == 0
+    cfgfile.write_text(json.dumps(dict(cfg, **{key: value})))
+    assert run_cli("sweep", "--config", str(cfgfile), "--out", str(tmp_path / "r")) == 2
+    rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert rec["error"] == "ConfigError"
+    assert repr(value) in rec["message"]
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("command,flags", [
     ("sweep", ("--fault-bits", "12", "--granularity", "neuron")),
     ("layer-vuln", ("--scope", "exclude_optypes=ADD")),

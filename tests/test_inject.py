@@ -200,8 +200,8 @@ def test_scope_change_preserves_other_flips(model, sample):
     scoped_scope = Scope(exclude_layers=frozenset({layers[1]}))
     hook, scoped = op_level_hook(cfg_op(1e-3, seed=17, scope=scoped_scope), space)
     run_inference(model, sample, "direct", hook)
-    full_keys = full.key_set()
-    scoped_keys = scoped.key_set()
+    full_keys = set(full.events)
+    scoped_keys = set(scoped.events)
     assert scoped_keys <= full_keys
     dropped = full_keys - scoped_keys
     assert all(space.op_info(e[3])[0] == layers[1] for e in dropped)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from winofi.engine import OpType, Stage, WinogradConfig
 from winofi.errors import ShapeError
-from winofi.inject import Scope
+from winofi.inject import FaultTrace, InjectionConfig, Scope, op_level_hook
 from winofi.modelio import generate_dataset, generate_toy_model
 from winofi.runtime import enumerate_ops, run_inference, top1
 
@@ -121,10 +121,17 @@ def test_mul_add_in_range_arithmetic(toy8):
 
 
 @functools.lru_cache(maxsize=None)
-def _recorded_stream(engine, filter_tf):
-    """(OpSpace, recorded (layer, stage, type) rows indexed by op_id) of a
-    two-conv model whose 7x7 planes leave ragged Winograd edge tiles."""
+def _ragged_model():
+    """A two-conv model whose 7x7 planes leave ragged Winograd edge tiles, and one input."""
     model = generate_toy_model(depth=2, channels=3, bit_width=8, seed=13, hw=7)
+    return model, generate_dataset(model, 1, seed=3).samples[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _recorded_stream(engine, filter_tf):
+    """(OpSpace, recorded (layer, stage, type) rows indexed by op_id) of
+    ``_ragged_model``."""
+    model, x = _ragged_model()
     wg_cfg = WinogradConfig(instrument_filter_transform=filter_tf)
     rows = []
 
@@ -132,7 +139,7 @@ def _recorded_stream(engine, filter_tf):
         rows.append((op_id, layer_id, stage, op_type))
         return value
 
-    run_inference(model, generate_dataset(model, 1, seed=3).samples[0], engine, hook, wg_cfg=wg_cfg)
+    run_inference(model, x, engine, hook, wg_cfg=wg_cfg)
     rec = np.array(rows, dtype=np.int64)
     assert (rec[:, 0] == np.arange(len(rows))).all()
     return enumerate_ops(model, engine, wg_cfg=wg_cfg), rec[:, 1:]
@@ -185,6 +192,55 @@ def test_classify_keep_and_counts_match_recorded_stream(engine, filter_tf, data)
     a, b = data.draw(st.integers(-5, total + 5)), data.draw(st.integers(-5, total + 5))
     inside = rec[max(0, a) : max(0, min(total, b)), 2]
     assert space.mul_add_in_range(a, b) == (int((inside == OpType.MUL).sum()), int((inside == OpType.ADD).sum()))
+
+
+def _replay_table(space, rec, data):
+    """Op flips clustered in a few chains or tiles, plus input- and
+    filter-transform flips and a few anywhere, on random bits and TMR copies."""
+    total = space.total_ops
+    start = data.draw(st.integers(0, total - 1))
+    ids = data.draw(st.lists(st.integers(start, min(total, start + 500) - 1), min_size=1, max_size=8))
+    for stage in (Stage.WG_INPUT_TF, Stage.WG_FILTER_TF):
+        pool = np.flatnonzero(rec[:, 1] == stage).tolist()
+        if pool:
+            ids += data.draw(st.lists(st.sampled_from(pool), max_size=3))
+    ids += data.draw(st.lists(st.integers(0, total - 1), max_size=4))
+    events = [(0, 0, "op", i, data.draw(st.integers(0, space.op_width(i) - 1)), data.draw(st.integers(0, 2)))
+              for i in ids]
+    if space.width_pad == 64:
+        events.append((0, 0, "op", ids[0], 63, 0))
+    return FaultTrace(events)
+
+
+@pytest.mark.parametrize("filter_tf", [False, True], ids=["fixed-filter", "hooked-filter"])
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_struck_units_match_hooked_oracle(engine, filter_tf, data):
+    # The vectorized pass plus the struck units must reproduce the fully
+    # hooked inference: the output, every conv output and the trace, in order.
+    model, x = _ragged_model()
+    _, rec = _recorded_stream(engine, filter_tf)
+    wg_cfg = WinogradConfig(instrument_filter_transform=filter_tf)
+    fault_bits = data.draw(st.sampled_from([None, 64]))
+    space = enumerate_ops(model, engine, fault_bits=fault_bits, wg_cfg=wg_cfg)
+    scope = data.draw(st.just(Scope()) | _scopes(space))
+    bounds = sorted(set(data.draw(st.lists(st.integers(0, space.total_ops), max_size=6))))
+    protected = tuple(zip(bounds[0::2], bounds[1::2]))
+    if data.draw(st.booleans()):
+        cfg, replay = InjectionConfig(scope=scope, fault_bits=fault_bits), _replay_table(space, rec, data)
+    else:
+        ber = data.draw(st.sampled_from([1e-4, 1e-3, 5e-3]))
+        cfg = InjectionConfig(ber=ber, seed=data.draw(st.integers(0, 2**16)), scope=scope, fault_bits=fault_bits)
+        replay = None
+    conv_ids = tuple(space.conv_layer_ids())
+    runs = []
+    for sparse in (True, False):
+        hook, trace = op_level_hook(cfg, space, replay=replay, protected=protected)
+        res = run_inference(model, x, engine, hook, wg_cfg=wg_cfg, capture=conv_ids,
+                            struck=hook.struck if sparse else None)
+        runs.append((res.output, [res.conv_outputs[lid] for lid in conv_ids], trace.events))
+    assert runs[0] == runs[1]
 
 
 def test_op_bit_totals(toy8, toy16):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from winofi.analyze import Campaign
 from winofi.errors import ConfigError
-from winofi.inject import FaultTrace, InjectionConfig, Scope
+from winofi.inject import FaultTrace, Granularity, InjectionConfig, Scope
 from winofi.modelio import generate_dataset, generate_toy_model
 from winofi.runtime import enumerate_ops, run_inference, top1
 from winofi.tmr import (
@@ -144,6 +144,13 @@ def test_segment_vulnerability_ber_zero(model, dataset):
     segs = segment_ops(space.total_ops, space.total_ops // 4)
     reports = measure_segment_vulnerability(Campaign(model, dataset, "direct", seed=64), 0.0, segs, trials=3)
     assert all(r.delta == 0.0 for r in reports)
+
+
+def test_segment_vulnerability_rejects_neuron_campaign(model, dataset):
+    camp = Campaign(model, dataset, "direct", granularity=Granularity.NEURON_LEVEL, seed=64)
+    segs = segment_ops(camp.opspace.total_ops, camp.opspace.total_ops // 4)
+    with pytest.raises(ConfigError, match="op-level"):
+        measure_segment_vulnerability(camp, 3e-3, segs, trials=2)
 
 
 def test_segment_vulnerability_concentrated_faults(model, dataset):
