@@ -313,7 +313,8 @@ def rmse_layer(
     layer_id: int,
     cfg: InjectionConfig,
     engine: Optional[str] = None,
-    trials: Optional[int] = None,
+    *,
+    trials: int,
 ) -> float:
     """RMSE between fault-free and faulty dequantized outputs of one conv
     layer, averaged over trials."""
@@ -323,7 +324,6 @@ def rmse_layer(
     )
     if layer_id not in camp.opspace.neuron_sizes:
         raise ConfigError(f"layer {layer_id} is not a conv layer of this model")
-    trials = trials if trials is not None else cfg.trials
     return camp.run_point(cfg.ber, trials, rmse_layers=(layer_id,)).layer_rmse[layer_id]
 
 

@@ -72,27 +72,38 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _subcommand_flags(parser: argparse.ArgumentParser, command: str) -> dict:
-    """The flags of ``command``, as {dest: argparse action}."""
+    """The flags a config file of ``command`` may set, as {dest: argparse action}."""
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in sub.choices[command]._actions}
+    return {a.dest: a for a in sub.choices[command]._actions if a.dest not in ("help", "config")}
 
 
-def _file_value(flag: argparse.Action, value, path: str):
-    """A config file's ``value`` for ``flag``, checked as the flag would
-    parse it: a JSON bool for a switch, an integer for an int flag, a number
-    for a float flag, a string otherwise, and one of the flag's choices."""
-    if flag.nargs == 0:
-        ok = isinstance(value, bool)
-    elif flag.type is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    elif flag.type is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        value = float(value) if ok else value
-    else:
-        ok = isinstance(value, str)
-    if not ok or (flag.choices is not None and value not in flag.choices):
-        raise ConfigError(f"config file {path}: {value!r} is not a valid {flag.option_strings[0]} value")
-    return value
+def _file_config(cfg, command: str, flags: dict, source: str) -> dict:
+    """``cfg``, read from ``source``, checked as the flags of ``command``
+    would parse it. Every key but ``command`` (which result files embed so
+    that their config runs again) must be a flag. Each value must be a JSON
+    bool for a switch, an integer for an int flag, a number for a float flag,
+    a string otherwise, and one of the flag's choices."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{source} must hold a JSON object")
+    unknown = sorted(set(cfg) - set(flags) - {"command"})
+    if unknown:
+        raise ConfigError(f"{source}: {unknown} are not flags of {command}")
+    cfg = dict(cfg)
+    for key in [k for k in cfg if k != "command"]:
+        flag, value = flags[key], cfg[key]
+        if flag.nargs == 0:
+            ok = isinstance(value, bool)
+        elif flag.type is int:
+            ok = isinstance(value, int) and not isinstance(value, bool)
+        elif flag.type is float:
+            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+            value = float(value) if ok else value
+        else:
+            ok = isinstance(value, str)
+        if not ok or (flag.choices is not None and value not in flag.choices):
+            raise ConfigError(f"{source}: {value!r} is not a valid {flag.option_strings[0]} value")
+        cfg[key] = value
+    return cfg
 
 
 def _effective_config(args: argparse.Namespace, command: str, flags: dict) -> dict:
@@ -100,14 +111,7 @@ def _effective_config(args: argparse.Namespace, command: str, flags: dict) -> di
     if getattr(args, "config", None):
         with open_input(args.config, "config file") as f:
             cfg = json.load(f)
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"config file {args.config} must hold a JSON object")
-        # vars(args) holds every flag of the subcommand and "command", which
-        # result files embed so that their config runs again as a config file
-        unknown = sorted(set(cfg) - (set(vars(args)) - {"config", "func", "verbose"}))
-        if unknown:
-            raise ConfigError(f"config file {args.config}: {unknown} are not flags of {command}")
-        cfg = {k: v if k == "command" else _file_value(flags[k], v, args.config) for k, v in cfg.items()}
+        cfg = _file_config(cfg, command, flags, f"config file {args.config}")
     for key, val in vars(args).items():
         if key in ("config", "func") or val is None:
             continue
@@ -189,10 +193,10 @@ def _campaign(cfg: dict) -> Campaign:
     return Campaign(
         model, dataset, cfg.get("engine"),
         granularity=Granularity(cfg.get("granularity", "op")),
-        seed=int(cfg.get("seed", 0)),
+        seed=cfg.get("seed", 0),
         scope=Scope.parse(cfg.get("scope", "")),
         fault_bits=_parse_fault_bits(cfg.get("fault_bits")),
-        use_labels=bool(cfg.get("use_labels", False)),
+        use_labels=cfg.get("use_labels", False),
         ranges=RangeProfile.load_json(cfg["ranges"]) if cfg.get("ranges") else None,
         range_mode=cfg.get("range_mode", "clamp"),
         workers=cfg.get("workers"),
@@ -223,7 +227,7 @@ def cmd_sweep(cfg: dict, replay=None) -> None:
             "--save-trace needs a single-BER campaign (a trace cannot tell "
             "flips of different BER points apart); run one sweep per point"
         )
-    results = sweep_ber(_campaign(cfg), bers, int(cfg.get("trials", 100)), trace=trace, replay=replay)
+    results = sweep_ber(_campaign(cfg), bers, cfg.get("trials", 100), trace=trace, replay=replay)
     _write_output(cfg, _render_campaign(cfg, results, _meta(cfg)))
     if trace is not None:
         trace.save_jsonl(cfg["save_trace"])
@@ -232,7 +236,7 @@ def cmd_sweep(cfg: dict, replay=None) -> None:
 
 def _cmd_vuln(cfg: dict, analysis) -> None:
     ber = _single_ber(cfg)
-    reports = analysis(_campaign(cfg), ber, int(cfg.get("trials", 100)))
+    reports = analysis(_campaign(cfg), ber, cfg.get("trials", 100))
     meta = _meta(cfg)
     meta["ber"] = ber
     _write_output(cfg, _render_vuln(cfg, reports, meta))
@@ -252,24 +256,24 @@ def cmd_plan_tmr(cfg: dict, replay=None) -> None:
     if "target_acc" not in cfg:
         raise ConfigError("--target-acc is required")
     ber = _single_ber(cfg)
-    trials = int(cfg.get("trials", 100))
+    trials = cfg.get("trials", 100)
     camp = _campaign(cfg)
-    segments = segment_ops(camp.opspace.total_ops, int(cfg["segment_size"]))
+    segments = segment_ops(camp.opspace.total_ops, cfg["segment_size"])
     log.info("measuring vulnerability of %d segments", len(segments))
     reports = measure_segment_vulnerability(camp, ber, segments, trials)
     cost = CostModel(
-        add_weight=float(cfg.get("cost_add", 1.0)), mul_weight=float(cfg.get("cost_mul", 6.67))
+        add_weight=cfg.get("cost_add", 1.0), mul_weight=cfg.get("cost_mul", 6.67)
     )
     plan = plan_tmr(
         [r.delta for r in reports],
         segments,
-        float(cfg["target_acc"]),
+        cfg["target_acc"],
         make_segment_eval(camp, ber, trials),
         opspace=camp.opspace,
         cost=cost,
         direct_opspace=enumerate_ops(camp.model, "direct", fault_bits=camp.fault_bits),
         v_ci=[r.ci95_halfwidth for r in reports],
-        literal_do_while=bool(cfg.get("literal_do_while", False)),
+        literal_do_while=cfg.get("literal_do_while", False),
     )
     doc = plan.to_dict()
     doc["meta"] = _meta(cfg)
@@ -284,7 +288,7 @@ def cmd_eval_tmr(cfg: dict, replay=None) -> None:
     bers = _parse_ber_list(cfg.get("ber", "0"))
     if cfg.get("save_trace") and len(bers) != 1:
         raise ConfigError("--save-trace needs a single-BER campaign")
-    trials = int(cfg.get("trials", 100))
+    trials = cfg.get("trials", 100)
     camp = _campaign(cfg)
     plan.check_fits(camp.opspace)
     trace = FaultTrace() if cfg.get("save_trace") else None
@@ -327,11 +331,13 @@ def cmd_replay(cfg: dict, replay=None) -> None:
     if "results" not in cfg or "trace" not in cfg:
         raise ConfigError("replay needs --results and --trace")
     embedded, fmt = _extract_embedded_config(cfg["results"])
-    command = embedded.get("command", "sweep")
+    command = embedded.get("command", "sweep") if isinstance(embedded, dict) else "sweep"
     if command not in _REPLAYABLE:
         raise ConfigError(f"cannot replay a {command!r} result")
+    run_cfg = _file_config(
+        embedded, command, _subcommand_flags(build_parser(), command), f"result file {cfg['results']}"
+    )
     trace = FaultTrace.load_jsonl(cfg["trace"])
-    run_cfg = dict(embedded)
     run_cfg["format"] = cfg.get("format") or fmt
     run_cfg["out"] = cfg.get("out")
     run_cfg.pop("save_trace", None)
@@ -345,13 +351,13 @@ def cmd_gen_model(cfg: dict, replay=None) -> None:
         model = builtin_model(cfg["name"])
     else:
         model = generate_toy_model(
-            depth=int(cfg.get("depth", 3)),
-            channels=int(cfg.get("channels", 4)),
-            bit_width=int(cfg.get("bit_width", 8)),
-            seed=int(cfg.get("seed", 0)),
-            hw=int(cfg.get("hw", 8)),
-            in_channels=int(cfg.get("in_channels", 1)),
-            classes=int(cfg.get("classes", 4)),
+            depth=cfg.get("depth", 3),
+            channels=cfg.get("channels", 4),
+            bit_width=cfg.get("bit_width", 8),
+            seed=cfg.get("seed", 0),
+            hw=cfg.get("hw", 8),
+            in_channels=cfg.get("in_channels", 1),
+            classes=cfg.get("classes", 4),
             engine=cfg.get("engine", "direct"),
         )
     save_model(model, cfg["out"])
@@ -364,12 +370,12 @@ def cmd_gen_dataset(cfg: dict, replay=None) -> None:
     model = load_model(cfg["model"])
     from .modelio import Dataset
 
-    ds = generate_dataset(model, int(cfg.get("count", 8)), int(cfg.get("seed", 0)))
+    ds = generate_dataset(model, cfg.get("count", 8), cfg.get("seed", 0))
     if cfg.get("with_labels"):
         import numpy as np
 
         classes = model.layers[-1].out_features
-        rng = np.random.default_rng(int(cfg.get("seed", 0)) + 1)
+        rng = np.random.default_rng(cfg.get("seed", 0) + 1)
         ds = Dataset(ds.samples, labels=rng.integers(0, classes, size=len(ds)).tolist())
     save_dataset(ds, cfg["out"])
     log.info("wrote %d samples to %s", len(ds), cfg["out"])

@@ -158,7 +158,6 @@ class InjectionConfig:
     ber: float = 0.0
     seed: int = 0
     scope: Scope = field(default_factory=Scope)
-    trials: int = 100
     fault_bits: Optional[object] = None  # None | int | {"MUL": w, "ADD": w}
 
     def __post_init__(self):
@@ -166,8 +165,6 @@ class InjectionConfig:
             self.granularity = Granularity(self.granularity)
         if not 0.0 <= self.ber <= 1.0:
             raise ConfigError(f"ber must be in [0, 1], got {self.ber}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
 
 
 # ---------------------------------------------------------------------------

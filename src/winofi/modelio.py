@@ -14,7 +14,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -82,7 +82,10 @@ class LinearLayer:
     type = "linear"
 
 
-LAYER_TYPES = {"conv3x3", "relu", "constrained_relu", "flatten", "linear"}
+# A layer's manifest entry is ``type`` plus one key per dataclass field.
+_LAYER_CLASSES = {
+    cls.type: cls for cls in (ConvLayer, ReluLayer, ConstrainedReluLayer, FlattenLayer, LinearLayer)
+}
 
 
 @dataclass
@@ -172,6 +175,12 @@ def _check_keys(what: str, d: dict, allowed: set, strict: bool) -> None:
         log.warning("%s (ignored in lenient mode)", msg)
 
 
+def _field_keys(f) -> tuple:
+    """The manifest keys of layer field ``f``: ``weights`` is stored as the
+    tensor name ``weight`` plus ``weight_scale``."""
+    return ("weight", "weight_scale") if f.name == "weights" else (f.name,)
+
+
 def save_model(model: ModelDef, path: str) -> None:
     model.validate()
     os.makedirs(path, exist_ok=True)
@@ -180,47 +189,18 @@ def save_model(model: ModelDef, path: str) -> None:
     w_dtype = "int8" if model.bit_width == 8 else "int16"
     layers_json = []
     for i, layer in enumerate(model.layers):
-        if isinstance(layer, ConvLayer):
-            wname = f"layer{i}.weight"
-            arrays[wname] = (layer.weights.array, w_dtype)
-            entry = {
-                "type": "conv3x3",
-                "out_channels": layer.out_channels,
-                "padding": layer.padding,
-                "stride": layer.stride,
-                "kernel_size": layer.kernel_size,
-                "weight": wname,
-                "weight_scale": layer.weights.qparams.scale,
-                "out_scale": layer.out_scale,
-                "bias": None,
-            }
-            if layer.bias is not None:
-                bname = f"layer{i}.bias"
-                arrays[bname] = (layer.bias, "int64")
-                entry["bias"] = bname
-            layers_json.append(entry)
-        elif isinstance(layer, ReluLayer):
-            layers_json.append({"type": "relu"})
-        elif isinstance(layer, ConstrainedReluLayer):
-            layers_json.append({"type": "constrained_relu", "lo": layer.lo, "hi": layer.hi, "mode": layer.mode})
-        elif isinstance(layer, FlattenLayer):
-            layers_json.append({"type": "flatten"})
-        elif isinstance(layer, LinearLayer):
-            wname = f"layer{i}.weight"
-            arrays[wname] = (layer.weights.array, w_dtype)
-            entry = {
-                "type": "linear",
-                "out_features": layer.out_features,
-                "weight": wname,
-                "weight_scale": layer.weights.qparams.scale,
-                "out_scale": layer.out_scale,
-                "bias": None,
-            }
-            if layer.bias is not None:
-                bname = f"layer{i}.bias"
-                arrays[bname] = (layer.bias, "int64")
-                entry["bias"] = bname
-            layers_json.append(entry)
+        entry = {"type": layer.type}
+        for f in fields(layer):
+            value = getattr(layer, f.name)
+            if f.name == "weights":
+                arrays[f"layer{i}.weight"] = (value.array, w_dtype)
+                entry.update(weight=f"layer{i}.weight", weight_scale=value.qparams.scale)
+            elif f.name == "bias" and value is not None:
+                arrays[f"layer{i}.bias"] = (value, "int64")
+                entry["bias"] = f"layer{i}.bias"
+            else:
+                entry[f.name] = value
+        layers_json.append(entry)
 
     blob = bytearray()
     for name in sorted(arrays):
@@ -253,13 +233,6 @@ def save_model(model: ModelDef, path: str) -> None:
 
 
 _TOP_KEYS = {"format_version", "kind", "name", "bit_width", "engine", "input", "layers", "tensors", "blob"}
-_LAYER_KEYS = {
-    "conv3x3": {"type", "out_channels", "padding", "stride", "kernel_size", "weight", "weight_scale", "out_scale", "bias"},
-    "relu": {"type"},
-    "constrained_relu": {"type", "lo", "hi", "mode"},
-    "flatten": {"type"},
-    "linear": {"type", "out_features", "weight", "weight_scale", "out_scale", "bias"},
-}
 
 
 def load_model(path: str, strict: bool = True) -> ModelDef:
@@ -292,43 +265,25 @@ def _model_from_manifest(path: str, manifest: dict, strict: bool) -> ModelDef:
 
     layers = []
     for i, lj in enumerate(manifest["layers"]):
-        ltype = lj.get("type")
-        if ltype not in LAYER_TYPES:
-            raise ConfigError(f"layer {i}: unsupported layer type {ltype!r}")
-        _check_keys(f"layer {i}", lj, _LAYER_KEYS[ltype], strict)
-        if ltype == "conv3x3":
-            w = tensor(lj["weight"])
-            wq = QTensor(w.shape, w, QuantParams(bit_width, lj["weight_scale"]))
-            bias = tensor(lj["bias"]) if lj.get("bias") else None
-            layers.append(
-                ConvLayer(
-                    out_channels=int(lj["out_channels"]),
-                    padding=int(lj["padding"]),
-                    weights=wq,
-                    out_scale=lj["out_scale"],
-                    bias=bias,
-                    stride=int(lj.get("stride", 1)),
-                    kernel_size=int(lj.get("kernel_size", 3)),
-                )
-            )
-        elif ltype == "relu":
-            layers.append(ReluLayer())
-        elif ltype == "constrained_relu":
-            layers.append(ConstrainedReluLayer(lo=int(lj["lo"]), hi=int(lj["hi"]), mode=lj.get("mode", "clamp")))
-        elif ltype == "flatten":
-            layers.append(FlattenLayer())
-        elif ltype == "linear":
-            w = tensor(lj["weight"])
-            wq = QTensor(w.shape, w, QuantParams(bit_width, lj["weight_scale"]))
-            bias = tensor(lj["bias"]) if lj.get("bias") else None
-            layers.append(
-                LinearLayer(
-                    out_features=int(lj["out_features"]),
-                    weights=wq,
-                    out_scale=lj["out_scale"],
-                    bias=bias,
-                )
-            )
+        cls = _LAYER_CLASSES.get(lj.get("type"))
+        if cls is None:
+            raise ConfigError(f"layer {i}: unsupported layer type {lj.get('type')!r}")
+        _check_keys(f"layer {i}", lj, {"type"}.union(*map(_field_keys, fields(cls))), strict)
+        kwargs = {}
+        for f in fields(cls):
+            key = _field_keys(f)[0]
+            if key not in lj and f.default is not MISSING:
+                continue  # a missing required key is a KeyError, which open_input reports
+            value = lj[key]
+            if f.name == "weights":
+                w = tensor(value)
+                value = QTensor(w.shape, w, QuantParams(bit_width, lj["weight_scale"]))
+            elif f.name == "bias":
+                value = tensor(value) if value else None
+            elif f.type == "int":
+                value = int(value)
+            kwargs[f.name] = value
+        layers.append(cls(**kwargs))
 
     inp = manifest["input"]
     model = ModelDef(

@@ -288,14 +288,21 @@ def run_inference(
     if wg_cfg is None:
         wg_cfg = eng.WINOGRAD_F2X2_3X3
 
+    # layer index -> the conv layer whose activation point it is: the relu
+    # right after the conv, or the conv itself when no relu follows
+    act_point = {}
+    for layer_id, (layer, *_) in enumerate(plan):
+        if isinstance(layer, ConvLayer):
+            relu_next = layer_id + 1 < len(plan) and isinstance(
+                plan[layer_id + 1][0], (ReluLayer, ConstrainedReluLayer)
+            )
+            act_point[layer_id + relu_next] = layer_id
+
     res = InferenceResult(output=x)
     cur = x
-    cur_qp = model.input_qparams
     op_base = 0
-    pending_range = None  # (conv_layer_id, lo, hi) awaiting an immediate relu
     for layer_id, (layer, in_shape, out_shape, spec) in enumerate(plan):
         if isinstance(layer, ConvLayer):
-            pending_range = None
             oh_ow = spec.out_hw(in_shape[1], in_shape[2])
             if engine == "direct":
                 cur = eng.conv_direct(cur, spec, hook, layer_id=layer_id, op_base=op_base, struck=struck)
@@ -311,34 +318,21 @@ def run_inference(
                 cur = neuron_fn(layer_id, cur)
             if layer_id in capture:
                 res.conv_outputs[layer_id] = cur
-            bounds = ranges.get(layer_id) if ranges is not None else None
-            next_is_relu = layer_id + 1 < len(plan) and isinstance(
-                plan[layer_id + 1][0], (ReluLayer, ConstrainedReluLayer)
-            )
-            if next_is_relu:
-                pending_range = (layer_id, bounds)
-            else:
-                if bounds is not None:
-                    cur = cur.with_data(constrain(cur.array, bounds[0], bounds[1], range_mode))
-                if layer_id in capture_act:
-                    res.activations[layer_id] = cur
-            cur_qp = cur.qparams
         elif isinstance(layer, (ReluLayer, ConstrainedReluLayer)):
             cur = _relu(cur)
             if isinstance(layer, ConstrainedReluLayer):
                 cur = cur.with_data(constrain(cur.array, layer.lo, layer.hi, layer.mode))
-            if pending_range is not None:
-                conv_id, bounds = pending_range
-                if bounds is not None:
-                    cur = cur.with_data(constrain(cur.array, bounds[0], bounds[1], range_mode))
-                if conv_id in capture_act:
-                    res.activations[conv_id] = cur
-                pending_range = None
         elif isinstance(layer, FlattenLayer):
             cur = QTensor((cur.shape[0], cur.size // cur.shape[0]), cur.data, cur.qparams)
         elif isinstance(layer, LinearLayer):
-            cur = _linear(cur, layer, QuantParams(model.bit_width, layer.out_scale), cur_qp)
-            cur_qp = cur.qparams
+            cur = _linear(cur, layer, QuantParams(model.bit_width, layer.out_scale), cur.qparams)
+        conv_id = act_point.get(layer_id)
+        if conv_id is not None:
+            bounds = ranges.get(conv_id) if ranges is not None else None
+            if bounds is not None:
+                cur = cur.with_data(constrain(cur.array, bounds[0], bounds[1], range_mode))
+            if conv_id in capture_act:
+                res.activations[conv_id] = cur
     res.output = cur
     return res
 

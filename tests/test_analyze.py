@@ -46,6 +46,12 @@ def test_campaign_requires_samples(model):
         Campaign(model, Dataset([]))
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_run_point_requires_a_trial(model, dataset, trials):
+    with pytest.raises(ConfigError):
+        Campaign(model, dataset).run_point(1e-4, trials)
+
+
 def test_mean_ci95():
     m, ci = mean_ci95([0.5, 0.5, 0.5])
     assert (m, ci) == (0.5, 0.0)
@@ -157,7 +163,7 @@ def test_rmse_winograd_below_direct_trend(model, dataset):
 def test_rmse_rejects_non_conv_layer(model, dataset):
     cfg = InjectionConfig(ber=0.0)
     with pytest.raises(ConfigError):
-        rmse_layer(model, dataset.samples[0], 99, cfg)
+        rmse_layer(model, dataset.samples[0], 99, cfg, trials=1)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,29 @@ def test_replay_reproduces_file_byte_identically(assets, tmp_path):
     assert replayed.read_bytes() == out.read_bytes()
 
 
+@pytest.mark.parametrize("edit", [{"trials": 2.5}, {"trials": "2"}, {"bogus": 1}])
+def test_replay_checks_embedded_config_like_a_config_file(assets, tmp_path, capsys, edit):
+    out = tmp_path / "orig.csv"
+    trace = tmp_path / "trace.jsonl"
+    code = run_cli(
+        "sweep", "--model", assets["model"], "--dataset", assets["dataset"],
+        "--ber", "2e-4", "--trials", "2", "--seed", "4",
+        "--out", str(out), "--save-trace", str(trace),
+    )
+    assert code == 0
+    lines = out.read_text().splitlines(keepends=True)
+    i = next(i for i, l in enumerate(lines) if l.startswith("# config="))
+    cfg = dict(json.loads(lines[i][len("# config="):]), **edit)
+    lines[i] = "# config=" + json.dumps(cfg) + "\n"
+    out.write_text("".join(lines))
+    replayed = tmp_path / "replay.csv"
+    assert run_cli("replay", "--results", str(out), "--trace", str(trace), "--out", str(replayed)) == 2
+    rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert rec["error"] == "ConfigError"
+    assert str(out) in rec["message"]
+    assert not replayed.exists()
+
+
 def test_replay_json_format(assets, tmp_path):
     out = tmp_path / "orig.json"
     trace = tmp_path / "trace.jsonl"

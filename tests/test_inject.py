@@ -31,12 +31,12 @@ def sample(model):
     return generate_dataset(model, 1, seed=22).samples[0]
 
 
-def cfg_op(ber, seed=0, scope=Scope(), trials=100):
-    return InjectionConfig(Granularity.OP_LEVEL, ber, seed, scope, trials)
+def cfg_op(ber, seed=0, scope=Scope()):
+    return InjectionConfig(Granularity.OP_LEVEL, ber, seed, scope)
 
 
-def cfg_neuron(ber, seed=0, scope=Scope(), trials=100):
-    return InjectionConfig(Granularity.NEURON_LEVEL, ber, seed, scope, trials)
+def cfg_neuron(ber, seed=0, scope=Scope()):
+    return InjectionConfig(Granularity.NEURON_LEVEL, ber, seed, scope)
 
 
 def test_injection_config_validation():
@@ -44,8 +44,6 @@ def test_injection_config_validation():
         InjectionConfig(ber=1.5)
     with pytest.raises(ConfigError):
         InjectionConfig(ber=-0.1)
-    with pytest.raises(ConfigError):
-        InjectionConfig(trials=0)
     assert InjectionConfig(granularity="neuron").granularity is Granularity.NEURON_LEVEL
 
 

@@ -1,13 +1,16 @@
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
+from winofi.cli import main
 from winofi.engine import OpType
 from winofi.errors import ConfigError, ShapeError
 from winofi.modelio import (
     BUILTIN_MODELS,
+    ConstrainedReluLayer,
     ConvLayer,
     Dataset,
     builtin_model,
@@ -29,6 +32,87 @@ def _read_bytes(path):
     return out
 
 
+def _write_manifest(d, manifest):
+    (d / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _mixed_model():
+    """Every layer type, with a conv bias and a linear bias."""
+    model = generate_toy_model(depth=2, channels=2, bit_width=16, seed=93, hw=6)
+    model.layers[0].bias = np.array([100, -200], dtype=np.int64)
+    model.layers[1] = ConstrainedReluLayer(lo=0, hi=500, mode="zero")
+    model.layers[-1].bias = np.array([7, -3, 0, 12], dtype=np.int64)
+    model.validate()
+    return model
+
+
+# sha256 of (manifest.json, weights.bin), as written by the format's first
+# release; a codec change must keep every byte.
+PINNED_MODEL_DIGESTS = {
+    "toycnn-int8": (
+        "7ae9d2abbcf2740013286130cbb21fa5f2b05f49c5ae88846fd1c4a7addb1bf2",
+        "74b9e5d10cdafff4dcfd3b74b67c2b5be12cff27c973546fa81f714518c6dd65",
+    ),
+    "toycnn-int16": (
+        "b35f2613f5240412bcfe3e007926d49188b1425b23953e12c317d59bdf40619d",
+        "62554ddce36c22b8c04c60f993e8e022c06169899bbc087c6bf3521fa051bced",
+    ),
+    "microcnn-int16": (
+        "0542994ca4c45a3a05985e9eb59c85958e9637c573b8c320d5af9126badb0021",
+        "591fa9d917efa5d0cea36d49b85362dbb926f65a59c1693b4bdaf968278f9708",
+    ),
+    "mixed": (
+        "d23f7b53e223bb05a653f9f5e887cacaed60b036a16f118c1c01fdf2fc554936",
+        "120d7f310feeff32339c1a8fcebb658c87252171225ef938932a9f3f2abd9cc9",
+    ),
+}
+
+
+def _digests(d):
+    return tuple(hashlib.sha256((d / f).read_bytes()).hexdigest() for f in ("manifest.json", "weights.bin"))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MODEL_DIGESTS))
+def test_saved_model_bytes_are_pinned(tmp_path, name):
+    model = _mixed_model() if name == "mixed" else builtin_model(name)
+    save_model(model, str(tmp_path / "m"))
+    save_model(load_model(str(tmp_path / "m")), str(tmp_path / "m2"))
+    assert _digests(tmp_path / "m") == _digests(tmp_path / "m2") == PINNED_MODEL_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "layer_type,foreign",
+    [("conv3x3", "out_features"), ("relu", "lo"), ("constrained_relu", "stride"),
+     ("flatten", "weight"), ("linear", "stride")],
+)
+def test_key_of_another_layer_type_rejected_strictly(tmp_path, layer_type, foreign):
+    d = tmp_path / "m"
+    save_model(_mixed_model(), str(d))
+    manifest = json.loads((d / "manifest.json").read_text())
+    next(l for l in manifest["layers"] if l["type"] == layer_type)[foreign] = 1
+    _write_manifest(d, manifest)
+    with pytest.raises(ConfigError, match=foreign):
+        load_model(str(d))
+    save_model(load_model(str(d), strict=False), str(tmp_path / "m2"))
+    assert _digests(tmp_path / "m2") == PINNED_MODEL_DIGESTS["mixed"]
+
+
+@pytest.mark.parametrize(
+    "layer_type,key", [("conv3x3", "out_channels"), ("linear", "weight_scale"), ("constrained_relu", "lo")]
+)
+def test_missing_layer_key_exits_2(tmp_path, capsys, layer_type, key):
+    model = _mixed_model()
+    d = tmp_path / "m"
+    save_model(model, str(d))
+    save_dataset(generate_dataset(model, 2, seed=104), str(tmp_path / "ds"))
+    manifest = json.loads((d / "manifest.json").read_text())
+    del next(l for l in manifest["layers"] if l["type"] == layer_type)[key]
+    _write_manifest(d, manifest)
+    code = main(["sweep", "--model", str(d), "--dataset", str(tmp_path / "ds"), "--ber", "0", "--trials", "1"])
+    assert code == 2
+    assert key in json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
+
+
 def test_model_save_load_roundtrip(tmp_path):
     model = generate_toy_model(depth=2, channels=3, bit_width=8, seed=91, hw=6)
     d1 = tmp_path / "m1"
@@ -44,8 +128,6 @@ def test_model_save_load_roundtrip(tmp_path):
 
 
 def test_model_roundtrip_with_bias_and_constrained(tmp_path):
-    from winofi.modelio import ConstrainedReluLayer
-
     model = generate_toy_model(depth=1, channels=2, bit_width=16, seed=93, hw=6)
     bias = np.array([100, -200], dtype=np.int64)
     model.layers[0].bias = bias
@@ -78,7 +160,7 @@ def test_stride2_winograd_model_rejected(tmp_path):
     save_model(model, str(d))
     manifest = json.loads((d / "manifest.json").read_text())
     manifest["layers"][0]["stride"] = 2
-    (d / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_manifest(d, manifest)
     with pytest.raises(ShapeError):
         load_model(str(d))
 
@@ -89,7 +171,7 @@ def test_unknown_fields_strict_vs_lenient(tmp_path, caplog):
     save_model(model, str(d))
     manifest = json.loads((d / "manifest.json").read_text())
     manifest["experimental_field"] = True
-    (d / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_manifest(d, manifest)
     with pytest.raises(ConfigError):
         load_model(str(d), strict=True)
     loaded = load_model(str(d), strict=False)
@@ -102,7 +184,7 @@ def test_missing_version_rejected(tmp_path):
     save_model(model, str(d))
     manifest = json.loads((d / "manifest.json").read_text())
     del manifest["format_version"]
-    (d / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_manifest(d, manifest)
     with pytest.raises(ConfigError):
         load_model(str(d), strict=False)
 
