@@ -11,7 +11,11 @@ can be routed through an instrumentation hook:
 The hook sees each operation's widened integer result exactly once, in a
 canonical order that is stable for a fixed (weights, input shape, engine), and
 may return a modified integer. ``hook=None`` selects a vectorized fault-free
-path that matches the hooked path element-exactly.
+path that matches the hooked path element-exactly. It runs as float64 BLAS
+matrix products over the integer operands, which give the integer result
+bit for bit because every conv input is requantized to 8 or 16 bits and
+:class:`ConvSpec` rejects (ShapeError, CLI exit 2) any layer with enough
+input channels for a partial sum to reach 2^53.
 
 A layer's ops group into output units: a direct output pixel, or a Winograd
 (tile, output channel). Passing the sorted ids of the only ops the hook
@@ -105,6 +109,10 @@ _ADD = int(OpType.ADD)
 _INPUT_TF = _Transform.of(BT_F2X2_3X3, 4)
 _FILTER_TF = _Transform.of(G2_F2X2_3X3, 3)
 _INVERSE_TF = _Transform.of(AT_F2X2_3X3, 4)
+# The transforms on a row-major flat tile: vec(M X M^T) = kron(M, M) vec(X).
+_KRON_BT = np.kron(BT_F2X2_3X3, BT_F2X2_3X3).astype(np.float64)
+_KRON_G2 = np.kron(G2_F2X2_3X3, G2_F2X2_3X3).astype(np.float64)
+_KRON_AT = np.kron(AT_F2X2_3X3, AT_F2X2_3X3).astype(np.float64)
 
 
 def _hooked_transform(tf: _Transform, x: list, hook: Hook, op_id: int, layer_id: int, stage: int) -> list:
@@ -167,6 +175,14 @@ class ConvSpec:
                 raise ShapeError(f"bias must have length {self.out_channels}")
         if self.out_qparams.bit_width != self.weights.qparams.bit_width:
             raise ShapeError("weights and output must share one bit width")
+        # The fault-free kernels sum integers in float64, exact while every
+        # partial sum stays below 2^53. Winograd's worst case is 81*C*4^b:
+        # |V| <= 2^(b+1), |U| <= 9*2^(b-1), and the inverse transform gains 9.
+        b = self.weights.qparams.bit_width
+        if 81 * self.in_channels * 4**b >= 2**53:
+            raise ShapeError(
+                f"{self.in_channels} input channels at {b} bits can exceed 2^53 in the float64 kernels"
+            )
 
     def out_hw(self, in_h: int, in_w: int) -> tuple[int, int]:
         oh = in_h + 2 * self.padding - 2
@@ -204,12 +220,17 @@ def requant_scalar(acc: int, shift: int, int_min: int, int_max: int) -> int:
 
 
 def requant_array(acc: np.ndarray, shift: int, int_min: int, int_max: int) -> np.ndarray:
+    """:func:`requant_scalar` over an int64 array, exact for every acc above -2^63."""
     if shift > 0:
-        half = np.int64(1) << np.int64(shift - 1)
-        mag = (np.abs(acc) + half) >> np.int64(shift)
-        v = np.sign(acc) * mag
+        # Half away from zero is half up on acc - 1 for negative acc. Adding
+        # the half 2^(shift-1) could wrap, so its carry is read off bit shift-1.
+        b = acc - (acc < 0)
+        v = (b >> shift) + ((b >> (shift - 1)) & 1)
     elif shift < 0:
-        v = acc << np.int64(-shift)
+        # Saturate before shifting: a value outside the output range
+        # saturates at any left shift, and once the shift reaches the output
+        # width every nonzero value does.
+        v = np.clip(acc, int_min, int_max) << np.int64(min(-shift, int_max.bit_length() + 1))
     else:
         v = acc.copy()
     return np.clip(v, int_min, int_max)
@@ -305,11 +326,19 @@ def conv_direct(
 
 
 def _conv_direct_vec(xp: np.ndarray, spec: ConvSpec, shift: int) -> np.ndarray:
-    """Requantized output of the padded input ``xp``."""
-    win = sliding_window_view(xp, (3, 3), axis=(2, 3))  # (N, C, OH, OW, 3, 3)
-    acc = np.einsum("nchwyx,kcyx->nkhw", win, spec.weights.array, dtype=np.int64)
+    """Requantized output of the padded input ``xp``: one (K x C) @ (C x OH*OW)
+    float64 GEMM per kernel offset, exact under ConvSpec's magnitude bound."""
+    n_, c_, hp, wp = xp.shape
+    oh, ow = hp - 2, wp - 2
+    xf = xp.astype(np.float64)
+    wf = spec.weights.array.astype(np.float64)
+    acc = np.zeros((n_, spec.out_channels, oh * ow))
+    for ry in range(3):
+        for rx in range(3):
+            acc += wf[:, :, ry, rx] @ xf[:, :, ry : ry + oh, rx : rx + ow].reshape(n_, c_, oh * ow)
+    acc = acc.astype(np.int64).reshape(n_, spec.out_channels, oh, ow)
     if spec.bias is not None:
-        acc = acc + spec.bias[None, :, None, None]
+        acc += spec.bias[None, :, None, None]
     return requant_array(acc, shift, spec.out_qparams.int_min, spec.out_qparams.int_max)
 
 
@@ -440,18 +469,23 @@ def conv_winograd(
 
 
 def _conv_winograd_vec(xp: np.ndarray, spec: ConvSpec, oh: int, ow: int, shift: int) -> np.ndarray:
-    """Requantized output of the padded input ``xp``."""
-    n_ = xp.shape[0]
-    tiles = sliding_window_view(xp, (4, 4), axis=(2, 3))[:, :, ::2, ::2]  # (N,C,TY,TX,4,4)
+    """Requantized output of the padded input ``xp``, as three float64 matrix
+    products over tiles flattened row-major to 16 elements: the input
+    transform kron(B^T, B^T), 16 per-element (K x C) @ (C x tiles) GEMMs
+    that multiply and sum over channels, and the inverse transform
+    kron(A^T, A^T). Exact under ConvSpec's magnitude bound."""
+    n_, c_ = xp.shape[:2]
+    k_ = spec.out_channels
+    tiles = sliding_window_view(xp.astype(np.float64), (4, 4), axis=(2, 3))[:, :, ::2, ::2]  # (N,C,TY,TX,4,4)
     ty_, tx_ = tiles.shape[2:4]
-    v = np.matmul(np.matmul(BT_F2X2_3X3, tiles), BT_F2X2_3X3.T)
-    u = np.matmul(np.matmul(G2_F2X2_3X3, spec.weights.array), G2_F2X2_3X3.T)  # (K,C,4,4)
-    s = np.einsum("kcij,nctuij->nktuij", u, v, dtype=np.int64)
-    y = np.matmul(np.matmul(AT_F2X2_3X3, s), AT_F2X2_3X3.T)  # (N,K,TY,TX,2,2)
+    v = (_KRON_BT @ tiles.transpose(4, 5, 1, 0, 2, 3).reshape(16, -1)).reshape(16, c_, -1)  # (16, C, N*TY*TX)
+    u = _KRON_G2 @ spec.weights.array.reshape(k_ * c_, 9).T.astype(np.float64)  # (2G) g (2G)^T
+    s = u.reshape(16, k_, c_) @ v  # (16, K, N*TY*TX)
+    y = (_KRON_AT @ s.reshape(16, -1)).astype(np.int64).reshape(2, 2, k_, n_, ty_, tx_)
+    plane = y.transpose(3, 2, 4, 0, 5, 1).reshape(n_, k_, 2 * ty_, 2 * tx_)[:, :, :oh, :ow]
     if spec.bias is not None:
-        y = y + 4 * spec.bias[None, :, None, None, None, None]
-    plane = y.transpose(0, 1, 2, 4, 3, 5).reshape(n_, spec.out_channels, 2 * ty_, 2 * tx_)
-    return requant_array(plane[:, :, :oh, :ow], shift, spec.out_qparams.int_min, spec.out_qparams.int_max)
+        plane = plane + 4 * spec.bias[None, :, None, None]
+    return requant_array(plane, shift, spec.out_qparams.int_min, spec.out_qparams.int_max)
 
 
 # Per-layer op counting (must match the hooked emission exactly; checked in tests).

@@ -175,6 +175,13 @@ def _check_keys(what: str, d: dict, allowed: set, strict: bool) -> None:
         log.warning("%s (ignored in lenient mode)", msg)
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer (a bool is not); ConfigError otherwise."""
+    if type(value) is not int:
+        raise ConfigError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _field_keys(f) -> tuple:
     """The manifest keys of layer field ``f``: ``weights`` is stored as the
     tensor name ``weight`` plus ``weight_scale``."""
@@ -253,7 +260,7 @@ def _model_from_manifest(path: str, manifest: dict, strict: bool) -> ModelDef:
     if digest != manifest["blob"]["sha256"]:
         raise ConfigError("weights blob checksum mismatch")
 
-    bit_width = int(manifest["bit_width"])
+    bit_width = _json_int(manifest["bit_width"], "bit_width")
 
     def tensor(name: str) -> np.ndarray:
         meta = manifest["tensors"][name]
@@ -281,7 +288,7 @@ def _model_from_manifest(path: str, manifest: dict, strict: bool) -> ModelDef:
             elif f.name == "bias":
                 value = tensor(value) if value else None
             elif f.type == "int":
-                value = int(value)
+                value = _json_int(value, f"layer {i}: {key}")
             kwargs[f.name] = value
         layers.append(cls(**kwargs))
 
@@ -289,7 +296,7 @@ def _model_from_manifest(path: str, manifest: dict, strict: bool) -> ModelDef:
     model = ModelDef(
         name=manifest["name"],
         bit_width=bit_width,
-        input_shape=(inp["channels"], inp["height"], inp["width"]),
+        input_shape=tuple(_json_int(inp[k], f"input {k}") for k in ("channels", "height", "width")),
         input_scale=inp["scale"],
         layers=layers,
         engine=manifest.get("engine", "direct"),

@@ -16,6 +16,8 @@ from winofi.engine import (
     WinogradConfig,
     conv_direct,
     conv_winograd,
+    requant_array,
+    requant_scalar,
 )
 from winofi.errors import ShapeError
 from winofi.modelio import generate_dataset, generate_toy_model
@@ -268,3 +270,82 @@ def test_winograd_op_stream_digest(instrument, digest):
     res = run_inference(model, x, "winograd", hook, wg_cfg=cfg)
     h.update(res.output.data.tobytes())
     assert h.hexdigest() == digest
+
+
+def _conv_winograd(x, spec, hook=None):
+    return conv_winograd(x, spec, hook=hook)
+
+
+def _pointwise_spec(shift):
+    # One output pixel whose accumulator is 3 * 1000 = 3000: the centre
+    # weight is 3, the rest 0, over an int16 3x3 input of 1000s.
+    w = np.zeros((1, 1, 3, 3), dtype=np.int64)
+    w[0, 0, 1, 1] = 3
+    spec = ConvSpec(1, 1, 0, QTensor((1, 1, 3, 3), w, QuantParams(16, 1.0)), QuantParams(16, 2.0**shift))
+    return spec, QTensor((1, 1, 3, 3), np.full(9, 1000), QuantParams(16, 1.0))
+
+
+@pytest.mark.parametrize(
+    "shift, expect",
+    [(-60, (1 << 15) - 1), (-next(s for s in range(64) if 3000 << s >= 1 << 63), (1 << 15) - 1), (64, 0)],
+)
+def test_extreme_requant_shifts_do_not_wrap(shift, expect):
+    # At shift -60, and at the first left shift taking 3000 past 2^63, the
+    # output saturates; a right shift of 64 rounds 3000 to 0. An int64 shift
+    # that wraps gives -32768 or -1 instead.
+    spec, x = _pointwise_spec(shift)
+    assert spec.requant_shift(x.qparams) == shift
+    assert requant_scalar(3000, shift, -(1 << 15), (1 << 15) - 1) == expect
+    for conv in (conv_direct, _conv_winograd):
+        assert conv(x, spec).array.item() == conv(x, spec, CountingHook()).array.item() == expect
+
+
+@given(
+    st.lists(st.integers(-(1 << 63) + 1, (1 << 63) - 1), min_size=1, max_size=8),
+    st.integers(-70, 70),
+    st.sampled_from([8, 16]),
+)
+@settings(max_examples=300, deadline=None)
+def test_requant_array_matches_requant_scalar(accs, shift, bits):
+    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    got = requant_array(np.array(accs, dtype=np.int64), shift, lo, hi)
+    assert got.tolist() == [requant_scalar(a, shift, lo, hi) for a in accs]
+
+
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_worst_case_magnitude_is_exact(engine, sign):
+    # int16 inputs within 64 of -2^15 and weights within 64 of sign * 2^15
+    # make every product of the 9*C-term sums add with one sign; with 64
+    # channels the kernels' partial sums are the largest these tests reach.
+    # The biases put the accumulator of output pixel (1, 1) at a rounding tie
+    # of the 25-bit requant shift (k=0) and one short of it (k=1), so an
+    # accumulator off by one in either direction changes an output.
+    c, k, shift = 64, 2, 25
+    rng = np.random.default_rng(64)
+    qp = QuantParams(16, 1.0)
+    w = QTensor((k, c, 3, 3), sign * rng.integers((1 << 15) - 64, 1 << 15, size=(k, c, 3, 3)), qp)
+    x = QTensor((1, c, 4, 5), rng.integers(-(1 << 15), 64 - (1 << 15), size=(1, c, 4, 5)), qp)
+    acc = brute_force_conv3x3(x.array, w.array, None, 1, 0, -(1 << 62), 1 << 62)[0, :, 1, 1].tolist()
+    half = 1 << (shift - 1)
+    bias = [int(np.sign(a)) * (r - abs(a) % (1 << shift)) for a, r in zip(acc, (half, half - 1))]
+    spec = ConvSpec(c, k, 1, w, QuantParams(16, 2.0**shift), bias=bias)
+    conv = conv_direct if engine == "direct" else _conv_winograd
+    expect = brute_force_conv3x3(x.array, w.array, spec.bias, 1, shift, -(1 << 15), (1 << 15) - 1)
+    assert 0 < np.abs(expect).max() < (1 << 15) - 1  # the outputs do not saturate
+    assert np.array_equal(conv(x, spec).array, expect)
+    assert np.array_equal(conv(x, spec, CountingHook()).array, expect)
+
+
+def test_convspec_rejects_channels_past_the_float64_bound():
+    # The Winograd kernel's partial sums reach 81 * C * 4^16 at int16, which
+    # must stay below 2^53: C = 25890 is the last count that fits.
+    qp = QuantParams(16, 1.0)
+    for c, fits in ((25890, True), (25891, False)):
+        assert (81 * c * 4**16 < 2**53) == fits
+        w = QTensor((1, c, 3, 3), np.zeros(c * 9, dtype=np.int64), qp)
+        if fits:
+            ConvSpec(c, 1, 1, w, qp)
+        else:
+            with pytest.raises(ShapeError, match="2\\^53"):
+                ConvSpec(c, 1, 1, w, qp)

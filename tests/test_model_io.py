@@ -113,6 +113,24 @@ def test_missing_layer_key_exits_2(tmp_path, capsys, layer_type, key):
     assert key in json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
 
 
+@pytest.mark.parametrize(
+    "key,value", [("padding", 1.9), ("out_channels", "4"), ("bit_width", 8.9), ("height", 8.0)]
+)
+def test_non_integer_manifest_field_exits_2(tmp_path, capsys, key, value):
+    # A manifest int field takes only a JSON integer: a float or a string
+    # is an error, not an integer after truncation or conversion.
+    d = tmp_path / "m"
+    save_model(builtin_model("toycnn-int8"), str(d))
+    save_dataset(generate_dataset(builtin_model("toycnn-int8"), 2, seed=104), str(tmp_path / "ds"))
+    manifest = json.loads((d / "manifest.json").read_text())
+    convs = [l for l in manifest["layers"] if l["type"] == "conv3x3"]
+    {"padding": convs[0], "out_channels": convs[1], "bit_width": manifest, "height": manifest["input"]}[key][key] = value
+    _write_manifest(d, manifest)
+    code = main(["sweep", "--model", str(d), "--dataset", str(tmp_path / "ds"), "--ber", "0", "--trials", "1"])
+    assert code == 2
+    assert key in json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
+
+
 def test_model_save_load_roundtrip(tmp_path):
     model = generate_toy_model(depth=2, channels=3, bit_width=8, seed=91, hw=6)
     d1 = tmp_path / "m1"
