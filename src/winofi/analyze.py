@@ -11,9 +11,8 @@ in scope are exactly paired, and trial workers cannot change any result.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,10 +29,6 @@ from .inject import (
 )
 from .modelio import Dataset, ModelDef
 from .runtime import enumerate_ops, run_inference, top1
-
-
-def default_workers() -> int:
-    return max(1, int(os.environ.get("WINOFI_WORKERS", "1")))
 
 
 def mean_ci95(values) -> tuple[float, float]:
@@ -55,7 +50,6 @@ class CampaignResult:
     ci95_halfwidth: float
     clean_accuracy: float
     layer_rmse: Optional[dict] = None  # conv layer_id -> mean RMSE over trials
-    meta: dict = field(default_factory=dict)
 
     def row(self) -> dict:
         return {
@@ -104,7 +98,7 @@ class Campaign:
         use_labels: bool = False,
         ranges=None,
         range_mode: str = "clamp",
-        workers: Optional[int] = None,
+        workers: int = 1,
     ):
         if len(dataset) == 0:
             raise ConfigError("dataset is empty")
@@ -117,12 +111,14 @@ class Campaign:
         self.fault_bits = fault_bits
         self.ranges = ranges
         self.range_mode = range_mode
-        self.workers = workers if workers is not None else default_workers()
+        self.workers = workers
         self.opspace = enumerate_ops(model, self.engine, fault_bits=fault_bits)
         conv = set(self.opspace.conv_layer_ids())
-        stray = sorted(((scope.include_layers or frozenset()) | scope.exclude_layers) - conv)
-        if stray:
-            raise ConfigError(f"scope layer ids {stray} are not conv layers of this model (conv layers: {sorted(conv)})")
+        for what, layer_ids in (("scope", (scope.include_layers or frozenset()) | scope.exclude_layers),
+                                ("range profile", set(ranges.ranges if ranges is not None else ()))):
+            stray = sorted(layer_ids - conv)
+            if stray:
+                raise ConfigError(f"{what} layer ids {stray} are not conv layers of this model (conv layers: {sorted(conv)})")
         clean = [
             run_inference(model, s, self.engine, ranges=ranges, range_mode=range_mode).output
             for s in dataset.samples
@@ -233,12 +229,6 @@ class Campaign:
             ]
         accs = [c / self.sample_count for c in per_trial]
         mean, ci = mean_ci95(accs)
-        info = {
-            "engine": self.engine,
-            "granularity": self.granularity.value,
-            "seed": self.seed,
-            "scope": scope.to_text(),
-        }
         return CampaignResult(
             ber=ber,
             trials=trials,
@@ -248,7 +238,6 @@ class Campaign:
             ci95_halfwidth=ci,
             clean_accuracy=self.clean_accuracy,
             layer_rmse={lid: float(np.mean(v)) for lid, v in rmse_acc.items()} if rmse_layers else None,
-            meta=info,
         )
 
     def _parallel_trials(self, ber: float, trials: int, scope: Scope, protected) -> list:
@@ -299,10 +288,12 @@ def sweep_ber(
     trace: Optional[FaultTrace] = None,
     replay: Optional[FaultTrace] = None,
     rmse_layers: tuple = (),
+    protected=(),
 ) -> list[CampaignResult]:
-    """One CampaignResult per BER; the BER=0 point equals clean accuracy exactly."""
+    """One CampaignResult per BER; the BER=0 point equals clean accuracy
+    exactly. ``protected`` op ranges run under TMR (see ``run_point``)."""
     return [
-        camp.run_point(ber, trials, trace=trace, replay=replay, rmse_layers=rmse_layers)
+        camp.run_point(ber, trials, trace=trace, replay=replay, rmse_layers=rmse_layers, protected=protected)
         for ber in ber_list
     ]
 
@@ -320,7 +311,7 @@ def rmse_layer(
     layer, averaged over trials."""
     camp = Campaign(
         model, Dataset([x]), engine, granularity=cfg.granularity, seed=cfg.seed,
-        scope=cfg.scope, fault_bits=cfg.fault_bits, workers=1,
+        scope=cfg.scope, fault_bits=cfg.fault_bits,
     )
     if layer_id not in camp.opspace.neuron_sizes:
         raise ConfigError(f"layer {layer_id} is not a conv layer of this model")

@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import logging
-import os
 import sys
 
 from . import __version__
@@ -30,7 +29,7 @@ from .analyze import (
     vuln_json,
 )
 from .errors import BitPositionError, ConfigError, ShapeError, open_input
-from .inject import FaultTrace, Granularity, Scope
+from .inject import FaultTrace, Scope
 from .mitigate import RangeProfile, profile_ranges
 from .modelio import (
     builtin_model,
@@ -54,13 +53,12 @@ from .tmr import run_with_tmr  # noqa: F401 - perfbench/tracing.py rebinds cli.r
 
 log = logging.getLogger("winofi")
 
-# Keys that determine campaign results (hashed into config_hash and embedded
-# in result metadata; output/format/workers are presentation only).
-_REPRO_KEYS = (
-    "command", "model", "dataset", "engine", "granularity", "ber", "trials",
-    "seed", "scope", "fault_bits", "use_labels", "ranges", "range_mode",
-    "segment_size", "target_acc", "literal_do_while", "plan", "cost_mul", "cost_add",
-)
+TRIALS = 100  # Monte-Carlo trials per point without --trials
+
+# Keys that say how a command writes or runs, not what it computes. Every
+# other key a command sets determines its results, so it is hashed into
+# config_hash and embedded in the result metadata.
+_PRESENTATION_KEYS = frozenset({"out", "format", "workers", "save_trace", "lenient", "verbose"})
 
 
 def _canonical(cfg: dict) -> str:
@@ -120,12 +118,15 @@ def _effective_config(args: argparse.Namespace, command: str, flags: dict) -> di
     return cfg
 
 
-def _repro_subset(cfg: dict) -> dict:
-    return {k: cfg[k] for k in _REPRO_KEYS if k in cfg and cfg[k] is not None}
+def _given(cfg: dict, *keys, **renamed) -> dict:
+    """The keyword arguments ``keys`` (and ``param=key`` for ``renamed``)
+    that ``cfg`` sets, so that the callee's own defaults apply to the rest."""
+    pairs = [(key, key) for key in keys] + list(renamed.items())
+    return {param: cfg[key] for param, key in pairs if key in cfg}
 
 
 def _meta(cfg: dict) -> dict:
-    repro = _repro_subset(cfg)
+    repro = {k: v for k, v in cfg.items() if k not in _PRESENTATION_KEYS}
     return {
         "tool": "winofi",
         "version": __version__,
@@ -135,9 +136,9 @@ def _meta(cfg: dict) -> dict:
     }
 
 
-def _parse_ber_list(text) -> list:
+def _parse_ber_list(cfg: dict) -> list:
     out = []
-    for part in str(text).split(","):
+    for part in str(cfg.get("ber", "0")).split(","):
         part = part.strip()
         if part:
             out.append(float(part))
@@ -147,16 +148,13 @@ def _parse_ber_list(text) -> list:
 
 
 def _single_ber(cfg: dict) -> float:
-    bers = _parse_ber_list(cfg.get("ber", "0"))
+    bers = _parse_ber_list(cfg)
     if len(bers) != 1:
         raise ConfigError(f"{cfg.get('command')} expects a single --ber")
     return bers[0]
 
 
-def _parse_fault_bits(text):
-    if text is None:
-        return None
-    text = str(text)
+def _parse_fault_bits(text: str):
     if ":" in text:
         out = {}
         for item in text.split(","):
@@ -187,48 +185,46 @@ def _load_pair(cfg: dict):
 
 
 def _campaign(cfg: dict) -> Campaign:
-    """The Campaign of every campaign command; commands without a
-    --granularity, --ranges or --range-mode flag get their defaults."""
+    """The Campaign of every campaign command; a flag that is not set (or
+    that the command lacks) leaves Campaign's default."""
     model, dataset = _load_pair(cfg)
-    return Campaign(
-        model, dataset, cfg.get("engine"),
-        granularity=Granularity(cfg.get("granularity", "op")),
-        seed=cfg.get("seed", 0),
-        scope=Scope.parse(cfg.get("scope", "")),
-        fault_bits=_parse_fault_bits(cfg.get("fault_bits")),
-        use_labels=cfg.get("use_labels", False),
-        ranges=RangeProfile.load_json(cfg["ranges"]) if cfg.get("ranges") else None,
-        range_mode=cfg.get("range_mode", "clamp"),
-        workers=cfg.get("workers"),
-    )
+    kwargs = _given(cfg, "engine", "granularity", "seed", "use_labels", "range_mode", "workers")
+    if "scope" in cfg:
+        kwargs["scope"] = Scope.parse(cfg["scope"])
+    if "fault_bits" in cfg:
+        kwargs["fault_bits"] = _parse_fault_bits(cfg["fault_bits"])
+    if "ranges" in cfg:
+        kwargs["ranges"] = RangeProfile.load_json(cfg["ranges"])
+    return Campaign(model, dataset, **kwargs)
 
 
-def _render_campaign(cfg: dict, results, meta: dict) -> str:
+def _render(cfg: dict, results, meta: dict, to_csv=campaign_csv, to_json=campaign_json) -> str:
     if cfg.get("format", "csv") == "json":
-        return json.dumps(campaign_json(results, meta), indent=2, sort_keys=True) + "\n"
-    return campaign_csv(results, meta)
-
-
-def _render_vuln(cfg: dict, reports, meta: dict) -> str:
-    if cfg.get("format", "csv") == "json":
-        return json.dumps(vuln_json(reports, meta), indent=2, sort_keys=True) + "\n"
-    return vuln_csv(reports, meta)
+        return json.dumps(to_json(results, meta), indent=2, sort_keys=True) + "\n"
+    return to_csv(results, meta)
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
 
-def cmd_sweep(cfg: dict, replay=None) -> None:
-    bers = _parse_ber_list(cfg.get("ber", "0"))
+def cmd_sweep(cfg: dict, replay=None, plan=None) -> None:
+    """Accuracy at each BER; eval-tmr passes its TMR ``plan``, whose
+    protected op ranges then run under TMR."""
+    bers = _parse_ber_list(cfg)
     trace = FaultTrace() if cfg.get("save_trace") else None
     if trace is not None and len(bers) != 1:
         raise ConfigError(
             "--save-trace needs a single-BER campaign (a trace cannot tell "
             "flips of different BER points apart); run one sweep per point"
         )
-    results = sweep_ber(_campaign(cfg), bers, cfg.get("trials", 100), trace=trace, replay=replay)
-    _write_output(cfg, _render_campaign(cfg, results, _meta(cfg)))
+    camp = _campaign(cfg)
+    protected = ()
+    if plan is not None:
+        plan.check_fits(camp.opspace)
+        protected = plan.protected_ranges
+    results = sweep_ber(camp, bers, cfg.get("trials", TRIALS), trace=trace, replay=replay, protected=protected)
+    _write_output(cfg, _render(cfg, results, _meta(cfg)))
     if trace is not None:
         trace.save_jsonl(cfg["save_trace"])
         log.info("saved fault trace to %s", cfg["save_trace"])
@@ -236,34 +232,24 @@ def cmd_sweep(cfg: dict, replay=None) -> None:
 
 def _cmd_vuln(cfg: dict, analysis) -> None:
     ber = _single_ber(cfg)
-    reports = analysis(_campaign(cfg), ber, cfg.get("trials", 100))
+    reports = analysis(_campaign(cfg), ber, cfg.get("trials", TRIALS))
     meta = _meta(cfg)
     meta["ber"] = ber
-    _write_output(cfg, _render_vuln(cfg, reports, meta))
+    _write_output(cfg, _render(cfg, reports, meta, vuln_csv, vuln_json))
 
 
-def cmd_layer_vuln(cfg: dict, replay=None) -> None:
-    _cmd_vuln(cfg, layer_vulnerability)
-
-
-def cmd_optype_vuln(cfg: dict, replay=None) -> None:
-    _cmd_vuln(cfg, optype_vulnerability)
-
-
-def cmd_plan_tmr(cfg: dict, replay=None) -> None:
+def cmd_plan_tmr(cfg: dict) -> None:
     if "segment_size" not in cfg:
         raise ConfigError("--segment-size is required")
     if "target_acc" not in cfg:
         raise ConfigError("--target-acc is required")
     ber = _single_ber(cfg)
-    trials = cfg.get("trials", 100)
+    trials = cfg.get("trials", TRIALS)
     camp = _campaign(cfg)
     segments = segment_ops(camp.opspace.total_ops, cfg["segment_size"])
     log.info("measuring vulnerability of %d segments", len(segments))
     reports = measure_segment_vulnerability(camp, ber, segments, trials)
-    cost = CostModel(
-        add_weight=cfg.get("cost_add", 1.0), mul_weight=cfg.get("cost_mul", 6.67)
-    )
+    cost = CostModel(**_given(cfg, add_weight="cost_add", mul_weight="cost_mul"))
     plan = plan_tmr(
         [r.delta for r in reports],
         segments,
@@ -273,7 +259,7 @@ def cmd_plan_tmr(cfg: dict, replay=None) -> None:
         cost=cost,
         direct_opspace=enumerate_ops(camp.model, "direct", fault_bits=camp.fault_bits),
         v_ci=[r.ci95_halfwidth for r in reports],
-        literal_do_while=cfg.get("literal_do_while", False),
+        **_given(cfg, "literal_do_while"),
     )
     doc = plan.to_dict()
     doc["meta"] = _meta(cfg)
@@ -284,24 +270,10 @@ def cmd_plan_tmr(cfg: dict, replay=None) -> None:
 def cmd_eval_tmr(cfg: dict, replay=None) -> None:
     if "plan" not in cfg:
         raise ConfigError("--plan file is required")
-    plan = TmrPlan.load_json(cfg["plan"])
-    bers = _parse_ber_list(cfg.get("ber", "0"))
-    if cfg.get("save_trace") and len(bers) != 1:
-        raise ConfigError("--save-trace needs a single-BER campaign")
-    trials = cfg.get("trials", 100)
-    camp = _campaign(cfg)
-    plan.check_fits(camp.opspace)
-    trace = FaultTrace() if cfg.get("save_trace") else None
-    results = [
-        camp.run_point(ber, trials, trace=trace, replay=replay, protected=plan.protected_ranges)
-        for ber in bers
-    ]
-    _write_output(cfg, _render_campaign(cfg, results, _meta(cfg)))
-    if trace is not None:
-        trace.save_jsonl(cfg["save_trace"])
+    cmd_sweep(cfg, replay, TmrPlan.load_json(cfg["plan"]))
 
 
-def cmd_profile_ranges(cfg: dict, replay=None) -> None:
+def cmd_profile_ranges(cfg: dict) -> None:
     model, dataset = _load_pair(cfg)
     prof = profile_ranges(model, dataset, cfg.get("engine"))
     doc = prof.to_dict()
@@ -327,7 +299,7 @@ def _extract_embedded_config(path: str) -> tuple[dict, str]:
     raise ConfigError(f"result file {path} carries no embedded config")
 
 
-def cmd_replay(cfg: dict, replay=None) -> None:
+def cmd_replay(cfg: dict) -> None:
     if "results" not in cfg or "trace" not in cfg:
         raise ConfigError("replay needs --results and --trace")
     embedded, fmt = _extract_embedded_config(cfg["results"])
@@ -344,27 +316,20 @@ def cmd_replay(cfg: dict, replay=None) -> None:
     _REPLAYABLE[command](run_cfg, replay=trace)
 
 
-def cmd_gen_model(cfg: dict, replay=None) -> None:
+def cmd_gen_model(cfg: dict) -> None:
     if "out" not in cfg:
         raise ConfigError("--out directory is required")
     if cfg.get("name") and cfg["name"] != "custom":
         model = builtin_model(cfg["name"])
     else:
         model = generate_toy_model(
-            depth=cfg.get("depth", 3),
-            channels=cfg.get("channels", 4),
-            bit_width=cfg.get("bit_width", 8),
-            seed=cfg.get("seed", 0),
-            hw=cfg.get("hw", 8),
-            in_channels=cfg.get("in_channels", 1),
-            classes=cfg.get("classes", 4),
-            engine=cfg.get("engine", "direct"),
+            **_given(cfg, "depth", "channels", "bit_width", "seed", "hw", "in_channels", "classes", "engine")
         )
     save_model(model, cfg["out"])
     log.info("wrote model %s to %s", model.name, cfg["out"])
 
 
-def cmd_gen_dataset(cfg: dict, replay=None) -> None:
+def cmd_gen_dataset(cfg: dict) -> None:
     if "model" not in cfg or "out" not in cfg:
         raise ConfigError("gen-dataset needs --model and --out")
     model = load_model(cfg["model"])
@@ -395,13 +360,13 @@ def _add_common(p: argparse.ArgumentParser, *, dataset=True, campaign=True):
     p.add_argument("--lenient", action="store_true", default=None, help="warn instead of failing on unknown manifest fields")
     if campaign:
         p.add_argument("--ber", help="comma-separated bit error rates")
-        p.add_argument("--trials", type=int, help="Monte-Carlo trials per point (default 100)")
+        p.add_argument("--trials", type=int, help=f"Monte-Carlo trials per point (default {TRIALS})")
         p.add_argument("--seed", type=int, help="campaign seed (default 0)")
         p.add_argument("--scope", help="injection scope, e.g. 'exclude_layers=0;exclude_optypes=MUL;exclude_ops=0-36'")
         p.add_argument("--format", choices=["csv", "json"], help="result format (default csv)")
         p.add_argument("--fault-bits", dest="fault_bits", help="exposed result window, e.g. '16' or 'MUL:32,ADD:16'")
         p.add_argument("--use-labels", dest="use_labels", action="store_true", default=None, help="score against dataset labels instead of functional agreement")
-        p.add_argument("--workers", type=int, help="trial parallelism (default $WINOFI_WORKERS or 1)")
+        p.add_argument("--workers", type=int, help="trial processes (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,19 +385,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("layer-vuln", help="per-layer vulnerability report")
     _add_common(p)
-    p.set_defaults(func=cmd_layer_vuln)
+    p.set_defaults(func=lambda cfg: _cmd_vuln(cfg, layer_vulnerability))
 
     p = sub.add_parser("optype-vuln", help="MUL vs ADD vulnerability report")
     _add_common(p)
-    p.set_defaults(func=cmd_optype_vuln)
+    p.set_defaults(func=lambda cfg: _cmd_vuln(cfg, optype_vulnerability))
 
     p = sub.add_parser("plan-tmr", help="segment the op stream and plan selective TMR")
     _add_common(p)
     p.add_argument("--segment-size", dest="segment_size", type=int, help="ops per protection segment")
     p.add_argument("--target-acc", dest="target_acc", type=float, help="accuracy the protected model must reach")
     p.add_argument("--literal-do-while", dest="literal_do_while", action="store_true", default=None, help="always protect at least one segment")
-    p.add_argument("--cost-mul", dest="cost_mul", type=float, help="multiply weight at 8 bit (default 6.67)")
-    p.add_argument("--cost-add", dest="cost_add", type=float, help="add weight at 8 bit (default 1.0)")
+    p.add_argument("--cost-mul", dest="cost_mul", type=float, help=f"multiply weight at 8 bit (default {CostModel.mul_weight})")
+    p.add_argument("--cost-add", dest="cost_add", type=float, help=f"add weight at 8 bit (default {CostModel.add_weight})")
     p.set_defaults(func=cmd_plan_tmr)
 
     p = sub.add_parser("eval-tmr", help="Monte-Carlo accuracy of a TMR plan")

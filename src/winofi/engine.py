@@ -325,18 +325,24 @@ def conv_direct(
     return QTensor((n_, k_, oh, ow), out, oq)
 
 
-def _conv_direct_vec(xp: np.ndarray, spec: ConvSpec, shift: int) -> np.ndarray:
-    """Requantized output of the padded input ``xp``: one (K x C) @ (C x OH*OW)
-    float64 GEMM per kernel offset, exact under ConvSpec's magnitude bound."""
+def conv3x3_gemm(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Float64 (N, K, OH, OW) sums of the padded input ``xp`` (N, C, OH+2,
+    OW+2) against the 3x3 weights ``w`` (K, C, 3, 3): one (K x C) @
+    (C x OH*OW) GEMM per kernel offset, over shifted slices of ``xp``."""
     n_, c_, hp, wp = xp.shape
     oh, ow = hp - 2, wp - 2
-    xf = xp.astype(np.float64)
-    wf = spec.weights.array.astype(np.float64)
-    acc = np.zeros((n_, spec.out_channels, oh * ow))
+    acc = np.zeros((n_, w.shape[0], oh * ow))
     for ry in range(3):
         for rx in range(3):
-            acc += wf[:, :, ry, rx] @ xf[:, :, ry : ry + oh, rx : rx + ow].reshape(n_, c_, oh * ow)
-    acc = acc.astype(np.int64).reshape(n_, spec.out_channels, oh, ow)
+            acc += w[:, :, ry, rx] @ xp[:, :, ry : ry + oh, rx : rx + ow].reshape(n_, c_, oh * ow)
+    return acc.reshape(n_, w.shape[0], oh, ow)
+
+
+def _conv_direct_vec(xp: np.ndarray, spec: ConvSpec, shift: int) -> np.ndarray:
+    """Requantized output of the padded input ``xp``: float64 GEMMs, exact
+    under ConvSpec's magnitude bound."""
+    wf = spec.weights.array.astype(np.float64)
+    acc = conv3x3_gemm(xp.astype(np.float64), wf).astype(np.int64)
     if spec.bias is not None:
         acc += spec.bias[None, :, None, None]
     return requant_array(acc, shift, spec.out_qparams.int_min, spec.out_qparams.int_max)

@@ -16,6 +16,15 @@ class BitPositionError(ValueError):
     """Bit index outside the declared bit width."""
 
 
+def json_typed(value, what: str, kind: type = int):
+    """``value`` if it is a JSON value of type ``kind``: by default an integer
+    (a bool, a float such as 8.0 or a string is not), or a bool. ConfigError
+    otherwise, so that no input file value is truncated or converted."""
+    if type(value) is not kind:
+        raise ConfigError(f"{what} must be a JSON {'integer' if kind is int else kind.__name__}, got {value!r}")
+    return value
+
+
 @contextmanager
 def open_input(path: str, what: str, mode: str = "r"):
     """Open the input file ``path`` for the block. A file that cannot be read,

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import ConfigError, open_input
+from .errors import ConfigError, json_typed, open_input
 from .modelio import Dataset, ModelDef
 from .qtensor import QTensor
 from .runtime import constrain, run_inference
@@ -29,13 +29,9 @@ class RangeProfile:
     point: str = "post_activation"
 
     def __post_init__(self):
-        cleaned = {}
         for lid, (lo, hi) in self.ranges.items():
-            lo, hi = int(lo), int(hi)
             if lo > hi:
                 raise ConfigError(f"layer {lid}: profile min {lo} > max {hi}")
-            cleaned[int(lid)] = (lo, hi)
-        self.ranges = cleaned
 
     def get(self, layer_id: int):
         return self.ranges.get(layer_id)
@@ -64,7 +60,10 @@ class RangeProfile:
     @staticmethod
     def from_dict(d: dict) -> "RangeProfile":
         meta = d.get("_meta", {})
-        ranges = {int(k): tuple(v) for k, v in d.items() if not k.startswith("_")}
+        ranges = {
+            int(k): tuple(json_typed(b, f"range profile layer {k} bound") for b in v)
+            for k, v in d.items() if not k.startswith("_")
+        }
         return RangeProfile(ranges, point=meta.get("point", "post_activation"))
 
     @staticmethod

@@ -18,10 +18,9 @@ from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .engine import ConvSpec
-from .errors import ConfigError, ShapeError, open_input
+from .engine import ConvSpec, conv3x3_gemm
+from .errors import ConfigError, ShapeError, json_typed, open_input
 from .qtensor import QTensor, QuantParams, pow2_scale_for, quantize
 
 log = logging.getLogger("winofi")
@@ -175,13 +174,6 @@ def _check_keys(what: str, d: dict, allowed: set, strict: bool) -> None:
         log.warning("%s (ignored in lenient mode)", msg)
 
 
-def _json_int(value, what: str) -> int:
-    """``value`` if it is a JSON integer (a bool is not); ConfigError otherwise."""
-    if type(value) is not int:
-        raise ConfigError(f"{what} must be a JSON integer, got {value!r}")
-    return value
-
-
 def _field_keys(f) -> tuple:
     """The manifest keys of layer field ``f``: ``weights`` is stored as the
     tensor name ``weight`` plus ``weight_scale``."""
@@ -260,14 +252,14 @@ def _model_from_manifest(path: str, manifest: dict, strict: bool) -> ModelDef:
     if digest != manifest["blob"]["sha256"]:
         raise ConfigError("weights blob checksum mismatch")
 
-    bit_width = _json_int(manifest["bit_width"], "bit_width")
+    bit_width = json_typed(manifest["bit_width"], "bit_width")
 
     def tensor(name: str) -> np.ndarray:
         meta = manifest["tensors"][name]
         dt = np.dtype(_DTYPES[meta["dtype"]])
-        shape = tuple(meta["shape"])
+        shape = tuple(json_typed(d, f"tensor {name} shape entry") for d in meta["shape"])
         n = int(np.prod(shape)) if shape else 1
-        off = meta["offset"]
+        off = json_typed(meta["offset"], f"tensor {name} offset")
         return np.frombuffer(blob, dtype=dt, count=n, offset=off).reshape(shape).astype(np.int64)
 
     layers = []
@@ -288,7 +280,7 @@ def _model_from_manifest(path: str, manifest: dict, strict: bool) -> ModelDef:
             elif f.name == "bias":
                 value = tensor(value) if value else None
             elif f.type == "int":
-                value = _json_int(value, f"layer {i}: {key}")
+                value = json_typed(value, f"layer {i}: {key}")
             kwargs[f.name] = value
         layers.append(cls(**kwargs))
 
@@ -296,7 +288,7 @@ def _model_from_manifest(path: str, manifest: dict, strict: bool) -> ModelDef:
     model = ModelDef(
         name=manifest["name"],
         bit_width=bit_width,
-        input_shape=tuple(_json_int(inp[k], f"input {k}") for k in ("channels", "height", "width")),
+        input_shape=tuple(json_typed(inp[k], f"input {k}") for k in ("channels", "height", "width")),
         input_scale=inp["scale"],
         layers=layers,
         engine=manifest.get("engine", "direct"),
@@ -373,15 +365,16 @@ def _dataset_from_meta(path: str, meta: dict, strict: bool) -> Dataset:
         blob = f.read()
     if hashlib.sha256(blob).hexdigest() != meta["blob"]["sha256"]:
         raise ConfigError("dataset blob checksum mismatch")
-    qp = QuantParams(int(meta["bit_width"]), meta["scale"])
-    shape = tuple(meta["shape"])
+    qp = QuantParams(json_typed(meta["bit_width"], "dataset bit_width"), meta["scale"])
+    shape = tuple(json_typed(d, "dataset shape entry") for d in meta["shape"])
+    count = json_typed(meta["count"], "dataset count")
     n = int(np.prod(shape))
     dtype = np.dtype(_DTYPES["int8" if qp.bit_width == 8 else "int16"])
     flat = np.frombuffer(blob, dtype=dtype).astype(np.int64)
-    if flat.size != meta["count"] * n:
+    if flat.size != count * n:
         raise ConfigError("dataset blob size does not match count * shape")
     samples = [
-        QTensor((1,) + shape, flat[i * n : (i + 1) * n], qp) for i in range(meta["count"])
+        QTensor((1,) + shape, flat[i * n : (i + 1) * n], qp) for i in range(count)
     ]
     labels = None
     if meta.get("labels"):
@@ -409,14 +402,6 @@ def generate_dataset(model: ModelDef, count: int, seed: int) -> Dataset:
 
 # ---------------------------------------------------------------------------
 # Toy model generation
-
-
-def _float_conv3x3(x: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
-    n, c, h, ww = x.shape
-    xp = np.zeros((n, c, h + 2 * pad, ww + 2 * pad))
-    xp[:, :, pad : pad + h, pad : pad + ww] = x
-    win = sliding_window_view(xp, (3, 3), axis=(2, 3))
-    return np.einsum("nchwyx,kcyx->nkhw", win, w)
 
 
 def generate_toy_model(
@@ -448,7 +433,7 @@ def generate_toy_model(
     for d in range(depth):
         w = rng.normal(0.0, 1.0 / math.sqrt(c_in * 9), size=(channels, c_in, 3, 3))
         w_scale = pow2_scale_for(float(np.abs(w).max()), bit_width)
-        y = _float_conv3x3(x, w, padding)
+        y = conv3x3_gemm(np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))), w)
         out_scale = pow2_scale_for(float(np.abs(y).max()) * 1.25, bit_width)
         layers.append(
             ConvLayer(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .analyze import Campaign, VulnReport
-from .errors import ConfigError, open_input
+from .errors import ConfigError, json_typed, open_input
 from .inject import FaultTrace, InjectionConfig, op_level_hook
 from .inject import sample_op_flips  # noqa: F401 - perfbench/tracing.py rebinds tmr.sample_op_flips
 from .modelio import ModelDef
@@ -157,13 +157,13 @@ class TmrPlan:
     @staticmethod
     def from_dict(d: dict) -> "TmrPlan":
         return TmrPlan(
-            segment_size=int(d["segment_size"]),
-            total_ops=int(d["total_ops"]),
-            order=[int(i) for i in d["order"]],
-            n=int(d["n"]),
+            segment_size=json_typed(d["segment_size"], "plan segment_size"),
+            total_ops=json_typed(d["total_ops"], "plan total_ops"),
+            order=[json_typed(i, "plan order entry") for i in d["order"]],
+            n=json_typed(d["n"], "plan n"),
             achieved_acc=float(d["achieved_acc"]),
             target_acc=float(d.get("target_acc", 0.0)),
-            target_unreachable=bool(d.get("target_unreachable", False)),
+            target_unreachable=json_typed(d.get("target_unreachable", False), "plan target_unreachable", bool),
             vulnerability=list(d.get("vulnerability", [])),
             vulnerability_ci=list(d.get("vulnerability_ci", [])),
             overhead=d.get("overhead"),

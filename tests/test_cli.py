@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -386,6 +387,11 @@ def test_eval_tmr_without_protection_equals_sweep(assets, tmp_path):
     {"order": [9, 0, 1, 2]},  # no segment 9
     {"order": [1, 1, 0, 2]},  # segment 1 twice, so its op range is protected twice
     {"n": 5},  # more segments than the plan has
+    # a number that is no JSON integer (or bool) is an error, not truncated
+    {"n": 1.9},
+    {"order": ["3", "2", "1", "0"]},
+    {"segment_size": 864.7},  # the plan's own 864 segment size, as a float
+    {"target_unreachable": "no"},
 ])
 def test_eval_tmr_rejects_malformed_plan(assets, tmp_path, capsys, fields):
     plan = tmp_path / "plan.json"
@@ -408,6 +414,24 @@ def test_eval_tmr_workers_do_not_change_bytes(assets, tmp_path):
         )
         assert code == 0
     assert (tmp_path / "eval2.csv").read_bytes() == (tmp_path / "eval1.csv").read_bytes()
+
+
+@pytest.mark.parametrize("case", ["float-bound", "string-bound", "linear-layer"])
+def test_malformed_range_profile_exits_2(assets, tmp_path, capsys, case):
+    prof = tmp_path / "profile.json"
+    common = ("--model", assets["model"], "--dataset", assets["dataset"])
+    assert run_cli("profile-ranges", *common, "--out", str(prof)) == 0
+    doc = json.loads(prof.read_text())
+    lo, hi = doc["0"]
+    # layer 5 is the model's linear layer, which no profile range applies to
+    doc.update({"float-bound": {"0": [lo, hi + 0.9]}, "string-bound": {"0": [lo, str(hi)]},
+                "linear-layer": {"5": [lo, hi]}}[case])
+    prof.write_text(json.dumps(doc))
+    code = run_cli("sweep", *common, "--ber", "1e-4", "--trials", "1", "--ranges", str(prof),
+                   "--out", str(tmp_path / "r.csv"))
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "ConfigError"
+    assert not (tmp_path / "r.csv").exists()
 
 
 def _campaign_config(assets, tmp_path, command):
@@ -512,3 +536,54 @@ def test_missing_or_malformed_input_file_exits_2(assets, tmp_path, capsys, case)
     assert rec["error"] == "ConfigError"
     assert str(broken) in rec["message"]
     assert not (tmp_path / "r.csv").exists()
+
+
+def _embedded_config(path) -> str:
+    """The config lines a result file embeds: ``# config=`` and
+    ``# config_hash=`` of a CSV, the config and hash of a JSON ``meta`` or
+    ``_meta`` block."""
+    text = path.read_text()
+    if text.startswith("{"):
+        doc = json.loads(text)
+        meta = doc["meta"] if "meta" in doc else doc["_meta"]
+        return meta["config"] + "\n" + meta["config_hash"]
+    return "\n".join(l for l in text.splitlines() if l.startswith(("# config=", "# config_hash=")))
+
+
+# sha256 of each output's embedded config lines. Every key a command sets is
+# part of the config except out, format, workers, save_trace, lenient and
+# verbose, so the flags these runs pass for those keys change no digest.
+PINNED_CONFIG_DIGESTS = {
+    "p.json": "3e92e37c1913041acba2480fdd626d668edb39690b94dccba4bf5bf8067b78cf",
+    "sweep.csv": "34b8e49b093bc26240bb858680231dc5a25deb22d0c7abb3643e9e766187dce1",
+    "neuron.json": "66ec72fe719a2041e43e931fdaac0faffb38f4f1a5ad95fa07d26dc9fc84ce98",
+    "layers.json": "15498f0d08863efa48e02334b1b5cb8536e18353eb5aacda643340d2278b126a",
+    "optypes.csv": "bfd4bfb07463a219666a21c000a5969b28012af0639deecd6a1a6446c2c8d511",
+    "plan.json": "e2dfacb286e886067762f58ec604153136809888a72fe12453bf74ae466058d4",
+    "tmr.csv": "0fe9d723c54d03a47bbdccec4b250c849944e03df8b04c6717b1ce06263e6c6c",
+}
+
+
+def test_embedded_configs_are_pinned(assets, tmp_path, monkeypatch):
+    shutil.copytree(assets["model"], tmp_path / "m")
+    shutil.copytree(assets["dataset"], tmp_path / "d")
+    monkeypatch.chdir(tmp_path)  # relative paths, so the embedded ones are stable
+    (tmp_path / "c.json").write_text(json.dumps({"model": "m", "dataset": "d", "trials": 2, "seed": 3}))
+    runs = {
+        "p.json": ("profile-ranges", "--model", "m", "--dataset", "d", "--seed", "4", "--engine", "winograd", "--lenient"),
+        "sweep.csv": ("sweep", "--config", "c.json", "--ber", "1e-4", "--engine", "winograd",
+                      "--scope", "exclude_optypes=MUL", "--fault-bits", "MUL:20,ADD:12",
+                      "--workers", "2", "--lenient", "--save-trace", "sweep.jsonl"),
+        "neuron.json": ("-v", "sweep", "--model", "m", "--dataset", "d", "--ber", "0,1e-3", "--trials", "2",
+                        "--granularity", "neuron", "--ranges", "p.json", "--range-mode", "zero", "--format", "json"),
+        "layers.json": ("layer-vuln", "--config", "c.json", "--ber", "3e-4", "--format", "json", "--workers", "2"),
+        "optypes.csv": ("optype-vuln", "--config", "c.json", "--ber", "3e-4", "--scope", "exclude_layers=0", "--lenient"),
+        "plan.json": ("plan-tmr", "--config", "c.json", "--ber", "2e-4", "--segment-size", "2000",
+                      "--target-acc", "0.5", "--cost-mul", "5", "--literal-do-while", "--workers", "2"),
+        "tmr.csv": ("eval-tmr", "--config", "c.json", "--plan", "plan.json", "--ber", "2e-4",
+                    "--save-trace", "tmr.jsonl", "--lenient"),
+    }
+    for out, argv in runs.items():
+        assert run_cli(*argv, "--out", out) == 0, argv
+    digests = {out: hashlib.sha256(_embedded_config(tmp_path / out).encode()).hexdigest() for out in runs}
+    assert digests == PINNED_CONFIG_DIGESTS

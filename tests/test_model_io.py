@@ -114,7 +114,7 @@ def test_missing_layer_key_exits_2(tmp_path, capsys, layer_type, key):
 
 
 @pytest.mark.parametrize(
-    "key,value", [("padding", 1.9), ("out_channels", "4"), ("bit_width", 8.9), ("height", 8.0)]
+    "key,value", [("padding", 1.9), ("out_channels", "4"), ("bit_width", 8.9), ("height", 8.0), ("offset", 0.0)]
 )
 def test_non_integer_manifest_field_exits_2(tmp_path, capsys, key, value):
     # A manifest int field takes only a JSON integer: a float or a string
@@ -124,9 +124,26 @@ def test_non_integer_manifest_field_exits_2(tmp_path, capsys, key, value):
     save_dataset(generate_dataset(builtin_model("toycnn-int8"), 2, seed=104), str(tmp_path / "ds"))
     manifest = json.loads((d / "manifest.json").read_text())
     convs = [l for l in manifest["layers"] if l["type"] == "conv3x3"]
-    {"padding": convs[0], "out_channels": convs[1], "bit_width": manifest, "height": manifest["input"]}[key][key] = value
+    {"padding": convs[0], "out_channels": convs[1], "bit_width": manifest, "height": manifest["input"],
+     "offset": manifest["tensors"]["layer0.weight"]}[key][key] = value
     _write_manifest(d, manifest)
     code = main(["sweep", "--model", str(d), "--dataset", str(tmp_path / "ds"), "--ber", "0", "--trials", "1"])
+    assert code == 2
+    assert key in json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
+
+
+@pytest.mark.parametrize(
+    "key,value", [("bit_width", "8"), ("bit_width", 8.0), ("shape", [1, 8.0, 8]), ("count", 2.0)]
+)
+def test_non_integer_dataset_field_exits_2(tmp_path, capsys, key, value):
+    model = builtin_model("toycnn-int8")
+    save_model(model, str(tmp_path / "m"))
+    ds = tmp_path / "ds"
+    save_dataset(generate_dataset(model, 2, seed=105), str(ds))
+    meta = json.loads((ds / "dataset.json").read_text())
+    meta[key] = value
+    (ds / "dataset.json").write_text(json.dumps(meta))
+    code = main(["sweep", "--model", str(tmp_path / "m"), "--dataset", str(ds), "--ber", "0", "--trials", "1"])
     assert code == 2
     assert key in json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
 
