@@ -30,7 +30,6 @@ from .errors import BitPositionError, ConfigError, ShapeError
 from .inject import (
     FaultTrace,
     Granularity,
-    InjectionConfig,
     Scope,
     ber_neuron_to_op_scale,
     neuron_level_inject,

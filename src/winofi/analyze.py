@@ -22,7 +22,6 @@ from .errors import ConfigError
 from .inject import (
     FaultTrace,
     Granularity,
-    InjectionConfig,
     Scope,
     neuron_level_inject,
     op_level_hook,
@@ -102,6 +101,8 @@ class Campaign:
     ):
         if len(dataset) == 0:
             raise ConfigError("dataset is empty")
+        if workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {workers}")
         self.model = model
         self.dataset = dataset
         self.engine = engine or model.engine
@@ -127,6 +128,10 @@ class Campaign:
         if use_labels:
             if dataset.labels is None:
                 raise ConfigError("use_labels requires a labeled dataset")
+            classes = clean[0].size
+            stray = sorted({lab for lab in dataset.labels if not 0 <= lab < classes})
+            if stray:
+                raise ConfigError(f"labels {stray} are outside the model's {classes} outputs [0, {classes})")
             self.refs = list(dataset.labels)
         else:
             self.refs = self.clean_top1
@@ -147,9 +152,8 @@ class Campaign:
                          trace: Optional[FaultTrace] = None, replay: Optional[FaultTrace] = None,
                          capture: tuple = (), protected=()):
         x = self.dataset.samples[sample_idx]
-        cfg = InjectionConfig(self.granularity, ber, self.seed, scope, fault_bits=self.fault_bits)
         if self.granularity is Granularity.OP_LEVEL:
-            hook, _ = op_level_hook(cfg, self.opspace, trial=trial, sample=sample_idx,
+            hook, _ = op_level_hook(self.opspace, self.seed, ber, scope, trial=trial, sample=sample_idx,
                                     trace=trace, replay=replay, protected=protected)
             return run_inference(
                 self.model, x, self.engine, hook,
@@ -159,7 +163,7 @@ class Campaign:
 
         def neuron_fn(layer_id, out):
             return neuron_level_inject(
-                out, cfg, layer_id, trial=trial, sample=sample_idx,
+                out, layer_id, self.seed, ber, scope, trial=trial, sample=sample_idx,
                 neuron_offset=offsets[layer_id], trace=trace, replay=replay,
             )
 
@@ -210,9 +214,14 @@ class Campaign:
         TMR-``protected`` op ranges are passed on to ``op_level_hook``."""
         if trials < 1:
             raise ConfigError("trials must be >= 1")
+        if not 0.0 <= ber <= 1.0:
+            raise ConfigError(f"ber must be in [0, 1], got {ber}")
+        for lid in rmse_layers:
+            if lid not in self.opspace.neuron_sizes:
+                raise ConfigError(f"layer {lid} is not a conv layer of this model")
         scope = scope if scope is not None else self.base_scope
         if replay is not None:
-            replay.validate(self.opspace, trials, self.sample_count, protected)
+            replay.validate(self.opspace, trials, self.sample_count, self.granularity.value, protected)
         rmse_acc = {lid: [] for lid in rmse_layers}
         if ber == 0.0 and replay is None:
             # zero flips: every trial is the same deterministic inference
@@ -298,24 +307,10 @@ def sweep_ber(
     ]
 
 
-def rmse_layer(
-    model: ModelDef,
-    x,
-    layer_id: int,
-    cfg: InjectionConfig,
-    engine: Optional[str] = None,
-    *,
-    trials: int,
-) -> float:
+def rmse_layer(camp: Campaign, layer_id: int, ber: float, trials: int) -> float:
     """RMSE between fault-free and faulty dequantized outputs of one conv
-    layer, averaged over trials."""
-    camp = Campaign(
-        model, Dataset([x]), engine, granularity=cfg.granularity, seed=cfg.seed,
-        scope=cfg.scope, fault_bits=cfg.fault_bits,
-    )
-    if layer_id not in camp.opspace.neuron_sizes:
-        raise ConfigError(f"layer {layer_id} is not a conv layer of this model")
-    return camp.run_point(cfg.ber, trials, rmse_layers=(layer_id,)).layer_rmse[layer_id]
+    layer, averaged over trials and ``camp``'s samples."""
+    return camp.run_point(ber, trials, rmse_layers=(layer_id,)).layer_rmse[layer_id]
 
 
 def layer_vulnerability(camp: Campaign, ber: float, trials: int) -> list[VulnReport]:

@@ -350,11 +350,10 @@ def cmd_gen_dataset(cfg: dict) -> None:
 # Argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser, *, dataset=True, campaign=True):
+def _add_common(p: argparse.ArgumentParser, *, campaign=True):
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--model", help="model directory")
-    if dataset:
-        p.add_argument("--dataset", help="dataset directory")
+    p.add_argument("--dataset", help="dataset directory")
     p.add_argument("--engine", choices=["direct", "winograd"], help="conv engine (default: model's)")
     p.add_argument("--out", help="output file (default: stdout)")
     p.add_argument("--lenient", action="store_true", default=None, help="warn instead of failing on unknown manifest fields")

@@ -13,7 +13,7 @@ draws of anything else, which is what paired-scope campaigns rely on.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -152,21 +152,6 @@ class Scope:
         return ";".join(parts)
 
 
-@dataclass
-class InjectionConfig:
-    granularity: Granularity = Granularity.OP_LEVEL
-    ber: float = 0.0
-    seed: int = 0
-    scope: Scope = field(default_factory=Scope)
-    fault_bits: Optional[object] = None  # None | int | {"MUL": w, "ADD": w}
-
-    def __post_init__(self):
-        if isinstance(self.granularity, str):
-            self.granularity = Granularity(self.granularity)
-        if not 0.0 <= self.ber <= 1.0:
-            raise ConfigError(f"ber must be in [0, 1], got {self.ber}")
-
-
 # ---------------------------------------------------------------------------
 # Fault traces
 
@@ -200,22 +185,26 @@ class FaultTrace:
             self._index_len = len(self.events)
         return dict(self._index.get((trial, sample, kind, copy), {}))
 
-    def validate(self, opspace: OpSpace, trials: int, samples: int, protected=()) -> None:
-        """Raise ConfigError unless every event fits the campaign: trial and
-        sample inside [0, trials) and [0, samples), index inside the op or
-        neuron space, bit below the op's or neuron's width, and copies 1-2
-        only when some op range is protected."""
+    def validate(self, opspace: OpSpace, trials: int, samples: int, campaign_kind: str, protected=()) -> None:
+        """Raise ConfigError unless every event fits the campaign: records of
+        the campaign's ``campaign_kind`` (op or neuron) only, trial and sample
+        inside [0, trials) and [0, samples), index inside the op or neuron
+        space, bit below the op's or neuron's width, and copies 1-2 only on
+        ops inside the ``protected`` ranges."""
         if not self.events:
             return
         t, s, kind, idx, bit, copy = zip(*self.events)
         t, s, idx, bit, copy = (np.array(v, dtype=np.int64) for v in (t, s, idx, bit, copy))
-        op = np.array(kind) == KIND_OP
+        kinds = np.array(kind)
+        op = kinds == KIND_OP
         size = np.where(op, opspace.total_ops, opspace.total_neurons)
         inside = (0 <= idx) & (idx < size)
         width = np.full(idx.shape, opspace.bit_width)
         width[op & inside] = opspace.op_widths(idx[op & inside])
-        copies = 3 if protected else 1
+        copies = np.where(op & inside & _in_ranges(idx, protected), 3, 1)
         checks = (
+            (kinds == campaign_kind,
+             "{kind} record {idx} is of the other granularity: the campaign injects {campaign_kind}-level faults"),
             ((0 <= t) & (t < trials), "trial {t} outside [0, {trials})"),
             ((0 <= s) & (s < samples), "sample {s} outside [0, {samples})"),
             (inside, "{kind} {idx} outside [0, {size})"),
@@ -229,7 +218,8 @@ class FaultTrace:
             msg = checks[int(np.argmax(bad[:, i]))][1]
             raise ConfigError("trace " + msg.format(
                 t=t[i], s=s[i], kind=kind[i], idx=idx[i], bit=bit[i], copy=copy[i],
-                trials=trials, samples=samples, size=size[i], width=width[i], copies=copies,
+                trials=trials, samples=samples, size=size[i], width=width[i], copies=copies[i],
+                campaign_kind=campaign_kind,
             ))
 
     def save_jsonl(self, path: str) -> None:
@@ -307,8 +297,10 @@ def _vote(a: int, b: int, c: int) -> int:
 
 
 def op_level_hook(
-    cfg: InjectionConfig,
     opspace: OpSpace,
+    seed: int,
+    ber: float,
+    scope: Scope = Scope(),
     *,
     trial: int = 0,
     sample: int = 0,
@@ -318,7 +310,7 @@ def op_level_hook(
 ):
     """Instrumentation callback flipping in-scope op result bits.
 
-    Flips are sampled for (cfg.seed, trial, sample) or taken from ``replay``.
+    Flips are sampled at ``ber`` for (seed, trial, sample) or taken from ``replay``.
     Ops inside the sorted [start, end) ``protected`` ranges run under TMR:
     three copies with independent flips (copies 0-2), majority-voted. Every
     other op takes the copy-0 flips. Scope and protection are decided here,
@@ -327,15 +319,13 @@ def op_level_hook(
     order. ``hook.struck`` holds the sorted ids of the ops the hook changes,
     the ``struck`` argument of ``run_inference``.
     """
-    if cfg.granularity is not Granularity.OP_LEVEL:
-        raise ConfigError("op_level_hook needs an OP_LEVEL config")
     if trace is None:
         trace = FaultTrace()
     copies = 3 if protected else 1
     if replay is not None:
         tables = [replay.masks_for(trial, sample, KIND_OP, copy=c) for c in range(copies)]
     else:
-        tables = [sample_op_flips(opspace, cfg.seed, trial, sample, cfg.ber, copy=c) for c in range(copies)]
+        tables = [sample_op_flips(opspace, seed, trial, sample, ber, copy=c) for c in range(copies)]
     # {op_id: mask} for single ops, {op_id: (m0, m1, m2)} for protected ones
     faults = tables[0]
     if protected:
@@ -343,7 +333,7 @@ def op_level_hook(
         for op_id in ids[_in_ranges(ids, protected)].tolist():
             faults[op_id] = tuple(t.get(op_id, 0) for t in tables)
     ids = np.array(sorted(faults), dtype=np.int64)
-    struck = ids[cfg.scope.keep(opspace, ids)]
+    struck = ids[scope.keep(opspace, ids)]
     faults = {op_id: faults[op_id] for op_id in struck.tolist()}
     events = trace.events
 
@@ -368,8 +358,10 @@ def op_level_hook(
 
 def neuron_level_inject(
     output: QTensor,
-    cfg: InjectionConfig,
     layer_id: int,
+    seed: int,
+    ber: float,
+    scope: Scope = Scope(),
     *,
     trial: int = 0,
     sample: int = 0,
@@ -384,9 +376,7 @@ def neuron_level_inject(
     ``replay`` supplies the flips instead, as the trace's global neuron
     indices for (trial, sample). Layers outside the scope are never struck.
     """
-    if cfg.granularity is not Granularity.NEURON_LEVEL:
-        raise ConfigError("neuron_level_inject needs a NEURON_LEVEL config")
-    if not cfg.scope.allows_layer(layer_id):
+    if not scope.allows_layer(layer_id):
         return output
     width = output.qparams.bit_width
     if replay is not None:
@@ -396,7 +386,7 @@ def neuron_level_inject(
         uniq = np.fromiter(local.keys(), dtype=np.int64, count=len(local))
         masks = np.fromiter(local.values(), dtype=np.int64, count=len(local))
     else:
-        pos = sample_flip_positions(cfg.seed, (STREAM_NEURON, trial, sample, layer_id), output.size * width, cfg.ber)
+        pos = sample_flip_positions(seed, (STREAM_NEURON, trial, sample, layer_id), output.size * width, ber)
         uniq, masks = _flip_masks(pos, width)
         if trace is not None:
             for i, m in zip(uniq.tolist(), masks.tolist()):

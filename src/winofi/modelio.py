@@ -382,7 +382,9 @@ def _dataset_from_meta(path: str, meta: dict, strict: bool) -> Dataset:
         with open_input(os.path.join(path, meta["labels"]), "dataset labels") as f:
             next(f)
             for line in f:
-                _, lab = line.strip().split(",")
+                idx, lab = line.strip().split(",")
+                if int(idx) != len(labels):
+                    raise ConfigError(f"labels.csv index {idx} where {len(labels)} was expected; indices read 0..n-1")
                 labels.append(int(lab))
     return Dataset(samples, labels)
 

@@ -186,9 +186,9 @@ def _resolve_fault_bits(fault_bits, bit_width: int) -> tuple[int, int]:
         return 2 * bit_width, bit_width
     if isinstance(fault_bits, int):
         wm = wa = fault_bits
-    elif isinstance(fault_bits, dict) and set(fault_bits) <= {"MUL", "ADD", OpType.MUL, OpType.ADD}:
-        wm = int(fault_bits.get("MUL", fault_bits.get(OpType.MUL, bit_width)))
-        wa = int(fault_bits.get("ADD", fault_bits.get(OpType.ADD, bit_width)))
+    elif isinstance(fault_bits, dict) and set(fault_bits) <= {"MUL", "ADD"}:
+        wm = int(fault_bits.get("MUL", bit_width))
+        wa = int(fault_bits.get("ADD", bit_width))
     else:
         raise ConfigError(f"fault_bits must be None, int, or a MUL/ADD mapping, got {fault_bits!r}")
     if not (1 <= wm <= MAX_FAULT_BITS and 1 <= wa <= MAX_FAULT_BITS):

@@ -16,11 +16,12 @@ from typing import Callable, Optional, Sequence
 
 from .analyze import Campaign, VulnReport
 from .errors import ConfigError, json_typed, open_input
-from .inject import FaultTrace, InjectionConfig, op_level_hook
+from .inject import FaultTrace
 from .inject import sample_op_flips  # noqa: F401 - perfbench/tracing.py rebinds tmr.sample_op_flips
-from .modelio import ModelDef
 from .qtensor import QTensor
-from .runtime import OpSpace, enumerate_ops, run_inference
+from .runtime import OpSpace
+from .runtime import enumerate_ops  # noqa: F401 - perfbench/tracing.py rebinds tmr.enumerate_ops
+from .runtime import run_inference  # noqa: F401 - perfbench/tracing.py rebinds tmr.run_inference
 
 
 @dataclass(frozen=True)
@@ -272,22 +273,18 @@ def make_segment_eval(campaign: Campaign, ber: float, trials: int) -> Callable:
 
 
 def run_with_tmr(
-    model: ModelDef,
-    x: QTensor,
-    engine: Optional[str],
+    camp: Campaign,
     plan: TmrPlan,
-    cfg: InjectionConfig,
+    ber: float,
     *,
     trial: int = 0,
     sample: int = 0,
     trace: Optional[FaultTrace] = None,
     replay: Optional[FaultTrace] = None,
 ) -> QTensor:
-    """One inference with per-op TMR over ``plan``'s protected segments (see
-    ``op_level_hook``)."""
-    engine = engine or model.engine
-    space = enumerate_ops(model, engine, fault_bits=cfg.fault_bits)
-    plan.check_fits(space)
-    hook, _ = op_level_hook(cfg, space, trial=trial, sample=sample, trace=trace, replay=replay,
-                            protected=plan.protected_ranges)
-    return run_inference(model, x, engine, hook, struck=hook.struck).output
+    """One inference of ``camp``'s sample ``sample`` with per-op TMR over
+    ``plan``'s protected segments (see ``op_level_hook``)."""
+    camp.require_op_level("run_with_tmr")
+    plan.check_fits(camp.opspace)
+    return camp.corrupted_output(trial, sample, ber, camp.base_scope, trace=trace, replay=replay,
+                                 protected=plan.protected_ranges).output

@@ -16,7 +16,6 @@ from winofi.engine import ConvSpec, OpType, Stage, conv_direct, conv_winograd
 from winofi.inject import (
     FaultTrace,
     Granularity,
-    InjectionConfig,
     Scope,
     op_level_hook,
     sample_op_flips,
@@ -137,7 +136,7 @@ def test_criterion_03_injector_statistics(micro16):
     small = generate_toy_model(depth=1, channels=1, bit_width=8, seed=6, hw=4)
     sp = enumerate_ops(small, "direct")
     x = generate_dataset(small, 1, seed=6).samples[0]
-    inner, _ = op_level_hook(InjectionConfig(ber=1.0, seed=2), sp)
+    inner, _ = op_level_hook(sp, 2, 1.0)
     seen = []
 
     def spy(op_id, layer_id, op_type, stage, value):
@@ -248,7 +247,7 @@ def test_criterion_07_tmr_correctness(micro16, micro16_data):
         events.append((0, 0, "op", int(op_id), int(rng.integers(0, space.op_width(int(op_id)))),
                        int(rng.integers(0, 3))))
     forced = FaultTrace(events)
-    out = run_with_tmr(micro16, x, "direct", plan, InjectionConfig(ber=0.9, seed=21), replay=forced)
+    out = run_with_tmr(Campaign(micro16, micro16_data, "direct", seed=21), plan, 0.9, replay=forced)
     assert out == clean
 
     # Monte-Carlo: full protection beats unprotected with non-overlapping CIs
@@ -258,9 +257,8 @@ def test_criterion_07_tmr_correctness(micro16, micro16_data):
     per_trial = []
     for t in range(trials):
         ok = 0
-        for i, s in enumerate(micro16_data.samples):
-            cfg = InjectionConfig(ber=ber, seed=22)
-            got = run_with_tmr(micro16, s, "direct", plan, cfg, trial=t, sample=i)
+        for i in range(camp.sample_count):
+            got = run_with_tmr(camp, plan, ber, trial=t, sample=i)
             ok += int(top1(got) == camp.refs[i])
         per_trial.append(ok / camp.sample_count)
     prot_mean = float(np.mean(per_trial))

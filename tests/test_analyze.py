@@ -16,7 +16,7 @@ from winofi.analyze import (
 )
 from winofi.engine import OpType
 from winofi.errors import ConfigError
-from winofi.inject import FaultTrace, Granularity, InjectionConfig, Scope
+from winofi.inject import FaultTrace, Granularity, Scope
 from winofi.modelio import (
     ConvLayer,
     Dataset,
@@ -118,9 +118,8 @@ def test_labeled_accuracy_mode(model, dataset):
 
 
 def test_rmse_zero_at_ber_zero(model, dataset):
-    cfg = InjectionConfig(ber=0.0, seed=7)
     lid = model.conv_layer_ids()[0]
-    assert rmse_layer(model, dataset.samples[0], lid, cfg, trials=3) == 0.0
+    assert rmse_layer(Campaign(model, Dataset(dataset.samples[:1]), seed=7), lid, 0.0, 3) == 0.0
 
 
 def test_rmse_single_sign_flip_formula(model, dataset):
@@ -143,27 +142,24 @@ def test_rmse_single_sign_flip_formula(model, dataset):
 
 
 def test_rmse_positive_under_injection(model, dataset):
-    cfg = InjectionConfig(ber=1e-4, seed=8)
     lid = model.conv_layer_ids()[1]
-    val = rmse_layer(model, dataset.samples[0], lid, cfg, engine="direct", trials=5)
+    val = rmse_layer(Campaign(model, Dataset(dataset.samples[:1]), "direct", seed=8), lid, 1e-4, 5)
     assert val > 0.0
 
 
 def test_rmse_winograd_below_direct_trend(model, dataset):
     # paired op-level campaign at equal BER: fewer, cheaper ops per output in
     # the winograd stream lead to lower layer RMSE
-    cfg = InjectionConfig(ber=2e-4, seed=9)
     lid = model.conv_layer_ids()[1]
-    x = dataset.samples[0]
-    direct = rmse_layer(model, x, lid, cfg, engine="direct", trials=40)
-    wino = rmse_layer(model, x, lid, cfg, engine="winograd", trials=40)
+    x = Dataset(dataset.samples[:1])
+    direct = rmse_layer(Campaign(model, x, "direct", seed=9), lid, 2e-4, 40)
+    wino = rmse_layer(Campaign(model, x, "winograd", seed=9), lid, 2e-4, 40)
     assert wino < direct
 
 
 def test_rmse_rejects_non_conv_layer(model, dataset):
-    cfg = InjectionConfig(ber=0.0)
     with pytest.raises(ConfigError):
-        rmse_layer(model, dataset.samples[0], 99, cfg, trials=1)
+        rmse_layer(Campaign(model, Dataset(dataset.samples[:1])), 99, 0.0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,8 @@ def _sweep_with_trace(assets, tmp_path, granularity):
     ("neuron", {"neuron": 0, "bit": 0, "trial": -1}),
     ("op", {"op_id": 0, "bit": 0, "sample": "0"}),  # a string, not an integer
     ("op", {"op_id": 0, "bit": 0, "copy": "1"}),
+    ("op", {"neuron": 0, "bit": 0}),  # a record of the other granularity
+    ("neuron", {"op_id": 0, "bit": 0}),
 ])
 def test_replay_rejects_trace_outside_op_space(assets, tmp_path, capsys, granularity, record):
     out, trace = _sweep_with_trace(assets, tmp_path, granularity)
@@ -325,6 +327,38 @@ def test_bad_scope_exits_2(assets, tmp_path, capsys, scope):
     assert code == 2
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "ConfigError"
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [("--ber", "1.5"), ("--ber", "-0.1"), ("--workers", "0"), ("--workers", "-4")],
+                         ids=" ".join)
+def test_bad_ber_or_workers_exits_2(assets, tmp_path, capsys, flags):
+    code = run_cli(
+        "sweep", "--model", assets["model"], "--dataset", assets["dataset"],
+        "--ber", "1e-3", "--trials", "2", *flags, "--out", str(tmp_path / "r.csv"),
+    )
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "ConfigError"
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("rows,code", [
+    ("0,0\n1,1\n2,2\n3,3\n", 0),
+    ("0,0\n1,1\n2,2\n3,9\n", 2),  # the model has 4 classes
+    ("0,0\n1,-1\n2,2\n3,3\n", 2),
+    ("1,1\n0,0\n2,2\n3,3\n", 2),  # the index column must read 0..n-1 in order
+], ids=["in-range", "label-9", "label-minus-1", "index-out-of-order"])
+def test_labels_must_be_scorable(assets, tmp_path, capsys, rows, code):
+    from winofi.modelio import Dataset, load_dataset
+
+    ddir = tmp_path / "labeled"
+    save_dataset(Dataset(load_dataset(assets["dataset"]).samples, labels=[0, 1, 2, 3]), str(ddir))
+    (ddir / "labels.csv").write_text("index,label\n" + rows)
+    out = tmp_path / "r.csv"
+    assert run_cli("sweep", "--model", assets["model"], "--dataset", str(ddir),
+                   "--ber", "0", "--trials", "1", "--use-labels", "--out", str(out)) == code
+    if code:
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "ConfigError"
+    assert out.exists() == (code == 0)
 
 
 def test_neuron_replay_honours_scope(assets, tmp_path):
@@ -381,6 +415,23 @@ def test_eval_tmr_without_protection_equals_sweep(assets, tmp_path):
     assert run_cli("sweep", *common, "--out", str(tmp_path / "sweep.csv")) == 0
     assert run_cli("eval-tmr", *common, "--plan", str(plan), "--out", str(tmp_path / "eval.csv")) == 0
     assert _rows(tmp_path / "eval.csv") == _rows(tmp_path / "sweep.csv")
+
+
+def test_eval_tmr_replay_rejects_copies_on_unprotected_ops(assets, tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    _write_plan(assets, plan, "direct", n=1, n_segments=2)  # protects the upper half of the op stream
+    common = ("--model", assets["model"], "--dataset", assets["dataset"], "--engine", "direct",
+              "--ber", "1e-4", "--trials", "1")
+    out = tmp_path / "eval.csv"
+    assert run_cli("eval-tmr", *common, "--plan", str(plan), "--out", str(out)) == 0
+    trace = tmp_path / "trace.jsonl"
+    last_op = json.loads(plan.read_text())["total_ops"] - 1
+    for op_id, code in ((last_op, 0), (0, 2)):
+        trace.write_text(json.dumps({"trial": 0, "sample": 0, "op_id": op_id, "bit": 0, "copy": 1}) + "\n")
+        replayed = tmp_path / f"replay{op_id}.csv"
+        assert run_cli("replay", "--results", str(out), "--trace", str(trace), "--out", str(replayed)) == code
+        assert replayed.exists() == (code == 0)
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "ConfigError"
 
 
 @pytest.mark.parametrize("fields", [

@@ -6,8 +6,6 @@ from winofi.engine import OpType
 from winofi.errors import ConfigError
 from winofi.inject import (
     FaultTrace,
-    Granularity,
-    InjectionConfig,
     Scope,
     ber_neuron_to_op_scale,
     bit_ratio,
@@ -29,22 +27,6 @@ def model():
 @pytest.fixture(scope="module")
 def sample(model):
     return generate_dataset(model, 1, seed=22).samples[0]
-
-
-def cfg_op(ber, seed=0, scope=Scope()):
-    return InjectionConfig(Granularity.OP_LEVEL, ber, seed, scope)
-
-
-def cfg_neuron(ber, seed=0, scope=Scope()):
-    return InjectionConfig(Granularity.NEURON_LEVEL, ber, seed, scope)
-
-
-def test_injection_config_validation():
-    with pytest.raises(ConfigError):
-        InjectionConfig(ber=1.5)
-    with pytest.raises(ConfigError):
-        InjectionConfig(ber=-0.1)
-    assert InjectionConfig(granularity="neuron").granularity is Granularity.NEURON_LEVEL
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +96,7 @@ def test_sampler_is_pure_function_of_key():
 
 def test_opcfg_ber_zero_identity(model, sample):
     space = enumerate_ops(model, "direct")
-    hook, trace = op_level_hook(cfg_op(0.0), space)
+    hook, trace = op_level_hook(space, 0, 0.0)
     out = run_inference(model, sample, "direct", hook).output
     clean = run_inference(model, sample, "direct").output
     assert out == clean
@@ -125,7 +107,7 @@ def test_opcfg_ber_one_complements_every_result(model, sample):
     space = enumerate_ops(model, "direct")
     seen = {}
 
-    hook, _ = op_level_hook(cfg_op(1.0), space)
+    hook, _ = op_level_hook(space, 0, 1.0)
 
     def spy(op_id, layer_id, op_type, stage, value):
         got = hook(op_id, layer_id, op_type, stage, value)
@@ -144,8 +126,7 @@ def test_opcfg_ber_one_complements_every_result(model, sample):
 
 def test_trace_records_match_masks(model, sample):
     space = enumerate_ops(model, "direct")
-    cfg = cfg_op(2e-4, seed=5)
-    hook, trace = op_level_hook(cfg, space)
+    hook, trace = op_level_hook(space, 5, 2e-4)
     run_inference(model, sample, "direct", hook).output
     assert len(trace) > 0
     masks = trace.masks_for(0, 0, "op")
@@ -155,10 +136,9 @@ def test_trace_records_match_masks(model, sample):
 
 def test_reproducible_corruption(model, sample):
     space = enumerate_ops(model, "winograd")
-    cfg = cfg_op(1e-4, seed=9)
     outs, traces = [], []
     for _ in range(2):
-        hook, trace = op_level_hook(cfg, space)
+        hook, trace = op_level_hook(space, 9, 1e-4)
         outs.append(run_inference(model, sample, "winograd", hook).output)
         traces.append(trace)
     assert outs[0] == outs[1]
@@ -167,10 +147,9 @@ def test_reproducible_corruption(model, sample):
 
 def test_replay_reproduces_output(model, sample):
     space = enumerate_ops(model, "direct")
-    cfg = cfg_op(1e-4, seed=31)
-    hook, trace = op_level_hook(cfg, space)
+    hook, trace = op_level_hook(space, 31, 1e-4)
     corrupted = run_inference(model, sample, "direct", hook).output
-    replay, _ = op_level_hook(cfg, space, replay=trace)
+    replay, _ = op_level_hook(space, 31, 1e-4, replay=trace)
     again = run_inference(model, sample, "direct", replay).output
     assert corrupted == again
 
@@ -179,8 +158,7 @@ def test_scope_soundness(model, sample):
     space = enumerate_ops(model, "direct")
     layers = space.conv_layer_ids()
     scope = Scope(exclude_layers=frozenset({layers[0]}), exclude_optypes=frozenset({OpType.ADD}))
-    cfg = cfg_op(2e-3, seed=13, scope=scope)
-    hook, trace = op_level_hook(cfg, space)
+    hook, trace = op_level_hook(space, 13, 2e-3, scope)
     run_inference(model, sample, "direct", hook)
     assert len(trace) > 0
     for _t, _s, _k, op_id, _b, _c in trace.events:
@@ -193,10 +171,10 @@ def test_scope_change_preserves_other_flips(model, sample):
     # paired-scope contract, checked by trace diffing
     space = enumerate_ops(model, "direct")
     layers = space.conv_layer_ids()
-    hook, full = op_level_hook(cfg_op(1e-3, seed=17), space)
+    hook, full = op_level_hook(space, 17, 1e-3)
     run_inference(model, sample, "direct", hook)
     scoped_scope = Scope(exclude_layers=frozenset({layers[1]}))
-    hook, scoped = op_level_hook(cfg_op(1e-3, seed=17, scope=scoped_scope), space)
+    hook, scoped = op_level_hook(space, 17, 1e-3, scoped_scope)
     run_inference(model, sample, "direct", hook)
     full_keys = set(full.events)
     scoped_keys = set(scoped.events)
@@ -209,12 +187,12 @@ def test_scope_change_preserves_other_flips(model, sample):
 def test_replay_honours_scope(model, sample):
     # replayed flips pass the same scope check as sampled ones
     space = enumerate_ops(model, "direct")
-    hook, full = op_level_hook(cfg_op(1e-3, seed=19), space)
+    hook, full = op_level_hook(space, 19, 1e-3)
     run_inference(model, sample, "direct", hook)
-    scoped_cfg = cfg_op(1e-3, seed=19, scope=Scope(exclude_layers=frozenset({space.conv_layer_ids()[1]})))
-    hook, scoped = op_level_hook(scoped_cfg, space)
+    scope = Scope(exclude_layers=frozenset({space.conv_layer_ids()[1]}))
+    hook, scoped = op_level_hook(space, 19, 1e-3, scope)
     want = run_inference(model, sample, "direct", hook).output
-    hook, replayed = op_level_hook(scoped_cfg, space, replay=full)
+    hook, replayed = op_level_hook(space, 19, 1e-3, scope, replay=full)
     assert run_inference(model, sample, "direct", hook).output == want
     assert replayed == scoped != full
 
@@ -222,7 +200,7 @@ def test_replay_honours_scope(model, sample):
 def test_protected_range_scope(model, sample):
     space = enumerate_ops(model, "direct")
     scope = Scope(exclude_op_ranges=((0, space.total_ops // 2),))
-    hook, trace = op_level_hook(cfg_op(1e-3, seed=23, scope=scope), space)
+    hook, trace = op_level_hook(space, 23, 1e-3, scope)
     run_inference(model, sample, "direct", hook)
     assert len(trace) > 0
     assert all(e[3] >= space.total_ops // 2 for e in trace.events)
@@ -269,7 +247,7 @@ def test_fault_bits_override_changes_space(model):
 
 def test_neuron_ber_zero_identity(model, sample):
     out = run_inference(model, sample, "direct").output
-    same = neuron_level_inject(out, cfg_neuron(0.0), layer_id=0)
+    same = neuron_level_inject(out, 0, 0, 0.0)
     assert same == out
 
 
@@ -284,10 +262,9 @@ def test_neuron_forced_sign_flip():
 def test_neuron_injection_statistics(model, sample):
     conv0 = run_inference(model, sample, "direct", capture=(0,)).conv_outputs[0]
     ber = 0.02
-    cfg = cfg_neuron(ber, seed=41)
     total_bits = conv0.size * 16
     trace = FaultTrace()
-    corrupted = neuron_level_inject(conv0, cfg, layer_id=0, trace=trace)
+    corrupted = neuron_level_inject(conv0, 0, 41, ber, trace=trace)
     mean = total_bits * ber
     sigma = (mean * (1 - ber)) ** 0.5
     assert abs(len(trace) - mean) <= 4 * sigma
@@ -297,9 +274,9 @@ def test_neuron_injection_statistics(model, sample):
 
 def test_neuron_layer_scope(model, sample):
     conv0 = run_inference(model, sample, "direct", capture=(0,)).conv_outputs[0]
-    cfg = cfg_neuron(0.05, seed=43, scope=Scope(exclude_layers=frozenset({0})))
-    assert neuron_level_inject(conv0, cfg, layer_id=0) == conv0
-    assert neuron_level_inject(conv0, cfg, layer_id=2) != conv0
+    scope = Scope(exclude_layers=frozenset({0}))
+    assert neuron_level_inject(conv0, 0, 43, 0.05, scope) == conv0
+    assert neuron_level_inject(conv0, 2, 43, 0.05, scope) != conv0
 
 
 def test_neuron_injection_engine_blind(model, sample):
@@ -307,19 +284,9 @@ def test_neuron_injection_engine_blind(model, sample):
     d = run_inference(model, sample, "direct").output
     w = run_inference(model, sample, "winograd").output
     assert d == w
-    cfg = cfg_neuron(0.02, seed=47)
-    cd = neuron_level_inject(d, cfg, layer_id=0, trial=3, sample=1)
-    cw = neuron_level_inject(w, cfg, layer_id=0, trial=3, sample=1)
+    cd = neuron_level_inject(d, 0, 47, 0.02, trial=3, sample=1)
+    cw = neuron_level_inject(w, 0, 47, 0.02, trial=3, sample=1)
     assert cd == cw
-
-
-def test_wrong_granularity_rejected(model):
-    space = enumerate_ops(model, "direct")
-    with pytest.raises(ConfigError):
-        op_level_hook(cfg_neuron(0.1), space)
-    q = QTensor((2,), [1, 2], QuantParams(8, 1.0))
-    with pytest.raises(ConfigError):
-        neuron_level_inject(q, cfg_op(0.1), layer_id=0)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +295,10 @@ def test_wrong_granularity_rejected(model):
 
 def test_trace_jsonl_roundtrip(tmp_path, model, sample):
     space = enumerate_ops(model, "direct")
-    hook, trace = op_level_hook(cfg_op(5e-4, seed=51), space, trial=2, sample=1)
+    hook, trace = op_level_hook(space, 51, 5e-4, trial=2, sample=1)
     run_inference(model, sample, "direct", hook)
     out = run_inference(model, sample, "direct").output
-    neuron_level_inject(out, cfg_neuron(1e-3, seed=51), layer_id=0, trial=2, sample=1,
+    neuron_level_inject(out, 0, 51, 1e-3, trial=2, sample=1,
                         neuron_offset=0, trace=trace)
     path = tmp_path / "trace.jsonl"
     trace.save_jsonl(str(path))

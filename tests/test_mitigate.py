@@ -90,10 +90,9 @@ def test_clamp_output_always_within_profile(model, dataset):
     res = camp.corrupted_output(0, 0, 1e-3, camp.base_scope, capture=(lid,))
     # capture is pre-activation; check the next activation instead via a
     # fresh run capturing activation points
-    from winofi.inject import InjectionConfig, op_level_hook
+    from winofi.inject import op_level_hook
 
-    cfg = InjectionConfig(ber=1e-3, seed=84)
-    hook, _ = op_level_hook(cfg, camp.opspace, trial=0, sample=0)
+    hook, _ = op_level_hook(camp.opspace, 84, 1e-3, trial=0, sample=0)
     out = run_inference(model, dataset.samples[0], "direct", hook,
                         ranges=prof, capture_act=(lid,))
     lo, hi = prof.get(lid)
@@ -131,15 +130,14 @@ def test_constrained_relu_layer_type(model, dataset):
         name="baked", bit_width=model.bit_width, input_shape=model.input_shape,
         input_scale=model.input_scale, layers=layers, engine=model.engine,
     )
-    from winofi.inject import InjectionConfig, op_level_hook
+    from winofi.inject import op_level_hook
     from winofi.runtime import enumerate_ops
 
     space = enumerate_ops(model, "direct")
-    cfg = InjectionConfig(ber=5e-4, seed=85)
     for t in range(3):
-        hook, _ = op_level_hook(cfg, space, trial=t)
+        hook, _ = op_level_hook(space, 85, 5e-4, trial=t)
         a = run_inference(model, dataset.samples[0], "direct", hook, ranges=prof).output
-        hook, _ = op_level_hook(cfg, space, trial=t)
+        hook, _ = op_level_hook(space, 85, 5e-4, trial=t)
         b = run_inference(baked, dataset.samples[0], "direct", hook).output
         assert a == b
 

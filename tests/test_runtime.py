@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from winofi.engine import OpType, Stage, WinogradConfig
 from winofi.errors import ShapeError
-from winofi.inject import FaultTrace, InjectionConfig, Scope, op_level_hook
+from winofi.inject import FaultTrace, Scope, op_level_hook
 from winofi.modelio import generate_dataset, generate_toy_model
 from winofi.runtime import enumerate_ops, run_inference, top1
 
@@ -228,15 +228,14 @@ def test_struck_units_match_hooked_oracle(engine, filter_tf, data):
     bounds = sorted(set(data.draw(st.lists(st.integers(0, space.total_ops), max_size=6))))
     protected = tuple(zip(bounds[0::2], bounds[1::2]))
     if data.draw(st.booleans()):
-        cfg, replay = InjectionConfig(scope=scope, fault_bits=fault_bits), _replay_table(space, rec, data)
+        seed, ber, replay = 0, 0.0, _replay_table(space, rec, data)
     else:
         ber = data.draw(st.sampled_from([1e-4, 1e-3, 5e-3]))
-        cfg = InjectionConfig(ber=ber, seed=data.draw(st.integers(0, 2**16)), scope=scope, fault_bits=fault_bits)
-        replay = None
+        seed, replay = data.draw(st.integers(0, 2**16)), None
     conv_ids = tuple(space.conv_layer_ids())
     runs = []
     for sparse in (True, False):
-        hook, trace = op_level_hook(cfg, space, replay=replay, protected=protected)
+        hook, trace = op_level_hook(space, seed, ber, scope, replay=replay, protected=protected)
         res = run_inference(model, x, engine, hook, wg_cfg=wg_cfg, capture=conv_ids,
                             struck=hook.struck if sparse else None)
         runs.append((res.output, [res.conv_outputs[lid] for lid in conv_ids], trace.events))

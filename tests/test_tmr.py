@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from winofi.analyze import Campaign
 from winofi.errors import ConfigError
-from winofi.inject import FaultTrace, Granularity, InjectionConfig, Scope
-from winofi.modelio import generate_dataset, generate_toy_model
+from winofi.inject import FaultTrace, Granularity, Scope
+from winofi.modelio import Dataset, generate_dataset, generate_toy_model
 from winofi.runtime import enumerate_ops, run_inference, top1
 from winofi.tmr import (
     CostModel,
@@ -307,8 +307,7 @@ def test_run_with_tmr_ber_zero_identity(model, dataset):
     space = enumerate_ops(model, "direct")
     plan = _full_plan(space)
     x = dataset.samples[0]
-    cfg = InjectionConfig(ber=0.0, seed=67)
-    out = run_with_tmr(model, x, "direct", plan, cfg)
+    out = run_with_tmr(Campaign(model, dataset, "direct", seed=67), plan, 0.0)
     assert out == run_inference(model, x, "direct").output
 
 
@@ -324,8 +323,8 @@ def test_run_with_tmr_single_corrupt_copy_votes_clean(model, dataset):
         bit = int(rng.integers(0, space.op_width(int(op_id))))
         events.append((0, 0, "op", int(op_id), bit, copy))
     replay = FaultTrace(events)
-    cfg = InjectionConfig(ber=0.5, seed=68)  # ber ignored under replay
-    out = run_with_tmr(model, x, "direct", plan, cfg, replay=replay)
+    # ber ignored under replay
+    out = run_with_tmr(Campaign(model, dataset, "direct", seed=68), plan, 0.5, replay=replay)
     assert out == run_inference(model, x, "direct").output
 
 
@@ -337,8 +336,7 @@ def test_run_with_tmr_two_corrupt_copies_can_corrupt(model, dataset):
     op_id = next(i for i in range(space.total_ops) if space.op_width(i) == space.width_mul)
     bit = space.width_mul - 1
     replay = FaultTrace([(0, 0, "op", op_id, bit, 0), (0, 0, "op", op_id, bit, 1)])
-    cfg = InjectionConfig(ber=0.5, seed=69)
-    out = run_with_tmr(model, x, "direct", plan, cfg, replay=replay)
+    out = run_with_tmr(Campaign(model, dataset, "direct", seed=69), plan, 0.5, replay=replay)
     assert out != run_inference(model, x, "direct").output
 
 
@@ -350,9 +348,10 @@ def test_run_with_tmr_unprotected_matches_plain_hook(model, dataset):
     plan = TmrPlan(segment_size=space.total_ops, total_ops=space.total_ops,
                    order=[0], n=0, achieved_acc=0.0, target_acc=0.0)
     x = dataset.samples[0]
-    cfg = InjectionConfig(ber=2e-4, seed=70)
-    tmr_out = run_with_tmr(model, x, "direct", plan, cfg, trial=3, sample=2)
-    hook, _ = op_level_hook(cfg, space, trial=3, sample=2)
+    # x sits at sample index 2, the index the flips are drawn for
+    camp = Campaign(model, Dataset([x] * 3), "direct", seed=70)
+    tmr_out = run_with_tmr(camp, plan, 2e-4, trial=3, sample=2)
+    hook, _ = op_level_hook(space, 70, 2e-4, trial=3, sample=2)
     plain_out = run_inference(model, x, "direct", hook).output
     assert tmr_out == plain_out
 
@@ -360,9 +359,16 @@ def test_run_with_tmr_unprotected_matches_plain_hook(model, dataset):
 def test_run_with_tmr_plan_engine_mismatch(model, dataset):
     space_d = enumerate_ops(model, "direct")
     plan = _full_plan(space_d)
-    cfg = InjectionConfig(ber=0.0, seed=71)
     with pytest.raises(ConfigError):
-        run_with_tmr(model, dataset.samples[0], "winograd", plan, cfg)
+        run_with_tmr(Campaign(model, dataset, "winograd", seed=71), plan, 0.0)
+
+
+def test_run_with_tmr_rejects_neuron_campaign(model, dataset):
+    # TMR votes op results, which a neuron-level campaign never strikes
+    plan = _full_plan(enumerate_ops(model, "direct"))
+    camp = Campaign(model, dataset, "direct", granularity=Granularity.NEURON_LEVEL, seed=71)
+    with pytest.raises(ConfigError):
+        run_with_tmr(camp, plan, 0.0)
 
 
 def test_full_protection_beats_unprotected(model, dataset):
@@ -374,9 +380,8 @@ def test_full_protection_beats_unprotected(model, dataset):
     correct = []
     for t in range(trials):
         ok = 0
-        for i, s in enumerate(dataset.samples):
-            cfg = InjectionConfig(ber=ber, seed=72)
-            out = run_with_tmr(model, s, "direct", plan, cfg, trial=t, sample=i)
+        for i in range(camp.sample_count):
+            out = run_with_tmr(camp, plan, ber, trial=t, sample=i)
             ok += int(top1(out) == camp.refs[i])
         correct.append(ok)
     prot_acc = sum(correct) / (trials * len(dataset))
@@ -399,10 +404,9 @@ def test_op_level_hook_replays_saved_tmr_trace(model, dataset, tmp_path):
     path = tmp_path / "trace.jsonl"
     trace.save_jsonl(str(path))
     saved = FaultTrace.load_jsonl(str(path))
-    cfg = InjectionConfig(ber=ber, seed=74)
     for t in range(trials):
         for i, x in enumerate(dataset.samples):
             want = camp.corrupted_output(t, i, ber, camp.base_scope, protected=plan.protected_ranges).output
-            hook, _ = op_level_hook(cfg, space, trial=t, sample=i, replay=saved,
+            hook, _ = op_level_hook(space, 74, ber, trial=t, sample=i, replay=saved,
                                     protected=plan.protected_ranges)
             assert run_inference(model, x, "direct", hook).output == want
