@@ -26,7 +26,7 @@ from .engine import (
     conv_direct,
     conv_winograd,
 )
-from .errors import BitPositionError, ConfigError, ShapeError
+from .errors import ConfigError, ShapeError
 from .inject import (
     FaultTrace,
     Granularity,
@@ -52,8 +52,8 @@ from .modelio import (
     save_dataset,
     save_model,
 )
-from .mitigate import RangeProfile, apply_constrained_activation, profile_ranges
-from .qtensor import QTensor, QuantParams, flip_bits, quantize
+from .mitigate import RangeProfile, profile_ranges
+from .qtensor import QTensor, QuantParams, quantize
 from .runtime import OpSpace, enumerate_ops, run_inference, top1
 from .tmr import (
     CostModel,

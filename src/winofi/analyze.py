@@ -103,6 +103,8 @@ class Campaign:
             raise ConfigError("dataset is empty")
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
+        if not 0 <= seed < 1 << 63:
+            raise ConfigError(f"seed must lie in [0, 2^63), got {seed}")
         self.model = model
         self.dataset = dataset
         self.engine = engine or model.engine
@@ -114,6 +116,14 @@ class Campaign:
         self.range_mode = range_mode
         self.workers = workers
         self.opspace = enumerate_ops(model, self.engine, fault_bits=fault_bits)
+        op_ranges = scope.exclude_op_ranges
+        if self.granularity is Granularity.NEURON_LEVEL:
+            if fault_bits is not None:
+                raise ConfigError("fault_bits sets op result windows: neuron-level faults strike stored neuron bits")
+            if scope.include_optypes is not None or scope.exclude_optypes or op_ranges:
+                raise ConfigError("a neuron-level scope can filter only layers: neurons have no op type or op id")
+        elif any(a < 0 or b > self.opspace.total_ops for a, b in op_ranges):
+            raise ConfigError(f"scope op ranges {list(op_ranges)} reach outside the op space [0, {self.opspace.total_ops})")
         conv = set(self.opspace.conv_layer_ids())
         for what, layer_ids in (("scope", (scope.include_layers or frozenset()) | scope.exclude_layers),
                                 ("range profile", set(ranges.ranges if ranges is not None else ()))):

@@ -28,7 +28,7 @@ from .analyze import (
     vuln_csv,
     vuln_json,
 )
-from .errors import BitPositionError, ConfigError, ShapeError, open_input
+from .errors import ConfigError, ShapeError, open_input
 from .inject import FaultTrace, Scope
 from .mitigate import RangeProfile, profile_ranges
 from .modelio import (
@@ -456,7 +456,7 @@ def main(argv=None) -> int:
         cfg = _effective_config(args, args.command, _subcommand_flags(parser, args.command))
         args.func(cfg)
         return 0
-    except (ConfigError, ShapeError, BitPositionError, ValueError) as e:
+    except (ConfigError, ShapeError, ValueError) as e:
         sys.stderr.write(json.dumps({"error": type(e).__name__, "message": str(e)}) + "\n")
         return 2
     except Exception as e:  # noqa: BLE001 - surface runtime failures as exit 1

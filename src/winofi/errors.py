@@ -12,10 +12,6 @@ class ShapeError(ValueError):
     """Layer geometry violation: shape mismatch, unsupported kernel or stride."""
 
 
-class BitPositionError(ValueError):
-    """Bit index outside the declared bit width."""
-
-
 def json_typed(value, what: str, kind: type = int):
     """``value`` if it is a JSON value of type ``kind``: by default an integer
     (a bool, a float such as 8.0 or a string is not), or a bool. ConfigError

@@ -57,8 +57,8 @@ class Scope:
     """Pure, deterministic predicate selecting which ops/neurons can be struck.
 
     ``exclude_op_ranges`` holds protected [start, end) op_id ranges (segments
-    under TMR study); include sets, when given, whitelist. Neuron-level
-    injection honours only the layer filters.
+    under TMR study); include sets, when given, whitelist. Neurons have no op
+    type or op id, so a neuron-level Campaign takes only the layer filters.
     """
 
     include_layers: Optional[frozenset] = None
@@ -136,20 +136,6 @@ class Scope:
                 else:
                     raise ConfigError(f"unknown scope key {key!r}")
         return Scope(**kw)
-
-    def to_text(self) -> str:
-        parts = []
-        if self.include_layers is not None:
-            parts.append("include_layers=" + ",".join(str(v) for v in sorted(self.include_layers)))
-        if self.exclude_layers:
-            parts.append("exclude_layers=" + ",".join(str(v) for v in sorted(self.exclude_layers)))
-        if self.include_optypes is not None:
-            parts.append("include_optypes=" + ",".join(OpType(v).name for v in sorted(self.include_optypes)))
-        if self.exclude_optypes:
-            parts.append("exclude_optypes=" + ",".join(OpType(v).name for v in sorted(self.exclude_optypes)))
-        if self.exclude_op_ranges:
-            parts.append("exclude_ops=" + ",".join(f"{a}-{b}" for a, b in self.exclude_op_ranges))
-        return ";".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +392,10 @@ def bit_ratio(op_bits: int, neuron_bits: int) -> float:
     return op_bits / neuron_bits
 
 
-def ber_neuron_to_op_scale(model, input_shape=None, engine=None, fault_bits=None) -> float:
+def ber_neuron_to_op_scale(model, engine=None, fault_bits=None) -> float:
     """(total op bits) / (total neuron bits): the factor aligning neuron-level
     BER with op-level BER for one inference."""
     from .runtime import enumerate_ops
 
-    space = enumerate_ops(model, engine, input_shape, fault_bits=fault_bits)
+    space = enumerate_ops(model, engine, fault_bits=fault_bits)
     return bit_ratio(space.total_op_bits, space.total_neuron_bits)

@@ -15,18 +15,18 @@ from typing import Optional
 
 from .errors import ConfigError, json_typed, open_input
 from .modelio import Dataset, ModelDef
-from .qtensor import QTensor
-from .runtime import constrain, run_inference
+from .runtime import run_inference
 
-MODES = ("clamp", "zero")
+# The activation point a profile's ranges are taken at and applied to.
+POINT = "post_activation"
 
 
 @dataclass
 class RangeProfile:
-    """Per-conv-layer (min, max) of fault-free activations, integer domain."""
+    """Per-conv-layer (min, max) of fault-free activations, integer domain,
+    taken at the post-activation point where ``run_inference`` applies them."""
 
     ranges: dict = field(default_factory=dict)  # layer_id -> (lo, hi)
-    point: str = "post_activation"
 
     def __post_init__(self):
         for lid, (lo, hi) in self.ranges.items():
@@ -36,35 +36,21 @@ class RangeProfile:
     def get(self, layer_id: int):
         return self.ranges.get(layer_id)
 
-    def __contains__(self, layer_id: int) -> bool:
-        return layer_id in self.ranges
-
-    def merged(self, other: "RangeProfile") -> "RangeProfile":
-        out = dict(self.ranges)
-        for lid, (lo, hi) in other.ranges.items():
-            if lid in out:
-                out[lid] = (min(out[lid][0], lo), max(out[lid][1], hi))
-            else:
-                out[lid] = (lo, hi)
-        return RangeProfile(out, point=self.point)
-
     def to_dict(self) -> dict:
         d = {str(lid): [lo, hi] for lid, (lo, hi) in sorted(self.ranges.items())}
-        d["_meta"] = {"point": self.point}
+        d["_meta"] = {"point": POINT}
         return d
-
-    def save_json(self, path: str) -> None:
-        with open(path, "w") as f:
-            f.write(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     @staticmethod
     def from_dict(d: dict) -> "RangeProfile":
-        meta = d.get("_meta", {})
+        point = d.get("_meta", {}).get("point", POINT)
+        if point != POINT:
+            raise ConfigError(f"range profile point {point!r} is not {POINT!r}, where ranges are applied")
         ranges = {
             int(k): tuple(json_typed(b, f"range profile layer {k} bound") for b in v)
             for k, v in d.items() if not k.startswith("_")
         }
-        return RangeProfile(ranges, point=meta.get("point", "post_activation"))
+        return RangeProfile(ranges)
 
     @staticmethod
     def load_json(path: str) -> "RangeProfile":
@@ -90,15 +76,3 @@ def profile_ranges(model: ModelDef, dataset: Dataset, engine: Optional[str] = No
                 ranges[lid] = (lo, hi)
     return RangeProfile(ranges)
 
-
-def apply_constrained_activation(
-    layer_output: QTensor, profile: RangeProfile, layer_id: int, mode: str = "clamp"
-) -> QTensor:
-    """CLAMP saturates out-of-range values to the violated bound; ZERO drops
-    them to 0. In-range values pass unchanged."""
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
-    bounds = profile.get(layer_id)
-    if bounds is None:
-        raise ConfigError(f"profile has no range for layer {layer_id}")
-    return layer_output.with_data(constrain(layer_output.array, bounds[0], bounds[1], mode))

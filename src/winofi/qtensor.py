@@ -10,11 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
-
-from .errors import BitPositionError
 
 SUPPORTED_WIDTHS = (8, 16)
 
@@ -121,28 +118,12 @@ def pow2_scale_for(max_abs: float, bit_width: int) -> float:
     return 2.0 ** math.ceil(math.log2(max_abs / int_max))
 
 
-def mask_from_bits(bit_positions: Iterable[int], bit_width: int) -> int:
-    """OR the given bit indices into a flip mask, validating each index."""
-    mask = 0
-    for b in bit_positions:
-        b = int(b)
-        if not 0 <= b < bit_width:
-            raise BitPositionError(f"bit position {b} outside width {bit_width}")
-        mask |= 1 << b
-    return mask
-
-
 def flip_with_mask(x: int, mask: int, bit_width: int) -> int:
     """XOR ``mask`` into a stored value and reinterpret at ``bit_width`` bits."""
     v = (int(x) ^ mask) & ((1 << bit_width) - 1)
     if v >= 1 << (bit_width - 1):
         v -= 1 << bit_width
     return v
-
-
-def flip_bits(x: int, bit_positions: Iterable[int], bit_width: int) -> int:
-    """Flip the given result bits of a two's-complement value at ``bit_width``."""
-    return flip_with_mask(x, mask_from_bits(bit_positions, bit_width), bit_width)
 
 
 def flip_array_with_masks(values: np.ndarray, indices: np.ndarray, masks: np.ndarray, bit_width: int) -> np.ndarray:

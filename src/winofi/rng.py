@@ -26,7 +26,7 @@ STREAM_NEURON = 1
 
 
 def _chunk_generator(seed: int, labels: tuple, chunk: int) -> np.random.Generator:
-    ss = np.random.SeedSequence((int(seed) & ((1 << 63) - 1),) + tuple(int(x) for x in labels) + (chunk,))
+    ss = np.random.SeedSequence((int(seed),) + tuple(int(x) for x in labels) + (chunk,))
     return np.random.Generator(np.random.Philox(seed=ss))
 
 

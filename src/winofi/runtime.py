@@ -53,12 +53,11 @@ class OpSpace:
     stage (``stages[r]``) whose op types follow ``patterns[r]``.
     """
 
-    def __init__(self, model: ModelDef, engine: str, input_shape, fault_bits=None, wg_cfg=None):
+    def __init__(self, model: ModelDef, engine: str, fault_bits=None, wg_cfg=None):
         if engine not in ("direct", "winograd"):
             raise ConfigError(f"unknown engine {engine!r}")
         self.engine = engine
         self.bit_width = model.bit_width
-        self.input_shape = tuple(input_shape)
         self.include_filter_tf = bool(wg_cfg is not None and wg_cfg.instrument_filter_transform)
         wm, wa = _resolve_fault_bits(fault_bits, model.bit_width)
         self.width_mul = wm
@@ -165,13 +164,6 @@ class OpSpace:
     def op_widths(self, op_ids) -> np.ndarray:
         return np.array([self.width_mul, self.width_add])[self.classify(op_ids)[2]]  # indexed by OpType
 
-    def op_info(self, op_id: int) -> tuple[int, Stage, OpType]:
-        layer_id, stage, typ = (int(v[0]) for v in self.classify([op_id]))
-        return layer_id, Stage(stage), OpType(typ)
-
-    def op_width(self, op_id: int) -> int:
-        return int(self.op_widths([op_id])[0])
-
 
 def _resolve_fault_bits(fault_bits, bit_width: int) -> tuple[int, int]:
     """Exposed result-bit window per op type; faults strike the low window of
@@ -199,15 +191,14 @@ def _resolve_fault_bits(fault_bits, bit_width: int) -> tuple[int, int]:
 def enumerate_ops(
     model: ModelDef,
     engine: Optional[str] = None,
-    input_shape=None,
     fault_bits=None,
     wg_cfg=None,
 ) -> OpSpace:
-    """Deterministic op-stream summary; counts match a hook-counting dry run."""
+    """Deterministic op-stream summary of ``model.execution_plan()``; counts
+    match a hook-counting dry run."""
     return OpSpace(
         model,
         engine or model.engine,
-        input_shape or model.input_shape,
         fault_bits=fault_bits,
         wg_cfg=wg_cfg,
     )

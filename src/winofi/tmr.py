@@ -59,16 +59,17 @@ class CostModel:
     Adds scale linearly and multiplies quadratically with operand width.
     """
 
+    REFERENCE_BITS = 8  # operand width the weights are given at
+
     add_weight: float = 1.0
     mul_weight: float = 6.67
-    reference_bits: int = 8
 
     def __post_init__(self):
         if self.add_weight <= 0 or self.mul_weight <= 0:
             raise ConfigError("cost weights must be positive")
 
     def weights_at(self, bit_width: int) -> tuple[float, float]:
-        r = bit_width / self.reference_bits
+        r = bit_width / self.REFERENCE_BITS
         return self.mul_weight * r * r, self.add_weight * r
 
 
@@ -150,10 +151,6 @@ class TmrPlan:
             "vulnerability_ci": list(self.vulnerability_ci),
             "eval_history": [list(t) for t in self.eval_history],
         }
-
-    def save_json(self, path: str) -> None:
-        with open(path, "w") as f:
-            f.write(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     @staticmethod
     def from_dict(d: dict) -> "TmrPlan":

@@ -244,7 +244,7 @@ def test_criterion_07_tmr_correctness(micro16, micro16_data):
     rng = np.random.default_rng(21)
     events = []
     for op_id in rng.choice(space.total_ops, size=200, replace=False):
-        events.append((0, 0, "op", int(op_id), int(rng.integers(0, space.op_width(int(op_id)))),
+        events.append((0, 0, "op", int(op_id), int(rng.integers(0, int(space.op_widths([op_id])[0]))),
                        int(rng.integers(0, 3))))
     forced = FaultTrace(events)
     out = run_with_tmr(Campaign(micro16, micro16_data, "direct", seed=21), plan, 0.9, replay=forced)

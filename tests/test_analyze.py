@@ -243,7 +243,7 @@ def test_paired_scope_campaigns_share_flips(model, dataset):
     full = set(t_full.events)
     scoped = set(t_scoped.events)
     assert scoped <= full
-    assert all(camp.opspace.op_info(e[3])[0] == lid for e in full - scoped)
+    assert (camp.opspace.classify([e[3] for e in full - scoped])[0] == lid).all()
 
 
 # ---------------------------------------------------------------------------

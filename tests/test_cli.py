@@ -392,6 +392,50 @@ def test_fault_window_at_most_64_bits(assets, tmp_path, bits, expected):
     assert code == expected
 
 
+@pytest.mark.parametrize("seed,expected", [("-1", 2), ("18446744073709551617", 2), ("9223372036854775807", 0)])
+def test_campaign_seed_must_lie_in_63_bits(assets, tmp_path, seed, expected):
+    # the flip streams are keyed by a 63-bit seed, so any wider seed would
+    # silently alias a seed inside the range
+    code = run_cli(
+        "sweep", "--model", assets["model"], "--dataset", assets["dataset"],
+        "--ber", "1e-3", "--trials", "1", "--seed", seed, "--out", str(tmp_path / "r.csv"),
+    )
+    assert code == expected
+
+
+@pytest.mark.parametrize("flags", [
+    ("--granularity", "neuron", "--fault-bits", "4"),
+    ("--granularity", "neuron", "--fault-bits", "MUL:3,ADD:2"),
+    ("--granularity", "neuron", "--scope", "exclude_optypes=MUL"),
+    ("--granularity", "neuron", "--scope", "include_optypes=ADD"),
+    ("--granularity", "neuron", "--scope", "exclude_ops=0-999999"),
+    ("--scope", "exclude_ops=99999999-100000000"),
+])
+def test_campaign_settings_that_cannot_act_exit_2(assets, tmp_path, capsys, flags):
+    out = tmp_path / "r.csv"
+    code = run_cli("sweep", "--model", assets["model"], "--dataset", assets["dataset"],
+                   "--ber", "1e-3", "--trials", "1", *flags, "--out", str(out))
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "ConfigError"
+    assert not out.exists()
+
+
+def test_scope_op_range_must_fit_the_engines_op_space(assets, tmp_path):
+    # the direct engine's op space is larger than Winograd's: a range past
+    # the Winograd ops runs on direct and is rejected on Winograd
+    from winofi.modelio import load_model
+    from winofi.runtime import enumerate_ops
+
+    model = load_model(assets["model"])
+    wino, direct = (enumerate_ops(model, e).total_ops for e in ("winograd", "direct"))
+    assert wino < direct
+    for engine, expected in (("direct", 0), ("winograd", 2)):
+        code = run_cli("sweep", "--model", assets["model"], "--dataset", assets["dataset"], "--engine", engine,
+                       "--ber", "1e-3", "--trials", "1", "--scope", f"exclude_ops={wino}-{direct}",
+                       "--out", str(tmp_path / f"{engine}.csv"))
+        assert code == expected
+
+
 def _write_plan(assets, path, engine, n, n_segments):
     from winofi.modelio import load_model
     from winofi.runtime import enumerate_ops
@@ -400,7 +444,7 @@ def _write_plan(assets, path, engine, n, n_segments):
     total = enumerate_ops(load_model(assets["model"]), engine).total_ops
     plan = TmrPlan(segment_size=-(-total // n_segments), total_ops=total,
                    order=list(range(n_segments))[::-1], n=n, achieved_acc=0.0, target_acc=0.0)
-    plan.save_json(str(path))
+    path.write_text(json.dumps(plan.to_dict()))
 
 
 def _rows(path):
@@ -532,8 +576,9 @@ def test_config_values_must_parse_as_their_flag(assets, tmp_path, capsys, key, v
 
 
 @pytest.mark.parametrize("command,flags", [
-    ("sweep", ("--fault-bits", "12", "--granularity", "neuron")),
+    ("sweep", ("--fault-bits", "12")),
     ("layer-vuln", ("--scope", "exclude_optypes=ADD")),
+    ("sweep", ("--granularity", "neuron", "--scope", "exclude_layers=0")),
 ])
 def test_embedded_config_runs_again_as_config_file(assets, tmp_path, command, flags):
     first = tmp_path / "first.csv"

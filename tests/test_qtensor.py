@@ -3,14 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from winofi.errors import BitPositionError
 from winofi.qtensor import (
     QTensor,
     QuantParams,
     flip_array_with_masks,
-    flip_bits,
     flip_with_mask,
-    mask_from_bits,
     pow2_scale_for,
     quantize,
 )
@@ -101,54 +98,40 @@ def test_pow2_scale_covers_max_abs():
 
 
 def test_flip_bits_examples():
-    assert flip_bits(0, {7}, 8) == -128
-    assert flip_bits(5, {1}, 8) == 7
-    assert flip_bits(5, set(), 8) == 5
-
-
-def test_flip_bits_invalid_position():
-    with pytest.raises(BitPositionError):
-        flip_bits(0, {8}, 8)
-    with pytest.raises(BitPositionError):
-        flip_bits(0, {-1}, 8)
-    with pytest.raises(BitPositionError):
-        flip_bits(0, {16}, 16)
+    assert flip_with_mask(0, 1 << 7, 8) == -128
+    assert flip_with_mask(5, 1 << 1, 8) == 7
+    assert flip_with_mask(5, 0, 8) == 5
 
 
 def test_flip_sign_bit_of_three_int8():
-    assert flip_bits(3, {7}, 8) == -125
+    assert flip_with_mask(3, 1 << 7, 8) == -125
 
 
 @given(
     st.integers(-128, 127),
-    st.sets(st.integers(0, 7)),
+    st.integers(0, (1 << 8) - 1),
 )
 @settings(max_examples=300)
-def test_flip_bits_involution_int8(x, bits):
-    once = flip_bits(x, bits, 8)
-    assert flip_bits(once, bits, 8) == x
+def test_flip_bits_involution_int8(x, mask):
+    once = flip_with_mask(x, mask, 8)
+    assert flip_with_mask(once, mask, 8) == x
 
 
 @given(
     st.integers(-32768, 32767),
-    st.sets(st.integers(0, 15)),
+    st.integers(0, (1 << 16) - 1),
 )
 @settings(max_examples=300)
-def test_flip_bits_involution_int16(x, bits):
-    once = flip_bits(x, bits, 16)
-    assert flip_bits(once, bits, 16) == x
+def test_flip_bits_involution_int16(x, mask):
+    once = flip_with_mask(x, mask, 16)
+    assert flip_with_mask(once, mask, 16) == x
 
 
-@given(st.integers(-128, 127), st.sets(st.integers(0, 7), min_size=0))
+@given(st.integers(-128, 127), st.integers(0, (1 << 8) - 1))
 @settings(max_examples=200)
-def test_flip_result_stays_in_width(x, bits):
-    v = flip_bits(x, bits, 8)
+def test_flip_result_stays_in_width(x, mask):
+    v = flip_with_mask(x, mask, 8)
     assert -128 <= v <= 127
-
-
-def test_mask_from_bits():
-    assert mask_from_bits({0, 2, 7}, 8) == 0b10000101
-    assert mask_from_bits(set(), 8) == 0
 
 
 def test_flip_array_matches_scalar():

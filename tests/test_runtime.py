@@ -104,8 +104,8 @@ def test_op_info_and_region_lookup(toy8):
         rec = Recorder()
         run_inference(toy8, x, engine, rec)
         rng = np.random.default_rng(0)
-        for op_id in rng.integers(0, space.total_ops, size=200):
-            assert space.op_info(int(op_id)) == rec.info[int(op_id)]
+        ids = rng.integers(0, space.total_ops, size=200)
+        assert list(zip(*(v.tolist() for v in space.classify(ids)))) == [rec.info[i] for i in ids.tolist()]
 
 
 def test_mul_add_in_range_arithmetic(toy8):
@@ -114,7 +114,7 @@ def test_mul_add_in_range_arithmetic(toy8):
         rng = np.random.default_rng(1)
         for _ in range(50):
             a, b = sorted(rng.integers(0, space.total_ops + 1, size=2).tolist())
-            muls = sum(1 for i in range(a, b) if space.op_info(i)[2] == OpType.MUL)
+            muls = int((space.classify(np.arange(a, b))[2] == OpType.MUL).sum())
             got_m, got_a = space.mul_add_in_range(a, b)
             assert got_m == muls
             assert got_a == (b - a) - muls
@@ -205,7 +205,7 @@ def _replay_table(space, rec, data):
         if pool:
             ids += data.draw(st.lists(st.sampled_from(pool), max_size=3))
     ids += data.draw(st.lists(st.integers(0, total - 1), max_size=4))
-    events = [(0, 0, "op", i, data.draw(st.integers(0, space.op_width(i) - 1)), data.draw(st.integers(0, 2)))
+    events = [(0, 0, "op", i, data.draw(st.integers(0, int(space.op_widths([i])[0]) - 1)), data.draw(st.integers(0, 2)))
               for i in ids]
     if space.width_pad == 64:
         events.append((0, 0, "op", ids[0], 63, 0))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -279,7 +281,7 @@ def test_plan_json_roundtrip(tmp_path):
 
     plan.overhead = tmr_overhead(plan.protected_ranges, FakeSpace())
     path = tmp_path / "plan.json"
-    plan.save_json(str(path))
+    path.write_text(json.dumps(plan.to_dict()))
     loaded = TmrPlan.load_json(str(path))
     assert loaded.to_dict() == plan.to_dict()
     # pinned serialization keys
@@ -320,7 +322,7 @@ def test_run_with_tmr_single_corrupt_copy_votes_clean(model, dataset):
     events = []
     for op_id in rng.choice(space.total_ops, size=50, replace=False):
         copy = int(rng.integers(0, 3))
-        bit = int(rng.integers(0, space.op_width(int(op_id))))
+        bit = int(rng.integers(0, int(space.op_widths([op_id])[0])))
         events.append((0, 0, "op", int(op_id), bit, copy))
     replay = FaultTrace(events)
     # ber ignored under replay
@@ -333,7 +335,7 @@ def test_run_with_tmr_two_corrupt_copies_can_corrupt(model, dataset):
     plan = _full_plan(space)
     x = dataset.samples[0]
     # same high bit flipped in two copies of one MUL: the vote adopts the fault
-    op_id = next(i for i in range(space.total_ops) if space.op_width(i) == space.width_mul)
+    op_id = int(np.flatnonzero(space.op_widths(np.arange(space.total_ops)) == space.width_mul)[0])
     bit = space.width_mul - 1
     replay = FaultTrace([(0, 0, "op", op_id, bit, 0), (0, 0, "op", op_id, bit, 1)])
     out = run_with_tmr(Campaign(model, dataset, "direct", seed=69), plan, 0.5, replay=replay)
