@@ -167,7 +167,7 @@ class Campaign:
                                     trace=trace, replay=replay, protected=protected)
             return run_inference(
                 self.model, x, self.engine, hook,
-                ranges=self.ranges, range_mode=self.range_mode, capture=capture, struck=hook.struck,
+                ranges=self.ranges, range_mode=self.range_mode, capture=capture, faults=hook.faults,
             )
         offsets = self.opspace.neuron_offsets
 

@@ -18,14 +18,16 @@ bit for bit because every conv input is requantized to 8 or 16 bits and
 input channels for a partial sum to reach 2^53.
 
 A layer's ops group into output units: a direct output pixel, or a Winograd
-(tile, output channel). Passing the sorted ids of the only ops the hook
-changes as ``struck`` runs the vectorized path and then just the units owning
-a struck op through the hook, in op-id order; ``struck=None`` runs every unit
-through it and is the reference for that fast path.
+(tile, output channel). Given an :class:`OpFaults` table of the ops to flip,
+a conv runs the vectorized path and then recomputes only the units owning a
+struck op, in NumPy lockstep over all of them at once, with work that scales
+with the number of flips rather than with the ops of a unit. The hooked path
+runs every op through the hook and is the reference for that fast path.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Optional
@@ -52,6 +54,27 @@ class Stage(IntEnum):
 
 
 Hook = Callable[[int, int, int, int, int], int]
+
+
+@dataclass(frozen=True)
+class OpFaults:
+    """The op faults of one inference, as the fast path applies them.
+
+    ``ids`` holds the struck op ids, ascending. ``masks`` holds their uint64
+    XOR masks, one column, or three when some op runs under TMR: such an op's
+    result is the median of its three flipped copies (the majority vote), and
+    every other op repeats its one mask in all three columns. An op flips bits
+    of the low ``width_mul`` (MUL) or ``width_add`` (ADD) bits of its result;
+    those widths bound the values the fast path must hold exactly (see
+    :func:`lockstep_bound`). ``record`` appends the faults' trace records and
+    runs once per inference.
+    """
+
+    ids: np.ndarray
+    masks: np.ndarray
+    width_mul: int
+    width_add: int
+    record: Callable[[], None]
 
 
 # F(2x2, 3x3) transform constants (exact rationals; G carries halves).
@@ -103,6 +126,22 @@ class _Transform:
             for j, row in enumerate(m.tolist()):
                 chain(row, out + i * r + j, range(t0 + i * cols, t0 + (i + 1) * cols))
         return cls(tuple(steps), [0] * (out + r * r - t0), out)
+
+    @functools.cached_property
+    def linear(self) -> tuple:
+        """(X, D, OX, OD): the program as integer matrices. Step s's result
+        is X[s] x + D[s] d and the output is OX x + OD d, for the inputs x
+        and the deltas d that flips add to the steps' results."""
+        n_in = min(dst for dst, *_ in self.steps)
+        # each slot as its coefficients of the inputs, then of the deltas
+        basis = np.eye(n_in + len(self.steps), dtype=np.int64)
+        buf = list(basis[:n_in]) + [0 * basis[0]] * len(self.pad)
+        nodes = []
+        for s, (dst, a, b, sub) in enumerate(self.steps):
+            buf[dst] = (buf[a] - buf[b] if sub else buf[a] + buf[b]) + basis[n_in + s]
+            nodes.append(buf[dst])
+        nodes, out = np.array(nodes), np.array(buf[self.out :])
+        return nodes[:, :n_in], nodes[:, n_in:], out[:, :n_in], out[:, n_in:]
 
 
 _ADD = int(OpType.ADD)
@@ -255,11 +294,102 @@ def _padded(x: QTensor, pad: int, hp: int, wp: int) -> np.ndarray:
     return xp
 
 
-def _struck_offsets(struck, op_base: int, n_ops: int) -> np.ndarray:
-    """Offsets from ``op_base`` of the sorted ``struck`` op ids inside [op_base, op_base + n_ops)."""
-    struck = np.asarray(struck, dtype=np.int64)
-    lo, hi = np.searchsorted(struck, [op_base, op_base + n_ops])
-    return struck[lo:hi] - op_base
+def lockstep_bound(spec: ConvSpec, width_mul: int, width_add: int, cfg: Optional[WinogradConfig] = None) -> int:
+    """Largest magnitude any value of the layer's fast path can take when
+    flips strike the low ``width_mul`` bits of products and the low
+    ``width_add`` bits of sums: of :func:`conv_direct` when ``cfg`` is None,
+    else of :func:`conv_winograd`. A flip of the low w bits moves a value by
+    less than 2^w. The fast path runs in int64 below 2^63, else on Python ints.
+    """
+    bias = int(np.abs(spec.bias).max()) if spec.bias is not None else 0
+    filter_tf = None if cfg is None else cfg.instrument_filter_transform
+    return _bound(spec.weights.qparams.bit_width, spec.in_channels, bias, width_mul, width_add, filter_tf)
+
+
+@functools.lru_cache(maxsize=256)
+def _bound(bits: int, c: int, bias: int, width_mul: int, width_add: int, filter_tf: Optional[bool]) -> int:
+    """:func:`lockstep_bound` of the direct engine (``filter_tf`` None) or of
+    Winograd with an instrumented filter transform or not."""
+    x, fm, fa = 2 ** (bits - 1), 2**width_mul, 2**width_add
+    if filter_tf is None:
+        return bias + 9 * c * (x * x + fm + fa)
+    v = _tf_bound(_INPUT_TF, x, fa)
+    u = _tf_bound(_FILTER_TF, x, fa if filter_tf else 0)
+    return _tf_bound(_INVERSE_TF, c * (u * v + fm + fa), fa) + 4 * bias
+
+
+def _tf_bound(tf: _Transform, x: int, flip: int) -> int:
+    """Largest magnitude of a step result or output of ``tf`` (or of a
+    partial sum computing it from ``tf.linear``) from inputs of magnitude
+    at most ``x`` when every step may move its result by less than ``flip``."""
+    wx, wd, ox, od = (np.abs(m).sum(axis=1).tolist() for m in tf.linear)
+    return max(a * x + b * flip for a, b in zip(wx + ox, wd + od))
+
+
+def _layer_faults(faults: OpFaults, op_base: int, n_ops: int, bound: int):
+    """(offsets from ``op_base``, masks, dtype) of the faults inside [op_base,
+    op_base + n_ops). The dtype holds every value below ``bound`` exactly:
+    int64, or object (Python ints) past it."""
+    lo, hi = np.searchsorted(faults.ids, [op_base, op_base + n_ops])
+    masks = faults.masks[lo:hi]
+    if bound < 2**63:
+        return faults.ids[lo:hi] - op_base, masks.view(np.int64), np.int64
+    return faults.ids[lo:hi] - op_base, masks.astype(object), object
+
+
+def _flip(v: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """The values ``v`` as the hook returns them: XOR-ed with their one mask,
+    or the median of the three XOR-ed copies, which is the majority vote."""
+    if masks.shape[1] == 1:
+        return v ^ masks[:, 0]
+    a, b, c = (v ^ masks[:, i] for i in range(3))
+    return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
+
+
+def _ranks(group: np.ndarray) -> np.ndarray:
+    """Position of each entry of the sorted ``group`` within its run of equal values."""
+    idx = np.arange(group.size)
+    first = np.ones(group.size, dtype=bool)
+    first[1:] = group[1:] != group[:-1]
+    return idx - np.maximum.accumulate(np.where(first, idx, 0))
+
+
+def _flip_chains(s: np.ndarray, chain: tuple, step: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Deltas that ADD flips add to the running sums ``s[chain + (step,)]``
+    (partial sums along the last axis): one per chain, for its final sum.
+    Flip j strikes step ``step[j]`` of chain ``chain[..][j]``, and the flips
+    of a chain come in step order; each applies to the sum that carries the
+    deltas of the flips before it."""
+    delta = np.zeros(s.shape[:-1], dtype=s.dtype)
+    if not step.size:
+        return delta
+    key = np.ravel_multi_index(chain, delta.shape)
+    order = np.argsort(key, kind="stable")
+    rank = _ranks(key[order])
+    for r in range(int(rank.max()) + 1):
+        j = order[rank == r]
+        at = tuple(i[j] for i in chain)
+        acc = s[at + (step[j],)] + delta[at]
+        delta[at] += _flip(acc, masks[j]) - acc
+    return delta
+
+
+def _lockstep(tf: _Transform, x: np.ndarray, rows: np.ndarray, steps: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """The results of ``tf`` on every row of ``x``, as :func:`_hooked_transform`
+    computes them on one, when step ``steps[j]`` of row ``rows[j]`` is
+    flipped by ``masks[j]``. Each step's result is a fixed combination of the
+    row and the deltas of its earlier flips (``tf.linear``), so the flips of
+    all rows apply together, rank by rank in step order."""
+    wx, wd, ox, od = (m.astype(x.dtype) for m in tf.linear)
+    delta = np.zeros((x.shape[0], len(tf.steps)), dtype=x.dtype)
+    order = np.lexsort((steps, rows))
+    rank = _ranks(rows[order])
+    for r in range(int(rank.max()) + 1):
+        j = order[rank == r]
+        row, step = rows[j], steps[j]
+        acc = (x[row] * wx[step]).sum(axis=1) + (delta[row] * wd[step]).sum(axis=1)
+        delta[row, step] = _flip(acc, masks[j]) - acc
+    return x @ ox.T + delta @ od.T
 
 
 def conv_direct(
@@ -269,16 +399,18 @@ def conv_direct(
     *,
     layer_id: int = 0,
     op_base: int = 0,
-    struck=None,
+    faults: Optional[OpFaults] = None,
 ) -> QTensor:
     """Stride-1 cross-correlation with per-MAC instrumentation.
 
     Canonical op order: output channel, output row, output col, input channel,
     kernel row, kernel col; each MAC emits its MUL then its accumulation ADD.
-    The 18*C ops of one output pixel form its unit. ``struck=None`` runs every
-    unit through the hook; given the sorted ``struck`` op ids, the vectorized
-    kernel computes the output and only the units owning a struck op rerun
-    through the hook, in op-id order.
+    The 18*C ops of one output pixel form its unit. Given ``faults``, the
+    vectorized kernel computes the output and the units owning a struck op
+    are recomputed together without calling ``hook``: their products, with
+    every MUL flip applied at once, are summed by a cumulative sum, and the
+    ADD flips of all units apply rank by rank (see :func:`_flip_chains`).
+    Otherwise every op runs through the hook, which is the reference.
     """
     n_, c_, h, w = _check_input(x, spec)
     oh, ow = spec.out_hw(h, w)
@@ -286,26 +418,23 @@ def conv_direct(
     oq = spec.out_qparams
     pad, k_ = spec.padding, spec.out_channels
     xp = _padded(x, pad, h + 2 * pad, w + 2 * pad)
-    if hook is None:
+    if hook is None or faults is not None:
         out = _conv_direct_vec(xp, spec, shift)
+        if faults is not None:
+            bound = lockstep_bound(spec, faults.width_mul, faults.width_add)
+            offs, masks, dt = _layer_faults(faults, op_base, out.size * 18 * c_, bound)
+            if offs.size:
+                _direct_struck(xp, spec, shift, out, offs, masks, dt)
         return QTensor(out.shape, out, oq)
 
     chain = 18 * c_
-    size = n_ * k_ * oh * ow
-    if struck is None:
-        out = np.empty(size, dtype=np.int64)
-        units = range(size)
-    else:
-        out = _conv_direct_vec(xp, spec, shift).reshape(-1)
-        units = dict.fromkeys((_struck_offsets(struck, op_base, size * chain) // chain).tolist())
-        if not units:
-            return QTensor((n_, k_, oh, ow), out, oq)
+    out = np.empty(n_ * k_ * oh * ow, dtype=np.int64)
     xl = xp.tolist()
     wl = spec.weights.array.tolist()
     bias = spec.bias.tolist() if spec.bias is not None else [0] * k_
     lo, hi = oq.int_min, oq.int_max
     mul, add, stg = int(OpType.MUL), int(OpType.ADD), int(Stage.DIRECT_MAC)
-    for u in units:
+    for u in range(out.size):
         rest, ox = divmod(u, ow)
         rest, oy = divmod(rest, oh)
         n, k = divmod(rest, k_)
@@ -323,6 +452,32 @@ def conv_direct(
                     op_id += 1
         out[u] = requant_scalar(acc, shift, lo, hi)
     return QTensor((n_, k_, oh, ow), out, oq)
+
+
+def _direct_struck(xp: np.ndarray, spec: ConvSpec, shift: int, out: np.ndarray, offs: np.ndarray,
+                   masks: np.ndarray, dt) -> None:
+    """Overwrite the pixels of ``out`` owning the struck op offsets ``offs``
+    with their faulty values, computed in ``dt``."""
+    c_ = spec.in_channels
+    unit, step = np.divmod(offs, 18 * c_)
+    mac, is_add = np.divmod(step, 2)
+    units, row = np.unique(unit, return_inverse=True)
+    n, k, oy, ox = np.unravel_index(units, out.shape)
+    # each unit's 3x3 windows over all channels, in MAC order, as flat indices into xp
+    _, _, hp, wp = xp.shape
+    window = (np.arange(c_)[:, None, None] * hp * wp + np.arange(3)[:, None] * wp + np.arange(3)).ravel()
+    corner = np.ravel_multi_index((n, 0, oy, ox), xp.shape)
+    p = xp.reshape(-1)[corner[:, None] + window].astype(dt, copy=False)
+    p *= spec.weights.array.reshape(-1, 9 * c_)[k]
+    mul = is_add == 0
+    p[row[mul], mac[mul]] = _flip(p[row[mul], mac[mul]], masks[mul])
+    s = np.cumsum(p, axis=1, out=p)
+    if spec.bias is not None:
+        s += spec.bias[k, None]
+    add = ~mul
+    acc = s[:, -1] + _flip_chains(s, (row[add],), mac[add], masks[add])
+    oq = spec.out_qparams
+    out.reshape(-1)[units] = requant_array(acc, shift, oq.int_min, oq.int_max)
 
 
 def conv3x3_gemm(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -356,7 +511,7 @@ def conv_winograd(
     *,
     layer_id: int = 0,
     op_base: int = 0,
-    struck=None,
+    faults: Optional[OpFaults] = None,
 ) -> QTensor:
     """F(2x2,3x3) convolution, element-exact with :func:`conv_direct`.
 
@@ -370,12 +525,11 @@ def conv_winograd(
 
     A (tile, k) unit owns the tile's element-wise multiplies, channel sums
     and inverse transform of output channel k; a tile's input transform feeds
-    all of its units. ``struck=None`` runs every unit through the hook. Given
-    the sorted ``struck`` op ids, the vectorized kernel computes the output
-    and only the struck units rerun through the hook: a struck input-transform
-    op makes every k of its tile a unit, and a struck filter-transform op
-    every unit of the layer. Tiles run in op-id order, each stage by stage
-    over its units' k ascending, so the hook sees ops in op-id order.
+    all of its units, and the filter transform of (k, c) every unit of k.
+    Given ``faults``, the vectorized kernel computes the output and the units
+    owning a struck op are recomputed together without calling ``hook`` (see
+    :func:`_winograd_struck`). Otherwise every op runs through the hook, which
+    is the reference.
     """
     if cfg is None:
         cfg = WINOGRAD_F2X2_3X3
@@ -387,31 +541,21 @@ def conv_winograd(
     k_, pad = spec.out_channels, spec.padding
     ty_, tx_ = WinogradConfig.tile_grid(oh, ow)
     xp = _padded(x, pad, 2 * ty_ + 2, 2 * tx_ + 2)
-    if hook is None:
-        out = _conv_winograd_vec(xp, spec, oh, ow, shift)
-        return QTensor(out.shape, out, oq)
-
     n_itf, n_inv, n_ftf = len(_INPUT_TF.steps), len(_INVERSE_TF.steps), len(_FILTER_TF.steps)
     ftf_ops = k_ * c_ * n_ftf if cfg.instrument_filter_transform else 0
     tile_ops = c_ * n_itf + 32 * k_ * c_ + k_ * n_inv
-    n_tiles = n_ * ty_ * tx_
-    offs = None if struck is None else _struck_offsets(struck, op_base, ftf_ops + n_tiles * tile_ops)
-    # tile -> output channels of its units, where -1 marks a struck input
-    # transform and so every k
-    if offs is None or (offs.size and offs[0] < ftf_ops):
-        out = np.empty((n_, k_, oh, ow), dtype=np.int64)
-        units = dict.fromkeys(range(n_tiles), (-1,))
-    else:
-        out = _conv_winograd_vec(xp, spec, oh, ow, shift)
-        tile, o = np.divmod(offs - ftf_ops, tile_ops)
-        o -= c_ * n_itf
-        ks = np.where(o < 0, -1, np.where(o < 32 * k_ * c_, o // (16 * c_) % k_, (o - 32 * k_ * c_) // n_inv))
-        units = {}
-        for t, k in zip(tile.tolist(), ks.tolist()):
-            units.setdefault(t, set()).add(k)
-        if not units:
-            return QTensor(out.shape, out, oq)
+    if hook is None:
+        out = _conv_winograd_vec(xp, spec, oh, ow, shift)[0]
+        return QTensor(out.shape, out, oq)
+    if faults is not None:
+        out, u, v = _conv_winograd_vec(xp, spec, oh, ow, shift)
+        bound = lockstep_bound(spec, faults.width_mul, faults.width_add, cfg)
+        offs, masks, dt = _layer_faults(faults, op_base, ftf_ops + n_ * ty_ * tx_ * tile_ops, bound)
+        if offs.size:
+            _winograd_struck(xp, spec, shift, out, u, v, offs - ftf_ops, masks, dt)
+        return QTensor(out.shape, out, oq)
 
+    out = np.empty((n_, k_, oh, ow), dtype=np.int64)
     b4 = [4 * int(b) for b in spec.bias] if spec.bias is not None else [0] * k_
     lo, hi = oq.int_min, oq.int_max
     mul = int(OpType.MUL)
@@ -428,44 +572,38 @@ def conv_winograd(
     else:
         u_all = np.matmul(np.matmul(G2_F2X2_3X3, spec.weights.array), G2_F2X2_3X3.T).reshape(k_ * c_, 16).tolist()
 
-    for t, touched in units.items():
+    for t in range(n_ * ty_ * tx_):
         n, ty = divmod(t, ty_ * tx_)
         ty, tx = divmod(ty, tx_)
         y0, x0 = 2 * ty, 2 * tx
         op_id = op_base + ftf_ops + t * tile_ops
-        d = xp[n, :, y0 : y0 + 4, x0 : x0 + 4]
         # Input transform B^T d B per input channel.
-        if -1 in touched:
-            k_list = range(k_)
-            v_all = [
-                _hooked_transform(_INPUT_TF, dc, hook, op_id + c * n_itf, layer_id, s_itf)
-                for c, dc in enumerate(d.reshape(c_, 16).tolist())
-            ]
-        else:
-            k_list = sorted(touched)
-            v_all = np.matmul(np.matmul(BT_F2X2_3X3, d), BT_F2X2_3X3.T).reshape(c_, 16).tolist()
+        v_all = [
+            _hooked_transform(_INPUT_TF, dc, hook, op_id + c * n_itf, layer_id, s_itf)
+            for c, dc in enumerate(xp[n, :, y0 : y0 + 4, x0 : x0 + 4].reshape(c_, 16).tolist())
+        ]
         op_id += c_ * n_itf
         # Element-wise multiply in the transform domain, per (k, c).
-        p_all = {}
-        for k in k_list:
+        p_all = []
+        for k in range(k_):
             base = op_id + 16 * c_ * k
-            p_all[k] = [
+            p_all.append([
                 [hook(base + 16 * c + e, layer_id, mul, s_ew, u[e] * v[e]) for e in range(16)]
                 for c, (u, v) in enumerate(zip(u_all[k * c_ : (k + 1) * c_], v_all))
-            ]
+            ])
         op_id += 16 * k_ * c_
         # Channel sum per k, accumulated in the transform domain.
-        s_all = {}
-        for k in k_list:
+        s_all = []
+        for k in range(k_):
             base = op_id + 16 * c_ * k
             sk = [0] * 16
             for c, p in enumerate(p_all[k]):
                 sk = [hook(base + 16 * c + e, layer_id, _ADD, s_cs, sk[e] + p[e]) for e in range(16)]
-            s_all[k] = sk
+            s_all.append(sk)
         op_id += 16 * k_ * c_
         # Inverse transform A^T S A per output channel; the padded outputs of
         # ragged edge tiles are dropped.
-        for k in k_list:
+        for k in range(k_):
             y = _hooked_transform(_INVERSE_TF, s_all[k], hook, op_id + k * n_inv, layer_id, s_inv)
             for e in range(4):
                 oy, ox = y0 + e // 2, x0 + e % 2
@@ -474,12 +612,90 @@ def conv_winograd(
     return QTensor(out.shape, out, oq)
 
 
-def _conv_winograd_vec(xp: np.ndarray, spec: ConvSpec, oh: int, ow: int, shift: int) -> np.ndarray:
+def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, out: np.ndarray, u: np.ndarray, v: np.ndarray,
+                     offs: np.ndarray, masks: np.ndarray, dt) -> None:
+    """Overwrite the (tile, k) units of ``out`` owning the struck ops with
+    their faulty values, computed in ``dt``. ``offs`` are the ops' offsets
+    from the layer's first tile; filter-transform ops lie below 0. ``u`` and
+    ``v`` are the vectorized pass's exact transformed filters and inputs.
+
+    The filter transforms of struck (k, c) and the input transforms of
+    struck (tile, c) rerun in lockstep (see :func:`_lockstep`). The units'
+    products take their multiply flips at once, a cumulative sum over c
+    gives every channel sum, and channel-sum flips apply rank by rank. The
+    inverse transform is one product with kron(A^T, A^T), rerun in lockstep
+    for the units with an inverse-transform flip.
+    """
+    n_, c_, hp, wp = xp.shape
+    k_ = spec.out_channels
+    ty_, tx_ = (hp - 2) // 2, (wp - 2) // 2
+    n_itf, n_inv, n_ftf = len(_INPUT_TF.steps), len(_INVERSE_TF.steps), len(_FILTER_TF.steps)
+    ew0 = c_ * n_itf
+    cs0 = ew0 + 16 * k_ * c_
+    inv0 = cs0 + 16 * k_ * c_
+    ftf = offs < 0
+    t, o = np.divmod(offs[~ftf], inv0 + k_ * n_inv)
+    tm = masks[~ftf]
+    itf, ew, cs, inv = o < ew0, (ew0 <= o) & (o < cs0), (cs0 <= o) & (o < inv0), inv0 <= o
+
+    u = u.T.astype(np.int64).astype(dt, copy=False)  # (K*C, 16)
+    hit = np.zeros((n_ * ty_ * tx_, k_), dtype=bool)
+    if ftf.any():
+        kc, step = np.divmod(offs[ftf] + k_ * c_ * n_ftf, n_ftf)
+        rows, r = np.unique(kc, return_inverse=True)
+        g = spec.weights.array.reshape(k_ * c_, 9)[rows].astype(dt, copy=False)
+        u[rows] = _lockstep(_FILTER_TF, g, r, step, masks[ftf])
+        hit[:, rows // c_] = True
+    u = u.reshape(k_, c_, 16)
+    hit[t[itf]] = True
+    # element-wise multiply and channel-sum flips: (tile, k, c, e)
+    kce = [np.unravel_index(o[sel] - first, (k_, c_, 16)) for sel, first in ((ew, ew0), (cs, cs0))]
+    k_inv, step_inv = np.divmod(o[inv] - inv0, n_inv)
+    for sel, k in ((ew, kce[0][0]), (cs, kce[1][0]), (inv, k_inv)):
+        hit[t[sel], k] = True
+    ut, uk = np.nonzero(hit)  # the units, by tile, then k
+    unit = np.full(hit.shape, -1)
+    unit[ut, uk] = np.arange(ut.size)
+    tiles, tu = np.unique(ut, return_inverse=True)
+
+    v = v[:, :, tiles].T.astype(np.int64, order="C").astype(dt, copy=False)  # (tiles, C, 16)
+    if itf.any():
+        c, step = np.divmod(o[itf], n_itf)
+        rows, r = np.unique(np.searchsorted(tiles, t[itf]) * c_ + c, return_inverse=True)
+        n, ty, tx = np.unravel_index(tiles[rows // c_], (n_, ty_, tx_))
+        d = sliding_window_view(xp, (4, 4), axis=(2, 3))[n, rows % c_, 2 * ty, 2 * tx].reshape(-1, 16)
+        v.reshape(-1, 16)[rows] = _lockstep(_INPUT_TF, d.astype(dt, copy=False), r, step, tm[itf])
+    p = u[uk]
+    p *= v[tu]  # (units, C, 16)
+    k, c, e = kce[0]
+    at = (unit[t[ew], k], c, e)
+    p[at] = _flip(p[at], tm[ew])
+    s = np.cumsum(p, axis=1, out=p).transpose(0, 2, 1)  # (units, 16, C): a chain per (unit, e)
+    k, c, e = kce[1]
+    s = s[..., -1] + _flip_chains(s, (unit[t[cs], k], e), c, tm[cs])
+    y = s @ _KRON_AT.astype(np.int64).astype(dt).T  # (units, 4)
+    if inv.any():
+        rows, r = np.unique(unit[t[inv], k_inv], return_inverse=True)
+        y[rows] = _lockstep(_INVERSE_TF, s[rows], r, step_inv, tm[inv])
+    if spec.bias is not None:
+        y += 4 * spec.bias[uk, None]
+    oq = spec.out_qparams
+    y = requant_array(y, shift, oq.int_min, oq.int_max)
+    # output element e of a unit sits at (2 ty + e // 2, 2 tx + e % 2)
+    n, ty, tx = np.unravel_index(ut, (n_, ty_, tx_))
+    oy, ox = 2 * ty[:, None] + np.array([0, 0, 1, 1]), 2 * tx[:, None] + np.array([0, 1, 0, 1])
+    i, e = np.nonzero((oy < out.shape[2]) & (ox < out.shape[3]))
+    out[n[i], uk[i], oy[i, e], ox[i, e]] = y[i, e]
+
+
+def _conv_winograd_vec(xp: np.ndarray, spec: ConvSpec, oh: int, ow: int, shift: int) -> tuple:
     """Requantized output of the padded input ``xp``, as three float64 matrix
     products over tiles flattened row-major to 16 elements: the input
     transform kron(B^T, B^T), 16 per-element (K x C) @ (C x tiles) GEMMs
     that multiply and sum over channels, and the inverse transform
-    kron(A^T, A^T). Exact under ConvSpec's magnitude bound."""
+    kron(A^T, A^T). Exact under ConvSpec's magnitude bound. Returns the
+    output with the transformed filters U (16, K*C) and inputs V (16, C,
+    tiles), whose float64 values are exact integers."""
     n_, c_ = xp.shape[:2]
     k_ = spec.out_channels
     tiles = sliding_window_view(xp.astype(np.float64), (4, 4), axis=(2, 3))[:, :, ::2, ::2]  # (N,C,TY,TX,4,4)
@@ -491,7 +707,7 @@ def _conv_winograd_vec(xp: np.ndarray, spec: ConvSpec, oh: int, ow: int, shift: 
     plane = y.transpose(3, 2, 4, 0, 5, 1).reshape(n_, k_, 2 * ty_, 2 * tx_)[:, :, :oh, :ow]
     if spec.bias is not None:
         plane = plane + 4 * spec.bias[None, :, None, None]
-    return requant_array(plane, shift, spec.out_qparams.int_min, spec.out_qparams.int_max)
+    return requant_array(plane, shift, spec.out_qparams.int_min, spec.out_qparams.int_max), u, v
 
 
 # Per-layer op counting (must match the hooked emission exactly; checked in tests).

@@ -14,10 +14,12 @@ class ShapeError(ValueError):
 
 def json_typed(value, what: str, kind: type = int):
     """``value`` if it is a JSON value of type ``kind``: by default an integer
-    (a bool, a float such as 8.0 or a string is not), or a bool. ConfigError
-    otherwise, so that no input file value is truncated or converted."""
+    (a bool, a float such as 8.0 or a string is not), or a bool, list or
+    object (dict). ConfigError otherwise, so that no input file value is
+    truncated or converted."""
     if type(value) is not kind:
-        raise ConfigError(f"{what} must be a JSON {'integer' if kind is int else kind.__name__}, got {value!r}")
+        name = {int: "integer", dict: "object"}.get(kind, kind.__name__)
+        raise ConfigError(f"{what} must be a JSON {name}, got {value!r}")
     return value
 
 

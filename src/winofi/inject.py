@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import OpType
+from .engine import OpFaults, OpType
 from .errors import ConfigError, open_input
 from .qtensor import QTensor, flip_array_with_masks
 from .rng import STREAM_NEURON, STREAM_OP, sample_flip_positions
@@ -273,15 +273,6 @@ def sample_op_flips(opspace: OpSpace, seed: int, trial: int, sample: int, ber: f
     return dict(zip(ids.tolist(), masks.tolist()))
 
 
-def _vote(a: int, b: int, c: int) -> int:
-    """Majority of three copies; the median when all three differ."""
-    if a == b or a == c:
-        return a
-    if b == c:
-        return b
-    return sorted((a, b, c))[1]
-
-
 def op_level_hook(
     opspace: OpSpace,
     seed: int,
@@ -302,8 +293,9 @@ def op_level_hook(
     other op takes the copy-0 flips. Scope and protection are decided here,
     once for the whole table. Returns (hook, trace); while the inference
     runs, the trace accumulates exactly the applied flips, in (op, copy, bit)
-    order. ``hook.struck`` holds the sorted ids of the ops the hook changes,
-    the ``struck`` argument of ``run_inference``.
+    order. ``hook.faults`` is the same table as the :class:`OpFaults` that
+    ``run_inference`` takes to apply it without calling the hook; it then
+    writes those trace records itself.
     """
     if trace is None:
         trace = FaultTrace()
@@ -312,29 +304,46 @@ def op_level_hook(
         tables = [replay.masks_for(trial, sample, KIND_OP, copy=c) for c in range(copies)]
     else:
         tables = [sample_op_flips(opspace, seed, trial, sample, ber, copy=c) for c in range(copies)]
-    # {op_id: mask} for single ops, {op_id: (m0, m1, m2)} for protected ones
-    faults = tables[0]
-    if protected:
-        ids = np.fromiter(set().union(*tables), dtype=np.int64)
-        for op_id in ids[_in_ranges(ids, protected)].tolist():
-            faults[op_id] = tuple(t.get(op_id, 0) for t in tables)
-    ids = np.array(sorted(faults), dtype=np.int64)
-    struck = ids[scope.keep(opspace, ids)]
-    faults = {op_id: faults[op_id] for op_id in struck.tolist()}
-    events = trace.events
+    ids = np.sort(np.fromiter(set().union(*tables), dtype=np.int64))
+    masks = np.zeros((ids.size, copies), dtype=np.uint64)
+    for c, table in enumerate(tables):
+        at = np.searchsorted(ids, np.fromiter(table, dtype=np.int64, count=len(table)))
+        masks[at, c] = np.fromiter(table.values(), dtype=np.uint64, count=len(table))
+    voted = _in_ranges(ids, protected)
+    masks[~voted, 1:] = 0
+    keep = masks.any(axis=1)
+    keep[keep] = scope.keep(opspace, ids[keep])
+    ids, masks, voted = ids[keep], masks[keep], voted[keep]
+    table = None
 
-    def hook(op_id, layer_id, op_type, stage, value, _get=faults.get):
-        m = _get(op_id)
+    def hook(op_id, layer_id, op_type, stage, value):
+        nonlocal table
+        if table is None:
+            table = {i: tuple(m) if v else m[0] for i, m, v in zip(ids.tolist(), masks.tolist(), voted.tolist())}
+        m = table.get(op_id)
         if m is None:
             return value
         if isinstance(m, int):
-            _record(events, trial, sample, KIND_OP, op_id, m, 0)
+            _record(trace.events, trial, sample, KIND_OP, op_id, m, 0)
             return value ^ m
         for copy in range(3):
-            _record(events, trial, sample, KIND_OP, op_id, m[copy], copy)
-        return _vote(value ^ m[0], value ^ m[1], value ^ m[2])
+            _record(trace.events, trial, sample, KIND_OP, op_id, m[copy], copy)
+        return sorted((value ^ m[0], value ^ m[1], value ^ m[2]))[1]  # majority, else median
 
-    hook.struck = struck
+    def record():
+        # every set bit, by op, then copy, then bit: the order the hook records
+        bits = np.unpackbits(masks.astype("<u8").view(np.uint8).reshape(ids.size, copies, 8), axis=2,
+                             bitorder="little")
+        i, copy, bit = np.nonzero(bits)
+        trace.events.extend((trial, sample, KIND_OP, op, b, cp)
+                            for op, cp, b in zip(ids[i].tolist(), copy.tolist(), bit.tolist()))
+
+    if voted.any():
+        # an unvoted op repeats its mask, so that the median of three is its one flip
+        fast = np.where(voted[:, None], masks, masks[:, :1])
+    else:
+        fast = np.ascontiguousarray(masks[:, :1])
+    hook.faults = OpFaults(ids, fast, opspace.width_mul, opspace.width_add, record)
     return hook, trace
 
 

@@ -43,13 +43,16 @@ class RangeProfile:
 
     @staticmethod
     def from_dict(d: dict) -> "RangeProfile":
-        point = d.get("_meta", {}).get("point", POINT)
+        json_typed(d, "a range profile", dict)
+        point = json_typed(d.get("_meta", {}), "range profile _meta", dict).get("point", POINT)
         if point != POINT:
             raise ConfigError(f"range profile point {point!r} is not {POINT!r}, where ranges are applied")
-        ranges = {
-            int(k): tuple(json_typed(b, f"range profile layer {k} bound") for b in v)
-            for k, v in d.items() if not k.startswith("_")
-        }
+        ranges = {}
+        for k, v in d.items():
+            if not k.startswith("_"):
+                if len(json_typed(v, f"range profile layer {k}", list)) != 2:
+                    raise ConfigError(f"range profile layer {k} must be a [min, max] pair, got {v!r}")
+                ranges[int(k)] = tuple(json_typed(b, f"range profile layer {k} bound") for b in v)
         return RangeProfile(ranges)
 
     @staticmethod

@@ -254,14 +254,15 @@ def run_inference(
     capture: tuple = (),
     capture_act: tuple = (),
     wg_cfg=None,
-    struck=None,
+    faults: Optional[eng.OpFaults] = None,
 ) -> InferenceResult:
     """Run one sample through the model.
 
-    ``hook`` instruments every conv primitive op. With ``struck``, the sorted
-    ids of the only ops whose result the hook may change, each conv layer
-    runs vectorized and reruns just the output units owning a struck op
-    through the hook (see :mod:`winofi.engine`). ``neuron_fn(layer_id, out)``
+    ``hook`` instruments every conv primitive op. Given ``faults``, the
+    hook's table of op flips, each conv layer instead runs vectorized and
+    recomputes just the output units owning a struck op (see
+    :mod:`winofi.engine`), and ``faults.record()`` writes the trace records
+    the hook would have written. ``neuron_fn(layer_id, out)``
     may rewrite each conv layer's requantized output (neuron-level injection).
     ``ranges`` maps conv layer_id -> (lo, hi) bounds applied at that layer's
     activation point (after the following relu, or after the conv itself when
@@ -296,11 +297,11 @@ def run_inference(
         if isinstance(layer, ConvLayer):
             oh_ow = spec.out_hw(in_shape[1], in_shape[2])
             if engine == "direct":
-                cur = eng.conv_direct(cur, spec, hook, layer_id=layer_id, op_base=op_base, struck=struck)
+                cur = eng.conv_direct(cur, spec, hook, layer_id=layer_id, op_base=op_base, faults=faults)
                 counts = eng.direct_layer_counts(1, in_shape[0], layer.out_channels, *oh_ow)
             else:
                 cur = eng.conv_winograd(cur, spec, wg_cfg, hook, layer_id=layer_id, op_base=op_base,
-                                        struck=struck)
+                                        faults=faults)
                 counts = eng.winograd_layer_counts(
                     1, in_shape[0], layer.out_channels, *oh_ow, wg_cfg.instrument_filter_transform
                 )
@@ -324,6 +325,8 @@ def run_inference(
                 cur = cur.with_data(constrain(cur.array, bounds[0], bounds[1], range_mode))
             if conv_id in capture_act:
                 res.activations[conv_id] = cur
+    if faults is not None:
+        faults.record()
     res.output = cur
     return res
 

@@ -154,19 +154,24 @@ class TmrPlan:
 
     @staticmethod
     def from_dict(d: dict) -> "TmrPlan":
+        json_typed(d, "a TMR plan", dict)
+        history = json_typed(d.get("eval_history", []), "plan eval_history", list)
+        for t in history:
+            if len(json_typed(t, "plan eval_history entry", list)) != 2:
+                raise ConfigError(f"plan eval_history entry must be an [n, accuracy] pair, got {t!r}")
         return TmrPlan(
             segment_size=json_typed(d["segment_size"], "plan segment_size"),
             total_ops=json_typed(d["total_ops"], "plan total_ops"),
-            order=[json_typed(i, "plan order entry") for i in d["order"]],
+            order=[json_typed(i, "plan order entry") for i in json_typed(d["order"], "plan order", list)],
             n=json_typed(d["n"], "plan n"),
             achieved_acc=float(d["achieved_acc"]),
             target_acc=float(d.get("target_acc", 0.0)),
             target_unreachable=json_typed(d.get("target_unreachable", False), "plan target_unreachable", bool),
-            vulnerability=list(d.get("vulnerability", [])),
-            vulnerability_ci=list(d.get("vulnerability_ci", [])),
+            vulnerability=json_typed(d.get("vulnerability", []), "plan vulnerability", list),
+            vulnerability_ci=json_typed(d.get("vulnerability_ci", []), "plan vulnerability_ci", list),
             overhead=d.get("overhead"),
             overhead_normalized=d.get("overhead_normalized"),
-            eval_history=[tuple(t) for t in d.get("eval_history", [])],
+            eval_history=[tuple(t) for t in history],
         )
 
     @staticmethod

@@ -487,11 +487,14 @@ def test_eval_tmr_replay_rejects_copies_on_unprotected_ops(assets, tmp_path, cap
     {"order": ["3", "2", "1", "0"]},
     {"segment_size": 864.7},  # the plan's own 864 segment size, as a float
     {"target_unreachable": "no"},
+    {"order": 5},
+    {"eval_history": [1]},
+    [2, 4],  # a list, not a plan object
 ])
 def test_eval_tmr_rejects_malformed_plan(assets, tmp_path, capsys, fields):
     plan = tmp_path / "plan.json"
     _write_plan(assets, plan, "winograd", n=2, n_segments=4)
-    plan.write_text(json.dumps(dict(json.loads(plan.read_text()), **fields)))
+    plan.write_text(json.dumps(fields if isinstance(fields, list) else dict(json.loads(plan.read_text()), **fields)))
     code = run_cli("eval-tmr", "--model", assets["model"], "--dataset", assets["dataset"], "--engine", "winograd",
                    "--plan", str(plan), "--ber", "1e-4", "--trials", "1", "--out", str(tmp_path / "eval.csv"))
     assert code == 2
@@ -511,7 +514,8 @@ def test_eval_tmr_workers_do_not_change_bytes(assets, tmp_path):
     assert (tmp_path / "eval2.csv").read_bytes() == (tmp_path / "eval1.csv").read_bytes()
 
 
-@pytest.mark.parametrize("case", ["float-bound", "string-bound", "linear-layer"])
+@pytest.mark.parametrize("case", ["float-bound", "string-bound", "linear-layer", "meta-list", "scalar-bound",
+                                  "one-bound", "list-document"])
 def test_malformed_range_profile_exits_2(assets, tmp_path, capsys, case):
     prof = tmp_path / "profile.json"
     common = ("--model", assets["model"], "--dataset", assets["dataset"])
@@ -520,8 +524,9 @@ def test_malformed_range_profile_exits_2(assets, tmp_path, capsys, case):
     lo, hi = doc["0"]
     # layer 5 is the model's linear layer, which no profile range applies to
     doc.update({"float-bound": {"0": [lo, hi + 0.9]}, "string-bound": {"0": [lo, str(hi)]},
-                "linear-layer": {"5": [lo, hi]}}[case])
-    prof.write_text(json.dumps(doc))
+                "linear-layer": {"5": [lo, hi]}, "meta-list": {"_meta": []}, "scalar-bound": {"0": 5},
+                "one-bound": {"0": [lo]}, "list-document": {}}[case])
+    prof.write_text(json.dumps([1, 2] if case == "list-document" else doc))
     code = run_cli("sweep", *common, "--ber", "1e-4", "--trials", "1", "--ranges", str(prof),
                    "--out", str(tmp_path / "r.csv"))
     assert code == 2

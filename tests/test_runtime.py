@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from winofi.engine import OpType, Stage, WinogradConfig
+from winofi.engine import OpType, Stage, WinogradConfig, lockstep_bound
 from winofi.errors import ShapeError
 from winofi.inject import FaultTrace, Scope, op_level_hook
 from winofi.modelio import generate_dataset, generate_toy_model
@@ -212,17 +212,43 @@ def _replay_table(space, rec, data):
     return FaultTrace(events)
 
 
+def _int64_switch_widths(model, engine, wg_cfg):
+    """Fault widths on both sides of each conv layer's switch from int64 to
+    Python ints in the fast path."""
+    cfg = wg_cfg if engine == "winograd" else None
+    widths = set()
+    for *_, spec in model.execution_plan():
+        if spec is not None:
+            last = max(w for w in range(1, 65) if lockstep_bound(spec, w, w, cfg) < 2**63)
+            widths |= {last, min(last + 1, 64)}
+    return sorted(widths)
+
+
+def _fast_and_oracle(model, x, engine, wg_cfg, space, seed, ber, scope=Scope(), replay=None, protected=()):
+    """(output, conv outputs, trace events) of the fast path and of the hooked
+    oracle (``faults=None``) on the same fault table."""
+    conv_ids = tuple(space.conv_layer_ids())
+    runs = []
+    for fast in (True, False):
+        hook, trace = op_level_hook(space, seed, ber, scope, replay=replay, protected=protected)
+        res = run_inference(model, x, engine, hook, wg_cfg=wg_cfg, capture=conv_ids,
+                            faults=hook.faults if fast else None)
+        runs.append((res.output, [res.conv_outputs[lid] for lid in conv_ids], trace.events))
+    return runs
+
+
 @pytest.mark.parametrize("filter_tf", [False, True], ids=["fixed-filter", "hooked-filter"])
 @pytest.mark.parametrize("engine", ["direct", "winograd"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_struck_units_match_hooked_oracle(engine, filter_tf, data):
-    # The vectorized pass plus the struck units must reproduce the fully
-    # hooked inference: the output, every conv output and the trace, in order.
+    # The vectorized pass plus the lockstep recomputation of the struck units
+    # must reproduce the fully hooked inference: the output, every conv
+    # output and the trace, in order, on both sides of the int64 bound.
     model, x = _ragged_model()
     _, rec = _recorded_stream(engine, filter_tf)
     wg_cfg = WinogradConfig(instrument_filter_transform=filter_tf)
-    fault_bits = data.draw(st.sampled_from([None, 64]))
+    fault_bits = data.draw(st.sampled_from([None, 64, *_int64_switch_widths(model, engine, wg_cfg)]))
     space = enumerate_ops(model, engine, fault_bits=fault_bits, wg_cfg=wg_cfg)
     scope = data.draw(st.just(Scope()) | _scopes(space))
     bounds = sorted(set(data.draw(st.lists(st.integers(0, space.total_ops), max_size=6))))
@@ -232,14 +258,32 @@ def test_struck_units_match_hooked_oracle(engine, filter_tf, data):
     else:
         ber = data.draw(st.sampled_from([1e-4, 1e-3, 5e-3]))
         seed, replay = data.draw(st.integers(0, 2**16)), None
-    conv_ids = tuple(space.conv_layer_ids())
-    runs = []
-    for sparse in (True, False):
-        hook, trace = op_level_hook(space, seed, ber, scope, replay=replay, protected=protected)
-        res = run_inference(model, x, engine, hook, wg_cfg=wg_cfg, capture=conv_ids,
-                            struck=hook.struck if sparse else None)
-        runs.append((res.output, [res.conv_outputs[lid] for lid in conv_ids], trace.events))
-    assert runs[0] == runs[1]
+    fast, oracle = _fast_and_oracle(model, x, engine, wg_cfg, space, seed, ber, scope, replay, protected)
+    assert fast == oracle
+
+
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+def test_stacked_add_flips_in_one_chain_match_hooked_oracle(engine):
+    # Several ADD flips in one direct MAC chain, or in one Winograd channel
+    # sum, each apply to the sum that carries the flips before it.
+    model, x = _ragged_model()
+    wg_cfg = WinogradConfig()
+    space = enumerate_ops(model, engine)
+    layer = space.conv_layer_ids()[-1]
+    c_ = model.execution_plan()[layer][1][0]
+    stage = Stage.DIRECT_MAC if engine == "direct" else Stage.WG_CHANNEL_SUM
+    start = int(space.starts[(space.layers == layer) & (space.stages == stage)][0])
+    if engine == "direct":
+        unit = start + 5 * 18 * c_
+        ops = [unit + 2 * mac + 1 for mac in (0, 4, 9, 17, 9 * c_ - 1)]  # the ADDs of five MACs
+    else:
+        k, e = 1, 5
+        ops = [start + (k * c_ + c) * 16 + e for c in range(c_)]  # one chain over every channel
+    events = [(0, 0, "op", op, bit, 0) for op in ops for bit in (4, 7)]
+    fast, oracle = _fast_and_oracle(model, x, engine, wg_cfg, space, 0, 0.0, replay=FaultTrace(events))
+    assert fast == oracle
+    assert fast[2] == events
+    assert fast[1][-1] != run_inference(model, x, engine, capture=(layer,)).conv_outputs[layer]
 
 
 def test_op_bit_totals(toy8, toy16):
