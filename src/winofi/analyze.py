@@ -163,11 +163,11 @@ class Campaign:
                          capture: tuple = (), protected=()):
         x = self.dataset.samples[sample_idx]
         if self.granularity is Granularity.OP_LEVEL:
-            hook, _ = op_level_hook(self.opspace, self.seed, ber, scope, trial=trial, sample=sample_idx,
-                                    trace=trace, replay=replay, protected=protected)
+            faults, _ = op_level_hook(self.opspace, self.seed, ber, scope, trial=trial, sample=sample_idx,
+                                      trace=trace, replay=replay, protected=protected)
             return run_inference(
-                self.model, x, self.engine, hook,
-                ranges=self.ranges, range_mode=self.range_mode, capture=capture, faults=hook.faults,
+                self.model, x, self.engine, faults,
+                ranges=self.ranges, range_mode=self.range_mode, capture=capture,
             )
         offsets = self.opspace.neuron_offsets
 
@@ -229,6 +229,8 @@ class Campaign:
         for lid in rmse_layers:
             if lid not in self.opspace.neuron_sizes:
                 raise ConfigError(f"layer {lid} is not a conv layer of this model")
+        if protected:
+            self.require_op_level("TMR protection")
         scope = scope if scope is not None else self.base_scope
         if replay is not None:
             replay.validate(self.opspace, trials, self.sample_count, self.granularity.value, protected)

@@ -12,6 +12,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -307,7 +308,7 @@ def cmd_replay(cfg: dict) -> None:
     if command not in _REPLAYABLE:
         raise ConfigError(f"cannot replay a {command!r} result")
     run_cfg = _file_config(
-        embedded, command, _subcommand_flags(build_parser(), command), f"result file {cfg['results']}"
+        embedded, command, _subcommand_flags(_parser(), command), f"result file {cfg['results']}"
     )
     trace = FaultTrace.load_jsonl(cfg["trace"])
     run_cfg["format"] = cfg.get("format") or fmt
@@ -444,8 +445,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process: it holds no per-call state, so it is built once."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr,

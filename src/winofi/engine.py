@@ -18,11 +18,12 @@ bit for bit because every conv input is requantized to 8 or 16 bits and
 input channels for a partial sum to reach 2^53.
 
 A layer's ops group into output units: a direct output pixel, or a Winograd
-(tile, output channel). Given an :class:`OpFaults` table of the ops to flip,
-a conv runs the vectorized path and then recomputes only the units owning a
-struck op, in NumPy lockstep over all of them at once, with work that scales
-with the number of flips rather than with the ops of a unit. The hooked path
-runs every op through the hook and is the reference for that fast path.
+(tile, output channel). Passed an :class:`OpFaults` table of the ops to flip
+as its hook, a conv runs the vectorized path and then recomputes only the
+units owning a struck op, in NumPy lockstep over all of them at once, with
+work that scales with the number of flips rather than with the ops of a
+unit. Any other hook sees every op; that hooked path is the reference for
+the fast path.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ Hook = Callable[[int, int, int, int, int], int]
 
 @dataclass(frozen=True)
 class OpFaults:
-    """The op faults of one inference, as the fast path applies them.
+    """The op faults of one inference, passed to a conv as its hook.
 
     ``ids`` holds the struck op ids, ascending. ``masks`` holds their uint64
     XOR masks, one column, or three when some op runs under TMR: such an op's
@@ -67,7 +68,8 @@ class OpFaults:
     of the low ``width_mul`` (MUL) or ``width_add`` (ADD) bits of its result;
     those widths bound the values the fast path must hold exactly (see
     :func:`lockstep_bound`). ``record`` appends the faults' trace records and
-    runs once per inference.
+    runs once per inference. ``reference`` is a per-op hook applying the
+    same faults, which runs every op of the hooked engine instead.
     """
 
     ids: np.ndarray
@@ -75,6 +77,7 @@ class OpFaults:
     width_mul: int
     width_add: int
     record: Callable[[], None]
+    reference: Hook
 
 
 # F(2x2, 3x3) transform constants (exact rationals; G carries halves).
@@ -222,6 +225,10 @@ class ConvSpec:
             raise ShapeError(
                 f"{self.in_channels} input channels at {b} bits can exceed 2^53 in the float64 kernels"
             )
+        # Winograd then adds 4 * bias to those sums in int64.
+        bias = max_abs(self.bias)
+        if 81 * self.in_channels * 4**b + 4 * bias >= 2**63:
+            raise ShapeError(f"conv bias magnitude {bias} can exceed 2^63 in the int64 kernels")
 
     def out_hw(self, in_h: int, in_w: int) -> tuple[int, int]:
         oh = in_h + 2 * self.padding - 2
@@ -240,6 +247,11 @@ class ConvSpec:
             - in_qparams.scale_exponent()
             - self.weights.qparams.scale_exponent()
         )
+
+
+def max_abs(a) -> int:
+    """Largest magnitude in the integer array ``a`` (0 when None or empty), as a Python int."""
+    return 0 if a is None else max(map(abs, np.asarray(a).tolist()), default=0)
 
 
 def requant_scalar(acc: int, shift: int, int_min: int, int_max: int) -> int:
@@ -301,7 +313,7 @@ def lockstep_bound(spec: ConvSpec, width_mul: int, width_add: int, cfg: Optional
     else of :func:`conv_winograd`. A flip of the low w bits moves a value by
     less than 2^w. The fast path runs in int64 below 2^63, else on Python ints.
     """
-    bias = int(np.abs(spec.bias).max()) if spec.bias is not None else 0
+    bias = max_abs(spec.bias)
     filter_tf = None if cfg is None else cfg.instrument_filter_transform
     return _bound(spec.weights.qparams.bit_width, spec.in_channels, bias, width_mul, width_add, filter_tf)
 
@@ -326,13 +338,14 @@ def _tf_bound(tf: _Transform, x: int, flip: int) -> int:
     return max(a * x + b * flip for a, b in zip(wx + ox, wd + od))
 
 
-def _layer_faults(faults: OpFaults, op_base: int, n_ops: int, bound: int):
+def _layer_faults(faults: OpFaults, op_base: int, n_ops: int, spec: ConvSpec, cfg: Optional[WinogradConfig] = None):
     """(offsets from ``op_base``, masks, dtype) of the faults inside [op_base,
-    op_base + n_ops). The dtype holds every value below ``bound`` exactly:
-    int64, or object (Python ints) past it."""
+    op_base + n_ops) of the layer ``spec`` (``cfg`` as in
+    :func:`lockstep_bound`). The dtype holds every value of the layer's fast
+    path exactly: int64, or object (Python ints) past 2^63."""
     lo, hi = np.searchsorted(faults.ids, [op_base, op_base + n_ops])
     masks = faults.masks[lo:hi]
-    if bound < 2**63:
+    if lockstep_bound(spec, faults.width_mul, faults.width_add, cfg) < 2**63:
         return faults.ids[lo:hi] - op_base, masks.view(np.int64), np.int64
     return faults.ids[lo:hi] - op_base, masks.astype(object), object
 
@@ -395,22 +408,22 @@ def _lockstep(tf: _Transform, x: np.ndarray, rows: np.ndarray, steps: np.ndarray
 def conv_direct(
     x: QTensor,
     spec: ConvSpec,
-    hook: Optional[Hook] = None,
+    hook: Optional[Hook | OpFaults] = None,
     *,
     layer_id: int = 0,
     op_base: int = 0,
-    faults: Optional[OpFaults] = None,
 ) -> QTensor:
     """Stride-1 cross-correlation with per-MAC instrumentation.
 
     Canonical op order: output channel, output row, output col, input channel,
     kernel row, kernel col; each MAC emits its MUL then its accumulation ADD.
-    The 18*C ops of one output pixel form its unit. Given ``faults``, the
-    vectorized kernel computes the output and the units owning a struck op
-    are recomputed together without calling ``hook``: their products, with
-    every MUL flip applied at once, are summed by a cumulative sum, and the
-    ADD flips of all units apply rank by rank (see :func:`_flip_chains`).
-    Otherwise every op runs through the hook, which is the reference.
+    The 18*C ops of one output pixel form its unit. With ``hook`` None the
+    vectorized kernel computes the output. Given an :class:`OpFaults` table
+    as ``hook``, the units owning a struck op are then recomputed together:
+    their products, with every MUL flip applied at once, are summed by a
+    cumulative sum, and the ADD flips of all units apply rank by rank (see
+    :func:`_flip_chains`). Any other hook sees every op; that is the
+    reference.
     """
     n_, c_, h, w = _check_input(x, spec)
     oh, ow = spec.out_hw(h, w)
@@ -418,11 +431,10 @@ def conv_direct(
     oq = spec.out_qparams
     pad, k_ = spec.padding, spec.out_channels
     xp = _padded(x, pad, h + 2 * pad, w + 2 * pad)
-    if hook is None or faults is not None:
+    if hook is None or isinstance(hook, OpFaults):
         out = _conv_direct_vec(xp, spec, shift)
-        if faults is not None:
-            bound = lockstep_bound(spec, faults.width_mul, faults.width_add)
-            offs, masks, dt = _layer_faults(faults, op_base, out.size * 18 * c_, bound)
+        if hook is not None:
+            offs, masks, dt = _layer_faults(hook, op_base, out.size * 18 * c_, spec)
             if offs.size:
                 _direct_struck(xp, spec, shift, out, offs, masks, dt)
         return QTensor(out.shape, out, oq)
@@ -507,11 +519,10 @@ def conv_winograd(
     x: QTensor,
     spec: ConvSpec,
     cfg: Optional[WinogradConfig] = None,
-    hook: Optional[Hook] = None,
+    hook: Optional[Hook | OpFaults] = None,
     *,
     layer_id: int = 0,
     op_base: int = 0,
-    faults: Optional[OpFaults] = None,
 ) -> QTensor:
     """F(2x2,3x3) convolution, element-exact with :func:`conv_direct`.
 
@@ -526,10 +537,10 @@ def conv_winograd(
     A (tile, k) unit owns the tile's element-wise multiplies, channel sums
     and inverse transform of output channel k; a tile's input transform feeds
     all of its units, and the filter transform of (k, c) every unit of k.
-    Given ``faults``, the vectorized kernel computes the output and the units
-    owning a struck op are recomputed together without calling ``hook`` (see
-    :func:`_winograd_struck`). Otherwise every op runs through the hook, which
-    is the reference.
+    With ``hook`` None the vectorized kernel computes the output. Given an
+    :class:`OpFaults` table as ``hook``, the units owning a struck op are
+    then recomputed together (see :func:`_winograd_struck`). Any other hook
+    sees every op; that is the reference.
     """
     if cfg is None:
         cfg = WINOGRAD_F2X2_3X3
@@ -544,15 +555,12 @@ def conv_winograd(
     n_itf, n_inv, n_ftf = len(_INPUT_TF.steps), len(_INVERSE_TF.steps), len(_FILTER_TF.steps)
     ftf_ops = k_ * c_ * n_ftf if cfg.instrument_filter_transform else 0
     tile_ops = c_ * n_itf + 32 * k_ * c_ + k_ * n_inv
-    if hook is None:
-        out = _conv_winograd_vec(xp, spec, oh, ow, shift)[0]
-        return QTensor(out.shape, out, oq)
-    if faults is not None:
+    if hook is None or isinstance(hook, OpFaults):
         out, u, v = _conv_winograd_vec(xp, spec, oh, ow, shift)
-        bound = lockstep_bound(spec, faults.width_mul, faults.width_add, cfg)
-        offs, masks, dt = _layer_faults(faults, op_base, ftf_ops + n_ * ty_ * tx_ * tile_ops, bound)
-        if offs.size:
-            _winograd_struck(xp, spec, shift, out, u, v, offs - ftf_ops, masks, dt)
+        if hook is not None:
+            offs, masks, dt = _layer_faults(hook, op_base, ftf_ops + n_ * ty_ * tx_ * tile_ops, spec, cfg)
+            if offs.size:
+                _winograd_struck(xp, spec, shift, out, u, v, offs - ftf_ops, masks, dt)
         return QTensor(out.shape, out, oq)
 
     out = np.empty((n_, k_, oh, ow), dtype=np.int64)

@@ -12,6 +12,7 @@ draws of anything else, which is what paired-scope campaigns rely on.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -175,8 +176,8 @@ class FaultTrace:
         """Raise ConfigError unless every event fits the campaign: records of
         the campaign's ``campaign_kind`` (op or neuron) only, trial and sample
         inside [0, trials) and [0, samples), index inside the op or neuron
-        space, bit below the op's or neuron's width, and copies 1-2 only on
-        ops inside the ``protected`` ranges."""
+        space, bit below the op's or neuron's width, copies 1-2 only on ops
+        inside the ``protected`` ranges, and no record twice."""
         if not self.events:
             return
         t, s, kind, idx, bit, copy = zip(*self.events)
@@ -188,6 +189,8 @@ class FaultTrace:
         width = np.full(idx.shape, opspace.bit_width)
         width[op & inside] = opspace.op_widths(idx[op & inside])
         copies = np.where(op & inside & _in_ranges(idx, protected), 3, 1)
+        first: dict = {}
+        repeats = np.array([first.setdefault(e, i) != i for i, e in enumerate(self.events)])
         checks = (
             (kinds == campaign_kind,
              "{kind} record {idx} is of the other granularity: the campaign injects {campaign_kind}-level faults"),
@@ -197,6 +200,7 @@ class FaultTrace:
             ((0 <= bit) & (bit < width), "bit {bit} of {kind} {idx} outside [0, {width})"),
             ((0 <= copy) & (copy < copies),
              "copy {copy} of {kind} {idx} outside [0, {copies}); copies 1-2 exist only for TMR-protected ops"),
+            (~repeats, "record (trial {t}, sample {s}, {kind} {idx}, bit {bit}, copy {copy}) repeats an earlier one"),
         )
         bad = ~np.stack([ok for ok, _ in checks])  # (check, event)
         if bad.any():
@@ -254,14 +258,12 @@ def _flip_masks(pos: np.ndarray, width: int, widths=None) -> tuple[np.ndarray, n
     return uniq, np.bitwise_or.reduceat(np.left_shift(np.uint64(1), bits.astype(np.uint64)), first)
 
 
-def _record(events: list, trial: int, sample: int, kind: str, idx: int, mask: int, copy: int) -> None:
-    """Append one event per set bit of ``mask``, lowest bit first."""
-    b = 0
-    while mask:
-        if mask & 1:
-            events.append((trial, sample, kind, idx, b, copy))
-        mask >>= 1
-        b += 1
+def _record_table(events: list, trial: int, sample: int, kind: str, ids: np.ndarray, masks: np.ndarray) -> None:
+    """Append one event per set bit of the uint64 ``masks`` (one row per id
+    of ``ids``, one column per copy): by id, then copy, then bit."""
+    bits = np.unpackbits(masks.astype("<u8").view(np.uint8).reshape(*masks.shape, 8), axis=2, bitorder="little")
+    i, copy, bit = np.nonzero(bits)
+    events.extend((trial, sample, kind, idx, b, cp) for idx, cp, b in zip(ids[i].tolist(), copy.tolist(), bit.tolist()))
 
 
 def sample_op_flips(opspace: OpSpace, seed: int, trial: int, sample: int, ber: float, copy: int = 0) -> dict:
@@ -285,17 +287,16 @@ def op_level_hook(
     replay: Optional[FaultTrace] = None,
     protected=(),
 ):
-    """Instrumentation callback flipping in-scope op result bits.
+    """The in-scope op flips of one inference, as the hook ``run_inference`` takes.
 
     Flips are sampled at ``ber`` for (seed, trial, sample) or taken from ``replay``.
     Ops inside the sorted [start, end) ``protected`` ranges run under TMR:
     three copies with independent flips (copies 0-2), majority-voted. Every
     other op takes the copy-0 flips. Scope and protection are decided here,
-    once for the whole table. Returns (hook, trace); while the inference
-    runs, the trace accumulates exactly the applied flips, in (op, copy, bit)
-    order. ``hook.faults`` is the same table as the :class:`OpFaults` that
-    ``run_inference`` takes to apply it without calling the hook; it then
-    writes those trace records itself.
+    once for the whole table. Returns (:class:`OpFaults`, trace); while the
+    inference runs, the trace accumulates exactly the applied flips, in (op,
+    copy, bit) order. The table's ``reference`` applies the same flips one op
+    at a time and writes its records itself.
     """
     if trace is None:
         trace = FaultTrace()
@@ -316,35 +317,24 @@ def op_level_hook(
     ids, masks, voted = ids[keep], masks[keep], voted[keep]
     table = None
 
-    def hook(op_id, layer_id, op_type, stage, value):
+    def reference(op_id, layer_id, op_type, stage, value):
         nonlocal table
         if table is None:
-            table = {i: tuple(m) if v else m[0] for i, m, v in zip(ids.tolist(), masks.tolist(), voted.tolist())}
+            table = {i: m if v else m[:1] for i, m, v in zip(ids.tolist(), masks.tolist(), voted.tolist())}
         m = table.get(op_id)
         if m is None:
             return value
-        if isinstance(m, int):
-            _record(trace.events, trial, sample, KIND_OP, op_id, m, 0)
-            return value ^ m
-        for copy in range(3):
-            _record(trace.events, trial, sample, KIND_OP, op_id, m[copy], copy)
-        return sorted((value ^ m[0], value ^ m[1], value ^ m[2]))[1]  # majority, else median
-
-    def record():
-        # every set bit, by op, then copy, then bit: the order the hook records
-        bits = np.unpackbits(masks.astype("<u8").view(np.uint8).reshape(ids.size, copies, 8), axis=2,
-                             bitorder="little")
-        i, copy, bit = np.nonzero(bits)
-        trace.events.extend((trial, sample, KIND_OP, op, b, cp)
-                            for op, cp, b in zip(ids[i].tolist(), copy.tolist(), bit.tolist()))
+        for copy, mask in enumerate(m):
+            trace.events.extend((trial, sample, KIND_OP, op_id, b, copy) for b in range(64) if mask >> b & 1)
+        return sorted(value ^ x for x in m)[len(m) // 2]  # the one flip, or the majority, else median
 
     if voted.any():
         # an unvoted op repeats its mask, so that the median of three is its one flip
         fast = np.where(voted[:, None], masks, masks[:, :1])
     else:
         fast = np.ascontiguousarray(masks[:, :1])
-    hook.faults = OpFaults(ids, fast, opspace.width_mul, opspace.width_add, record)
-    return hook, trace
+    record = functools.partial(_record_table, trace.events, trial, sample, KIND_OP, ids, masks)
+    return OpFaults(ids, fast, opspace.width_mul, opspace.width_add, record, reference), trace
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +374,7 @@ def neuron_level_inject(
         pos = sample_flip_positions(seed, (STREAM_NEURON, trial, sample, layer_id), output.size * width, ber)
         uniq, masks = _flip_masks(pos, width)
         if trace is not None:
-            for i, m in zip(uniq.tolist(), masks.tolist()):
-                _record(trace.events, trial, sample, KIND_NEURON, neuron_offset + i, m, 0)
+            _record_table(trace.events, trial, sample, KIND_NEURON, uniq + neuron_offset, masks[:, None])
     if uniq.size == 0:
         return output
     return output.with_data(flip_array_with_masks(output.data, uniq, masks, width))

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import ConvSpec, conv3x3_gemm
+from .engine import ConvSpec, conv3x3_gemm, max_abs
 from .errors import ConfigError, ShapeError, json_typed, open_input
 from .qtensor import QTensor, QuantParams, pow2_scale_for, quantize
 
@@ -150,6 +150,10 @@ class ModelDef:
                         f"layer {i}: linear weights {layer.weights.shape} != "
                         f"({layer.out_features}, {shape[0]})"
                     )
+                # the int64 sum of D products of two b-bit values, plus the bias
+                bias = max_abs(layer.bias)
+                if shape[0] * 4 ** (self.bit_width - 1) + bias >= 2**63:
+                    raise ShapeError(f"layer {i}: linear bias magnitude {bias} can exceed 2^63 in int64")
                 shape = (layer.out_features,)
             else:
                 raise ConfigError(f"layer {i}: unsupported layer type {type(layer).__name__}")

@@ -254,15 +254,14 @@ def run_inference(
     capture: tuple = (),
     capture_act: tuple = (),
     wg_cfg=None,
-    faults: Optional[eng.OpFaults] = None,
 ) -> InferenceResult:
     """Run one sample through the model.
 
-    ``hook`` instruments every conv primitive op. Given ``faults``, the
-    hook's table of op flips, each conv layer instead runs vectorized and
-    recomputes just the output units owning a struck op (see
-    :mod:`winofi.engine`), and ``faults.record()`` writes the trace records
-    the hook would have written. ``neuron_fn(layer_id, out)``
+    ``hook`` None runs every conv vectorized. An :class:`~winofi.engine.OpFaults`
+    table runs those kernels and recomputes just the output units owning a
+    struck op (see :mod:`winofi.engine`); its ``record()`` then writes the
+    trace records of the applied flips. Any other ``hook`` instruments every
+    conv primitive op, which is the reference. ``neuron_fn(layer_id, out)``
     may rewrite each conv layer's requantized output (neuron-level injection).
     ``ranges`` maps conv layer_id -> (lo, hi) bounds applied at that layer's
     activation point (after the following relu, or after the conv itself when
@@ -297,11 +296,10 @@ def run_inference(
         if isinstance(layer, ConvLayer):
             oh_ow = spec.out_hw(in_shape[1], in_shape[2])
             if engine == "direct":
-                cur = eng.conv_direct(cur, spec, hook, layer_id=layer_id, op_base=op_base, faults=faults)
+                cur = eng.conv_direct(cur, spec, hook, layer_id=layer_id, op_base=op_base)
                 counts = eng.direct_layer_counts(1, in_shape[0], layer.out_channels, *oh_ow)
             else:
-                cur = eng.conv_winograd(cur, spec, wg_cfg, hook, layer_id=layer_id, op_base=op_base,
-                                        faults=faults)
+                cur = eng.conv_winograd(cur, spec, wg_cfg, hook, layer_id=layer_id, op_base=op_base)
                 counts = eng.winograd_layer_counts(
                     1, in_shape[0], layer.out_channels, *oh_ow, wg_cfg.instrument_filter_transform
                 )
@@ -325,8 +323,8 @@ def run_inference(
                 cur = cur.with_data(constrain(cur.array, bounds[0], bounds[1], range_mode))
             if conv_id in capture_act:
                 res.activations[conv_id] = cur
-    if faults is not None:
-        faults.record()
+    if isinstance(hook, eng.OpFaults):
+        hook.record()
     res.output = cur
     return res
 

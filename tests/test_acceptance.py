@@ -140,7 +140,7 @@ def test_criterion_03_injector_statistics(micro16):
     seen = []
 
     def spy(op_id, layer_id, op_type, stage, value):
-        got = inner(op_id, layer_id, op_type, stage, value)
+        got = inner.reference(op_id, layer_id, op_type, stage, value)
         width = sp.width_mul if op_type == int(OpType.MUL) else sp.width_add
         seen.append(got == value ^ ((1 << width) - 1))
         return got

@@ -226,6 +226,13 @@ def test_optype_vulnerability_rejects_neuron_campaign(model, dataset):
         optype_vulnerability(camp, ber=3e-3, trials=2)
 
 
+def test_tmr_protection_rejects_neuron_campaign(model, dataset):
+    # TMR votes op results, which neuron faults never strike
+    camp = Campaign(model, dataset, "direct", granularity=Granularity.NEURON_LEVEL, seed=45)
+    with pytest.raises(ConfigError, match="op-level"):
+        sweep_ber(camp, [1e-2], 2, protected=[(0, 10**6)])
+
+
 def test_protecting_both_optypes_recovers_clean(model, dataset):
     camp = Campaign(model, dataset, "direct", seed=46)
     scope = Scope().excluding_optype(OpType.MUL).excluding_optype(OpType.ADD)

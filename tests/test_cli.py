@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from winofi.cli import main
+from winofi.cli import build_parser, main
 from winofi.modelio import generate_dataset, generate_toy_model, save_dataset, save_model
 
 
@@ -310,6 +310,36 @@ def test_replay_rejects_trace_outside_op_space(assets, tmp_path, capsys, granula
     assert code == 2
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "ConfigError"
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("granularity", ["op", "neuron"])
+def test_replay_rejects_repeated_trace_record(assets, tmp_path, capsys, granularity):
+    # the tool never writes a record twice, so a repeated one is a damaged trace
+    out, trace = _sweep_with_trace(assets, tmp_path, granularity)
+    lines = trace.read_text().splitlines(keepends=True)
+    assert lines
+    trace.write_text("".join(lines + lines[:1]))
+    code = run_cli("replay", "--results", str(out), "--trace", str(trace), "--out", str(tmp_path / "r.csv"))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and "repeats" in err["message"]
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_main_builds_the_parser_once(assets, tmp_path, monkeypatch):
+    import winofi.cli
+
+    built = []
+    monkeypatch.setattr(winofi.cli, "build_parser", lambda: built.append(1) or build_parser())
+    winofi.cli._parser.cache_clear()
+    try:
+        out, trace = _sweep_with_trace(assets, tmp_path, "op")
+        assert run_cli("replay", "--results", str(out), "--trace", str(trace), "--out", str(tmp_path / "r.csv")) == 0
+        assert run_cli("sweep", "--model", assets["model"], "--dataset", assets["dataset"],
+                       "--ber", "0", "--trials", "1", "--out", str(tmp_path / "z.csv")) == 0
+    finally:
+        winofi.cli._parser.cache_clear()
+    assert built == [1]
 
 
 @pytest.mark.parametrize("scope", [

@@ -97,7 +97,7 @@ def test_sampler_is_pure_function_of_key():
 def test_opcfg_ber_zero_identity(model, sample):
     space = enumerate_ops(model, "direct")
     hook, trace = op_level_hook(space, 0, 0.0)
-    out = run_inference(model, sample, "direct", hook).output
+    out = run_inference(model, sample, "direct", hook.reference).output
     clean = run_inference(model, sample, "direct").output
     assert out == clean
     assert len(trace) == 0
@@ -110,7 +110,7 @@ def test_opcfg_ber_one_complements_every_result(model, sample):
     hook, _ = op_level_hook(space, 0, 1.0)
 
     def spy(op_id, layer_id, op_type, stage, value):
-        got = hook(op_id, layer_id, op_type, stage, value)
+        got = hook.reference(op_id, layer_id, op_type, stage, value)
         seen[op_id] = (op_type, value, got)
         return got
 
@@ -127,7 +127,7 @@ def test_opcfg_ber_one_complements_every_result(model, sample):
 def test_trace_records_match_masks(model, sample):
     space = enumerate_ops(model, "direct")
     hook, trace = op_level_hook(space, 5, 2e-4)
-    run_inference(model, sample, "direct", hook).output
+    run_inference(model, sample, "direct", hook.reference).output
     assert len(trace) > 0
     masks = trace.masks_for(0, 0, "op")
     expect = sample_op_flips(space, 5, 0, 0, 2e-4)
@@ -139,7 +139,7 @@ def test_reproducible_corruption(model, sample):
     outs, traces = [], []
     for _ in range(2):
         hook, trace = op_level_hook(space, 9, 1e-4)
-        outs.append(run_inference(model, sample, "winograd", hook).output)
+        outs.append(run_inference(model, sample, "winograd", hook.reference).output)
         traces.append(trace)
     assert outs[0] == outs[1]
     assert traces[0] == traces[1]
@@ -148,9 +148,9 @@ def test_reproducible_corruption(model, sample):
 def test_replay_reproduces_output(model, sample):
     space = enumerate_ops(model, "direct")
     hook, trace = op_level_hook(space, 31, 1e-4)
-    corrupted = run_inference(model, sample, "direct", hook).output
+    corrupted = run_inference(model, sample, "direct", hook.reference).output
     replay, _ = op_level_hook(space, 31, 1e-4, replay=trace)
-    again = run_inference(model, sample, "direct", replay).output
+    again = run_inference(model, sample, "direct", replay.reference).output
     assert corrupted == again
 
 
@@ -159,7 +159,7 @@ def test_scope_soundness(model, sample):
     layers = space.conv_layer_ids()
     scope = Scope(exclude_layers=frozenset({layers[0]}), exclude_optypes=frozenset({OpType.ADD}))
     hook, trace = op_level_hook(space, 13, 2e-3, scope)
-    run_inference(model, sample, "direct", hook)
+    run_inference(model, sample, "direct", hook.reference)
     assert len(trace) > 0
     lid, _stage, typ = space.classify([e[3] for e in trace.events])
     assert (lid != layers[0]).all()
@@ -171,10 +171,10 @@ def test_scope_change_preserves_other_flips(model, sample):
     space = enumerate_ops(model, "direct")
     layers = space.conv_layer_ids()
     hook, full = op_level_hook(space, 17, 1e-3)
-    run_inference(model, sample, "direct", hook)
+    run_inference(model, sample, "direct", hook.reference)
     scoped_scope = Scope(exclude_layers=frozenset({layers[1]}))
     hook, scoped = op_level_hook(space, 17, 1e-3, scoped_scope)
-    run_inference(model, sample, "direct", hook)
+    run_inference(model, sample, "direct", hook.reference)
     full_keys = set(full.events)
     scoped_keys = set(scoped.events)
     assert scoped_keys <= full_keys
@@ -187,12 +187,12 @@ def test_replay_honours_scope(model, sample):
     # replayed flips pass the same scope check as sampled ones
     space = enumerate_ops(model, "direct")
     hook, full = op_level_hook(space, 19, 1e-3)
-    run_inference(model, sample, "direct", hook)
+    run_inference(model, sample, "direct", hook.reference)
     scope = Scope(exclude_layers=frozenset({space.conv_layer_ids()[1]}))
     hook, scoped = op_level_hook(space, 19, 1e-3, scope)
-    want = run_inference(model, sample, "direct", hook).output
+    want = run_inference(model, sample, "direct", hook.reference).output
     hook, replayed = op_level_hook(space, 19, 1e-3, scope, replay=full)
-    assert run_inference(model, sample, "direct", hook).output == want
+    assert run_inference(model, sample, "direct", hook.reference).output == want
     assert replayed == scoped != full
 
 
@@ -200,7 +200,7 @@ def test_protected_range_scope(model, sample):
     space = enumerate_ops(model, "direct")
     scope = Scope(exclude_op_ranges=((0, space.total_ops // 2),))
     hook, trace = op_level_hook(space, 23, 1e-3, scope)
-    run_inference(model, sample, "direct", hook)
+    run_inference(model, sample, "direct", hook.reference)
     assert len(trace) > 0
     assert all(e[3] >= space.total_ops // 2 for e in trace.events)
 
@@ -294,7 +294,7 @@ def test_neuron_injection_engine_blind(model, sample):
 def test_trace_jsonl_roundtrip(tmp_path, model, sample):
     space = enumerate_ops(model, "direct")
     hook, trace = op_level_hook(space, 51, 5e-4, trial=2, sample=1)
-    run_inference(model, sample, "direct", hook)
+    run_inference(model, sample, "direct", hook.reference)
     out = run_inference(model, sample, "direct").output
     neuron_level_inject(out, 0, 51, 1e-3, trial=2, sample=1,
                         neuron_offset=0, trace=trace)

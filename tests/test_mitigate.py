@@ -83,7 +83,7 @@ def test_clamp_output_always_within_profile(model, dataset):
     from winofi.inject import op_level_hook
 
     hook, _ = op_level_hook(camp.opspace, 84, 1e-3, trial=0, sample=0)
-    out = run_inference(model, dataset.samples[0], "direct", hook,
+    out = run_inference(model, dataset.samples[0], "direct", hook.reference,
                         ranges=prof, capture_act=(lid,))
     lo, hi = prof.get(lid)
     arr = out.activations[lid].array
@@ -126,9 +126,9 @@ def test_constrained_relu_layer_type(model, dataset):
     space = enumerate_ops(model, "direct")
     for t in range(3):
         hook, _ = op_level_hook(space, 85, 5e-4, trial=t)
-        a = run_inference(model, dataset.samples[0], "direct", hook, ranges=prof).output
+        a = run_inference(model, dataset.samples[0], "direct", hook.reference, ranges=prof).output
         hook, _ = op_level_hook(space, 85, 5e-4, trial=t)
-        b = run_inference(baked, dataset.samples[0], "direct", hook).output
+        b = run_inference(baked, dataset.samples[0], "direct", hook.reference).output
         assert a == b
 
 

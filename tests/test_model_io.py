@@ -200,6 +200,49 @@ def test_stride2_winograd_model_rejected(tmp_path):
         load_model(str(d))
 
 
+def _biased_model_dir(d, layer_id, bias):
+    """toycnn-int16 saved to ``d`` with ``bias`` as layer ``layer_id``'s
+    bias, written into the files directly because save_model validates."""
+    model = builtin_model("toycnn-int16")
+    model.layers[layer_id].bias = np.zeros(len(bias), dtype=np.int64)
+    save_model(model, str(d))
+    manifest = json.loads((d / "manifest.json").read_text())
+    offset = manifest["tensors"][f"layer{layer_id}.bias"]["offset"]
+    blob = bytearray((d / "weights.bin").read_bytes())
+    blob[offset : offset + 8 * len(bias)] = np.array(bias, dtype="<i8").tobytes()
+    (d / "weights.bin").write_bytes(bytes(blob))
+    manifest["blob"]["sha256"] = hashlib.sha256(blob).hexdigest()
+    _write_manifest(d, manifest)
+    return model
+
+
+# Layer 0 of toycnn-int16 is a conv with one 16-bit input channel, so its
+# Winograd sums stay below 81 * 4^16 before the int64 pass adds 4 * bias;
+# layer 7 is a linear layer over 256 inputs, whose products stay below 4^15.
+CONV_BIAS_LIMIT = (2**63 - 81 * 4**16) // 4
+LINEAR_BIAS_LIMIT = 2**63 - 256 * 4**15
+
+
+@pytest.mark.parametrize("layer_id,value", [(0, 2**61 + 5), (0, -(2**63)), (7, 2**63 - 1), (7, LINEAR_BIAS_LIMIT)])
+def test_bias_that_can_overflow_int64_exits_2(tmp_path, capsys, layer_id, value):
+    model = _biased_model_dir(tmp_path / "m", layer_id, [value, 1, 2, 3])
+    save_dataset(generate_dataset(model, 2, seed=106), str(tmp_path / "ds"))
+    code = main(["sweep", "--model", str(tmp_path / "m"), "--dataset", str(tmp_path / "ds"), "--engine", "winograd",
+                 "--ber", "0", "--trials", "1"])
+    assert code == 2
+    assert "bias" in json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
+
+
+@pytest.mark.parametrize("layer_id,limit", [(0, CONV_BIAS_LIMIT), (7, LINEAR_BIAS_LIMIT)])
+def test_bias_just_under_the_int64_bound_runs_exactly(tmp_path, layer_id, limit):
+    _biased_model_dir(tmp_path / "m", layer_id, [limit - 1, 1 - limit, 5, -5])
+    model = load_model(str(tmp_path / "m"))
+    x = generate_dataset(model, 1, seed=107).samples[0]
+    outs = [run_inference(model, x, engine, hook, capture=(0,))
+            for engine in ("direct", "winograd") for hook in (None, lambda *op: op[-1])]
+    assert all(o.output == outs[0].output and o.conv_outputs == outs[0].conv_outputs for o in outs)
+
+
 def test_unknown_fields_strict_vs_lenient(tmp_path, caplog):
     model = generate_toy_model(depth=1, channels=1, bit_width=8, seed=96, hw=4)
     d = tmp_path / "m"

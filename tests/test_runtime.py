@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -226,13 +227,13 @@ def _int64_switch_widths(model, engine, wg_cfg):
 
 def _fast_and_oracle(model, x, engine, wg_cfg, space, seed, ber, scope=Scope(), replay=None, protected=()):
     """(output, conv outputs, trace events) of the fast path and of the hooked
-    oracle (``faults=None``) on the same fault table."""
+    oracle (the table's ``reference``) on the same fault table."""
     conv_ids = tuple(space.conv_layer_ids())
     runs = []
     for fast in (True, False):
         hook, trace = op_level_hook(space, seed, ber, scope, replay=replay, protected=protected)
-        res = run_inference(model, x, engine, hook, wg_cfg=wg_cfg, capture=conv_ids,
-                            faults=hook.faults if fast else None)
+        res = run_inference(model, x, engine, hook if fast else hook.reference, wg_cfg=wg_cfg,
+                            capture=conv_ids)
         runs.append((res.output, [res.conv_outputs[lid] for lid in conv_ids], trace.events))
     return runs
 
@@ -284,6 +285,26 @@ def test_stacked_add_flips_in_one_chain_match_hooked_oracle(engine):
     assert fast == oracle
     assert fast[2] == events
     assert fast[1][-1] != run_inference(model, x, engine, capture=(layer,)).conv_outputs[layer]
+
+
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+def test_op_fault_table_hook_never_calls_its_reference(engine):
+    # A table passed as the hook runs the fast path: its per-op reference is
+    # not called, yet the output and the trace equal a run through the
+    # reference of an identical table.
+    model, x = _ragged_model()
+    space = enumerate_ops(model, engine)
+    protected = ((0, space.total_ops // 3),)
+
+    def refuse(*op):
+        raise AssertionError(f"the reference ran op {op}")
+
+    table, trace = op_level_hook(space, 7, 2e-3, protected=protected)
+    out = run_inference(model, x, engine, dataclasses.replace(table, reference=refuse)).output
+    table, want = op_level_hook(space, 7, 2e-3, protected=protected)
+    assert out == run_inference(model, x, engine, table.reference).output
+    assert {e[5] for e in want.events} == {0, 1, 2}
+    assert trace == want
 
 
 def test_op_bit_totals(toy8, toy16):

@@ -354,7 +354,7 @@ def test_run_with_tmr_unprotected_matches_plain_hook(model, dataset):
     camp = Campaign(model, Dataset([x] * 3), "direct", seed=70)
     tmr_out = run_with_tmr(camp, plan, 2e-4, trial=3, sample=2)
     hook, _ = op_level_hook(space, 70, 2e-4, trial=3, sample=2)
-    plain_out = run_inference(model, x, "direct", hook).output
+    plain_out = run_inference(model, x, "direct", hook.reference).output
     assert tmr_out == plain_out
 
 
@@ -411,4 +411,4 @@ def test_op_level_hook_replays_saved_tmr_trace(model, dataset, tmp_path):
             want = camp.corrupted_output(t, i, ber, camp.base_scope, protected=plan.protected_ranges).output
             hook, _ = op_level_hook(space, 74, ber, trial=t, sample=i, replay=saved,
                                     protected=plan.protected_ranges)
-            assert run_inference(model, x, "direct", hook).output == want
+            assert run_inference(model, x, "direct", hook.reference).output == want
