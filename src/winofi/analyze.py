@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -23,6 +23,7 @@ from .inject import (
     FaultTrace,
     Granularity,
     Scope,
+    draw_op_flips,
     neuron_level_inject,
     op_level_hook,
 )
@@ -147,6 +148,7 @@ class Campaign:
             self.refs = self.clean_top1
         self.clean_correct = sum(int(a == b) for a, b in zip(self.clean_top1, self.refs))
         self._clean_captures: dict = {}  # conv layer_id -> clean dequantized outputs
+        self._results: dict = {}  # (ber, trials, scope, protected) -> CampaignResult of run_point
 
     @property
     def sample_count(self) -> int:
@@ -158,17 +160,19 @@ class Campaign:
 
     # -- single faulty inference ---------------------------------------------
 
+    def _infer(self, sample_idx: int, hook=None, *, neuron_fn=None, capture: tuple = ()):
+        return run_inference(
+            self.model, self.dataset.samples[sample_idx], self.engine, hook, neuron_fn=neuron_fn,
+            ranges=self.ranges, range_mode=self.range_mode, capture=capture,
+        )
+
     def corrupted_output(self, trial: int, sample_idx: int, ber: float, scope: Scope,
                          trace: Optional[FaultTrace] = None, replay: Optional[FaultTrace] = None,
                          capture: tuple = (), protected=()):
-        x = self.dataset.samples[sample_idx]
         if self.granularity is Granularity.OP_LEVEL:
             faults, _ = op_level_hook(self.opspace, self.seed, ber, scope, trial=trial, sample=sample_idx,
                                       trace=trace, replay=replay, protected=protected)
-            return run_inference(
-                self.model, x, self.engine, faults,
-                ranges=self.ranges, range_mode=self.range_mode, capture=capture,
-            )
+            return self._infer(sample_idx, faults, capture=capture)
         offsets = self.opspace.neuron_offsets
 
         def neuron_fn(layer_id, out):
@@ -177,37 +181,68 @@ class Campaign:
                 neuron_offset=offsets[layer_id], trace=trace, replay=replay,
             )
 
-        return run_inference(
-            self.model, x, self.engine, neuron_fn=neuron_fn,
-            ranges=self.ranges, range_mode=self.range_mode, capture=capture,
-        )
+        return self._infer(sample_idx, neuron_fn=neuron_fn, capture=capture)
 
-    def trial_correct(self, trial: int, ber: float, scope: Scope,
-                      trace: Optional[FaultTrace] = None, replay: Optional[FaultTrace] = None,
-                      rmse_layers: tuple = (), rmse_acc: Optional[dict] = None, protected=()) -> int:
-        correct = 0
+    def _top1(self, sample_idx: int, res, rmse_acc: Optional[dict]) -> int:
+        """Top-1 of sample ``sample_idx``'s faulty inference ``res`` (None: it
+        was fault-free), appending its conv layers' RMSEs to ``rmse_acc``."""
+        for lid, acc in (rmse_acc or {}).items():
+            faulty = self._clean_capture(lid)[sample_idx] if res is None else res.conv_outputs[lid].dequantize()
+            acc.append(float(np.sqrt(np.mean((faulty - self._clean_capture(lid)[sample_idx]) ** 2))))
+        return self.clean_top1[sample_idx] if res is None else top1(res.output)
+
+    def trial_correct(self, trial: int, ber: float, scopes, *, trace: Optional[FaultTrace] = None,
+                      replay: Optional[FaultTrace] = None, rmse_acc: Optional[dict] = None, protected=()) -> list:
+        """Correct samples of one trial under each of ``scopes``.
+
+        At op level each sample's flips are drawn once and filtered by every
+        scope; each distinct in-scope table runs once and scores for every
+        scope that holds it, and an empty table scores the sample's clean
+        top-1 without running. Neuron-level scopes run one by one. ``trace``
+        and ``rmse_acc`` (conv layer_id -> per-inference RMSEs) take one scope.
+        """
+        counts = [0] * len(scopes)
+        capture = tuple(rmse_acc or ())
         for i, ref in enumerate(self.refs):
-            res = self.corrupted_output(trial, i, ber, scope, trace=trace, replay=replay,
-                                        capture=rmse_layers, protected=protected)
-            correct += int(top1(res.output) == ref)
-            for lid in rmse_layers:
-                clean = self._clean_capture(lid)[i]
-                faulty = res.conv_outputs[lid].dequantize()
-                rmse_acc[lid].append(float(np.sqrt(np.mean((faulty - clean) ** 2))))
-        return correct
+            if self.granularity is not Granularity.OP_LEVEL:
+                for j, scope in enumerate(scopes):
+                    res = self.corrupted_output(trial, i, ber, scope, trace=trace, replay=replay, capture=capture)
+                    counts[j] += int(self._top1(i, res, rmse_acc) == ref)
+                continue
+            draw = draw_op_flips(self.opspace, self.seed, ber, trial=trial, sample=i, replay=replay,
+                                 protected=protected)
+            outcomes: dict = {}  # (ids, masks) of a table that ran -> its top-1
+            for j, scope in enumerate(scopes):
+                faults, _ = op_level_hook(self.opspace, self.seed, ber, scope, trial=trial, sample=i, trace=trace,
+                                          protected=protected, draw=draw)
+                key = (faults.ids.tobytes(), faults.masks.tobytes())
+                if key not in outcomes:
+                    if faults.ids.size:
+                        res = self._infer(i, faults, capture=capture)
+                    else:
+                        faults.record()  # writes no records, as an inference would
+                        res = None
+                    outcomes[key] = self._top1(i, res, rmse_acc)
+                counts[j] += int(outcomes[key] == ref)
+        return counts
 
     def _clean_capture(self, layer_id: int) -> list:
         cache = self._clean_captures
         if layer_id not in cache:
             cache[layer_id] = [
-                run_inference(self.model, s, self.engine, ranges=self.ranges,
-                              range_mode=self.range_mode, capture=(layer_id,))
-                .conv_outputs[layer_id].dequantize()
-                for s in self.dataset.samples
+                self._infer(i, capture=(layer_id,)).conv_outputs[layer_id].dequantize()
+                for i in range(self.sample_count)
             ]
         return cache[layer_id]
 
     # -- campaign points -------------------------------------------------------
+
+    @staticmethod
+    def _check_point(ber: float, trials: int) -> None:
+        if trials < 1:
+            raise ConfigError("trials must be >= 1")
+        if not 0.0 <= ber <= 1.0:
+            raise ConfigError(f"ber must be in [0, 1], got {ber}")
 
     def run_point(
         self,
@@ -221,35 +256,56 @@ class Campaign:
         protected=(),
     ) -> CampaignResult:
         """Accuracy over ``trials`` trials of the dataset. ``replay`` and the
-        TMR-``protected`` op ranges are passed on to ``op_level_hook``."""
-        if trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if not 0.0 <= ber <= 1.0:
-            raise ConfigError(f"ber must be in [0, 1], got {ber}")
+        TMR-``protected`` op ranges are passed on to ``op_level_hook``. A
+        point without ``trace``, ``replay`` or ``rmse_layers`` is kept for the
+        Campaign's lifetime, so running it again is a lookup."""
+        self._check_point(ber, trials)
         for lid in rmse_layers:
             if lid not in self.opspace.neuron_sizes:
                 raise ConfigError(f"layer {lid} is not a conv layer of this model")
         if protected:
             self.require_op_level("TMR protection")
         scope = scope if scope is not None else self.base_scope
+        if trace is None and replay is None and not rmse_layers:
+            return self._points(ber, trials, [scope], protected)[0]
         if replay is not None:
             replay.validate(self.opspace, trials, self.sample_count, self.granularity.value, protected)
         rmse_acc = {lid: [] for lid in rmse_layers}
+        (per_trial,) = self._per_trial(ber, trials, [scope], trace=trace, replay=replay, rmse_acc=rmse_acc,
+                                       protected=protected)
+        layer_rmse = {lid: float(np.mean(v)) for lid, v in rmse_acc.items()} if rmse_layers else None
+        return self._result(ber, trials, per_trial, layer_rmse)
+
+    def _points(self, ber: float, trials: int, scopes, protected=()) -> list[CampaignResult]:
+        """One CampaignResult per scope: the points this Campaign ran before
+        are looked up, and the others run together in one pass."""
+        protected = tuple(tuple(r) for r in protected)
+        keys = [(ber, trials, scope, protected) for scope in scopes]
+        missing = list(dict.fromkeys(scope for key, scope in zip(keys, scopes) if key not in self._results))
+        if missing:
+            for scope, per_trial in zip(missing, self._per_trial(ber, trials, missing, protected=protected)):
+                self._results[(ber, trials, scope, protected)] = self._result(ber, trials, per_trial)
+        return [replace(self._results[key], per_trial_correct=list(self._results[key].per_trial_correct))
+                for key in keys]
+
+    def _per_trial(self, ber: float, trials: int, scopes, *, trace=None, replay=None, rmse_acc=None,
+                   protected=()) -> list:
+        """Per scope, the correct samples of each trial."""
         if ber == 0.0 and replay is None:
             # zero flips: every trial is the same deterministic inference
-            correct = self.trial_correct(0, 0.0, scope, trace=trace,
-                                         rmse_layers=rmse_layers, rmse_acc=rmse_acc)
-            per_trial = [correct] * trials
-        elif self.workers > 1 and trials > 1 and replay is None and trace is None and not rmse_layers:
-            per_trial = self._parallel_trials(ber, trials, scope, protected)
+            counts = self.trial_correct(0, 0.0, scopes, trace=trace, rmse_acc=rmse_acc)
+            return [[c] * trials for c in counts]
+        if self.workers > 1 and trials > 1 and replay is None and trace is None and not rmse_acc:
+            by_trial = self._parallel_trials(ber, trials, scopes, protected)
         else:
-            per_trial = [
-                self.trial_correct(t, ber, scope, trace=trace, replay=replay,
-                                   rmse_layers=rmse_layers, rmse_acc=rmse_acc, protected=protected)
+            by_trial = [
+                self.trial_correct(t, ber, scopes, trace=trace, replay=replay, rmse_acc=rmse_acc, protected=protected)
                 for t in range(trials)
             ]
-        accs = [c / self.sample_count for c in per_trial]
-        mean, ci = mean_ci95(accs)
+        return [list(col) for col in zip(*by_trial)]
+
+    def _result(self, ber: float, trials: int, per_trial: list, layer_rmse: Optional[dict] = None) -> CampaignResult:
+        mean, ci = mean_ci95([c / self.sample_count for c in per_trial])
         return CampaignResult(
             ber=ber,
             trials=trials,
@@ -258,15 +314,15 @@ class Campaign:
             mean_accuracy=mean,
             ci95_halfwidth=ci,
             clean_accuracy=self.clean_accuracy,
-            layer_rmse={lid: float(np.mean(v)) for lid, v in rmse_acc.items()} if rmse_layers else None,
+            layer_rmse=layer_rmse,
         )
 
-    def _parallel_trials(self, ber: float, trials: int, scope: Scope, protected) -> list:
+    def _parallel_trials(self, ber: float, trials: int, scopes, protected) -> list:
         workers = min(self.workers, trials)
         blocks = [list(range(w, trials, workers)) for w in range(workers)]
-        out: dict[int, int] = {}
+        out: dict[int, list] = {}
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for res in pool.map(_trial_block_worker, [(self, ber, scope, protected, b) for b in blocks]):
+            for res in pool.map(_trial_block_worker, [(self, ber, scopes, protected, b) for b in blocks]):
                 out.update(res)
         return [out[t] for t in range(trials)]
 
@@ -277,12 +333,12 @@ class Campaign:
 
     def vulnerability(self, kind: str, subjects, ber: float, trials: int) -> list[VulnReport]:
         """One VulnReport per (subject_id, scope) pair: the paired per-trial
-        accuracy gain of running under that scope against one shared run
-        under the base scope."""
-        raw = self.run_point(ber, trials)
+        accuracy gain of running under that scope against the base scope.
+        The base and every subject scope run in one pass over the draws."""
+        self._check_point(ber, trials)
+        raw, *prots = self._points(ber, trials, [self.base_scope] + [scope for _, scope in subjects])
         reports = []
-        for subject_id, scope in subjects:
-            prot = self.run_point(ber, trials, scope)
+        for (subject_id, _), prot in zip(subjects, prots):
             deltas = [
                 (p - r) / self.sample_count
                 for p, r in zip(prot.per_trial_correct, raw.per_trial_correct)
@@ -293,8 +349,8 @@ class Campaign:
 
 
 def _trial_block_worker(args):
-    camp, ber, scope, protected, block = args
-    return {t: camp.trial_correct(t, ber, scope, protected=protected) for t in block}
+    camp, ber, scopes, protected, block = args
+    return {t: camp.trial_correct(t, ber, scopes, protected=protected) for t in block}
 
 
 # ---------------------------------------------------------------------------

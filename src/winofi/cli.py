@@ -160,7 +160,10 @@ def _parse_fault_bits(text: str):
         out = {}
         for item in text.split(","):
             key, val = item.split(":")
-            out[key.strip().upper()] = int(val)
+            key = key.strip().upper()
+            if key in out:
+                raise ConfigError(f"--fault-bits sets {key} twice")
+            out[key] = int(val)
         return out
     return int(text)
 

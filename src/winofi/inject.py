@@ -58,8 +58,9 @@ class Scope:
     """Pure, deterministic predicate selecting which ops/neurons can be struck.
 
     ``exclude_op_ranges`` holds protected [start, end) op_id ranges (segments
-    under TMR study); include sets, when given, whitelist. Neurons have no op
-    type or op id, so a neuron-level Campaign takes only the layer filters.
+    under TMR study); include sets, when given, whitelist and must not be
+    empty. Neurons have no op type or op id, so a neuron-level Campaign takes
+    only the layer filters.
     """
 
     include_layers: Optional[frozenset] = None
@@ -69,6 +70,9 @@ class Scope:
     exclude_op_ranges: tuple = ()
 
     def __post_init__(self):
+        for key, included in (("include_layers", self.include_layers), ("include_optypes", self.include_optypes)):
+            if included is not None and not included:
+                raise ConfigError(f"{key} is empty: a scope whitelisting nothing runs every inference fault-free")
         merged = []
         for a, b in sorted((int(a), int(b)) for a, b in self.exclude_op_ranges):
             if b <= a:
@@ -275,31 +279,22 @@ def sample_op_flips(opspace: OpSpace, seed: int, trial: int, sample: int, ber: f
     return dict(zip(ids.tolist(), masks.tolist()))
 
 
-def op_level_hook(
+def draw_op_flips(
     opspace: OpSpace,
     seed: int,
     ber: float,
-    scope: Scope = Scope(),
     *,
     trial: int = 0,
     sample: int = 0,
-    trace: Optional[FaultTrace] = None,
     replay: Optional[FaultTrace] = None,
     protected=(),
-):
-    """The in-scope op flips of one inference, as the hook ``run_inference`` takes.
-
-    Flips are sampled at ``ber`` for (seed, trial, sample) or taken from ``replay``.
-    Ops inside the sorted [start, end) ``protected`` ranges run under TMR:
-    three copies with independent flips (copies 0-2), majority-voted. Every
-    other op takes the copy-0 flips. Scope and protection are decided here,
-    once for the whole table. Returns (:class:`OpFaults`, trace); while the
-    inference runs, the trace accumulates exactly the applied flips, in (op,
-    copy, bit) order. The table's ``reference`` applies the same flips one op
-    at a time and writes its records itself.
-    """
-    if trace is None:
-        trace = FaultTrace()
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One inference's op flips over the whole op space, before any scope:
+    (ids, masks, voted). ``ids`` are the struck op ids, ascending; ``masks``
+    holds one uint64 column per copy (three when ``protected`` is given), and
+    ``voted`` marks the ids inside the sorted [start, end) ``protected``
+    ranges, the only ones whose copies 1-2 keep their flips. Flips are
+    sampled at ``ber`` for (seed, trial, sample) or taken from ``replay``."""
     copies = 3 if protected else 1
     if replay is not None:
         tables = [replay.masks_for(trial, sample, KIND_OP, copy=c) for c in range(copies)]
@@ -313,7 +308,41 @@ def op_level_hook(
     voted = _in_ranges(ids, protected)
     masks[~voted, 1:] = 0
     keep = masks.any(axis=1)
-    keep[keep] = scope.keep(opspace, ids[keep])
+    return ids[keep], masks[keep], voted[keep]
+
+
+def op_level_hook(
+    opspace: OpSpace,
+    seed: int,
+    ber: float,
+    scope: Scope = Scope(),
+    *,
+    trial: int = 0,
+    sample: int = 0,
+    trace: Optional[FaultTrace] = None,
+    replay: Optional[FaultTrace] = None,
+    protected=(),
+    draw: Optional[tuple] = None,
+):
+    """The in-scope op flips of one inference, as the hook ``run_inference`` takes.
+
+    ``draw`` is this inference's :func:`draw_op_flips` result, drawn here
+    from ``replay`` or at ``ber`` when not given; paired-scope campaigns
+    draw once and filter that draw by each of their scopes. Ops inside the
+    ``protected`` ranges run under TMR: three copies with independent flips
+    (copies 0-2), majority-voted. Every other op takes the copy-0 flips.
+    Scope and protection are decided here, once for the whole table.
+    Returns (:class:`OpFaults`, trace); while the inference runs, the trace
+    accumulates exactly the applied flips, in (op, copy, bit) order. The
+    table's ``reference`` applies the same flips one op at a time and
+    writes its records itself.
+    """
+    if trace is None:
+        trace = FaultTrace()
+    if draw is None:
+        draw = draw_op_flips(opspace, seed, ber, trial=trial, sample=sample, replay=replay, protected=protected)
+    ids, masks, voted = draw
+    keep = scope.keep(opspace, ids)
     ids, masks, voted = ids[keep], masks[keep], voted[keep]
     table = None
 

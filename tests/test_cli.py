@@ -359,6 +359,29 @@ def test_bad_scope_exits_2(assets, tmp_path, capsys, scope):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("key", ["include_layers", "include_optypes"])
+def test_empty_include_set_exits_2(assets, tmp_path, capsys, key):
+    # a whitelist of nothing would run every inference fault-free and read
+    # the clean accuracy at any BER
+    out = tmp_path / "r.csv"
+    code = run_cli("sweep", "--model", assets["model"], "--dataset", assets["dataset"],
+                   "--ber", "1e-2", "--trials", "2", "--scope", f"{key}=", "--out", str(out))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and key in err["message"]
+    assert not out.exists()
+
+
+def test_repeated_fault_bits_key_exits_2(assets, tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    code = run_cli("sweep", "--model", assets["model"], "--dataset", assets["dataset"],
+                   "--ber", "1e-4", "--trials", "1", "--fault-bits", "MUL:8,ADD:16,mul:4", "--out", str(out))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and "MUL" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [("--ber", "1.5"), ("--ber", "-0.1"), ("--workers", "0"), ("--workers", "-4")],
                          ids=" ".join)
 def test_bad_ber_or_workers_exits_2(assets, tmp_path, capsys, flags):

@@ -147,11 +147,12 @@ def _recorded_stream(engine, filter_tf):
 
 
 def _scopes(space):
-    layer_sets = st.frozensets(st.sampled_from(space.conv_layer_ids()))
-    type_sets = st.frozensets(st.sampled_from(list(OpType)))
+    layers, types = st.sampled_from(space.conv_layer_ids()), st.sampled_from(list(OpType))
     ranges = st.lists(st.tuples(st.integers(0, space.total_ops), st.integers(1, space.total_ops // 8))
                       .map(lambda r: (r[0], r[0] + r[1])), max_size=4)
-    return st.builds(Scope, st.none() | layer_sets, layer_sets, st.none() | type_sets, type_sets, ranges.map(tuple))
+    # an empty include set is rejected (ConfigError), so a whitelist names at least one value
+    return st.builds(Scope, st.none() | st.frozensets(layers, min_size=1), st.frozensets(layers),
+                     st.none() | st.frozensets(types, min_size=1), st.frozensets(types), ranges.map(tuple))
 
 
 def _allowed(scope, op_id, layer, typ):
