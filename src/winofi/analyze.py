@@ -23,12 +23,13 @@ from .inject import (
     FaultTrace,
     Granularity,
     Scope,
+    draw_neuron_flips,
     draw_op_flips,
     neuron_level_inject,
     op_level_hook,
 )
 from .modelio import Dataset, ModelDef
-from .runtime import enumerate_ops, run_inference, top1
+from .runtime import NeuronFaults, enumerate_ops, run_inference, top1
 
 
 def mean_ci95(values) -> tuple[float, float]:
@@ -131,10 +132,7 @@ class Campaign:
             stray = sorted(layer_ids - conv)
             if stray:
                 raise ConfigError(f"{what} layer ids {stray} are not conv layers of this model (conv layers: {sorted(conv)})")
-        clean = [
-            run_inference(model, s, self.engine, ranges=ranges, range_mode=range_mode).output
-            for s in dataset.samples
-        ]
+        clean = [self._infer(i).output for i in range(len(dataset))]
         self.clean_top1 = [top1(o) for o in clean]
         if use_labels:
             if dataset.labels is None:
@@ -160,28 +158,29 @@ class Campaign:
 
     # -- single faulty inference ---------------------------------------------
 
-    def _infer(self, sample_idx: int, hook=None, *, neuron_fn=None, capture: tuple = ()):
-        return run_inference(
-            self.model, self.dataset.samples[sample_idx], self.engine, hook, neuron_fn=neuron_fn,
-            ranges=self.ranges, range_mode=self.range_mode, capture=capture,
-        )
+    def _infer(self, sample_idx: int, faults=None, *, capture: tuple = ()):
+        """Run sample ``sample_idx`` under ``faults``, an op table (the hook) or a neuron table."""
+        hook, neuron_fn = (None, faults) if isinstance(faults, NeuronFaults) else (faults, None)
+        return run_inference(self.model, self.dataset.samples[sample_idx], self.engine, hook, neuron_fn=neuron_fn,
+                             ranges=self.ranges, range_mode=self.range_mode, capture=capture)
+
+    def _tables(self, trial: int, sample_idx: int, ber: float, scopes, *, trace=None, replay=None, protected=()):
+        """Yield (trial, sample)'s fault table under each of ``scopes``, each filtered from one draw of its flips."""
+        kw = dict(trial=trial, sample=sample_idx)
+        if self.granularity is Granularity.OP_LEVEL:
+            draw = draw_op_flips(self.opspace, self.seed, ber, replay=replay, protected=protected, **kw)
+            inject = op_level_hook
+        else:
+            draw = draw_neuron_flips(self.opspace, self.seed, ber, scopes, replay=replay, **kw)
+            inject = neuron_level_inject
+        for scope in scopes:
+            yield inject(self.opspace, self.seed, ber, scope, trace=trace, draw=draw, **kw)[0]
 
     def corrupted_output(self, trial: int, sample_idx: int, ber: float, scope: Scope,
                          trace: Optional[FaultTrace] = None, replay: Optional[FaultTrace] = None,
                          capture: tuple = (), protected=()):
-        if self.granularity is Granularity.OP_LEVEL:
-            faults, _ = op_level_hook(self.opspace, self.seed, ber, scope, trial=trial, sample=sample_idx,
-                                      trace=trace, replay=replay, protected=protected)
-            return self._infer(sample_idx, faults, capture=capture)
-        offsets = self.opspace.neuron_offsets
-
-        def neuron_fn(layer_id, out):
-            return neuron_level_inject(
-                out, layer_id, self.seed, ber, scope, trial=trial, sample=sample_idx,
-                neuron_offset=offsets[layer_id], trace=trace, replay=replay,
-            )
-
-        return self._infer(sample_idx, neuron_fn=neuron_fn, capture=capture)
+        faults = next(self._tables(trial, sample_idx, ber, [scope], trace=trace, replay=replay, protected=protected))
+        return self._infer(sample_idx, faults, capture=capture)
 
     def _top1(self, sample_idx: int, res, rmse_acc: Optional[dict]) -> int:
         """Top-1 of sample ``sample_idx``'s faulty inference ``res`` (None: it
@@ -195,33 +194,21 @@ class Campaign:
                       replay: Optional[FaultTrace] = None, rmse_acc: Optional[dict] = None, protected=()) -> list:
         """Correct samples of one trial under each of ``scopes``.
 
-        At op level each sample's flips are drawn once and filtered by every
-        scope; each distinct in-scope table runs once and scores for every
-        scope that holds it, and an empty table scores the sample's clean
-        top-1 without running. Neuron-level scopes run one by one. ``trace``
-        and ``rmse_acc`` (conv layer_id -> per-inference RMSEs) take one scope.
+        Each sample's flips are drawn once and filtered by every scope; each
+        distinct in-scope table runs once and scores for every scope that
+        holds it, and an empty table scores the sample's clean top-1 without
+        running. ``trace`` and ``rmse_acc`` (conv layer_id -> per-inference
+        RMSEs) take one scope.
         """
         counts = [0] * len(scopes)
         capture = tuple(rmse_acc or ())
         for i, ref in enumerate(self.refs):
-            if self.granularity is not Granularity.OP_LEVEL:
-                for j, scope in enumerate(scopes):
-                    res = self.corrupted_output(trial, i, ber, scope, trace=trace, replay=replay, capture=capture)
-                    counts[j] += int(self._top1(i, res, rmse_acc) == ref)
-                continue
-            draw = draw_op_flips(self.opspace, self.seed, ber, trial=trial, sample=i, replay=replay,
-                                 protected=protected)
             outcomes: dict = {}  # (ids, masks) of a table that ran -> its top-1
-            for j, scope in enumerate(scopes):
-                faults, _ = op_level_hook(self.opspace, self.seed, ber, scope, trial=trial, sample=i, trace=trace,
-                                          protected=protected, draw=draw)
+            tables = self._tables(trial, i, ber, scopes, trace=trace, replay=replay, protected=protected)
+            for j, faults in enumerate(tables):
                 key = (faults.ids.tobytes(), faults.masks.tobytes())
                 if key not in outcomes:
-                    if faults.ids.size:
-                        res = self._infer(i, faults, capture=capture)
-                    else:
-                        faults.record()  # writes no records, as an inference would
-                        res = None
+                    res = self._infer(i, faults, capture=capture) if faults.ids.size else None
                     outcomes[key] = self._top1(i, res, rmse_acc)
                 counts[j] += int(outcomes[key] == ref)
         return counts
@@ -255,8 +242,8 @@ class Campaign:
         rmse_layers: tuple = (),
         protected=(),
     ) -> CampaignResult:
-        """Accuracy over ``trials`` trials of the dataset. ``replay`` and the
-        TMR-``protected`` op ranges are passed on to ``op_level_hook``. A
+        """Accuracy over ``trials`` trials of the dataset. ``replay`` supplies
+        the flips, and ops inside the ``protected`` ranges run under TMR. A
         point without ``trace``, ``replay`` or ``rmse_layers`` is kept for the
         Campaign's lifetime, so running it again is a lookup."""
         self._check_point(ber, trials)

@@ -343,7 +343,7 @@ def cmd_gen_dataset(cfg: dict) -> None:
     if cfg.get("with_labels"):
         import numpy as np
 
-        classes = model.layers[-1].out_features
+        classes = int(np.prod(model.execution_plan()[-1][2]))  # the model's output size
         rng = np.random.default_rng(cfg.get("seed", 0) + 1)
         ds = Dataset(ds.samples, labels=rng.integers(0, classes, size=len(ds)).tolist())
     save_dataset(ds, cfg["out"])

@@ -22,9 +22,8 @@ import numpy as np
 
 from .engine import OpFaults, OpType
 from .errors import ConfigError, open_input
-from .qtensor import QTensor, flip_array_with_masks
 from .rng import STREAM_NEURON, STREAM_OP, sample_flip_positions
-from .runtime import OpSpace
+from .runtime import NeuronFaults, OpSpace
 
 
 class Granularity(Enum):
@@ -99,10 +98,10 @@ class Scope:
                 keep &= ~np.isin(values, list(excluded), kind="sort")
         return keep
 
-    def allows_layer(self, layer_id: int) -> bool:
-        if self.include_layers is not None and layer_id not in self.include_layers:
-            return False
-        return layer_id not in self.exclude_layers
+    def admitted_layers(self, opspace: OpSpace) -> list:
+        """The conv layer ids whose ops or neurons this scope lets faults strike."""
+        return [lid for lid in opspace.conv_layer_ids()
+                if lid not in self.exclude_layers and (self.include_layers is None or lid in self.include_layers)]
 
     # -- derived scopes (used by vulnerability campaigns) ---------------------
 
@@ -370,43 +369,40 @@ def op_level_hook(
 # Neuron-level injection
 
 
-def neuron_level_inject(
-    output: QTensor,
-    layer_id: int,
-    seed: int,
-    ber: float,
-    scope: Scope = Scope(),
-    *,
-    trial: int = 0,
-    sample: int = 0,
-    neuron_offset: int = 0,
-    trace: Optional[FaultTrace] = None,
-    replay: Optional[FaultTrace] = None,
-) -> QTensor:
-    """Flip bits of a conv layer's requantized output neurons.
-
-    Draws are keyed by (seed, trial, sample, layer), independent of the engine
-    that produced the output: identical outputs give identical corruption.
-    ``replay`` supplies the flips instead, as the trace's global neuron
-    indices for (trial, sample). Layers outside the scope are never struck.
-    """
-    if not scope.allows_layer(layer_id):
-        return output
-    width = output.qparams.bit_width
+def draw_neuron_flips(opspace: OpSpace, seed: int, ber: float, scopes=(Scope(),), *, trial: int = 0, sample: int = 0,
+                      replay: Optional[FaultTrace] = None) -> tuple[np.ndarray, np.ndarray]:
+    """One inference's neuron flips before any scope: the struck global neuron
+    ids, ascending, and their uint64 XOR masks. Each conv layer that one of
+    ``scopes`` admits draws at ``ber`` from its own (seed, trial, sample,
+    layer) stream, whatever the engine; ``replay`` supplies the flips instead."""
     if replay is not None:
-        end = neuron_offset + output.size
-        local = {i - neuron_offset: m for i, m in replay.masks_for(trial, sample, KIND_NEURON).items()
-                 if neuron_offset <= i < end}
-        uniq = np.fromiter(local.keys(), dtype=np.int64, count=len(local))
-        masks = np.fromiter(local.values(), dtype=np.int64, count=len(local))
-    else:
-        pos = sample_flip_positions(seed, (STREAM_NEURON, trial, sample, layer_id), output.size * width, ber)
-        uniq, masks = _flip_masks(pos, width)
-        if trace is not None:
-            _record_table(trace.events, trial, sample, KIND_NEURON, uniq + neuron_offset, masks[:, None])
-    if uniq.size == 0:
-        return output
-    return output.with_data(flip_array_with_masks(output.data, uniq, masks, width))
+        table = replay.masks_for(trial, sample, KIND_NEURON)
+        ids = np.array(sorted(table), dtype=np.int64)
+        return ids, np.array([table[i] for i in ids.tolist()], dtype=np.uint64)
+    width = opspace.bit_width
+    pos = [np.zeros(0, dtype=np.int64)]  # flip positions over the neuron bits of every conv layer, in layer order
+    for lid in sorted(set().union(*(scope.admitted_layers(opspace) for scope in scopes))):
+        start, end = opspace.neuron_ranges[lid]
+        drawn = sample_flip_positions(seed, (STREAM_NEURON, trial, sample, lid), (end - start) * width, ber)
+        pos.append(drawn + start * width)
+    return _flip_masks(np.concatenate(pos), width)
+
+
+def neuron_level_inject(opspace: OpSpace, seed: int, ber: float, scope: Scope = Scope(), *, trial: int = 0,
+                        sample: int = 0, trace: Optional[FaultTrace] = None, replay: Optional[FaultTrace] = None,
+                        draw: Optional[tuple] = None):
+    """The in-scope neuron flips of one inference, as the ``neuron_fn``
+    ``run_inference`` takes; the neuron twin of :func:`op_level_hook`, whose
+    ``draw`` is a :func:`draw_neuron_flips` result. The trace records come in
+    (neuron, bit) order, which is also layer order."""
+    if trace is None:
+        trace = FaultTrace()
+    if draw is None:
+        draw = draw_neuron_flips(opspace, seed, ber, (scope,), trial=trial, sample=sample, replay=replay)
+    keep = _in_ranges(draw[0], [opspace.neuron_ranges[lid] for lid in scope.admitted_layers(opspace)])
+    ids, masks = (column[keep] for column in draw)
+    record = functools.partial(_record_table, trace.events, trial, sample, KIND_NEURON, ids, masks[:, None])
+    return NeuronFaults(ids, masks, opspace.neuron_ranges, record), trace
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,8 @@ class RangeProfile:
         ranges = {}
         for k, v in d.items():
             if not k.startswith("_"):
+                if not (k.isdecimal() and str(int(k)) == k):
+                    raise ConfigError(f"range profile key {k!r} is not a layer id in plain decimal form")
                 if len(json_typed(v, f"range profile layer {k}", list)) != 2:
                     raise ConfigError(f"range profile layer {k} must be a [min, max] pair, got {v!r}")
                 ranges[int(k)] = tuple(json_typed(b, f"range profile layer {k} bound") for b in v)

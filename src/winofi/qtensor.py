@@ -26,8 +26,8 @@ class QuantParams:
     def __post_init__(self):
         if self.bit_width not in SUPPORTED_WIDTHS:
             raise ValueError(f"bit_width must be one of {SUPPORTED_WIDTHS}, got {self.bit_width!r}")
-        if not (isinstance(self.scale, (int, float)) and self.scale > 0):
-            raise ValueError(f"scale must be a positive real, got {self.scale!r}")
+        if isinstance(self.scale, bool) or not (isinstance(self.scale, (int, float)) and 0 < self.scale < math.inf):
+            raise ValueError(f"scale must be a finite positive real, got {self.scale!r}")
 
     @property
     def int_min(self) -> int:

@@ -28,7 +28,7 @@ from .modelio import (
     ModelDef,
     ReluLayer,
 )
-from .qtensor import QTensor, QuantParams
+from .qtensor import QTensor, QuantParams, flip_array_with_masks
 
 MAX_FAULT_BITS = 64
 
@@ -93,13 +93,9 @@ class OpSpace:
         self.patterns = np.array([_STAGE_PATTERNS[s] for s in range(len(Stage))])[self.stages]
         self.total_ops = int(self.ends[-1]) if runs else 0
         self.neuron_sizes = neuron_sizes
-        offs = {}
-        off = 0
-        for lid in sorted(neuron_sizes):
-            offs[lid] = off
-            off += neuron_sizes[lid]
-        self.neuron_offsets = offs
-        self.total_neurons = off
+        ends = np.cumsum([0, *neuron_sizes.values()]).tolist()
+        self.neuron_ranges = dict(zip(neuron_sizes, zip(ends, ends[1:])))  # conv layer_id -> [start, end) neuron ids
+        self.total_neurons = ends[-1]
 
     # -- counts -------------------------------------------------------------
 
@@ -208,6 +204,25 @@ def enumerate_ops(
 # Inference
 
 
+@dataclass(frozen=True)
+class NeuronFaults:
+    """The neuron faults of one inference, ``run_inference``'s ``neuron_fn``:
+    uint64 XOR ``masks`` of the struck global neuron ``ids``, ascending, which
+    flip a conv layer's requantized output by its [start, end) id range in
+    ``ranges``. ``record`` appends their trace records, once per inference."""
+
+    ids: np.ndarray
+    masks: np.ndarray
+    ranges: dict
+    record: Callable[[], None]
+
+    def __call__(self, layer_id: int, out: QTensor) -> QTensor:
+        start, end = self.ranges[layer_id]
+        lo, hi = np.searchsorted(self.ids, (start, end))
+        flipped = flip_array_with_masks(out.data, self.ids[lo:hi] - start, self.masks[lo:hi], out.qparams.bit_width)
+        return out.with_data(flipped)
+
+
 @dataclass
 class InferenceResult:
     output: QTensor
@@ -248,7 +263,7 @@ def run_inference(
     engine: Optional[str] = None,
     hook=None,
     *,
-    neuron_fn: Optional[Callable[[int, QTensor], QTensor]] = None,
+    neuron_fn: Optional[NeuronFaults] = None,
     ranges=None,
     range_mode: str = "clamp",
     capture: tuple = (),
@@ -261,8 +276,8 @@ def run_inference(
     table runs those kernels and recomputes just the output units owning a
     struck op (see :mod:`winofi.engine`); its ``record()`` then writes the
     trace records of the applied flips. Any other ``hook`` instruments every
-    conv primitive op, which is the reference. ``neuron_fn(layer_id, out)``
-    may rewrite each conv layer's requantized output (neuron-level injection).
+    conv primitive op, which is the reference. A :class:`NeuronFaults` table
+    as ``neuron_fn`` flips neurons of each conv layer's requantized output.
     ``ranges`` maps conv layer_id -> (lo, hi) bounds applied at that layer's
     activation point (after the following relu, or after the conv itself when
     no relu follows). ``capture`` collects conv outputs post-injection and
@@ -323,8 +338,9 @@ def run_inference(
                 cur = cur.with_data(constrain(cur.array, bounds[0], bounds[1], range_mode))
             if conv_id in capture_act:
                 res.activations[conv_id] = cur
-    if isinstance(hook, eng.OpFaults):
-        hook.record()
+    for faults in (hook, neuron_fn):
+        if isinstance(faults, (eng.OpFaults, NeuronFaults)):
+            faults.record()
     res.output = cur
     return res
 

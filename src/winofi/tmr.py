@@ -164,8 +164,8 @@ class TmrPlan:
             total_ops=json_typed(d["total_ops"], "plan total_ops"),
             order=[json_typed(i, "plan order entry") for i in json_typed(d["order"], "plan order", list)],
             n=json_typed(d["n"], "plan n"),
-            achieved_acc=float(d["achieved_acc"]),
-            target_acc=float(d.get("target_acc", 0.0)),
+            achieved_acc=float(json_typed(d["achieved_acc"], "plan achieved_acc", float)),
+            target_acc=float(json_typed(d.get("target_acc", 0.0), "plan target_acc", float)),
             target_unreachable=json_typed(d.get("target_unreachable", False), "plan target_unreachable", bool),
             vulnerability=json_typed(d.get("vulnerability", []), "plan vulnerability", list),
             vulnerability_ci=json_typed(d.get("vulnerability_ci", []), "plan vulnerability_ci", list),

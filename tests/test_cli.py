@@ -543,6 +543,9 @@ def test_eval_tmr_replay_rejects_copies_on_unprotected_ops(assets, tmp_path, cap
     {"order": 5},
     {"eval_history": [1]},
     [2, 4],  # a list, not a plan object
+    # accuracies are JSON numbers: a list or a bool is no accuracy
+    {"target_acc": [1]},
+    {"achieved_acc": True},
 ])
 def test_eval_tmr_rejects_malformed_plan(assets, tmp_path, capsys, fields):
     plan = tmp_path / "plan.json"
@@ -568,17 +571,19 @@ def test_eval_tmr_workers_do_not_change_bytes(assets, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["float-bound", "string-bound", "linear-layer", "meta-list", "scalar-bound",
-                                  "one-bound", "list-document"])
+                                  "one-bound", "list-document", "zero-padded-key", "signed-key"])
 def test_malformed_range_profile_exits_2(assets, tmp_path, capsys, case):
     prof = tmp_path / "profile.json"
     common = ("--model", assets["model"], "--dataset", assets["dataset"])
     assert run_cli("profile-ranges", *common, "--out", str(prof)) == 0
     doc = json.loads(prof.read_text())
     lo, hi = doc["0"]
-    # layer 5 is the model's linear layer, which no profile range applies to
+    # layer 5 is the model's linear layer, which no profile range applies to;
+    # a layer key other than the id's plain decimal form would alias layer 0
     doc.update({"float-bound": {"0": [lo, hi + 0.9]}, "string-bound": {"0": [lo, str(hi)]},
                 "linear-layer": {"5": [lo, hi]}, "meta-list": {"_meta": []}, "scalar-bound": {"0": 5},
-                "one-bound": {"0": [lo]}, "list-document": {}}[case])
+                "one-bound": {"0": [lo]}, "list-document": {}, "zero-padded-key": {"00": [lo, lo]},
+                "signed-key": {"+0": [lo, lo]}}[case])
     prof.write_text(json.dumps([1, 2] if case == "list-document" else doc))
     code = run_cli("sweep", *common, "--ber", "1e-4", "--trials", "1", "--ranges", str(prof),
                    "--out", str(tmp_path / "r.csv"))
@@ -741,3 +746,26 @@ def test_embedded_configs_are_pinned(assets, tmp_path, monkeypatch):
         assert run_cli(*argv, "--out", out) == 0, argv
     digests = {out: hashlib.sha256(_embedded_config(tmp_path / out).encode()).hexdigest() for out in runs}
     assert digests == PINNED_CONFIG_DIGESTS
+
+
+def test_gen_dataset_labels_span_the_output_of_a_model_without_a_linear_head(tmp_path):
+    # toycnn-int16 cut after its last relu ends in a conv layer's (C, H, W)
+    # output, so a label may name any of its C * H * W values
+    from dataclasses import replace
+
+    import numpy as np
+
+    from winofi.modelio import ReluLayer, builtin_model, load_dataset
+
+    model = builtin_model("toycnn-int16")
+    last_relu = max(i for i, layer in enumerate(model.layers) if isinstance(layer, ReluLayer))
+    headless = replace(model, layers=model.layers[:last_relu + 1])
+    save_model(headless, str(tmp_path / "m"))
+    assert run_cli("gen-dataset", "--model", str(tmp_path / "m"), "--count", "6", "--seed", "3", "--with-labels",
+                   "--out", str(tmp_path / "d")) == 0
+    labels = load_dataset(str(tmp_path / "d")).labels
+    assert len(labels) == 6
+    assert all(0 <= label < np.prod(headless.execution_plan()[-1][2]) for label in labels)
+    assert max(labels) >= 4  # more than the 4 classes of the linear head
+    assert run_cli("sweep", "--model", str(tmp_path / "m"), "--dataset", str(tmp_path / "d"), "--ber", "1e-4",
+                   "--trials", "1", "--use-labels", "--out", str(tmp_path / "r.csv")) == 0

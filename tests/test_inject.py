@@ -242,10 +242,22 @@ def test_fault_bits_override_changes_space(model):
 # ---------------------------------------------------------------------------
 # Neuron-level injection
 
+LAYER0 = Scope(include_layers=frozenset({0}))
+
+
+def _neuron_table(model, *args, **kwargs):
+    """``neuron_level_inject``'s table over ``model``'s conv neurons."""
+    return neuron_level_inject(enumerate_ops(model), *args, **kwargs)[0]
+
+
+def _neuron_run(model, x, *args, engine="direct", capture=(), **kwargs):
+    """``x``'s inference under ``neuron_level_inject``'s table, which writes its trace records."""
+    return run_inference(model, x, engine, neuron_fn=_neuron_table(model, *args, **kwargs), capture=capture)
+
 
 def test_neuron_ber_zero_identity(model, sample):
     out = run_inference(model, sample, "direct").output
-    same = neuron_level_inject(out, 0, 0, 0.0)
+    same = _neuron_table(model, 0, 0.0)(0, out)
     assert same == out
 
 
@@ -262,7 +274,7 @@ def test_neuron_injection_statistics(model, sample):
     ber = 0.02
     total_bits = conv0.size * 16
     trace = FaultTrace()
-    corrupted = neuron_level_inject(conv0, 0, 41, ber, trace=trace)
+    corrupted = _neuron_run(model, sample, 41, ber, LAYER0, trace=trace, capture=(0,)).conv_outputs[0]
     mean = total_bits * ber
     sigma = (mean * (1 - ber)) ** 0.5
     assert abs(len(trace) - mean) <= 4 * sigma
@@ -273,8 +285,8 @@ def test_neuron_injection_statistics(model, sample):
 def test_neuron_layer_scope(model, sample):
     conv0 = run_inference(model, sample, "direct", capture=(0,)).conv_outputs[0]
     scope = Scope(exclude_layers=frozenset({0}))
-    assert neuron_level_inject(conv0, 0, 43, 0.05, scope) == conv0
-    assert neuron_level_inject(conv0, 2, 43, 0.05, scope) != conv0
+    assert _neuron_table(model, 43, 0.05, scope)(0, conv0) == conv0
+    assert _neuron_table(model, 43, 0.05, scope)(2, conv0) != conv0
 
 
 def test_neuron_injection_engine_blind(model, sample):
@@ -282,8 +294,8 @@ def test_neuron_injection_engine_blind(model, sample):
     d = run_inference(model, sample, "direct").output
     w = run_inference(model, sample, "winograd").output
     assert d == w
-    cd = neuron_level_inject(d, 0, 47, 0.02, trial=3, sample=1)
-    cw = neuron_level_inject(w, 0, 47, 0.02, trial=3, sample=1)
+    cd = _neuron_run(model, sample, 47, 0.02, trial=3, sample=1).output
+    cw = _neuron_run(model, sample, 47, 0.02, engine="winograd", trial=3, sample=1).output
     assert cd == cw
 
 
@@ -295,9 +307,7 @@ def test_trace_jsonl_roundtrip(tmp_path, model, sample):
     space = enumerate_ops(model, "direct")
     hook, trace = op_level_hook(space, 51, 5e-4, trial=2, sample=1)
     run_inference(model, sample, "direct", hook.reference)
-    out = run_inference(model, sample, "direct").output
-    neuron_level_inject(out, 0, 51, 1e-3, trial=2, sample=1,
-                        neuron_offset=0, trace=trace)
+    _neuron_run(model, sample, 51, 1e-3, LAYER0, trial=2, sample=1, trace=trace)
     path = tmp_path / "trace.jsonl"
     trace.save_jsonl(str(path))
     loaded = FaultTrace.load_jsonl(str(path))

@@ -132,6 +132,24 @@ def test_non_integer_manifest_field_exits_2(tmp_path, capsys, key, value):
     assert key in json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
 
 
+@pytest.mark.parametrize("value", [True, float("inf"), float("nan")], ids=["true", "Infinity", "NaN"])
+def test_bool_or_non_finite_scale_exits_2(tmp_path, capsys, value):
+    # json writes inf and nan as Infinity and NaN, which it reads back as
+    # floats; a bool would load as the scale 1.0
+    model = builtin_model("toycnn-int16")
+    d = tmp_path / "m"
+    save_model(model, str(d))
+    save_dataset(generate_dataset(model, 2, seed=108), str(tmp_path / "ds"))
+    manifest = json.loads((d / "manifest.json").read_text())
+    manifest["layers"][0]["out_scale"] = value
+    _write_manifest(d, manifest)
+    code = main(["sweep", "--model", str(d), "--dataset", str(tmp_path / "ds"), "--ber", "1e-3", "--trials", "1"])
+    assert code == 2
+    rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert rec["error"] == "ValueError"
+    assert "scale" in rec["message"]
+
+
 @pytest.mark.parametrize(
     "key,value", [("bit_width", "8"), ("bit_width", 8.0), ("shape", [1, 8.0, 8]), ("count", 2.0)]
 )

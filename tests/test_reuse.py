@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import winofi.analyze
+import winofi.inject
 from winofi.analyze import Campaign, layer_vulnerability, mean_ci95, optype_vulnerability
 from winofi.engine import OpType
-from winofi.inject import FaultTrace, Granularity, Scope, op_level_hook
+from winofi.inject import FaultTrace, Granularity, Scope, neuron_level_inject, op_level_hook
 from winofi.modelio import generate_dataset, generate_toy_model
+from winofi.rng import STREAM_NEURON
 from winofi.runtime import enumerate_ops, top1
 from winofi.tmr import make_segment_eval, measure_segment_vulnerability, plan_tmr, segment_ops
 
@@ -33,13 +35,13 @@ def dataset(model):
 
 @pytest.fixture
 def inferences(monkeypatch):
-    """The op-fault table (None: fault-free or neuron-level) of each
-    inference that ``winofi.analyze`` runs from here on."""
+    """The fault table, op or neuron (None: fault-free), of each inference
+    that ``winofi.analyze`` runs from here on."""
     ran = []
     real = winofi.analyze.run_inference
 
     def spy(*args, **kwargs):
-        ran.append(args[3] if len(args) > 3 else kwargs.get("hook"))
+        ran.append((args[3] if len(args) > 3 else kwargs.get("hook")) or kwargs.get("neuron_fn"))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(winofi.analyze, "run_inference", spy)
@@ -204,3 +206,81 @@ def test_traced_sparse_sweep_keeps_its_trace_bytes(model, dataset, engine, infer
     trace.save_jsonl(str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SPARSE_TRACE_SHA256[engine]
     assert res.per_trial_correct == camp.run_point(SPARSE_BER, 5).per_trial_correct
+
+
+@pytest.fixture
+def neuron_draws(monkeypatch):
+    """The (trial, sample, layer) of each neuron flip draw from here on."""
+    drawn = []
+    real = winofi.inject.sample_flip_positions
+
+    def spy(seed, labels, total_bits, ber):
+        if labels[0] == STREAM_NEURON:
+            drawn.append(labels[1:])
+        return real(seed, labels, total_bits, ber)
+
+    monkeypatch.setattr(winofi.inject, "sample_flip_positions", spy)
+    return drawn
+
+
+def _neuron_campaign(model, dataset, engine="direct", seed=78, scope=Scope()):
+    return Campaign(model, dataset, engine, granularity=Granularity.NEURON_LEVEL, seed=seed, scope=scope)
+
+
+# sha256 of the trace JSONL that test_scoped_neuron_sweep_keeps_its_trace_bytes
+# writes, computed when each neuron layer drew its flips inside the inference
+NEURON_TRACE_SHA256 = "08924a8cef1023b81feec50feff60586ce605404adc8c5a0b6c2a79707ad9221"
+
+
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+def test_scoped_neuron_sweep_keeps_its_trace_bytes(model, dataset, engine, tmp_path):
+    camp = _neuron_campaign(model, dataset, engine, scope=Scope(exclude_layers=frozenset({0})))
+    trace = FaultTrace()
+    res = camp.run_point(1e-3, 5, trace=trace)
+    assert {e[3] for e in trace.events} <= set(range(*camp.opspace.neuron_ranges[2]))
+    path = tmp_path / "neuron.jsonl"
+    trace.save_jsonl(str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == NEURON_TRACE_SHA256
+    assert res.per_trial_correct == camp.run_point(1e-3, 5).per_trial_correct
+
+
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+def test_neuron_replay_writes_the_replayed_in_scope_flips(model, dataset, engine):
+    scope = Scope(exclude_layers=frozenset({0}))
+    camp = _neuron_campaign(model, dataset, engine, scope=scope)
+    saved = FaultTrace()
+    res = camp.run_point(3e-3, 3, trace=saved)
+    # records on layer 0's neurons are out of scope: replay neither applies nor writes them
+    layer0 = [(t, s, "neuron", i, 15, 0) for t in range(3) for s in range(len(dataset)) for i in (0, 5)]
+    replayed = FaultTrace()
+    again = camp.run_point(3e-3, 3, trace=replayed, replay=FaultTrace(saved.events + layer0))
+    assert len(saved) > 0
+    assert replayed.events == saved.events
+    assert again.per_trial_correct == res.per_trial_correct
+
+
+def test_scoped_neuron_sweep_draws_only_admitted_layers(model, dataset, neuron_draws):
+    camp = _neuron_campaign(model, dataset, scope=Scope(exclude_layers=frozenset({0})))
+    camp.run_point(1e-3, 3)
+    assert neuron_draws == [(t, s, 2) for t in range(3) for s in range(len(dataset))]
+
+
+def test_neuron_layer_vulnerability_draws_once_and_runs_distinct_tables_once(model, dataset, neuron_draws,
+                                                                           inferences):
+    camp = _neuron_campaign(model, dataset)
+    ber, trials = 3e-4, 3
+    scopes = [Scope()] + [Scope().excluding_layer(lid) for lid in camp.opspace.conv_layer_ids()]
+    distinct = nonempty = 0
+    for t in range(trials):
+        for i in range(len(dataset)):
+            tables = [neuron_level_inject(camp.opspace, camp.seed, ber, s, trial=t, sample=i)[0] for s in scopes]
+            distinct += len({(f.ids.tobytes(), f.masks.tobytes()) for f in tables if f.ids.size})
+            nonempty += sum(f.ids.size > 0 for f in tables)
+    assert 0 < distinct < nonempty
+    neuron_draws.clear()
+    inferences.clear()
+    layer_vulnerability(camp, ber, trials)
+    assert neuron_draws == [(t, s, lid) for t in range(trials) for s in range(len(dataset))
+                            for lid in camp.opspace.conv_layer_ids()]
+    assert len(inferences) == distinct
+    assert all(faults.ids.size for faults in inferences)
