@@ -18,11 +18,9 @@ from .engine import (
     BT_F2X2_3X3,
     G2_F2X2_3X3,
     G_F2X2_3X3,
-    WINOGRAD_F2X2_3X3,
     ConvSpec,
     OpType,
     Stage,
-    WinogradConfig,
     conv_direct,
     conv_winograd,
 )

@@ -132,6 +132,11 @@ class Campaign:
             stray = sorted(layer_ids - conv)
             if stray:
                 raise ConfigError(f"{what} layer ids {stray} are not conv layers of this model (conv layers: {sorted(conv)})")
+        # a scope that can strike nothing would read the clean accuracy at any BER
+        if not scope.admitted_layers(self.opspace):
+            raise ConfigError(f"scope admits none of the conv layers {sorted(conv)}, so no fault can strike")
+        if not (set(OpType) if scope.include_optypes is None else scope.include_optypes) - scope.exclude_optypes:
+            raise ConfigError("scope admits neither MUL nor ADD ops, so no fault can strike")
         clean = [self._infer(i).output for i in range(len(dataset))]
         self.clean_top1 = [top1(o) for o in clean]
         if use_labels:

@@ -247,6 +247,8 @@ def cmd_plan_tmr(cfg: dict) -> None:
         raise ConfigError("--segment-size is required")
     if "target_acc" not in cfg:
         raise ConfigError("--target-acc is required")
+    if not 0.0 <= cfg["target_acc"] <= 1.0:
+        raise ConfigError(f"--target-acc must lie in [0, 1], got {cfg['target_acc']}")
     ber = _single_ber(cfg)
     trials = cfg.get("trials", TRIALS)
     camp = _campaign(cfg)

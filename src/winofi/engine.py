@@ -29,6 +29,7 @@ the fast path.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Optional
@@ -36,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .qtensor import QTensor, QuantParams
 
 
@@ -48,8 +49,7 @@ class OpType(IntEnum):
 class Stage(IntEnum):
     DIRECT_MAC = 0
     WG_INPUT_TF = 1
-    WG_FILTER_TF = 2
-    WG_EWMUL = 3
+    WG_EWMUL = 3  # 2 is unused: the numbers are part of pinned op-stream digests
     WG_CHANNEL_SUM = 4
     WG_INVERSE_TF = 5
 
@@ -149,7 +149,6 @@ class _Transform:
 
 _ADD = int(OpType.ADD)
 _INPUT_TF = _Transform.of(BT_F2X2_3X3, 4)
-_FILTER_TF = _Transform.of(G2_F2X2_3X3, 3)
 _INVERSE_TF = _Transform.of(AT_F2X2_3X3, 4)
 # The transforms on a row-major flat tile: vec(M X M^T) = kron(M, M) vec(X).
 _KRON_BT = np.kron(BT_F2X2_3X3, BT_F2X2_3X3).astype(np.float64)
@@ -167,25 +166,14 @@ def _hooked_transform(tf: _Transform, x: list, hook: Hook, op_id: int, layer_id:
     return buf[tf.out :]
 
 
-@dataclass(frozen=True)
-class WinogradConfig:
-    """F(2x2, 3x3): 4x4 input tiles, 2x2 output tiles, 16 multiplies per tile.
-
-    The filter transform runs once per inference over static weights, so by
-    default it is precomputed fault-free and owns no op_ids (matching the
-    transient-computation fault model); ``instrument_filter_transform`` routes
-    it through the hook as WG_FILTER_TF ADDs instead.
-    """
-
-    instrument_filter_transform: bool = False
-
-    @staticmethod
-    def tile_grid(out_h: int, out_w: int) -> tuple[int, int]:
-        """Tile counts covering an output plane (ragged edges round up)."""
-        return (out_h + 1) // 2, (out_w + 1) // 2
+def tile_grid(out_h: int, out_w: int) -> tuple[int, int]:
+    """F(2x2, 3x3) tile counts covering an output plane (ragged edges round up)."""
+    return (out_h + 1) // 2, (out_w + 1) // 2
 
 
-WINOGRAD_F2X2_3X3 = WinogradConfig()
+# perfbench/tracing.py reads this flag for a conv_winograd call without a
+# config; the filter transform is never instrumented.
+WINOGRAD_F2X2_3X3 = namedtuple("WinogradF2x2_3x3", "instrument_filter_transform")(False)
 
 
 @dataclass
@@ -306,27 +294,25 @@ def _padded(x: QTensor, pad: int, hp: int, wp: int) -> np.ndarray:
     return xp
 
 
-def lockstep_bound(spec: ConvSpec, width_mul: int, width_add: int, cfg: Optional[WinogradConfig] = None) -> int:
+def lockstep_bound(spec: ConvSpec, width_mul: int, width_add: int, winograd: bool = False) -> int:
     """Largest magnitude any value of the layer's fast path can take when
     flips strike the low ``width_mul`` bits of products and the low
-    ``width_add`` bits of sums: of :func:`conv_direct` when ``cfg`` is None,
-    else of :func:`conv_winograd`. A flip of the low w bits moves a value by
+    ``width_add`` bits of sums: of :func:`conv_winograd` when ``winograd``,
+    else of :func:`conv_direct`. A flip of the low w bits moves a value by
     less than 2^w. The fast path runs in int64 below 2^63, else on Python ints.
     """
     bias = max_abs(spec.bias)
-    filter_tf = None if cfg is None else cfg.instrument_filter_transform
-    return _bound(spec.weights.qparams.bit_width, spec.in_channels, bias, width_mul, width_add, filter_tf)
+    return _bound(spec.weights.qparams.bit_width, spec.in_channels, bias, width_mul, width_add, winograd)
 
 
 @functools.lru_cache(maxsize=256)
-def _bound(bits: int, c: int, bias: int, width_mul: int, width_add: int, filter_tf: Optional[bool]) -> int:
-    """:func:`lockstep_bound` of the direct engine (``filter_tf`` None) or of
-    Winograd with an instrumented filter transform or not."""
+def _bound(bits: int, c: int, bias: int, width_mul: int, width_add: int, winograd: bool) -> int:
+    """:func:`lockstep_bound` of either engine."""
     x, fm, fa = 2 ** (bits - 1), 2**width_mul, 2**width_add
-    if filter_tf is None:
+    if not winograd:
         return bias + 9 * c * (x * x + fm + fa)
     v = _tf_bound(_INPUT_TF, x, fa)
-    u = _tf_bound(_FILTER_TF, x, fa if filter_tf else 0)
+    u = 9 * x  # the fault-free (2G) g (2G)^T: each row of 2G sums to at most 3 in magnitude
     return _tf_bound(_INVERSE_TF, c * (u * v + fm + fa), fa) + 4 * bias
 
 
@@ -338,14 +324,14 @@ def _tf_bound(tf: _Transform, x: int, flip: int) -> int:
     return max(a * x + b * flip for a, b in zip(wx + ox, wd + od))
 
 
-def _layer_faults(faults: OpFaults, op_base: int, n_ops: int, spec: ConvSpec, cfg: Optional[WinogradConfig] = None):
+def _layer_faults(faults: OpFaults, op_base: int, n_ops: int, spec: ConvSpec, winograd: bool = False):
     """(offsets from ``op_base``, masks, dtype) of the faults inside [op_base,
-    op_base + n_ops) of the layer ``spec`` (``cfg`` as in
+    op_base + n_ops) of the layer ``spec`` (``winograd`` as in
     :func:`lockstep_bound`). The dtype holds every value of the layer's fast
     path exactly: int64, or object (Python ints) past 2^63."""
     lo, hi = np.searchsorted(faults.ids, [op_base, op_base + n_ops])
     masks = faults.masks[lo:hi]
-    if lockstep_bound(spec, faults.width_mul, faults.width_add, cfg) < 2**63:
+    if lockstep_bound(spec, faults.width_mul, faults.width_add, winograd) < 2**63:
         return faults.ids[lo:hi] - op_base, masks.view(np.int64), np.int64
     return faults.ids[lo:hi] - op_base, masks.astype(object), object
 
@@ -518,49 +504,45 @@ def _conv_direct_vec(xp: np.ndarray, spec: ConvSpec, shift: int) -> np.ndarray:
 def conv_winograd(
     x: QTensor,
     spec: ConvSpec,
-    cfg: Optional[WinogradConfig] = None,
-    hook: Optional[Hook | OpFaults] = None,
     *,
+    hook: Optional[Hook | OpFaults] = None,
     layer_id: int = 0,
     op_base: int = 0,
 ) -> QTensor:
     """F(2x2,3x3) convolution, element-exact with :func:`conv_direct`.
 
-    Within a layer the op stream is: filter transform for every (k, c), then
-    per tile the stages input transform (per c), element-wise multiply
-    (per k, c), channel-sum accumulation (per k, c), inverse transform (per k).
-    Each transform runs as the add-chain program derived from its matrix (see
-    :class:`_Transform`); every tile quantity is a flat row-major list.
-    Odd output planes are computed on a tile grid rounded up to even and the
-    padded outputs discarded.
+    The filter transform (2G) g (2G)^T runs on static weights, as an offline
+    transform would, so it is computed fault-free and owns no op ids. Within
+    a layer the op stream is, per tile, the stages input transform (per c),
+    element-wise multiply (per k, c), channel-sum accumulation (per k, c),
+    inverse transform (per k). Each transform runs as the add-chain program
+    derived from its matrix (see :class:`_Transform`); every tile quantity
+    is a flat row-major list. Odd output planes are computed on a tile grid
+    rounded up to even and the padded outputs discarded.
 
     A (tile, k) unit owns the tile's element-wise multiplies, channel sums
     and inverse transform of output channel k; a tile's input transform feeds
-    all of its units, and the filter transform of (k, c) every unit of k.
-    With ``hook`` None the vectorized kernel computes the output. Given an
-    :class:`OpFaults` table as ``hook``, the units owning a struck op are
-    then recomputed together (see :func:`_winograd_struck`). Any other hook
-    sees every op; that is the reference.
+    all of its units. With ``hook`` None the vectorized kernel computes the
+    output. Given an :class:`OpFaults` table as ``hook``, the units owning a
+    struck op are then recomputed together (see :func:`_winograd_struck`).
+    Any other hook sees every op; that is the reference.
     """
-    if cfg is None:
-        cfg = WINOGRAD_F2X2_3X3
     n_, c_, h, w = _check_input(x, spec)
     oh, ow = spec.out_hw(h, w)
     # +2: Winograd folds the deferred /4 of the doubled filter transform here.
     shift = spec.requant_shift(x.qparams) + 2
     oq = spec.out_qparams
     k_, pad = spec.out_channels, spec.padding
-    ty_, tx_ = WinogradConfig.tile_grid(oh, ow)
+    ty_, tx_ = tile_grid(oh, ow)
     xp = _padded(x, pad, 2 * ty_ + 2, 2 * tx_ + 2)
-    n_itf, n_inv, n_ftf = len(_INPUT_TF.steps), len(_INVERSE_TF.steps), len(_FILTER_TF.steps)
-    ftf_ops = k_ * c_ * n_ftf if cfg.instrument_filter_transform else 0
+    n_itf, n_inv = len(_INPUT_TF.steps), len(_INVERSE_TF.steps)
     tile_ops = c_ * n_itf + 32 * k_ * c_ + k_ * n_inv
     if hook is None or isinstance(hook, OpFaults):
         out, u, v = _conv_winograd_vec(xp, spec, oh, ow, shift)
         if hook is not None:
-            offs, masks, dt = _layer_faults(hook, op_base, ftf_ops + n_ * ty_ * tx_ * tile_ops, spec, cfg)
+            offs, masks, dt = _layer_faults(hook, op_base, n_ * ty_ * tx_ * tile_ops, spec, winograd=True)
             if offs.size:
-                _winograd_struck(xp, spec, shift, out, u, v, offs - ftf_ops, masks, dt)
+                _winograd_struck(xp, spec, shift, out, u, v, offs, masks, dt)
         return QTensor(out.shape, out, oq)
 
     out = np.empty((n_, k_, oh, ow), dtype=np.int64)
@@ -572,19 +554,13 @@ def conv_winograd(
     )
 
     # Filter transform (2G) g (2G)^T, one flat 4x4 U per (k, c) in that order.
-    if ftf_ops:
-        u_all = [
-            _hooked_transform(_FILTER_TF, g, hook, op_base + i * n_ftf, layer_id, int(Stage.WG_FILTER_TF))
-            for i, g in enumerate(spec.weights.array.reshape(k_ * c_, 9).tolist())
-        ]
-    else:
-        u_all = np.matmul(np.matmul(G2_F2X2_3X3, spec.weights.array), G2_F2X2_3X3.T).reshape(k_ * c_, 16).tolist()
+    u_all = np.matmul(np.matmul(G2_F2X2_3X3, spec.weights.array), G2_F2X2_3X3.T).reshape(k_ * c_, 16).tolist()
 
     for t in range(n_ * ty_ * tx_):
         n, ty = divmod(t, ty_ * tx_)
         ty, tx = divmod(ty, tx_)
         y0, x0 = 2 * ty, 2 * tx
-        op_id = op_base + ftf_ops + t * tile_ops
+        op_id = op_base + t * tile_ops
         # Input transform B^T d B per input channel.
         v_all = [
             _hooked_transform(_INPUT_TF, dc, hook, op_id + c * n_itf, layer_id, s_itf)
@@ -624,37 +600,28 @@ def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, out: np.ndarray
                      offs: np.ndarray, masks: np.ndarray, dt) -> None:
     """Overwrite the (tile, k) units of ``out`` owning the struck ops with
     their faulty values, computed in ``dt``. ``offs`` are the ops' offsets
-    from the layer's first tile; filter-transform ops lie below 0. ``u`` and
-    ``v`` are the vectorized pass's exact transformed filters and inputs.
+    from the layer's first op. ``u`` and ``v`` are the vectorized pass's
+    exact transformed filters and inputs.
 
-    The filter transforms of struck (k, c) and the input transforms of
-    struck (tile, c) rerun in lockstep (see :func:`_lockstep`). The units'
-    products take their multiply flips at once, a cumulative sum over c
-    gives every channel sum, and channel-sum flips apply rank by rank. The
-    inverse transform is one product with kron(A^T, A^T), rerun in lockstep
-    for the units with an inverse-transform flip.
+    The input transforms of struck (tile, c) rerun in lockstep (see
+    :func:`_lockstep`). The units' products take their multiply flips at
+    once, a cumulative sum over c gives every channel sum, and channel-sum
+    flips apply rank by rank. The inverse transform is one product with
+    kron(A^T, A^T), rerun in lockstep for the units with an
+    inverse-transform flip.
     """
     n_, c_, hp, wp = xp.shape
     k_ = spec.out_channels
     ty_, tx_ = (hp - 2) // 2, (wp - 2) // 2
-    n_itf, n_inv, n_ftf = len(_INPUT_TF.steps), len(_INVERSE_TF.steps), len(_FILTER_TF.steps)
+    n_itf, n_inv = len(_INPUT_TF.steps), len(_INVERSE_TF.steps)
     ew0 = c_ * n_itf
     cs0 = ew0 + 16 * k_ * c_
     inv0 = cs0 + 16 * k_ * c_
-    ftf = offs < 0
-    t, o = np.divmod(offs[~ftf], inv0 + k_ * n_inv)
-    tm = masks[~ftf]
+    t, o = np.divmod(offs, inv0 + k_ * n_inv)
     itf, ew, cs, inv = o < ew0, (ew0 <= o) & (o < cs0), (cs0 <= o) & (o < inv0), inv0 <= o
 
-    u = u.T.astype(np.int64).astype(dt, copy=False)  # (K*C, 16)
+    u = u.T.astype(np.int64).astype(dt, copy=False).reshape(k_, c_, 16)
     hit = np.zeros((n_ * ty_ * tx_, k_), dtype=bool)
-    if ftf.any():
-        kc, step = np.divmod(offs[ftf] + k_ * c_ * n_ftf, n_ftf)
-        rows, r = np.unique(kc, return_inverse=True)
-        g = spec.weights.array.reshape(k_ * c_, 9)[rows].astype(dt, copy=False)
-        u[rows] = _lockstep(_FILTER_TF, g, r, step, masks[ftf])
-        hit[:, rows // c_] = True
-    u = u.reshape(k_, c_, 16)
     hit[t[itf]] = True
     # element-wise multiply and channel-sum flips: (tile, k, c, e)
     kce = [np.unravel_index(o[sel] - first, (k_, c_, 16)) for sel, first in ((ew, ew0), (cs, cs0))]
@@ -672,19 +639,19 @@ def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, out: np.ndarray
         rows, r = np.unique(np.searchsorted(tiles, t[itf]) * c_ + c, return_inverse=True)
         n, ty, tx = np.unravel_index(tiles[rows // c_], (n_, ty_, tx_))
         d = sliding_window_view(xp, (4, 4), axis=(2, 3))[n, rows % c_, 2 * ty, 2 * tx].reshape(-1, 16)
-        v.reshape(-1, 16)[rows] = _lockstep(_INPUT_TF, d.astype(dt, copy=False), r, step, tm[itf])
+        v.reshape(-1, 16)[rows] = _lockstep(_INPUT_TF, d.astype(dt, copy=False), r, step, masks[itf])
     p = u[uk]
     p *= v[tu]  # (units, C, 16)
     k, c, e = kce[0]
     at = (unit[t[ew], k], c, e)
-    p[at] = _flip(p[at], tm[ew])
+    p[at] = _flip(p[at], masks[ew])
     s = np.cumsum(p, axis=1, out=p).transpose(0, 2, 1)  # (units, 16, C): a chain per (unit, e)
     k, c, e = kce[1]
-    s = s[..., -1] + _flip_chains(s, (unit[t[cs], k], e), c, tm[cs])
+    s = s[..., -1] + _flip_chains(s, (unit[t[cs], k], e), c, masks[cs])
     y = s @ _KRON_AT.astype(np.int64).astype(dt).T  # (units, 4)
     if inv.any():
         rows, r = np.unique(unit[t[inv], k_inv], return_inverse=True)
-        y[rows] = _lockstep(_INVERSE_TF, s[rows], r, step_inv, tm[inv])
+        y[rows] = _lockstep(_INVERSE_TF, s[rows], r, step_inv, masks[inv])
     if spec.bias is not None:
         y += 4 * spec.bias[uk, None]
     oq = spec.out_qparams
@@ -726,18 +693,18 @@ def direct_layer_counts(n: int, c: int, k: int, oh: int, ow: int) -> dict[Stage,
 
 
 def winograd_layer_counts(
-    n: int, c: int, k: int, oh: int, ow: int, include_filter_tf: bool = False
+    n: int, c: int, k: int, oh: int, ow: int,
+    instrument_filter_transform: bool = False,  # perfbench/tracing.py passes WINOGRAD_F2X2_3X3's flag
 ) -> dict[Stage, dict[OpType, int]]:
-    """Per-stage op counts; the per-tile stages come first, in the order each
-    tile emits them. Transform adds are the programs' step counts."""
-    ty, tx = WinogradConfig.tile_grid(oh, ow)
+    """Per-stage op counts, in the order each tile emits them. Transform
+    adds are the programs' step counts."""
+    if instrument_filter_transform:
+        raise ConfigError("the Winograd filter transform is precomputed fault-free and owns no ops")
+    ty, tx = tile_grid(oh, ow)
     tiles = n * ty * tx
-    counts = {
+    return {
         Stage.WG_INPUT_TF: {OpType.MUL: 0, OpType.ADD: len(_INPUT_TF.steps) * c * tiles},
         Stage.WG_EWMUL: {OpType.MUL: 16 * k * c * tiles, OpType.ADD: 0},
         Stage.WG_CHANNEL_SUM: {OpType.MUL: 0, OpType.ADD: 16 * k * c * tiles},
         Stage.WG_INVERSE_TF: {OpType.MUL: 0, OpType.ADD: len(_INVERSE_TF.steps) * k * tiles},
     }
-    if include_filter_tf:
-        counts[Stage.WG_FILTER_TF] = {OpType.MUL: 0, OpType.ADD: len(_FILTER_TF.steps) * k * c}
-    return counts

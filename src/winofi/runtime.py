@@ -37,7 +37,6 @@ MAX_FAULT_BITS = 64
 PAT_MAC = 2
 _STAGE_PATTERNS = {
     Stage.DIRECT_MAC: PAT_MAC,
-    Stage.WG_FILTER_TF: OpType.ADD,
     Stage.WG_INPUT_TF: OpType.ADD,
     Stage.WG_EWMUL: OpType.MUL,
     Stage.WG_CHANNEL_SUM: OpType.ADD,
@@ -53,12 +52,11 @@ class OpSpace:
     stage (``stages[r]``) whose op types follow ``patterns[r]``.
     """
 
-    def __init__(self, model: ModelDef, engine: str, fault_bits=None, wg_cfg=None):
+    def __init__(self, model: ModelDef, engine: str, fault_bits=None):
         if engine not in ("direct", "winograd"):
             raise ConfigError(f"unknown engine {engine!r}")
         self.engine = engine
         self.bit_width = model.bit_width
-        self.include_filter_tf = bool(wg_cfg is not None and wg_cfg.instrument_filter_transform)
         wm, wa = _resolve_fault_bits(fault_bits, model.bit_width)
         self.width_mul = wm
         self.width_add = wa
@@ -80,17 +78,14 @@ class OpSpace:
             # The executed winograd stream interleaves stages per tile; regions
             # mirror the exact emission order of conv_winograd, which a
             # one-tile layer's counts list stage by stage.
-            if self.include_filter_tf:
-                ftf = eng.winograd_layer_counts(1, c, k, oh, ow, True)[Stage.WG_FILTER_TF]
-                runs.append((layer_id, Stage.WG_FILTER_TF, ftf[OpType.ADD]))
-            ty, tx = eng.WinogradConfig.tile_grid(oh, ow)
+            ty, tx = eng.tile_grid(oh, ow)
             one_tile = eng.winograd_layer_counts(1, c, k, 2, 2)
             runs += [(layer_id, stage, sum(t.values())) for stage, t in one_tile.items()] * (ty * tx)
 
         self.layers, self.stages, sizes = np.array(runs, dtype=np.int64).reshape(-1, 3).T
         self.ends = np.cumsum(sizes)
         self.starts = self.ends - sizes
-        self.patterns = np.array([_STAGE_PATTERNS[s] for s in range(len(Stage))])[self.stages]
+        self.patterns = np.array([_STAGE_PATTERNS.get(s, -1) for s in range(max(Stage) + 1)])[self.stages]
         self.total_ops = int(self.ends[-1]) if runs else 0
         self.neuron_sizes = neuron_sizes
         ends = np.cumsum([0, *neuron_sizes.values()]).tolist()
@@ -188,7 +183,6 @@ def enumerate_ops(
     model: ModelDef,
     engine: Optional[str] = None,
     fault_bits=None,
-    wg_cfg=None,
 ) -> OpSpace:
     """Deterministic op-stream summary of ``model.execution_plan()``; counts
     match a hook-counting dry run."""
@@ -196,7 +190,6 @@ def enumerate_ops(
         model,
         engine or model.engine,
         fault_bits=fault_bits,
-        wg_cfg=wg_cfg,
     )
 
 
@@ -268,7 +261,6 @@ def run_inference(
     range_mode: str = "clamp",
     capture: tuple = (),
     capture_act: tuple = (),
-    wg_cfg=None,
 ) -> InferenceResult:
     """Run one sample through the model.
 
@@ -291,8 +283,6 @@ def run_inference(
             f"input qparams {x.qparams} do not match model input {model.input_qparams}"
         )
     plan = model.execution_plan()
-    if wg_cfg is None:
-        wg_cfg = eng.WINOGRAD_F2X2_3X3
 
     # layer index -> the conv layer whose activation point it is: the relu
     # right after the conv, or the conv itself when no relu follows
@@ -314,10 +304,8 @@ def run_inference(
                 cur = eng.conv_direct(cur, spec, hook, layer_id=layer_id, op_base=op_base)
                 counts = eng.direct_layer_counts(1, in_shape[0], layer.out_channels, *oh_ow)
             else:
-                cur = eng.conv_winograd(cur, spec, wg_cfg, hook, layer_id=layer_id, op_base=op_base)
-                counts = eng.winograd_layer_counts(
-                    1, in_shape[0], layer.out_channels, *oh_ow, wg_cfg.instrument_filter_transform
-                )
+                cur = eng.conv_winograd(cur, spec, hook=hook, layer_id=layer_id, op_base=op_base)
+                counts = eng.winograd_layer_counts(1, in_shape[0], layer.out_channels, *oh_ow)
             op_base += sum(t[OpType.MUL] + t[OpType.ADD] for t in counts.values())
             if neuron_fn is not None:
                 cur = neuron_fn(layer_id, cur)

@@ -372,6 +372,41 @@ def test_empty_include_set_exits_2(assets, tmp_path, capsys, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("granularity, scope", [
+    ("op", "exclude_layers=0,2"),
+    ("op", "include_layers=0;exclude_layers=0"),
+    ("op", "exclude_optypes=MUL,ADD"),
+    ("op", "include_optypes=ADD;exclude_optypes=ADD"),
+    ("neuron", "exclude_layers=0,2"),
+])
+def test_scope_that_strikes_nothing_exits_2(assets, tmp_path, capsys, granularity, scope):
+    # no conv layer or no op type left to strike would read the clean
+    # accuracy at any BER
+    out = tmp_path / "r.csv"
+    code = run_cli("sweep", "--model", assets["model"], "--dataset", assets["dataset"], "--granularity", granularity,
+                   "--ber", "1e-2", "--trials", "2", "--scope", scope, "--out", str(out))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and "no fault can strike" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["1.5", "-0.5", "nan"])
+def test_plan_tmr_target_outside_unit_interval_exits_2(assets, tmp_path, capsys, monkeypatch, target):
+    # 1.5 would run every planner evaluation and protect every segment, and
+    # -0.5 would protect none; both are refused before any campaign is built
+    import winofi.cli
+
+    monkeypatch.setattr(winofi.cli, "_campaign", lambda cfg: pytest.fail("a campaign was built"))
+    out = tmp_path / "plan.json"
+    code = run_cli("plan-tmr", "--model", assets["model"], "--dataset", assets["dataset"], "--ber", "2e-4",
+                   "--trials", "2", "--segment-size", "2000", "--target-acc", target, "--out", str(out))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and "--target-acc" in err["message"]
+    assert not out.exists()
+
+
 def test_repeated_fault_bits_key_exits_2(assets, tmp_path, capsys):
     out = tmp_path / "r.csv"
     code = run_cli("sweep", "--model", assets["model"], "--dataset", assets["dataset"],

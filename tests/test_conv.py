@@ -13,7 +13,6 @@ from winofi.engine import (
     ConvSpec,
     OpType,
     Stage,
-    WinogradConfig,
     conv_direct,
     conv_winograd,
     requant_array,
@@ -118,22 +117,10 @@ def test_winograd_single_tile_op_counts(rng):
     assert hook.total(stage=Stage.WG_INPUT_TF) == 32
     assert hook.total(stage=Stage.WG_INVERSE_TF) == 24
     assert hook.total(stage=Stage.WG_CHANNEL_SUM) == 16
-    # transformed filters are precomputed fault-free by default
-    assert hook.total(stage=Stage.WG_FILTER_TF) == 0
-
-
-def test_winograd_instrumented_filter_transform(rng):
-    spec = make_spec(rng, c=2, k=3, bit_width=8, padding=1)
-    x = random_qtensor(rng, (1, 2, 6, 6), 8)
-    ref = conv_direct(x, spec)
-    cfg = WinogradConfig(instrument_filter_transform=True)
-    hook = CountingHook()
-    out = conv_winograd(x, spec, cfg, hook)
-    assert out.array.tolist() == ref.array.tolist()
-    assert hook.total(stage=Stage.WG_FILTER_TF, op_type=OpType.ADD) == 42 * 3 * 2
-    assert hook.total(stage=Stage.WG_FILTER_TF, op_type=OpType.MUL) == 0
-    # op ids stay dense when the extra stage is emitted
-    assert hook.op_ids == list(range(len(hook.op_ids)))
+    # the four per-tile stages are every hooked op: the transformed filters
+    # are precomputed fault-free and own none
+    per_tile = (Stage.WG_EWMUL, Stage.WG_CHANNEL_SUM, Stage.WG_INPUT_TF, Stage.WG_INVERSE_TF)
+    assert sum(hook.total(stage=s) for s in per_tile) == len(hook.op_ids) == 16 + 16 + 32 + 24
 
 
 def test_direct_matches_brute_force_oracle(rng):
@@ -246,14 +233,9 @@ def test_hook_can_corrupt_results(rng):
 
 
 @pytest.mark.parametrize(
-    "instrument, digest",
-    [
-        (False, "b96ab6540c08c3c9d87def318beef017b1624518a6e5099b6a122305d762daf5"),
-        (True, "7938ffd066677863972cef1b8485697437267442d24cca84c35ec5f3a1572fcd"),
-    ],
-    ids=["precomputed-filter-tf", "instrumented-filter-tf"],
+    "digest", ["b96ab6540c08c3c9d87def318beef017b1624518a6e5099b6a122305d762daf5"], ids=["precomputed-filter-tf"]
 )
-def test_winograd_op_stream_digest(instrument, digest):
+def test_winograd_op_stream_digest(digest):
     # Pins every hooked op's id, layer, type, stage and (faulty) value in
     # emission order, plus the logits, on ragged 3x3-output tiles.
     model = generate_toy_model(depth=2, channels=3, hw=5, bit_width=8, seed=11)
@@ -266,8 +248,7 @@ def test_winograd_op_stream_digest(instrument, digest):
         h.update(f"{op_id},{layer_id},{op_type},{stage},{value};".encode())
         return value
 
-    cfg = WinogradConfig(instrument_filter_transform=instrument)
-    res = run_inference(model, x, "winograd", hook, wg_cfg=cfg)
+    res = run_inference(model, x, "winograd", hook)
     h.update(res.output.data.tobytes())
     assert h.hexdigest() == digest
 

@@ -72,9 +72,11 @@ def _base_scopes(draw, conv_layers, total_ops):
     layers, types = st.sampled_from(conv_layers), st.sampled_from(list(OpType))
     ranges = st.lists(st.tuples(st.integers(0, total_ops - 1), st.integers(1, total_ops // 4))
                       .map(lambda r: (r[0], min(total_ops, r[0] + r[1]))), max_size=2)
-    return Scope(include_layers=draw(st.none() | st.frozensets(layers, min_size=1)),
-                 exclude_layers=draw(st.frozensets(layers)), exclude_optypes=draw(st.frozensets(types)),
-                 exclude_op_ranges=tuple(draw(ranges)))
+    # a base scope must leave a conv layer and an op type to strike
+    include = draw(st.none() | st.frozensets(layers, min_size=1))
+    struck = draw(st.sampled_from(sorted(include or conv_layers)))
+    return Scope(include_layers=include, exclude_layers=draw(st.frozensets(layers)) - {struck},
+                 exclude_optypes=draw(st.frozensets(types, max_size=1)), exclude_op_ranges=tuple(draw(ranges)))
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from winofi.engine import OpType, Stage, WinogradConfig, lockstep_bound
+from winofi.engine import OpType, Stage, lockstep_bound
 from winofi.errors import ShapeError
 from winofi.inject import FaultTrace, Scope, op_level_hook
 from winofi.modelio import generate_dataset, generate_toy_model
@@ -67,25 +67,6 @@ def test_enumerate_two_identical_layers_doubles():
         assert s2.count(layer_id=a) == s2.count(layer_id=b) == s1.total_ops
 
 
-def test_enumerate_with_instrumented_filter_transform(toy8):
-    from winofi.engine import WinogradConfig
-
-    cfg = WinogradConfig(instrument_filter_transform=True)
-    space = enumerate_ops(toy8, "winograd", wg_cfg=cfg)
-    x = generate_dataset(toy8, 1, seed=3).samples[0]
-    hook = CountingHook()
-    run_inference(toy8, x, "winograd", hook, wg_cfg=cfg)
-    assert space.total_ops == len(hook.op_ids)
-    assert hook.op_ids == list(range(space.total_ops))
-    for lid in space.conv_layer_ids():
-        assert space.count(lid, Stage.WG_FILTER_TF, OpType.ADD) == hook.total(lid, Stage.WG_FILTER_TF, OpType.ADD)
-        assert space.count(lid, Stage.WG_FILTER_TF, OpType.ADD) > 0
-    # default space excludes the stage entirely
-    default = enumerate_ops(toy8, "winograd")
-    assert default.count(stage=Stage.WG_FILTER_TF) == 0
-    assert default.total_ops < space.total_ops
-
-
 def test_op_info_and_region_lookup(toy8):
     for engine in ("direct", "winograd"):
         space = enumerate_ops(toy8, engine)
@@ -129,21 +110,20 @@ def _ragged_model():
 
 
 @functools.lru_cache(maxsize=None)
-def _recorded_stream(engine, filter_tf):
+def _recorded_stream(engine):
     """(OpSpace, recorded (layer, stage, type) rows indexed by op_id) of
     ``_ragged_model``."""
     model, x = _ragged_model()
-    wg_cfg = WinogradConfig(instrument_filter_transform=filter_tf)
     rows = []
 
     def hook(op_id, layer_id, op_type, stage, value):
         rows.append((op_id, layer_id, stage, op_type))
         return value
 
-    run_inference(model, x, engine, hook, wg_cfg=wg_cfg)
+    run_inference(model, x, engine, hook)
     rec = np.array(rows, dtype=np.int64)
     assert (rec[:, 0] == np.arange(len(rows))).all()
-    return enumerate_ops(model, engine, wg_cfg=wg_cfg), rec[:, 1:]
+    return enumerate_ops(model, engine), rec[:, 1:]
 
 
 def _scopes(space):
@@ -163,12 +143,11 @@ def _allowed(scope, op_id, layer, typ):
             and not any(a <= op_id < b for a, b in scope.exclude_op_ranges))
 
 
-@pytest.mark.parametrize("filter_tf", [False, True], ids=["fixed-filter", "hooked-filter"])
-@pytest.mark.parametrize("engine", ["direct", "winograd"])
+@pytest.mark.parametrize("engine", ["direct", "winograd"], ids=["direct-fixed-filter", "winograd-fixed-filter"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_classify_keep_and_counts_match_recorded_stream(engine, filter_tf, data):
-    space, rec = _recorded_stream(engine, filter_tf)
+def test_classify_keep_and_counts_match_recorded_stream(engine, data):
+    space, rec = _recorded_stream(engine)
     total = space.total_ops
     scope = data.draw(_scopes(space))
     # random ids plus both sides of every recorded stage change and scope range edge
@@ -197,15 +176,14 @@ def test_classify_keep_and_counts_match_recorded_stream(engine, filter_tf, data)
 
 
 def _replay_table(space, rec, data):
-    """Op flips clustered in a few chains or tiles, plus input- and
-    filter-transform flips and a few anywhere, on random bits and TMR copies."""
+    """Op flips clustered in a few chains or tiles, plus input-transform
+    flips and a few anywhere, on random bits and TMR copies."""
     total = space.total_ops
     start = data.draw(st.integers(0, total - 1))
     ids = data.draw(st.lists(st.integers(start, min(total, start + 500) - 1), min_size=1, max_size=8))
-    for stage in (Stage.WG_INPUT_TF, Stage.WG_FILTER_TF):
-        pool = np.flatnonzero(rec[:, 1] == stage).tolist()
-        if pool:
-            ids += data.draw(st.lists(st.sampled_from(pool), max_size=3))
+    pool = np.flatnonzero(rec[:, 1] == Stage.WG_INPUT_TF).tolist()
+    if pool:
+        ids += data.draw(st.lists(st.sampled_from(pool), max_size=3))
     ids += data.draw(st.lists(st.integers(0, total - 1), max_size=4))
     events = [(0, 0, "op", i, data.draw(st.integers(0, int(space.op_widths([i])[0]) - 1)), data.draw(st.integers(0, 2)))
               for i in ids]
@@ -214,44 +192,40 @@ def _replay_table(space, rec, data):
     return FaultTrace(events)
 
 
-def _int64_switch_widths(model, engine, wg_cfg):
+def _int64_switch_widths(model, engine):
     """Fault widths on both sides of each conv layer's switch from int64 to
     Python ints in the fast path."""
-    cfg = wg_cfg if engine == "winograd" else None
     widths = set()
     for *_, spec in model.execution_plan():
         if spec is not None:
-            last = max(w for w in range(1, 65) if lockstep_bound(spec, w, w, cfg) < 2**63)
+            last = max(w for w in range(1, 65) if lockstep_bound(spec, w, w, engine == "winograd") < 2**63)
             widths |= {last, min(last + 1, 64)}
     return sorted(widths)
 
 
-def _fast_and_oracle(model, x, engine, wg_cfg, space, seed, ber, scope=Scope(), replay=None, protected=()):
+def _fast_and_oracle(model, x, engine, space, seed, ber, scope=Scope(), replay=None, protected=()):
     """(output, conv outputs, trace events) of the fast path and of the hooked
     oracle (the table's ``reference``) on the same fault table."""
     conv_ids = tuple(space.conv_layer_ids())
     runs = []
     for fast in (True, False):
         hook, trace = op_level_hook(space, seed, ber, scope, replay=replay, protected=protected)
-        res = run_inference(model, x, engine, hook if fast else hook.reference, wg_cfg=wg_cfg,
-                            capture=conv_ids)
+        res = run_inference(model, x, engine, hook if fast else hook.reference, capture=conv_ids)
         runs.append((res.output, [res.conv_outputs[lid] for lid in conv_ids], trace.events))
     return runs
 
 
-@pytest.mark.parametrize("filter_tf", [False, True], ids=["fixed-filter", "hooked-filter"])
-@pytest.mark.parametrize("engine", ["direct", "winograd"])
+@pytest.mark.parametrize("engine", ["direct", "winograd"], ids=["direct-fixed-filter", "winograd-fixed-filter"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_struck_units_match_hooked_oracle(engine, filter_tf, data):
+def test_struck_units_match_hooked_oracle(engine, data):
     # The vectorized pass plus the lockstep recomputation of the struck units
     # must reproduce the fully hooked inference: the output, every conv
     # output and the trace, in order, on both sides of the int64 bound.
     model, x = _ragged_model()
-    _, rec = _recorded_stream(engine, filter_tf)
-    wg_cfg = WinogradConfig(instrument_filter_transform=filter_tf)
-    fault_bits = data.draw(st.sampled_from([None, 64, *_int64_switch_widths(model, engine, wg_cfg)]))
-    space = enumerate_ops(model, engine, fault_bits=fault_bits, wg_cfg=wg_cfg)
+    _, rec = _recorded_stream(engine)
+    fault_bits = data.draw(st.sampled_from([None, 64, *_int64_switch_widths(model, engine)]))
+    space = enumerate_ops(model, engine, fault_bits=fault_bits)
     scope = data.draw(st.just(Scope()) | _scopes(space))
     bounds = sorted(set(data.draw(st.lists(st.integers(0, space.total_ops), max_size=6))))
     protected = tuple(zip(bounds[0::2], bounds[1::2]))
@@ -260,7 +234,7 @@ def test_struck_units_match_hooked_oracle(engine, filter_tf, data):
     else:
         ber = data.draw(st.sampled_from([1e-4, 1e-3, 5e-3]))
         seed, replay = data.draw(st.integers(0, 2**16)), None
-    fast, oracle = _fast_and_oracle(model, x, engine, wg_cfg, space, seed, ber, scope, replay, protected)
+    fast, oracle = _fast_and_oracle(model, x, engine, space, seed, ber, scope, replay, protected)
     assert fast == oracle
 
 
@@ -269,7 +243,6 @@ def test_stacked_add_flips_in_one_chain_match_hooked_oracle(engine):
     # Several ADD flips in one direct MAC chain, or in one Winograd channel
     # sum, each apply to the sum that carries the flips before it.
     model, x = _ragged_model()
-    wg_cfg = WinogradConfig()
     space = enumerate_ops(model, engine)
     layer = space.conv_layer_ids()[-1]
     c_ = model.execution_plan()[layer][1][0]
@@ -282,7 +255,7 @@ def test_stacked_add_flips_in_one_chain_match_hooked_oracle(engine):
         k, e = 1, 5
         ops = [start + (k * c_ + c) * 16 + e for c in range(c_)]  # one chain over every channel
     events = [(0, 0, "op", op, bit, 0) for op in ops for bit in (4, 7)]
-    fast, oracle = _fast_and_oracle(model, x, engine, wg_cfg, space, 0, 0.0, replay=FaultTrace(events))
+    fast, oracle = _fast_and_oracle(model, x, engine, space, 0, 0.0, replay=FaultTrace(events))
     assert fast == oracle
     assert fast[2] == events
     assert fast[1][-1] != run_inference(model, x, engine, capture=(layer,)).conv_outputs[layer]
