@@ -10,6 +10,7 @@ in scope are exactly paired, and trial workers cannot change any result.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -25,6 +26,7 @@ from .inject import (
     Scope,
     draw_neuron_flips,
     draw_op_flips,
+    merge_ranges,
     neuron_level_inject,
     op_level_hook,
 )
@@ -50,7 +52,6 @@ class CampaignResult:
     mean_accuracy: float
     ci95_halfwidth: float
     clean_accuracy: float
-    layer_rmse: Optional[dict] = None  # conv layer_id -> mean RMSE over trials
 
     def row(self) -> dict:
         return {
@@ -124,8 +125,8 @@ class Campaign:
                 raise ConfigError("fault_bits sets op result windows: neuron-level faults strike stored neuron bits")
             if scope.include_optypes is not None or scope.exclude_optypes or op_ranges:
                 raise ConfigError("a neuron-level scope can filter only layers: neurons have no op type or op id")
-        elif any(a < 0 or b > self.opspace.total_ops for a, b in op_ranges):
-            raise ConfigError(f"scope op ranges {list(op_ranges)} reach outside the op space [0, {self.opspace.total_ops})")
+        else:
+            self._op_ranges("scope", op_ranges)
         conv = set(self.opspace.conv_layer_ids())
         for what, layer_ids in (("scope", (scope.include_layers or frozenset()) | scope.exclude_layers),
                                 ("range profile", set(ranges.ranges if ranges is not None else ()))):
@@ -150,7 +151,6 @@ class Campaign:
         else:
             self.refs = self.clean_top1
         self.clean_correct = sum(int(a == b) for a, b in zip(self.clean_top1, self.refs))
-        self._clean_captures: dict = {}  # conv layer_id -> clean dequantized outputs
         self._results: dict = {}  # (ber, trials, scope, protected) -> CampaignResult of run_point
 
     @property
@@ -184,48 +184,29 @@ class Campaign:
     def corrupted_output(self, trial: int, sample_idx: int, ber: float, scope: Scope,
                          trace: Optional[FaultTrace] = None, replay: Optional[FaultTrace] = None,
                          capture: tuple = (), protected=()):
+        protected = self._protected(protected)
         faults = next(self._tables(trial, sample_idx, ber, [scope], trace=trace, replay=replay, protected=protected))
         return self._infer(sample_idx, faults, capture=capture)
 
-    def _top1(self, sample_idx: int, res, rmse_acc: Optional[dict]) -> int:
-        """Top-1 of sample ``sample_idx``'s faulty inference ``res`` (None: it
-        was fault-free), appending its conv layers' RMSEs to ``rmse_acc``."""
-        for lid, acc in (rmse_acc or {}).items():
-            faulty = self._clean_capture(lid)[sample_idx] if res is None else res.conv_outputs[lid].dequantize()
-            acc.append(float(np.sqrt(np.mean((faulty - self._clean_capture(lid)[sample_idx]) ** 2))))
-        return self.clean_top1[sample_idx] if res is None else top1(res.output)
-
     def trial_correct(self, trial: int, ber: float, scopes, *, trace: Optional[FaultTrace] = None,
-                      replay: Optional[FaultTrace] = None, rmse_acc: Optional[dict] = None, protected=()) -> list:
+                      replay: Optional[FaultTrace] = None, protected=()) -> list:
         """Correct samples of one trial under each of ``scopes``.
 
         Each sample's flips are drawn once and filtered by every scope; each
         distinct in-scope table runs once and scores for every scope that
         holds it, and an empty table scores the sample's clean top-1 without
-        running. ``trace`` and ``rmse_acc`` (conv layer_id -> per-inference
-        RMSEs) take one scope.
+        running. ``trace`` takes one scope.
         """
         counts = [0] * len(scopes)
-        capture = tuple(rmse_acc or ())
         for i, ref in enumerate(self.refs):
-            outcomes: dict = {}  # (ids, masks) of a table that ran -> its top-1
+            outcomes: dict = {}  # (ids, masks) of a table -> its top-1
             tables = self._tables(trial, i, ber, scopes, trace=trace, replay=replay, protected=protected)
             for j, faults in enumerate(tables):
                 key = (faults.ids.tobytes(), faults.masks.tobytes())
                 if key not in outcomes:
-                    res = self._infer(i, faults, capture=capture) if faults.ids.size else None
-                    outcomes[key] = self._top1(i, res, rmse_acc)
+                    outcomes[key] = top1(self._infer(i, faults).output) if faults.ids.size else self.clean_top1[i]
                 counts[j] += int(outcomes[key] == ref)
         return counts
-
-    def _clean_capture(self, layer_id: int) -> list:
-        cache = self._clean_captures
-        if layer_id not in cache:
-            cache[layer_id] = [
-                self._infer(i, capture=(layer_id,)).conv_outputs[layer_id].dequantize()
-                for i in range(self.sample_count)
-            ]
-        return cache[layer_id]
 
     # -- campaign points -------------------------------------------------------
 
@@ -236,6 +217,19 @@ class Campaign:
         if not 0.0 <= ber <= 1.0:
             raise ConfigError(f"ber must be in [0, 1], got {ber}")
 
+    def _op_ranges(self, what: str, ranges) -> tuple:
+        """``ranges`` merged by ``merge_ranges``, which must lie inside the op space."""
+        ranges = merge_ranges(ranges)
+        if ranges and (ranges[0][0] < 0 or ranges[-1][1] > self.opspace.total_ops):
+            raise ConfigError(f"{what} op ranges {list(ranges)} reach outside the op space [0, {self.opspace.total_ops})")
+        return ranges
+
+    def _protected(self, protected) -> tuple:
+        """The TMR ranges ``protected``, merged and checked; TMR votes op results only."""
+        if protected:
+            self.require_op_level("TMR protection")
+        return self._op_ranges("protected", protected)
+
     def run_point(
         self,
         ber: float,
@@ -244,79 +238,43 @@ class Campaign:
         *,
         trace: Optional[FaultTrace] = None,
         replay: Optional[FaultTrace] = None,
-        rmse_layers: tuple = (),
         protected=(),
     ) -> CampaignResult:
         """Accuracy over ``trials`` trials of the dataset. ``replay`` supplies
         the flips, and ops inside the ``protected`` ranges run under TMR. A
-        point without ``trace``, ``replay`` or ``rmse_layers`` is kept for the
-        Campaign's lifetime, so running it again is a lookup."""
+        point without ``trace`` or ``replay`` is kept for the Campaign's
+        lifetime, so running it again is a lookup."""
         self._check_point(ber, trials)
-        for lid in rmse_layers:
-            if lid not in self.opspace.neuron_sizes:
-                raise ConfigError(f"layer {lid} is not a conv layer of this model")
-        if protected:
-            self.require_op_level("TMR protection")
-        scope = scope if scope is not None else self.base_scope
-        if trace is None and replay is None and not rmse_layers:
-            return self._points(ber, trials, [scope], protected)[0]
+        protected = self._protected(protected)
         if replay is not None:
             replay.validate(self.opspace, trials, self.sample_count, self.granularity.value, protected)
-        rmse_acc = {lid: [] for lid in rmse_layers}
-        (per_trial,) = self._per_trial(ber, trials, [scope], trace=trace, replay=replay, rmse_acc=rmse_acc,
-                                       protected=protected)
-        layer_rmse = {lid: float(np.mean(v)) for lid, v in rmse_acc.items()} if rmse_layers else None
-        return self._result(ber, trials, per_trial, layer_rmse)
+        scope = scope if scope is not None else self.base_scope
+        return self._points(ber, trials, [scope], protected, trace=trace, replay=replay)[0]
 
-    def _points(self, ber: float, trials: int, scopes, protected=()) -> list[CampaignResult]:
-        """One CampaignResult per scope: the points this Campaign ran before
-        are looked up, and the others run together in one pass."""
-        protected = tuple(tuple(r) for r in protected)
+    def _points(self, ber: float, trials: int, scopes, protected=(), *, trace=None,
+                replay=None) -> list[CampaignResult]:
+        """One CampaignResult per scope. Without ``trace`` and ``replay``, the
+        points this Campaign ran before are looked up, and the others run
+        together in one pass and are kept; with either, every scope runs
+        fresh and nothing is kept. Trials run in ``workers`` processes unless
+        ``trace`` must collect their flips here."""
+        results = self._results if trace is None and replay is None else {}
         keys = [(ber, trials, scope, protected) for scope in scopes]
-        missing = list(dict.fromkeys(scope for key, scope in zip(keys, scopes) if key not in self._results))
+        missing = list(dict.fromkeys(scope for key, scope in zip(keys, scopes) if key not in results))
         if missing:
-            for scope, per_trial in zip(missing, self._per_trial(ber, trials, missing, protected=protected)):
-                self._results[(ber, trials, scope, protected)] = self._result(ber, trials, per_trial)
-        return [replace(self._results[key], per_trial_correct=list(self._results[key].per_trial_correct))
-                for key in keys]
-
-    def _per_trial(self, ber: float, trials: int, scopes, *, trace=None, replay=None, rmse_acc=None,
-                   protected=()) -> list:
-        """Per scope, the correct samples of each trial."""
-        if ber == 0.0 and replay is None:
-            # zero flips: every trial is the same deterministic inference
-            counts = self.trial_correct(0, 0.0, scopes, trace=trace, rmse_acc=rmse_acc)
-            return [[c] * trials for c in counts]
-        if self.workers > 1 and trials > 1 and replay is None and trace is None and not rmse_acc:
-            by_trial = self._parallel_trials(ber, trials, scopes, protected)
-        else:
-            by_trial = [
-                self.trial_correct(t, ber, scopes, trace=trace, replay=replay, rmse_acc=rmse_acc, protected=protected)
-                for t in range(trials)
-            ]
-        return [list(col) for col in zip(*by_trial)]
-
-    def _result(self, ber: float, trials: int, per_trial: list, layer_rmse: Optional[dict] = None) -> CampaignResult:
-        mean, ci = mean_ci95([c / self.sample_count for c in per_trial])
-        return CampaignResult(
-            ber=ber,
-            trials=trials,
-            sample_count=self.sample_count,
-            per_trial_correct=per_trial,
-            mean_accuracy=mean,
-            ci95_halfwidth=ci,
-            clean_accuracy=self.clean_accuracy,
-            layer_rmse=layer_rmse,
-        )
-
-    def _parallel_trials(self, ber: float, trials: int, scopes, protected) -> list:
-        workers = min(self.workers, trials)
-        blocks = [list(range(w, trials, workers)) for w in range(workers)]
-        out: dict[int, list] = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for res in pool.map(_trial_block_worker, [(self, ber, scopes, protected, b) for b in blocks]):
-                out.update(res)
-        return [out[t] for t in range(trials)]
+            count = functools.partial(self.trial_correct, ber=ber, scopes=missing, trace=trace, replay=replay,
+                                      protected=protected)
+            if self.workers > 1 and trials > 1 and trace is None:
+                workers = min(self.workers, trials)
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    by_trial = list(pool.map(count, range(trials), chunksize=math.ceil(trials / workers)))
+            else:
+                by_trial = [count(t) for t in range(trials)]
+            for scope, per_trial in zip(missing, zip(*by_trial)):
+                mean, ci = mean_ci95([c / self.sample_count for c in per_trial])
+                results[(ber, trials, scope, protected)] = CampaignResult(
+                    ber, trials, self.sample_count, list(per_trial), mean, ci, self.clean_accuracy)
+        return [replace(results[key], per_trial_correct=list(results[key].per_trial_correct)) for key in keys]
 
     def require_op_level(self, analysis: str) -> None:
         """Raise ConfigError unless faults strike ops, which ``analysis`` needs."""
@@ -340,11 +298,6 @@ class Campaign:
         return reports
 
 
-def _trial_block_worker(args):
-    camp, ber, scopes, protected, block = args
-    return {t: camp.trial_correct(t, ber, scopes, protected=protected) for t in block}
-
-
 # ---------------------------------------------------------------------------
 # Analyses
 
@@ -356,21 +309,27 @@ def sweep_ber(
     *,
     trace: Optional[FaultTrace] = None,
     replay: Optional[FaultTrace] = None,
-    rmse_layers: tuple = (),
     protected=(),
 ) -> list[CampaignResult]:
     """One CampaignResult per BER; the BER=0 point equals clean accuracy
     exactly. ``protected`` op ranges run under TMR (see ``run_point``)."""
-    return [
-        camp.run_point(ber, trials, trace=trace, replay=replay, rmse_layers=rmse_layers, protected=protected)
-        for ber in ber_list
-    ]
+    return [camp.run_point(ber, trials, trace=trace, replay=replay, protected=protected) for ber in ber_list]
 
 
 def rmse_layer(camp: Campaign, layer_id: int, ber: float, trials: int) -> float:
     """RMSE between fault-free and faulty dequantized outputs of one conv
     layer, averaged over trials and ``camp``'s samples."""
-    return camp.run_point(ber, trials, rmse_layers=(layer_id,)).layer_rmse[layer_id]
+    if layer_id not in camp.opspace.neuron_sizes:
+        raise ConfigError(f"layer {layer_id} is not a conv layer of this model")
+    camp._check_point(ber, trials)
+    capture = (layer_id,)
+    clean = [camp._infer(i, capture=capture).conv_outputs[layer_id].dequantize() for i in range(camp.sample_count)]
+    errors = []
+    for t in range(trials):
+        for i, ref in enumerate(clean):
+            out = camp.corrupted_output(t, i, ber, camp.base_scope, capture=capture).conv_outputs[layer_id]
+            errors.append(float(np.sqrt(np.mean((out.dequantize() - ref) ** 2))))
+    return float(np.mean(errors))
 
 
 def layer_vulnerability(camp: Campaign, ber: float, trials: int) -> list[VulnReport]:

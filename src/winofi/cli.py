@@ -251,11 +251,11 @@ def cmd_plan_tmr(cfg: dict) -> None:
         raise ConfigError(f"--target-acc must lie in [0, 1], got {cfg['target_acc']}")
     ber = _single_ber(cfg)
     trials = cfg.get("trials", TRIALS)
+    cost = CostModel(**_given(cfg, add_weight="cost_add", mul_weight="cost_mul"))
     camp = _campaign(cfg)
     segments = segment_ops(camp.opspace.total_ops, cfg["segment_size"])
     log.info("measuring vulnerability of %d segments", len(segments))
     reports = measure_segment_vulnerability(camp, ber, segments, trials)
-    cost = CostModel(**_given(cfg, add_weight="cost_add", mul_weight="cost_mul"))
     plan = plan_tmr(
         [r.delta for r in reports],
         segments,

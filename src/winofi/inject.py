@@ -52,6 +52,20 @@ def _in_ranges(op_ids: np.ndarray, ranges) -> np.ndarray:
     return np.searchsorted(bounds, op_ids, side="right") % 2 == 1
 
 
+def merge_ranges(ranges) -> tuple:
+    """[start, end) ``ranges`` as the sorted, disjoint tuple ``_in_ranges``
+    needs: overlapping and touching ranges merge, and an empty one raises."""
+    merged = []
+    for a, b in sorted((int(a), int(b)) for a, b in ranges):
+        if b <= a:
+            raise ConfigError(f"empty op range ({a}, {b})")
+        if merged and a <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
+        else:
+            merged.append((a, b))
+    return tuple(merged)
+
+
 @dataclass(frozen=True)
 class Scope:
     """Pure, deterministic predicate selecting which ops/neurons can be struck.
@@ -72,15 +86,7 @@ class Scope:
         for key, included in (("include_layers", self.include_layers), ("include_optypes", self.include_optypes)):
             if included is not None and not included:
                 raise ConfigError(f"{key} is empty: a scope whitelisting nothing runs every inference fault-free")
-        merged = []
-        for a, b in sorted((int(a), int(b)) for a, b in self.exclude_op_ranges):
-            if b <= a:
-                raise ConfigError(f"empty op range ({a}, {b})")
-            if merged and a <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-            else:
-                merged.append((a, b))
-        object.__setattr__(self, "exclude_op_ranges", tuple(merged))
+        object.__setattr__(self, "exclude_op_ranges", merge_ranges(self.exclude_op_ranges))
 
     def keep(self, opspace: OpSpace, op_ids: np.ndarray) -> np.ndarray:
         """Mask of the ops ``op_ids`` that this scope lets faults strike."""
@@ -147,6 +153,7 @@ class Scope:
 
 KIND_OP = "op"
 KIND_NEURON = "neuron"
+_TRACE_KEYS = frozenset({"trial", "sample", "op_id", "neuron", "bit", "copy"})
 
 
 class FaultTrace:
@@ -232,6 +239,9 @@ class FaultTrace:
                 if not line:
                     continue
                 rec = json.loads(line)
+                if isinstance(rec, dict) and (rec.keys() - _TRACE_KEYS or {"op_id", "neuron"} <= rec.keys()):
+                    raise ConfigError(f"{path}:{n}: a trace record holds trial, sample, bit, copy and one op_id or "
+                                      f"neuron, nothing else: {line}")
                 try:
                     kind = KIND_OP if "op_id" in rec else KIND_NEURON
                     idx = rec["op_id"] if kind == KIND_OP else rec["neuron"]

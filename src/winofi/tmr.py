@@ -11,6 +11,7 @@ executions per protected op plus one add-weight vote.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -65,8 +66,8 @@ class CostModel:
     mul_weight: float = 6.67
 
     def __post_init__(self):
-        if self.add_weight <= 0 or self.mul_weight <= 0:
-            raise ConfigError("cost weights must be positive")
+        if not all(math.isfinite(w) and w > 0 for w in (self.add_weight, self.mul_weight)):
+            raise ConfigError("cost weights must be positive and finite")
 
     def weights_at(self, bit_width: int) -> tuple[float, float]:
         r = bit_width / self.REFERENCE_BITS

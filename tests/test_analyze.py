@@ -162,6 +162,30 @@ def test_rmse_rejects_non_conv_layer(model, dataset):
         rmse_layer(Campaign(model, Dataset(dataset.samples[:1])), 99, 0.0, 1)
 
 
+def test_rmse_on_every_conv_layer(model, dataset):
+    camp = Campaign(model, dataset, "direct", seed=52)
+    lids = camp.opspace.conv_layer_ids()
+    assert [rmse_layer(camp, lid, 0.0, 5) for lid in lids] == [0.0] * len(lids)
+    assert all(rmse_layer(camp, lid, 2e-4, 5) > 0 for lid in lids)
+
+
+# rmse_layer(Campaign(model, dataset, engine, granularity=g, seed=11), lid, ber, 4)
+# as hex floats, computed when the RMSE was accumulated inside the accuracy loop
+PINNED_RMSE = {
+    ("direct", "op", 2e-4): ["0x1.b4b0aee3b9ad8p-3", "0x1.2a2316a24b29dp-2"],
+    ("direct", "neuron", 3e-3): ["0x1.d67a898fd54a4p-3", "0x1.ed55d39221829p-3"],
+    ("winograd", "op", 2e-4): ["0x1.5048eafe5a75dp-5", "0x1.cb9a517ddd293p-4"],
+    ("winograd", "neuron", 3e-3): ["0x1.d67a898fd54a4p-3", "0x1.ed55d39221829p-3"],
+}
+
+
+@pytest.mark.parametrize("engine,granularity,ber", list(PINNED_RMSE))
+def test_rmse_values_are_pinned(model, dataset, engine, granularity, ber):
+    camp = Campaign(model, dataset, engine, granularity=Granularity(granularity), seed=11)
+    got = [rmse_layer(camp, lid, ber, 4).hex() for lid in camp.opspace.conv_layer_ids()]
+    assert got == PINNED_RMSE[(engine, granularity, ber)]
+
+
 # ---------------------------------------------------------------------------
 # Vulnerability
 
@@ -284,15 +308,6 @@ def test_campaign_json_shape(model, dataset):
     assert doc["results"][0]["per_trial_correct"] == [len(dataset)] * 2
 
 
-def test_sweep_with_per_layer_rmse(model, dataset):
-    lids = tuple(model.conv_layer_ids())
-    res = sweep_ber(Campaign(model, dataset, "direct", seed=52), [0.0, 2e-4], trials=5,
-                    rmse_layers=lids)
-    assert res[0].layer_rmse == {lid: 0.0 for lid in lids}
-    assert set(res[1].layer_rmse) == set(lids)
-    assert all(v > 0 for v in res[1].layer_rmse.values())
-
-
 @pytest.mark.parametrize("engine", ["direct", "winograd"])
 @pytest.mark.parametrize("use_labels", [False, True], ids=["clean-refs", "labels"])
 def test_workers_do_not_change_results(model, dataset, engine, use_labels):
@@ -302,6 +317,53 @@ def test_workers_do_not_change_results(model, dataset, engine, use_labels):
     seq = sweep_ber(Campaign(model, dataset, engine, workers=1, **kw), [2e-4], trials=6)
     par = sweep_ber(Campaign(model, dataset, engine, workers=2, **kw), [2e-4], trials=6)
     assert seq[0].per_trial_correct == par[0].per_trial_correct
+
+
+@pytest.mark.parametrize("granularity", ["op", "neuron"])
+def test_workers_do_not_change_a_replay(model, dataset, granularity):
+    kw = dict(granularity=Granularity(granularity), seed=53)
+    camp = Campaign(model, dataset, "winograd", workers=1, **kw)
+    protected = [(0, camp.opspace.total_ops // 3)] if granularity == "op" else []
+    trace = FaultTrace()
+    saved = camp.run_point(3e-3, 5, trace=trace, protected=protected)
+    assert len(trace) > 0
+    seq = camp.run_point(3e-3, 5, replay=trace, protected=protected)
+    par = Campaign(model, dataset, "winograd", workers=2, **kw).run_point(3e-3, 5, replay=trace, protected=protected)
+    assert seq == par == saved
+
+
+def _protected_runs(camp, protected):
+    """(per-trial counts, trace events) of a traced TMR point, and the
+    logits of one TMR-voted inference, under the ``protected`` ranges."""
+    trace = FaultTrace()
+    res = camp.run_point(1e-3, 4, trace=trace, protected=protected)
+    out = camp.corrupted_output(1, 2, 1e-3, Scope(), protected=protected).output
+    return res.per_trial_correct, trace.events, out.array.tobytes()
+
+
+def test_protected_ranges_are_sorted_and_merged(model, dataset, monkeypatch):
+    camp = Campaign(model, dataset, "direct", seed=54)
+    q = camp.opspace.total_ops // 8
+    sorted_ranges = [(0, 2 * q), (4 * q, 6 * q)]
+    expected = _protected_runs(camp, sorted_ranges)
+    assert any(copy for *_, copy in expected[1])  # some flips strike the TMR copies
+    for given in (sorted_ranges[::-1], [(5 * q, 6 * q), (q, 2 * q), (0, q + 7), (4 * q, 5 * q + 3)]):
+        assert _protected_runs(camp, given) == expected
+    # the stored point is keyed by the merged ranges: another spelling is a lookup
+    camp.run_point(1e-3, 4, protected=sorted_ranges)
+    monkeypatch.setattr(camp, "trial_correct", lambda *a, **k: pytest.fail("the point ran again"))
+    assert camp.run_point(1e-3, 4, protected=sorted_ranges[::-1]).per_trial_correct == expected[0]
+
+
+@pytest.mark.parametrize("protected", [[(5, 5)], [(9, 3)], [(-1, 5)], [(0, 1), (10, 10**9)]],
+                         ids=["empty", "reversed", "negative", "past-end"])
+def test_bad_protected_ranges_raise(model, dataset, protected):
+    camp = Campaign(model, dataset, "direct", seed=54)
+    assert camp.opspace.total_ops < 10**9
+    with pytest.raises(ConfigError, match="op range"):
+        camp.run_point(1e-3, 2, protected=protected)
+    with pytest.raises(ConfigError, match="op range"):
+        camp.corrupted_output(0, 0, 1e-3, Scope(), protected=protected)
 
 
 # ---------------------------------------------------------------------------

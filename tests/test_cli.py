@@ -299,6 +299,8 @@ def _sweep_with_trace(assets, tmp_path, granularity):
     ("op", {"op_id": 0, "bit": 0, "copy": "1"}),
     ("op", {"neuron": 0, "bit": 0}),  # a record of the other granularity
     ("neuron", {"op_id": 0, "bit": 0}),
+    ("op", {"op_id": 0, "bit": 0, "layer": 0}),  # a key no trace record has
+    ("op", {"op_id": 0, "neuron": 0, "bit": 0}),  # an op and a neuron at once
 ])
 def test_replay_rejects_trace_outside_op_space(assets, tmp_path, capsys, granularity, record):
     out, trace = _sweep_with_trace(assets, tmp_path, granularity)
@@ -404,6 +406,22 @@ def test_plan_tmr_target_outside_unit_interval_exits_2(assets, tmp_path, capsys,
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ConfigError" and "--target-acc" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--cost-mul", "nan"), ("--cost-add", "inf"), ("--cost-mul", "-1")])
+def test_plan_tmr_cost_weight_not_positive_and_finite_exits_2(assets, tmp_path, capsys, monkeypatch, flag, value):
+    # a NaN weight made the plan's overhead NaN, which is not valid JSON;
+    # a bad weight is refused before any campaign is built
+    import winofi.cli
+
+    monkeypatch.setattr(winofi.cli, "_campaign", lambda cfg: pytest.fail("a campaign was built"))
+    out = tmp_path / "plan.json"
+    code = run_cli("plan-tmr", "--model", assets["model"], "--dataset", assets["dataset"], "--ber", "2e-4",
+                   "--trials", "1", "--segment-size", "2000", "--target-acc", "0.5", flag, value, "--out", str(out))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and "cost weights" in err["message"]
     assert not out.exists()
 
 

@@ -86,8 +86,11 @@ def test_cost_model_weights():
     mul16, add16 = cm.weights_at(16)
     assert mul16 == pytest.approx(6.67 * 4)
     assert add16 == pytest.approx(2.0)
-    with pytest.raises(ConfigError):
-        CostModel(add_weight=0.0)
+    for bad in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError):
+            CostModel(add_weight=bad)
+        with pytest.raises(ConfigError):
+            CostModel(mul_weight=bad)
 
 
 def test_overhead_worked_example():
