@@ -119,23 +119,14 @@ class Campaign:
         self.range_mode = range_mode
         self.workers = workers
         self.opspace = enumerate_ops(model, self.engine, fault_bits=fault_bits)
-        op_ranges = scope.exclude_op_ranges
-        if self.granularity is Granularity.NEURON_LEVEL:
-            if fault_bits is not None:
-                raise ConfigError("fault_bits sets op result windows: neuron-level faults strike stored neuron bits")
-            if scope.include_optypes is not None or scope.exclude_optypes or op_ranges:
-                raise ConfigError("a neuron-level scope can filter only layers: neurons have no op type or op id")
-        else:
-            self._op_ranges("scope", op_ranges)
-        conv = set(self.opspace.conv_layer_ids())
-        for what, layer_ids in (("scope", (scope.include_layers or frozenset()) | scope.exclude_layers),
-                                ("range profile", set(ranges.ranges if ranges is not None else ()))):
-            stray = sorted(layer_ids - conv)
-            if stray:
-                raise ConfigError(f"{what} layer ids {stray} are not conv layers of this model (conv layers: {sorted(conv)})")
+        if self.granularity is Granularity.NEURON_LEVEL and fault_bits is not None:
+            raise ConfigError("fault_bits sets op result windows: neuron-level faults strike stored neuron bits")
+        self._check_scope(scope)
+        self._check_layers("range profile", ranges.ranges if ranges is not None else ())
         # a scope that can strike nothing would read the clean accuracy at any BER
         if not scope.admitted_layers(self.opspace):
-            raise ConfigError(f"scope admits none of the conv layers {sorted(conv)}, so no fault can strike")
+            conv = self.opspace.conv_layer_ids()
+            raise ConfigError(f"scope admits none of the conv layers {conv}, so no fault can strike")
         if not (set(OpType) if scope.include_optypes is None else scope.include_optypes) - scope.exclude_optypes:
             raise ConfigError("scope admits neither MUL nor ADD ops, so no fault can strike")
         clean = [self._infer(i).output for i in range(len(dataset))]
@@ -184,7 +175,8 @@ class Campaign:
     def corrupted_output(self, trial: int, sample_idx: int, ber: float, scope: Scope,
                          trace: Optional[FaultTrace] = None, replay: Optional[FaultTrace] = None,
                          capture: tuple = (), protected=()):
-        protected = self._protected(protected)
+        self._check_scope(scope)
+        protected = self._op_ranges("protected", protected)
         faults = next(self._tables(trial, sample_idx, ber, [scope], trace=trace, replay=replay, protected=protected))
         return self._infer(sample_idx, faults, capture=capture)
 
@@ -217,18 +209,38 @@ class Campaign:
         if not 0.0 <= ber <= 1.0:
             raise ConfigError(f"ber must be in [0, 1], got {ber}")
 
+    def _check_layers(self, what: str, layer_ids) -> None:
+        stray = sorted(set(layer_ids) - set(self.opspace.conv_layer_ids()))
+        if stray:
+            raise ConfigError(f"{what} layer ids {stray} are not conv layers of this model "
+                              f"(conv layers: {self.opspace.conv_layer_ids()})")
+
     def _op_ranges(self, what: str, ranges) -> tuple:
-        """``ranges`` merged by ``merge_ranges``, which must lie inside the op space."""
+        """``ranges`` merged by ``merge_ranges``; they must lie inside an op-level Campaign's op space."""
         ranges = merge_ranges(ranges)
+        if ranges and self.granularity is not Granularity.OP_LEVEL:
+            raise ConfigError(f"{what} op ranges need an op-level Campaign: neurons have no op id")
         if ranges and (ranges[0][0] < 0 or ranges[-1][1] > self.opspace.total_ops):
             raise ConfigError(f"{what} op ranges {list(ranges)} reach outside the op space [0, {self.opspace.total_ops})")
         return ranges
 
-    def _protected(self, protected) -> tuple:
-        """The TMR ranges ``protected``, merged and checked; TMR votes op results only."""
-        if protected:
-            self.require_op_level("TMR protection")
-        return self._op_ranges("protected", protected)
+    def _check_scope(self, scope: Scope) -> None:
+        """Raise ConfigError unless ``scope`` names only this Campaign's conv
+        layers and op ranges inside its op space, and, at neuron level,
+        filters only layers."""
+        if self.granularity is Granularity.NEURON_LEVEL and (scope.include_optypes is not None or scope.exclude_optypes):
+            raise ConfigError("scope op types need an op-level Campaign: neurons have no op type")
+        self._op_ranges("scope", scope.exclude_op_ranges)
+        self._check_layers("scope", (scope.include_layers or frozenset()) | scope.exclude_layers)
+
+    def tmr_ranges(self, plan) -> tuple:
+        """The checked op ranges that TMR ``plan`` protects. TMR votes op
+        results, so even a plan protecting nothing needs an op-level
+        Campaign, and the plan must be cut from this Campaign's op space."""
+        if self.granularity is not Granularity.OP_LEVEL:
+            raise ConfigError("a TMR plan needs an op-level Campaign: neuron faults strike no op result")
+        plan.check_fits(self.opspace)
+        return self._op_ranges("protected", plan.protected_ranges)
 
     def run_point(
         self,
@@ -244,12 +256,7 @@ class Campaign:
         the flips, and ops inside the ``protected`` ranges run under TMR. A
         point without ``trace`` or ``replay`` is kept for the Campaign's
         lifetime, so running it again is a lookup."""
-        self._check_point(ber, trials)
-        protected = self._protected(protected)
-        if replay is not None:
-            replay.validate(self.opspace, trials, self.sample_count, self.granularity.value, protected)
-        scope = scope if scope is not None else self.base_scope
-        return self._points(ber, trials, [scope], protected, trace=trace, replay=replay)[0]
+        return self._points(ber, trials, [scope or self.base_scope], protected, trace=trace, replay=replay)[0]
 
     def _points(self, ber: float, trials: int, scopes, protected=(), *, trace=None,
                 replay=None) -> list[CampaignResult]:
@@ -257,10 +264,17 @@ class Campaign:
         points this Campaign ran before are looked up, and the others run
         together in one pass and are kept; with either, every scope runs
         fresh and nothing is kept. Trials run in ``workers`` processes unless
-        ``trace`` must collect their flips here."""
+        ``trace`` must collect their flips here. Each scope not run before
+        is checked first (see ``_check_scope``)."""
+        self._check_point(ber, trials)
+        protected = self._op_ranges("protected", protected)
+        if replay is not None:
+            replay.validate(self.opspace, trials, self.sample_count, self.granularity.value, protected)
         results = self._results if trace is None and replay is None else {}
         keys = [(ber, trials, scope, protected) for scope in scopes]
         missing = list(dict.fromkeys(scope for key, scope in zip(keys, scopes) if key not in results))
+        for scope in missing:
+            self._check_scope(scope)
         if missing:
             count = functools.partial(self.trial_correct, ber=ber, scopes=missing, trace=trace, replay=replay,
                                       protected=protected)
@@ -276,16 +290,10 @@ class Campaign:
                     ber, trials, self.sample_count, list(per_trial), mean, ci, self.clean_accuracy)
         return [replace(results[key], per_trial_correct=list(results[key].per_trial_correct)) for key in keys]
 
-    def require_op_level(self, analysis: str) -> None:
-        """Raise ConfigError unless faults strike ops, which ``analysis`` needs."""
-        if self.granularity is not Granularity.OP_LEVEL:
-            raise ConfigError(f"{analysis} needs an op-level Campaign: neuron faults have no op type or op id")
-
     def vulnerability(self, kind: str, subjects, ber: float, trials: int) -> list[VulnReport]:
         """One VulnReport per (subject_id, scope) pair: the paired per-trial
         accuracy gain of running under that scope against the base scope.
         The base and every subject scope run in one pass over the draws."""
-        self._check_point(ber, trials)
         raw, *prots = self._points(ber, trials, [self.base_scope] + [scope for _, scope in subjects])
         reports = []
         for (subject_id, _), prot in zip(subjects, prots):
@@ -319,16 +327,17 @@ def sweep_ber(
 def rmse_layer(camp: Campaign, layer_id: int, ber: float, trials: int) -> float:
     """RMSE between fault-free and faulty dequantized outputs of one conv
     layer, averaged over trials and ``camp``'s samples."""
-    if layer_id not in camp.opspace.neuron_sizes:
-        raise ConfigError(f"layer {layer_id} is not a conv layer of this model")
+    camp._check_layers("RMSE", {layer_id})
     camp._check_point(ber, trials)
     capture = (layer_id,)
     clean = [camp._infer(i, capture=capture).conv_outputs[layer_id].dequantize() for i in range(camp.sample_count)]
     errors = []
     for t in range(trials):
         for i, ref in enumerate(clean):
-            out = camp.corrupted_output(t, i, ber, camp.base_scope, capture=capture).conv_outputs[layer_id]
-            errors.append(float(np.sqrt(np.mean((out.dequantize() - ref) ** 2))))
+            # a table with no flip would rerun the clean output: RMSE 0
+            faults = next(camp._tables(t, i, ber, [camp.base_scope]))
+            out = camp._infer(i, faults, capture=capture).conv_outputs[layer_id].dequantize() if faults.ids.size else ref
+            errors.append(float(np.sqrt(np.mean((out - ref) ** 2))))
     return float(np.mean(errors))
 
 
@@ -344,7 +353,6 @@ def layer_vulnerability(camp: Campaign, ber: float, trials: int) -> list[VulnRep
 
 def optype_vulnerability(camp: Campaign, ber: float, trials: int) -> tuple[VulnReport, VulnReport]:
     """(MUL report, ADD report): accuracy with that op type kept fault-free."""
-    camp.require_op_level("optype_vulnerability")
     subjects = [(typ.name, camp.base_scope.excluding_optype(typ)) for typ in (OpType.MUL, OpType.ADD)]
     mul, add = camp.vulnerability("optype", subjects, ber, trials)
     return mul, add

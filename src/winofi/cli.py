@@ -223,10 +223,7 @@ def cmd_sweep(cfg: dict, replay=None, plan=None) -> None:
             "flips of different BER points apart); run one sweep per point"
         )
     camp = _campaign(cfg)
-    protected = ()
-    if plan is not None:
-        plan.check_fits(camp.opspace)
-        protected = plan.protected_ranges
+    protected = camp.tmr_ranges(plan) if plan is not None else ()
     results = sweep_ber(camp, bers, cfg.get("trials", TRIALS), trace=trace, replay=replay, protected=protected)
     _write_output(cfg, _render(cfg, results, _meta(cfg)))
     if trace is not None:

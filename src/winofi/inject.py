@@ -125,7 +125,7 @@ class Scope:
     @staticmethod
     def parse(text: str) -> "Scope":
         """Parse e.g. ``exclude_layers=0,2;exclude_optypes=MUL;exclude_ops=0-36``."""
-        kw = {}
+        kw, seen = {}, set()
         if text.strip():
             for item in text.replace(" ", ";").split(";"):
                 if not item:
@@ -133,6 +133,9 @@ class Scope:
                 if "=" not in item:
                     raise ConfigError(f"bad scope item {item!r}")
                 key, val = item.split("=", 1)
+                if key in seen:
+                    raise ConfigError(f"scope key {key!r} is given twice")
+                seen.add(key)
                 if key in ("include_layers", "exclude_layers"):
                     kw[key] = frozenset(int(v) for v in val.split(",") if v)
                 elif key in ("include_optypes", "exclude_optypes"):

@@ -187,7 +187,6 @@ def measure_segment_vulnerability(
     """V_i = paired accuracy gain with segment i's ops fault-free; acc_raw is
     measured once and shared. CI half-widths expose the vulnerability
     resolution limit at fine granularities."""
-    camp.require_op_level("measure_segment_vulnerability")
     subjects = [(seg.index, camp.base_scope.excluding_op_ranges([seg.op_range])) for seg in segments]
     return camp.vulnerability("segment", subjects, ber, trials)
 
@@ -287,7 +286,5 @@ def run_with_tmr(
 ) -> QTensor:
     """One inference of ``camp``'s sample ``sample`` with per-op TMR over
     ``plan``'s protected segments (see ``op_level_hook``)."""
-    camp.require_op_level("run_with_tmr")
-    plan.check_fits(camp.opspace)
     return camp.corrupted_output(trial, sample, ber, camp.base_scope, trace=trace, replay=replay,
-                                 protected=plan.protected_ranges).output
+                                 protected=camp.tmr_ranges(plan)).output

@@ -122,6 +122,23 @@ def test_rmse_zero_at_ber_zero(model, dataset):
     assert rmse_layer(Campaign(model, Dataset(dataset.samples[:1]), seed=7), lid, 0.0, 3) == 0.0
 
 
+def test_rmse_at_ber_zero_runs_only_the_clean_captures(model, dataset, monkeypatch):
+    # every fault table is empty at BER 0, so no faulty inference runs
+    import winofi.analyze
+
+    camp = Campaign(model, Dataset(dataset.samples[:4]), seed=7)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("capture", ()))
+        return run_inference(*args, **kwargs)
+
+    monkeypatch.setattr(winofi.analyze, "run_inference", spy)
+    lid = model.conv_layer_ids()[0]
+    assert rmse_layer(camp, lid, 0.0, 3) == 0.0
+    assert calls == [(lid,)] * 4
+
+
 def test_rmse_single_sign_flip_formula(model, dataset):
     # one forced sign-bit flip on one neuron of an N-element output:
     # RMSE = |delta| / sqrt(N)
@@ -255,6 +272,28 @@ def test_tmr_protection_rejects_neuron_campaign(model, dataset):
     camp = Campaign(model, dataset, "direct", granularity=Granularity.NEURON_LEVEL, seed=45)
     with pytest.raises(ConfigError, match="op-level"):
         sweep_ber(camp, [1e-2], 2, protected=[(0, 10**6)])
+
+
+@pytest.mark.parametrize("granularity, scope", [
+    ("op", Scope(exclude_layers=frozenset({1}))),  # a relu
+    ("op", Scope(include_layers=frozenset({0, 99}))),  # no such layer
+    ("op", Scope(exclude_op_ranges=((0, 10**9),))),  # past the op space
+    ("neuron", Scope(exclude_optypes=frozenset({OpType.MUL}))),
+    ("neuron", Scope(exclude_op_ranges=((0, 5),))),
+])
+@pytest.mark.parametrize("entry", ["run_point", "corrupted_output", "vulnerability"])
+def test_every_entry_point_rejects_a_scope_that_cannot_act(model, dataset, granularity, scope, entry):
+    # the same rules as a base scope's, for scopes handed in after construction
+    camp = Campaign(model, dataset, "direct", granularity=Granularity(granularity), seed=48)
+    run = {
+        "run_point": lambda: camp.run_point(1e-2, 2, scope=scope),
+        "corrupted_output": lambda: camp.corrupted_output(0, 0, 1e-2, scope),
+        "vulnerability": lambda: camp.vulnerability("layer", [(0, scope)], 1e-2, 2),
+    }[entry]
+    with pytest.raises(ConfigError):
+        run()
+    with pytest.raises(ConfigError):
+        Campaign(model, dataset, "direct", granularity=Granularity(granularity), scope=scope)
 
 
 def test_protecting_both_optypes_recovers_clean(model, dataset):

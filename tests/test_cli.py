@@ -350,6 +350,8 @@ def test_main_builds_the_parser_once(assets, tmp_path, monkeypatch):
     "include_layers=5",  # the linear layer, which owns no ops
     "exclude_layers=1",  # a relu
     "include_layers=0,9",  # no such layer
+    "exclude_layers=0;exclude_layers=2",  # a key given twice
+    "exclude_ops=0-10;exclude_ops=50-60",
 ])
 def test_bad_scope_exits_2(assets, tmp_path, capsys, scope):
     code = run_cli(

@@ -376,6 +376,15 @@ def test_run_with_tmr_rejects_neuron_campaign(model, dataset):
         run_with_tmr(camp, plan, 0.0)
 
 
+def test_run_with_tmr_rejects_neuron_campaign_under_empty_plan(model, dataset):
+    # a plan protecting nothing still votes op results only
+    plan = _full_plan(enumerate_ops(model, "direct"))
+    plan.n = 0
+    camp = Campaign(model, dataset, "direct", granularity=Granularity.NEURON_LEVEL, seed=71)
+    with pytest.raises(ConfigError, match="op-level"):
+        run_with_tmr(camp, plan, 0.0)
+
+
 def test_full_protection_beats_unprotected(model, dataset):
     space = enumerate_ops(model, "direct")
     plan = _full_plan(space)
