@@ -121,7 +121,9 @@ class Campaign:
         self.opspace = enumerate_ops(model, self.engine, fault_bits=fault_bits)
         if self.granularity is Granularity.NEURON_LEVEL and fault_bits is not None:
             raise ConfigError("fault_bits sets op result windows: neuron-level faults strike stored neuron bits")
-        self._check_scope(scope)
+        if range_mode not in ("clamp", "zero"):
+            raise ConfigError(f"unknown constrained activation mode {range_mode!r}")
+        self._checked([scope])
         self._check_layers("range profile", ranges.ranges if ranges is not None else ())
         # a scope that can strike nothing would read the clean accuracy at any BER
         if not scope.admitted_layers(self.opspace):
@@ -175,8 +177,10 @@ class Campaign:
     def corrupted_output(self, trial: int, sample_idx: int, ber: float, scope: Scope,
                          trace: Optional[FaultTrace] = None, replay: Optional[FaultTrace] = None,
                          capture: tuple = (), protected=()):
-        self._check_scope(scope)
-        protected = self._op_ranges("protected", protected)
+        if trial < 0 or not 0 <= sample_idx < self.sample_count:
+            raise ConfigError(f"trial {trial} must be >= 0 and sample {sample_idx} inside [0, {self.sample_count})")
+        # the flips of one inference are keyed by (trial, sample), so ``replay`` may hold any trial's records
+        protected = self._checked([scope], ber, math.inf, protected, replay, capture)
         faults = next(self._tables(trial, sample_idx, ber, [scope], trace=trace, replay=replay, protected=protected))
         return self._infer(sample_idx, faults, capture=capture)
 
@@ -202,13 +206,6 @@ class Campaign:
 
     # -- campaign points -------------------------------------------------------
 
-    @staticmethod
-    def _check_point(ber: float, trials: int) -> None:
-        if trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if not 0.0 <= ber <= 1.0:
-            raise ConfigError(f"ber must be in [0, 1], got {ber}")
-
     def _check_layers(self, what: str, layer_ids) -> None:
         stray = sorted(set(layer_ids) - set(self.opspace.conv_layer_ids()))
         if stray:
@@ -224,14 +221,25 @@ class Campaign:
             raise ConfigError(f"{what} op ranges {list(ranges)} reach outside the op space [0, {self.opspace.total_ops})")
         return ranges
 
-    def _check_scope(self, scope: Scope) -> None:
-        """Raise ConfigError unless ``scope`` names only this Campaign's conv
-        layers and op ranges inside its op space, and, at neuron level,
-        filters only layers."""
-        if self.granularity is Granularity.NEURON_LEVEL and (scope.include_optypes is not None or scope.exclude_optypes):
-            raise ConfigError("scope op types need an op-level Campaign: neurons have no op type")
-        self._op_ranges("scope", scope.exclude_op_ranges)
-        self._check_layers("scope", (scope.include_layers or frozenset()) | scope.exclude_layers)
+    def _checked(self, scopes, ber=0.0, trials=1, protected=(), replay=None, capture=(), what="capture") -> tuple:
+        """The merged ``protected`` ranges of a run that fits: BER in [0, 1], trials >= 1, ``scopes``
+        that name only conv layers and op ranges inside the op space (at neuron level, only layers),
+        ``capture`` layers (``what`` in errors) that are conv layers, and a ``replay`` that passes
+        ``FaultTrace.validate``. Raise ConfigError for a run that does not fit."""
+        if trials < 1:
+            raise ConfigError("trials must be >= 1")
+        if not 0.0 <= ber <= 1.0:
+            raise ConfigError(f"ber must be in [0, 1], got {ber}")
+        for scope in scopes:
+            if self.granularity is Granularity.NEURON_LEVEL and (scope.include_optypes is not None or scope.exclude_optypes):
+                raise ConfigError("scope op types need an op-level Campaign: neurons have no op type")
+            self._op_ranges("scope", scope.exclude_op_ranges)
+            self._check_layers("scope", (scope.include_layers or frozenset()) | scope.exclude_layers)
+        self._check_layers(what, capture)
+        protected = self._op_ranges("protected", protected)
+        if replay is not None:
+            replay.validate(self.opspace, trials, self.sample_count, self.granularity.value, protected)
+        return protected
 
     def tmr_ranges(self, plan) -> tuple:
         """The checked op ranges that TMR ``plan`` protects. TMR votes op
@@ -264,17 +272,12 @@ class Campaign:
         points this Campaign ran before are looked up, and the others run
         together in one pass and are kept; with either, every scope runs
         fresh and nothing is kept. Trials run in ``workers`` processes unless
-        ``trace`` must collect their flips here. Each scope not run before
-        is checked first (see ``_check_scope``)."""
-        self._check_point(ber, trials)
-        protected = self._op_ranges("protected", protected)
-        if replay is not None:
-            replay.validate(self.opspace, trials, self.sample_count, self.granularity.value, protected)
+        ``trace`` must collect their flips here. Every scope is checked
+        first (see ``_checked``)."""
+        protected = self._checked(scopes, ber, trials, protected, replay)
         results = self._results if trace is None and replay is None else {}
         keys = [(ber, trials, scope, protected) for scope in scopes]
         missing = list(dict.fromkeys(scope for key, scope in zip(keys, scopes) if key not in results))
-        for scope in missing:
-            self._check_scope(scope)
         if missing:
             count = functools.partial(self.trial_correct, ber=ber, scopes=missing, trace=trace, replay=replay,
                                       protected=protected)
@@ -327,9 +330,8 @@ def sweep_ber(
 def rmse_layer(camp: Campaign, layer_id: int, ber: float, trials: int) -> float:
     """RMSE between fault-free and faulty dequantized outputs of one conv
     layer, averaged over trials and ``camp``'s samples."""
-    camp._check_layers("RMSE", {layer_id})
-    camp._check_point(ber, trials)
     capture = (layer_id,)
+    camp._checked([camp.base_scope], ber, trials, capture=capture, what="RMSE")
     clean = [camp._infer(i, capture=capture).conv_outputs[layer_id].dequantize() for i in range(camp.sample_count)]
     errors = []
     for t in range(trials):

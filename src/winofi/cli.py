@@ -192,6 +192,8 @@ def _campaign(cfg: dict) -> Campaign:
     """The Campaign of every campaign command; a flag that is not set (or
     that the command lacks) leaves Campaign's default."""
     model, dataset = _load_pair(cfg)
+    if "range_mode" in cfg and "ranges" not in cfg:
+        raise ConfigError("--range-mode needs --ranges: without a range profile no activation is constrained")
     kwargs = _given(cfg, "engine", "granularity", "seed", "use_labels", "range_mode", "workers")
     if "scope" in cfg:
         kwargs["scope"] = Scope.parse(cfg["scope"])

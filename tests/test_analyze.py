@@ -29,6 +29,7 @@ from winofi.modelio import (
 )
 from winofi.qtensor import QuantParams, quantize
 from winofi.runtime import enumerate_ops, run_inference
+from winofi.tmr import TmrPlan, run_with_tmr
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +295,69 @@ def test_every_entry_point_rejects_a_scope_that_cannot_act(model, dataset, granu
         run()
     with pytest.raises(ConfigError):
         Campaign(model, dataset, "direct", granularity=Granularity(granularity), scope=scope)
+
+
+@pytest.fixture(scope="module")
+def toy_direct():
+    from winofi.modelio import builtin_model
+
+    toy = builtin_model("toycnn-int16")
+    return Campaign(toy, generate_dataset(toy, 4, seed=1), "direct", seed=0)
+
+
+def _single_run(entry, camp, trial=0, sample=0, ber=1e-2, replay=None, layer=0):
+    """One run of ``entry``: a single inference, a TMR inference under a plan
+    protecting nothing, or an RMSE point of one trial."""
+    if entry == "corrupted_output":
+        return camp.corrupted_output(trial, sample, ber, camp.base_scope, replay=replay, capture=(layer,)).output
+    if entry == "run_with_tmr":
+        total = camp.opspace.total_ops
+        plan = TmrPlan(segment_size=total, total_ops=total, order=[0], n=0, achieved_acc=0.0, target_acc=0.0)
+        return run_with_tmr(camp, plan, ber, trial=trial, sample=sample, replay=replay)
+    return rmse_layer(camp, layer, ber, 1)
+
+
+def _replay(*events):
+    return {"replay": FaultTrace(list(events))}
+
+
+INFERENCES = ("corrupted_output", "run_with_tmr")
+BAD_RUNS = {  # case -> (arguments of _single_run given the op space, the entries that take them)
+    "op-past-the-op-space": (lambda space: _replay((0, 0, "op", space.total_ops + 5, 0, 0)), INFERENCES),
+    "bit-past-the-window": (lambda space: _replay((0, 0, "op", 5, 60, 0)), INFERENCES),
+    "neuron-record": (lambda space: _replay((0, 0, "neuron", 5, 0, 0)), INFERENCES),
+    "ber-2": (lambda space: {"ber": 2.0}, INFERENCES + ("rmse_layer",)),
+    "sample-past-the-end": (lambda space: {"sample": 4}, INFERENCES),
+    "negative-sample": (lambda space: {"sample": -1}, INFERENCES),
+    "negative-trial": (lambda space: {"trial": -1}, INFERENCES),
+    "missing-layer": (lambda space: {"layer": 99}, ("corrupted_output", "rmse_layer")),
+    "relu-layer": (lambda space: {"layer": 1}, ("corrupted_output", "rmse_layer")),
+}
+
+
+@pytest.mark.parametrize("case, entry", [(case, entry) for case, (_, entries) in BAD_RUNS.items()
+                                         for entry in entries])
+def test_every_single_run_rejects_input_that_cannot_act(toy_direct, monkeypatch, case, entry):
+    # the checks of run_point, before any inference runs
+    import winofi.analyze
+
+    args, _ = BAD_RUNS[case]
+    assert toy_direct.opspace.op_widths([5])[0] <= 60  # so bit 60 of op 5 lies past its window
+    monkeypatch.setattr(winofi.analyze, "run_inference", lambda *a, **k: pytest.fail("an inference ran"))
+    with pytest.raises(ConfigError):
+        _single_run(entry, toy_direct, **args(toy_direct.opspace))
+
+
+@pytest.mark.parametrize("entry", INFERENCES)
+def test_a_single_inference_replays_a_trace_of_later_trials(toy_direct, entry):
+    # (trial, sample) keys one inference's flips: other trials' records do not apply
+    clean = _single_run(entry, toy_direct, ber=0.0)
+    assert _single_run(entry, toy_direct, **_replay((1, 0, "op", 5, 3, 0), (2, 3, "op", 7, 0, 0))) == clean
+
+
+def test_campaign_rejects_an_unknown_range_mode(model, dataset):
+    with pytest.raises(ConfigError, match="constrained activation mode"):
+        Campaign(model, dataset, range_mode="bogus")
 
 
 def test_protecting_both_optypes_recovers_clean(model, dataset):

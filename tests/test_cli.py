@@ -518,6 +518,7 @@ def test_campaign_seed_must_lie_in_63_bits(assets, tmp_path, seed, expected):
     ("--granularity", "neuron", "--scope", "include_optypes=ADD"),
     ("--granularity", "neuron", "--scope", "exclude_ops=0-999999"),
     ("--scope", "exclude_ops=99999999-100000000"),
+    ("--range-mode", "zero"),  # no --ranges to apply it to
 ])
 def test_campaign_settings_that_cannot_act_exit_2(assets, tmp_path, capsys, flags):
     out = tmp_path / "r.csv"
