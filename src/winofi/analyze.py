@@ -30,7 +30,7 @@ from .inject import (
     neuron_level_inject,
     op_level_hook,
 )
-from .modelio import Dataset, ModelDef
+from .modelio import Dataset, ModelDef, check_range_mode
 from .runtime import NeuronFaults, enumerate_ops, run_inference, top1
 
 
@@ -121,8 +121,7 @@ class Campaign:
         self.opspace = enumerate_ops(model, self.engine, fault_bits=fault_bits)
         if self.granularity is Granularity.NEURON_LEVEL and fault_bits is not None:
             raise ConfigError("fault_bits sets op result windows: neuron-level faults strike stored neuron bits")
-        if range_mode not in ("clamp", "zero"):
-            raise ConfigError(f"unknown constrained activation mode {range_mode!r}")
+        check_range_mode(range_mode)
         self._checked([scope])
         self._check_layers("range profile", ranges.ranges if ranges is not None else ())
         # a scope that can strike nothing would read the clean accuracy at any BER

@@ -35,7 +35,6 @@ from enum import IntEnum
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ShapeError
 from .qtensor import QTensor, QuantParams
@@ -151,9 +150,14 @@ _ADD = int(OpType.ADD)
 _INPUT_TF = _Transform.of(BT_F2X2_3X3, 4)
 _INVERSE_TF = _Transform.of(AT_F2X2_3X3, 4)
 # The transforms on a row-major flat tile: vec(M X M^T) = kron(M, M) vec(X).
-_KRON_BT = np.kron(BT_F2X2_3X3, BT_F2X2_3X3).astype(np.float64)
+_KRON_BT_INT = np.kron(BT_F2X2_3X3, BT_F2X2_3X3)
+_KRON_BT = _KRON_BT_INT.astype(np.float64)
 _KRON_G2 = np.kron(G2_F2X2_3X3, G2_F2X2_3X3).astype(np.float64)
-_KRON_AT = np.kron(AT_F2X2_3X3, AT_F2X2_3X3).astype(np.float64)
+_KRON_AT_INT = np.kron(AT_F2X2_3X3, AT_F2X2_3X3)
+_KRON_AT = _KRON_AT_INT.astype(np.float64)
+# About the most float64 values that a block of the vectorized kernels copies
+# out of its input at once: a direct im2col slab or a block of Winograd tiles.
+_SLAB = 1 << 15
 
 
 def _hooked_transform(tf: _Transform, x: list, hook: Hook, op_id: int, layer_id: int, stage: int) -> list:
@@ -264,15 +268,19 @@ def requant_array(acc: np.ndarray, shift: int, int_min: int, int_max: int) -> np
         # Half away from zero is half up on acc - 1 for negative acc. Adding
         # the half 2^(shift-1) could wrap, so its carry is read off bit shift-1.
         b = acc - (acc < 0)
-        v = (b >> shift) + ((b >> (shift - 1)) & 1)
+        v = b >> shift
+        b >>= shift - 1
+        b &= 1
+        v += b
     elif shift < 0:
         # Saturate before shifting: a value outside the output range
         # saturates at any left shift, and once the shift reaches the output
         # width every nonzero value does.
-        v = np.clip(acc, int_min, int_max) << np.int64(min(-shift, int_max.bit_length() + 1))
+        v = np.minimum(np.maximum(acc, int_min), int_max) << np.int64(min(-shift, int_max.bit_length() + 1))
     else:
         v = acc.copy()
-    return np.clip(v, int_min, int_max)
+    np.maximum(v, int_min, out=v)
+    return np.minimum(v, int_max, out=v)
 
 
 def _check_input(x: QTensor, spec: ConvSpec) -> tuple[int, int, int, int]:
@@ -478,24 +486,40 @@ def _direct_struck(xp: np.ndarray, spec: ConvSpec, shift: int, out: np.ndarray, 
     out.reshape(-1)[units] = requant_array(acc, shift, oq.int_min, oq.int_max)
 
 
+def _view(a: np.ndarray, offset: int, shape: tuple, strides: tuple) -> np.ndarray:
+    """Read-only view of the C-contiguous ``a`` from byte ``offset`` on, with
+    byte ``strides``; like as_strided, but bounds-checked and cheaper per call."""
+    v = np.ndarray(shape, a.dtype, a, offset, strides)
+    v.flags.writeable = False
+    return v
+
+
 def conv3x3_gemm(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Float64 (N, K, OH, OW) sums of the padded input ``xp`` (N, C, OH+2,
-    OW+2) against the 3x3 weights ``w`` (K, C, 3, 3): one (K x C) @
-    (C x OH*OW) GEMM per kernel offset, over shifted slices of ``xp``."""
+    OW+2) against the 3x3 weights ``w`` (K, C, 3, 3). Per sample and block
+    of output rows, one (K x 9C) @ (9C x rows*OW) GEMM runs over a read-only
+    3x3 window view of ``xp``; a block's im2col slab holds about ``_SLAB``
+    values, at least one output row."""
     n_, c_, hp, wp = xp.shape
     oh, ow = hp - 2, wp - 2
-    acc = np.zeros((n_, w.shape[0], oh * ow))
-    for ry in range(3):
-        for rx in range(3):
-            acc += w[:, :, ry, rx] @ xp[:, :, ry : ry + oh, rx : rx + ow].reshape(n_, c_, oh * ow)
-    return acc.reshape(n_, w.shape[0], oh, ow)
+    k_ = w.shape[0]
+    xp = np.ascontiguousarray(xp, dtype=np.float64)
+    s_n, s_c, s_y, s_x = xp.strides
+    wm = w.reshape(k_, 9 * c_)
+    rows = max(1, _SLAB // (9 * c_ * ow))
+    out = np.empty((n_, k_, oh, ow))
+    for n in range(n_):
+        # win[c, ry, rx, oy, ox] = xp[n, c, oy + ry, ox + rx], in the row order of wm
+        win = _view(xp, n * s_n, (c_, 3, 3, oh, ow), (s_c, s_y, s_x, s_y, s_x))
+        for r in range(0, oh, rows):
+            out[n, :, r : r + rows] = (wm @ win[..., r : r + rows, :].reshape(9 * c_, -1)).reshape(k_, -1, ow)
+    return out
 
 
 def _conv_direct_vec(xp: np.ndarray, spec: ConvSpec, shift: int) -> np.ndarray:
     """Requantized output of the padded input ``xp``: float64 GEMMs, exact
     under ConvSpec's magnitude bound."""
-    wf = spec.weights.array.astype(np.float64)
-    acc = conv3x3_gemm(xp.astype(np.float64), wf).astype(np.int64)
+    acc = conv3x3_gemm(xp, spec.weights.array.astype(np.float64)).astype(np.int64)
     if spec.bias is not None:
         acc += spec.bias[None, :, None, None]
     return requant_array(acc, shift, spec.out_qparams.int_min, spec.out_qparams.int_max)
@@ -538,11 +562,11 @@ def conv_winograd(
     n_itf, n_inv = len(_INPUT_TF.steps), len(_INVERSE_TF.steps)
     tile_ops = c_ * n_itf + 32 * k_ * c_ + k_ * n_inv
     if hook is None or isinstance(hook, OpFaults):
-        out, u, v = _conv_winograd_vec(xp, spec, oh, ow, shift)
+        out, u = _conv_winograd_vec(xp, spec, oh, ow, shift)
         if hook is not None:
             offs, masks, dt = _layer_faults(hook, op_base, n_ * ty_ * tx_ * tile_ops, spec, winograd=True)
             if offs.size:
-                _winograd_struck(xp, spec, shift, out, u, v, offs, masks, dt)
+                _winograd_struck(xp, spec, shift, out, u, offs, masks, dt)
         return QTensor(out.shape, out, oq)
 
     out = np.empty((n_, k_, oh, ow), dtype=np.int64)
@@ -596,14 +620,15 @@ def conv_winograd(
     return QTensor(out.shape, out, oq)
 
 
-def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, out: np.ndarray, u: np.ndarray, v: np.ndarray,
+def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, out: np.ndarray, u: np.ndarray,
                      offs: np.ndarray, masks: np.ndarray, dt) -> None:
     """Overwrite the (tile, k) units of ``out`` owning the struck ops with
     their faulty values, computed in ``dt``. ``offs`` are the ops' offsets
-    from the layer's first op. ``u`` and ``v`` are the vectorized pass's
-    exact transformed filters and inputs.
+    from the layer's first op. ``u`` are the vectorized pass's exact
+    transformed filters.
 
-    The input transforms of struck (tile, c) rerun in lockstep (see
+    The units' tiles are transformed again, one product with kron(B^T, B^T),
+    and the input transforms of struck (tile, c) rerun in lockstep (see
     :func:`_lockstep`). The units' products take their multiply flips at
     once, a cumulative sum over c gives every channel sum, and channel-sum
     flips apply rank by rank. The inverse transform is one product with
@@ -633,13 +658,17 @@ def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, out: np.ndarray
     unit[ut, uk] = np.arange(ut.size)
     tiles, tu = np.unique(ut, return_inverse=True)
 
-    v = v[:, :, tiles].T.astype(np.int64, order="C").astype(dt, copy=False)  # (tiles, C, 16)
+    # each (tile, c)'s 4x4 input tile, row-major, as flat indices into xp
+    n, ty, tx = np.unravel_index(tiles, (n_, ty_, tx_))
+    corner = np.ravel_multi_index((n, 0, 2 * ty, 2 * tx), xp.shape)
+    tile = (np.arange(c_)[:, None] * hp * wp + (np.arange(4)[:, None] * wp + np.arange(4)).ravel()).ravel()
+    d = xp.reshape(-1)[corner[:, None] + tile].reshape(-1, 16).astype(dt, copy=False)  # (tiles * C, 16)
+    v = d @ _KRON_BT_INT.astype(dt, copy=False).T
     if itf.any():
         c, step = np.divmod(o[itf], n_itf)
         rows, r = np.unique(np.searchsorted(tiles, t[itf]) * c_ + c, return_inverse=True)
-        n, ty, tx = np.unravel_index(tiles[rows // c_], (n_, ty_, tx_))
-        d = sliding_window_view(xp, (4, 4), axis=(2, 3))[n, rows % c_, 2 * ty, 2 * tx].reshape(-1, 16)
-        v.reshape(-1, 16)[rows] = _lockstep(_INPUT_TF, d.astype(dt, copy=False), r, step, masks[itf])
+        v[rows] = _lockstep(_INPUT_TF, d[rows], r, step, masks[itf])
+    v = v.reshape(tiles.size, c_, 16)
     p = u[uk]
     p *= v[tu]  # (units, C, 16)
     k, c, e = kce[0]
@@ -648,7 +677,7 @@ def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, out: np.ndarray
     s = np.cumsum(p, axis=1, out=p).transpose(0, 2, 1)  # (units, 16, C): a chain per (unit, e)
     k, c, e = kce[1]
     s = s[..., -1] + _flip_chains(s, (unit[t[cs], k], e), c, masks[cs])
-    y = s @ _KRON_AT.astype(np.int64).astype(dt).T  # (units, 4)
+    y = s @ _KRON_AT_INT.astype(dt, copy=False).T  # (units, 4)
     if inv.any():
         rows, r = np.unique(unit[t[inv], k_inv], return_inverse=True)
         y[rows] = _lockstep(_INVERSE_TF, s[rows], r, step_inv, masks[inv])
@@ -668,21 +697,31 @@ def _conv_winograd_vec(xp: np.ndarray, spec: ConvSpec, oh: int, ow: int, shift: 
     products over tiles flattened row-major to 16 elements: the input
     transform kron(B^T, B^T), 16 per-element (K x C) @ (C x tiles) GEMMs
     that multiply and sum over channels, and the inverse transform
-    kron(A^T, A^T). Exact under ConvSpec's magnitude bound. Returns the
-    output with the transformed filters U (16, K*C) and inputs V (16, C,
-    tiles), whose float64 values are exact integers."""
-    n_, c_ = xp.shape[:2]
+    kron(A^T, A^T). They run per sample and block of tile rows, on 4x4 tiles
+    read from a view of ``xp`` that steps 2 rows and 2 columns per tile; a
+    block's tiles hold about ``_SLAB`` values, at least one tile row. Exact
+    under ConvSpec's magnitude bound. Returns the output with the
+    transformed filters U (16, K*C), whose float64 values are exact integers."""
+    n_, c_, hp, wp = xp.shape
     k_ = spec.out_channels
-    tiles = sliding_window_view(xp.astype(np.float64), (4, 4), axis=(2, 3))[:, :, ::2, ::2]  # (N,C,TY,TX,4,4)
-    ty_, tx_ = tiles.shape[2:4]
-    v = (_KRON_BT @ tiles.transpose(4, 5, 1, 0, 2, 3).reshape(16, -1)).reshape(16, c_, -1)  # (16, C, N*TY*TX)
+    ty_, tx_ = (hp - 2) // 2, (wp - 2) // 2
+    xf = xp.astype(np.float64)
+    s_n, s_c, s_y, s_x = xf.strides
     u = _KRON_G2 @ spec.weights.array.reshape(k_ * c_, 9).T.astype(np.float64)  # (2G) g (2G)^T
-    s = u.reshape(16, k_, c_) @ v  # (16, K, N*TY*TX)
-    y = (_KRON_AT @ s.reshape(16, -1)).astype(np.int64).reshape(2, 2, k_, n_, ty_, tx_)
-    plane = y.transpose(3, 2, 4, 0, 5, 1).reshape(n_, k_, 2 * ty_, 2 * tx_)[:, :, :oh, :ow]
+    uk = u.reshape(16, k_, c_)
+    rows = max(1, _SLAB // (16 * c_ * tx_))
+    y = np.empty((n_, k_, ty_, 2, tx_, 2))
+    for n in range(n_):
+        # tiles[i, j, c, ty, tx] = xp[n, c, 2 ty + i, 2 tx + j]
+        tiles = _view(xf, n * s_n, (4, 4, c_, ty_, tx_), (s_y, s_x, s_c, 2 * s_y, 2 * s_x))
+        for r in range(0, ty_, rows):
+            v = (_KRON_BT @ tiles[..., r : r + rows, :].reshape(16, -1)).reshape(16, c_, -1)
+            s = _KRON_AT @ (uk @ v).reshape(16, -1)  # (4, K * tiles)
+            y[n, :, r : r + rows] = s.reshape(2, 2, k_, -1, tx_).transpose(2, 3, 0, 4, 1)
+    plane = y.reshape(n_, k_, 2 * ty_, 2 * tx_)[:, :, :oh, :ow].astype(np.int64)
     if spec.bias is not None:
-        plane = plane + 4 * spec.bias[None, :, None, None]
-    return requant_array(plane, shift, spec.out_qparams.int_min, spec.out_qparams.int_max), u, v
+        plane += 4 * spec.bias[None, :, None, None]
+    return requant_array(plane, shift, spec.out_qparams.int_min, spec.out_qparams.int_max), u
 
 
 # Per-layer op counting (must match the hooked emission exactly; checked in tests).

@@ -49,6 +49,12 @@ class ReluLayer:
     type = "relu"
 
 
+def check_range_mode(mode: str) -> None:
+    """Raise ConfigError unless ``mode`` is a constrained activation mode."""
+    if mode not in ("clamp", "zero"):
+        raise ConfigError(f"unknown constrained activation mode {mode!r}")
+
+
 @dataclass
 class ConstrainedReluLayer:
     """ReLU with profiled bounds baked in: out-of-range values are suppressed."""
@@ -60,8 +66,7 @@ class ConstrainedReluLayer:
     type = "constrained_relu"
 
     def __post_init__(self):
-        if self.mode not in ("clamp", "zero"):
-            raise ConfigError(f"unknown constrained activation mode {self.mode!r}")
+        check_range_mode(self.mode)
         if self.lo > self.hi:
             raise ConfigError("constrained activation needs lo <= hi")
 

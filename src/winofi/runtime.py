@@ -27,6 +27,7 @@ from .modelio import (
     LinearLayer,
     ModelDef,
     ReluLayer,
+    check_range_mode,
 )
 from .qtensor import QTensor, QuantParams, flip_array_with_masks
 
@@ -230,11 +231,10 @@ def _relu(q: QTensor) -> QTensor:
 def constrain(arr: np.ndarray, lo: int, hi: int, mode: str) -> np.ndarray:
     """Suppress out-of-range values: saturate to the violated bound (clamp)
     or zero them out (zero)."""
+    check_range_mode(mode)
     if mode == "clamp":
-        return np.clip(arr, lo, hi)
-    if mode == "zero":
-        return np.where((arr < lo) | (arr > hi), 0, arr)
-    raise ConfigError(f"unknown constrained activation mode {mode!r}")
+        return np.minimum(np.maximum(arr, lo), hi)
+    return np.where((arr < lo) | (arr > hi), 0, arr)
 
 
 def _linear(x: QTensor, layer: LinearLayer, out_qp: QuantParams, in_qp: QuantParams) -> QTensor:
@@ -278,6 +278,7 @@ def run_inference(
     engine = engine or model.engine
     if engine not in ("direct", "winograd"):
         raise ConfigError(f"unknown engine {engine!r}")
+    check_range_mode(range_mode)
     if x.qparams != model.input_qparams:
         raise ShapeError(
             f"input qparams {x.qparams} do not match model input {model.input_qparams}"

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +11,16 @@ from winofi.engine import (
     BT_F2X2_3X3,
     G2_F2X2_3X3,
     G_F2X2_3X3,
+    _SLAB,
     ConvSpec,
     OpType,
     Stage,
     conv_direct,
+    conv3x3_gemm,
     conv_winograd,
     requant_array,
     requant_scalar,
+    tile_grid,
 )
 from winofi.errors import ShapeError
 from winofi.modelio import generate_dataset, generate_toy_model
@@ -293,29 +297,112 @@ def test_requant_array_matches_requant_scalar(accs, shift, bits):
     assert got.tolist() == [requant_scalar(a, shift, lo, hi) for a in accs]
 
 
-@pytest.mark.parametrize("engine", ["direct", "winograd"])
-@pytest.mark.parametrize("sign", [1, -1])
-def test_worst_case_magnitude_is_exact(engine, sign):
-    # int16 inputs within 64 of -2^15 and weights within 64 of sign * 2^15
-    # make every product of the 9*C-term sums add with one sign; with 64
-    # channels the kernels' partial sums are the largest these tests reach.
-    # The biases put the accumulator of output pixel (1, 1) at a rounding tie
-    # of the 25-bit requant shift (k=0) and one short of it (k=1), so an
-    # accumulator off by one in either direction changes an output.
+def _worst_case(sign, n, h, w, at):
+    """An int16 input of shape (n, 64, h, w), a layer and the oracle's output:
+    inputs within 64 of -2^15 and weights within 64 of sign * 2^15 make
+    every product of the 9*C-term sums add with one sign; with 64 channels
+    the kernels' partial sums are the largest these tests reach. The biases
+    put the accumulator of output pixel ``at`` (sample, row, col) at a
+    rounding tie of the 25-bit requant shift (k=0) and one short of it (k=1),
+    so an accumulator off by one in either direction changes an output."""
     c, k, shift = 64, 2, 25
     rng = np.random.default_rng(64)
     qp = QuantParams(16, 1.0)
-    w = QTensor((k, c, 3, 3), sign * rng.integers((1 << 15) - 64, 1 << 15, size=(k, c, 3, 3)), qp)
-    x = QTensor((1, c, 4, 5), rng.integers(-(1 << 15), 64 - (1 << 15), size=(1, c, 4, 5)), qp)
-    acc = brute_force_conv3x3(x.array, w.array, None, 1, 0, -(1 << 62), 1 << 62)[0, :, 1, 1].tolist()
+    wq = QTensor((k, c, 3, 3), sign * rng.integers((1 << 15) - 64, 1 << 15, size=(k, c, 3, 3)), qp)
+    x = QTensor((n, c, h, w), rng.integers(-(1 << 15), 64 - (1 << 15), size=(n, c, h, w)), qp)
+    s, oy, ox = at
+    acc = brute_force_conv3x3(x.array[s : s + 1], wq.array, None, 1, 0, -(1 << 62), 1 << 62)[0, :, oy, ox].tolist()
     half = 1 << (shift - 1)
     bias = [int(np.sign(a)) * (r - abs(a) % (1 << shift)) for a, r in zip(acc, (half, half - 1))]
-    spec = ConvSpec(c, k, 1, w, QuantParams(16, 2.0**shift), bias=bias)
-    conv = conv_direct if engine == "direct" else _conv_winograd
-    expect = brute_force_conv3x3(x.array, w.array, spec.bias, 1, shift, -(1 << 15), (1 << 15) - 1)
+    spec = ConvSpec(c, k, 1, wq, QuantParams(16, 2.0**shift), bias=bias)
+    expect = brute_force_conv3x3(x.array, wq.array, spec.bias, 1, shift, -(1 << 15), (1 << 15) - 1)
     assert 0 < np.abs(expect).max() < (1 << 15) - 1  # the outputs do not saturate
+    return x, spec, expect
+
+
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_worst_case_magnitude_is_exact(engine, sign):
+    x, spec, expect = _worst_case(sign, 1, 4, 5, (0, 1, 1))
+    conv = conv_direct if engine == "direct" else _conv_winograd
     assert np.array_equal(conv(x, spec).array, expect)
     assert np.array_equal(conv(x, spec, CountingHook()).array, expect)
+
+
+def _row_blocks(c, oh, ow):
+    """Sizes of the row blocks of one sample: output rows in the direct
+    kernel, tile rows in the Winograd kernel."""
+    def blocks(n, per_row):
+        rows = max(1, _SLAB // per_row)
+        return [min(rows, n - r) for r in range(0, n, rows)]
+
+    ty, tx = tile_grid(oh, ow)
+    return blocks(oh, 9 * c * ow), blocks(ty, 16 * c * tx)
+
+
+# Three samples of a 9x21 output of 64 channels: the direct kernel runs each
+# sample in output-row blocks of 2, 2, 2, 2 and a ragged 1, Winograd in tile-
+# row blocks of 2, 2 and a ragged 1, and the odd plane leaves ragged edge tiles.
+BLOCKED = (3, 64, 9, 21)
+
+
+@pytest.mark.parametrize("padding", [0, 1])
+def test_vectorized_kernels_match_the_oracle_across_row_blocks(rng, padding):
+    n, c, oh, ow = BLOCKED
+    assert _row_blocks(c, oh, ow) == ([2, 2, 2, 2, 1], [2, 2, 1])
+    spec = make_spec(rng, c=c, k=2, bit_width=8, padding=padding, bias=True, out_scale=2.0**10)
+    x = random_qtensor(rng, (n, c, oh + 2 - 2 * padding, ow + 2 - 2 * padding), 8)
+    expect = brute_force_conv3x3(x.array, spec.weights.array, spec.bias, padding, 10, -128, 127)
+    assert 0 < np.count_nonzero(np.abs(expect) < 127)  # not every output saturates
+    assert np.array_equal(conv_direct(x, spec).array, expect)
+    assert np.array_equal(conv_winograd(x, spec).array, expect)
+
+
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_worst_case_magnitude_is_exact_across_row_blocks(engine, sign):
+    # The worst-case inputs at the blocked shape; the tie sits in the last
+    # sample's ragged last block.
+    n, c, oh, ow = BLOCKED
+    assert _row_blocks(c, oh, ow) == ([2, 2, 2, 2, 1], [2, 2, 1])
+    x, spec, expect = _worst_case(sign, n, oh, ow, (n - 1, oh - 1, 1))
+    conv = conv_direct if engine == "direct" else _conv_winograd
+    assert np.array_equal(conv(x, spec).array, expect)
+
+
+def _traced_peak(f):
+    """``f()`` and the peak bytes traced by tracemalloc while it ran."""
+    tracemalloc.start()
+    try:
+        return f(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_conv3x3_gemm_bounds_its_im2col_slab():
+    # A 4-sample, 32-channel 32x32 layer: its output takes 1 MB and one slab
+    # of about 2^15 values 0.25 MB, where an im2col slab of the whole batch
+    # would take 10 MB.
+    rng = np.random.default_rng(3)
+    xp = rng.integers(-128, 128, size=(4, 32, 34, 34)).astype(np.float64)
+    w = rng.integers(-128, 128, size=(32, 32, 3, 3)).astype(np.float64)
+    y, peak = _traced_peak(lambda: conv3x3_gemm(xp, w))
+    assert peak <= 3 << 20, peak
+    shifted = (np.einsum("kc,nchw->nkhw", w[:, :, i, j], xp[:, :, i : i + 32, j : j + 32])
+               for i in range(3) for j in range(3))
+    assert np.array_equal(y, sum(shifted))
+
+
+def test_vectorized_winograd_bounds_its_tile_blocks():
+    # The same layer through conv_winograd: the padded input, the output
+    # plane and their copies take about 6.7 MB, where the tiles, transformed
+    # inputs and channel sums of the whole batch at once reach 15 MB.
+    rng = np.random.default_rng(3)
+    spec = make_spec(rng, c=32, k=32, bit_width=8, padding=1, out_scale=2.0**10)
+    x = random_qtensor(rng, (4, 32, 32, 32), 8)
+    y, peak = _traced_peak(lambda: conv_winograd(x, spec))
+    assert peak <= 8 << 20, peak
+    assert y == conv_direct(x, spec)
 
 
 def test_convspec_rejects_channels_past_the_float64_bound():

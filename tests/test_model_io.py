@@ -80,6 +80,53 @@ def test_saved_model_bytes_are_pinned(tmp_path, name):
     assert _digests(tmp_path / "m") == _digests(tmp_path / "m2") == PINNED_MODEL_DIGESTS[name]
 
 
+# sha256 of (manifest.json, weights.bin) of generate_toy_model(seed, depth=3,
+# channels, hw), keyed (seed, channels, hw). The generator picks its
+# power-of-two scales from conv3x3_gemm's float sums, so a kernel whose
+# summation order moved a scale would change these bytes, and with them the
+# benchmark's generated models.
+PINNED_GENERATED_DIGESTS = {
+    (0, 16, 16): (
+        "ed9c482e8a08c52e75f940ef8ed916d27b075b1bf02cc0276801a94bbb0d0cb8",
+        "a3e656722c40d7e6489efcda6da6ab63767a516845cc6479292433fa76d5f6e7",
+    ),
+    (0, 16, 32): (
+        "3e37d8443d0ee588583b94c316b17defbbfe74c868bf7cc899c2151444f11f53",
+        "96433265f9a322b487e5d31cc06deb58da5c500aa0d3e872fdb394121ef648ce",
+    ),
+    (0, 32, 16): (
+        "df469ac67e12826dfbfb8807bbcd1fbe44bc0a408501aa271d61a368e2c395e8",
+        "151f9a77cf735aa50264a529c6253bddf585fb63adcf805edc79438e20df2341",
+    ),
+    (0, 32, 32): (
+        "b96edaae3bcb7de81455f01b2a50e0594e22a81312339f927c640dddeddcade8",
+        "2a14977eb31e76cd239a4ff2b2434b5680f2f235dbabc554b2621f4a5e29ba95",
+    ),
+    (7919, 16, 16): (
+        "6663294b405ce27fcbe23fab937960297a14c70cad0972bd94de37bca151aece",
+        "7a8727967de85e5eb0f29122d81fbfd9ae474219418c098e363aeb95751fca34",
+    ),
+    (7919, 16, 32): (
+        "1eeaa35f39cba2c02a32a951275ee938bce6e058bf63fe3a133ab44ef2cd2d2b",
+        "d3a8fbd6f5828d1f3dd26153837686ecdde88041a9dfd7e5667ab7202b01fd62",
+    ),
+    (7919, 32, 16): (
+        "8ed800b0fd27ab3990bd0c43e9fc428892ba98887e7cb71e2dfbd9562fa35934",
+        "4b5aba4b22adaa354768d10cd58edb9adcff6999bd54621368434241e76539bb",
+    ),
+    (7919, 32, 32): (
+        "03bc6d94261813d65bb02d01b00b73e7fd594124cd05be2d71e91adfb50b88f3",
+        "bab35b25219992f245d3509b6210ccee53b270e420005c9dc10333035d592c34",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed,channels,hw", sorted(PINNED_GENERATED_DIGESTS))
+def test_generated_model_bytes_are_pinned(tmp_path, seed, channels, hw):
+    save_model(generate_toy_model(seed=seed, depth=3, channels=channels, hw=hw), str(tmp_path / "m"))
+    assert _digests(tmp_path / "m") == PINNED_GENERATED_DIGESTS[seed, channels, hw]
+
+
 @pytest.mark.parametrize(
     "layer_type,foreign",
     [("conv3x3", "out_features"), ("relu", "lo"), ("constrained_relu", "stride"),

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from winofi.engine import OpType, Stage, lockstep_bound
-from winofi.errors import ShapeError
+from winofi.errors import ConfigError, ShapeError
 from winofi.inject import FaultTrace, Scope, op_level_hook
-from winofi.modelio import generate_dataset, generate_toy_model
+from winofi.modelio import builtin_model, generate_dataset, generate_toy_model
 from winofi.runtime import enumerate_ops, run_inference, top1
 
 from conftest import CountingHook
@@ -315,6 +315,17 @@ def test_run_inference_rejects_wrong_qparams(toy8):
     wrong = QTensor(x.shape, x.data, QuantParams(8, x.qparams.scale * 2))
     with pytest.raises(ShapeError):
         run_inference(toy8, wrong)
+
+
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+@pytest.mark.parametrize("ranges", [None, {}], ids=["no-ranges", "no-bounded-layer"])
+def test_run_inference_rejects_an_unknown_range_mode(engine, ranges):
+    # Without a bounded layer no activation is constrained, yet the mode is
+    # still checked before any layer runs.
+    model = builtin_model("toycnn-int16")
+    x = generate_dataset(model, 1, seed=5).samples[0]
+    with pytest.raises(ConfigError, match="unknown constrained activation mode 'bogus'"):
+        run_inference(model, x, engine, range_mode="bogus", ranges=ranges)
 
 
 def test_run_inference_deterministic(toy16):
