@@ -52,7 +52,7 @@ from .modelio import (
 )
 from .mitigate import RangeProfile, profile_ranges
 from .qtensor import QTensor, QuantParams, quantize
-from .runtime import OpSpace, enumerate_ops, run_inference, top1
+from .runtime import OpSpace, Program, enumerate_ops, run_inference, top1
 from .tmr import (
     CostModel,
     Segment,

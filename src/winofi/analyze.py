@@ -30,8 +30,8 @@ from .inject import (
     neuron_level_inject,
     op_level_hook,
 )
-from .modelio import Dataset, ModelDef, check_range_mode
-from .runtime import NeuronFaults, enumerate_ops, run_inference, top1
+from .modelio import Dataset, ModelDef
+from .runtime import NeuronFaults, Program, enumerate_ops, run_inference, top1
 
 
 def mean_ci95(values) -> tuple[float, float]:
@@ -121,7 +121,7 @@ class Campaign:
         self.opspace = enumerate_ops(model, self.engine, fault_bits=fault_bits)
         if self.granularity is Granularity.NEURON_LEVEL and fault_bits is not None:
             raise ConfigError("fault_bits sets op result windows: neuron-level faults strike stored neuron bits")
-        check_range_mode(range_mode)
+        self.program = Program(model, self.engine, ranges, range_mode)
         self._checked([scope])
         self._check_layers("range profile", ranges.ranges if ranges is not None else ())
         # a scope that can strike nothing would read the clean accuracy at any BER
@@ -159,7 +159,7 @@ class Campaign:
         """Run sample ``sample_idx`` under ``faults``, an op table (the hook) or a neuron table."""
         hook, neuron_fn = (None, faults) if isinstance(faults, NeuronFaults) else (faults, None)
         return run_inference(self.model, self.dataset.samples[sample_idx], self.engine, hook, neuron_fn=neuron_fn,
-                             ranges=self.ranges, range_mode=self.range_mode, capture=capture)
+                             ranges=self.ranges, range_mode=self.range_mode, capture=capture, program=self.program)
 
     def _tables(self, trial: int, sample_idx: int, ber: float, scopes, *, trace=None, replay=None, protected=()):
         """Yield (trial, sample)'s fault table under each of ``scopes``, each filtered from one draw of its flips."""

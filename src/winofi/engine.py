@@ -155,6 +155,10 @@ _KRON_BT = _KRON_BT_INT.astype(np.float64)
 _KRON_G2 = np.kron(G2_F2X2_3X3, G2_F2X2_3X3).astype(np.float64)
 _KRON_AT_INT = np.kron(AT_F2X2_3X3, AT_F2X2_3X3)
 _KRON_AT = _KRON_AT_INT.astype(np.float64)
+# The struck paths' (kron(B^T, B^T), kron(A^T, A^T)) in each dtype _layer_faults picks.
+_KRON_INT = {dt: (_KRON_BT_INT.astype(dt), _KRON_AT_INT.astype(dt)) for dt in (np.int64, object)}
+# Row and column of each element of a flat 2x2 output tile.
+_TILE_DY, _TILE_DX = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
 # About the most float64 values that a block of the vectorized kernels copies
 # out of its input at once: a direct im2col slab or a block of Winograd tiles.
 _SLAB = 1 << 15
@@ -180,9 +184,13 @@ def tile_grid(out_h: int, out_w: int) -> tuple[int, int]:
 WINOGRAD_F2X2_3X3 = namedtuple("WinogradF2x2_3x3", "instrument_filter_transform")(False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConvSpec:
-    """One 3x3 stride-1 convolution layer: weights, bias, and requant target."""
+    """One 3x3 stride-1 convolution layer: weights, bias, and requant target.
+
+    The kernels' static operands (the float64 weights, the transformed
+    filters) are derived from it once, on first use.
+    """
 
     in_channels: int
     out_channels: int
@@ -204,7 +212,7 @@ class ConvSpec:
         if self.weights.shape != expect:
             raise ShapeError(f"weights shape {self.weights.shape} != {expect}")
         if self.bias is not None:
-            self.bias = np.asarray(self.bias, dtype=np.int64)
+            object.__setattr__(self, "bias", np.asarray(self.bias, dtype=np.int64))
             if self.bias.shape != (self.out_channels,):
                 raise ShapeError(f"bias must have length {self.out_channels}")
         if self.out_qparams.bit_width != self.weights.qparams.bit_width:
@@ -218,9 +226,26 @@ class ConvSpec:
                 f"{self.in_channels} input channels at {b} bits can exceed 2^53 in the float64 kernels"
             )
         # Winograd then adds 4 * bias to those sums in int64.
-        bias = max_abs(self.bias)
-        if 81 * self.in_channels * 4**b + 4 * bias >= 2**63:
-            raise ShapeError(f"conv bias magnitude {bias} can exceed 2^63 in the int64 kernels")
+        object.__setattr__(self, "bias_max", max_abs(self.bias))  # largest bias magnitude, 0 without a bias
+        if 81 * self.in_channels * 4**b + 4 * self.bias_max >= 2**63:
+            raise ShapeError(f"conv bias magnitude {self.bias_max} can exceed 2^63 in the int64 kernels")
+
+    @functools.cached_property
+    def weights_f64(self) -> np.ndarray:
+        """The (K, C, 3, 3) weights as float64, the direct GEMMs' operand."""
+        return self.weights.array.astype(np.float64)
+
+    @functools.cached_property
+    def u(self) -> np.ndarray:
+        """The transformed filters (2G) g (2G)^T, float64 (16, K, C): exact
+        integers, flat row-major 4x4 per (k, c)."""
+        k_, c_ = self.out_channels, self.in_channels
+        return (_KRON_G2 @ self.weights.array.reshape(k_ * c_, 9).T.astype(np.float64)).reshape(16, k_, c_)
+
+    @functools.cached_property
+    def u_int(self) -> np.ndarray:
+        """:attr:`u` as int64 (K, C, 16), the operand of the struck Winograd units."""
+        return np.ascontiguousarray(self.u.transpose(1, 2, 0).astype(np.int64))
 
     def out_hw(self, in_h: int, in_w: int) -> tuple[int, int]:
         oh = in_h + 2 * self.padding - 2
@@ -309,8 +334,7 @@ def lockstep_bound(spec: ConvSpec, width_mul: int, width_add: int, winograd: boo
     else of :func:`conv_direct`. A flip of the low w bits moves a value by
     less than 2^w. The fast path runs in int64 below 2^63, else on Python ints.
     """
-    bias = max_abs(spec.bias)
-    return _bound(spec.weights.qparams.bit_width, spec.in_channels, bias, width_mul, width_add, winograd)
+    return _bound(spec.weights.qparams.bit_width, spec.in_channels, spec.bias_max, width_mul, width_add, winograd)
 
 
 @functools.lru_cache(maxsize=256)
@@ -431,7 +455,7 @@ def conv_direct(
             offs, masks, dt = _layer_faults(hook, op_base, out.size * 18 * c_, spec)
             if offs.size:
                 _direct_struck(xp, spec, shift, out, offs, masks, dt)
-        return QTensor(out.shape, out, oq)
+        return QTensor.trusted(out.shape, out, oq)
 
     chain = 18 * c_
     out = np.empty(n_ * k_ * oh * ow, dtype=np.int64)
@@ -457,7 +481,7 @@ def conv_direct(
                     acc = hook(op_id, layer_id, add, stg, acc + p)
                     op_id += 1
         out[u] = requant_scalar(acc, shift, lo, hi)
-    return QTensor((n_, k_, oh, ow), out, oq)
+    return QTensor.trusted((n_, k_, oh, ow), out, oq)
 
 
 def _direct_struck(xp: np.ndarray, spec: ConvSpec, shift: int, out: np.ndarray, offs: np.ndarray,
@@ -469,11 +493,10 @@ def _direct_struck(xp: np.ndarray, spec: ConvSpec, shift: int, out: np.ndarray, 
     mac, is_add = np.divmod(step, 2)
     units, row = np.unique(unit, return_inverse=True)
     n, k, oy, ox = np.unravel_index(units, out.shape)
-    # each unit's 3x3 windows over all channels, in MAC order, as flat indices into xp
-    _, _, hp, wp = xp.shape
-    window = (np.arange(c_)[:, None, None] * hp * wp + np.arange(3)[:, None] * wp + np.arange(3)).ravel()
-    corner = np.ravel_multi_index((n, 0, oy, ox), xp.shape)
-    p = xp.reshape(-1)[corner[:, None] + window].astype(dt, copy=False)
+    # win[n, oy, ox] is pixel (oy, ox)'s 3x3 windows over all channels, in MAC order
+    s_n, s_c, s_y, s_x = xp.strides
+    win = _view(xp, 0, (out.shape[0], *out.shape[2:], c_, 3, 3), (s_n, s_y, s_x, s_c, s_y, s_x))
+    p = win[n, oy, ox].reshape(-1, 9 * c_).astype(dt, copy=False)
     p *= spec.weights.array.reshape(-1, 9 * c_)[k]
     mul = is_add == 0
     p[row[mul], mac[mul]] = _flip(p[row[mul], mac[mul]], masks[mul])
@@ -519,7 +542,7 @@ def conv3x3_gemm(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _conv_direct_vec(xp: np.ndarray, spec: ConvSpec, shift: int) -> np.ndarray:
     """Requantized output of the padded input ``xp``: float64 GEMMs, exact
     under ConvSpec's magnitude bound."""
-    acc = conv3x3_gemm(xp, spec.weights.array.astype(np.float64)).astype(np.int64)
+    acc = conv3x3_gemm(xp, spec.weights_f64).astype(np.int64)
     if spec.bias is not None:
         acc += spec.bias[None, :, None, None]
     return requant_array(acc, shift, spec.out_qparams.int_min, spec.out_qparams.int_max)
@@ -562,12 +585,12 @@ def conv_winograd(
     n_itf, n_inv = len(_INPUT_TF.steps), len(_INVERSE_TF.steps)
     tile_ops = c_ * n_itf + 32 * k_ * c_ + k_ * n_inv
     if hook is None or isinstance(hook, OpFaults):
-        out, u = _conv_winograd_vec(xp, spec, oh, ow, shift)
+        out = _conv_winograd_vec(xp, spec, oh, ow, shift)
         if hook is not None:
             offs, masks, dt = _layer_faults(hook, op_base, n_ * ty_ * tx_ * tile_ops, spec, winograd=True)
             if offs.size:
-                _winograd_struck(xp, spec, shift, out, u, offs, masks, dt)
-        return QTensor(out.shape, out, oq)
+                _winograd_struck(xp, spec, shift, out, offs, masks, dt)
+        return QTensor.trusted(out.shape, out, oq)
 
     out = np.empty((n_, k_, oh, ow), dtype=np.int64)
     b4 = [4 * int(b) for b in spec.bias] if spec.bias is not None else [0] * k_
@@ -617,15 +640,14 @@ def conv_winograd(
                 oy, ox = y0 + e // 2, x0 + e % 2
                 if oy < oh and ox < ow:
                     out[n, k, oy, ox] = requant_scalar(y[e] + b4[k], shift, lo, hi)
-    return QTensor(out.shape, out, oq)
+    return QTensor.trusted(out.shape, out, oq)
 
 
-def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, out: np.ndarray, u: np.ndarray,
-                     offs: np.ndarray, masks: np.ndarray, dt) -> None:
+def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, out: np.ndarray, offs: np.ndarray,
+                     masks: np.ndarray, dt) -> None:
     """Overwrite the (tile, k) units of ``out`` owning the struck ops with
     their faulty values, computed in ``dt``. ``offs`` are the ops' offsets
-    from the layer's first op. ``u`` are the vectorized pass's exact
-    transformed filters.
+    from the layer's first op.
 
     The units' tiles are transformed again, one product with kron(B^T, B^T),
     and the input transforms of struck (tile, c) rerun in lockstep (see
@@ -645,7 +667,7 @@ def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, out: np.ndarray
     t, o = np.divmod(offs, inv0 + k_ * n_inv)
     itf, ew, cs, inv = o < ew0, (ew0 <= o) & (o < cs0), (cs0 <= o) & (o < inv0), inv0 <= o
 
-    u = u.T.astype(np.int64).astype(dt, copy=False).reshape(k_, c_, 16)
+    kron_bt, kron_at = _KRON_INT[dt]
     hit = np.zeros((n_ * ty_ * tx_, k_), dtype=bool)
     hit[t[itf]] = True
     # element-wise multiply and channel-sum flips: (tile, k, c, e)
@@ -658,18 +680,17 @@ def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, out: np.ndarray
     unit[ut, uk] = np.arange(ut.size)
     tiles, tu = np.unique(ut, return_inverse=True)
 
-    # each (tile, c)'s 4x4 input tile, row-major, as flat indices into xp
-    n, ty, tx = np.unravel_index(tiles, (n_, ty_, tx_))
-    corner = np.ravel_multi_index((n, 0, 2 * ty, 2 * tx), xp.shape)
-    tile = (np.arange(c_)[:, None] * hp * wp + (np.arange(4)[:, None] * wp + np.arange(4)).ravel()).ravel()
-    d = xp.reshape(-1)[corner[:, None] + tile].reshape(-1, 16).astype(dt, copy=False)  # (tiles * C, 16)
-    v = d @ _KRON_BT_INT.astype(dt, copy=False).T
+    # tile_of[n, ty, tx, c] is that (tile, c)'s 4x4 input tile
+    s_n, s_c, s_y, s_x = xp.strides
+    tile_of = _view(xp, 0, (n_, ty_, tx_, c_, 4, 4), (s_n, 2 * s_y, 2 * s_x, s_c, s_y, s_x))
+    d = tile_of[np.unravel_index(tiles, (n_, ty_, tx_))].reshape(-1, 16).astype(dt, copy=False)  # (tiles * C, 16)
+    v = d @ kron_bt.T
     if itf.any():
         c, step = np.divmod(o[itf], n_itf)
         rows, r = np.unique(np.searchsorted(tiles, t[itf]) * c_ + c, return_inverse=True)
         v[rows] = _lockstep(_INPUT_TF, d[rows], r, step, masks[itf])
     v = v.reshape(tiles.size, c_, 16)
-    p = u[uk]
+    p = spec.u_int.astype(dt, copy=False)[uk]
     p *= v[tu]  # (units, C, 16)
     k, c, e = kce[0]
     at = (unit[t[ew], k], c, e)
@@ -677,7 +698,7 @@ def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, out: np.ndarray
     s = np.cumsum(p, axis=1, out=p).transpose(0, 2, 1)  # (units, 16, C): a chain per (unit, e)
     k, c, e = kce[1]
     s = s[..., -1] + _flip_chains(s, (unit[t[cs], k], e), c, masks[cs])
-    y = s @ _KRON_AT_INT.astype(dt, copy=False).T  # (units, 4)
+    y = s @ kron_at.T  # (units, 4)
     if inv.any():
         rows, r = np.unique(unit[t[inv], k_inv], return_inverse=True)
         y[rows] = _lockstep(_INVERSE_TF, s[rows], r, step_inv, masks[inv])
@@ -687,12 +708,12 @@ def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, out: np.ndarray
     y = requant_array(y, shift, oq.int_min, oq.int_max)
     # output element e of a unit sits at (2 ty + e // 2, 2 tx + e % 2)
     n, ty, tx = np.unravel_index(ut, (n_, ty_, tx_))
-    oy, ox = 2 * ty[:, None] + np.array([0, 0, 1, 1]), 2 * tx[:, None] + np.array([0, 1, 0, 1])
+    oy, ox = 2 * ty[:, None] + _TILE_DY, 2 * tx[:, None] + _TILE_DX
     i, e = np.nonzero((oy < out.shape[2]) & (ox < out.shape[3]))
     out[n[i], uk[i], oy[i, e], ox[i, e]] = y[i, e]
 
 
-def _conv_winograd_vec(xp: np.ndarray, spec: ConvSpec, oh: int, ow: int, shift: int) -> tuple:
+def _conv_winograd_vec(xp: np.ndarray, spec: ConvSpec, oh: int, ow: int, shift: int) -> np.ndarray:
     """Requantized output of the padded input ``xp``, as three float64 matrix
     products over tiles flattened row-major to 16 elements: the input
     transform kron(B^T, B^T), 16 per-element (K x C) @ (C x tiles) GEMMs
@@ -700,15 +721,13 @@ def _conv_winograd_vec(xp: np.ndarray, spec: ConvSpec, oh: int, ow: int, shift: 
     kron(A^T, A^T). They run per sample and block of tile rows, on 4x4 tiles
     read from a view of ``xp`` that steps 2 rows and 2 columns per tile; a
     block's tiles hold about ``_SLAB`` values, at least one tile row. Exact
-    under ConvSpec's magnitude bound. Returns the output with the
-    transformed filters U (16, K*C), whose float64 values are exact integers."""
+    under ConvSpec's magnitude bound."""
     n_, c_, hp, wp = xp.shape
     k_ = spec.out_channels
     ty_, tx_ = (hp - 2) // 2, (wp - 2) // 2
     xf = xp.astype(np.float64)
     s_n, s_c, s_y, s_x = xf.strides
-    u = _KRON_G2 @ spec.weights.array.reshape(k_ * c_, 9).T.astype(np.float64)  # (2G) g (2G)^T
-    uk = u.reshape(16, k_, c_)
+    uk = spec.u
     rows = max(1, _SLAB // (16 * c_ * tx_))
     y = np.empty((n_, k_, ty_, 2, tx_, 2))
     for n in range(n_):
@@ -721,7 +740,7 @@ def _conv_winograd_vec(xp: np.ndarray, spec: ConvSpec, oh: int, ow: int, shift: 
     plane = y.reshape(n_, k_, 2 * ty_, 2 * tx_)[:, :, :oh, :ow].astype(np.int64)
     if spec.bias is not None:
         plane += 4 * spec.bias[None, :, None, None]
-    return requant_array(plane, shift, spec.out_qparams.int_min, spec.out_qparams.int_max), u
+    return requant_array(plane, shift, spec.out_qparams.int_min, spec.out_qparams.int_max)
 
 
 # Per-layer op counting (must match the hooked emission exactly; checked in tests).

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import ConfigError, json_typed, open_input
 from .modelio import Dataset, ModelDef
-from .runtime import run_inference
+from .runtime import Program, run_inference
 
 # The activation point a profile's ranges are taken at and applied to.
 POINT = "post_activation"
@@ -69,9 +69,10 @@ def profile_ranges(model: ModelDef, dataset: Dataset, engine: Optional[str] = No
     if len(dataset) == 0:
         raise ConfigError("profiling set is empty")
     conv_ids = tuple(model.conv_layer_ids())
+    program = Program(model, engine)
     ranges: dict = {}
     for s in dataset.samples:
-        res = run_inference(model, s, engine, capture_act=conv_ids)
+        res = run_inference(model, s, engine, capture_act=conv_ids, program=program)
         for lid in conv_ids:
             arr = res.activations[lid].array
             lo, hi = int(arr.min()), int(arr.max())

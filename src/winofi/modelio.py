@@ -55,6 +55,15 @@ def check_range_mode(mode: str) -> None:
         raise ConfigError(f"unknown constrained activation mode {mode!r}")
 
 
+def check_clamp_bounds(what: str, lo, hi, mode: str, qp: QuantParams) -> None:
+    """Raise ConfigError when clamping to [lo, hi] would leave ``qp``'s integer
+    range: a clamp saturates to a bound, so both may not lie past one end.
+    Zeroing keeps every value in range, whatever the bounds."""
+    if mode == "clamp" and (lo > qp.int_max or hi < qp.int_min):
+        raise ConfigError(f"{what} clamps to [{lo}, {hi}], outside the {qp.bit_width}-bit range "
+                          f"[{qp.int_min}, {qp.int_max}]")
+
+
 @dataclass
 class ConstrainedReluLayer:
     """ReLU with profiled bounds baked in: out-of-range values are suppressed."""
@@ -140,7 +149,10 @@ class ModelDef:
                 )
                 oh, ow = spec.out_hw(h, w)
                 shape = (layer.out_channels, oh, ow)
-            elif isinstance(layer, (ReluLayer, ConstrainedReluLayer)):
+            elif isinstance(layer, ConstrainedReluLayer):
+                check_clamp_bounds(f"layer {i}: constrained activation", layer.lo, layer.hi, layer.mode,
+                                   QuantParams(self.bit_width, 1.0))
+            elif isinstance(layer, ReluLayer):
                 pass
             elif isinstance(layer, FlattenLayer):
                 n = 1

@@ -28,6 +28,8 @@ class QuantParams:
             raise ValueError(f"bit_width must be one of {SUPPORTED_WIDTHS}, got {self.bit_width!r}")
         if isinstance(self.scale, bool) or not (isinstance(self.scale, (int, float)) and 0 < self.scale < math.inf):
             raise ValueError(f"scale must be a finite positive real, got {self.scale!r}")
+        e = math.log2(self.scale)
+        object.__setattr__(self, "_exponent", int(e) if e.is_integer() else None)
 
     @property
     def int_min(self) -> int:
@@ -39,10 +41,9 @@ class QuantParams:
 
     def scale_exponent(self) -> int:
         """Exponent e with scale == 2**e. Raises if the scale is not a power of two."""
-        e = math.log2(self.scale)
-        if e != round(e):
+        if self._exponent is None:
             raise ValueError(f"scale {self.scale} is not a power of two")
-        return int(round(e))
+        return self._exponent
 
 
 class QTensor:
@@ -68,6 +69,24 @@ class QTensor:
         self.shape = shape
         self.data = flat
         self.qparams = qparams
+
+    @classmethod
+    def trusted(cls, shape: tuple, data: np.ndarray, qparams: QuantParams) -> "QTensor":
+        """Wrap the int64 array ``data`` as is: no copy and no range check.
+
+        Precondition: ``data`` holds prod(``shape``) values, every one inside
+        [``qparams.int_min``, ``qparams.int_max``], and nothing writes to it
+        afterwards. Inference passes layer outputs this way, which are in
+        range by construction (requantization and clamps saturate, bit
+        flips reinterpret at the bit width); data from outside goes through
+        the checked constructor.
+        """
+        t = cls.__new__(cls)
+        t.shape = shape
+        t.data = data.reshape(-1)
+        t.data.flags.writeable = False
+        t.qparams = qparams
+        return t
 
     @property
     def array(self) -> np.ndarray:

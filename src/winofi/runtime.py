@@ -1,5 +1,10 @@
 """Model execution and operation-stream enumeration.
 
+A :class:`Program` compiles a model for one engine and range profile once:
+the execution plan, each conv layer's place in the op stream and each
+activation point's bounds. :func:`run_inference` runs it, and
+:class:`OpSpace` reads its op layout.
+
 Every primitive multiply/add of one inference gets a dense op_id assigned in
 canonical single-threaded order: layers in model order, ops within a layer in
 the engine's documented order. ``enumerate_ops`` derives the full address
@@ -12,8 +17,9 @@ and own no op_ids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -22,16 +28,17 @@ from .engine import OpType, Stage
 from .errors import ConfigError, ShapeError
 from .modelio import (
     ConstrainedReluLayer,
-    ConvLayer,
     FlattenLayer,
     LinearLayer,
     ModelDef,
     ReluLayer,
+    check_clamp_bounds,
     check_range_mode,
 )
 from .qtensor import QTensor, QuantParams, flip_array_with_masks
 
 MAX_FAULT_BITS = 64
+_RELUS = (ReluLayer, ConstrainedReluLayer)
 
 # Op type pattern of a region: its ops' OpType, or PAT_MAC when MULs (even
 # offsets) and ADDs (odd offsets) alternate.
@@ -46,42 +53,27 @@ _STAGE_PATTERNS = {
 
 
 class OpSpace:
-    """Canonical operation address space of one inference.
+    """Canonical operation address space of one inference, read off a
+    :class:`Program`'s conv steps.
 
     The op stream is stored once, as parallel arrays over its regions: region
     r is the op_id run [starts[r], ends[r]) of one layer (``layers[r]``) and
     stage (``stages[r]``) whose op types follow ``patterns[r]``.
     """
 
-    def __init__(self, model: ModelDef, engine: str, fault_bits=None):
-        if engine not in ("direct", "winograd"):
-            raise ConfigError(f"unknown engine {engine!r}")
-        self.engine = engine
-        self.bit_width = model.bit_width
-        wm, wa = _resolve_fault_bits(fault_bits, model.bit_width)
+    def __init__(self, program: Program, fault_bits=None):
+        self.engine = program.engine
+        self.bit_width = program.model.bit_width
+        wm, wa = _resolve_fault_bits(fault_bits, self.bit_width)
         self.width_mul = wm
         self.width_add = wa
         self.width_pad = max(wm, wa)
 
         runs = []  # (layer_id, stage, op count) in emission order
         neuron_sizes: dict[int, int] = {}
-        for layer_id, (layer, in_shape, out_shape, spec) in enumerate(model.execution_plan()):
-            if not isinstance(layer, ConvLayer):
-                continue
-            c, h, w = in_shape
-            oh, ow = spec.out_hw(h, w)
-            k = layer.out_channels
-            neuron_sizes[layer_id] = k * oh * ow
-            if engine == "direct":
-                counts = eng.direct_layer_counts(1, c, k, oh, ow)
-                runs.append((layer_id, Stage.DIRECT_MAC, sum(counts[Stage.DIRECT_MAC].values())))
-                continue
-            # The executed winograd stream interleaves stages per tile; regions
-            # mirror the exact emission order of conv_winograd, which a
-            # one-tile layer's counts list stage by stage.
-            ty, tx = eng.tile_grid(oh, ow)
-            one_tile = eng.winograd_layer_counts(1, c, k, 2, 2)
-            runs += [(layer_id, stage, sum(t.values())) for stage, t in one_tile.items()] * (ty * tx)
+        for step in program.convs:
+            neuron_sizes[step.layer_id] = math.prod(step.out_shape)
+            runs += [(step.layer_id, stage, n) for stage, n in step.regions] * step.repeats
 
         self.layers, self.stages, sizes = np.array(runs, dtype=np.int64).reshape(-1, 3).T
         self.ends = np.cumsum(sizes)
@@ -187,11 +179,99 @@ def enumerate_ops(
 ) -> OpSpace:
     """Deterministic op-stream summary of ``model.execution_plan()``; counts
     match a hook-counting dry run."""
-    return OpSpace(
-        model,
-        engine or model.engine,
-        fault_bits=fault_bits,
-    )
+    return OpSpace(Program(model, engine), fault_bits=fault_bits)
+
+
+# ---------------------------------------------------------------------------
+# Compiled inference
+
+
+class Step(NamedTuple):
+    """One layer of a :class:`Program`: the ``layer`` at index ``layer_id``
+    of the model, and its output shape without the batch axis.
+
+    A conv step runs ``spec`` and owns the ``n_ops`` op ids from ``op_base``
+    on: the (stage, op count) ``regions`` in emission order, ``repeats``
+    times (once per Winograd tile). A linear step requantizes to
+    ``qparams`` by ``shift``. When the step's output is the activation point
+    of conv layer ``act_of``, ``bounds`` is the (lo, hi) range applied
+    there, or None.
+    """
+
+    layer_id: int
+    layer: object
+    out_shape: tuple
+    spec: Optional[eng.ConvSpec]
+    op_base: int
+    n_ops: int
+    regions: tuple
+    repeats: int
+    qparams: Optional[QuantParams]
+    shift: int
+    act_of: Optional[int]
+    bounds: Optional[tuple]
+
+
+class Program:
+    """What :func:`run_inference` runs for one (model, engine, ranges,
+    range_mode), compiled once: a :class:`Step` per layer of
+    ``model.execution_plan()``, with the op layout :class:`OpSpace` reads.
+
+    A Program is a snapshot of the model and the range profile, as a
+    Campaign's op space and clean outputs are: after mutating either,
+    compile a new one. Clamp bounds in ``ranges`` that leave the model's
+    integer range raise ConfigError here.
+    """
+
+    def __init__(self, model: ModelDef, engine: Optional[str] = None, ranges=None, range_mode: str = "clamp"):
+        engine = engine or model.engine
+        if engine not in ("direct", "winograd"):
+            raise ConfigError(f"unknown engine {engine!r}")
+        check_range_mode(range_mode)
+        self.model, self.engine, self.ranges, self.range_mode = model, engine, ranges, range_mode
+        self.input_qparams = model.input_qparams
+        plan = model.execution_plan()
+        steps, convs = [], []
+        qp, op_base, pending = self.input_qparams, 0, None  # pending: a conv before its activation point
+        for layer_id, (layer, in_shape, out_shape, spec) in enumerate(plan):
+            n_ops, regions, repeats, out_qp, shift, act_of, bounds = 0, (), 0, None, 0, None, None
+            if spec is not None:
+                c, h, w = in_shape
+                oh, ow = spec.out_hw(h, w)
+                if engine == "direct":
+                    counts, repeats = eng.direct_layer_counts(1, c, spec.out_channels, oh, ow), 1
+                else:
+                    # the Winograd stream interleaves its stages per tile, as
+                    # a one-tile layer's counts list them
+                    counts = eng.winograd_layer_counts(1, c, spec.out_channels, 2, 2)
+                    repeats = math.prod(eng.tile_grid(oh, ow))
+                regions = tuple((stage, sum(t.values())) for stage, t in counts.items())
+                n_ops = repeats * sum(n for _, n in regions)
+                qp, pending = spec.out_qparams, layer_id
+            elif isinstance(layer, LinearLayer):
+                out_qp = QuantParams(model.bit_width, layer.out_scale)
+                shift = out_qp.scale_exponent() - qp.scale_exponent() - layer.weights.qparams.scale_exponent()
+                qp = out_qp
+            # a conv layer's activation point: the relu right after it, or
+            # the conv itself when no relu follows
+            relu_next = layer_id + 1 < len(plan) and isinstance(plan[layer_id + 1][0], _RELUS)
+            if pending is not None and not (pending == layer_id and relu_next):
+                act_of, pending = pending, None
+                bounds = ranges.get(act_of) if ranges is not None else None
+                if bounds is not None:
+                    check_clamp_bounds(f"range profile layer {act_of}", *bounds, range_mode, qp)
+            steps.append(Step(layer_id, layer, out_shape, spec, op_base, n_ops, regions, repeats, out_qp, shift,
+                              act_of, bounds))
+            if spec is not None:
+                convs.append(steps[-1])
+            op_base += n_ops
+        self.steps, self.convs = tuple(steps), tuple(convs)
+
+    def check_compiled_for(self, model: ModelDef, engine: Optional[str], ranges, range_mode: str) -> None:
+        """Raise ConfigError unless this Program was compiled for these arguments."""
+        if not (model is self.model and (engine or model.engine) == self.engine and range_mode == self.range_mode
+                and (ranges is self.ranges or ranges == self.ranges)):
+            raise ConfigError("the program was compiled for another model, engine, ranges or range_mode")
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +294,7 @@ class NeuronFaults:
         start, end = self.ranges[layer_id]
         lo, hi = np.searchsorted(self.ids, (start, end))
         flipped = flip_array_with_masks(out.data, self.ids[lo:hi] - start, self.masks[lo:hi], out.qparams.bit_width)
-        return out.with_data(flipped)
+        return QTensor.trusted(out.shape, flipped, out.qparams)
 
 
 @dataclass
@@ -224,10 +304,6 @@ class InferenceResult:
     activations: dict = field(default_factory=dict)
 
 
-def _relu(q: QTensor) -> QTensor:
-    return q.with_data(np.maximum(q.array, 0))
-
-
 def constrain(arr: np.ndarray, lo: int, hi: int, mode: str) -> np.ndarray:
     """Suppress out-of-range values: saturate to the violated bound (clamp)
     or zero them out (zero)."""
@@ -235,19 +311,6 @@ def constrain(arr: np.ndarray, lo: int, hi: int, mode: str) -> np.ndarray:
     if mode == "clamp":
         return np.minimum(np.maximum(arr, lo), hi)
     return np.where((arr < lo) | (arr > hi), 0, arr)
-
-
-def _linear(x: QTensor, layer: LinearLayer, out_qp: QuantParams, in_qp: QuantParams) -> QTensor:
-    acc = x.array.astype(np.int64) @ layer.weights.array.T
-    if layer.bias is not None:
-        acc = acc + layer.bias[None, :]
-    shift = (
-        out_qp.scale_exponent()
-        - in_qp.scale_exponent()
-        - layer.weights.qparams.scale_exponent()
-    )
-    out = eng.requant_array(acc, shift, out_qp.int_min, out_qp.int_max)
-    return QTensor(out.shape, out, out_qp)
 
 
 def run_inference(
@@ -261,6 +324,7 @@ def run_inference(
     range_mode: str = "clamp",
     capture: tuple = (),
     capture_act: tuple = (),
+    program: Optional[Program] = None,
 ) -> InferenceResult:
     """Run one sample through the model.
 
@@ -274,59 +338,52 @@ def run_inference(
     activation point (after the following relu, or after the conv itself when
     no relu follows). ``capture`` collects conv outputs post-injection and
     pre-activation; ``capture_act`` collects activation-point values.
+
+    ``program`` is the :class:`Program` of (model, engine, ranges,
+    range_mode), compiled here when not given; one compiled for other
+    arguments raises ConfigError. Layer outputs pass from layer to layer
+    unchecked (see :meth:`QTensor.trusted`).
     """
-    engine = engine or model.engine
-    if engine not in ("direct", "winograd"):
-        raise ConfigError(f"unknown engine {engine!r}")
-    check_range_mode(range_mode)
-    if x.qparams != model.input_qparams:
+    if program is None:
+        program = Program(model, engine, ranges, range_mode)
+    else:
+        program.check_compiled_for(model, engine, ranges, range_mode)
+    if x.qparams != program.input_qparams:
         raise ShapeError(
-            f"input qparams {x.qparams} do not match model input {model.input_qparams}"
+            f"input qparams {x.qparams} do not match model input {program.input_qparams}"
         )
-    plan = model.execution_plan()
-
-    # layer index -> the conv layer whose activation point it is: the relu
-    # right after the conv, or the conv itself when no relu follows
-    act_point = {}
-    for layer_id, (layer, *_) in enumerate(plan):
-        if isinstance(layer, ConvLayer):
-            relu_next = layer_id + 1 < len(plan) and isinstance(
-                plan[layer_id + 1][0], (ReluLayer, ConstrainedReluLayer)
-            )
-            act_point[layer_id + relu_next] = layer_id
-
+    direct = program.engine == "direct"
     res = InferenceResult(output=x)
     cur = x
-    op_base = 0
-    for layer_id, (layer, in_shape, out_shape, spec) in enumerate(plan):
-        if isinstance(layer, ConvLayer):
-            oh_ow = spec.out_hw(in_shape[1], in_shape[2])
-            if engine == "direct":
-                cur = eng.conv_direct(cur, spec, hook, layer_id=layer_id, op_base=op_base)
-                counts = eng.direct_layer_counts(1, in_shape[0], layer.out_channels, *oh_ow)
+    for step in program.steps:
+        layer, layer_id = step.layer, step.layer_id
+        if step.spec is not None:
+            if direct:
+                cur = eng.conv_direct(cur, step.spec, hook, layer_id=layer_id, op_base=step.op_base)
             else:
-                cur = eng.conv_winograd(cur, spec, hook=hook, layer_id=layer_id, op_base=op_base)
-                counts = eng.winograd_layer_counts(1, in_shape[0], layer.out_channels, *oh_ow)
-            op_base += sum(t[OpType.MUL] + t[OpType.ADD] for t in counts.values())
+                cur = eng.conv_winograd(cur, step.spec, hook=hook, layer_id=layer_id, op_base=step.op_base)
             if neuron_fn is not None:
                 cur = neuron_fn(layer_id, cur)
             if layer_id in capture:
                 res.conv_outputs[layer_id] = cur
-        elif isinstance(layer, (ReluLayer, ConstrainedReluLayer)):
-            cur = _relu(cur)
+        elif isinstance(layer, _RELUS):
+            data = np.maximum(cur.data, 0)
             if isinstance(layer, ConstrainedReluLayer):
-                cur = cur.with_data(constrain(cur.array, layer.lo, layer.hi, layer.mode))
+                data = constrain(data, layer.lo, layer.hi, layer.mode)
+            cur = QTensor.trusted(cur.shape, data, cur.qparams)
         elif isinstance(layer, FlattenLayer):
-            cur = QTensor((cur.shape[0], cur.size // cur.shape[0]), cur.data, cur.qparams)
+            cur = QTensor.trusted((cur.shape[0], cur.size // cur.shape[0]), cur.data, cur.qparams)
         elif isinstance(layer, LinearLayer):
-            cur = _linear(cur, layer, QuantParams(model.bit_width, layer.out_scale), cur.qparams)
-        conv_id = act_point.get(layer_id)
-        if conv_id is not None:
-            bounds = ranges.get(conv_id) if ranges is not None else None
-            if bounds is not None:
-                cur = cur.with_data(constrain(cur.array, bounds[0], bounds[1], range_mode))
-            if conv_id in capture_act:
-                res.activations[conv_id] = cur
+            acc = cur.array @ layer.weights.array.T
+            if layer.bias is not None:
+                acc = acc + layer.bias[None, :]
+            qp = step.qparams
+            cur = QTensor.trusted(acc.shape, eng.requant_array(acc, step.shift, qp.int_min, qp.int_max), qp)
+        if step.act_of is not None:
+            if step.bounds is not None:
+                cur = QTensor.trusted(cur.shape, constrain(cur.data, *step.bounds, program.range_mode), cur.qparams)
+            if step.act_of in capture_act:
+                res.activations[step.act_of] = cur
     for faults in (hook, neuron_fn):
         if isinstance(faults, (eng.OpFaults, NeuronFaults)):
             faults.record()

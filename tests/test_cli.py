@@ -648,6 +648,21 @@ def test_malformed_range_profile_exits_2(assets, tmp_path, capsys, case):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("bounds, code", [([40000, 50000], 2), ([-50000, -40000], 2), ([-70000, 70000], 0)])
+def test_range_profile_clamp_must_overlap_the_model_range(assets, tmp_path, capsys, bounds, code):
+    # a clamp to bounds past one end of int16 would push every value out of
+    # range; wider bounds that still overlap it clamp nothing and run
+    prof = tmp_path / "profile.json"
+    prof.write_text(json.dumps({"0": bounds}))
+    out = tmp_path / "r.csv"
+    assert run_cli("sweep", "--model", assets["model"], "--dataset", assets["dataset"], "--ber", "1e-4",
+                   "--trials", "1", "--ranges", str(prof), "--out", str(out)) == code
+    if code:
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError" and "range profile layer 0 clamps to" in err["message"]
+    assert out.exists() == (code == 0)
+
+
 def _campaign_config(assets, tmp_path, command):
     """A config file's worth of flags that runs ``command`` on the test assets."""
     cfg = {"model": assets["model"], "dataset": assets["dataset"], "engine": "direct",

@@ -1,0 +1,188 @@
+"""runtime.Program: the compiled (model, engine, ranges, range_mode) that
+run_inference runs, and the unchecked layer outputs it passes along."""
+
+import dataclasses
+import functools
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from winofi.analyze import Campaign
+from winofi.engine import OpFaults
+from winofi.errors import ConfigError
+from winofi.mitigate import RangeProfile, profile_ranges
+from winofi.modelio import ConstrainedReluLayer, ReluLayer, builtin_model, generate_dataset, generate_toy_model
+from winofi.qtensor import QTensor, QuantParams
+from winofi.runtime import NeuronFaults, Program, enumerate_ops, run_inference
+
+
+@functools.lru_cache(maxsize=None)
+def _model(bit_width, constrained):
+    """A two-conv model with ragged Winograd edge tiles, its first relu
+    constrained (lo, hi, mode) or plain, and one input."""
+    model = generate_toy_model(depth=2, channels=3, bit_width=bit_width, seed=13 + bit_width, hw=7)
+    if constrained is not None:
+        layers = list(model.layers)
+        relu = next(i for i, layer in enumerate(layers) if isinstance(layer, ReluLayer))
+        layers[relu] = ConstrainedReluLayer(*constrained)
+        model = dataclasses.replace(model, layers=layers)
+        model.validate()
+    return model, generate_dataset(model, 1, seed=3).samples[0]
+
+
+def _bounds(qp, mode):
+    """(lo, hi) strategy that may reach past the integer range; under clamp
+    it still overlaps it."""
+    lo = st.integers(qp.int_min - 1000, qp.int_max if mode == "clamp" else qp.int_max + 1000)
+    return lo.flatmap(lambda a: st.tuples(st.just(a), st.integers(max(a, qp.int_min if mode == "clamp" else a),
+                                                                  qp.int_max + 1000)))
+
+
+def _op_faults(data, space):
+    """A random OpFaults table: one mask column, or three as under TMR, each
+    mask inside its op's fault window."""
+    ids = sorted(set(data.draw(st.lists(st.integers(0, space.total_ops - 1), max_size=12))))
+    copies = data.draw(st.sampled_from([1, 3]))
+    widths = space.op_widths(ids).tolist()
+    masks = [[data.draw(st.integers(0, 2**w - 1)) for _ in range(copies)] for w in widths]
+    return OpFaults(np.array(ids, dtype=np.int64), np.array(masks, dtype=np.uint64).reshape(-1, copies),
+                    space.width_mul, space.width_add, lambda: None, None)
+
+
+def _neuron_faults(data, space):
+    ids = sorted(set(data.draw(st.lists(st.integers(0, space.total_neurons - 1), max_size=12))))
+    masks = [data.draw(st.integers(1, 2**64 - 1)) for _ in ids]
+    return NeuronFaults(np.array(ids, dtype=np.int64), np.array(masks, dtype=np.uint64), space.neuron_ranges,
+                        lambda: None)
+
+
+def _in_range(q: QTensor) -> bool:
+    qp = q.qparams
+    return q.data.dtype == np.int64 and qp.int_min <= int(q.data.min()) and int(q.data.max()) <= qp.int_max
+
+
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_unchecked_layer_outputs_stay_in_range(engine, data):
+    # Layer outputs pass between layers without a range check, so every
+    # fault table, fault window and range must still leave every conv
+    # output, activation and logit inside the model's integer range, and a
+    # compiled Program must give what a call compiling its own gives.
+    bits = data.draw(st.sampled_from([8, 16]))
+    qp = QuantParams(bits, 1.0)
+    constrained = None
+    if data.draw(st.booleans()):
+        mode = data.draw(st.sampled_from(["clamp", "zero"]))
+        constrained = (*data.draw(_bounds(qp, mode)), mode)
+    model, x = _model(bits, constrained)
+    fault_bits = data.draw(st.none() | st.integers(1, 64)
+                           | st.fixed_dictionaries({"MUL": st.integers(1, 64), "ADD": st.integers(1, 64)}))
+    space = enumerate_ops(model, engine, fault_bits=fault_bits)
+    hook = _op_faults(data, space) if data.draw(st.booleans()) else None
+    neuron_fn = _neuron_faults(data, space) if data.draw(st.booleans()) else None
+    range_mode = data.draw(st.sampled_from(["clamp", "zero"]))
+    conv_ids = tuple(space.conv_layer_ids())
+    ranges = data.draw(st.none() | st.dictionaries(st.sampled_from(conv_ids), _bounds(qp, range_mode)))
+
+    kw = dict(neuron_fn=neuron_fn, ranges=ranges, range_mode=range_mode, capture=conv_ids, capture_act=conv_ids)
+    program = Program(model, engine, ranges, range_mode)
+    res = run_inference(model, x, engine, hook, program=program, **kw)
+    assert all(map(_in_range, [*res.conv_outputs.values(), *res.activations.values(), res.output]))
+    assert sorted(res.conv_outputs) == sorted(res.activations) == list(conv_ids)
+    want = run_inference(model, x, engine, hook, **kw)
+    assert res.output == want.output
+    assert res.conv_outputs == want.conv_outputs
+    assert res.activations == want.activations
+
+
+def test_program_compiled_for_other_arguments_is_rejected():
+    model = builtin_model("toycnn-int16")
+    x = generate_dataset(model, 1, seed=5).samples[0]
+    prof = RangeProfile({0: (0, 900)})
+    program = Program(model, "winograd", prof, "zero")
+    want = run_inference(model, x, "winograd", ranges=prof, range_mode="zero").output
+    # the same arguments, the profile as an equal copy
+    assert run_inference(model, x, "winograd", ranges=RangeProfile({0: (0, 900)}), range_mode="zero",
+                         program=program).output == want
+    other = dataclasses.replace(model)  # an equal model, but another object
+    for args, kw in [((other, x, "winograd"), dict(ranges=prof, range_mode="zero")),
+                     ((model, x, "direct"), dict(ranges=prof, range_mode="zero")),
+                     ((model, x), dict(ranges=prof, range_mode="zero")),  # the model's own engine is direct
+                     ((model, x, "winograd"), dict(ranges=RangeProfile({0: (0, 901)}), range_mode="zero")),
+                     ((model, x, "winograd"), dict(ranges={0: (0, 900)}, range_mode="zero")),
+                     ((model, x, "winograd"), dict(range_mode="zero")),
+                     ((model, x, "winograd"), dict(ranges=prof, range_mode="clamp"))]:
+        with pytest.raises(ConfigError, match="compiled for another"):
+            run_inference(*args, program=program, **kw)
+
+
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+def test_program_op_layout_is_the_op_space(engine):
+    model = builtin_model("toycnn-int16")
+    program, space = Program(model, engine), enumerate_ops(model, engine)
+    assert [step.layer_id for step in program.convs] == space.conv_layer_ids()
+    for step in program.convs:
+        mine = (space.layers == step.layer_id)
+        assert step.op_base == int(space.starts[mine][0])
+        assert step.n_ops == space.count(step.layer_id)
+    assert sum(step.n_ops for step in program.steps) == space.total_ops
+
+
+@pytest.mark.parametrize("granularity", ["op", "neuron"])
+def test_campaign_pickles_with_its_program(granularity):
+    model = builtin_model("toycnn-int16")
+    data = generate_dataset(model, 3, seed=7)
+    prof = profile_ranges(model, data)
+    camp = Campaign(model, data, "winograd", granularity=granularity, seed=5, ranges=prof)
+    copy = pickle.loads(pickle.dumps(camp))
+    assert copy.program.model is copy.model
+    ber = 1e-4 if granularity == "op" else 3e-3
+    assert copy.run_point(ber, 3) == camp.run_point(ber, 3)
+    assert copy.corrupted_output(1, 2, ber, copy.base_scope).output == camp.corrupted_output(
+        1, 2, ber, camp.base_scope).output
+
+
+@pytest.mark.parametrize("lo, hi", [(40000, 50000), (-50000, -40000)])
+def test_clamp_bounds_outside_the_model_range_are_rejected(lo, hi):
+    model = builtin_model("toycnn-int16")
+    data = generate_dataset(model, 2, seed=7)
+    layers = list(model.layers)
+    layers[1] = ConstrainedReluLayer(lo, hi)
+    baked = dataclasses.replace(model, layers=layers)
+    with pytest.raises(ConfigError, match=rf"layer 1: constrained activation clamps to \[{lo}, {hi}\], outside"):
+        baked.validate()
+    for engine in ("direct", "winograd"):
+        with pytest.raises(ConfigError, match=rf"range profile layer 2 clamps to \[{lo}, {hi}\], outside the 16-bit"):
+            Campaign(model, data, engine, ranges=RangeProfile({2: (lo, hi)}))
+        with pytest.raises(ConfigError, match="range profile layer 2"):
+            run_inference(model, data.samples[0], engine, ranges={2: (lo, hi)})
+    # zeroing keeps every value in range, whatever the bounds
+    layers[1] = ConstrainedReluLayer(lo, hi, "zero")
+    dataclasses.replace(model, layers=layers).validate()
+    Campaign(model, data, ranges=RangeProfile({2: (lo, hi)}), range_mode="zero")
+
+
+@pytest.mark.parametrize("lo, hi", [(-70000, 70000), (-70000, -32768), (32767, 70000)])
+def test_clamp_bounds_that_overlap_the_model_range_stay_accepted(lo, hi):
+    model = builtin_model("toycnn-int16")
+    data = generate_dataset(model, 2, seed=7)
+    layers = list(model.layers)
+    layers[1] = ConstrainedReluLayer(lo, hi)
+    baked = dataclasses.replace(model, layers=layers)
+    baked.validate()
+    for engine in ("direct", "winograd"):
+        out = run_inference(baked, data.samples[0], engine).output
+        assert out == run_inference(model, data.samples[0], engine, ranges={0: (lo, hi)}).output
+        Campaign(model, data, engine, ranges=RangeProfile({2: (lo, hi)}))
+
+
+def test_trusted_wraps_without_a_copy():
+    data = np.array([[3, -4], [5, 127]], dtype=np.int64)
+    q = QTensor.trusted((2, 2), data, QuantParams(8, 1.0))
+    assert np.shares_memory(q.data, data)
+    assert not q.data.flags.writeable
+    assert q == QTensor((2, 2), data, QuantParams(8, 1.0))
