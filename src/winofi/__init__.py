@@ -29,7 +29,6 @@ from .inject import (
     FaultTrace,
     Granularity,
     Scope,
-    ber_neuron_to_op_scale,
     neuron_level_inject,
     op_level_hook,
 )

@@ -104,6 +104,9 @@ class Campaign:
     ):
         if len(dataset) == 0:
             raise ConfigError("dataset is empty")
+        for i, sample in enumerate(dataset.samples):
+            if sample.shape != (1, *model.input_shape):
+                raise ConfigError(f"sample {i} is shaped {sample.shape}; the model takes {(1, *model.input_shape)}")
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
         if not 0 <= seed < 1 << 63:
@@ -115,15 +118,12 @@ class Campaign:
         self.seed = seed
         self.base_scope = scope
         self.fault_bits = fault_bits
-        self.ranges = ranges
-        self.range_mode = range_mode
         self.workers = workers
         self.opspace = enumerate_ops(model, self.engine, fault_bits=fault_bits)
         if self.granularity is Granularity.NEURON_LEVEL and fault_bits is not None:
             raise ConfigError("fault_bits sets op result windows: neuron-level faults strike stored neuron bits")
         self.program = Program(model, self.engine, ranges, range_mode)
         self._checked([scope])
-        self._check_layers("range profile", ranges.ranges if ranges is not None else ())
         # a scope that can strike nothing would read the clean accuracy at any BER
         if not scope.admitted_layers(self.opspace):
             conv = self.opspace.conv_layer_ids()
@@ -159,7 +159,7 @@ class Campaign:
         """Run sample ``sample_idx`` under ``faults``, an op table (the hook) or a neuron table."""
         hook, neuron_fn = (None, faults) if isinstance(faults, NeuronFaults) else (faults, None)
         return run_inference(self.model, self.dataset.samples[sample_idx], self.engine, hook, neuron_fn=neuron_fn,
-                             ranges=self.ranges, range_mode=self.range_mode, capture=capture, program=self.program)
+                             capture=capture, program=self.program)
 
     def _tables(self, trial: int, sample_idx: int, ber: float, scopes, *, trace=None, replay=None, protected=()):
         """Yield (trial, sample)'s fault table under each of ``scopes``, each filtered from one draw of its flips."""
@@ -205,12 +205,6 @@ class Campaign:
 
     # -- campaign points -------------------------------------------------------
 
-    def _check_layers(self, what: str, layer_ids) -> None:
-        stray = sorted(set(layer_ids) - set(self.opspace.conv_layer_ids()))
-        if stray:
-            raise ConfigError(f"{what} layer ids {stray} are not conv layers of this model "
-                              f"(conv layers: {self.opspace.conv_layer_ids()})")
-
     def _op_ranges(self, what: str, ranges) -> tuple:
         """``ranges`` merged by ``merge_ranges``; they must lie inside an op-level Campaign's op space."""
         ranges = merge_ranges(ranges)
@@ -233,8 +227,8 @@ class Campaign:
             if self.granularity is Granularity.NEURON_LEVEL and (scope.include_optypes is not None or scope.exclude_optypes):
                 raise ConfigError("scope op types need an op-level Campaign: neurons have no op type")
             self._op_ranges("scope", scope.exclude_op_ranges)
-            self._check_layers("scope", (scope.include_layers or frozenset()) | scope.exclude_layers)
-        self._check_layers(what, capture)
+            self.program.check_conv_layers("scope", (scope.include_layers or frozenset()) | scope.exclude_layers)
+        self.program.check_conv_layers(what, capture)
         protected = self._op_ranges("protected", protected)
         if replay is not None:
             replay.validate(self.opspace, trials, self.sample_count, self.granularity.value, protected)

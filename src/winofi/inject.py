@@ -417,21 +417,3 @@ def neuron_level_inject(opspace: OpSpace, seed: int, ber: float, scope: Scope = 
     record = functools.partial(_record_table, trace.events, trial, sample, KIND_NEURON, ids, masks[:, None])
     return NeuronFaults(ids, masks, opspace.neuron_ranges, record), trace
 
-
-# ---------------------------------------------------------------------------
-# BER alignment between granularities
-
-
-def bit_ratio(op_bits: int, neuron_bits: int) -> float:
-    if neuron_bits <= 0:
-        raise ConfigError("neuron bit total must be positive")
-    return op_bits / neuron_bits
-
-
-def ber_neuron_to_op_scale(model, engine=None, fault_bits=None) -> float:
-    """(total op bits) / (total neuron bits): the factor aligning neuron-level
-    BER with op-level BER for one inference."""
-    from .runtime import enumerate_ops
-
-    space = enumerate_ops(model, engine, fault_bits=fault_bits)
-    return bit_ratio(space.total_op_bits, space.total_neuron_bits)

@@ -24,7 +24,7 @@ POINT = "post_activation"
 @dataclass
 class RangeProfile:
     """Per-conv-layer (min, max) of fault-free activations, integer domain,
-    taken at the post-activation point where ``run_inference`` applies them."""
+    taken at the post-activation point where a ``runtime.Program`` applies them."""
 
     ranges: dict = field(default_factory=dict)  # layer_id -> (lo, hi)
 

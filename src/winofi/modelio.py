@@ -56,9 +56,11 @@ def check_range_mode(mode: str) -> None:
 
 
 def check_clamp_bounds(what: str, lo, hi, mode: str, qp: QuantParams) -> None:
-    """Raise ConfigError when clamping to [lo, hi] would leave ``qp``'s integer
-    range: a clamp saturates to a bound, so both may not lie past one end.
-    Zeroing keeps every value in range, whatever the bounds."""
+    """Raise ConfigError for an unknown ``mode``, or when clamping to [lo, hi]
+    would leave ``qp``'s integer range: a clamp saturates to a bound, so both
+    may not lie past one end. Zeroing keeps every value in range, whatever
+    the bounds."""
+    check_range_mode(mode)
     if mode == "clamp" and (lo > qp.int_max or hi < qp.int_min):
         raise ConfigError(f"{what} clamps to [{lo}, {hi}], outside the {qp.bit_width}-bit range "
                           f"[{qp.int_min}, {qp.int_max}]")

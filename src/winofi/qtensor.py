@@ -97,10 +97,6 @@ class QTensor:
     def size(self) -> int:
         return self.data.size
 
-    def with_data(self, data) -> "QTensor":
-        """New QTensor with the same shape and qparams."""
-        return QTensor(self.shape, data, self.qparams)
-
     def dequantize(self) -> np.ndarray:
         return self.array.astype(np.float64) * self.qparams.scale
 

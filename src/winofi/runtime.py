@@ -1,8 +1,8 @@
 """Model execution and operation-stream enumeration.
 
 A :class:`Program` compiles a model for one engine and range profile once:
-the execution plan, each conv layer's place in the op stream and each
-activation point's bounds. :func:`run_inference` runs it, and
+the execution plan, each conv layer's place in the op stream and every
+clamp, checked. :func:`run_inference` runs it, and
 :class:`OpSpace` reads its op layout.
 
 Every primitive multiply/add of one inference gets a dense op_id assigned in
@@ -188,14 +188,17 @@ def enumerate_ops(
 
 class Step(NamedTuple):
     """One layer of a :class:`Program`: the ``layer`` at index ``layer_id``
-    of the model, and its output shape without the batch axis.
+    of the model, read for its type only, and its output shape without the
+    batch axis.
 
     A conv step runs ``spec`` and owns the ``n_ops`` op ids from ``op_base``
     on: the (stage, op count) ``regions`` in emission order, ``repeats``
-    times (once per Winograd tile). A linear step requantizes to
-    ``qparams`` by ``shift``. When the step's output is the activation point
-    of conv layer ``act_of``, ``bounds`` is the (lo, hi) range applied
-    there, or None.
+    times (once per Winograd tile). A linear step multiplies by ``weights``
+    (the layer's weights, transposed), adds ``bias`` and requantizes to
+    ``qparams`` by ``shift``. Then the step applies its ``clamps``, checked
+    (lo, hi, mode) tuples, in order: a constrained relu's, then the range
+    profile's when the step's output is the activation point of conv layer
+    ``act_of``.
     """
 
     layer_id: int
@@ -206,21 +209,27 @@ class Step(NamedTuple):
     n_ops: int
     regions: tuple
     repeats: int
+    weights: Optional[np.ndarray]
+    bias: Optional[np.ndarray]
     qparams: Optional[QuantParams]
     shift: int
+    clamps: tuple
     act_of: Optional[int]
-    bounds: Optional[tuple]
 
 
 class Program:
     """What :func:`run_inference` runs for one (model, engine, ranges,
-    range_mode), compiled once: a :class:`Step` per layer of
-    ``model.execution_plan()``, with the op layout :class:`OpSpace` reads.
+    range_mode), compiled once: the model's input shape and qparams, and a
+    :class:`Step` per layer of ``model.execution_plan()``, with the op
+    layout :class:`OpSpace` reads.
 
-    A Program is a snapshot of the model and the range profile, as a
-    Campaign's op space and clean outputs are: after mutating either,
-    compile a new one. Clamp bounds in ``ranges`` that leave the model's
-    integer range raise ConfigError here.
+    A Program is a snapshot: every operand and clamp it applies is compiled
+    into its steps, so mutating the model's layers afterwards changes
+    nothing it runs. ``ranges`` maps conv layer_id -> (lo, hi) bounds, which
+    ``range_mode`` applies at that layer's activation point (after the
+    following relu, or after the conv itself when no relu follows). Layer
+    ids that are not conv layers, an unknown ``range_mode`` and clamp bounds
+    that leave the model's integer range raise ConfigError here.
     """
 
     def __init__(self, model: ModelDef, engine: Optional[str] = None, ranges=None, range_mode: str = "clamp"):
@@ -228,13 +237,15 @@ class Program:
         if engine not in ("direct", "winograd"):
             raise ConfigError(f"unknown engine {engine!r}")
         check_range_mode(range_mode)
-        self.model, self.engine, self.ranges, self.range_mode = model, engine, ranges, range_mode
-        self.input_qparams = model.input_qparams
+        self.model, self.engine = model, engine
+        self.input_shape, self.input_qparams = model.input_shape, model.input_qparams
+        profile = getattr(ranges, "ranges", ranges) if ranges else {}  # a RangeProfile's or a plain dict's bounds
         plan = model.execution_plan()
         steps, convs = [], []
         qp, op_base, pending = self.input_qparams, 0, None  # pending: a conv before its activation point
         for layer_id, (layer, in_shape, out_shape, spec) in enumerate(plan):
-            n_ops, regions, repeats, out_qp, shift, act_of, bounds = 0, (), 0, None, 0, None, None
+            n_ops, regions, repeats, weights, bias, out_qp, shift = 0, (), 0, None, None, None, 0
+            clamps, act_of = (), None
             if spec is not None:
                 c, h, w = in_shape
                 oh, ow = spec.out_hw(h, w)
@@ -249,29 +260,41 @@ class Program:
                 n_ops = repeats * sum(n for _, n in regions)
                 qp, pending = spec.out_qparams, layer_id
             elif isinstance(layer, LinearLayer):
+                weights, bias = layer.weights.array.T, layer.bias
                 out_qp = QuantParams(model.bit_width, layer.out_scale)
                 shift = out_qp.scale_exponent() - qp.scale_exponent() - layer.weights.qparams.scale_exponent()
                 qp = out_qp
+            elif isinstance(layer, ConstrainedReluLayer):  # its bounds were checked by execution_plan
+                clamps = ((layer.lo, layer.hi, layer.mode),)
             # a conv layer's activation point: the relu right after it, or
             # the conv itself when no relu follows
             relu_next = layer_id + 1 < len(plan) and isinstance(plan[layer_id + 1][0], _RELUS)
             if pending is not None and not (pending == layer_id and relu_next):
                 act_of, pending = pending, None
-                bounds = ranges.get(act_of) if ranges is not None else None
+                bounds = profile.get(act_of)
                 if bounds is not None:
                     check_clamp_bounds(f"range profile layer {act_of}", *bounds, range_mode, qp)
-            steps.append(Step(layer_id, layer, out_shape, spec, op_base, n_ops, regions, repeats, out_qp, shift,
-                              act_of, bounds))
+                    clamps += ((*bounds, range_mode),)
+            steps.append(Step(layer_id, layer, out_shape, spec, op_base, n_ops, regions, repeats, weights, bias,
+                              out_qp, shift, clamps, act_of))
             if spec is not None:
                 convs.append(steps[-1])
             op_base += n_ops
         self.steps, self.convs = tuple(steps), tuple(convs)
+        if profile:
+            self.check_conv_layers("range profile", profile)
 
-    def check_compiled_for(self, model: ModelDef, engine: Optional[str], ranges, range_mode: str) -> None:
-        """Raise ConfigError unless this Program was compiled for these arguments."""
-        if not (model is self.model and (engine or model.engine) == self.engine and range_mode == self.range_mode
-                and (ranges is self.ranges or ranges == self.ranges)):
-            raise ConfigError("the program was compiled for another model, engine, ranges or range_mode")
+    def check_conv_layers(self, what: str, layer_ids) -> None:
+        """Raise ConfigError unless every id in ``layer_ids`` (``what`` in errors) is a conv layer."""
+        conv = [step.layer_id for step in self.convs]
+        stray = sorted(set(layer_ids) - set(conv))
+        if stray:
+            raise ConfigError(f"{what} layer ids {stray} are not conv layers of this model (conv layers: {conv})")
+
+    def check_compiled_for(self, model: ModelDef, engine: Optional[str]) -> None:
+        """Raise ConfigError unless this Program was compiled for ``model`` and ``engine``."""
+        if not (model is self.model and (engine or model.engine) == self.engine):
+            raise ConfigError("the program was compiled for another model or engine")
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +343,6 @@ def run_inference(
     hook=None,
     *,
     neuron_fn: Optional[NeuronFaults] = None,
-    ranges=None,
-    range_mode: str = "clamp",
     capture: tuple = (),
     capture_act: tuple = (),
     program: Optional[Program] = None,
@@ -334,24 +355,23 @@ def run_inference(
     trace records of the applied flips. Any other ``hook`` instruments every
     conv primitive op, which is the reference. A :class:`NeuronFaults` table
     as ``neuron_fn`` flips neurons of each conv layer's requantized output.
-    ``ranges`` maps conv layer_id -> (lo, hi) bounds applied at that layer's
-    activation point (after the following relu, or after the conv itself when
-    no relu follows). ``capture`` collects conv outputs post-injection and
-    pre-activation; ``capture_act`` collects activation-point values.
+    ``capture`` collects conv outputs post-injection and before any clamp;
+    ``capture_act`` collects activation-point values after all of them.
 
-    ``program`` is the :class:`Program` of (model, engine, ranges,
-    range_mode), compiled here when not given; one compiled for other
-    arguments raises ConfigError. Layer outputs pass from layer to layer
-    unchecked (see :meth:`QTensor.trusted`).
+    ``program`` is the :class:`Program` of (model, engine), compiled here
+    without a range profile when not given: range profiles reach an
+    inference only through it. One compiled for another model object or
+    engine raises ConfigError, and an input whose qparams or shape (past the
+    batch axis) differ from the model's raises ShapeError. Layer outputs
+    pass from layer to layer unchecked (see :meth:`QTensor.trusted`).
     """
     if program is None:
-        program = Program(model, engine, ranges, range_mode)
+        program = Program(model, engine)
     else:
-        program.check_compiled_for(model, engine, ranges, range_mode)
-    if x.qparams != program.input_qparams:
-        raise ShapeError(
-            f"input qparams {x.qparams} do not match model input {program.input_qparams}"
-        )
+        program.check_compiled_for(model, engine)
+    if x.qparams != program.input_qparams or x.shape[1:] != program.input_shape:
+        raise ShapeError(f"input {x.shape[1:]} at {x.qparams} does not match model input "
+                         f"{program.input_shape} at {program.input_qparams}")
     direct = program.engine == "direct"
     res = InferenceResult(output=x)
     cur = x
@@ -367,23 +387,19 @@ def run_inference(
             if layer_id in capture:
                 res.conv_outputs[layer_id] = cur
         elif isinstance(layer, _RELUS):
-            data = np.maximum(cur.data, 0)
-            if isinstance(layer, ConstrainedReluLayer):
-                data = constrain(data, layer.lo, layer.hi, layer.mode)
-            cur = QTensor.trusted(cur.shape, data, cur.qparams)
+            cur = QTensor.trusted(cur.shape, np.maximum(cur.data, 0), cur.qparams)
         elif isinstance(layer, FlattenLayer):
             cur = QTensor.trusted((cur.shape[0], cur.size // cur.shape[0]), cur.data, cur.qparams)
         elif isinstance(layer, LinearLayer):
-            acc = cur.array @ layer.weights.array.T
-            if layer.bias is not None:
-                acc = acc + layer.bias[None, :]
+            acc = cur.array @ step.weights
+            if step.bias is not None:
+                acc = acc + step.bias[None, :]
             qp = step.qparams
             cur = QTensor.trusted(acc.shape, eng.requant_array(acc, step.shift, qp.int_min, qp.int_max), qp)
-        if step.act_of is not None:
-            if step.bounds is not None:
-                cur = QTensor.trusted(cur.shape, constrain(cur.data, *step.bounds, program.range_mode), cur.qparams)
-            if step.act_of in capture_act:
-                res.activations[step.act_of] = cur
+        for lo, hi, mode in step.clamps:
+            cur = QTensor.trusted(cur.shape, constrain(cur.data, lo, hi, mode), cur.qparams)
+        if step.act_of in capture_act:
+            res.activations[step.act_of] = cur
     for faults in (hook, neuron_fn):
         if isinstance(faults, (eng.OpFaults, NeuronFaults)):
             faults.record()

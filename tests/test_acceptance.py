@@ -23,7 +23,7 @@ from winofi.inject import (
 from winofi.mitigate import profile_ranges
 from winofi.modelio import builtin_model, generate_dataset, generate_toy_model
 from winofi.qtensor import QTensor, QuantParams
-from winofi.runtime import enumerate_ops, run_inference, top1
+from winofi.runtime import Program, enumerate_ops, run_inference, top1
 from winofi.tmr import (
     CostModel,
     TmrPlan,
@@ -322,7 +322,7 @@ def test_criterion_09_constrained_activation(micro16, micro16_data):
     for mode in ("clamp", "zero"):
         for s in micro16_data.samples:
             plain = run_inference(micro16, s, "direct").output
-            cons = run_inference(micro16, s, "direct", ranges=prof, range_mode=mode).output
+            cons = run_inference(micro16, s, "direct", program=Program(micro16, "direct", prof, mode)).output
             assert cons == plain
 
     # paired Monte-Carlo at moderate BER: clamped >= unclamped, both engines

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from winofi.modelio import (
     generate_dataset,
     generate_toy_model,
 )
-from winofi.qtensor import QuantParams, quantize
+from winofi.qtensor import QTensor, QuantParams, quantize
 from winofi.runtime import enumerate_ops, run_inference
 from winofi.tmr import TmrPlan, run_with_tmr
 
@@ -45,6 +47,17 @@ def dataset(model):
 def test_campaign_requires_samples(model):
     with pytest.raises(ConfigError):
         Campaign(model, Dataset([]))
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 4, 9), (2, 1, 6, 6)], ids=["same-size", "two-samples"])
+def test_campaign_rejects_a_sample_of_another_shape(model, dataset, shape):
+    # (1, 4, 9) flattens to as many values as the model's (1, 6, 6) input;
+    # a batch of two would score only one top-1 and one op space.
+    samples = list(dataset.samples)
+    data = np.resize(samples[1].data, np.prod(shape))
+    samples[1] = QTensor(shape, data, samples[1].qparams)
+    with pytest.raises(ConfigError, match=re.escape(f"sample 1 is shaped {shape}; the model takes (1, 1, 6, 6)")):
+        Campaign(model, Dataset(samples))
 
 
 @pytest.mark.parametrize("trials", [0, -1])

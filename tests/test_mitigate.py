@@ -15,7 +15,7 @@ from winofi.modelio import (
     generate_toy_model,
 )
 from winofi.qtensor import QTensor
-from winofi.runtime import constrain, run_inference
+from winofi.runtime import Program, constrain, run_inference
 
 
 @pytest.fixture(scope="module")
@@ -83,8 +83,8 @@ def test_clamp_output_always_within_profile(model, dataset):
     from winofi.inject import op_level_hook
 
     hook, _ = op_level_hook(camp.opspace, 84, 1e-3, trial=0, sample=0)
-    out = run_inference(model, dataset.samples[0], "direct", hook.reference,
-                        ranges=prof, capture_act=(lid,))
+    out = run_inference(model, dataset.samples[0], "direct", hook.reference, capture_act=(lid,),
+                        program=Program(model, "direct", prof))
     lo, hi = prof.get(lid)
     arr = out.activations[lid].array
     assert arr.min() >= lo and arr.max() <= hi
@@ -95,7 +95,7 @@ def test_fault_free_idempotence(model, dataset):
     for mode in ("clamp", "zero"):
         for s in dataset.samples:
             plain = run_inference(model, s, "direct").output
-            constrained = run_inference(model, s, "direct", ranges=prof, range_mode=mode).output
+            constrained = run_inference(model, s, "direct", program=Program(model, "direct", prof, mode)).output
             assert constrained == plain
 
 
@@ -126,7 +126,8 @@ def test_constrained_relu_layer_type(model, dataset):
     space = enumerate_ops(model, "direct")
     for t in range(3):
         hook, _ = op_level_hook(space, 85, 5e-4, trial=t)
-        a = run_inference(model, dataset.samples[0], "direct", hook.reference, ranges=prof).output
+        a = run_inference(model, dataset.samples[0], "direct", hook.reference,
+                          program=Program(model, "direct", prof)).output
         hook, _ = op_level_hook(space, 85, 5e-4, trial=t)
         b = run_inference(baked, dataset.samples[0], "direct", hook.reference).output
         assert a == b

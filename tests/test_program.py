@@ -1,5 +1,6 @@
 """runtime.Program: the compiled (model, engine, ranges, range_mode) that
-run_inference runs, and the unchecked layer outputs it passes along."""
+run_inference runs, the clamps it holds, and the unchecked layer outputs it
+passes along."""
 
 import dataclasses
 import functools
@@ -88,36 +89,69 @@ def test_unchecked_layer_outputs_stay_in_range(engine, data):
     conv_ids = tuple(space.conv_layer_ids())
     ranges = data.draw(st.none() | st.dictionaries(st.sampled_from(conv_ids), _bounds(qp, range_mode)))
 
-    kw = dict(neuron_fn=neuron_fn, ranges=ranges, range_mode=range_mode, capture=conv_ids, capture_act=conv_ids)
+    kw = dict(neuron_fn=neuron_fn, capture=conv_ids, capture_act=conv_ids)
     program = Program(model, engine, ranges, range_mode)
     res = run_inference(model, x, engine, hook, program=program, **kw)
     assert all(map(_in_range, [*res.conv_outputs.values(), *res.activations.values(), res.output]))
     assert sorted(res.conv_outputs) == sorted(res.activations) == list(conv_ids)
-    want = run_inference(model, x, engine, hook, **kw)
-    assert res.output == want.output
-    assert res.conv_outputs == want.conv_outputs
-    assert res.activations == want.activations
+    wants = [run_inference(model, x, engine, hook, program=Program(model, engine, ranges, range_mode), **kw)]
+    if ranges is None:
+        wants.append(run_inference(model, x, engine, hook, **kw))
+    for want in wants:
+        assert res.output == want.output
+        assert res.conv_outputs == want.conv_outputs
+        assert res.activations == want.activations
 
 
 def test_program_compiled_for_other_arguments_is_rejected():
     model = builtin_model("toycnn-int16")
     x = generate_dataset(model, 1, seed=5).samples[0]
-    prof = RangeProfile({0: (0, 900)})
-    program = Program(model, "winograd", prof, "zero")
-    want = run_inference(model, x, "winograd", ranges=prof, range_mode="zero").output
+    program = Program(model, "winograd", RangeProfile({0: (0, 900)}), "zero")
     # the same arguments, the profile as an equal copy
-    assert run_inference(model, x, "winograd", ranges=RangeProfile({0: (0, 900)}), range_mode="zero",
-                         program=program).output == want
+    want = run_inference(model, x, "winograd", program=Program(model, "winograd", {0: (0, 900)}, "zero")).output
+    assert run_inference(model, x, "winograd", program=program).output == want
     other = dataclasses.replace(model)  # an equal model, but another object
-    for args, kw in [((other, x, "winograd"), dict(ranges=prof, range_mode="zero")),
-                     ((model, x, "direct"), dict(ranges=prof, range_mode="zero")),
-                     ((model, x), dict(ranges=prof, range_mode="zero")),  # the model's own engine is direct
-                     ((model, x, "winograd"), dict(ranges=RangeProfile({0: (0, 901)}), range_mode="zero")),
-                     ((model, x, "winograd"), dict(ranges={0: (0, 900)}, range_mode="zero")),
-                     ((model, x, "winograd"), dict(range_mode="zero")),
-                     ((model, x, "winograd"), dict(ranges=prof, range_mode="clamp"))]:
+    for args in [(other, x, "winograd"),
+                 (model, x, "direct"),
+                 (model, x)]:  # the model's own engine is direct
         with pytest.raises(ConfigError, match="compiled for another"):
-            run_inference(*args, program=program, **kw)
+            run_inference(*args, program=program)
+
+
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+def test_program_is_a_snapshot_of_the_layers(engine):
+    # Every clamp and operand is compiled into the steps, so mutating the
+    # model's layers afterwards changes nothing a compiled Program runs.
+    model = builtin_model("toycnn-int16")
+    layers = list(model.layers)
+    layers[1] = ConstrainedReluLayer(0, 100)
+    model = dataclasses.replace(model, layers=layers)
+    x = generate_dataset(model, 1, seed=5).samples[0]
+    program = Program(model, engine)
+    conv_ids = tuple(model.conv_layer_ids())
+    want = run_inference(model, x, engine, capture_act=conv_ids, program=program)
+    model.layers[1].lo, model.layers[1].hi = 40000, 50000
+    linear = model.layers[-1]
+    linear.weights, linear.bias = QTensor(linear.weights.shape, -linear.weights.data, linear.weights.qparams), None
+    got = run_inference(model, x, engine, capture_act=conv_ids, program=program)
+    assert all(map(_in_range, got.activations.values()))
+    assert got.activations == want.activations
+    assert got.output == want.output
+    # a new Program checks each clamp it compiles, the mode too
+    model.layers[1].mode = "bogus"
+    with pytest.raises(ConfigError, match="unknown constrained activation mode 'bogus'"):
+        Program(model, engine)
+
+
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+@pytest.mark.parametrize("layer", [99, 1], ids=["past-the-model", "relu-layer"])
+def test_program_rejects_profile_layers_that_are_not_conv_layers(engine, layer):
+    model = builtin_model("toycnn-int16")
+    message = rf"range profile layer ids \[{layer}\] are not conv layers of this model \(conv layers: \[0, 2, 4\]\)"
+    with pytest.raises(ConfigError, match=message):
+        Program(model, engine, {layer: (0, 5)})
+    with pytest.raises(ConfigError, match=message):
+        Campaign(model, generate_dataset(model, 1, seed=5), engine, ranges=RangeProfile({layer: (0, 5)}))
 
 
 @pytest.mark.parametrize("engine", ["direct", "winograd"])
@@ -159,7 +193,7 @@ def test_clamp_bounds_outside_the_model_range_are_rejected(lo, hi):
         with pytest.raises(ConfigError, match=rf"range profile layer 2 clamps to \[{lo}, {hi}\], outside the 16-bit"):
             Campaign(model, data, engine, ranges=RangeProfile({2: (lo, hi)}))
         with pytest.raises(ConfigError, match="range profile layer 2"):
-            run_inference(model, data.samples[0], engine, ranges={2: (lo, hi)})
+            Program(model, engine, {2: (lo, hi)})
     # zeroing keeps every value in range, whatever the bounds
     layers[1] = ConstrainedReluLayer(lo, hi, "zero")
     dataclasses.replace(model, layers=layers).validate()
@@ -176,7 +210,8 @@ def test_clamp_bounds_that_overlap_the_model_range_stay_accepted(lo, hi):
     baked.validate()
     for engine in ("direct", "winograd"):
         out = run_inference(baked, data.samples[0], engine).output
-        assert out == run_inference(model, data.samples[0], engine, ranges={0: (lo, hi)}).output
+        program = Program(model, engine, {0: (lo, hi)})
+        assert out == run_inference(model, data.samples[0], engine, program=program).output
         Campaign(model, data, engine, ranges=RangeProfile({2: (lo, hi)}))
 
 

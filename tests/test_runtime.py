@@ -10,7 +10,8 @@ from winofi.engine import OpType, Stage, lockstep_bound
 from winofi.errors import ConfigError, ShapeError
 from winofi.inject import FaultTrace, Scope, op_level_hook
 from winofi.modelio import builtin_model, generate_dataset, generate_toy_model
-from winofi.runtime import enumerate_ops, run_inference, top1
+from winofi.qtensor import QTensor
+from winofi.runtime import Program, enumerate_ops, run_inference, top1
 
 from conftest import CountingHook
 
@@ -318,14 +319,25 @@ def test_run_inference_rejects_wrong_qparams(toy8):
 
 
 @pytest.mark.parametrize("engine", ["direct", "winograd"])
+def test_run_inference_rejects_a_sample_of_another_shape(engine):
+    # (1, 4, 16) flattens to as many values as the model's (1, 8, 8) input,
+    # so without the shape check the linear head would accept it.
+    model = builtin_model("toycnn-int16")
+    x = generate_dataset(model, 1, seed=5).samples[0]
+    wrong = QTensor((1, 1, 4, 16), x.data, x.qparams)
+    for program in (None, Program(model, engine)):
+        with pytest.raises(ShapeError, match=r"input \(1, 4, 16\) at .* does not match model input \(1, 8, 8\)"):
+            run_inference(model, wrong, engine, program=program)
+
+
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
 @pytest.mark.parametrize("ranges", [None, {}], ids=["no-ranges", "no-bounded-layer"])
 def test_run_inference_rejects_an_unknown_range_mode(engine, ranges):
     # Without a bounded layer no activation is constrained, yet the mode is
-    # still checked before any layer runs.
+    # still checked when the Program an inference runs is compiled.
     model = builtin_model("toycnn-int16")
-    x = generate_dataset(model, 1, seed=5).samples[0]
     with pytest.raises(ConfigError, match="unknown constrained activation mode 'bogus'"):
-        run_inference(model, x, engine, range_mode="bogus", ranges=ranges)
+        Program(model, engine, ranges, "bogus")
 
 
 def test_run_inference_deterministic(toy16):
