@@ -29,6 +29,8 @@ from .inject import (
     FaultTrace,
     Granularity,
     Scope,
+    draw_neuron_flips,
+    draw_op_flips,
     neuron_level_inject,
     op_level_hook,
 )

@@ -31,7 +31,8 @@ from .inject import (
     op_level_hook,
 )
 from .modelio import Dataset, ModelDef
-from .runtime import NeuronFaults, Program, enumerate_ops, run_inference, top1
+from .runtime import NeuronFaults, OpSpace, Program, run_inference, top1
+from .runtime import enumerate_ops  # noqa: F401 - perfbench/tracing.py rebinds analyze.enumerate_ops
 
 
 def mean_ci95(values) -> tuple[float, float]:
@@ -85,7 +86,9 @@ class VulnReport:
 
 
 class Campaign:
-    """Shared fixture for Monte-Carlo accuracy campaigns on one model/engine."""
+    """Shared fixture for Monte-Carlo accuracy campaigns on one model/engine:
+    every run's flips are drawn in ``_tables``, at the run's BER from
+    ``seed``, or taken from the :class:`FaultTrace` ``replay``."""
 
     def __init__(
         self,
@@ -101,6 +104,7 @@ class Campaign:
         ranges=None,
         range_mode: str = "clamp",
         workers: int = 1,
+        replay: Optional[FaultTrace] = None,
     ):
         if len(dataset) == 0:
             raise ConfigError("dataset is empty")
@@ -119,11 +123,14 @@ class Campaign:
         self.base_scope = scope
         self.fault_bits = fault_bits
         self.workers = workers
-        self.opspace = enumerate_ops(model, self.engine, fault_bits=fault_bits)
+        self.program = Program(model, self.engine, ranges, range_mode)
+        self.opspace = OpSpace(self.program, fault_bits)
         if self.granularity is Granularity.NEURON_LEVEL and fault_bits is not None:
             raise ConfigError("fault_bits sets op result windows: neuron-level faults strike stored neuron bits")
-        self.program = Program(model, self.engine, ranges, range_mode)
+        # the trace is checked per run, against that run's trials and protected ranges
+        self.replay = None
         self._checked([scope])
+        self.replay = replay
         # a scope that can strike nothing would read the clean accuracy at any BER
         if not scope.admitted_layers(self.opspace):
             conv = self.opspace.conv_layer_ids()
@@ -161,30 +168,31 @@ class Campaign:
         return run_inference(self.model, self.dataset.samples[sample_idx], self.engine, hook, neuron_fn=neuron_fn,
                              capture=capture, program=self.program)
 
-    def _tables(self, trial: int, sample_idx: int, ber: float, scopes, *, trace=None, replay=None, protected=()):
-        """Yield (trial, sample)'s fault table under each of ``scopes``, each filtered from one draw of its flips."""
+    def _tables(self, trial: int, sample_idx: int, ber: float, scopes, *, trace=None, protected=()):
+        """Yield (trial, sample)'s fault table under each of ``scopes``, each
+        filtered from one draw of its flips: sampled at ``ber`` from the seed,
+        or taken from the Campaign's ``replay``."""
         kw = dict(trial=trial, sample=sample_idx)
         if self.granularity is Granularity.OP_LEVEL:
-            draw = draw_op_flips(self.opspace, self.seed, ber, replay=replay, protected=protected, **kw)
+            draw = draw_op_flips(self.opspace, self.seed, ber, replay=self.replay, protected=protected, **kw)
             inject = op_level_hook
         else:
-            draw = draw_neuron_flips(self.opspace, self.seed, ber, scopes, replay=replay, **kw)
+            draw = draw_neuron_flips(self.opspace, self.seed, ber, scopes, replay=self.replay, **kw)
             inject = neuron_level_inject
         for scope in scopes:
-            yield inject(self.opspace, self.seed, ber, scope, trace=trace, draw=draw, **kw)[0]
+            yield inject(self.opspace, draw, scope, trace=trace, **kw)[0]
 
     def corrupted_output(self, trial: int, sample_idx: int, ber: float, scope: Scope,
-                         trace: Optional[FaultTrace] = None, replay: Optional[FaultTrace] = None,
-                         capture: tuple = (), protected=()):
+                         trace: Optional[FaultTrace] = None, capture: tuple = (), protected=()):
         if trial < 0 or not 0 <= sample_idx < self.sample_count:
             raise ConfigError(f"trial {trial} must be >= 0 and sample {sample_idx} inside [0, {self.sample_count})")
         # the flips of one inference are keyed by (trial, sample), so ``replay`` may hold any trial's records
-        protected = self._checked([scope], ber, math.inf, protected, replay, capture)
-        faults = next(self._tables(trial, sample_idx, ber, [scope], trace=trace, replay=replay, protected=protected))
+        protected = self._checked([scope], ber, math.inf, protected, capture)
+        faults = next(self._tables(trial, sample_idx, ber, [scope], trace=trace, protected=protected))
         return self._infer(sample_idx, faults, capture=capture)
 
     def trial_correct(self, trial: int, ber: float, scopes, *, trace: Optional[FaultTrace] = None,
-                      replay: Optional[FaultTrace] = None, protected=()) -> list:
+                      protected=()) -> list:
         """Correct samples of one trial under each of ``scopes``.
 
         Each sample's flips are drawn once and filtered by every scope; each
@@ -195,7 +203,7 @@ class Campaign:
         counts = [0] * len(scopes)
         for i, ref in enumerate(self.refs):
             outcomes: dict = {}  # (ids, masks) of a table -> its top-1
-            tables = self._tables(trial, i, ber, scopes, trace=trace, replay=replay, protected=protected)
+            tables = self._tables(trial, i, ber, scopes, trace=trace, protected=protected)
             for j, faults in enumerate(tables):
                 key = (faults.ids.tobytes(), faults.masks.tobytes())
                 if key not in outcomes:
@@ -214,11 +222,12 @@ class Campaign:
             raise ConfigError(f"{what} op ranges {list(ranges)} reach outside the op space [0, {self.opspace.total_ops})")
         return ranges
 
-    def _checked(self, scopes, ber=0.0, trials=1, protected=(), replay=None, capture=(), what="capture") -> tuple:
+    def _checked(self, scopes, ber=0.0, trials=1, protected=(), capture=(), what="capture") -> tuple:
         """The merged ``protected`` ranges of a run that fits: BER in [0, 1], trials >= 1, ``scopes``
         that name only conv layers and op ranges inside the op space (at neuron level, only layers),
-        ``capture`` layers (``what`` in errors) that are conv layers, and a ``replay`` that passes
-        ``FaultTrace.validate``. Raise ConfigError for a run that does not fit."""
+        ``capture`` layers (``what`` in errors) that are conv layers, and a Campaign ``replay`` that
+        passes ``FaultTrace.validate`` for these trials and ranges. Raise ConfigError for a run that
+        does not fit."""
         if trials < 1:
             raise ConfigError("trials must be >= 1")
         if not 0.0 <= ber <= 1.0:
@@ -230,8 +239,8 @@ class Campaign:
             self.program.check_conv_layers("scope", (scope.include_layers or frozenset()) | scope.exclude_layers)
         self.program.check_conv_layers(what, capture)
         protected = self._op_ranges("protected", protected)
-        if replay is not None:
-            replay.validate(self.opspace, trials, self.sample_count, self.granularity.value, protected)
+        if self.replay is not None:
+            self.replay.validate(self.opspace, trials, self.sample_count, self.granularity.value, protected)
         return protected
 
     def tmr_ranges(self, plan) -> tuple:
@@ -250,30 +259,27 @@ class Campaign:
         scope: Optional[Scope] = None,
         *,
         trace: Optional[FaultTrace] = None,
-        replay: Optional[FaultTrace] = None,
         protected=(),
     ) -> CampaignResult:
-        """Accuracy over ``trials`` trials of the dataset. ``replay`` supplies
-        the flips, and ops inside the ``protected`` ranges run under TMR. A
-        point without ``trace`` or ``replay`` is kept for the Campaign's
+        """Accuracy over ``trials`` trials of the dataset, with the flips the
+        Campaign draws or replays; ops inside the ``protected`` ranges run
+        under TMR. A point without ``trace`` is kept for the Campaign's
         lifetime, so running it again is a lookup."""
-        return self._points(ber, trials, [scope or self.base_scope], protected, trace=trace, replay=replay)[0]
+        return self._points(ber, trials, [scope or self.base_scope], protected, trace=trace)[0]
 
-    def _points(self, ber: float, trials: int, scopes, protected=(), *, trace=None,
-                replay=None) -> list[CampaignResult]:
-        """One CampaignResult per scope. Without ``trace`` and ``replay``, the
-        points this Campaign ran before are looked up, and the others run
-        together in one pass and are kept; with either, every scope runs
-        fresh and nothing is kept. Trials run in ``workers`` processes unless
-        ``trace`` must collect their flips here. Every scope is checked
-        first (see ``_checked``)."""
-        protected = self._checked(scopes, ber, trials, protected, replay)
-        results = self._results if trace is None and replay is None else {}
+    def _points(self, ber: float, trials: int, scopes, protected=(), *, trace=None) -> list[CampaignResult]:
+        """One CampaignResult per scope. Without ``trace``, the points this
+        Campaign ran before are looked up, and the others run together in one
+        pass and are kept, replayed or not, since the Campaign fixes its
+        trace; with ``trace``, every scope runs fresh and nothing is kept.
+        Trials run in ``workers`` processes unless ``trace`` must collect
+        their flips here. Every scope is checked first (see ``_checked``)."""
+        protected = self._checked(scopes, ber, trials, protected)
+        results = self._results if trace is None else {}
         keys = [(ber, trials, scope, protected) for scope in scopes]
         missing = list(dict.fromkeys(scope for key, scope in zip(keys, scopes) if key not in results))
         if missing:
-            count = functools.partial(self.trial_correct, ber=ber, scopes=missing, trace=trace, replay=replay,
-                                      protected=protected)
+            count = functools.partial(self.trial_correct, ber=ber, scopes=missing, trace=trace, protected=protected)
             if self.workers > 1 and trials > 1 and trace is None:
                 workers = min(self.workers, trials)
                 with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -312,12 +318,11 @@ def sweep_ber(
     trials: int,
     *,
     trace: Optional[FaultTrace] = None,
-    replay: Optional[FaultTrace] = None,
     protected=(),
 ) -> list[CampaignResult]:
     """One CampaignResult per BER; the BER=0 point equals clean accuracy
     exactly. ``protected`` op ranges run under TMR (see ``run_point``)."""
-    return [camp.run_point(ber, trials, trace=trace, replay=replay, protected=protected) for ber in ber_list]
+    return [camp.run_point(ber, trials, trace=trace, protected=protected) for ber in ber_list]
 
 
 def rmse_layer(camp: Campaign, layer_id: int, ber: float, trials: int) -> float:

@@ -188,9 +188,10 @@ def _load_pair(cfg: dict):
     return model, dataset
 
 
-def _campaign(cfg: dict) -> Campaign:
-    """The Campaign of every campaign command; a flag that is not set (or
-    that the command lacks) leaves Campaign's default."""
+def _campaign(cfg: dict, replay=None) -> Campaign:
+    """The Campaign of every campaign command, replaying the fault trace
+    ``replay`` if given; a flag that is not set (or that the command lacks)
+    leaves Campaign's default."""
     model, dataset = _load_pair(cfg)
     if "range_mode" in cfg and "ranges" not in cfg:
         raise ConfigError("--range-mode needs --ranges: without a range profile no activation is constrained")
@@ -201,7 +202,7 @@ def _campaign(cfg: dict) -> Campaign:
         kwargs["fault_bits"] = _parse_fault_bits(cfg["fault_bits"])
     if "ranges" in cfg:
         kwargs["ranges"] = RangeProfile.load_json(cfg["ranges"])
-    return Campaign(model, dataset, **kwargs)
+    return Campaign(model, dataset, replay=replay, **kwargs)
 
 
 def _render(cfg: dict, results, meta: dict, to_csv=campaign_csv, to_json=campaign_json) -> str:
@@ -224,9 +225,9 @@ def cmd_sweep(cfg: dict, replay=None, plan=None) -> None:
             "--save-trace needs a single-BER campaign (a trace cannot tell "
             "flips of different BER points apart); run one sweep per point"
         )
-    camp = _campaign(cfg)
+    camp = _campaign(cfg, replay)
     protected = camp.tmr_ranges(plan) if plan is not None else ()
-    results = sweep_ber(camp, bers, cfg.get("trials", TRIALS), trace=trace, replay=replay, protected=protected)
+    results = sweep_ber(camp, bers, cfg.get("trials", TRIALS), trace=trace, protected=protected)
     _write_output(cfg, _render(cfg, results, _meta(cfg)))
     if trace is not None:
         trace.save_jsonl(cfg["save_trace"])

@@ -130,10 +130,11 @@ class _Transform:
         return cls(tuple(steps), [0] * (out + r * r - t0), out)
 
     @functools.cached_property
-    def linear(self) -> tuple:
-        """(X, D, OX, OD): the program as integer matrices. Step s's result
-        is X[s] x + D[s] d and the output is OX x + OD d, for the inputs x
-        and the deltas d that flips add to the steps' results."""
+    def linear(self) -> dict:
+        """{dtype: (X, D, OX, OD)}: the program as integer matrices, in
+        int64, float64 and object (Python ints). Step s's result is
+        X[s] x + D[s] d and the output is OX x + OD d, for the inputs x and
+        the deltas d that flips add to the steps' results; OX is kron(M, M)."""
         n_in = min(dst for dst, *_ in self.steps)
         # each slot as its coefficients of the inputs, then of the deltas
         basis = np.eye(n_in + len(self.steps), dtype=np.int64)
@@ -143,20 +144,17 @@ class _Transform:
             buf[dst] = (buf[a] - buf[b] if sub else buf[a] + buf[b]) + basis[n_in + s]
             nodes.append(buf[dst])
         nodes, out = np.array(nodes), np.array(buf[self.out :])
-        return nodes[:, :n_in], nodes[:, n_in:], out[:, :n_in], out[:, n_in:]
+        mats = nodes[:, :n_in], nodes[:, n_in:], out[:, :n_in], out[:, n_in:]
+        return {np.dtype(dt): tuple(m.astype(dt) for m in mats) for dt in (np.int64, np.float64, object)}
 
 
 _ADD = int(OpType.ADD)
 _INPUT_TF = _Transform.of(BT_F2X2_3X3, 4)
 _INVERSE_TF = _Transform.of(AT_F2X2_3X3, 4)
 # The transforms on a row-major flat tile: vec(M X M^T) = kron(M, M) vec(X).
-_KRON_BT_INT = np.kron(BT_F2X2_3X3, BT_F2X2_3X3)
-_KRON_BT = _KRON_BT_INT.astype(np.float64)
+_KRON_BT = _INPUT_TF.linear[np.dtype(np.float64)][2]
 _KRON_G2 = np.kron(G2_F2X2_3X3, G2_F2X2_3X3).astype(np.float64)
-_KRON_AT_INT = np.kron(AT_F2X2_3X3, AT_F2X2_3X3)
-_KRON_AT = _KRON_AT_INT.astype(np.float64)
-# The struck paths' (kron(B^T, B^T), kron(A^T, A^T)) in each dtype _layer_faults picks.
-_KRON_INT = {dt: (_KRON_BT_INT.astype(dt), _KRON_AT_INT.astype(dt)) for dt in (np.int64, object)}
+_KRON_AT = _INVERSE_TF.linear[np.dtype(np.float64)][2]
 # Row and column of each element of a flat 2x2 output tile.
 _TILE_DY, _TILE_DX = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
 # About the most float64 values that a block of the vectorized kernels copies
@@ -352,7 +350,7 @@ def _tf_bound(tf: _Transform, x: int, flip: int) -> int:
     """Largest magnitude of a step result or output of ``tf`` (or of a
     partial sum computing it from ``tf.linear``) from inputs of magnitude
     at most ``x`` when every step may move its result by less than ``flip``."""
-    wx, wd, ox, od = (np.abs(m).sum(axis=1).tolist() for m in tf.linear)
+    wx, wd, ox, od = (np.abs(m).sum(axis=1).tolist() for m in tf.linear[np.dtype(np.int64)])
     return max(a * x + b * flip for a, b in zip(wx + ox, wd + od))
 
 
@@ -411,7 +409,7 @@ def _lockstep(tf: _Transform, x: np.ndarray, rows: np.ndarray, steps: np.ndarray
     flipped by ``masks[j]``. Each step's result is a fixed combination of the
     row and the deltas of its earlier flips (``tf.linear``), so the flips of
     all rows apply together, rank by rank in step order."""
-    wx, wd, ox, od = (m.astype(x.dtype) for m in tf.linear)
+    wx, wd, ox, od = tf.linear[x.dtype]
     delta = np.zeros((x.shape[0], len(tf.steps)), dtype=x.dtype)
     order = np.lexsort((steps, rows))
     rank = _ranks(rows[order])
@@ -667,7 +665,6 @@ def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, out: np.ndarray
     t, o = np.divmod(offs, inv0 + k_ * n_inv)
     itf, ew, cs, inv = o < ew0, (ew0 <= o) & (o < cs0), (cs0 <= o) & (o < inv0), inv0 <= o
 
-    kron_bt, kron_at = _KRON_INT[dt]
     hit = np.zeros((n_ * ty_ * tx_, k_), dtype=bool)
     hit[t[itf]] = True
     # element-wise multiply and channel-sum flips: (tile, k, c, e)
@@ -684,7 +681,7 @@ def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, out: np.ndarray
     s_n, s_c, s_y, s_x = xp.strides
     tile_of = _view(xp, 0, (n_, ty_, tx_, c_, 4, 4), (s_n, 2 * s_y, 2 * s_x, s_c, s_y, s_x))
     d = tile_of[np.unravel_index(tiles, (n_, ty_, tx_))].reshape(-1, 16).astype(dt, copy=False)  # (tiles * C, 16)
-    v = d @ kron_bt.T
+    v = d @ _INPUT_TF.linear[d.dtype][2].T
     if itf.any():
         c, step = np.divmod(o[itf], n_itf)
         rows, r = np.unique(np.searchsorted(tiles, t[itf]) * c_ + c, return_inverse=True)
@@ -698,7 +695,7 @@ def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, out: np.ndarray
     s = np.cumsum(p, axis=1, out=p).transpose(0, 2, 1)  # (units, 16, C): a chain per (unit, e)
     k, c, e = kce[1]
     s = s[..., -1] + _flip_chains(s, (unit[t[cs], k], e), c, masks[cs])
-    y = s @ kron_at.T  # (units, 4)
+    y = s @ _INVERSE_TF.linear[d.dtype][2].T  # (units, 4)
     if inv.any():
         rows, r = np.unique(unit[t[inv], k_inv], return_inverse=True)
         y[rows] = _lockstep(_INVERSE_TF, s[rows], r, step_inv, masks[inv])

@@ -325,34 +325,28 @@ def draw_op_flips(
 
 def op_level_hook(
     opspace: OpSpace,
-    seed: int,
-    ber: float,
+    draw: tuple,
     scope: Scope = Scope(),
     *,
     trial: int = 0,
     sample: int = 0,
     trace: Optional[FaultTrace] = None,
-    replay: Optional[FaultTrace] = None,
-    protected=(),
-    draw: Optional[tuple] = None,
 ):
     """The in-scope op flips of one inference, as the hook ``run_inference`` takes.
 
-    ``draw`` is this inference's :func:`draw_op_flips` result, drawn here
-    from ``replay`` or at ``ber`` when not given; paired-scope campaigns
-    draw once and filter that draw by each of their scopes. Ops inside the
-    ``protected`` ranges run under TMR: three copies with independent flips
-    (copies 0-2), majority-voted. Every other op takes the copy-0 flips.
-    Scope and protection are decided here, once for the whole table.
-    Returns (:class:`OpFaults`, trace); while the inference runs, the trace
-    accumulates exactly the applied flips, in (op, copy, bit) order. The
-    table's ``reference`` applies the same flips one op at a time and
-    writes its records itself.
+    ``draw`` is this inference's :func:`draw_op_flips` result, which holds
+    the seed, BER, replayed trace and TMR copies; this filters it by
+    ``scope``, so paired-scope campaigns draw once and filter that draw by
+    each of their scopes. Ops the draw marks ``voted`` run under TMR: three
+    copies with independent flips (copies 0-2), majority-voted. Every other
+    op takes the copy-0 flips. Returns (:class:`OpFaults`, trace); while the
+    inference runs, the trace accumulates exactly the applied flips, in
+    (op, copy, bit) order, recorded as ``trial`` and ``sample``. The table's
+    ``reference`` applies the same flips one op at a time and writes its
+    records itself.
     """
     if trace is None:
         trace = FaultTrace()
-    if draw is None:
-        draw = draw_op_flips(opspace, seed, ber, trial=trial, sample=sample, replay=replay, protected=protected)
     ids, masks, voted = draw
     keep = scope.keep(opspace, ids)
     ids, masks, voted = ids[keep], masks[keep], voted[keep]
@@ -401,19 +395,15 @@ def draw_neuron_flips(opspace: OpSpace, seed: int, ber: float, scopes=(Scope(),)
     return _flip_masks(np.concatenate(pos), width)
 
 
-def neuron_level_inject(opspace: OpSpace, seed: int, ber: float, scope: Scope = Scope(), *, trial: int = 0,
-                        sample: int = 0, trace: Optional[FaultTrace] = None, replay: Optional[FaultTrace] = None,
-                        draw: Optional[tuple] = None):
+def neuron_level_inject(opspace: OpSpace, draw: tuple, scope: Scope = Scope(), *, trial: int = 0, sample: int = 0,
+                        trace: Optional[FaultTrace] = None):
     """The in-scope neuron flips of one inference, as the ``neuron_fn``
     ``run_inference`` takes; the neuron twin of :func:`op_level_hook`, whose
     ``draw`` is a :func:`draw_neuron_flips` result. The trace records come in
     (neuron, bit) order, which is also layer order."""
     if trace is None:
         trace = FaultTrace()
-    if draw is None:
-        draw = draw_neuron_flips(opspace, seed, ber, (scope,), trial=trial, sample=sample, replay=replay)
     keep = _in_ranges(draw[0], [opspace.neuron_ranges[lid] for lid in scope.admitted_layers(opspace)])
     ids, masks = (column[keep] for column in draw)
     record = functools.partial(_record_table, trace.events, trial, sample, KIND_NEURON, ids, masks[:, None])
     return NeuronFaults(ids, masks, opspace.neuron_ranges, record), trace
-

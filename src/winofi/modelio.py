@@ -450,7 +450,6 @@ def generate_toy_model(
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x70F)))
     cal = rng.normal(0.0, 1.0, size=(4, in_channels, hw, hw))
     input_scale = pow2_scale_for(float(np.abs(cal).max()), bit_width)
-    in_qp = QuantParams(bit_width, input_scale)
 
     layers = []
     x = cal

@@ -282,9 +282,7 @@ def run_with_tmr(
     trial: int = 0,
     sample: int = 0,
     trace: Optional[FaultTrace] = None,
-    replay: Optional[FaultTrace] = None,
 ) -> QTensor:
     """One inference of ``camp``'s sample ``sample`` with per-op TMR over
     ``plan``'s protected segments (see ``op_level_hook``)."""
-    return camp.corrupted_output(trial, sample, ber, camp.base_scope, trace=trace, replay=replay,
-                                 protected=camp.tmr_ranges(plan)).output
+    return camp.corrupted_output(trial, sample, ber, camp.base_scope, trace=trace, protected=camp.tmr_ranges(plan)).output

@@ -17,6 +17,7 @@ from winofi.inject import (
     FaultTrace,
     Granularity,
     Scope,
+    draw_op_flips,
     op_level_hook,
     sample_op_flips,
 )
@@ -136,7 +137,7 @@ def test_criterion_03_injector_statistics(micro16):
     small = generate_toy_model(depth=1, channels=1, bit_width=8, seed=6, hw=4)
     sp = enumerate_ops(small, "direct")
     x = generate_dataset(small, 1, seed=6).samples[0]
-    inner, _ = op_level_hook(sp, 2, 1.0)
+    inner, _ = op_level_hook(sp, draw_op_flips(sp, 2, 1.0))
     seen = []
 
     def spy(op_id, layer_id, op_type, stage, value):
@@ -247,7 +248,7 @@ def test_criterion_07_tmr_correctness(micro16, micro16_data):
         events.append((0, 0, "op", int(op_id), int(rng.integers(0, int(space.op_widths([op_id])[0]))),
                        int(rng.integers(0, 3))))
     forced = FaultTrace(events)
-    out = run_with_tmr(Campaign(micro16, micro16_data, "direct", seed=21), plan, 0.9, replay=forced)
+    out = run_with_tmr(Campaign(micro16, micro16_data, "direct", seed=21, replay=forced), plan, 0.9)
     assert out == clean
 
     # Monte-Carlo: full protection beats unprotected with non-overlapping CIs

@@ -114,7 +114,7 @@ def test_trace_and_replay_round_trip(model, dataset):
     camp = Campaign(model, dataset, "direct", seed=5)
     first = sweep_ber(camp, [2e-4], trials=6, trace=trace)
     assert len(trace) > 0
-    again = sweep_ber(camp, [2e-4], trials=6, replay=trace)
+    again = sweep_ber(Campaign(model, dataset, "direct", seed=5, replay=trace), [2e-4], trials=6)
     assert first[0].per_trial_correct == again[0].per_trial_correct
 
 
@@ -318,33 +318,34 @@ def toy_direct():
     return Campaign(toy, generate_dataset(toy, 4, seed=1), "direct", seed=0)
 
 
-def _single_run(entry, camp, trial=0, sample=0, ber=1e-2, replay=None, layer=0):
+def _single_run(entry, camp, trial=0, sample=0, ber=1e-2, layer=0):
     """One run of ``entry``: a single inference, a TMR inference under a plan
     protecting nothing, or an RMSE point of one trial."""
     if entry == "corrupted_output":
-        return camp.corrupted_output(trial, sample, ber, camp.base_scope, replay=replay, capture=(layer,)).output
+        return camp.corrupted_output(trial, sample, ber, camp.base_scope, capture=(layer,)).output
     if entry == "run_with_tmr":
         total = camp.opspace.total_ops
         plan = TmrPlan(segment_size=total, total_ops=total, order=[0], n=0, achieved_acc=0.0, target_acc=0.0)
-        return run_with_tmr(camp, plan, ber, trial=trial, sample=sample, replay=replay)
+        return run_with_tmr(camp, plan, ber, trial=trial, sample=sample)
     return rmse_layer(camp, layer, ber, 1)
 
 
-def _replay(*events):
-    return {"replay": FaultTrace(list(events))}
+def _replay(camp, *events):
+    """``camp``'s settings in a Campaign that replays ``events``."""
+    return {"camp": Campaign(camp.model, camp.dataset, camp.engine, seed=camp.seed, replay=FaultTrace(list(events)))}
 
 
 INFERENCES = ("corrupted_output", "run_with_tmr")
-BAD_RUNS = {  # case -> (arguments of _single_run given the op space, the entries that take them)
-    "op-past-the-op-space": (lambda space: _replay((0, 0, "op", space.total_ops + 5, 0, 0)), INFERENCES),
-    "bit-past-the-window": (lambda space: _replay((0, 0, "op", 5, 60, 0)), INFERENCES),
-    "neuron-record": (lambda space: _replay((0, 0, "neuron", 5, 0, 0)), INFERENCES),
-    "ber-2": (lambda space: {"ber": 2.0}, INFERENCES + ("rmse_layer",)),
-    "sample-past-the-end": (lambda space: {"sample": 4}, INFERENCES),
-    "negative-sample": (lambda space: {"sample": -1}, INFERENCES),
-    "negative-trial": (lambda space: {"trial": -1}, INFERENCES),
-    "missing-layer": (lambda space: {"layer": 99}, ("corrupted_output", "rmse_layer")),
-    "relu-layer": (lambda space: {"layer": 1}, ("corrupted_output", "rmse_layer")),
+BAD_RUNS = {  # case -> (arguments of _single_run given its Campaign, the entries that take them)
+    "op-past-the-op-space": (lambda camp: _replay(camp, (0, 0, "op", camp.opspace.total_ops + 5, 0, 0)), INFERENCES),
+    "bit-past-the-window": (lambda camp: _replay(camp, (0, 0, "op", 5, 60, 0)), INFERENCES),
+    "neuron-record": (lambda camp: _replay(camp, (0, 0, "neuron", 5, 0, 0)), INFERENCES),
+    "ber-2": (lambda camp: {"ber": 2.0}, INFERENCES + ("rmse_layer",)),
+    "sample-past-the-end": (lambda camp: {"sample": 4}, INFERENCES),
+    "negative-sample": (lambda camp: {"sample": -1}, INFERENCES),
+    "negative-trial": (lambda camp: {"trial": -1}, INFERENCES),
+    "missing-layer": (lambda camp: {"layer": 99}, ("corrupted_output", "rmse_layer")),
+    "relu-layer": (lambda camp: {"layer": 1}, ("corrupted_output", "rmse_layer")),
 }
 
 
@@ -356,16 +357,17 @@ def test_every_single_run_rejects_input_that_cannot_act(toy_direct, monkeypatch,
 
     args, _ = BAD_RUNS[case]
     assert toy_direct.opspace.op_widths([5])[0] <= 60  # so bit 60 of op 5 lies past its window
+    kw = {"camp": toy_direct, **args(toy_direct)}  # a replaying Campaign runs its clean pass here
     monkeypatch.setattr(winofi.analyze, "run_inference", lambda *a, **k: pytest.fail("an inference ran"))
     with pytest.raises(ConfigError):
-        _single_run(entry, toy_direct, **args(toy_direct.opspace))
+        _single_run(entry, **kw)
 
 
 @pytest.mark.parametrize("entry", INFERENCES)
 def test_a_single_inference_replays_a_trace_of_later_trials(toy_direct, entry):
     # (trial, sample) keys one inference's flips: other trials' records do not apply
     clean = _single_run(entry, toy_direct, ber=0.0)
-    assert _single_run(entry, toy_direct, **_replay((1, 0, "op", 5, 3, 0), (2, 3, "op", 7, 0, 0))) == clean
+    assert _single_run(entry, **_replay(toy_direct, (1, 0, "op", 5, 3, 0), (2, 3, "op", 7, 0, 0))) == clean
 
 
 def test_campaign_rejects_an_unknown_range_mode(model, dataset):
@@ -436,16 +438,22 @@ def test_workers_do_not_change_results(model, dataset, engine, use_labels):
 
 
 @pytest.mark.parametrize("granularity", ["op", "neuron"])
-def test_workers_do_not_change_a_replay(model, dataset, granularity):
+def test_workers_do_not_change_a_replay(model, dataset, granularity, monkeypatch):
+    import winofi.analyze
+
     kw = dict(granularity=Granularity(granularity), seed=53)
     camp = Campaign(model, dataset, "winograd", workers=1, **kw)
     protected = [(0, camp.opspace.total_ops // 3)] if granularity == "op" else []
     trace = FaultTrace()
     saved = camp.run_point(3e-3, 5, trace=trace, protected=protected)
     assert len(trace) > 0
-    seq = camp.run_point(3e-3, 5, replay=trace, protected=protected)
-    par = Campaign(model, dataset, "winograd", workers=2, **kw).run_point(3e-3, 5, replay=trace, protected=protected)
-    assert seq == par == saved
+    replaying = [Campaign(model, dataset, "winograd", workers=w, replay=trace, **kw) for w in (1, 2)]
+    assert [c.run_point(3e-3, 5, protected=protected) for c in replaying] == [saved, saved]
+    # a replaying Campaign keeps its points too: the same point again runs no inference
+    real, ran = winofi.analyze.run_inference, []
+    monkeypatch.setattr(winofi.analyze, "run_inference", lambda *a, **k: ran.append(a) or real(*a, **k))
+    assert [c.run_point(3e-3, 5, protected=protected) for c in replaying] == [saved, saved]
+    assert ran == []
 
 
 def _protected_runs(camp, protected):
@@ -495,7 +503,8 @@ def _pinned_runs(engine, tmp_path):
     from winofi.modelio import builtin_model
 
     model = builtin_model("toycnn-int16")
-    camp = Campaign(model, generate_dataset(model, 3, seed=61), engine, seed=62)
+    dataset = generate_dataset(model, 3, seed=61)
+    camp = Campaign(model, dataset, engine, seed=62)
     total = camp.opspace.total_ops
     excluded = Scope(exclude_layers=frozenset({2}), exclude_optypes=frozenset({OpType.ADD}),
                      exclude_op_ranges=((total // 10, total // 5), (total - 900, total)))
@@ -507,7 +516,7 @@ def _pinned_runs(engine, tmp_path):
         for i in range(3):
             camp.corrupted_output(t, i, 1e-4, Scope(), trace=unscoped)
 
-    def run(ber, scope, **kw):
+    def run(ber, scope, camp=camp, **kw):
         trace, logits = FaultTrace(), b""
         for t in range(2):
             for i in range(3):
@@ -517,7 +526,7 @@ def _pinned_runs(engine, tmp_path):
         trace.save_jsonl(str(path))
         return len(trace), path.read_bytes(), logits
 
-    runs = [run(1e-4, excluded), run(1e-4, narrow, replay=unscoped),
+    runs = [run(1e-4, excluded), run(1e-4, narrow, camp=Campaign(model, dataset, engine, seed=62, replay=unscoped)),
             run(1e-3, Scope(exclude_layers=frozenset({0})), protected=protected)]
     return len(unscoped), runs
 

@@ -7,6 +7,8 @@ from winofi.errors import ConfigError
 from winofi.inject import (
     FaultTrace,
     Scope,
+    draw_neuron_flips,
+    draw_op_flips,
     neuron_level_inject,
     op_level_hook,
     sample_op_flips,
@@ -94,7 +96,7 @@ def test_sampler_is_pure_function_of_key():
 
 def test_opcfg_ber_zero_identity(model, sample):
     space = enumerate_ops(model, "direct")
-    hook, trace = op_level_hook(space, 0, 0.0)
+    hook, trace = op_level_hook(space, draw_op_flips(space, 0, 0.0))
     out = run_inference(model, sample, "direct", hook.reference).output
     clean = run_inference(model, sample, "direct").output
     assert out == clean
@@ -105,7 +107,7 @@ def test_opcfg_ber_one_complements_every_result(model, sample):
     space = enumerate_ops(model, "direct")
     seen = {}
 
-    hook, _ = op_level_hook(space, 0, 1.0)
+    hook, _ = op_level_hook(space, draw_op_flips(space, 0, 1.0))
 
     def spy(op_id, layer_id, op_type, stage, value):
         got = hook.reference(op_id, layer_id, op_type, stage, value)
@@ -124,7 +126,7 @@ def test_opcfg_ber_one_complements_every_result(model, sample):
 
 def test_trace_records_match_masks(model, sample):
     space = enumerate_ops(model, "direct")
-    hook, trace = op_level_hook(space, 5, 2e-4)
+    hook, trace = op_level_hook(space, draw_op_flips(space, 5, 2e-4))
     run_inference(model, sample, "direct", hook.reference).output
     assert len(trace) > 0
     masks = trace.masks_for(0, 0, "op")
@@ -136,7 +138,7 @@ def test_reproducible_corruption(model, sample):
     space = enumerate_ops(model, "winograd")
     outs, traces = [], []
     for _ in range(2):
-        hook, trace = op_level_hook(space, 9, 1e-4)
+        hook, trace = op_level_hook(space, draw_op_flips(space, 9, 1e-4))
         outs.append(run_inference(model, sample, "winograd", hook.reference).output)
         traces.append(trace)
     assert outs[0] == outs[1]
@@ -145,9 +147,9 @@ def test_reproducible_corruption(model, sample):
 
 def test_replay_reproduces_output(model, sample):
     space = enumerate_ops(model, "direct")
-    hook, trace = op_level_hook(space, 31, 1e-4)
+    hook, trace = op_level_hook(space, draw_op_flips(space, 31, 1e-4))
     corrupted = run_inference(model, sample, "direct", hook.reference).output
-    replay, _ = op_level_hook(space, 31, 1e-4, replay=trace)
+    replay, _ = op_level_hook(space, draw_op_flips(space, 31, 1e-4, replay=trace))
     again = run_inference(model, sample, "direct", replay.reference).output
     assert corrupted == again
 
@@ -156,7 +158,7 @@ def test_scope_soundness(model, sample):
     space = enumerate_ops(model, "direct")
     layers = space.conv_layer_ids()
     scope = Scope(exclude_layers=frozenset({layers[0]}), exclude_optypes=frozenset({OpType.ADD}))
-    hook, trace = op_level_hook(space, 13, 2e-3, scope)
+    hook, trace = op_level_hook(space, draw_op_flips(space, 13, 2e-3), scope)
     run_inference(model, sample, "direct", hook.reference)
     assert len(trace) > 0
     lid, _stage, typ = space.classify([e[3] for e in trace.events])
@@ -168,10 +170,10 @@ def test_scope_change_preserves_other_flips(model, sample):
     # paired-scope contract, checked by trace diffing
     space = enumerate_ops(model, "direct")
     layers = space.conv_layer_ids()
-    hook, full = op_level_hook(space, 17, 1e-3)
+    hook, full = op_level_hook(space, draw_op_flips(space, 17, 1e-3))
     run_inference(model, sample, "direct", hook.reference)
     scoped_scope = Scope(exclude_layers=frozenset({layers[1]}))
-    hook, scoped = op_level_hook(space, 17, 1e-3, scoped_scope)
+    hook, scoped = op_level_hook(space, draw_op_flips(space, 17, 1e-3), scoped_scope)
     run_inference(model, sample, "direct", hook.reference)
     full_keys = set(full.events)
     scoped_keys = set(scoped.events)
@@ -184,12 +186,12 @@ def test_scope_change_preserves_other_flips(model, sample):
 def test_replay_honours_scope(model, sample):
     # replayed flips pass the same scope check as sampled ones
     space = enumerate_ops(model, "direct")
-    hook, full = op_level_hook(space, 19, 1e-3)
+    hook, full = op_level_hook(space, draw_op_flips(space, 19, 1e-3))
     run_inference(model, sample, "direct", hook.reference)
     scope = Scope(exclude_layers=frozenset({space.conv_layer_ids()[1]}))
-    hook, scoped = op_level_hook(space, 19, 1e-3, scope)
+    hook, scoped = op_level_hook(space, draw_op_flips(space, 19, 1e-3), scope)
     want = run_inference(model, sample, "direct", hook.reference).output
-    hook, replayed = op_level_hook(space, 19, 1e-3, scope, replay=full)
+    hook, replayed = op_level_hook(space, draw_op_flips(space, 19, 1e-3, replay=full), scope)
     assert run_inference(model, sample, "direct", hook.reference).output == want
     assert replayed == scoped != full
 
@@ -197,7 +199,7 @@ def test_replay_honours_scope(model, sample):
 def test_protected_range_scope(model, sample):
     space = enumerate_ops(model, "direct")
     scope = Scope(exclude_op_ranges=((0, space.total_ops // 2),))
-    hook, trace = op_level_hook(space, 23, 1e-3, scope)
+    hook, trace = op_level_hook(space, draw_op_flips(space, 23, 1e-3), scope)
     run_inference(model, sample, "direct", hook.reference)
     assert len(trace) > 0
     assert all(e[3] >= space.total_ops // 2 for e in trace.events)
@@ -243,9 +245,12 @@ def test_fault_bits_override_changes_space(model):
 LAYER0 = Scope(include_layers=frozenset({0}))
 
 
-def _neuron_table(model, *args, **kwargs):
-    """``neuron_level_inject``'s table over ``model``'s conv neurons."""
-    return neuron_level_inject(enumerate_ops(model), *args, **kwargs)[0]
+def _neuron_table(model, seed, ber, scope=Scope(), *, trial=0, sample=0, trace=None):
+    """``neuron_level_inject``'s table over ``model``'s conv neurons, filtered
+    by ``scope`` from the neuron flips of (seed, trial, sample)."""
+    space = enumerate_ops(model)
+    draw = draw_neuron_flips(space, seed, ber, (scope,), trial=trial, sample=sample)
+    return neuron_level_inject(space, draw, scope, trial=trial, sample=sample, trace=trace)[0]
 
 
 def _neuron_run(model, x, *args, engine="direct", capture=(), **kwargs):
@@ -303,7 +308,7 @@ def test_neuron_injection_engine_blind(model, sample):
 
 def test_trace_jsonl_roundtrip(tmp_path, model, sample):
     space = enumerate_ops(model, "direct")
-    hook, trace = op_level_hook(space, 51, 5e-4, trial=2, sample=1)
+    hook, trace = op_level_hook(space, draw_op_flips(space, 51, 5e-4, trial=2, sample=1), trial=2, sample=1)
     run_inference(model, sample, "direct", hook.reference)
     _neuron_run(model, sample, 51, 1e-3, LAYER0, trial=2, sample=1, trace=trace)
     path = tmp_path / "trace.jsonl"

@@ -80,9 +80,9 @@ def test_clamp_output_always_within_profile(model, dataset):
     res = camp.corrupted_output(0, 0, 1e-3, camp.base_scope, capture=(lid,))
     # capture is pre-activation; check the next activation instead via a
     # fresh run capturing activation points
-    from winofi.inject import op_level_hook
+    from winofi.inject import draw_op_flips, op_level_hook
 
-    hook, _ = op_level_hook(camp.opspace, 84, 1e-3, trial=0, sample=0)
+    hook, _ = op_level_hook(camp.opspace, draw_op_flips(camp.opspace, 84, 1e-3, trial=0, sample=0), trial=0, sample=0)
     out = run_inference(model, dataset.samples[0], "direct", hook.reference, capture_act=(lid,),
                         program=Program(model, "direct", prof))
     lo, hi = prof.get(lid)
@@ -120,15 +120,15 @@ def test_constrained_relu_layer_type(model, dataset):
         name="baked", bit_width=model.bit_width, input_shape=model.input_shape,
         input_scale=model.input_scale, layers=layers, engine=model.engine,
     )
-    from winofi.inject import op_level_hook
+    from winofi.inject import draw_op_flips, op_level_hook
     from winofi.runtime import enumerate_ops
 
     space = enumerate_ops(model, "direct")
     for t in range(3):
-        hook, _ = op_level_hook(space, 85, 5e-4, trial=t)
+        hook, _ = op_level_hook(space, draw_op_flips(space, 85, 5e-4, trial=t), trial=t)
         a = run_inference(model, dataset.samples[0], "direct", hook.reference,
                           program=Program(model, "direct", prof)).output
-        hook, _ = op_level_hook(space, 85, 5e-4, trial=t)
+        hook, _ = op_level_hook(space, draw_op_flips(space, 85, 5e-4, trial=t), trial=t)
         b = run_inference(baked, dataset.samples[0], "direct", hook.reference).output
         assert a == b
 

@@ -13,7 +13,15 @@ import winofi.analyze
 import winofi.inject
 from winofi.analyze import Campaign, layer_vulnerability, mean_ci95, optype_vulnerability
 from winofi.engine import OpType
-from winofi.inject import FaultTrace, Granularity, Scope, neuron_level_inject, op_level_hook
+from winofi.inject import (
+    FaultTrace,
+    Granularity,
+    Scope,
+    draw_neuron_flips,
+    draw_op_flips,
+    neuron_level_inject,
+    op_level_hook,
+)
 from winofi.modelio import generate_dataset, generate_toy_model
 from winofi.rng import STREAM_NEURON
 from winofi.runtime import enumerate_ops, top1
@@ -116,7 +124,8 @@ def test_paired_scope_reuse_matches_fresh_campaigns(model, dataset, engine, work
 def test_empty_in_scope_table_runs_no_inference(model, dataset, engine, inferences):
     camp = Campaign(model, dataset, engine, seed=71)
     trials, n = 4, len(dataset)
-    struck = sum(op_level_hook(camp.opspace, camp.seed, SPARSE_BER, trial=t, sample=i)[0].ids.size > 0
+    struck = sum(op_level_hook(camp.opspace, draw_op_flips(camp.opspace, camp.seed, SPARSE_BER, trial=t, sample=i),
+                               trial=t, sample=i)[0].ids.size > 0
                  for t in range(trials) for i in range(n))
     expected = [sum(top1(camp.corrupted_output(t, i, SPARSE_BER, Scope()).output) == camp.refs[i] for i in range(n))
                 for t in range(trials)]
@@ -135,7 +144,8 @@ def test_distinct_tables_run_once_across_scopes(model, dataset, inferences):
     distinct = nonempty = 0
     for t in range(trials):
         for i in range(len(dataset)):
-            tables = [op_level_hook(camp.opspace, camp.seed, ber, s, trial=t, sample=i)[0] for s in scopes]
+            draw = draw_op_flips(camp.opspace, camp.seed, ber, trial=t, sample=i)
+            tables = [op_level_hook(camp.opspace, draw, s, trial=t, sample=i)[0] for s in scopes]
             distinct += len({(f.ids.tobytes(), f.masks.tobytes()) for f in tables if f.ids.size})
             nonempty += sum(f.ids.size > 0 for f in tables)
     assert 0 < distinct < nonempty
@@ -255,7 +265,9 @@ def test_neuron_replay_writes_the_replayed_in_scope_flips(model, dataset, engine
     # records on layer 0's neurons are out of scope: replay neither applies nor writes them
     layer0 = [(t, s, "neuron", i, 15, 0) for t in range(3) for s in range(len(dataset)) for i in (0, 5)]
     replayed = FaultTrace()
-    again = camp.run_point(3e-3, 3, trace=replayed, replay=FaultTrace(saved.events + layer0))
+    replaying = Campaign(model, dataset, engine, granularity=Granularity.NEURON_LEVEL, seed=78, scope=scope,
+                         replay=FaultTrace(saved.events + layer0))
+    again = replaying.run_point(3e-3, 3, trace=replayed)
     assert len(saved) > 0
     assert replayed.events == saved.events
     assert again.per_trial_correct == res.per_trial_correct
@@ -275,7 +287,9 @@ def test_neuron_layer_vulnerability_draws_once_and_runs_distinct_tables_once(mod
     distinct = nonempty = 0
     for t in range(trials):
         for i in range(len(dataset)):
-            tables = [neuron_level_inject(camp.opspace, camp.seed, ber, s, trial=t, sample=i)[0] for s in scopes]
+            tables = [neuron_level_inject(camp.opspace, draw_neuron_flips(camp.opspace, camp.seed, ber, (s,), trial=t,
+                                                                          sample=i), s, trial=t, sample=i)[0]
+                      for s in scopes]
             distinct += len({(f.ids.tobytes(), f.masks.tobytes()) for f in tables if f.ids.size})
             nonempty += sum(f.ids.size > 0 for f in tables)
     assert 0 < distinct < nonempty

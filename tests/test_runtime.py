@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from winofi.engine import OpType, Stage, lockstep_bound
 from winofi.errors import ConfigError, ShapeError
-from winofi.inject import FaultTrace, Scope, op_level_hook
+from winofi.inject import FaultTrace, Scope, draw_op_flips, op_level_hook
 from winofi.modelio import builtin_model, generate_dataset, generate_toy_model
 from winofi.qtensor import QTensor
 from winofi.runtime import Program, enumerate_ops, run_inference, top1
@@ -210,7 +210,7 @@ def _fast_and_oracle(model, x, engine, space, seed, ber, scope=Scope(), replay=N
     conv_ids = tuple(space.conv_layer_ids())
     runs = []
     for fast in (True, False):
-        hook, trace = op_level_hook(space, seed, ber, scope, replay=replay, protected=protected)
+        hook, trace = op_level_hook(space, draw_op_flips(space, seed, ber, replay=replay, protected=protected), scope)
         res = run_inference(model, x, engine, hook if fast else hook.reference, capture=conv_ids)
         runs.append((res.output, [res.conv_outputs[lid] for lid in conv_ids], trace.events))
     return runs
@@ -274,9 +274,9 @@ def test_op_fault_table_hook_never_calls_its_reference(engine):
     def refuse(*op):
         raise AssertionError(f"the reference ran op {op}")
 
-    table, trace = op_level_hook(space, 7, 2e-3, protected=protected)
+    table, trace = op_level_hook(space, draw_op_flips(space, 7, 2e-3, protected=protected))
     out = run_inference(model, x, engine, dataclasses.replace(table, reference=refuse)).output
-    table, want = op_level_hook(space, 7, 2e-3, protected=protected)
+    table, want = op_level_hook(space, draw_op_flips(space, 7, 2e-3, protected=protected))
     assert out == run_inference(model, x, engine, table.reference).output
     assert {e[5] for e in want.events} == {0, 1, 2}
     assert trace == want

@@ -329,7 +329,7 @@ def test_run_with_tmr_single_corrupt_copy_votes_clean(model, dataset):
         events.append((0, 0, "op", int(op_id), bit, copy))
     replay = FaultTrace(events)
     # ber ignored under replay
-    out = run_with_tmr(Campaign(model, dataset, "direct", seed=68), plan, 0.5, replay=replay)
+    out = run_with_tmr(Campaign(model, dataset, "direct", seed=68, replay=replay), plan, 0.5)
     assert out == run_inference(model, x, "direct").output
 
 
@@ -341,13 +341,13 @@ def test_run_with_tmr_two_corrupt_copies_can_corrupt(model, dataset):
     op_id = int(np.flatnonzero(space.op_widths(np.arange(space.total_ops)) == space.width_mul)[0])
     bit = space.width_mul - 1
     replay = FaultTrace([(0, 0, "op", op_id, bit, 0), (0, 0, "op", op_id, bit, 1)])
-    out = run_with_tmr(Campaign(model, dataset, "direct", seed=69), plan, 0.5, replay=replay)
+    out = run_with_tmr(Campaign(model, dataset, "direct", seed=69, replay=replay), plan, 0.5)
     assert out != run_inference(model, x, "direct").output
 
 
 def test_run_with_tmr_unprotected_matches_plain_hook(model, dataset):
     # an empty plan must reproduce the plain copy-0 injection exactly
-    from winofi.inject import op_level_hook
+    from winofi.inject import draw_op_flips, op_level_hook
 
     space = enumerate_ops(model, "direct")
     plan = TmrPlan(segment_size=space.total_ops, total_ops=space.total_ops,
@@ -356,7 +356,7 @@ def test_run_with_tmr_unprotected_matches_plain_hook(model, dataset):
     # x sits at sample index 2, the index the flips are drawn for
     camp = Campaign(model, Dataset([x] * 3), "direct", seed=70)
     tmr_out = run_with_tmr(camp, plan, 2e-4, trial=3, sample=2)
-    hook, _ = op_level_hook(space, 70, 2e-4, trial=3, sample=2)
+    hook, _ = op_level_hook(space, draw_op_flips(space, 70, 2e-4, trial=3, sample=2), trial=3, sample=2)
     plain_out = run_inference(model, x, "direct", hook.reference).output
     assert tmr_out == plain_out
 
@@ -405,7 +405,7 @@ def test_full_protection_beats_unprotected(model, dataset):
 def test_op_level_hook_replays_saved_tmr_trace(model, dataset, tmp_path):
     # eval-tmr's campaign point saves copies 0-2; replaying that trace through
     # op_level_hook with the plan's ranges reproduces every faulty output
-    from winofi.inject import op_level_hook
+    from winofi.inject import draw_op_flips, op_level_hook
 
     space = enumerate_ops(model, "direct")
     plan = TmrPlan(segment_size=-(-space.total_ops // 2), total_ops=space.total_ops,
@@ -421,6 +421,6 @@ def test_op_level_hook_replays_saved_tmr_trace(model, dataset, tmp_path):
     for t in range(trials):
         for i, x in enumerate(dataset.samples):
             want = camp.corrupted_output(t, i, ber, camp.base_scope, protected=plan.protected_ranges).output
-            hook, _ = op_level_hook(space, 74, ber, trial=t, sample=i, replay=saved,
-                                    protected=plan.protected_ranges)
+            draw = draw_op_flips(space, 74, ber, trial=t, sample=i, replay=saved, protected=plan.protected_ranges)
+            hook, _ = op_level_hook(space, draw, trial=t, sample=i)
             assert run_inference(model, x, "direct", hook.reference).output == want
