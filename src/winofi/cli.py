@@ -263,7 +263,8 @@ def cmd_plan_tmr(cfg: dict) -> None:
         make_segment_eval(camp, ber, trials),
         opspace=camp.opspace,
         cost=cost,
-        direct_opspace=enumerate_ops(camp.model, "direct", fault_bits=camp.fault_bits),
+        direct_opspace=(camp.opspace if camp.engine == "direct"
+                        else enumerate_ops(camp.model, "direct", fault_bits=camp.fault_bits)),
         v_ci=[r.ci95_halfwidth for r in reports],
         **_given(cfg, "literal_do_while"),
     )

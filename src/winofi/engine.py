@@ -19,16 +19,23 @@ input channels for a partial sum to reach 2^53.
 
 A layer's ops group into output units: a direct output pixel, or a Winograd
 (tile, output channel). Passed an :class:`OpFaults` table of the ops to flip
-as its hook, a conv runs the vectorized path and then recomputes only the
-units owning a struck op, in NumPy lockstep over all of them at once, with
-work that scales with the number of flips rather than with the ops of a
-unit. Any other hook sees every op; that hooked path is the reference for
-the fast path.
+as its hook, a conv runs the vectorized path and then, if the table holds
+any of its ops, recomputes only the units owning a struck op, in NumPy
+lockstep over all of them at once. A struck layer pays a few dozen NumPy
+calls; the rest of its work scales with its struck units and flips, and a
+stage or chain without a flip costs nothing. Product flips apply at once,
+flips of running sums and of the transforms' add chains in dependency
+order (:func:`_chain_sums`, :func:`_lockstep`). The recomputation holds
+every value exactly (:func:`lockstep_bound`): in float64 for a Winograd
+layer below 2^53, whose transforms then run as BLAS products, in int64
+below 2^63, else on Python ints. Any other hook sees every op; that hooked
+path is the reference for the fast path.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import IntEnum
@@ -130,6 +137,17 @@ class _Transform:
         return cls(tuple(steps), [0] * (out + r * r - t0), out)
 
     @functools.cached_property
+    def levels(self) -> np.ndarray:
+        """Each step's depth: 0 for a step reading only inputs, else one more
+        than the deepest step it reads. A step's result depends only on the
+        flips of shallower steps."""
+        depth, out = {}, []
+        for dst, a, b, _ in self.steps:
+            depth[dst] = max(depth.get(a, -1), depth.get(b, -1)) + 1
+            out.append(depth[dst])
+        return np.array(out)
+
+    @functools.cached_property
     def linear(self) -> dict:
         """{dtype: (X, D, OX, OD)}: the program as integer matrices, in
         int64, float64 and object (Python ints). Step s's result is
@@ -155,11 +173,11 @@ _INVERSE_TF = _Transform.of(AT_F2X2_3X3, 4)
 _KRON_BT = _INPUT_TF.linear[np.dtype(np.float64)][2]
 _KRON_G2 = np.kron(G2_F2X2_3X3, G2_F2X2_3X3).astype(np.float64)
 _KRON_AT = _INVERSE_TF.linear[np.dtype(np.float64)][2]
-# Row and column of each element of a flat 2x2 output tile.
-_TILE_DY, _TILE_DX = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
 # About the most float64 values that a block of the vectorized kernels copies
 # out of its input at once: a direct im2col slab or a block of Winograd tiles.
 _SLAB = 1 << 15
+_I64_MAX = (1 << 63) - 1
+_F64 = np.dtype(np.float64)
 
 
 def _hooked_transform(tf: _Transform, x: list, hook: Hook, op_id: int, layer_id: int, stage: int) -> list:
@@ -242,8 +260,8 @@ class ConvSpec:
 
     @functools.cached_property
     def u_int(self) -> np.ndarray:
-        """:attr:`u` as int64 (K, C, 16), the operand of the struck Winograd units."""
-        return np.ascontiguousarray(self.u.transpose(1, 2, 0).astype(np.int64))
+        """:attr:`u` as int64 (K, 16, C), the operand of the struck Winograd units."""
+        return np.ascontiguousarray(self.u.transpose(1, 0, 2).astype(np.int64))
 
     def out_hw(self, in_h: int, in_w: int) -> tuple[int, int]:
         oh = in_h + 2 * self.padding - 2
@@ -286,24 +304,39 @@ def requant_scalar(acc: int, shift: int, int_min: int, int_max: int) -> int:
 
 
 def requant_array(acc: np.ndarray, shift: int, int_min: int, int_max: int) -> np.ndarray:
-    """:func:`requant_scalar` over an int64 array, exact for every acc above -2^63."""
-    if shift > 0:
-        # Half away from zero is half up on acc - 1 for negative acc. Adding
-        # the half 2^(shift-1) could wrap, so its carry is read off bit shift-1.
-        b = acc - (acc < 0)
-        v = b >> shift
-        b >>= shift - 1
-        b &= 1
-        v += b
-    elif shift < 0:
-        # Saturate before shifting: a value outside the output range
-        # saturates at any left shift, and once the shift reaches the output
-        # width every nonzero value does.
-        v = np.minimum(np.maximum(acc, int_min), int_max) << np.int64(min(-shift, int_max.bit_length() + 1))
+    """:func:`requant_scalar` over an int64 array, exact for every acc above
+    -2^63, or over an object array of Python ints of any size."""
+    if shift <= 0:
+        # Saturate before a left shift too: a value outside the output range
+        # saturates at any shift, and once the shift reaches the output width
+        # every nonzero value does.
+        v = np.maximum(acc, int_min)
+        np.minimum(v, int_max, out=v)
+        if shift:
+            v <<= min(-shift, int_max.bit_length() + 1)
+            np.maximum(v, int_min, out=v)
+            np.minimum(v, int_max, out=v)
+        return v
+    # Saturate first, at the accumulators that round to the output bounds
+    # (an int64 acc lies inside them once they pass int64), then round: half
+    # away from zero is half up on acc - 1 for negative acc.
+    half, lo, hi = 1 << (shift - 1), int_min << shift, int_max << shift
+    if acc.dtype != object:
+        lo, hi = max(lo, -_I64_MAX), min(hi, _I64_MAX)
+    v = np.maximum(acc, lo)
+    np.minimum(v, hi, out=v)
+    if v.dtype == object:  # Python ints, where v >> 63 is -1 only down to -2^63
+        v -= v < 0
     else:
-        v = acc.copy()
-    np.maximum(v, int_min, out=v)
-    return np.minimum(v, int_max, out=v)
+        v += v >> 63
+    if hi + half <= _I64_MAX or v.dtype == object:
+        v += half
+        v >>= shift
+    else:  # the rounding add could wrap: halve first
+        v >>= shift - 1
+        v += 1
+        v >>= 1
+    return v
 
 
 def _check_input(x: QTensor, spec: ConvSpec) -> tuple[int, int, int, int]:
@@ -317,10 +350,10 @@ def _check_input(x: QTensor, spec: ConvSpec) -> tuple[int, int, int, int]:
     return n, c, h, w
 
 
-def _padded(x: QTensor, pad: int, hp: int, wp: int) -> np.ndarray:
+def _padded(x: QTensor, pad: int, hp: int, wp: int, dtype=np.int64) -> np.ndarray:
     """``x`` zero-padded by ``pad`` at the top and left into an (N, C, hp, wp) array."""
     n_, c_, h, w = x.shape
-    xp = np.zeros((n_, c_, hp, wp), dtype=np.int64)
+    xp = np.zeros((n_, c_, hp, wp), dtype=dtype)
     xp[:, :, pad : pad + h, pad : pad + w] = x.array
     return xp
 
@@ -330,7 +363,8 @@ def lockstep_bound(spec: ConvSpec, width_mul: int, width_add: int, winograd: boo
     flips strike the low ``width_mul`` bits of products and the low
     ``width_add`` bits of sums: of :func:`conv_winograd` when ``winograd``,
     else of :func:`conv_direct`. A flip of the low w bits moves a value by
-    less than 2^w. The fast path runs in int64 below 2^63, else on Python ints.
+    less than 2^w. The fast path runs in float64 below 2^53 (Winograd), in
+    int64 below 2^63, else on Python ints.
     """
     return _bound(spec.weights.qparams.bit_width, spec.in_channels, spec.bias_max, width_mul, width_add, winograd)
 
@@ -355,70 +389,123 @@ def _tf_bound(tf: _Transform, x: int, flip: int) -> int:
 
 
 def _layer_faults(faults: OpFaults, op_base: int, n_ops: int, spec: ConvSpec, winograd: bool = False):
-    """(offsets from ``op_base``, masks, dtype) of the faults inside [op_base,
-    op_base + n_ops) of the layer ``spec`` (``winograd`` as in
-    :func:`lockstep_bound`). The dtype holds every value of the layer's fast
-    path exactly: int64, or object (Python ints) past 2^63."""
-    lo, hi = np.searchsorted(faults.ids, [op_base, op_base + n_ops])
+    """The faults inside [op_base, op_base + n_ops), the ops of the layer
+    ``spec`` (``winograd`` as in :func:`lockstep_bound`): None when there are
+    none, else (offsets from ``op_base``, masks, dtype). The masks are int64,
+    or Python ints once the layer's values can pass 2^63. The dtype holds
+    every value of the layer's fast path exactly: float64 for Winograd below
+    2^53, so that its transforms run as BLAS products, else the masks' dtype."""
+    ids = faults.ids
+    lo, hi = ids.searchsorted(op_base), ids.searchsorted(op_base + n_ops)
+    if lo == hi:
+        return None
+    bound = lockstep_bound(spec, faults.width_mul, faults.width_add, winograd)
     masks = faults.masks[lo:hi]
-    if lockstep_bound(spec, faults.width_mul, faults.width_add, winograd) < 2**63:
-        return faults.ids[lo:hi] - op_base, masks.view(np.int64), np.int64
-    return faults.ids[lo:hi] - op_base, masks.astype(object), object
+    masks = masks.view(np.int64) if bound < 2**63 else masks.astype(object)
+    return ids[lo:hi] - op_base, masks, _F64 if winograd and bound < 2**53 else masks.dtype
 
 
 def _flip(v: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """The values ``v`` as the hook returns them: XOR-ed with their one mask,
-    or the median of the three XOR-ed copies, which is the majority vote."""
+    or the median of the three XOR-ed copies, which is the majority vote. In
+    the masks' dtype: float64 values are flipped as the integers they hold."""
+    v = v.astype(masks.dtype, copy=False)
     if masks.shape[1] == 1:
         return v ^ masks[:, 0]
     a, b, c = (v ^ masks[:, i] for i in range(3))
     return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
 
 
-def _ranks(group: np.ndarray) -> np.ndarray:
-    """Position of each entry of the sorted ``group`` within its run of equal values."""
-    idx = np.arange(group.size)
-    first = np.ones(group.size, dtype=bool)
-    first[1:] = group[1:] != group[:-1]
-    return idx - np.maximum.accumulate(np.where(first, idx, 0))
+def _starts(key: np.ndarray) -> np.ndarray:
+    """Whether each entry of the sorted ``key`` starts a run of equal keys."""
+    first = np.empty(key.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    return first
 
 
-def _flip_chains(s: np.ndarray, chain: tuple, step: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Deltas that ADD flips add to the running sums ``s[chain + (step,)]``
-    (partial sums along the last axis): one per chain, for its final sum.
-    Flip j strikes step ``step[j]`` of chain ``chain[..][j]``, and the flips
-    of a chain come in step order; each applies to the sum that carries the
-    deltas of the flips before it."""
-    delta = np.zeros(s.shape[:-1], dtype=s.dtype)
-    if not step.size:
-        return delta
-    key = np.ravel_multi_index(chain, delta.shape)
-    order = np.argsort(key, kind="stable")
-    rank = _ranks(key[order])
-    for r in range(int(rank.max()) + 1):
-        j = order[rank == r]
-        at = tuple(i[j] for i in chain)
-        acc = s[at + (step[j],)] + delta[at]
-        delta[at] += _flip(acc, masks[j]) - acc
-    return delta
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of the sorted ``keys`` (np.unique costs more)."""
+    return keys if keys.size < 2 else keys[_starts(keys)]
 
 
-def _lockstep(tf: _Transform, x: np.ndarray, rows: np.ndarray, steps: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """The results of ``tf`` on every row of ``x``, as :func:`_hooked_transform`
-    computes them on one, when step ``steps[j]`` of row ``rows[j]`` is
-    flipped by ``masks[j]``. Each step's result is a fixed combination of the
-    row and the deltas of its earlier flips (``tf.linear``), so the flips of
-    all rows apply together, rank by rank in step order."""
-    wx, wd, ox, od = tf.linear[x.dtype]
-    delta = np.zeros((x.shape[0], len(tf.steps)), dtype=x.dtype)
-    order = np.lexsort((steps, rows))
-    rank = _ranks(rows[order])
-    for r in range(int(rank.max()) + 1):
-        j = order[rank == r]
-        row, step = rows[j], steps[j]
-        acc = (x[row] * wx[step]).sum(axis=1) + (delta[row] * wd[step]).sum(axis=1)
-        delta[row, step] = _flip(acc, masks[j]) - acc
-    return x @ ox.T + delta @ od.T
+def _groups(key: np.ndarray, n: int = 0) -> tuple[Optional[np.ndarray], list]:
+    """(order, bounds) grouping the flips by the small int ``key``, in [0,
+    n) or past it: ``order`` sorts them by it, stably, or is None when one
+    group holds them all, and group g is [bounds[g], bounds[g + 1]) in that
+    order."""
+    counts = np.bincount(key, minlength=n).tolist()
+    # skipping the sort saves about 6 us of a 70 us one-flip Winograd struck call (BENCH_24.json "shortcuts")
+    return (key.argsort(kind="stable") if max(counts) < key.size else None), [0, *itertools.accumulate(counts)]
+
+
+def _ranks(chain: np.ndarray) -> list:
+    """The flips by rank in their chain, as indices, rank 0 first: flip j
+    strikes chain ``chain[j]``, and a chain's flips apply in array order, each
+    to the value that the flips before it changed. Flips of one rank strike
+    distinct chains, so they apply together."""
+    # no chain struck twice: skipping the sort saves 8-18 us of a 38-160 us struck call (BENCH_24.json "shortcuts")
+    if chain.size < 2 or np.bincount(chain).max() < 2:
+        return [slice(None)]
+    order = chain.argsort(kind="stable")
+    first = _starts(chain[order])
+    rank = np.arange(chain.size) - np.flatnonzero(first)[first.cumsum() - 1]
+    return [order[rank == r] for r in range(rank.max() + 1)]
+
+
+def _chain_sums(p: np.ndarray, start, mul: tuple, add: tuple) -> np.ndarray:
+    """The final sums, (units, E), of the chains of ADDs that sum the
+    products ``p`` (units, E, L) along the last axis, one per (unit, e), each
+    starting at ``start`` (one value per unit, or None for 0), as the hook
+    sees them flipped. ``mul`` and ``add`` are the (unit, e, l, masks) of the
+    flips of products and of running sums, a chain's in chain order. ``p``
+    takes the product flips at once; a running sum's flip moves every later
+    sum of its chain, so each chain's flips apply in turn, and those of all
+    chains together (see :func:`_ranks`)."""
+    u, e, l, mk = mul
+    if mk.size:
+        p[u, e, l] = _flip(p[u, e, l], mk)
+    if start is not None:
+        p[:, :, 0] += start[:, None]
+    y = p @ np.ones(p.shape[2], dtype=np.int64)  # a matrix product sums short rows faster than sum()
+    u, e, l, mk = add
+    if mk.size:
+        chain = u * y.shape[1] + e
+        acc = p[u, e].cumsum(axis=1)[np.arange(l.size), l]  # each struck sum, before any flip
+        flat = y.reshape(-1)
+        end = flat.copy()
+        for r, j in enumerate(_ranks(chain)):
+            at = chain[j]
+            v = acc[j] + (flat[at] - end[at]) if r else acc[j]  # with the deltas of the chain's earlier flips
+            flat[at] += _flip(v, mk[j]) - v
+    return y
+
+
+def _lockstep(tf: _Transform, x: np.ndarray, row: np.ndarray, steps: np.ndarray, masks: np.ndarray, dt):
+    """(struck rows, changes): how flips change the results of ``tf`` on rows
+    of ``x`` as :func:`_hooked_transform` computes them, in ``dt``. Step
+    ``steps[j]`` of row ``row[j]`` is flipped by ``masks[j]``; ``row`` is
+    sorted. A step's result is a fixed combination of the row and the
+    deltas of the flips of the steps it reads (``tf.linear``), so the flips
+    of all rows apply together, one step depth (``tf.levels``) at a time."""
+    rows = _distinct(row)
+    wx, wd, _, od = tf.linear[x.dtype][0], *tf.linear[dt][1:]
+    if rows.size == row.size:  # one flip per row, none reading another
+        # skipping the level loop saves about 25 us of a 160 us struck call at BER 1e-4 (BENCH_24.json "shortcuts")
+        v = (x[row] * wx[steps]).sum(axis=1)
+        return rows, (_flip(v, masks) - v)[:, None] * od.T[steps]
+    i = rows.searchsorted(row)
+    order, bounds = _groups(tf.levels[steps])
+    if order is not None:
+        i, steps, masks = i[order], steps[order], masks[order]
+    xs = x[rows] @ wx.T  # every step's result on the struck rows, before any flip
+    delta = np.zeros(xs.shape, dtype=dt)
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo < hi:
+            at = (i[lo:hi], steps[lo:hi])
+            v = xs[at] + (delta @ wd.T)[at] if lo else xs[at]
+            delta[at] = _flip(v, masks[lo:hi]) - v
+    return rows, delta @ od.T
 
 
 def conv_direct(
@@ -435,10 +522,8 @@ def conv_direct(
     kernel row, kernel col; each MAC emits its MUL then its accumulation ADD.
     The 18*C ops of one output pixel form its unit. With ``hook`` None the
     vectorized kernel computes the output. Given an :class:`OpFaults` table
-    as ``hook``, the units owning a struck op are then recomputed together:
-    their products, with every MUL flip applied at once, are summed by a
-    cumulative sum, and the ADD flips of all units apply rank by rank (see
-    :func:`_flip_chains`). Any other hook sees every op; that is the
+    as ``hook``, the units owning a struck op are then recomputed together
+    (see :func:`_direct_struck`). Any other hook sees every op; that is the
     reference.
     """
     n_, c_, h, w = _check_input(x, spec)
@@ -450,9 +535,9 @@ def conv_direct(
     if hook is None or isinstance(hook, OpFaults):
         out = _conv_direct_vec(xp, spec, shift)
         if hook is not None:
-            offs, masks, dt = _layer_faults(hook, op_base, out.size * 18 * c_, spec)
-            if offs.size:
-                _direct_struck(xp, spec, shift, out, offs, masks, dt)
+            struck = _layer_faults(hook, op_base, out.size * 18 * c_, spec)
+            if struck:
+                _direct_struck(xp, spec, shift, out, *struck)
         return QTensor.trusted(out.shape, out, oq)
 
     chain = 18 * c_
@@ -485,26 +570,28 @@ def conv_direct(
 def _direct_struck(xp: np.ndarray, spec: ConvSpec, shift: int, out: np.ndarray, offs: np.ndarray,
                    masks: np.ndarray, dt) -> None:
     """Overwrite the pixels of ``out`` owning the struck op offsets ``offs``
-    with their faulty values, computed in ``dt``."""
+    with their faulty values, computed in ``dt``: one gather gives the
+    struck pixels' products, and their flipped sums follow from
+    :func:`_chain_sums`."""
     c_ = spec.in_channels
     unit, step = np.divmod(offs, 18 * c_)
-    mac, is_add = np.divmod(step, 2)
-    units, row = np.unique(unit, return_inverse=True)
+    units = _distinct(unit)
     n, k, oy, ox = np.unravel_index(units, out.shape)
     # win[n, oy, ox] is pixel (oy, ox)'s 3x3 windows over all channels, in MAC order
     s_n, s_c, s_y, s_x = xp.strides
     win = _view(xp, 0, (out.shape[0], *out.shape[2:], c_, 3, 3), (s_n, s_y, s_x, s_c, s_y, s_x))
-    p = win[n, oy, ox].reshape(-1, 9 * c_).astype(dt, copy=False)
-    p *= spec.weights.array.reshape(-1, 9 * c_)[k]
-    mul = is_add == 0
-    p[row[mul], mac[mul]] = _flip(p[row[mul], mac[mul]], masks[mul])
-    s = np.cumsum(p, axis=1, out=p)
-    if spec.bias is not None:
-        s += spec.bias[k, None]
-    add = ~mul
-    acc = s[:, -1] + _flip_chains(s, (row[add],), mac[add], masks[add])
+    p = win[n, oy, ox].reshape(units.size, 1, -1).astype(dt, copy=False)
+    p *= spec.weights.array.reshape(-1, 1, 9 * c_)[k]  # (pixels, 1, 9C)
+    # MUL flips [0, a), then ADD flips [a, m)
+    mac, is_add = np.divmod(step, 2)
+    order, (_, a, m) = _groups(is_add, 2)
+    row = units.searchsorted(unit)
+    if order is not None:
+        row, mac, masks = row[order], mac[order], masks[order]
+    bias = None if spec.bias is None else spec.bias[k]
+    acc = _chain_sums(p, bias, (row[:a], 0, mac[:a], masks[:a]), (row[a:], 0, mac[a:], masks[a:]))
     oq = spec.out_qparams
-    out.reshape(-1)[units] = requant_array(acc, shift, oq.int_min, oq.int_max)
+    out.reshape(-1)[units] = requant_array(acc[:, 0], shift, oq.int_min, oq.int_max)
 
 
 def _view(a: np.ndarray, offset: int, shape: tuple, strides: tuple) -> np.ndarray:
@@ -579,16 +666,19 @@ def conv_winograd(
     oq = spec.out_qparams
     k_, pad = spec.out_channels, spec.padding
     ty_, tx_ = tile_grid(oh, ow)
-    xp = _padded(x, pad, 2 * ty_ + 2, 2 * tx_ + 2)
     n_itf, n_inv = len(_INPUT_TF.steps), len(_INVERSE_TF.steps)
     tile_ops = c_ * n_itf + 32 * k_ * c_ + k_ * n_inv
     if hook is None or isinstance(hook, OpFaults):
-        out = _conv_winograd_vec(xp, spec, oh, ow, shift)
+        xp = _padded(x, pad, 2 * ty_ + 2, 2 * tx_ + 2, np.float64)
+        out = _conv_winograd_vec(xp, spec, shift)
         if hook is not None:
-            offs, masks, dt = _layer_faults(hook, op_base, n_ * ty_ * tx_ * tile_ops, spec, winograd=True)
-            if offs.size:
-                _winograd_struck(xp, spec, shift, out, offs, masks, dt)
+            struck = _layer_faults(hook, op_base, n_ * ty_ * tx_ * tile_ops, spec, winograd=True)
+            if struck:
+                _winograd_struck(xp, spec, shift, out, *struck)
+        out = out[:, :, :oh, :ow]
         return QTensor.trusted(out.shape, out, oq)
+
+    xp = _padded(x, pad, 2 * ty_ + 2, 2 * tx_ + 2)
 
     out = np.empty((n_, k_, oh, ow), dtype=np.int64)
     b4 = [4 * int(b) for b in spec.bias] if spec.bias is not None else [0] * k_
@@ -643,17 +733,21 @@ def conv_winograd(
 
 def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, out: np.ndarray, offs: np.ndarray,
                      masks: np.ndarray, dt) -> None:
-    """Overwrite the (tile, k) units of ``out`` owning the struck ops with
-    their faulty values, computed in ``dt``. ``offs`` are the ops' offsets
-    from the layer's first op.
+    """Overwrite the (tile, k) units of ``out``, the (N, K, 2 TY, 2 TX)
+    outputs of every tile, owning the struck ops with their faulty values,
+    computed in ``dt``. ``xp`` is the float64 padded input; ``offs`` are the
+    ops' offsets from the layer's first op.
 
-    The units' tiles are transformed again, one product with kron(B^T, B^T),
-    and the input transforms of struck (tile, c) rerun in lockstep (see
-    :func:`_lockstep`). The units' products take their multiply flips at
-    once, a cumulative sum over c gives every channel sum, and channel-sum
-    flips apply rank by rank. The inverse transform is one product with
-    kron(A^T, A^T), rerun in lockstep for the units with an
-    inverse-transform flip.
+    The flips are grouped by stage, and only the stages holding one run.
+    Each unit's tile is transformed again, one float64 product with
+    kron(B^T, B^T), and the input-transform flips change the rows they
+    strike (see :func:`_lockstep`) in every unit of their tile. The units'
+    products are summed over c, with the multiply and channel-sum flips
+    (see :func:`_chain_sums`). The inverse transform
+    is one product with kron(A^T, A^T), which its flips change as the input
+    transform's do. Every value stays below :func:`lockstep_bound`, and a
+    flip moves its value by less than 2^width, so ``dt`` float64 is exact
+    when that bound is below 2^53.
     """
     n_, c_, hp, wp = xp.shape
     k_ = spec.out_channels
@@ -663,56 +757,55 @@ def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, out: np.ndarray
     cs0 = ew0 + 16 * k_ * c_
     inv0 = cs0 + 16 * k_ * c_
     t, o = np.divmod(offs, inv0 + k_ * n_inv)
-    itf, ew, cs, inv = o < ew0, (ew0 <= o) & (o < cs0), (cs0 <= o) & (o < inv0), inv0 <= o
-
-    hit = np.zeros((n_ * ty_ * tx_, k_), dtype=bool)
-    hit[t[itf]] = True
-    # element-wise multiply and channel-sum flips: (tile, k, c, e)
-    kce = [np.unravel_index(o[sel] - first, (k_, c_, 16)) for sel, first in ((ew, ew0), (cs, cs0))]
-    k_inv, step_inv = np.divmod(o[inv] - inv0, n_inv)
-    for sel, k in ((ew, kce[0][0]), (cs, kce[1][0]), (inv, k_inv)):
-        hit[t[sel], k] = True
-    ut, uk = np.nonzero(hit)  # the units, by tile, then k
-    unit = np.full(hit.shape, -1)
-    unit[ut, uk] = np.arange(ut.size)
-    tiles, tu = np.unique(ut, return_inverse=True)
+    # flips [0, a) of the input transform, [a, b) of the element-wise
+    # multiply, [b, c) of the channel sum and [c, m) of the inverse transform
+    order, (_, a, b, c, m) = _groups(np.array((ew0, cs0, inv0)).searchsorted(o, side="right"), 4)
+    if order is not None:
+        t, o, masks = t[order], o[order], masks[order]
+    # each flip's output channel (0 in the input transform, which feeds them
+    # all), input channel (0 in the inverse), and step or tile element
+    k, ch, pos = np.zeros((3, m), dtype=np.int64)
+    if a:
+        ch[:a], pos[:a] = np.divmod(o[:a], n_itf)
+    if a < c:
+        _, k[a:c], ch[a:c], pos[a:c] = np.unravel_index(o[a:c] - ew0, (2, k_, c_, 16))
+    if c < m:
+        k[c:], pos[c:] = np.divmod(o[c:] - inv0, n_inv)
+    key = t * k_ + k  # each flip's unit (tile, k); an input-transform flip's is its tile's first
+    keys = np.concatenate(((_distinct(key[:a])[:, None] + np.arange(k_)).ravel(), key[a:])) if a else key
+    units = _distinct(keys if order is None else np.sort(keys))  # a stage's keys come sorted
+    row = units.searchsorted(key)
+    n, ty, tx, uk = np.unravel_index(units, (n_, ty_, tx_, k_))
 
     # tile_of[n, ty, tx, c] is that (tile, c)'s 4x4 input tile
     s_n, s_c, s_y, s_x = xp.strides
     tile_of = _view(xp, 0, (n_, ty_, tx_, c_, 4, 4), (s_n, 2 * s_y, 2 * s_x, s_c, s_y, s_x))
-    d = tile_of[np.unravel_index(tiles, (n_, ty_, tx_))].reshape(-1, 16).astype(dt, copy=False)  # (tiles * C, 16)
-    v = d @ _INPUT_TF.linear[d.dtype][2].T
-    if itf.any():
-        c, step = np.divmod(o[itf], n_itf)
-        rows, r = np.unique(np.searchsorted(tiles, t[itf]) * c_ + c, return_inverse=True)
-        v[rows] = _lockstep(_INPUT_TF, d[rows], r, step, masks[itf])
-    v = v.reshape(tiles.size, c_, 16)
-    p = spec.u_int.astype(dt, copy=False)[uk]
-    p *= v[tu]  # (units, C, 16)
-    k, c, e = kce[0]
-    at = (unit[t[ew], k], c, e)
-    p[at] = _flip(p[at], masks[ew])
-    s = np.cumsum(p, axis=1, out=p).transpose(0, 2, 1)  # (units, 16, C): a chain per (unit, e)
-    k, c, e = kce[1]
-    s = s[..., -1] + _flip_chains(s, (unit[t[cs], k], e), c, masks[cs])
-    y = s @ _INVERSE_TF.linear[d.dtype][2].T  # (units, 4)
-    if inv.any():
-        rows, r = np.unique(unit[t[inv], k_inv], return_inverse=True)
-        y[rows] = _lockstep(_INVERSE_TF, s[rows], r, step_inv, masks[inv])
+    d = tile_of[n, ty, tx].reshape(-1, 16)  # (units * C, 16)
+    v = d @ _KRON_BT.T  # exact: |V| <= 2^(b+1)
+    if dt != _F64:
+        d, v = (x.astype(np.int64).astype(dt, copy=False) for x in (d, v))
+    if a:
+        rows, dv = _lockstep(_INPUT_TF, d, row[:a] * c_ + ch[:a], pos[:a], masks[:a], dt)
+        u, rc = np.divmod(rows, c_)
+        v.reshape(-1, c_, 16)[u[:, None] + np.arange(k_), rc[:, None]] += dv[:, None]
+    p = spec.u_int[uk] * v.reshape(-1, c_, 16).transpose(0, 2, 1)  # (units, 16, C)
+    y = _chain_sums(p, None, (row[a:b], pos[a:b], ch[a:b], masks[a:b]), (row[b:c], pos[b:c], ch[b:c], masks[b:c]))
+    yt = y @ _INVERSE_TF.linear[dt][2].T  # (units, 4)
+    if c < m:
+        rows, dy = _lockstep(_INVERSE_TF, y, row[c:], pos[c:], masks[c:], dt)
+        yt[rows] += dy
     if spec.bias is not None:
-        y += 4 * spec.bias[uk, None]
+        yt += 4 * spec.bias[uk, None]
     oq = spec.out_qparams
-    y = requant_array(y, shift, oq.int_min, oq.int_max)
-    # output element e of a unit sits at (2 ty + e // 2, 2 tx + e % 2)
-    n, ty, tx = np.unravel_index(ut, (n_, ty_, tx_))
-    oy, ox = 2 * ty[:, None] + _TILE_DY, 2 * tx[:, None] + _TILE_DX
-    i, e = np.nonzero((oy < out.shape[2]) & (ox < out.shape[3]))
-    out[n[i], uk[i], oy[i, e], ox[i, e]] = y[i, e]
+    yt = requant_array(yt if dt == object else yt.astype(np.int64, copy=False), shift, oq.int_min, oq.int_max)
+    # output element (i, j) of a unit's flat 2x2 tile sits at (2 ty + i, 2 tx + j)
+    out.reshape(n_, k_, ty_, 2, tx_, 2)[n, uk, ty, :, tx, :] = yt.reshape(-1, 2, 2)
 
 
-def _conv_winograd_vec(xp: np.ndarray, spec: ConvSpec, oh: int, ow: int, shift: int) -> np.ndarray:
-    """Requantized output of the padded input ``xp``, as three float64 matrix
-    products over tiles flattened row-major to 16 elements: the input
+def _conv_winograd_vec(xp: np.ndarray, spec: ConvSpec, shift: int) -> np.ndarray:
+    """Requantized (N, K, 2 TY, 2 TX) outputs of every tile of the float64
+    padded input ``xp``, ragged edge tiles' included, as three float64
+    matrix products over tiles flattened row-major to 16 elements: the input
     transform kron(B^T, B^T), 16 per-element (K x C) @ (C x tiles) GEMMs
     that multiply and sum over channels, and the inverse transform
     kron(A^T, A^T). They run per sample and block of tile rows, on 4x4 tiles
@@ -722,19 +815,18 @@ def _conv_winograd_vec(xp: np.ndarray, spec: ConvSpec, oh: int, ow: int, shift: 
     n_, c_, hp, wp = xp.shape
     k_ = spec.out_channels
     ty_, tx_ = (hp - 2) // 2, (wp - 2) // 2
-    xf = xp.astype(np.float64)
-    s_n, s_c, s_y, s_x = xf.strides
+    s_n, s_c, s_y, s_x = xp.strides
     uk = spec.u
     rows = max(1, _SLAB // (16 * c_ * tx_))
     y = np.empty((n_, k_, ty_, 2, tx_, 2))
     for n in range(n_):
         # tiles[i, j, c, ty, tx] = xp[n, c, 2 ty + i, 2 tx + j]
-        tiles = _view(xf, n * s_n, (4, 4, c_, ty_, tx_), (s_y, s_x, s_c, 2 * s_y, 2 * s_x))
+        tiles = _view(xp, n * s_n, (4, 4, c_, ty_, tx_), (s_y, s_x, s_c, 2 * s_y, 2 * s_x))
         for r in range(0, ty_, rows):
             v = (_KRON_BT @ tiles[..., r : r + rows, :].reshape(16, -1)).reshape(16, c_, -1)
             s = _KRON_AT @ (uk @ v).reshape(16, -1)  # (4, K * tiles)
             y[n, :, r : r + rows] = s.reshape(2, 2, k_, -1, tx_).transpose(2, 3, 0, 4, 1)
-    plane = y.reshape(n_, k_, 2 * ty_, 2 * tx_)[:, :, :oh, :ow].astype(np.int64)
+    plane = y.reshape(n_, k_, 2 * ty_, 2 * tx_).astype(np.int64)
     if spec.bias is not None:
         plane += 4 * spec.bias[None, :, None, None]
     return requant_array(plane, shift, spec.out_qparams.int_min, spec.out_qparams.int_max)

@@ -203,6 +203,29 @@ def test_plan_then_eval_tmr(assets, tmp_path):
     assert float(row["mean_accuracy"]) + float(row["ci95_halfwidth"]) >= plan["achieved_acc"] - 2 * plan.get("ci", 0.1)
 
 
+@pytest.mark.parametrize("engine, compiled", [("direct", ["direct"]), ("winograd", ["winograd", "direct"])])
+def test_plan_tmr_compiles_one_program_per_engine(assets, tmp_path, monkeypatch, engine, compiled):
+    # plan-tmr normalizes its overhead by the direct engine's op space; on
+    # the direct engine that is the Campaign's own, so no second Program is
+    # compiled for it
+    from winofi.runtime import Program
+
+    init, engines = Program.__init__, []
+
+    def spy(self, model, engine=None, *args, **kwargs):
+        engines.append(engine)
+        init(self, model, engine, *args, **kwargs)
+
+    monkeypatch.setattr(Program, "__init__", spy)
+    code = run_cli(
+        "plan-tmr", "--model", assets["model"], "--dataset", assets["dataset"], "--engine", engine,
+        "--ber", "2e-4", "--trials", "2", "--seed", "8",
+        "--segment-size", "2000", "--target-acc", "0.9", "--out", str(tmp_path / "plan.json"),
+    )
+    assert code == 0
+    assert engines == compiled
+
+
 def test_eval_tmr_replay(assets, tmp_path):
     plan_path = tmp_path / "plan.json"
     run_cli(

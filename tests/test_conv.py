@@ -13,11 +13,13 @@ from winofi.engine import (
     G_F2X2_3X3,
     _SLAB,
     ConvSpec,
+    OpFaults,
     OpType,
     Stage,
     conv_direct,
     conv3x3_gemm,
     conv_winograd,
+    lockstep_bound,
     requant_array,
     requant_scalar,
     tile_grid,
@@ -193,6 +195,49 @@ def test_winograd_direct_equivalence_property(data):
     assert np.array_equal(conv_winograd(x, spec).array, conv_direct(x, spec).array)
 
 
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fault_table_on_stacked_samples_matches_its_reference(engine, data):
+    # Convs take (N, C, H, W) inputs sample-major: the ops of sample n
+    # follow those of samples before it. An OpFaults table passed as the
+    # hook (the fast path) must give what its per-op reference gives, with
+    # one mask column or three (TMR), at fault widths on both sides of the
+    # fast path's float64 and int64 switches.
+    bits = data.draw(st.sampled_from([8, 16]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    c, k, padding = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)), data.draw(st.integers(0, 1))
+    spec = make_spec(rng, c, k, bits, padding, data.draw(st.booleans()),
+                     out_scale=2.0 ** data.draw(st.integers(0, 2 * bits)))
+    shape = (data.draw(st.integers(2, 3)), c, data.draw(st.integers(3, 6)), data.draw(st.integers(3, 6)))
+    x = random_qtensor(rng, shape, bits)
+    conv = conv_direct if engine == "direct" else conv_winograd
+    seen = []
+    conv(x, spec, hook=lambda op_id, layer_id, op_type, stage, value: seen.append(op_id) or value)
+    switches = [max(w for w in range(1, 65) if lockstep_bound(spec, w, w, engine == "winograd") < s)
+                for s in (2**53, 2**63)]
+    width = data.draw(st.sampled_from(sorted({min(w + d, 64) for w in switches for d in (0, 1)})))
+    op_base, n_ops = data.draw(st.integers(0, 50)), len(seen)
+    start = data.draw(st.integers(0, n_ops - 1))  # and a run of ops, to stack flips in chains and tiles
+    ids = sorted(set(data.draw(st.lists(st.integers(0, n_ops - 1), min_size=1, max_size=10)))
+                 | set(range(start, min(n_ops, start + data.draw(st.integers(0, 8))))))
+    copies = data.draw(st.sampled_from([1, 3]))
+    masks = [[data.draw(st.integers(0, 2**width - 1)) for _ in range(copies)] for _ in ids]
+    # faults outside the layer's op ids must be ignored
+    outside = [op_base - 1] * (op_base > 0) + [op_base + n_ops]
+    table = dict(zip((op_base + i for i in ids), masks)) | {i: [2**width - 1] * copies for i in outside}
+
+    def reference(op_id, layer_id, op_type, stage, value):
+        m = table.get(op_id)
+        return value if m is None else sorted(value ^ v for v in m)[len(m) // 2]
+
+    struck = sorted(table)
+    faults = OpFaults(np.array(struck, dtype=np.int64), np.array([table[i] for i in struck], dtype=np.uint64),
+                      width, width, lambda: None, reference)
+    fast = conv(x, spec, hook=faults, op_base=op_base)
+    assert fast == conv(x, spec, hook=reference, op_base=op_base)
+
+
 def test_determinism_and_canonical_op_order(rng):
     spec = make_spec(rng, c=2, k=2, bit_width=8, padding=1)
     x = random_qtensor(rng, (1, 2, 6, 6), 8)
@@ -295,6 +340,51 @@ def test_requant_array_matches_requant_scalar(accs, shift, bits):
     lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
     got = requant_array(np.array(accs, dtype=np.int64), shift, lo, hi)
     assert got.tolist() == [requant_scalar(a, shift, lo, hi) for a in accs]
+
+
+@given(
+    st.lists(st.integers(-(1 << 90), 1 << 90) | st.integers(-(1 << 65), 1 << 65), min_size=1, max_size=8),
+    st.integers(48, 70) | st.integers(-70, 70),
+    st.sampled_from([8, 16]),
+)
+@settings(max_examples=300, deadline=None)
+def test_requant_array_on_python_ints_matches_requant_scalar(accs, shift, bits):
+    # The struck units of a layer whose values can pass 2^63 requantize an
+    # object array of Python ints. From shift 48 on, an int16 output bound
+    # shifted up passes 2^63 too, and accumulators past it must still
+    # saturate or round as requant_scalar does.
+    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    got = requant_array(np.array(accs, dtype=object), shift, lo, hi)
+    assert got.tolist() == [requant_scalar(a, shift, lo, hi) for a in accs]
+
+
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_64_bit_faults_at_large_requant_shifts_match_their_reference(engine, data):
+    # Under 64-bit fault windows the struck units run on Python ints, and a
+    # high-bit flip moves a value by up to 2^63 (about 2^80 once a Winograd
+    # input-transform flip is multiplied and summed). At requant shifts of
+    # 48 to 70 such sums saturate or round to a few bits, as the per-op
+    # reference computes them.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    c, k = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+    spec = make_spec(rng, c, k, 16, data.draw(st.integers(0, 1)), data.draw(st.booleans()),
+                     out_scale=2.0 ** data.draw(st.integers(48, 68)))
+    x = random_qtensor(rng, (data.draw(st.integers(1, 2)), c, data.draw(st.integers(3, 5)), 4), 16)
+    conv = conv_direct if engine == "direct" else conv_winograd
+    assert spec.requant_shift(x.qparams) >= 48
+    seen = []
+    conv(x, spec, hook=lambda op_id, layer_id, op_type, stage, value: seen.append(op_id) or value)
+    ids = sorted(set(data.draw(st.lists(st.integers(0, len(seen) - 1), min_size=1, max_size=8))))
+    masks = [[data.draw(st.integers(0, 2**64 - 1) | st.integers(2**62, 2**64 - 1))] for _ in ids]
+    table = {i: m[0] for i, m in zip(ids, masks)}
+
+    def reference(op_id, layer_id, op_type, stage, value):
+        return value ^ table.get(op_id, 0)
+
+    faults = OpFaults(np.array(ids, dtype=np.int64), np.array(masks, dtype=np.uint64), 64, 64, lambda: None, reference)
+    assert conv(x, spec, hook=faults) == conv(x, spec, hook=reference)
 
 
 def _worst_case(sign, n, h, w, at):

@@ -193,14 +193,16 @@ def _replay_table(space, rec, data):
     return FaultTrace(events)
 
 
-def _int64_switch_widths(model, engine):
-    """Fault widths on both sides of each conv layer's switch from int64 to
-    Python ints in the fast path."""
+def _switch_widths(model, engine):
+    """Fault widths on both sides of each conv layer's switches of the fast
+    path's dtype: from float64 to int64 at 2^53 (Winograd), and from int64
+    to Python ints at 2^63."""
     widths = set()
     for *_, spec in model.execution_plan():
         if spec is not None:
-            last = max(w for w in range(1, 65) if lockstep_bound(spec, w, w, engine == "winograd") < 2**63)
-            widths |= {last, min(last + 1, 64)}
+            for switch in (2**53, 2**63):
+                last = max(w for w in range(1, 65) if lockstep_bound(spec, w, w, engine == "winograd") < switch)
+                widths |= {last, min(last + 1, 64)}
     return sorted(widths)
 
 
@@ -222,10 +224,11 @@ def _fast_and_oracle(model, x, engine, space, seed, ber, scope=Scope(), replay=N
 def test_struck_units_match_hooked_oracle(engine, data):
     # The vectorized pass plus the lockstep recomputation of the struck units
     # must reproduce the fully hooked inference: the output, every conv
-    # output and the trace, in order, on both sides of the int64 bound.
+    # output and the trace, in order, on both sides of the float64 and
+    # int64 bounds.
     model, x = _ragged_model()
     _, rec = _recorded_stream(engine)
-    fault_bits = data.draw(st.sampled_from([None, 64, *_int64_switch_widths(model, engine)]))
+    fault_bits = data.draw(st.sampled_from([None, 64, *_switch_widths(model, engine)]))
     space = enumerate_ops(model, engine, fault_bits=fault_bits)
     scope = data.draw(st.just(Scope()) | _scopes(space))
     bounds = sorted(set(data.draw(st.lists(st.integers(0, space.total_ops), max_size=6))))
@@ -237,6 +240,28 @@ def test_struck_units_match_hooked_oracle(engine, data):
         seed, replay = data.draw(st.integers(0, 2**16)), None
     fast, oracle = _fast_and_oracle(model, x, engine, space, seed, ber, scope, replay, protected)
     assert fast == oracle
+
+
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+def test_one_flip_per_stage_matches_hooked_oracle(engine):
+    # One flip, in the middle or at the end of the ops of each (layer,
+    # stage, op type) of toycnn-int16, on a low and a high bit of its fault
+    # window: the inferences whose fixed cost the struck path keeps low.
+    model = builtin_model("toycnn-int16")
+    x = generate_dataset(model, 1, seed=5).samples[0]
+    space = enumerate_ops(model, engine)
+    kinds = np.stack(space.classify(np.arange(space.total_ops)), axis=1)
+    groups = np.unique(kinds, axis=0)
+    assert len(groups) == 3 * (2 if engine == "direct" else 4)
+    for layer, stage, typ in groups.tolist():
+        ops = np.flatnonzero((kinds == (layer, stage, typ)).all(axis=1))
+        width = space.width_mul if typ == OpType.MUL else space.width_add
+        for op in (int(ops[ops.size // 2]), int(ops[-1])):
+            for bit in (1, width - 1):
+                events = [(0, 0, "op", op, bit, 0)]
+                fast, oracle = _fast_and_oracle(model, x, engine, space, 0, 0.0, replay=FaultTrace(events))
+                assert fast == oracle, (layer, stage, typ, op, bit)
+                assert fast[2] == events
 
 
 @pytest.mark.parametrize("engine", ["direct", "winograd"])
