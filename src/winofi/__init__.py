@@ -10,7 +10,6 @@ from .analyze import (
     VulnReport,
     layer_vulnerability,
     optype_vulnerability,
-    rmse_layer,
     sweep_ber,
 )
 from .engine import (
@@ -36,7 +35,6 @@ from .inject import (
 )
 from .modelio import (
     BUILTIN_MODELS,
-    ConstrainedReluLayer,
     ConvLayer,
     Dataset,
     FlattenLayer,

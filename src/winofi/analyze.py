@@ -1,5 +1,5 @@
-"""Monte-Carlo campaigns: accuracy-vs-BER sweeps, RMSE output variation,
-layer-wise and op-type vulnerability.
+"""Monte-Carlo campaigns: accuracy-vs-BER sweeps and layer-wise and op-type
+vulnerability, all run by one loop, :meth:`Campaign.trial_correct`.
 
 Accuracy defaults to functional top-1 agreement with the fault-free model on
 the evaluation set (usable with random-weight models); labeled accuracy is
@@ -222,12 +222,12 @@ class Campaign:
             raise ConfigError(f"{what} op ranges {list(ranges)} reach outside the op space [0, {self.opspace.total_ops})")
         return ranges
 
-    def _checked(self, scopes, ber=0.0, trials=1, protected=(), capture=(), what="capture") -> tuple:
+    def _checked(self, scopes, ber=0.0, trials=1, protected=(), capture=()) -> tuple:
         """The merged ``protected`` ranges of a run that fits: BER in [0, 1], trials >= 1, ``scopes``
         that name only conv layers and op ranges inside the op space (at neuron level, only layers),
-        ``capture`` layers (``what`` in errors) that are conv layers, and a Campaign ``replay`` that
-        passes ``FaultTrace.validate`` for these trials and ranges. Raise ConfigError for a run that
-        does not fit."""
+        ``capture`` layers that are conv layers, and a Campaign ``replay`` that passes
+        ``FaultTrace.validate`` for these trials and ranges. Raise ConfigError for a run that does
+        not fit."""
         if trials < 1:
             raise ConfigError("trials must be >= 1")
         if not 0.0 <= ber <= 1.0:
@@ -237,7 +237,7 @@ class Campaign:
                 raise ConfigError("scope op types need an op-level Campaign: neurons have no op type")
             self._op_ranges("scope", scope.exclude_op_ranges)
             self.program.check_conv_layers("scope", (scope.include_layers or frozenset()) | scope.exclude_layers)
-        self.program.check_conv_layers(what, capture)
+        self.program.check_conv_layers("capture", capture)
         protected = self._op_ranges("protected", protected)
         if self.replay is not None:
             self.replay.validate(self.opspace, trials, self.sample_count, self.granularity.value, protected)
@@ -323,22 +323,6 @@ def sweep_ber(
     """One CampaignResult per BER; the BER=0 point equals clean accuracy
     exactly. ``protected`` op ranges run under TMR (see ``run_point``)."""
     return [camp.run_point(ber, trials, trace=trace, protected=protected) for ber in ber_list]
-
-
-def rmse_layer(camp: Campaign, layer_id: int, ber: float, trials: int) -> float:
-    """RMSE between fault-free and faulty dequantized outputs of one conv
-    layer, averaged over trials and ``camp``'s samples."""
-    capture = (layer_id,)
-    camp._checked([camp.base_scope], ber, trials, capture=capture, what="RMSE")
-    clean = [camp._infer(i, capture=capture).conv_outputs[layer_id].dequantize() for i in range(camp.sample_count)]
-    errors = []
-    for t in range(trials):
-        for i, ref in enumerate(clean):
-            # a table with no flip would rerun the clean output: RMSE 0
-            faults = next(camp._tables(t, i, ber, [camp.base_scope]))
-            out = camp._infer(i, faults, capture=capture).conv_outputs[layer_id].dequantize() if faults.ids.size else ref
-            errors.append(float(np.sqrt(np.mean((out - ref) ** 2))))
-    return float(np.mean(errors))
 
 
 def layer_vulnerability(camp: Campaign, ber: float, trials: int) -> list[VulnReport]:

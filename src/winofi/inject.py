@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import OpFaults, OpType
+from .engine import OpFaults, OpType, _starts
 from .errors import ConfigError, open_input
 from .rng import STREAM_NEURON, STREAM_OP, sample_flip_positions
 from .runtime import NeuronFaults, OpSpace
@@ -270,8 +270,9 @@ def _flip_masks(pos: np.ndarray, width: int, widths=None) -> tuple[np.ndarray, n
     if widths is not None:
         fits = bits < widths(ids)
         ids, bits = ids[fits], bits[fits]
-    uniq, first = np.unique(ids, return_index=True)
-    return uniq, np.bitwise_or.reduceat(np.left_shift(np.uint64(1), bits.astype(np.uint64)), first)
+    first = _starts(ids)
+    masks = np.bitwise_or.reduceat(np.left_shift(np.uint64(1), bits.astype(np.uint64)), np.flatnonzero(first))
+    return ids[first], masks
 
 
 def _record_table(events: list, trial: int, sample: int, kind: str, ids: np.ndarray, masks: np.ndarray) -> None:

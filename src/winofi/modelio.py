@@ -49,39 +49,6 @@ class ReluLayer:
     type = "relu"
 
 
-def check_range_mode(mode: str) -> None:
-    """Raise ConfigError unless ``mode`` is a constrained activation mode."""
-    if mode not in ("clamp", "zero"):
-        raise ConfigError(f"unknown constrained activation mode {mode!r}")
-
-
-def check_clamp_bounds(what: str, lo, hi, mode: str, qp: QuantParams) -> None:
-    """Raise ConfigError for an unknown ``mode``, or when clamping to [lo, hi]
-    would leave ``qp``'s integer range: a clamp saturates to a bound, so both
-    may not lie past one end. Zeroing keeps every value in range, whatever
-    the bounds."""
-    check_range_mode(mode)
-    if mode == "clamp" and (lo > qp.int_max or hi < qp.int_min):
-        raise ConfigError(f"{what} clamps to [{lo}, {hi}], outside the {qp.bit_width}-bit range "
-                          f"[{qp.int_min}, {qp.int_max}]")
-
-
-@dataclass
-class ConstrainedReluLayer:
-    """ReLU with profiled bounds baked in: out-of-range values are suppressed."""
-
-    lo: int
-    hi: int
-    mode: str = "clamp"
-
-    type = "constrained_relu"
-
-    def __post_init__(self):
-        check_range_mode(self.mode)
-        if self.lo > self.hi:
-            raise ConfigError("constrained activation needs lo <= hi")
-
-
 @dataclass
 class FlattenLayer:
     type = "flatten"
@@ -99,7 +66,7 @@ class LinearLayer:
 
 # A layer's manifest entry is ``type`` plus one key per dataclass field.
 _LAYER_CLASSES = {
-    cls.type: cls for cls in (ConvLayer, ReluLayer, ConstrainedReluLayer, FlattenLayer, LinearLayer)
+    cls.type: cls for cls in (ConvLayer, ReluLayer, FlattenLayer, LinearLayer)
 }
 
 
@@ -151,9 +118,6 @@ class ModelDef:
                 )
                 oh, ow = spec.out_hw(h, w)
                 shape = (layer.out_channels, oh, ow)
-            elif isinstance(layer, ConstrainedReluLayer):
-                check_clamp_bounds(f"layer {i}: constrained activation", layer.lo, layer.hi, layer.mode,
-                                   QuantParams(self.bit_width, 1.0))
             elif isinstance(layer, ReluLayer):
                 pass
             elif isinstance(layer, FlattenLayer):

@@ -97,9 +97,6 @@ class QTensor:
     def size(self) -> int:
         return self.data.size
 
-    def dequantize(self) -> np.ndarray:
-        return self.array.astype(np.float64) * self.qparams.scale
-
     def __eq__(self, other):
         return (
             isinstance(other, QTensor)

@@ -26,19 +26,10 @@ import numpy as np
 from . import engine as eng
 from .engine import OpType, Stage
 from .errors import ConfigError, ShapeError
-from .modelio import (
-    ConstrainedReluLayer,
-    FlattenLayer,
-    LinearLayer,
-    ModelDef,
-    ReluLayer,
-    check_clamp_bounds,
-    check_range_mode,
-)
+from .modelio import FlattenLayer, LinearLayer, ModelDef, ReluLayer
 from .qtensor import QTensor, QuantParams, flip_array_with_masks
 
 MAX_FAULT_BITS = 64
-_RELUS = (ReluLayer, ConstrainedReluLayer)
 
 # Op type pattern of a region: its ops' OpType, or PAT_MAC when MULs (even
 # offsets) and ADDs (odd offsets) alternate.
@@ -195,10 +186,9 @@ class Step(NamedTuple):
     on: the (stage, op count) ``regions`` in emission order, ``repeats``
     times (once per Winograd tile). A linear step multiplies by ``weights``
     (the layer's weights, transposed), adds ``bias`` and requantizes to
-    ``qparams`` by ``shift``. Then the step applies its ``clamps``, checked
-    (lo, hi, mode) tuples, in order: a constrained relu's, then the range
-    profile's when the step's output is the activation point of conv layer
-    ``act_of``.
+    ``qparams`` by ``shift``. Last, a step whose output is the activation
+    point of conv layer ``act_of`` applies its ``clamp``, the checked (lo,
+    hi, mode) of the range profile's bounds for that layer, or None.
     """
 
     layer_id: int
@@ -213,7 +203,7 @@ class Step(NamedTuple):
     bias: Optional[np.ndarray]
     qparams: Optional[QuantParams]
     shift: int
-    clamps: tuple
+    clamp: Optional[tuple]
     act_of: Optional[int]
 
 
@@ -229,7 +219,8 @@ class Program:
     ``range_mode`` applies at that layer's activation point (after the
     following relu, or after the conv itself when no relu follows). Layer
     ids that are not conv layers, an unknown ``range_mode`` and clamp bounds
-    that leave the model's integer range raise ConfigError here.
+    that are reversed or leave the model's integer range raise ConfigError
+    here (see :func:`check_clamp_bounds`).
     """
 
     def __init__(self, model: ModelDef, engine: Optional[str] = None, ranges=None, range_mode: str = "clamp"):
@@ -245,7 +236,7 @@ class Program:
         qp, op_base, pending = self.input_qparams, 0, None  # pending: a conv before its activation point
         for layer_id, (layer, in_shape, out_shape, spec) in enumerate(plan):
             n_ops, regions, repeats, weights, bias, out_qp, shift = 0, (), 0, None, None, None, 0
-            clamps, act_of = (), None
+            clamp, act_of = None, None
             if spec is not None:
                 c, h, w = in_shape
                 oh, ow = spec.out_hw(h, w)
@@ -264,19 +255,17 @@ class Program:
                 out_qp = QuantParams(model.bit_width, layer.out_scale)
                 shift = out_qp.scale_exponent() - qp.scale_exponent() - layer.weights.qparams.scale_exponent()
                 qp = out_qp
-            elif isinstance(layer, ConstrainedReluLayer):  # its bounds were checked by execution_plan
-                clamps = ((layer.lo, layer.hi, layer.mode),)
             # a conv layer's activation point: the relu right after it, or
             # the conv itself when no relu follows
-            relu_next = layer_id + 1 < len(plan) and isinstance(plan[layer_id + 1][0], _RELUS)
+            relu_next = layer_id + 1 < len(plan) and isinstance(plan[layer_id + 1][0], ReluLayer)
             if pending is not None and not (pending == layer_id and relu_next):
                 act_of, pending = pending, None
                 bounds = profile.get(act_of)
                 if bounds is not None:
                     check_clamp_bounds(f"range profile layer {act_of}", *bounds, range_mode, qp)
-                    clamps += ((*bounds, range_mode),)
+                    clamp = (*bounds, range_mode)
             steps.append(Step(layer_id, layer, out_shape, spec, op_base, n_ops, regions, repeats, weights, bias,
-                              out_qp, shift, clamps, act_of))
+                              out_qp, shift, clamp, act_of))
             if spec is not None:
                 convs.append(steps[-1])
             op_base += n_ops
@@ -325,6 +314,25 @@ class InferenceResult:
     output: QTensor
     conv_outputs: dict = field(default_factory=dict)
     activations: dict = field(default_factory=dict)
+
+
+def check_range_mode(mode: str) -> None:
+    """Raise ConfigError unless ``mode`` is a constrained activation mode."""
+    if mode not in ("clamp", "zero"):
+        raise ConfigError(f"unknown constrained activation mode {mode!r}")
+
+
+def check_clamp_bounds(what: str, lo, hi, mode: str, qp: QuantParams) -> None:
+    """Raise ConfigError for an unknown ``mode``, for ``lo`` above ``hi``, or
+    when clamping to [lo, hi] would leave ``qp``'s integer range: a clamp
+    saturates to a bound, so both may not lie past one end. Zeroing keeps
+    every value in range, whatever the bounds."""
+    check_range_mode(mode)
+    if lo > hi:
+        raise ConfigError(f"{what} clamps to [{lo}, {hi}], whose min is above its max")
+    if mode == "clamp" and (lo > qp.int_max or hi < qp.int_min):
+        raise ConfigError(f"{what} clamps to [{lo}, {hi}], outside the {qp.bit_width}-bit range "
+                          f"[{qp.int_min}, {qp.int_max}]")
 
 
 def constrain(arr: np.ndarray, lo: int, hi: int, mode: str) -> np.ndarray:
@@ -386,7 +394,7 @@ def run_inference(
                 cur = neuron_fn(layer_id, cur)
             if layer_id in capture:
                 res.conv_outputs[layer_id] = cur
-        elif isinstance(layer, _RELUS):
+        elif isinstance(layer, ReluLayer):
             cur = QTensor.trusted(cur.shape, np.maximum(cur.data, 0), cur.qparams)
         elif isinstance(layer, FlattenLayer):
             cur = QTensor.trusted((cur.shape[0], cur.size // cur.shape[0]), cur.data, cur.qparams)
@@ -396,8 +404,8 @@ def run_inference(
                 acc = acc + step.bias[None, :]
             qp = step.qparams
             cur = QTensor.trusted(acc.shape, eng.requant_array(acc, step.shift, qp.int_min, qp.int_max), qp)
-        for lo, hi, mode in step.clamps:
-            cur = QTensor.trusted(cur.shape, constrain(cur.data, lo, hi, mode), cur.qparams)
+        if step.clamp is not None:
+            cur = QTensor.trusted(cur.shape, constrain(cur.data, *step.clamp), cur.qparams)
         if step.act_of in capture_act:
             res.activations[step.act_of] = cur
     for faults in (hook, neuron_fn):

@@ -12,7 +12,6 @@ from winofi.analyze import (
     layer_vulnerability,
     mean_ci95,
     optype_vulnerability,
-    rmse_layer,
     sweep_ber,
     vuln_csv,
 )
@@ -128,96 +127,6 @@ def test_labeled_accuracy_mode(model, dataset):
 
 
 # ---------------------------------------------------------------------------
-# RMSE
-
-
-def test_rmse_zero_at_ber_zero(model, dataset):
-    lid = model.conv_layer_ids()[0]
-    assert rmse_layer(Campaign(model, Dataset(dataset.samples[:1]), seed=7), lid, 0.0, 3) == 0.0
-
-
-def test_rmse_at_ber_zero_runs_only_the_clean_captures(model, dataset, monkeypatch):
-    # every fault table is empty at BER 0, so no faulty inference runs
-    import winofi.analyze
-
-    camp = Campaign(model, Dataset(dataset.samples[:4]), seed=7)
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(kwargs.get("capture", ()))
-        return run_inference(*args, **kwargs)
-
-    monkeypatch.setattr(winofi.analyze, "run_inference", spy)
-    lid = model.conv_layer_ids()[0]
-    assert rmse_layer(camp, lid, 0.0, 3) == 0.0
-    assert calls == [(lid,)] * 4
-
-
-def test_rmse_single_sign_flip_formula(model, dataset):
-    # one forced sign-bit flip on one neuron of an N-element output:
-    # RMSE = |delta| / sqrt(N)
-    from winofi.qtensor import flip_array_with_masks
-
-    lid = model.conv_layer_ids()[0]
-    x = dataset.samples[0]
-    clean = run_inference(model, x, "direct", capture=(lid,)).conv_outputs[lid]
-    n = clean.size
-    v = int(clean.data[0])
-    flipped = v ^ (1 << 15)
-    flipped = flipped - (1 << 16) if flipped >= (1 << 15) else flipped
-    delta = (flipped - v) * clean.qparams.scale
-
-    faulty = flip_array_with_masks(clean.data, np.array([0]), np.array([1 << 15]), 16)
-    rmse = float(np.sqrt(np.mean((faulty * clean.qparams.scale - clean.dequantize().ravel()) ** 2)))
-    assert rmse == pytest.approx(abs(delta) / np.sqrt(n))
-
-
-def test_rmse_positive_under_injection(model, dataset):
-    lid = model.conv_layer_ids()[1]
-    val = rmse_layer(Campaign(model, Dataset(dataset.samples[:1]), "direct", seed=8), lid, 1e-4, 5)
-    assert val > 0.0
-
-
-def test_rmse_winograd_below_direct_trend(model, dataset):
-    # paired op-level campaign at equal BER: fewer, cheaper ops per output in
-    # the winograd stream lead to lower layer RMSE
-    lid = model.conv_layer_ids()[1]
-    x = Dataset(dataset.samples[:1])
-    direct = rmse_layer(Campaign(model, x, "direct", seed=9), lid, 2e-4, 40)
-    wino = rmse_layer(Campaign(model, x, "winograd", seed=9), lid, 2e-4, 40)
-    assert wino < direct
-
-
-def test_rmse_rejects_non_conv_layer(model, dataset):
-    with pytest.raises(ConfigError):
-        rmse_layer(Campaign(model, Dataset(dataset.samples[:1])), 99, 0.0, 1)
-
-
-def test_rmse_on_every_conv_layer(model, dataset):
-    camp = Campaign(model, dataset, "direct", seed=52)
-    lids = camp.opspace.conv_layer_ids()
-    assert [rmse_layer(camp, lid, 0.0, 5) for lid in lids] == [0.0] * len(lids)
-    assert all(rmse_layer(camp, lid, 2e-4, 5) > 0 for lid in lids)
-
-
-# rmse_layer(Campaign(model, dataset, engine, granularity=g, seed=11), lid, ber, 4)
-# as hex floats, computed when the RMSE was accumulated inside the accuracy loop
-PINNED_RMSE = {
-    ("direct", "op", 2e-4): ["0x1.b4b0aee3b9ad8p-3", "0x1.2a2316a24b29dp-2"],
-    ("direct", "neuron", 3e-3): ["0x1.d67a898fd54a4p-3", "0x1.ed55d39221829p-3"],
-    ("winograd", "op", 2e-4): ["0x1.5048eafe5a75dp-5", "0x1.cb9a517ddd293p-4"],
-    ("winograd", "neuron", 3e-3): ["0x1.d67a898fd54a4p-3", "0x1.ed55d39221829p-3"],
-}
-
-
-@pytest.mark.parametrize("engine,granularity,ber", list(PINNED_RMSE))
-def test_rmse_values_are_pinned(model, dataset, engine, granularity, ber):
-    camp = Campaign(model, dataset, engine, granularity=Granularity(granularity), seed=11)
-    got = [rmse_layer(camp, lid, ber, 4).hex() for lid in camp.opspace.conv_layer_ids()]
-    assert got == PINNED_RMSE[(engine, granularity, ber)]
-
-
-# ---------------------------------------------------------------------------
 # Vulnerability
 
 
@@ -319,15 +228,13 @@ def toy_direct():
 
 
 def _single_run(entry, camp, trial=0, sample=0, ber=1e-2, layer=0):
-    """One run of ``entry``: a single inference, a TMR inference under a plan
-    protecting nothing, or an RMSE point of one trial."""
+    """One run of ``entry``: a single inference, or a TMR inference under a
+    plan protecting nothing."""
     if entry == "corrupted_output":
         return camp.corrupted_output(trial, sample, ber, camp.base_scope, capture=(layer,)).output
-    if entry == "run_with_tmr":
-        total = camp.opspace.total_ops
-        plan = TmrPlan(segment_size=total, total_ops=total, order=[0], n=0, achieved_acc=0.0, target_acc=0.0)
-        return run_with_tmr(camp, plan, ber, trial=trial, sample=sample)
-    return rmse_layer(camp, layer, ber, 1)
+    total = camp.opspace.total_ops
+    plan = TmrPlan(segment_size=total, total_ops=total, order=[0], n=0, achieved_acc=0.0, target_acc=0.0)
+    return run_with_tmr(camp, plan, ber, trial=trial, sample=sample)
 
 
 def _replay(camp, *events):
@@ -340,12 +247,12 @@ BAD_RUNS = {  # case -> (arguments of _single_run given its Campaign, the entrie
     "op-past-the-op-space": (lambda camp: _replay(camp, (0, 0, "op", camp.opspace.total_ops + 5, 0, 0)), INFERENCES),
     "bit-past-the-window": (lambda camp: _replay(camp, (0, 0, "op", 5, 60, 0)), INFERENCES),
     "neuron-record": (lambda camp: _replay(camp, (0, 0, "neuron", 5, 0, 0)), INFERENCES),
-    "ber-2": (lambda camp: {"ber": 2.0}, INFERENCES + ("rmse_layer",)),
+    "ber-2": (lambda camp: {"ber": 2.0}, INFERENCES),
     "sample-past-the-end": (lambda camp: {"sample": 4}, INFERENCES),
     "negative-sample": (lambda camp: {"sample": -1}, INFERENCES),
     "negative-trial": (lambda camp: {"trial": -1}, INFERENCES),
-    "missing-layer": (lambda camp: {"layer": 99}, ("corrupted_output", "rmse_layer")),
-    "relu-layer": (lambda camp: {"layer": 1}, ("corrupted_output", "rmse_layer")),
+    "missing-layer": (lambda camp: {"layer": 99}, ("corrupted_output",)),
+    "relu-layer": (lambda camp: {"layer": 1}, ("corrupted_output",)),
 }
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from winofi.engine import OpType
@@ -12,6 +14,7 @@ from winofi.inject import (
     neuron_level_inject,
     op_level_hook,
     sample_op_flips,
+    _flip_masks,
 )
 from winofi.modelio import generate_dataset, generate_toy_model
 from winofi.qtensor import QTensor, QuantParams
@@ -237,6 +240,21 @@ def test_fault_bits_override_changes_space(model):
     flips_d = sample_op_flips(default, 3, 0, 0, 1e-3)
     for mask, width in zip(flips_d.values(), default.op_widths(list(flips_d)).tolist()):
         assert mask < (1 << width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 999), unique=True).map(sorted), st.sampled_from([1, 3, 16, 64]), st.booleans())
+def test_flip_masks_merge_the_bits_of_each_word(positions, width, ragged):
+    # a per-position loop is the reference for the vectorized merge
+    widths = (lambda ids: 1 + ids % width) if ragged else None
+    want = {}
+    for pos in positions:
+        word, bit = divmod(pos, width)
+        if widths is None or bit < widths(word):
+            want[word] = want.get(word, 0) | 1 << bit
+    ids, masks = _flip_masks(np.array(positions, dtype=np.int64), width, widths)
+    assert (ids.dtype, masks.dtype) == (np.int64, np.uint64)
+    assert ids.tolist() == sorted(want) and masks.tolist() == [want[i] for i in sorted(want)]
 
 
 # ---------------------------------------------------------------------------

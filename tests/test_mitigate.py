@@ -4,16 +4,7 @@ import pytest
 from winofi.analyze import Campaign
 from winofi.errors import ConfigError
 from winofi.mitigate import RangeProfile, profile_ranges
-from winofi.modelio import (
-    ConvLayer,
-    Dataset,
-    FlattenLayer,
-    LinearLayer,
-    ModelDef,
-    ReluLayer,
-    generate_dataset,
-    generate_toy_model,
-)
+from winofi.modelio import Dataset, generate_dataset, generate_toy_model
 from winofi.qtensor import QTensor
 from winofi.runtime import Program, constrain, run_inference
 
@@ -97,40 +88,6 @@ def test_fault_free_idempotence(model, dataset):
             plain = run_inference(model, s, "direct").output
             constrained = run_inference(model, s, "direct", program=Program(model, "direct", prof, mode)).output
             assert constrained == plain
-
-
-def test_constrained_relu_layer_type(model, dataset):
-    # baking profiled bounds into the model as constrained_relu layers matches
-    # runner-level range application
-    from winofi.modelio import ConstrainedReluLayer
-
-    prof = profile_ranges(model, dataset)
-    layers = []
-    conv_id = None
-    for i, layer in enumerate(model.layers):
-        if isinstance(layer, ConvLayer):
-            conv_id = i
-            layers.append(layer)
-        elif isinstance(layer, ReluLayer) and conv_id is not None and conv_id in prof.ranges:
-            lo, hi = prof.get(conv_id)
-            layers.append(ConstrainedReluLayer(lo=lo, hi=hi, mode="clamp"))
-        else:
-            layers.append(layer)
-    baked = ModelDef(
-        name="baked", bit_width=model.bit_width, input_shape=model.input_shape,
-        input_scale=model.input_scale, layers=layers, engine=model.engine,
-    )
-    from winofi.inject import draw_op_flips, op_level_hook
-    from winofi.runtime import enumerate_ops
-
-    space = enumerate_ops(model, "direct")
-    for t in range(3):
-        hook, _ = op_level_hook(space, draw_op_flips(space, 85, 5e-4, trial=t), trial=t)
-        a = run_inference(model, dataset.samples[0], "direct", hook.reference,
-                          program=Program(model, "direct", prof)).output
-        hook, _ = op_level_hook(space, draw_op_flips(space, 85, 5e-4, trial=t), trial=t)
-        b = run_inference(baked, dataset.samples[0], "direct", hook.reference).output
-        assert a == b
 
 
 def test_clamp_improves_accuracy_under_faults(model, dataset):

@@ -10,7 +10,6 @@ from winofi.engine import OpType
 from winofi.errors import ConfigError, ShapeError
 from winofi.modelio import (
     BUILTIN_MODELS,
-    ConstrainedReluLayer,
     ConvLayer,
     Dataset,
     builtin_model,
@@ -40,7 +39,6 @@ def _mixed_model():
     """Every layer type, with a conv bias and a linear bias."""
     model = generate_toy_model(depth=2, channels=2, bit_width=16, seed=93, hw=6)
     model.layers[0].bias = np.array([100, -200], dtype=np.int64)
-    model.layers[1] = ConstrainedReluLayer(lo=0, hi=500, mode="zero")
     model.layers[-1].bias = np.array([7, -3, 0, 12], dtype=np.int64)
     model.validate()
     return model
@@ -61,8 +59,10 @@ PINNED_MODEL_DIGESTS = {
         "0542994ca4c45a3a05985e9eb59c85958e9637c573b8c320d5af9126badb0021",
         "591fa9d917efa5d0cea36d49b85362dbb926f65a59c1693b4bdaf968278f9708",
     ),
+    # written by the codec that still read constrained_relu layers: the
+    # bytes of the remaining layer types did not change
     "mixed": (
-        "d23f7b53e223bb05a653f9f5e887cacaed60b036a16f118c1c01fdf2fc554936",
+        "1ff8c409e2ab4ed020372adcbc07d4708e3ef6164aaf9901649669896bf14830",
         "120d7f310feeff32339c1a8fcebb658c87252171225ef938932a9f3f2abd9cc9",
     ),
 }
@@ -129,8 +129,7 @@ def test_generated_model_bytes_are_pinned(tmp_path, seed, channels, hw):
 
 @pytest.mark.parametrize(
     "layer_type,foreign",
-    [("conv3x3", "out_features"), ("relu", "lo"), ("constrained_relu", "stride"),
-     ("flatten", "weight"), ("linear", "stride")],
+    [("conv3x3", "out_features"), ("relu", "out_features"), ("flatten", "weight"), ("linear", "stride")],
 )
 def test_key_of_another_layer_type_rejected_strictly(tmp_path, layer_type, foreign):
     d = tmp_path / "m"
@@ -144,9 +143,7 @@ def test_key_of_another_layer_type_rejected_strictly(tmp_path, layer_type, forei
     assert _digests(tmp_path / "m2") == PINNED_MODEL_DIGESTS["mixed"]
 
 
-@pytest.mark.parametrize(
-    "layer_type,key", [("conv3x3", "out_channels"), ("linear", "weight_scale"), ("constrained_relu", "lo")]
-)
+@pytest.mark.parametrize("layer_type,key", [("conv3x3", "out_channels"), ("linear", "weight_scale")])
 def test_missing_layer_key_exits_2(tmp_path, capsys, layer_type, key):
     model = _mixed_model()
     d = tmp_path / "m"
@@ -231,17 +228,32 @@ def test_model_roundtrip_with_bias_and_constrained(tmp_path):
     model = generate_toy_model(depth=1, channels=2, bit_width=16, seed=93, hw=6)
     bias = np.array([100, -200], dtype=np.int64)
     model.layers[0].bias = bias
-    model.layers[1] = ConstrainedReluLayer(lo=0, hi=500, mode="zero")
     model.validate()
     d = tmp_path / "m"
     save_model(model, str(d))
     loaded = load_model(str(d))
     assert np.array_equal(loaded.layers[0].bias, bias)
-    assert loaded.layers[1].lo == 0 and loaded.layers[1].hi == 500
-    assert loaded.layers[1].mode == "zero"
     d2 = tmp_path / "m2"
     save_model(loaded, str(d2))
     assert _read_bytes(str(d)) == _read_bytes(str(d2))
+
+
+def test_constrained_relu_layer_is_rejected(tmp_path, capsys):
+    # clamps come only from a range profile, never from the model file
+    model = builtin_model("toycnn-int16")
+    d = tmp_path / "m"
+    save_model(model, str(d))
+    save_dataset(generate_dataset(model, 2, seed=104), str(tmp_path / "ds"))
+    manifest = json.loads((d / "manifest.json").read_text())
+    manifest["layers"][1] = {"type": "constrained_relu", "lo": 0, "hi": 5, "mode": "clamp"}
+    _write_manifest(d, manifest)
+    message = "layer 1: unsupported layer type 'constrained_relu'"
+    with pytest.raises(ConfigError, match=message):
+        load_model(str(d))
+    code = main(["sweep", "--model", str(d), "--dataset", str(tmp_path / "ds"), "--ber", "0", "--trials", "1"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and err["message"] == message
 
 
 def test_checksum_mismatch_rejected(tmp_path):

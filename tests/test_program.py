@@ -15,22 +15,15 @@ from winofi.analyze import Campaign
 from winofi.engine import OpFaults
 from winofi.errors import ConfigError
 from winofi.mitigate import RangeProfile, profile_ranges
-from winofi.modelio import ConstrainedReluLayer, ReluLayer, builtin_model, generate_dataset, generate_toy_model
+from winofi.modelio import builtin_model, generate_dataset, generate_toy_model
 from winofi.qtensor import QTensor, QuantParams
 from winofi.runtime import NeuronFaults, Program, enumerate_ops, run_inference
 
 
 @functools.lru_cache(maxsize=None)
-def _model(bit_width, constrained):
-    """A two-conv model with ragged Winograd edge tiles, its first relu
-    constrained (lo, hi, mode) or plain, and one input."""
+def _model(bit_width):
+    """A two-conv model with ragged Winograd edge tiles, and one input."""
     model = generate_toy_model(depth=2, channels=3, bit_width=bit_width, seed=13 + bit_width, hw=7)
-    if constrained is not None:
-        layers = list(model.layers)
-        relu = next(i for i, layer in enumerate(layers) if isinstance(layer, ReluLayer))
-        layers[relu] = ConstrainedReluLayer(*constrained)
-        model = dataclasses.replace(model, layers=layers)
-        model.validate()
     return model, generate_dataset(model, 1, seed=3).samples[0]
 
 
@@ -75,11 +68,7 @@ def test_unchecked_layer_outputs_stay_in_range(engine, data):
     # compiled Program must give what a call compiling its own gives.
     bits = data.draw(st.sampled_from([8, 16]))
     qp = QuantParams(bits, 1.0)
-    constrained = None
-    if data.draw(st.booleans()):
-        mode = data.draw(st.sampled_from(["clamp", "zero"]))
-        constrained = (*data.draw(_bounds(qp, mode)), mode)
-    model, x = _model(bits, constrained)
+    model, x = _model(bits)
     fault_bits = data.draw(st.none() | st.integers(1, 64)
                            | st.fixed_dictionaries({"MUL": st.integers(1, 64), "ADD": st.integers(1, 64)}))
     space = enumerate_ops(model, engine, fault_bits=fault_bits)
@@ -123,24 +112,23 @@ def test_program_is_a_snapshot_of_the_layers(engine):
     # Every clamp and operand is compiled into the steps, so mutating the
     # model's layers afterwards changes nothing a compiled Program runs.
     model = builtin_model("toycnn-int16")
-    layers = list(model.layers)
-    layers[1] = ConstrainedReluLayer(0, 100)
-    model = dataclasses.replace(model, layers=layers)
     x = generate_dataset(model, 1, seed=5).samples[0]
-    program = Program(model, engine)
+    profile = {0: (0, 100)}
+    program = Program(model, engine, profile)
     conv_ids = tuple(model.conv_layer_ids())
     want = run_inference(model, x, engine, capture_act=conv_ids, program=program)
-    model.layers[1].lo, model.layers[1].hi = 40000, 50000
-    linear = model.layers[-1]
+    profile[0] = (40000, 50000)
+    conv, linear = model.layers[0], model.layers[-1]
+    conv.weights, conv.out_scale = QTensor(conv.weights.shape, -conv.weights.data, conv.weights.qparams), 1.0
     linear.weights, linear.bias = QTensor(linear.weights.shape, -linear.weights.data, linear.weights.qparams), None
     got = run_inference(model, x, engine, capture_act=conv_ids, program=program)
     assert all(map(_in_range, got.activations.values()))
     assert got.activations == want.activations
     assert got.output == want.output
+    assert got.output != run_inference(model, x, engine).output
     # a new Program checks each clamp it compiles, the mode too
-    model.layers[1].mode = "bogus"
     with pytest.raises(ConfigError, match="unknown constrained activation mode 'bogus'"):
-        Program(model, engine)
+        Program(model, engine, {0: (0, 100)}, "bogus")
 
 
 @pytest.mark.parametrize("engine", ["direct", "winograd"])
@@ -184,19 +172,13 @@ def test_campaign_pickles_with_its_program(granularity):
 def test_clamp_bounds_outside_the_model_range_are_rejected(lo, hi):
     model = builtin_model("toycnn-int16")
     data = generate_dataset(model, 2, seed=7)
-    layers = list(model.layers)
-    layers[1] = ConstrainedReluLayer(lo, hi)
-    baked = dataclasses.replace(model, layers=layers)
-    with pytest.raises(ConfigError, match=rf"layer 1: constrained activation clamps to \[{lo}, {hi}\], outside"):
-        baked.validate()
     for engine in ("direct", "winograd"):
         with pytest.raises(ConfigError, match=rf"range profile layer 2 clamps to \[{lo}, {hi}\], outside the 16-bit"):
             Campaign(model, data, engine, ranges=RangeProfile({2: (lo, hi)}))
         with pytest.raises(ConfigError, match="range profile layer 2"):
             Program(model, engine, {2: (lo, hi)})
     # zeroing keeps every value in range, whatever the bounds
-    layers[1] = ConstrainedReluLayer(lo, hi, "zero")
-    dataclasses.replace(model, layers=layers).validate()
+    Program(model, "direct", {2: (lo, hi)}, "zero")
     Campaign(model, data, ranges=RangeProfile({2: (lo, hi)}), range_mode="zero")
 
 
@@ -204,15 +186,25 @@ def test_clamp_bounds_outside_the_model_range_are_rejected(lo, hi):
 def test_clamp_bounds_that_overlap_the_model_range_stay_accepted(lo, hi):
     model = builtin_model("toycnn-int16")
     data = generate_dataset(model, 2, seed=7)
-    layers = list(model.layers)
-    layers[1] = ConstrainedReluLayer(lo, hi)
-    baked = dataclasses.replace(model, layers=layers)
-    baked.validate()
     for engine in ("direct", "winograd"):
-        out = run_inference(baked, data.samples[0], engine).output
+        plain = run_inference(model, data.samples[0], engine, capture_act=(0,)).activations[0]
         program = Program(model, engine, {0: (lo, hi)})
-        assert out == run_inference(model, data.samples[0], engine, program=program).output
+        got = run_inference(model, data.samples[0], engine, capture_act=(0,), program=program).activations[0]
+        assert np.array_equal(got.data, np.clip(plain.data, lo, hi))
         Campaign(model, data, engine, ranges=RangeProfile({2: (lo, hi)}))
+
+
+@pytest.mark.parametrize("mode", ["clamp", "zero"])
+def test_clamp_bounds_whose_min_is_above_their_max_are_rejected(mode):
+    # the Program checks every clamp it compiles, not only a RangeProfile's
+    model = builtin_model("toycnn-int16")
+    data = generate_dataset(model, 2, seed=7)
+    message = r"range profile layer 0 clamps to \[10, 5\], whose min is above its max"
+    for engine in ("direct", "winograd"):
+        with pytest.raises(ConfigError, match=message):
+            Program(model, engine, {0: (10, 5)}, mode)
+        with pytest.raises(ConfigError, match=message):
+            Campaign(model, data, engine, ranges={0: (10, 5)}, range_mode=mode)
 
 
 def test_trusted_wraps_without_a_copy():

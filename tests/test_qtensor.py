@@ -79,7 +79,7 @@ def test_quantize_dequantize_within_half_scale(v):
     qp = QuantParams(8, 1 / 16)
     q = quantize(np.array([v]), qp)
     clamped = min(max(v, qp.int_min * qp.scale), qp.int_max * qp.scale)
-    assert abs(q.dequantize()[0] - clamped) <= qp.scale / 2 + 1e-12
+    assert abs(q.array[0] * qp.scale - clamped) <= qp.scale / 2 + 1e-12
 
 
 @given(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=20))
