@@ -31,7 +31,7 @@ from .qtensor import QTensor, QuantParams, flip_array_with_masks
 
 MAX_FAULT_BITS = 64
 
-# Op type pattern of a region: its ops' OpType, or PAT_MAC when MULs (even
+# Op type pattern of a stage: its ops' OpType, or PAT_MAC when MULs (even
 # offsets) and ADDs (odd offsets) alternate.
 PAT_MAC = 2
 _STAGE_PATTERNS = {
@@ -47,9 +47,12 @@ class OpSpace:
     """Canonical operation address space of one inference, read off a
     :class:`Program`'s conv steps.
 
-    The op stream is stored once, as parallel arrays over its regions: region
-    r is the op_id run [starts[r], ends[r]) of one layer (``layers[r]``) and
-    stage (``stages[r]``) whose op types follow ``patterns[r]``.
+    The op stream is stored as one row per conv layer and a per-tile stage
+    table: conv layer ``layers[i]`` owns the op ids from ``starts[i]`` on,
+    ``tiles[i]`` tiles of ``tile_ops[i]`` ops each (one tile for the direct
+    engine). Every tile emits the ``stages`` in order, stage j as
+    ``tile_sizes[i, j]`` ops from ``tile_starts[i, j]`` within the tile,
+    whose op types follow the stage's pattern (``_STAGE_PATTERNS``).
     """
 
     def __init__(self, program: Program, fault_bits=None):
@@ -60,39 +63,54 @@ class OpSpace:
         self.width_add = wa
         self.width_pad = max(wm, wa)
 
-        runs = []  # (layer_id, stage, op count) in emission order
-        neuron_sizes: dict[int, int] = {}
-        for step in program.convs:
-            neuron_sizes[step.layer_id] = math.prod(step.out_shape)
-            runs += [(step.layer_id, stage, n) for stage, n in step.regions] * step.repeats
-
-        self.layers, self.stages, sizes = np.array(runs, dtype=np.int64).reshape(-1, 3).T
-        self.ends = np.cumsum(sizes)
-        self.starts = self.ends - sizes
-        self.patterns = np.array([_STAGE_PATTERNS.get(s, -1) for s in range(max(Stage) + 1)])[self.stages]
-        self.total_ops = int(self.ends[-1]) if runs else 0
-        self.neuron_sizes = neuron_sizes
-        ends = np.cumsum([0, *neuron_sizes.values()]).tolist()
-        self.neuron_ranges = dict(zip(neuron_sizes, zip(ends, ends[1:])))  # conv layer_id -> [start, end) neuron ids
+        convs = program.convs
+        self.layers = np.array([step.layer_id for step in convs], dtype=np.int64)
+        self.starts = np.array([step.op_base for step in convs], dtype=np.int64)
+        self.tiles = np.array([step.repeats for step in convs], dtype=np.int64)
+        stages = [stage for stage, _ in convs[0].regions] if convs else []
+        self.stages = np.array(stages, dtype=np.int64)
+        sizes = np.array([[n for _, n in step.regions] for step in convs], dtype=np.int64)
+        self.tile_sizes = sizes.reshape(len(convs), len(stages))
+        self.tile_starts = np.cumsum(self.tile_sizes, axis=1) - self.tile_sizes
+        self.tile_ops = self.tile_sizes.sum(axis=1)
+        self.total_ops = int(self.tiles @ self.tile_ops)
+        self._patterns = np.array([_STAGE_PATTERNS[stage] for stage in stages], dtype=np.int64)
+        self._tile_muls = self._muls(self.tile_sizes)
+        # classify's tables. An op's key is its layer's key base plus its
+        # offset within its tile; each (layer, stage) row holds the key of the
+        # stage's first op in a tile, ascending.
+        self._key_base = np.arange(len(convs)) * (int(self.tile_ops.max(initial=0)) + 1)
+        self._row_keys = (self._key_base[:, None] + self.tile_starts).ravel()
+        self._row_stages = np.tile(self.stages, len(convs))
+        self._row_patterns = np.tile(self._patterns, len(convs))
+        self.neuron_sizes = {step.layer_id: math.prod(step.out_shape) for step in convs}
+        ends = np.cumsum([0, *self.neuron_sizes.values()]).tolist()
+        self.neuron_ranges = dict(zip(self.neuron_sizes, zip(ends, ends[1:])))  # conv layer_id -> [start, end) neuron ids
         self.total_neurons = ends[-1]
 
     # -- counts -------------------------------------------------------------
 
-    def _muls_below(self, op_id: int) -> np.ndarray:
-        """MUL ops of each region below ``op_id``."""
-        n = np.clip(op_id - self.starts, 0, self.ends - self.starts)
-        return np.select([self.patterns == OpType.MUL, self.patterns == PAT_MAC], [n, (n + 1) // 2], 0)
+    def _muls(self, n: np.ndarray) -> np.ndarray:
+        """MUL ops among the first ``n[..., j]`` ops of stage j of a tile:
+        all of a MUL stage's, every other one of a MAC stage's."""
+        return np.where(self._patterns == OpType.MUL, n, np.where(self._patterns == PAT_MAC, (n + 1) // 2, 0))
+
+    def _muls_below(self, op_id: int) -> int:
+        """MUL ops with ids below ``op_id``."""
+        tiles, off = np.divmod(np.clip(op_id - self.starts, 0, self.tiles * self.tile_ops), self.tile_ops)
+        partial = np.clip(off[:, None] - self.tile_starts, 0, self.tile_sizes)
+        return int((tiles[:, None] * self._tile_muls + self._muls(partial)).sum())
 
     def count(self, layer_id=None, stage=None, op_type=None) -> int:
-        sel = np.ones(self.starts.shape, dtype=bool)
+        sel = np.ones(self.tile_sizes.shape, dtype=bool)
         if layer_id is not None:
-            sel &= self.layers == layer_id
+            sel &= (self.layers == layer_id)[:, None]
         if stage is not None:
             sel &= self.stages == stage
-        ops = int((self.ends - self.starts)[sel].sum())
-        muls = int(self._muls_below(self.total_ops)[sel].sum())
+        ops = int((self.tiles[:, None] * self.tile_sizes)[sel].sum())
         if op_type is None:
             return ops
+        muls = int((self.tiles[:, None] * self._tile_muls)[sel].sum())
         return muls if op_type == OpType.MUL else ops - muls
 
     @property
@@ -122,7 +140,7 @@ class OpSpace:
         """(MUL, ADD) op counts inside [start, end), computed arithmetically."""
         start = max(0, start)
         end = max(start, min(self.total_ops, end))
-        muls = int((self._muls_below(end) - self._muls_below(start)).sum())
+        muls = self._muls_below(end) - self._muls_below(start)
         return muls, end - start - muls
 
     # -- per-op lookup --------------------------------------------------------
@@ -132,9 +150,11 @@ class OpSpace:
         ids = np.asarray(op_ids, dtype=np.int64)
         if ids.size and not (0 <= ids.min() and ids.max() < self.total_ops):
             raise ConfigError(f"op_ids outside [0, {self.total_ops})")
-        r = np.searchsorted(self.starts, ids, side="right") - 1
-        pattern = self.patterns[r]
-        return self.layers[r], self.stages[r], np.where(pattern == PAT_MAC, (ids - self.starts[r]) & 1, pattern)
+        i = np.searchsorted(self.starts[1:], ids, side="right")  # the op's layer row
+        key = self._key_base[i] + (ids - self.starts[i]) % self.tile_ops[i]
+        r = np.searchsorted(self._row_keys[1:], key, side="right")  # its (layer, stage) row
+        pattern = self._row_patterns[r]
+        return self.layers[i], self._row_stages[r], np.where(pattern == PAT_MAC, (key - self._row_keys[r]) & 1, pattern)
 
     def op_widths(self, op_ids) -> np.ndarray:
         return np.array([self.width_mul, self.width_add])[self.classify(op_ids)[2]]  # indexed by OpType

@@ -42,6 +42,23 @@ def test_sweep_ber_zero_row_equals_clean(assets, tmp_path):
     assert float(row[4]) == 0.0
 
 
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+@pytest.mark.parametrize("granularity", ["op", "neuron"])
+def test_sweep_at_tiny_ber_rows_equal_clean(assets, tmp_path, granularity, engine):
+    # a geometric gap at such a BER is INT64_MAX; summed uncapped it wrapped
+    # to negative flip positions, and the sweep exited 2
+    out = tmp_path / "res.csv"
+    code = run_cli(
+        "sweep", "--model", assets["model"], "--dataset", assets["dataset"],
+        "--engine", engine, "--granularity", granularity,
+        "--ber", "1e-18,1e-300,5e-324", "--trials", "2", "--seed", "3", "--out", str(out),
+    )
+    assert code == 0
+    rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    assert [float(r[0]) for r in rows] == [1e-18, 1e-300, 5e-324]
+    assert all(float(r[3]) == float(r[5]) for r in rows)
+
+
 def test_sweep_metadata_embedded(assets, tmp_path):
     out = tmp_path / "res.csv"
     run_cli(

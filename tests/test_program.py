@@ -147,10 +147,10 @@ def test_program_op_layout_is_the_op_space(engine):
     model = builtin_model("toycnn-int16")
     program, space = Program(model, engine), enumerate_ops(model, engine)
     assert [step.layer_id for step in program.convs] == space.conv_layer_ids()
-    for step in program.convs:
-        mine = (space.layers == step.layer_id)
-        assert step.op_base == int(space.starts[mine][0])
-        assert step.n_ops == space.count(step.layer_id)
+    assert space.layers.tolist() == [step.layer_id for step in program.convs]  # one row per conv layer
+    for step, start, tiles, tile_ops in zip(program.convs, space.starts, space.tiles, space.tile_ops):
+        assert step.op_base == int(start)
+        assert step.n_ops == space.count(step.layer_id) == int(tiles * tile_ops)
     assert sum(step.n_ops for step in program.steps) == space.total_ops
 
 

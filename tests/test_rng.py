@@ -1,0 +1,123 @@
+"""The flip sampler against its definition: per-chunk SeedSequence keys, and
+one Philox stream per chunk walked by geometric gaps (BER <= 1e-4) or
+thresholded one uniform per bit (above)."""
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from winofi.rng import (
+    CHUNK_BITS,
+    SKIP_SAMPLING_BER,
+    _chunk_keys,
+    _geometric_draw,
+    _seed_sequence,
+    sample_flip_positions,
+)
+
+
+def reference_positions(seed, labels, total_bits, ber):
+    """The sampling definition, one chunk at a time: a fresh SeedSequence ->
+    Philox -> Generator per chunk, gaps drawn one by one as Python ints."""
+    parts = [np.empty(0, dtype=np.int64)]
+    for chunk, start in enumerate(range(0, total_bits, CHUNK_BITS)):
+        n = min(CHUNK_BITS, total_bits - start)
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *labels, chunk))))
+        if ber <= SKIP_SAMPLING_BER:
+            pos, last = [], -1
+            while True:
+                last += int(gen.geometric(ber))
+                if last >= n:
+                    break
+                pos.append(last)
+            pos = np.array(pos, dtype=np.int64)
+        else:
+            pos = np.flatnonzero(gen.random(n) < ber)
+        parts.append(pos + start)
+    return np.concatenate(parts)
+
+
+SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**63 - 1))
+LABELS = st.lists(st.integers(0, 2**40), min_size=1, max_size=4).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=SEEDS, labels=LABELS, n_chunks=st.integers(1, 40))
+def test_chunk_keys_equal_seed_sequence(seed, labels, n_chunks):
+    keys = _chunk_keys(_seed_sequence(seed, labels), n_chunks)
+    expect = [np.random.SeedSequence((seed, *labels, c)).generate_state(2, np.uint64) for c in range(n_chunks)]
+    assert keys.shape == (n_chunks, 2)
+    assert np.array_equal(keys, np.array(expect))
+
+
+EDGE_BITS = [1, 777, CHUNK_BITS - 1, CHUNK_BITS, CHUNK_BITS + 1, 2 * CHUNK_BITS, 3 * CHUNK_BITS - 5]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, labels=LABELS, total_bits=st.sampled_from(EDGE_BITS),
+       ber=st.one_of(st.just(SKIP_SAMPLING_BER), st.floats(1e-7, SKIP_SAMPLING_BER)))
+def test_geometric_regime_equals_per_chunk_reference(seed, labels, total_bits, ber):
+    pos = sample_flip_positions(seed, labels, total_bits, ber)
+    assert pos.dtype == np.int64
+    assert np.array_equal(pos, reference_positions(seed, labels, total_bits, ber))
+
+
+@pytest.mark.parametrize("total_bits", [777, CHUNK_BITS, CHUNK_BITS + 1])
+@pytest.mark.parametrize("ber", [1.0001e-4, 3e-3])
+def test_uniform_regime_equals_per_chunk_reference(total_bits, ber):
+    pos = sample_flip_positions(5, (0, 2, 1, 0), total_bits, ber)
+    assert np.array_equal(pos, reference_positions(5, (0, 2, 1, 0), total_bits, ber))
+
+
+@pytest.mark.parametrize("est", [1, 2, 7])
+@pytest.mark.parametrize("total_bits", [300_000, 2 * CHUNK_BITS + 300_000])
+def test_short_walks_are_redone_from_their_keys(est, total_bits):
+    # so few gaps per chunk that every walk ends short of its chunk's end
+    seed, labels, ber = 11, (0, 4, 2, 0), 1e-4
+    ss = _seed_sequence(seed, labels)
+    keys = _chunk_keys(ss, -(-total_bits // CHUNK_BITS)).tolist()
+    pos = _geometric_draw(np.random.Generator(np.random.Philox(ss)), keys, total_bits, ber, est)
+    expect = reference_positions(seed, labels, total_bits, ber)
+    assert np.bincount(expect // CHUNK_BITS, minlength=len(keys)).min() >= est
+    assert np.array_equal(pos, expect)
+
+
+@pytest.mark.parametrize("ber", [1e-18, 1e-300, 5e-324])
+@pytest.mark.parametrize("total_bits", [1000, CHUNK_BITS + 5, 3 * CHUNK_BITS])
+def test_tiny_ber_draws_no_flips(ber, total_bits):
+    # numpy caps such gaps at INT64_MAX; summed uncapped they wrapped negative
+    assert sample_flip_positions(0, (0, 0, 0, 0), total_bits, ber).size == 0
+
+
+def test_negative_seed_or_label_is_rejected():
+    with pytest.raises(ValueError):
+        sample_flip_positions(-1, (0, 0, 0, 0), 1000, 1e-4)
+    with pytest.raises(ValueError):
+        sample_flip_positions(1, (0, -3, 0, 0), 1000, 1e-4)
+
+
+# sha256 of the sampler's positions over a fixed grid, taken with the
+# per-chunk sampler that the batched one replaced
+PINNED_DIGESTS = {
+    "geometric": ((1000, CHUNK_BITS, 3 * CHUNK_BITS + 17), (1e-6, 1e-5, 1e-4),
+                  "cfff59d0c1ad6a10f1ffd569f3d7e0c66cb6ecf608107e88e91507fe11458d72"),
+    "uniform": ((1000, CHUNK_BITS + 17), (2e-4, 1e-3),
+                "d0c8b4b6ee62fe8e9f2b6eccbee18c733aa7509710f61a2c3c62de2c77374aee"),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(PINNED_DIGESTS))
+def test_sampler_digests_are_pinned(regime):
+    totals, bers, expect = PINNED_DIGESTS[regime]
+    h = hashlib.sha256()
+    for seed in (0, 7919, 2**32 + 5, 2**63 - 1):
+        for labels in ((0, 0, 0, 0), (1, 3, 2, 5), (0, 2**33, 1, 0), (7,)):
+            for total_bits in totals:
+                for ber in bers:
+                    pos = sample_flip_positions(seed, labels, total_bits, ber)
+                    h.update(np.int64(pos.size).tobytes())
+                    h.update(pos.astype("<i8").tobytes())
+    assert h.hexdigest() == expect

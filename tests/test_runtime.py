@@ -273,7 +273,8 @@ def test_stacked_add_flips_in_one_chain_match_hooked_oracle(engine):
     layer = space.conv_layer_ids()[-1]
     c_ = model.execution_plan()[layer][1][0]
     stage = Stage.DIRECT_MAC if engine == "direct" else Stage.WG_CHANNEL_SUM
-    start = int(space.starts[(space.layers == layer) & (space.stages == stage)][0])
+    row, col = int(np.flatnonzero(space.layers == layer)[0]), int(np.flatnonzero(space.stages == stage)[0])
+    start = int(space.starts[row] + space.tile_starts[row, col])  # the stage's first op, in the layer's first tile
     if engine == "direct":
         unit = start + 5 * 18 * c_
         ops = [unit + 2 * mac + 1 for mac in (0, 4, 9, 17, 9 * c_ - 1)]  # the ADDs of five MACs
