@@ -19,17 +19,22 @@ input channels for a partial sum to reach 2^53.
 
 A layer's ops group into output units: a direct output pixel, or a Winograd
 (tile, output channel). Passed an :class:`OpFaults` table of the ops to flip
-as its hook, a conv runs the vectorized path and then, if the table holds
-any of its ops, recomputes only the units owning a struck op, in NumPy
-lockstep over all of them at once. A struck layer pays a few dozen NumPy
-calls; the rest of its work scales with its struck units and flips, and a
-stage or chain without a flip costs nothing. Product flips apply at once,
-flips of running sums and of the transforms' add chains in dependency
-order (:func:`_chain_sums`, :func:`_lockstep`). The recomputation holds
-every value exactly (:func:`lockstep_bound`): in float64 for a Winograd
-layer below 2^53, whose transforms then run as BLAS products, in int64
-below 2^63, else on Python ints. Any other hook sees every op; that hooked
-path is the reference for the fast path.
+as its hook, a conv runs the vectorized path, keeping its int64 accumulators
+(bias included) before requantizing them, and then, if the table holds any
+of its ops, corrects only the units owning a struck op. Every op that reads
+a flipped value is linear in it (an add, or a multiply by a static filter
+value), and the integer arithmetic is exact, so a struck unit's faulty
+accumulator is its dense one plus each flip's change ``_flip(v, m) - v``
+propagated by fixed maps, where v is the value the hook would see. Only
+those values are computed, in NumPy lockstep over every flip of the layer:
+products one by one, running sums from their chains' prefixes, and the
+transforms' add chains in dependency order (:func:`_add_flips`,
+:func:`_lockstep`). A struck layer pays a few dozen NumPy calls; the rest of
+its work scales with its flips, and a stage without one costs nothing. Every
+value and change stays exact (:func:`lockstep_bound`): in float64 for a
+Winograd layer below 2^53, whose transforms then run as BLAS products, in
+int64 below 2^63, else on Python ints. Any other hook sees every op; that
+hooked path is the reference for the fast path.
 """
 
 from __future__ import annotations
@@ -260,8 +265,8 @@ class ConvSpec:
 
     @functools.cached_property
     def u_int(self) -> np.ndarray:
-        """:attr:`u` as int64 (K, 16, C), the operand of the struck Winograd units."""
-        return np.ascontiguousarray(self.u.transpose(1, 0, 2).astype(np.int64))
+        """:attr:`u` as int64 (K, C, 16), the operand of the struck Winograd units."""
+        return np.ascontiguousarray(self.u.transpose(1, 2, 0).astype(np.int64))
 
     def out_hw(self, in_h: int, in_w: int) -> tuple[int, int]:
         oh = in_h + 2 * self.padding - 2
@@ -453,32 +458,35 @@ def _ranks(chain: np.ndarray) -> list:
     return [order[rank == r] for r in range(rank.max() + 1)]
 
 
-def _chain_sums(p: np.ndarray, start, mul: tuple, add: tuple) -> np.ndarray:
-    """The final sums, (units, E), of the chains of ADDs that sum the
-    products ``p`` (units, E, L) along the last axis, one per (unit, e), each
-    starting at ``start`` (one value per unit, or None for 0), as the hook
-    sees them flipped. ``mul`` and ``add`` are the (unit, e, l, masks) of the
-    flips of products and of running sums, a chain's in chain order. ``p``
-    takes the product flips at once; a running sum's flip moves every later
-    sum of its chain, so each chain's flips apply in turn, and those of all
-    chains together (see :func:`_ranks`)."""
-    u, e, l, mk = mul
-    if mk.size:
-        p[u, e, l] = _flip(p[u, e, l], mk)
-    if start is not None:
-        p[:, :, 0] += start[:, None]
-    y = p @ np.ones(p.shape[2], dtype=np.int64)  # a matrix product sums short rows faster than sum()
-    u, e, l, mk = add
-    if mk.size:
-        chain = u * y.shape[1] + e
-        acc = p[u, e].cumsum(axis=1)[np.arange(l.size), l]  # each struck sum, before any flip
-        flat = y.reshape(-1)
-        end = flat.copy()
-        for r, j in enumerate(_ranks(chain)):
-            at = chain[j]
-            v = acc[j] + (flat[at] - end[at]) if r else acc[j]  # with the deltas of the chain's earlier flips
-            flat[at] += _flip(v, mk[j]) - v
-    return y
+def _add_flips(s: np.ndarray, chain: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """The changes that flips of running sums make to them: flip j strikes
+    chain ``chain[j]`` at the sum ``s[j]`` has before any of these flips. A
+    flip moves every later sum of its chain, so a chain's flips, in array
+    order, apply in turn, each to the sum that the flips before it moved;
+    those of all chains apply together (see :func:`_ranks`)."""
+    ranks = _ranks(chain)
+    if len(ranks) == 1:
+        return _flip(s, masks) - s
+    delta = np.empty_like(s)
+    moved = np.zeros(chain.max() + 1, s.dtype)  # each chain's change so far
+    for j in ranks:
+        at = chain[j]
+        v = s[j] + moved[at]
+        delta[j] = _flip(v, masks[j]) - v
+        moved[at] += delta[j]
+    return delta
+
+
+def _find(keys: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, found): where each of ``x`` sits in the sorted, distinct, nonempty
+    ``keys``, and whether it is there."""
+    i = keys.searchsorted(x)
+    return i, keys[np.minimum(i, keys.size - 1)] == x
+
+
+def _exact(x: np.ndarray, dt) -> np.ndarray:
+    """The float64 integers ``x`` in ``dt``."""
+    return x if dt == _F64 else x.astype(np.int64).astype(dt, copy=False)
 
 
 def _lockstep(tf: _Transform, x: np.ndarray, row: np.ndarray, steps: np.ndarray, masks: np.ndarray, dt):
@@ -522,9 +530,9 @@ def conv_direct(
     kernel row, kernel col; each MAC emits its MUL then its accumulation ADD.
     The 18*C ops of one output pixel form its unit. With ``hook`` None the
     vectorized kernel computes the output. Given an :class:`OpFaults` table
-    as ``hook``, the units owning a struck op are then recomputed together
-    (see :func:`_direct_struck`). Any other hook sees every op; that is the
-    reference.
+    as ``hook``, the units owning a struck op then take their flips' changes
+    on the kernel's accumulators (see :func:`_direct_struck`). Any other hook
+    sees every op; that is the reference.
     """
     n_, c_, h, w = _check_input(x, spec)
     oh, ow = spec.out_hw(h, w)
@@ -533,11 +541,12 @@ def conv_direct(
     pad, k_ = spec.padding, spec.out_channels
     xp = _padded(x, pad, h + 2 * pad, w + 2 * pad)
     if hook is None or isinstance(hook, OpFaults):
-        out = _conv_direct_vec(xp, spec, shift)
+        acc = _direct_acc(xp, spec)
+        out = requant_array(acc, shift, oq.int_min, oq.int_max)
         if hook is not None:
             struck = _layer_faults(hook, op_base, out.size * 18 * c_, spec)
             if struck:
-                _direct_struck(xp, spec, shift, out, *struck)
+                _direct_struck(xp, spec, shift, acc, out, *struck)
         return QTensor.trusted(out.shape, out, oq)
 
     chain = 18 * c_
@@ -567,31 +576,58 @@ def conv_direct(
     return QTensor.trusted((n_, k_, oh, ow), out, oq)
 
 
-def _direct_struck(xp: np.ndarray, spec: ConvSpec, shift: int, out: np.ndarray, offs: np.ndarray,
-                   masks: np.ndarray, dt) -> None:
+def _direct_struck(xp: np.ndarray, spec: ConvSpec, shift: int, acc: np.ndarray, out: np.ndarray,
+                   offs: np.ndarray, masks: np.ndarray, dt) -> None:
     """Overwrite the pixels of ``out`` owning the struck op offsets ``offs``
-    with their faulty values, computed in ``dt``: one gather gives the
-    struck pixels' products, and their flipped sums follow from
-    :func:`_chain_sums`."""
+    with their faulty values: their accumulators ``acc`` (the dense pass's,
+    bias included) plus the change ``_flip(v, m) - v`` of each flip, in
+    ``dt``, where v is the value the hook would see. Every op reading a
+    flipped value adds it, so the change passes unaltered to the pixel's
+    final sum. A MUL flip's v is its one product. An ADD flip's is its
+    running sum: only the pixels holding one gather their products, which
+    take the changes of their MUL flips, and a chain's ADD flips apply in
+    turn (see :func:`_add_flips`).
+    """
     c_ = spec.in_channels
+    corners, ks, taps = _window_layout(*xp.shape, *acc.shape[1:])
     unit, step = np.divmod(offs, 18 * c_)
-    units = _distinct(unit)
-    n, k, oy, ox = np.unravel_index(units, out.shape)
-    # win[n, oy, ox] is pixel (oy, ox)'s 3x3 windows over all channels, in MAC order
-    s_n, s_c, s_y, s_x = xp.strides
-    win = _view(xp, 0, (out.shape[0], *out.shape[2:], c_, 3, 3), (s_n, s_y, s_x, s_c, s_y, s_x))
-    p = win[n, oy, ox].reshape(units.size, 1, -1).astype(dt, copy=False)
-    p *= spec.weights.array.reshape(-1, 1, 9 * c_)[k]  # (pixels, 1, 9C)
-    # MUL flips [0, a), then ADD flips [a, m)
-    mac, is_add = np.divmod(step, 2)
-    order, (_, a, m) = _groups(is_add, 2)
-    row = units.searchsorted(unit)
-    if order is not None:
-        row, mac, masks = row[order], mac[order], masks[order]
-    bias = None if spec.bias is None else spec.bias[k]
-    acc = _chain_sums(p, bias, (row[:a], 0, mac[:a], masks[:a]), (row[a:], 0, mac[a:], masks[a:]))
+    mac, is_add = step >> 1, step & 1
+    corner, k = corners[unit], ks[unit]
+    w = spec.weights.array.reshape(-1, 9 * c_)
+    flat = xp.reshape(-1)
+    v = (w[k, mac] * flat[corner + taps[mac]]).astype(dt, copy=False)  # each flip's product
+    delta = _flip(v, masks) - v  # the MUL flips' changes; the ADD flips' follow
+    add = np.flatnonzero(is_add)
+    if add.size:
+        first = add[_starts(unit[add])]
+        p = (w[k[first]] * flat[corner[first, None] + taps]).astype(dt, copy=False)  # (pixels, 9C)
+        i, found = _find(unit[first], unit)
+        mul = found & (is_add == 0)
+        p[i[mul], mac[mul]] += delta[mul]
+        s = p.cumsum(axis=1)[i[add], mac[add]]
+        if spec.bias is not None:
+            s += spec.bias[k[add]]
+        delta[add] = _add_flips(s, i[add], masks[add])
+    first = np.flatnonzero(_starts(unit))
+    units = unit[first]
+    faulty = acc.reshape(-1)[units].astype(dt, copy=False) + np.add.reduceat(delta, first)
     oq = spec.out_qparams
-    out.reshape(-1)[units] = requant_array(acc[:, 0], shift, oq.int_min, oq.int_max)
+    out.reshape(-1)[units] = requant_array(faulty, shift, oq.int_min, oq.int_max)
+
+
+@functools.lru_cache(maxsize=64)
+def _window_layout(n_: int, c_: int, hp: int, wp: int, k_: int, oh: int, ow: int) -> tuple:
+    """(corners, ks, taps) of a direct layer on a padded (n_, c_, hp, wp)
+    input with (n_, k_, oh, ow) outputs, shared read-only by every struck
+    call on it: output pixel u reads its 3x3 windows from the flat input
+    offset ``corners[u]`` on, and MAC m of it multiplies weight (``ks[u]``,
+    m) by the input at ``taps[m]`` from there."""
+    n, k, oy, ox = np.unravel_index(np.arange(n_ * k_ * oh * ow), (n_, k_, oh, ow))
+    taps = (np.arange(c_)[:, None, None] * hp * wp + np.arange(3)[:, None] * wp + np.arange(3)).ravel()
+    layout = ((n * c_ * hp + oy) * wp + ox, k, taps)
+    for x in layout:
+        x.setflags(write=False)
+    return layout
 
 
 def _view(a: np.ndarray, offset: int, shape: tuple, strides: tuple) -> np.ndarray:
@@ -624,13 +660,13 @@ def conv3x3_gemm(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conv_direct_vec(xp: np.ndarray, spec: ConvSpec, shift: int) -> np.ndarray:
-    """Requantized output of the padded input ``xp``: float64 GEMMs, exact
-    under ConvSpec's magnitude bound."""
+def _direct_acc(xp: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """The int64 (N, K, OH, OW) accumulators, bias included, of the padded
+    input ``xp``: float64 GEMMs, exact under ConvSpec's magnitude bound."""
     acc = conv3x3_gemm(xp, spec.weights_f64).astype(np.int64)
     if spec.bias is not None:
         acc += spec.bias[None, :, None, None]
-    return requant_array(acc, shift, spec.out_qparams.int_min, spec.out_qparams.int_max)
+    return acc
 
 
 def conv_winograd(
@@ -656,8 +692,9 @@ def conv_winograd(
     and inverse transform of output channel k; a tile's input transform feeds
     all of its units. With ``hook`` None the vectorized kernel computes the
     output. Given an :class:`OpFaults` table as ``hook``, the units owning a
-    struck op are then recomputed together (see :func:`_winograd_struck`).
-    Any other hook sees every op; that is the reference.
+    struck op then take their flips' changes on the kernel's accumulators
+    (see :func:`_winograd_struck`). Any other hook sees every op; that is
+    the reference.
     """
     n_, c_, h, w = _check_input(x, spec)
     oh, ow = spec.out_hw(h, w)
@@ -670,11 +707,12 @@ def conv_winograd(
     tile_ops = c_ * n_itf + 32 * k_ * c_ + k_ * n_inv
     if hook is None or isinstance(hook, OpFaults):
         xp = _padded(x, pad, 2 * ty_ + 2, 2 * tx_ + 2, np.float64)
-        out = _conv_winograd_vec(xp, spec, shift)
+        acc = _winograd_acc(xp, spec)
+        out = requant_array(acc, shift, oq.int_min, oq.int_max)
         if hook is not None:
             struck = _layer_faults(hook, op_base, n_ * ty_ * tx_ * tile_ops, spec, winograd=True)
             if struck:
-                _winograd_struck(xp, spec, shift, out, *struck)
+                _winograd_struck(xp, spec, shift, acc, out, *struck)
         out = out[:, :, :oh, :ow]
         return QTensor.trusted(out.shape, out, oq)
 
@@ -731,81 +769,140 @@ def conv_winograd(
     return QTensor.trusted(out.shape, out, oq)
 
 
-def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, out: np.ndarray, offs: np.ndarray,
-                     masks: np.ndarray, dt) -> None:
+def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, acc: np.ndarray, out: np.ndarray,
+                     offs: np.ndarray, masks: np.ndarray, dt) -> None:
     """Overwrite the (tile, k) units of ``out``, the (N, K, 2 TY, 2 TX)
-    outputs of every tile, owning the struck ops with their faulty values,
-    computed in ``dt``. ``xp`` is the float64 padded input; ``offs`` are the
-    ops' offsets from the layer's first op.
+    outputs of every tile, owning the struck ops with their faulty values:
+    their accumulators ``acc`` (the dense pass's, 4 * bias included) plus
+    the change ``_flip(v, m) - v`` of each flip, in ``dt``, where v is the
+    value the hook would see. ``xp`` is the float64 padded input; ``offs``
+    are the ops' offsets from the layer's first op.
 
-    The flips are grouped by stage, and only the stages holding one run.
-    Each unit's tile is transformed again, one float64 product with
-    kron(B^T, B^T), and the input-transform flips change the rows they
-    strike (see :func:`_lockstep`) in every unit of their tile. The units'
-    products are summed over c, with the multiply and channel-sum flips
-    (see :func:`_chain_sums`). The inverse transform
-    is one product with kron(A^T, A^T), which its flips change as the input
-    transform's do. Every value stays below :func:`lockstep_bound`, and a
-    flip moves its value by less than 2^width, so ``dt`` float64 is exact
-    when that bound is below 2^53.
+    The inputs of each tile holding a flip are transformed once, one
+    float64 product with kron(B^T, B^T), and give every V below.
+
+    - An input-transform flip changes the V row of its (tile, c) as
+      :func:`_lockstep` gives it, and so the channel sums of all K units of
+      the tile, by U[k, c, e] dV[e].
+    - An element-wise flip's v is its one product U[k, c, e] V[tile, c, e],
+      with the input-transform flips' changes.
+    - A channel-sum flip's v is the running sum of its chain (unit, e): the
+      chain's products, with the element-wise flips' changes, summed up to
+      its c; a chain's flips apply in turn (see :func:`_add_flips`).
+    - An inverse-transform flip reads its unit's faulty channel sums S, which
+      are built for such units alone, from their V and the other flips'
+      changes of S, and changes the outputs as :func:`_lockstep` gives it.
+
+    The changes of S pass through kron(A^T, A^T), and only the struck units
+    are requantized. Every value and change stays below
+    :func:`lockstep_bound`, and a flip moves its value by less than 2^width,
+    so ``dt`` float64 is exact when that bound is below 2^53.
     """
     n_, c_, hp, wp = xp.shape
     k_ = spec.out_channels
-    ty_, tx_ = (hp - 2) // 2, (wp - 2) // 2
-    n_itf, n_inv = len(_INPUT_TF.steps), len(_INVERSE_TF.steps)
-    ew0 = c_ * n_itf
-    cs0 = ew0 + 16 * k_ * c_
-    inv0 = cs0 + 16 * k_ * c_
-    t, o = np.divmod(offs, inv0 + k_ * n_inv)
+    ops = _tile_ops(c_, k_)
+    t, o = np.divmod(offs, len(ops))
     # flips [0, a) of the input transform, [a, b) of the element-wise
     # multiply, [b, c) of the channel sum and [c, m) of the inverse transform
-    order, (_, a, b, c, m) = _groups(np.array((ew0, cs0, inv0)).searchsorted(o, side="right"), 4)
+    order, (_, a, b, c, m) = _groups(ops[o, 0], 4)
     if order is not None:
         t, o, masks = t[order], o[order], masks[order]
-    # each flip's output channel (0 in the input transform, which feeds them
-    # all), input channel (0 in the inverse), and step or tile element
-    k, ch, pos = np.zeros((3, m), dtype=np.int64)
-    if a:
-        ch[:a], pos[:a] = np.divmod(o[:a], n_itf)
-    if a < c:
-        _, k[a:c], ch[a:c], pos[a:c] = np.unravel_index(o[a:c] - ew0, (2, k_, c_, 16))
-    if c < m:
-        k[c:], pos[c:] = np.divmod(o[c:] - inv0, n_inv)
+    k, ch, pos = ops[o, 1:].T
     key = t * k_ + k  # each flip's unit (tile, k); an input-transform flip's is its tile's first
     keys = np.concatenate(((_distinct(key[:a])[:, None] + np.arange(k_)).ravel(), key[a:])) if a else key
     units = _distinct(keys if order is None else np.sort(keys))  # a stage's keys come sorted
     row = units.searchsorted(key)
-    n, ty, tx, uk = np.unravel_index(units, (n_, ty_, tx_, k_))
-
-    # tile_of[n, ty, tx, c] is that (tile, c)'s 4x4 input tile
-    s_n, s_c, s_y, s_x = xp.strides
-    tile_of = _view(xp, 0, (n_, ty_, tx_, c_, 4, 4), (s_n, 2 * s_y, 2 * s_x, s_c, s_y, s_x))
-    d = tile_of[n, ty, tx].reshape(-1, 16)  # (units * C, 16)
-    v = d @ _KRON_BT.T  # exact: |V| <= 2^(b+1)
-    if dt != _F64:
-        d, v = (x.astype(np.int64).astype(dt, copy=False) for x in (d, v))
+    ut, uk = np.divmod(units, k_)
+    tiles = _distinct(ut)
+    tile = tiles.searchsorted(ut)  # each unit's row of tiles
+    corners, outs, cgrid = _tile_layout(n_, c_, hp, wp, k_)
+    # V of every channel of each struck tile, (tiles, C, 16), with the
+    # changes of the input-transform flips to its (tile, c) rows
+    d = xp.reshape(-1)[cgrid + corners[tiles, None, None]].reshape(-1, 16)  # (tiles * C, 16)
+    v = _exact(d @ _KRON_BT.T, dt)
     if a:
-        rows, dv = _lockstep(_INPUT_TF, d, row[:a] * c_ + ch[:a], pos[:a], masks[:a], dt)
-        u, rc = np.divmod(rows, c_)
-        v.reshape(-1, c_, 16)[u[:, None] + np.arange(k_), rc[:, None]] += dv[:, None]
-    p = spec.u_int[uk] * v.reshape(-1, c_, 16).transpose(0, 2, 1)  # (units, 16, C)
-    y = _chain_sums(p, None, (row[a:b], pos[a:b], ch[a:b], masks[a:b]), (row[b:c], pos[b:c], ch[b:c], masks[b:c]))
-    yt = y @ _INVERSE_TF.linear[dt][2].T  # (units, 4)
+        rows, dv = _lockstep(_INPUT_TF, _exact(d, dt), tile[row[:a]] * c_ + ch[:a], pos[:a], masks[:a], dt)
+        v[rows] += dv
+    v = v.reshape(-1, c_, 16)
+
+    ds = np.zeros((units.size, 16), dtype=dt)  # the flips' changes of each unit's channel sums
+    if a < c:
+        # the products of each chain (unit, e) holding a flip, over every c
+        chain = row[a:c] * 16 + pos[a:c]
+        chains = _distinct(np.sort(chain))
+        cu, ce = chains >> 4, chains & 15
+        p = spec.u_int[uk[cu], :, ce] * v[tile[cu], :, ce]  # (chains, C)
+        i, l = chains.searchsorted(chain), ch[a:c]
+        delta = np.empty(c - a, dtype=dt)
+        if a < b:
+            mul = i[: b - a], l[: b - a]
+            x = p[mul]
+            delta[: b - a] = _flip(x, masks[a:b]) - x
+            if b < c:
+                p[mul] += delta[: b - a]
+        if b < c:
+            i = i[b - a :]
+            delta[b - a :] = _add_flips(p.cumsum(axis=1)[i, l[b - a :]], i, masks[b:c])
+        np.add.at(ds.reshape(-1), chain, delta)
     if c < m:
-        rows, dy = _lockstep(_INVERSE_TF, y, row[c:], pos[c:], masks[c:], dt)
-        yt[rows] += dy
-    if spec.bias is not None:
-        yt += 4 * spec.bias[uk, None]
+        inv = _distinct(row[c:])
+        s = (spec.u_int[uk[inv]] * v[tile[inv]]).sum(axis=1) + ds[inv]  # their channel sums S
+        _, dy = _lockstep(_INVERSE_TF, s, inv.searchsorted(row[c:]), pos[c:], masks[c:], dt)
+    if a:  # U[k, c, e] dV[c, e] for every unit k of each struck (tile, c)
+        t, rc = np.divmod(rows, c_)
+        at = (units.searchsorted(tiles[t] * k_) + np.arange(k_)[:, None])[..., None] * 16 + np.arange(16)
+        np.add.at(ds.reshape(-1), at.ravel(), (spec.u_int[:, rc] * dv).ravel())
+    y = ds @ _INVERSE_TF.linear[dt][2].T  # (units, 4)
+    if c < m:
+        y[inv] += dy
+    at = outs[units]  # the units' outputs in out and acc
+    y = (y.astype(np.int64) if dt == _F64 else y) + acc.reshape(-1)[at]
     oq = spec.out_qparams
-    yt = requant_array(yt if dt == object else yt.astype(np.int64, copy=False), shift, oq.int_min, oq.int_max)
-    # output element (i, j) of a unit's flat 2x2 tile sits at (2 ty + i, 2 tx + j)
-    out.reshape(n_, k_, ty_, 2, tx_, 2)[n, uk, ty, :, tx, :] = yt.reshape(-1, 2, 2)
+    out.reshape(-1)[at] = requant_array(y, shift, oq.int_min, oq.int_max)
 
 
-def _conv_winograd_vec(xp: np.ndarray, spec: ConvSpec, shift: int) -> np.ndarray:
-    """Requantized (N, K, 2 TY, 2 TX) outputs of every tile of the float64
-    padded input ``xp``, ragged edge tiles' included, as three float64
-    matrix products over tiles flattened row-major to 16 elements: the input
+@functools.lru_cache(maxsize=64)
+def _tile_ops(c_: int, k_: int) -> np.ndarray:
+    """Row i describes op i of a Winograd tile with c_ input and k_ output
+    channels: its stage (0 to 3: input transform, element-wise multiply,
+    channel sum, inverse transform), output channel (0 in the input
+    transform, which feeds them all), input channel (0 in the inverse) and
+    step or tile element. Shared read-only by every struck call."""
+    n_itf, n_inv = len(_INPUT_TF.steps), len(_INVERSE_TF.steps)
+    i, j, kce = np.arange(c_ * n_itf), np.arange(k_ * n_inv), np.unravel_index(np.arange(16 * k_ * c_), (k_, c_, 16))
+    ops = np.concatenate([
+        np.stack([0 * i, 0 * i, i // n_itf, i % n_itf], axis=1),
+        *(np.stack([0 * kce[0] + stage, *kce], axis=1) for stage in (1, 2)),
+        np.stack([0 * j + 3, j // n_inv, 0 * j, j % n_inv], axis=1),
+    ])
+    ops.setflags(write=False)
+    return ops
+
+
+@functools.lru_cache(maxsize=64)
+def _tile_layout(n_: int, c_: int, hp: int, wp: int, k_: int) -> tuple:
+    """(corners, outs, cgrid): flat offsets of a Winograd layer on a padded
+    (n_, c_, hp, wp) input with k_ output channels, shared read-only by
+    every struck call on it. ``corners[t]`` is tile t's first input, at
+    channel 0, and ``cgrid[c]`` the 16 inputs of its channel c from there,
+    row-major; ``outs[u]`` are unit u's 2x2 outputs, row-major, in the (n_,
+    k_, hp - 2, wp - 2) outputs."""
+    ty_, tx_ = (hp - 2) // 2, (wp - 2) // 2
+    n, ty, tx = np.unravel_index(np.arange(n_ * ty_ * tx_), (n_, ty_, tx_))
+    out0 = (((n * k_ * ty_ + ty) * 2 * tx_ + tx) * 2)[:, None] + np.arange(k_) * 4 * ty_ * tx_  # (tiles, K)
+    cgrid = (np.arange(c_)[:, None, None] * hp + np.arange(4)[:, None]) * wp + np.arange(4)
+    layout = ((n * c_ * hp + 2 * ty) * wp + 2 * tx, out0.reshape(-1, 1) + [0, 1, 2 * tx_, 2 * tx_ + 1],
+              cgrid.reshape(c_, 16))
+    for x in layout:
+        x.setflags(write=False)
+    return layout
+
+
+def _winograd_acc(xp: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """The int64 (N, K, 2 TY, 2 TX) accumulators, 4 * bias included (4 times
+    the direct ones), of every tile of the float64 padded input ``xp``, ragged
+    edge tiles' included, from three float64 matrix products over tiles
+    flattened row-major to 16 elements: the input
     transform kron(B^T, B^T), 16 per-element (K x C) @ (C x tiles) GEMMs
     that multiply and sum over channels, and the inverse transform
     kron(A^T, A^T). They run per sample and block of tile rows, on 4x4 tiles
@@ -829,7 +926,7 @@ def _conv_winograd_vec(xp: np.ndarray, spec: ConvSpec, shift: int) -> np.ndarray
     plane = y.reshape(n_, k_, 2 * ty_, 2 * tx_).astype(np.int64)
     if spec.bias is not None:
         plane += 4 * spec.bias[None, :, None, None]
-    return requant_array(plane, shift, spec.out_qparams.int_min, spec.out_qparams.int_max)
+    return plane
 
 
 # Per-layer op counting (must match the hooked emission exactly; checked in tests).

@@ -9,7 +9,8 @@ other operation untouched.
 
 A draw computes every chunk's key in one vectorized pass (Philox is
 counter-based, so a key and a zero counter are the whole stream; Salmon et
-al., SC 2011) and resets one generator to each key in turn.
+al., SC 2011) and resets the process's one generator to each key in turn,
+so draws assume one thread per process.
 """
 
 from __future__ import annotations
@@ -95,6 +96,14 @@ def _chunk_keys(ss: np.random.SeedSequence, n_chunks: int) -> np.ndarray:
     return state.astype("<u4", copy=False).view("<u8")  # word pairs, low word first, as generate_state joins them
 
 
+@functools.cache
+def _generator() -> np.random.Generator:
+    """The process's one Philox generator, which every draw resets to each
+    of its chunks' keys in turn (see :func:`_reset`). Draws assume one thread
+    per process, as the trial pool's worker processes each run one."""
+    return np.random.Generator(np.random.Philox(key=0))
+
+
 def _reset(gen: np.random.Generator, key: list) -> np.random.Generator:
     """Point ``gen`` at the start of the Philox stream of ``key``."""
     gen.bit_generator.state = {
@@ -162,9 +171,8 @@ def sample_flip_positions(seed: int, labels: tuple, total_bits: int, ber: float)
     if ber == 1.0:
         return np.arange(total_bits, dtype=np.int64)
     n_chunks = (total_bits + CHUNK_BITS - 1) // CHUNK_BITS
-    ss = _seed_sequence(seed, labels)
-    keys = _chunk_keys(ss, n_chunks).tolist()
-    gen = np.random.Generator(np.random.Philox(ss))  # reset to each chunk's key in turn
+    keys = _chunk_keys(_seed_sequence(seed, labels), n_chunks).tolist()
+    gen = _generator()
     if ber <= SKIP_SAMPLING_BER:
         return _geometric_draw(gen, keys, total_bits, ber, _gap_count(min(total_bits, CHUNK_BITS), ber))
     parts = [np.flatnonzero(_reset(gen, key).random(min(CHUNK_BITS, total_bits - start)) < ber) + start

@@ -150,6 +150,10 @@ class OpSpace:
         ids = np.asarray(op_ids, dtype=np.int64)
         if ids.size and not (0 <= ids.min() and ids.max() < self.total_ops):
             raise ConfigError(f"op_ids outside [0, {self.total_ops})")
+        return self._lookup(ids)
+
+    def _lookup(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`classify` of int64 ``ids`` known to lie in [0, total_ops)."""
         i = np.searchsorted(self.starts[1:], ids, side="right")  # the op's layer row
         key = self._key_base[i] + (ids - self.starts[i]) % self.tile_ops[i]
         r = np.searchsorted(self._row_keys[1:], key, side="right")  # its (layer, stage) row
@@ -157,7 +161,10 @@ class OpSpace:
         return self.layers[i], self._row_stages[r], np.where(pattern == PAT_MAC, (key - self._row_keys[r]) & 1, pattern)
 
     def op_widths(self, op_ids) -> np.ndarray:
-        return np.array([self.width_mul, self.width_add])[self.classify(op_ids)[2]]  # indexed by OpType
+        """Fault window widths of the ops ``op_ids``, which must lie in [0,
+        total_ops): unlike :meth:`classify`, it does not check them."""
+        ids = np.asarray(op_ids, dtype=np.int64)
+        return np.array([self.width_mul, self.width_add])[self._lookup(ids)[2]]  # indexed by OpType
 
 
 def _resolve_fault_bits(fault_bits, bit_width: int) -> tuple[int, int]:
@@ -378,7 +385,7 @@ def run_inference(
     """Run one sample through the model.
 
     ``hook`` None runs every conv vectorized. An :class:`~winofi.engine.OpFaults`
-    table runs those kernels and recomputes just the output units owning a
+    table runs those kernels and corrects just the output units owning a
     struck op (see :mod:`winofi.engine`); its ``record()`` then writes the
     trace records of the applied flips. Any other ``hook`` instruments every
     conv primitive op, which is the reference. A :class:`NeuronFaults` table

@@ -7,11 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from winofi.engine import (
+    _INPUT_TF,
+    _INVERSE_TF,
     AT_F2X2_3X3,
     BT_F2X2_3X3,
     G2_F2X2_3X3,
     G_F2X2_3X3,
     _SLAB,
+    _direct_acc,
+    _padded,
+    _winograd_acc,
     ConvSpec,
     OpFaults,
     OpType,
@@ -236,6 +241,98 @@ def test_fault_table_on_stacked_samples_matches_its_reference(engine, data):
                       width, width, lambda: None, reference)
     fast = conv(x, spec, hook=faults, op_base=op_base)
     assert fast == conv(x, spec, hook=reference, op_base=op_base)
+
+
+def _one_unit_at_every_stage(data, spec, shape, winograd):
+    """Op offsets that strike one unit at every stage at once, each flip
+    reading a value that flips before it changed. Direct: the MUL and the
+    ADD of one MAC and later ADDs of its chain. Winograd, in one (tile, k)
+    unit: an input-transform step, the product that its changed V element
+    feeds, channel-sum ADDs of that product's chain from its channel on,
+    and inverse-transform steps; plus products and sums of a second unit of
+    the tile."""
+    n_, c_, h, w = shape
+    oh, ow = spec.out_hw(h, w)
+    k_ = spec.out_channels
+    if not winograd:
+        unit = data.draw(st.integers(0, n_ * k_ * oh * ow - 1)) * 18 * c_
+        mac = data.draw(st.integers(0, 9 * c_ - 1))
+        later = data.draw(st.lists(st.integers(mac + 1, 9 * c_), max_size=4))
+        return [unit + 2 * mac, unit + 2 * mac + 1] + [unit + 2 * m - 1 for m in later]
+    ty_, tx_ = tile_grid(oh, ow)
+    n_itf, n_inv = len(_INPUT_TF.steps), len(_INVERSE_TF.steps)
+    ew0 = c_ * n_itf
+    cs0, inv0 = ew0 + 16 * k_ * c_, ew0 + 32 * k_ * c_
+    tile = data.draw(st.integers(0, n_ * ty_ * tx_ - 1)) * (inv0 + k_ * n_inv)
+    k, c = data.draw(st.integers(0, k_ - 1)), data.draw(st.integers(0, c_ - 1))
+    step = data.draw(st.integers(0, n_itf - 1))
+    # the V elements the step's result reaches
+    e = data.draw(st.sampled_from(np.flatnonzero(_INPUT_TF.linear[np.dtype(np.int64)][3][:, step]).tolist()))
+    sums = data.draw(st.lists(st.integers(c, c_ - 1), min_size=1, max_size=4))
+    inv = data.draw(st.lists(st.integers(0, n_inv - 1), min_size=1, max_size=3))
+    ops = [c * n_itf + step, ew0 + (k * c_ + c) * 16 + e]
+    ops += [cs0 + (k * c_ + s) * 16 + e for s in sums] + [inv0 + k * n_inv + s for s in inv]
+    if k_ > 1:
+        k2 = (k + 1) % k_
+        other = data.draw(st.lists(st.tuples(st.integers(0, c_ - 1), st.integers(0, 15)), min_size=1, max_size=3))
+        ops += [base + (k2 * c_ + c2) * 16 + e2 for c2, e2 in other for base in (ew0, cs0)]
+    return [tile + op for op in ops]
+
+
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_stage_of_one_unit_struck_at_once_matches_its_reference(engine, data):
+    # The OpFaults fast path adds each flip's change to the dense pass's
+    # accumulators, so a flip must see the change of every flip whose value
+    # it reads: across the stages of one unit, and along channel-sum chains
+    # as long as 16 channels make them, with one mask column or three (TMR),
+    # at the model's fault widths and on both sides of the fast path's
+    # float64 and int64 switches. Masks of every magnitude, and requant
+    # shifts that leave most outputs inside the output range, keep a flip
+    # that misses another's change from being lost to saturation.
+    bits = data.draw(st.sampled_from([8, 16]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    c, k = data.draw(st.integers(1, 16)), data.draw(st.integers(1, 3))
+    spec = make_spec(rng, c, k, bits, data.draw(st.integers(0, 1)), data.draw(st.booleans()),
+                     out_scale=2.0 ** data.draw(st.integers(bits, 2 * bits)))
+    shape = (data.draw(st.integers(1, 2)), c, data.draw(st.integers(3, 6)), data.draw(st.integers(3, 6)))
+    x = random_qtensor(rng, shape, bits)
+    winograd = engine == "winograd"
+    conv = conv_winograd if winograd else conv_direct
+    switches = [max(w for w in range(1, 65) if lockstep_bound(spec, w, w, winograd) < s) for s in (2**53, 2**63)]
+    width = data.draw(st.sampled_from(sorted({bits, 2 * bits} | {min(w + d, 64) for w in switches for d in (0, 1)})))
+    ids = sorted(set(_one_unit_at_every_stage(data, spec, shape, winograd)))
+    copies = data.draw(st.sampled_from([1, 3]))
+    mask = st.integers(0, width - 1).flatmap(lambda b: st.integers(1 << b, (2 << b) - 1))  # top bit b
+    table = {i: [data.draw(mask) for _ in range(copies)] for i in ids}
+
+    def reference(op_id, layer_id, op_type, stage, value):
+        m = table.get(op_id)
+        return value if m is None else sorted(value ^ v for v in m)[len(m) // 2]
+
+    faults = OpFaults(np.array(ids, dtype=np.int64), np.array([table[i] for i in ids], dtype=np.uint64),
+                      width, width, lambda: None, reference)
+    assert conv(x, spec, hook=faults) == conv(x, spec, hook=reference)
+
+
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("hw", [(5, 7), (6, 6)], ids=["odd", "even"])
+def test_kept_accumulator_planes_are_the_exact_convolutions(rng, padding, hw):
+    # The struck paths start from the dense pass's int64 accumulators, bias
+    # included: the direct plane is the convolution unshifted and unclamped,
+    # and the Winograd plane holds 4 times it on every tile, whose outputs
+    # past an odd plane's edge are dropped.
+    spec = make_spec(rng, c=3, k=2, bit_width=16, padding=padding, bias=True)
+    x = random_qtensor(rng, (2, 3, *hw), 16)
+    expect = brute_force_conv3x3(x.array, spec.weights.array, spec.bias, padding, 0, -(1 << 62), 1 << 62)
+    oh, ow = expect.shape[2:]
+    ty, tx = tile_grid(oh, ow)
+    h, w = hw
+    assert np.array_equal(_direct_acc(_padded(x, padding, h + 2 * padding, w + 2 * padding), spec), expect)
+    plane = _winograd_acc(_padded(x, padding, 2 * ty + 2, 2 * tx + 2, np.float64), spec)
+    assert plane.shape == (2, 2, 2 * ty, 2 * tx) and plane.dtype == np.int64
+    assert np.array_equal(plane[:, :, :oh, :ow], 4 * expect)
 
 
 def test_determinism_and_canonical_op_order(rng):

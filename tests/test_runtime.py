@@ -176,6 +176,20 @@ def test_classify_keep_and_counts_match_recorded_stream(engine, data):
     assert space.mul_add_in_range(a, b) == (int((inside == OpType.MUL).sum()), int((inside == OpType.ADD).sum()))
 
 
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+def test_classify_rejects_ids_outside_the_op_space_and_op_widths_follow_it(engine):
+    # op_widths skips classify's range check (its callers pass ids inside
+    # the op space), so classify alone guards the public lookup.
+    space = enumerate_ops(builtin_model("toycnn-int16"), engine, fault_bits={"MUL": 20, "ADD": 9})
+    for bad in ([-1], [space.total_ops], [0, space.total_ops + 7]):
+        with pytest.raises(ConfigError, match="outside"):
+            space.classify(bad)
+    ids = np.arange(0, space.total_ops, 7)
+    want = np.where(space.classify(ids)[2] == OpType.MUL, 20, 9)
+    assert space.op_widths(ids).tolist() == want.tolist()
+    assert space.op_widths(ids.tolist()).tolist() == want.tolist()
+
+
 def _replay_table(space, rec, data):
     """Op flips clustered in a few chains or tiles, plus input-transform
     flips and a few anywhere, on random bits and TMR copies."""
