@@ -29,7 +29,7 @@ from .analyze import (
     vuln_csv,
     vuln_json,
 )
-from .errors import ConfigError, ShapeError, open_input
+from .errors import ConfigError, ShapeError, json_typed, open_input
 from .inject import FaultTrace, Scope
 from .mitigate import RangeProfile, profile_ranges
 from .modelio import (
@@ -299,7 +299,8 @@ def _extract_embedded_config(path: str) -> tuple[dict, str]:
     with open_input(path, "result file") as f:
         text = f.read()
         if text.lstrip().startswith("{"):
-            return json.loads(json.loads(text)["meta"]["config"]), "json"
+            meta = json_typed(json.loads(text)["meta"], f"result file {path} meta", dict)
+            return json.loads(json_typed(meta["config"], f"result file {path} meta.config", str)), "json"
         for line in text.splitlines():
             if line.startswith("# config="):
                 return json.loads(line[len("# config=") :]), "csv"

@@ -15,10 +15,10 @@ class ShapeError(ValueError):
 def json_typed(value, what: str, kind: type = int):
     """``value`` if it is a JSON value of type ``kind``: by default an integer
     (a bool, a float such as 8.0 or a string is not), a number (``float``:
-    an integer or a float), or a bool, list or object (dict). ConfigError
+    an integer or a float), or a bool, string, list or object (dict). ConfigError
     otherwise, so that no input file value is truncated or converted."""
     if type(value) is not kind and not (kind is float and type(value) is int):
-        name = {int: "integer", float: "number", dict: "object"}.get(kind, kind.__name__)
+        name = {int: "integer", float: "number", dict: "object", str: "string"}.get(kind, kind.__name__)
         raise ConfigError(f"{what} must be a JSON {name}, got {value!r}")
     return value
 

@@ -227,33 +227,41 @@ def load_model(path: str, strict: bool = True) -> ModelDef:
 
 
 def _model_from_manifest(path: str, manifest: dict, strict: bool) -> ModelDef:
-    _check_keys("manifest", manifest, _TOP_KEYS, strict)
+    _check_keys("manifest", json_typed(manifest, "model manifest", dict), _TOP_KEYS, strict)
     if "format_version" not in manifest:
         raise ConfigError("model manifest is missing the mandatory format_version field")
     if manifest["format_version"] != FORMAT_VERSION:
         raise ConfigError(f"unsupported model format_version {manifest['format_version']}")
 
-    with open_input(os.path.join(path, manifest["blob"]["file"]), "weights blob", "rb") as f:
+    blob_meta = json_typed(manifest["blob"], "manifest blob", dict)
+    blob_path = os.path.join(path, json_typed(blob_meta["file"], "manifest blob file", str))
+    with open_input(blob_path, "weights blob", "rb") as f:
         blob = f.read()
     digest = hashlib.sha256(blob).hexdigest()
-    if digest != manifest["blob"]["sha256"]:
+    if digest != blob_meta["sha256"]:
         raise ConfigError("weights blob checksum mismatch")
 
     bit_width = json_typed(manifest["bit_width"], "bit_width")
+    tensors = json_typed(manifest["tensors"], "manifest tensors", dict)
 
     def tensor(name: str) -> np.ndarray:
-        meta = manifest["tensors"][name]
-        dt = np.dtype(_DTYPES[meta["dtype"]])
-        shape = tuple(json_typed(d, f"tensor {name} shape entry") for d in meta["shape"])
+        meta = json_typed(tensors[json_typed(name, "a layer's tensor name", str)], f"tensor {name}", dict)
+        dtype = json_typed(meta["dtype"], f"tensor {name} dtype", str)
+        if dtype not in _DTYPES:
+            raise ConfigError(f"tensor {name} has the unknown dtype {dtype!r}; known: {sorted(_DTYPES)}")
+        dt = np.dtype(_DTYPES[dtype])
+        shape = tuple(json_typed(d, f"tensor {name} shape entry")
+                      for d in json_typed(meta["shape"], f"tensor {name} shape", list))
         n = int(np.prod(shape)) if shape else 1
         off = json_typed(meta["offset"], f"tensor {name} offset")
         return np.frombuffer(blob, dtype=dt, count=n, offset=off).reshape(shape).astype(np.int64)
 
     layers = []
-    for i, lj in enumerate(manifest["layers"]):
-        cls = _LAYER_CLASSES.get(lj.get("type"))
+    for i, lj in enumerate(json_typed(manifest["layers"], "manifest layers", list)):
+        layer_type = json_typed(json_typed(lj, f"layer {i}", dict)["type"], f"layer {i} type", str)
+        cls = _LAYER_CLASSES.get(layer_type)
         if cls is None:
-            raise ConfigError(f"layer {i}: unsupported layer type {lj.get('type')!r}")
+            raise ConfigError(f"layer {i}: unsupported layer type {layer_type!r}")
         _check_keys(f"layer {i}", lj, {"type"}.union(*map(_field_keys, fields(cls))), strict)
         kwargs = {}
         for f in fields(cls):
@@ -271,9 +279,9 @@ def _model_from_manifest(path: str, manifest: dict, strict: bool) -> ModelDef:
             kwargs[f.name] = value
         layers.append(cls(**kwargs))
 
-    inp = manifest["input"]
+    inp = json_typed(manifest["input"], "manifest input", dict)
     model = ModelDef(
-        name=manifest["name"],
+        name=json_typed(manifest["name"], "manifest name", str),
         bit_width=bit_width,
         input_shape=tuple(json_typed(inp[k], f"input {k}") for k in ("channels", "height", "width")),
         input_scale=inp["scale"],
@@ -342,18 +350,20 @@ def load_dataset(path: str, strict: bool = True) -> Dataset:
 def _dataset_from_meta(path: str, meta: dict, strict: bool) -> Dataset:
     _check_keys(
         "dataset.json",
-        meta,
+        json_typed(meta, "dataset.json", dict),
         {"format_version", "kind", "count", "shape", "bit_width", "scale", "blob", "labels"},
         strict,
     )
     if meta.get("format_version") != FORMAT_VERSION:
         raise ConfigError("unsupported or missing dataset format_version")
-    with open_input(os.path.join(path, meta["blob"]["file"]), "dataset blob", "rb") as f:
+    blob_meta = json_typed(meta["blob"], "dataset blob", dict)
+    blob_path = os.path.join(path, json_typed(blob_meta["file"], "dataset blob file", str))
+    with open_input(blob_path, "dataset blob", "rb") as f:
         blob = f.read()
-    if hashlib.sha256(blob).hexdigest() != meta["blob"]["sha256"]:
+    if hashlib.sha256(blob).hexdigest() != blob_meta["sha256"]:
         raise ConfigError("dataset blob checksum mismatch")
     qp = QuantParams(json_typed(meta["bit_width"], "dataset bit_width"), meta["scale"])
-    shape = tuple(json_typed(d, "dataset shape entry") for d in meta["shape"])
+    shape = tuple(json_typed(d, "dataset shape entry") for d in json_typed(meta["shape"], "dataset shape", list))
     count = json_typed(meta["count"], "dataset count")
     n = int(np.prod(shape))
     dtype = np.dtype(_DTYPES["int8" if qp.bit_width == 8 else "int16"])
@@ -364,9 +374,9 @@ def _dataset_from_meta(path: str, meta: dict, strict: bool) -> Dataset:
         QTensor((1,) + shape, flat[i * n : (i + 1) * n], qp) for i in range(count)
     ]
     labels = None
-    if meta.get("labels"):
+    if meta.get("labels") is not None:
         labels = []
-        with open_input(os.path.join(path, meta["labels"]), "dataset labels") as f:
+        with open_input(os.path.join(path, json_typed(meta["labels"], "dataset labels", str)), "dataset labels") as f:
             next(f)
             for line in f:
                 idx, lab = line.strip().split(",")

@@ -470,3 +470,27 @@ def test_scoped_replayed_and_tmr_trace_bytes_are_pinned(engine, tmp_path):
     assert runs[0][0] < n_unscoped and runs[1][0] < n_unscoped
     got = [(hashlib.sha256(trace).hexdigest(), hashlib.sha256(logits).hexdigest()) for _, trace, logits in runs]
     assert got == PINNED_DIGESTS[engine]
+
+
+def test_threaded_points_equal_serial_points():
+    """Campaign points run from 4 threads at once read as they do run one
+    by one: no draw shares state with another."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from winofi.modelio import builtin_model
+
+    model = builtin_model("toycnn-int16")
+    dataset = generate_dataset(model, 4, seed=1)
+    runs = [(engine, seed) for engine in ("direct", "winograd") for seed in range(3)]
+    points = [(run, ber) for run in runs for ber in (1e-4, 1e-3)]
+
+    def per_trial(camps):
+        return lambda point: camps[point[0]].run_point(point[1], 3).per_trial_correct
+
+    def campaigns():
+        return {run: Campaign(model, dataset, run[0], seed=run[1]) for run in runs}
+
+    serial = list(map(per_trial(campaigns()), points))
+    with ThreadPoolExecutor(4) as pool:
+        threaded = list(pool.map(per_trial(campaigns()), points, timeout=300))
+    assert threaded == serial

@@ -136,6 +136,30 @@ def test_replay_checks_embedded_config_like_a_config_file(assets, tmp_path, caps
     assert not replayed.exists()
 
 
+@pytest.mark.parametrize(
+    "edit,field", [(lambda meta: [meta], "meta"), (lambda meta: dict(meta, config=5), "meta.config")],
+    ids=["meta-list", "config-number"],
+)
+def test_replay_rejects_a_wrongly_typed_json_result(assets, tmp_path, capsys, edit, field):
+    out = tmp_path / "orig.json"
+    trace = tmp_path / "trace.jsonl"
+    code = run_cli(
+        "sweep", "--model", assets["model"], "--dataset", assets["dataset"],
+        "--ber", "2e-4", "--trials", "2", "--seed", "4", "--format", "json",
+        "--out", str(out), "--save-trace", str(trace),
+    )
+    assert code == 0
+    doc = json.loads(out.read_text())
+    doc["meta"] = edit(doc["meta"])
+    out.write_text(json.dumps(doc))
+    replayed = tmp_path / "replay.json"
+    assert run_cli("replay", "--results", str(out), "--trace", str(trace), "--out", str(replayed)) == 2
+    rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert rec["error"] == "ConfigError"
+    assert f"{out} {field} must be" in rec["message"]
+    assert not replayed.exists()
+
+
 def test_replay_json_format(assets, tmp_path):
     out = tmp_path / "orig.json"
     trace = tmp_path / "trace.jsonl"

@@ -210,6 +210,59 @@ def test_non_integer_dataset_field_exits_2(tmp_path, capsys, key, value):
     assert key in json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
 
 
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "path,value,field",
+    [
+        (("blob",), ["weights.bin"], "manifest blob"),
+        (("input",), 8, "manifest input"),
+        (("layers",), 5, "manifest layers"),
+        (("layers", 1), 5, "layer 1"),
+        (("layers", 0, "type"), ["conv3x3"], "layer 0 type"),
+        (("name",), ["toycnn-int8"], "manifest name"),
+        (("tensors",), ["layer0.weight"], "manifest tensors"),
+        (("tensors", "layer0.weight"), 5, "tensor layer0.weight"),
+        (("tensors", "layer0.weight", "dtype"), "float32", "dtype 'float32'"),
+    ],
+    ids=["blob", "input", "layers", "layer-entry", "layer-type", "name", "tensors", "tensor-entry", "unknown-dtype"],
+)
+def test_wrongly_typed_manifest_field_exits_2(tmp_path, capsys, path, value, field):
+    d = tmp_path / "m"
+    save_model(builtin_model("toycnn-int8"), str(d))
+    save_dataset(generate_dataset(builtin_model("toycnn-int8"), 2, seed=104), str(tmp_path / "ds"))
+    manifest = json.loads((d / "manifest.json").read_text())
+    _set(manifest, path, value)
+    _write_manifest(d, manifest)
+    code = main(["sweep", "--model", str(d), "--dataset", str(tmp_path / "ds"), "--ber", "0", "--trials", "1"])
+    assert code == 2
+    rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert rec["error"] == "ConfigError"
+    assert field in rec["message"]
+
+
+@pytest.mark.parametrize(
+    "key,value", [("blob", ["samples.bin"]), ("shape", 8), ("labels", 5)], ids=["blob", "shape", "labels"]
+)
+def test_wrongly_typed_dataset_field_exits_2(tmp_path, capsys, key, value):
+    model = builtin_model("toycnn-int8")
+    save_model(model, str(tmp_path / "m"))
+    ds = tmp_path / "ds"
+    save_dataset(generate_dataset(model, 2, seed=105), str(ds))
+    meta = json.loads((ds / "dataset.json").read_text())
+    meta[key] = value
+    (ds / "dataset.json").write_text(json.dumps(meta))
+    code = main(["sweep", "--model", str(tmp_path / "m"), "--dataset", str(ds), "--ber", "0", "--trials", "1"])
+    assert code == 2
+    rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert rec["error"] == "ConfigError"
+    assert f"dataset {key}" in rec["message"]
+
+
 def test_model_save_load_roundtrip(tmp_path):
     model = generate_toy_model(depth=2, channels=3, bit_width=8, seed=91, hw=6)
     d1 = tmp_path / "m1"

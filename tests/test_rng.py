@@ -3,6 +3,8 @@ one Philox stream per chunk walked by geometric gaps (BER <= 1e-4) or
 thresholded one uniform per bit (above)."""
 
 import hashlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from winofi.rng import (
     SKIP_SAMPLING_BER,
     _chunk_keys,
     _geometric_draw,
-    _seed_sequence,
     sample_flip_positions,
 )
 
@@ -47,7 +48,7 @@ LABELS = st.lists(st.integers(0, 2**40), min_size=1, max_size=4).map(tuple)
 @settings(max_examples=200, deadline=None)
 @given(seed=SEEDS, labels=LABELS, n_chunks=st.integers(1, 40))
 def test_chunk_keys_equal_seed_sequence(seed, labels, n_chunks):
-    keys = _chunk_keys(_seed_sequence(seed, labels), n_chunks)
+    keys = _chunk_keys(np.random.SeedSequence((seed, *labels)), n_chunks)
     expect = [np.random.SeedSequence((seed, *labels, c)).generate_state(2, np.uint64) for c in range(n_chunks)]
     assert keys.shape == (n_chunks, 2)
     assert np.array_equal(keys, np.array(expect))
@@ -77,9 +78,11 @@ def test_uniform_regime_equals_per_chunk_reference(total_bits, ber):
 def test_short_walks_are_redone_from_their_keys(est, total_bits):
     # so few gaps per chunk that every walk ends short of its chunk's end
     seed, labels, ber = 11, (0, 4, 2, 0), 1e-4
-    ss = _seed_sequence(seed, labels)
-    keys = _chunk_keys(ss, -(-total_bits // CHUNK_BITS)).tolist()
-    pos = _geometric_draw(np.random.Generator(np.random.Philox(ss)), keys, total_bits, ber, est)
+    ss = np.random.SeedSequence((seed, *labels))
+    starts = np.arange(0, total_bits, CHUNK_BITS)
+    ends = np.minimum(starts + CHUNK_BITS, total_bits)
+    keys = _chunk_keys(ss, starts.size).tolist()
+    pos = _geometric_draw(np.random.Generator(np.random.Philox(ss)), keys, starts, ends, ber, est)
     expect = reference_positions(seed, labels, total_bits, ber)
     assert np.bincount(expect // CHUNK_BITS, minlength=len(keys)).min() >= est
     assert np.array_equal(pos, expect)
@@ -90,6 +93,29 @@ def test_short_walks_are_redone_from_their_keys(est, total_bits):
 def test_tiny_ber_draws_no_flips(ber, total_bits):
     # numpy caps such gaps at INT64_MAX; summed uncapped they wrapped negative
     assert sample_flip_positions(0, (0, 0, 0, 0), total_bits, ber).size == 0
+
+
+def test_ber_one_flips_every_bit():
+    total_bits = 2 * CHUNK_BITS + 5
+    assert np.array_equal(sample_flip_positions(3, (0, 1, 2, 0), total_bits, 1.0), np.arange(total_bits))
+
+
+def test_concurrent_draws_equal_serial_draws():
+    # draws over several chunks in both regimes, from 4 threads at once
+    args = [(seed, (0, trial, 1, 0), total_bits, ber)
+            for seed in (0, 2**40 + 3) for trial in range(3)
+            for total_bits in (CHUNK_BITS + 1, 3 * CHUNK_BITS - 5)
+            for ber in (1e-6, SKIP_SAMPLING_BER, 3e-4)]
+    serial = [sample_flip_positions(*a) for a in args]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so that shared state would show
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(lambda a: sample_flip_positions(*a), args, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for a, want, got in zip(args, serial, threaded):
+        assert np.array_equal(got, want), a
 
 
 def test_negative_seed_or_label_is_rejected():
