@@ -19,22 +19,25 @@ input channels for a partial sum to reach 2^53.
 
 A layer's ops group into output units: a direct output pixel, or a Winograd
 (tile, output channel). Passed an :class:`OpFaults` table of the ops to flip
-as its hook, a conv runs the vectorized path, keeping its int64 accumulators
-(bias included) before requantizing them, and then, if the table holds any
-of its ops, corrects only the units owning a struck op. Every op that reads
-a flipped value is linear in it (an add, or a multiply by a static filter
-value), and the integer arithmetic is exact, so a struck unit's faulty
-accumulator is its dense one plus each flip's change ``_flip(v, m) - v``
-propagated by fixed maps, where v is the value the hook would see. Only
-those values are computed, in NumPy lockstep over every flip of the layer:
-products one by one, running sums from their chains' prefixes, and the
-transforms' add chains in dependency order (:func:`_add_flips`,
-:func:`_lockstep`). A struck layer pays a few dozen NumPy calls; the rest of
-its work scales with its flips, and a stage without one costs nothing. Every
-value and change stays exact (:func:`lockstep_bound`): in float64 for a
-Winograd layer below 2^53, whose transforms then run as BLAS products, in
-int64 below 2^63, else on Python ints. Any other hook sees every op; that
-hooked path is the reference for the fast path.
+as its hook, a conv runs the vectorized path and applies the table's flips of
+its ops inside that one pass, before its one requantization. Every op that
+reads a flipped value is linear in it (an add, or a multiply by a static
+filter value), and the integer arithmetic is exact, so each flip changes the
+values after it by ``_flip(v, m) - v`` through fixed maps, where v is the
+value the hook would see. The direct kernel adds each flip's change to its
+pixel's accumulator. The Winograd kernel keeps its channel sums and
+recomputes each tile holding a flip one stage at a time, from the input
+transform to the inverse transform, each stage's flips changing the values
+the next stage reads. Only the values that flips read are computed, in NumPy
+lockstep over every flip of the layer: products one by one, running sums
+from their chains' prefixes, and the transforms' add chains in dependency
+order (:func:`_add_flips`, :func:`_lockstep`). A struck layer pays a few
+dozen NumPy calls; the rest of its work scales with its flips and struck
+tiles, and a stage without a flip costs nothing. Every value and change
+stays exact (:func:`lockstep_bound`): in float64 for a Winograd layer below
+2^53, whose transforms then run as BLAS products, in int64 below 2^63, else
+on Python ints. Any other hook sees every op; that hooked path is the
+reference for the fast path.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ class OpFaults:
     every other op repeats its one mask in all three columns. An op flips bits
     of the low ``width_mul`` (MUL) or ``width_add`` (ADD) bits of its result;
     those widths bound the values the fast path must hold exactly (see
-    :func:`lockstep_bound`). ``record`` appends the faults' trace records and
+    :func:`lockstep_bound`). ``record`` hands the faults to the trace and
     runs once per inference. ``reference`` is a per-op hook applying the
     same faults, which runs every op of the hooked engine instead.
     """
@@ -265,8 +268,9 @@ class ConvSpec:
 
     @functools.cached_property
     def u_int(self) -> np.ndarray:
-        """:attr:`u` as int64 (K, C, 16), the operand of the struck Winograd units."""
-        return np.ascontiguousarray(self.u.transpose(1, 2, 0).astype(np.int64))
+        """:attr:`u` as int64 (K * 16, C): row 16 k + e holds the C filter
+        values that the channel-sum chain (k, e) of a tile multiplies."""
+        return np.ascontiguousarray(self.u.transpose(1, 0, 2).reshape(-1, self.in_channels).astype(np.int64))
 
     def out_hw(self, in_h: int, in_w: int) -> tuple[int, int]:
         oh = in_h + 2 * self.padding - 2
@@ -530,9 +534,9 @@ def conv_direct(
     kernel row, kernel col; each MAC emits its MUL then its accumulation ADD.
     The 18*C ops of one output pixel form its unit. With ``hook`` None the
     vectorized kernel computes the output. Given an :class:`OpFaults` table
-    as ``hook``, the units owning a struck op then take their flips' changes
-    on the kernel's accumulators (see :func:`_direct_struck`). Any other hook
-    sees every op; that is the reference.
+    as ``hook``, its flips' changes enter the kernel's accumulators before
+    they are requantized (see :func:`_direct_struck`). Any other hook sees
+    every op; that is the reference.
     """
     n_, c_, h, w = _check_input(x, spec)
     oh, ow = spec.out_hw(h, w)
@@ -542,11 +546,10 @@ def conv_direct(
     xp = _padded(x, pad, h + 2 * pad, w + 2 * pad)
     if hook is None or isinstance(hook, OpFaults):
         acc = _direct_acc(xp, spec)
-        out = requant_array(acc, shift, oq.int_min, oq.int_max)
-        if hook is not None:
-            struck = _layer_faults(hook, op_base, out.size * 18 * c_, spec)
-            if struck:
-                _direct_struck(xp, spec, shift, acc, out, *struck)
+        struck = hook and _layer_faults(hook, op_base, acc.size * 18 * c_, spec)
+        if struck:
+            acc = _direct_struck(xp, spec, shift, acc, *struck)
+        out = requant_array(acc, shift, oq.int_min, oq.int_max).astype(np.int64, copy=False)
         return QTensor.trusted(out.shape, out, oq)
 
     chain = 18 * c_
@@ -576,22 +579,22 @@ def conv_direct(
     return QTensor.trusted((n_, k_, oh, ow), out, oq)
 
 
-def _direct_struck(xp: np.ndarray, spec: ConvSpec, shift: int, acc: np.ndarray, out: np.ndarray,
-                   offs: np.ndarray, masks: np.ndarray, dt) -> None:
-    """Overwrite the pixels of ``out`` owning the struck op offsets ``offs``
-    with their faulty values: their accumulators ``acc`` (the dense pass's,
-    bias included) plus the change ``_flip(v, m) - v`` of each flip, in
-    ``dt``, where v is the value the hook would see. Every op reading a
-    flipped value adds it, so the change passes unaltered to the pixel's
-    final sum. A MUL flip's v is its one product. An ADD flip's is its
-    running sum: only the pixels holding one gather their products, which
-    take the changes of their MUL flips, and a chain's ADD flips apply in
-    turn (see :func:`_add_flips`).
+def _direct_struck(xp: np.ndarray, spec: ConvSpec, shift: int, acc: np.ndarray,
+                   offs: np.ndarray, masks: np.ndarray, dt) -> np.ndarray:
+    """The accumulator plane ``acc`` (the dense pass's, bias included) with
+    the flips at the struck op offsets ``offs`` applied: each adds its change
+    ``_flip(v, m) - v``, in ``dt``, to its pixel, where v is the value the
+    hook would see. Every op reading a flipped value adds it, so the change
+    passes unaltered to the pixel's final sum. A MUL flip's v is its one
+    product. An ADD flip's is its running sum: only the pixels holding one
+    gather their products, which take the changes of their MUL flips, and a
+    chain's ADD flips apply in turn (see :func:`_add_flips`). See
+    :func:`_put` for the plane's dtype.
     """
     c_ = spec.in_channels
     corners, ks, taps = _window_layout(*xp.shape, *acc.shape[1:])
     unit, step = np.divmod(offs, 18 * c_)
-    mac, is_add = step >> 1, step & 1
+    mac, is_add = np.divmod(step, 2)
     corner, k = corners[unit], ks[unit]
     w = spec.weights.array.reshape(-1, 9 * c_)
     flat = xp.reshape(-1)
@@ -608,11 +611,29 @@ def _direct_struck(xp: np.ndarray, spec: ConvSpec, shift: int, acc: np.ndarray, 
         if spec.bias is not None:
             s += spec.bias[k[add]]
         delta[add] = _add_flips(s, i[add], masks[add])
+    if dt != object:
+        np.add.at(acc.reshape(-1), unit, delta)
+        return acc
     first = np.flatnonzero(_starts(unit))
     units = unit[first]
-    faulty = acc.reshape(-1)[units].astype(dt, copy=False) + np.add.reduceat(delta, first)
-    oq = spec.out_qparams
-    out.reshape(-1)[units] = requant_array(faulty, shift, oq.int_min, oq.int_max)
+    return _put(acc, units, acc.reshape(-1)[units] + np.add.reduceat(delta, first), shift, spec.out_qparams)
+
+
+def _put(acc: np.ndarray, at: np.ndarray, y: np.ndarray, shift: int, oq: QuantParams) -> np.ndarray:
+    """The int64 accumulator plane ``acc`` with the faulty accumulators
+    ``y`` written at its flat offsets ``at``: their integer values, or, for
+    Python ints, clipped to where :func:`requant_array` saturates, which
+    leaves their outputs as they are. Only when that range passes int64 (a
+    requant shift past about 63 minus the bit width) does the plane become
+    Python ints, so that it requantizes once, faulty and clean pixels alike."""
+    if y.dtype == object:
+        lo, hi = (oq.int_min << shift, oq.int_max << shift) if shift > 0 else (oq.int_min, oq.int_max)
+        if -_I64_MAX <= lo and hi <= _I64_MAX:
+            y = np.clip(y, lo, hi)
+        else:
+            acc = acc.astype(object)
+    acc.reshape(-1)[at] = y
+    return acc
 
 
 @functools.lru_cache(maxsize=64)
@@ -691,10 +712,10 @@ def conv_winograd(
     A (tile, k) unit owns the tile's element-wise multiplies, channel sums
     and inverse transform of output channel k; a tile's input transform feeds
     all of its units. With ``hook`` None the vectorized kernel computes the
-    output. Given an :class:`OpFaults` table as ``hook``, the units owning a
-    struck op then take their flips' changes on the kernel's accumulators
-    (see :func:`_winograd_struck`). Any other hook sees every op; that is
-    the reference.
+    output. Given an :class:`OpFaults` table as ``hook``, the tiles holding
+    a struck op are recomputed with its flips from the kernel's channel sums
+    before the accumulators are requantized (see :func:`_winograd_struck`).
+    Any other hook sees every op; that is the reference.
     """
     n_, c_, h, w = _check_input(x, spec)
     oh, ow = spec.out_hw(h, w)
@@ -707,13 +728,12 @@ def conv_winograd(
     tile_ops = c_ * n_itf + 32 * k_ * c_ + k_ * n_inv
     if hook is None or isinstance(hook, OpFaults):
         xp = _padded(x, pad, 2 * ty_ + 2, 2 * tx_ + 2, np.float64)
-        acc = _winograd_acc(xp, spec)
-        out = requant_array(acc, shift, oq.int_min, oq.int_max)
-        if hook is not None:
-            struck = _layer_faults(hook, op_base, n_ * ty_ * tx_ * tile_ops, spec, winograd=True)
-            if struck:
-                _winograd_struck(xp, spec, shift, acc, out, *struck)
-        out = out[:, :, :oh, :ow]
+        struck = hook and _layer_faults(hook, op_base, n_ * ty_ * tx_ * tile_ops, spec, winograd=True)
+        sums = np.empty((n_ * ty_ * tx_, k_, 16)) if struck else None
+        acc = _winograd_acc(xp, spec, sums)
+        if struck:
+            acc = _winograd_struck(xp, spec, shift, acc, sums, *struck)
+        out = requant_array(acc[:, :, :oh, :ow], shift, oq.int_min, oq.int_max).astype(np.int64, copy=False)
         return QTensor.trusted(out.shape, out, oq)
 
     xp = _padded(x, pad, 2 * ty_ + 2, 2 * tx_ + 2)
@@ -769,112 +789,91 @@ def conv_winograd(
     return QTensor.trusted(out.shape, out, oq)
 
 
-def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, acc: np.ndarray, out: np.ndarray,
-                     offs: np.ndarray, masks: np.ndarray, dt) -> None:
-    """Overwrite the (tile, k) units of ``out``, the (N, K, 2 TY, 2 TX)
-    outputs of every tile, owning the struck ops with their faulty values:
-    their accumulators ``acc`` (the dense pass's, 4 * bias included) plus
-    the change ``_flip(v, m) - v`` of each flip, in ``dt``, where v is the
-    value the hook would see. ``xp`` is the float64 padded input; ``offs``
-    are the ops' offsets from the layer's first op.
+def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, acc: np.ndarray, sums: np.ndarray,
+                     offs: np.ndarray, masks: np.ndarray, dt) -> np.ndarray:
+    """The accumulator plane ``acc`` (the dense pass's, 4 * bias included,
+    (N, K, 2 TY, 2 TX)) with every tile holding a struck op recomputed in
+    ``dt`` from the dense pass's channel sums ``sums`` (tiles, K, 16), one
+    stage at a time, each stage's flips changing the values that the next
+    stage reads. ``xp`` is the float64 padded input; ``offs`` are the ops'
+    offsets from the layer's first op.
 
-    The inputs of each tile holding a flip are transformed once, one
-    float64 product with kron(B^T, B^T), and give every V below.
+    - V: the struck tiles' inputs times kron(B^T, B^T), one float64 product,
+      plus the changes of the input-transform flips (see :func:`_lockstep`).
+      A changed row (tile, c) of V adds U[k, c, e] dV[e] to the channel sums
+      of every unit k of its tile.
+    - S: a chain (unit, e) holding an element-wise or channel-sum flip is
+      summed again from its C products U[k, c, e] V[tile, c, e], a product
+      flip flipping its product and a sum flip its running sum; a chain's
+      sum flips apply in turn (see :func:`_add_flips`).
+    - The outputs: S of all K units times kron(A^T, A^T), plus the changes
+      of the inverse-transform flips, which read the faulty S.
 
-    - An input-transform flip changes the V row of its (tile, c) as
-      :func:`_lockstep` gives it, and so the channel sums of all K units of
-      the tile, by U[k, c, e] dV[e].
-    - An element-wise flip's v is its one product U[k, c, e] V[tile, c, e],
-      with the input-transform flips' changes.
-    - A channel-sum flip's v is the running sum of its chain (unit, e): the
-      chain's products, with the element-wise flips' changes, summed up to
-      its c; a chain's flips apply in turn (see :func:`_add_flips`).
-    - An inverse-transform flip reads its unit's faulty channel sums S, which
-      are built for such units alone, from their V and the other flips'
-      changes of S, and changes the outputs as :func:`_lockstep` gives it.
-
-    The changes of S pass through kron(A^T, A^T), and only the struck units
-    are requantized. Every value and change stays below
-    :func:`lockstep_bound`, and a flip moves its value by less than 2^width,
-    so ``dt`` float64 is exact when that bound is below 2^53.
+    Every value stays below :func:`lockstep_bound`, and a flip moves its
+    value by less than 2^width, so ``dt`` float64 is exact when that bound
+    is below 2^53. See :func:`_put` for the plane's dtype.
     """
     n_, c_, hp, wp = xp.shape
     k_ = spec.out_channels
     ops = _tile_ops(c_, k_)
-    t, o = np.divmod(offs, len(ops))
+    t, o = np.divmod(offs, ops.shape[1])
+    tiles = _distinct(t)
     # flips [0, a) of the input transform, [a, b) of the element-wise
     # multiply, [b, c) of the channel sum and [c, m) of the inverse transform
-    order, (_, a, b, c, m) = _groups(ops[o, 0], 4)
+    order, (_, a, b, c, m) = _groups(ops[0, o], 4)
     if order is not None:
         t, o, masks = t[order], o[order], masks[order]
-    k, ch, pos = ops[o, 1:].T
-    key = t * k_ + k  # each flip's unit (tile, k); an input-transform flip's is its tile's first
-    keys = np.concatenate(((_distinct(key[:a])[:, None] + np.arange(k_)).ravel(), key[a:])) if a else key
-    units = _distinct(keys if order is None else np.sort(keys))  # a stage's keys come sorted
-    row = units.searchsorted(key)
-    ut, uk = np.divmod(units, k_)
-    tiles = _distinct(ut)
-    tile = tiles.searchsorted(ut)  # each unit's row of tiles
+    row = tiles.searchsorted(t)  # each flip's struck tile
+    place, col = ops[1:, o]  # each flip's row and column in its stage's tile values
     corners, outs, cgrid = _tile_layout(n_, c_, hp, wp, k_)
-    # V of every channel of each struck tile, (tiles, C, 16), with the
-    # changes of the input-transform flips to its (tile, c) rows
-    d = xp.reshape(-1)[cgrid + corners[tiles, None, None]].reshape(-1, 16)  # (tiles * C, 16)
+    d = xp.reshape(-1)[cgrid + corners[tiles, None, None]]  # (tiles, C, 16)
     v = _exact(d @ _KRON_BT.T, dt)
+    s = _exact(sums[tiles].reshape(-1, 16), dt)  # (tiles * K, 16)
     if a:
-        rows, dv = _lockstep(_INPUT_TF, _exact(d, dt), tile[row[:a]] * c_ + ch[:a], pos[:a], masks[:a], dt)
-        v[rows] += dv
-    v = v.reshape(-1, c_, 16)
-
-    ds = np.zeros((units.size, 16), dtype=dt)  # the flips' changes of each unit's channel sums
+        d = _exact(d.reshape(-1, 16), dt)
+        rows, dv = _lockstep(_INPUT_TF, d, row[:a] * c_ + place[:a], col[:a], masks[:a], dt)
+        v.reshape(-1, 16)[rows] += dv
+        # every unit's channel sums take U[k, c, e] dV[e] from each changed row (tile, c)
+        tr, rc = np.divmod(rows, c_)
+        first = np.flatnonzero(_starts(tr))
+        ds = np.add.reduceat(spec.u_int[:, rc].T.reshape(-1, k_, 16) * dv[:, None], first)
+        s.reshape(-1, k_, 16)[tr[first]] += ds
     if a < c:
-        # the products of each chain (unit, e) holding a flip, over every c
-        chain = row[a:c] * 16 + pos[a:c]
+        chain = row[a:c] * 16 * k_ + place[a:c]  # each flip's chain (unit, e), flat in s
         chains = _distinct(np.sort(chain))
-        cu, ce = chains >> 4, chains & 15
-        p = spec.u_int[uk[cu], :, ce] * v[tile[cu], :, ce]  # (chains, C)
-        i, l = chains.searchsorted(chain), ch[a:c]
-        delta = np.empty(c - a, dtype=dt)
-        if a < b:
-            mul = i[: b - a], l[: b - a]
-            x = p[mul]
-            delta[: b - a] = _flip(x, masks[a:b]) - x
-            if b < c:
-                p[mul] += delta[: b - a]
+        ct, ke = np.divmod(chains, 16 * k_)
+        p = spec.u_int[ke] * v[ct, :, ke & 15]  # (chains, C): each chain's products
+        at = (chains.searchsorted(chain), col[a:c])
+        mul, add = tuple(z[: b - a] for z in at), tuple(z[b - a :] for z in at)
+        p[mul] = _flip(p[mul], masks[a:b])
         if b < c:
-            i = i[b - a :]
-            delta[b - a :] = _add_flips(p.cumsum(axis=1)[i, l[b - a :]], i, masks[b:c])
-        np.add.at(ds.reshape(-1), chain, delta)
+            p[add] += _add_flips(p.cumsum(axis=1)[add], add[0], masks[b:c])
+        s.reshape(-1)[chains] = p.sum(axis=1)
+    out = s @ (_KRON_AT if dt == _F64 else _INVERSE_TF.linear[dt][2]).T  # (tiles * K, 4)
     if c < m:
-        inv = _distinct(row[c:])
-        s = (spec.u_int[uk[inv]] * v[tile[inv]]).sum(axis=1) + ds[inv]  # their channel sums S
-        _, dy = _lockstep(_INVERSE_TF, s, inv.searchsorted(row[c:]), pos[c:], masks[c:], dt)
-    if a:  # U[k, c, e] dV[c, e] for every unit k of each struck (tile, c)
-        t, rc = np.divmod(rows, c_)
-        at = (units.searchsorted(tiles[t] * k_) + np.arange(k_)[:, None])[..., None] * 16 + np.arange(16)
-        np.add.at(ds.reshape(-1), at.ravel(), (spec.u_int[:, rc] * dv).ravel())
-    y = ds @ _INVERSE_TF.linear[dt][2].T  # (units, 4)
-    if c < m:
-        y[inv] += dy
-    at = outs[units]  # the units' outputs in out and acc
-    y = (y.astype(np.int64) if dt == _F64 else y) + acc.reshape(-1)[at]
-    oq = spec.out_qparams
-    out.reshape(-1)[at] = requant_array(y, shift, oq.int_min, oq.int_max)
+        units, dy = _lockstep(_INVERSE_TF, s, row[c:] * k_ + place[c:], col[c:], masks[c:], dt)
+        out[units] += dy
+    if spec.bias is not None:
+        out += np.tile(4 * spec.bias, tiles.size)[:, None]
+    return _put(acc, outs[tiles], out.reshape(-1, k_, 4), shift, spec.out_qparams)
 
 
 @functools.lru_cache(maxsize=64)
 def _tile_ops(c_: int, k_: int) -> np.ndarray:
-    """Row i describes op i of a Winograd tile with c_ input and k_ output
-    channels: its stage (0 to 3: input transform, element-wise multiply,
-    channel sum, inverse transform), output channel (0 in the input
-    transform, which feeds them all), input channel (0 in the inverse) and
-    step or tile element. Shared read-only by every struck call."""
+    """Column i describes op i of a Winograd tile with c_ input and k_
+    output channels: its stage (0 to 3: input transform, element-wise
+    multiply, channel sum, inverse transform), its row in its stage's tile
+    values (input channel c, chain 16 k + e, or output channel k) and its
+    column there (transform step, or input channel c). Shared read-only by
+    every struck call."""
     n_itf, n_inv = len(_INPUT_TF.steps), len(_INVERSE_TF.steps)
-    i, j, kce = np.arange(c_ * n_itf), np.arange(k_ * n_inv), np.unravel_index(np.arange(16 * k_ * c_), (k_, c_, 16))
+    i, j = np.arange(c_ * n_itf), np.arange(k_ * n_inv)
+    k, c, e = np.unravel_index(np.arange(16 * k_ * c_), (k_, c_, 16))
     ops = np.concatenate([
-        np.stack([0 * i, 0 * i, i // n_itf, i % n_itf], axis=1),
-        *(np.stack([0 * kce[0] + stage, *kce], axis=1) for stage in (1, 2)),
-        np.stack([0 * j + 3, j // n_inv, 0 * j, j % n_inv], axis=1),
-    ])
+        [0 * i, i // n_itf, i % n_itf],
+        *([0 * k + stage, 16 * k + e, c] for stage in (1, 2)),
+        [0 * j + 3, j // n_inv, j % n_inv],
+    ], axis=1)
     ops.setflags(write=False)
     return ops
 
@@ -885,20 +884,20 @@ def _tile_layout(n_: int, c_: int, hp: int, wp: int, k_: int) -> tuple:
     (n_, c_, hp, wp) input with k_ output channels, shared read-only by
     every struck call on it. ``corners[t]`` is tile t's first input, at
     channel 0, and ``cgrid[c]`` the 16 inputs of its channel c from there,
-    row-major; ``outs[u]`` are unit u's 2x2 outputs, row-major, in the (n_,
-    k_, hp - 2, wp - 2) outputs."""
+    row-major; ``outs[t]`` are its K units' 2x2 outputs, unit by unit and
+    row-major, in the (n_, k_, hp - 2, wp - 2) outputs."""
     ty_, tx_ = (hp - 2) // 2, (wp - 2) // 2
     n, ty, tx = np.unravel_index(np.arange(n_ * ty_ * tx_), (n_, ty_, tx_))
     out0 = (((n * k_ * ty_ + ty) * 2 * tx_ + tx) * 2)[:, None] + np.arange(k_) * 4 * ty_ * tx_  # (tiles, K)
     cgrid = (np.arange(c_)[:, None, None] * hp + np.arange(4)[:, None]) * wp + np.arange(4)
-    layout = ((n * c_ * hp + 2 * ty) * wp + 2 * tx, out0.reshape(-1, 1) + [0, 1, 2 * tx_, 2 * tx_ + 1],
-              cgrid.reshape(c_, 16))
+    outs = out0[..., None] + [0, 1, 2 * tx_, 2 * tx_ + 1]  # (tiles, K, 4)
+    layout = ((n * c_ * hp + 2 * ty) * wp + 2 * tx, outs, cgrid.reshape(c_, 16))
     for x in layout:
         x.setflags(write=False)
     return layout
 
 
-def _winograd_acc(xp: np.ndarray, spec: ConvSpec) -> np.ndarray:
+def _winograd_acc(xp: np.ndarray, spec: ConvSpec, sums: Optional[np.ndarray] = None) -> np.ndarray:
     """The int64 (N, K, 2 TY, 2 TX) accumulators, 4 * bias included (4 times
     the direct ones), of every tile of the float64 padded input ``xp``, ragged
     edge tiles' included, from three float64 matrix products over tiles
@@ -908,7 +907,8 @@ def _winograd_acc(xp: np.ndarray, spec: ConvSpec) -> np.ndarray:
     kron(A^T, A^T). They run per sample and block of tile rows, on 4x4 tiles
     read from a view of ``xp`` that steps 2 rows and 2 columns per tile; a
     block's tiles hold about ``_SLAB`` values, at least one tile row. Exact
-    under ConvSpec's magnitude bound."""
+    under ConvSpec's magnitude bound. Given ``sums``, a float64 (tiles, K,
+    16) array, the channel sums of tile t land in ``sums[t]``."""
     n_, c_, hp, wp = xp.shape
     k_ = spec.out_channels
     ty_, tx_ = (hp - 2) // 2, (wp - 2) // 2
@@ -921,7 +921,11 @@ def _winograd_acc(xp: np.ndarray, spec: ConvSpec) -> np.ndarray:
         tiles = _view(xp, n * s_n, (4, 4, c_, ty_, tx_), (s_y, s_x, s_c, 2 * s_y, 2 * s_x))
         for r in range(0, ty_, rows):
             v = (_KRON_BT @ tiles[..., r : r + rows, :].reshape(16, -1)).reshape(16, c_, -1)
-            s = _KRON_AT @ (uk @ v).reshape(16, -1)  # (4, K * tiles)
+            s = uk @ v  # (16, K, tiles)
+            if sums is not None:
+                t0 = (n * ty_ + r) * tx_
+                sums[t0 : t0 + s.shape[2]] = s.T
+            s = _KRON_AT @ s.reshape(16, -1)  # (4, K * tiles)
             y[n, :, r : r + rows] = s.reshape(2, 2, k_, -1, tx_).transpose(2, 3, 0, 4, 1)
     plane = y.reshape(n_, k_, 2 * ty_, 2 * tx_).astype(np.int64)
     if spec.bias is not None:

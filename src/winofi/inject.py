@@ -165,9 +165,27 @@ class FaultTrace:
 
     def __init__(self, events=None):
         # (trial, sample, kind, index, bit, copy)
-        self.events: list = list(events) if events else []
+        self._events: list = list(events) if events else []
+        self._tables: list = []  # recorded tables whose events are not built yet
         self._index = None
         self._index_len = -1
+
+    @property
+    def events(self) -> list:
+        """The records, in the order they were recorded. A recorded table's
+        records are built here, when first read, so an inference whose trace
+        nothing reads builds none."""
+        if self._tables:
+            tables, self._tables = self._tables, []
+            for table in tables:
+                _record_table(self._events, *table)
+        return self._events
+
+    def record(self, trial: int, sample: int, kind: str, ids: np.ndarray, masks: np.ndarray) -> None:
+        """Append the records of a table: one per set bit of the uint64
+        ``masks`` (one row per id of ``ids``, one column per copy), by id,
+        then copy, then bit. The arrays are kept as they are until read."""
+        self._tables.append((trial, sample, kind, ids, masks))
 
     def __len__(self):
         return len(self.events)
@@ -276,8 +294,7 @@ def _flip_masks(pos: np.ndarray, width: int, widths=None) -> tuple[np.ndarray, n
 
 
 def _record_table(events: list, trial: int, sample: int, kind: str, ids: np.ndarray, masks: np.ndarray) -> None:
-    """Append one event per set bit of the uint64 ``masks`` (one row per id
-    of ``ids``, one column per copy): by id, then copy, then bit."""
+    """Append the events of :meth:`FaultTrace.record` to ``events``."""
     bits = np.unpackbits(masks.astype("<u8").view(np.uint8).reshape(*masks.shape, 8), axis=2, bitorder="little")
     i, copy, bit = np.nonzero(bits)
     events.extend((trial, sample, kind, idx, b, cp) for idx, cp, b in zip(ids[i].tolist(), copy.tolist(), bit.tolist()))
@@ -369,7 +386,7 @@ def op_level_hook(
         fast = np.where(voted[:, None], masks, masks[:, :1])
     else:
         fast = np.ascontiguousarray(masks[:, :1])
-    record = functools.partial(_record_table, trace.events, trial, sample, KIND_OP, ids, masks)
+    record = functools.partial(trace.record, trial, sample, KIND_OP, ids, masks)
     return OpFaults(ids, fast, opspace.width_mul, opspace.width_add, record, reference), trace
 
 
@@ -406,5 +423,5 @@ def neuron_level_inject(opspace: OpSpace, draw: tuple, scope: Scope = Scope(), *
         trace = FaultTrace()
     keep = _in_ranges(draw[0], [opspace.neuron_ranges[lid] for lid in scope.admitted_layers(opspace)])
     ids, masks = (column[keep] for column in draw)
-    record = functools.partial(_record_table, trace.events, trial, sample, KIND_NEURON, ids, masks[:, None])
+    record = functools.partial(trace.record, trial, sample, KIND_NEURON, ids, masks[:, None])
     return NeuronFaults(ids, masks, opspace.neuron_ranges, record), trace

@@ -120,6 +120,13 @@ def _geometric_draw(gen: np.random.Generator, keys: list, starts: np.ndarray, en
     return np.sort(np.concatenate([pos[inside], redo]))
 
 
+def _raw_limit(ber: float) -> np.uint64:
+    """The largest raw Philox word u for which ``random() < ber``: random()
+    is (u >> 11) * 2^-53, below ``ber`` exactly when u is below
+    ceil(ber * 2^53) << 11, which is at most 2^64 (at ``ber`` 1.0)."""
+    return np.uint64((math.ceil(ber * 2.0**53) << 11) - 1)
+
+
 def sample_flip_positions(seed: int, labels: tuple, total_bits: int, ber: float) -> np.ndarray:
     """Sorted indices of flipped bits in [0, total_bits), each bit flipping
     independently with probability ``ber``."""
@@ -134,6 +141,7 @@ def sample_flip_positions(seed: int, labels: tuple, total_bits: int, ber: float)
     gen = np.random.Generator(np.random.Philox(ss))
     if ber <= SKIP_SAMPLING_BER:
         return _geometric_draw(gen, keys, starts, ends, ber, _gap_count(int(ends[0]), ber))
-    parts = [np.flatnonzero(_reset(gen, key).random(end - start) < ber) + start
+    limit = _raw_limit(ber)
+    parts = [np.flatnonzero(_reset(gen, key).bit_generator.random_raw(end - start) <= limit) + start
              for key, start, end in zip(keys, starts.tolist(), ends.tolist())]
     return np.concatenate(parts) if len(parts) > 1 else parts[0]

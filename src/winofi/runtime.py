@@ -322,7 +322,7 @@ class NeuronFaults:
     """The neuron faults of one inference, ``run_inference``'s ``neuron_fn``:
     uint64 XOR ``masks`` of the struck global neuron ``ids``, ascending, which
     flip a conv layer's requantized output by its [start, end) id range in
-    ``ranges``. ``record`` appends their trace records, once per inference."""
+    ``ranges``. ``record`` hands them to the trace, once per inference."""
 
     ids: np.ndarray
     masks: np.ndarray
@@ -385,9 +385,9 @@ def run_inference(
     """Run one sample through the model.
 
     ``hook`` None runs every conv vectorized. An :class:`~winofi.engine.OpFaults`
-    table runs those kernels and corrects just the output units owning a
-    struck op (see :mod:`winofi.engine`); its ``record()`` then writes the
-    trace records of the applied flips. Any other ``hook`` instruments every
+    table runs those kernels with its flips applied inside them (see
+    :mod:`winofi.engine`); its ``record()`` then hands the applied flips to
+    the trace. Any other ``hook`` instruments every
     conv primitive op, which is the reference. A :class:`NeuronFaults` table
     as ``neuron_fn`` flips neurons of each conv layer's requantized output.
     ``capture`` collects conv outputs post-injection and before any clamp;

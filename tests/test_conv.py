@@ -29,6 +29,7 @@ from winofi.engine import (
     requant_scalar,
     tile_grid,
 )
+import winofi.engine as engine_module
 from winofi.errors import ShapeError
 from winofi.modelio import generate_dataset, generate_toy_model
 from winofi.qtensor import QTensor, QuantParams
@@ -314,6 +315,51 @@ def test_every_stage_of_one_unit_struck_at_once_matches_its_reference(engine, da
     faults = OpFaults(np.array(ids, dtype=np.int64), np.array([table[i] for i in ids], dtype=np.uint64),
                       width, width, lambda: None, reference)
     assert conv(x, spec, hook=faults) == conv(x, spec, hook=reference)
+
+
+# the fast path's dtype tiers, by the layer's lockstep_bound: [low, high)
+TIERS = {"float64": (0, 2**53), "int64": (2**53, 2**63), "python-int": (2**63, 2**200)}
+
+
+@pytest.mark.parametrize("tier", sorted(TIERS))
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_flips_at_every_stage_of_several_tiles_match_their_reference(engine, tier, data):
+    # A struck layer is one pass: each stage's flips apply to the values the
+    # next stage reads, and its accumulator plane, struck pixels and tiles
+    # included, requantizes once. Here several pixels or tiles of 2-3
+    # stacked samples take flips at every stage, with the dense kernels cut
+    # into one row block per output or tile row, and a fault window whose
+    # values the fast path holds in float64 (Winograd; direct uses int64
+    # there), int64 or Python ints.
+    bits = data.draw(st.sampled_from([8, 16]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    c, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+    spec = make_spec(rng, c, k, bits, data.draw(st.integers(0, 1)), data.draw(st.booleans()),
+                     out_scale=2.0 ** data.draw(st.integers(bits, 2 * bits)))
+    shape = (data.draw(st.integers(2, 3)), c, data.draw(st.integers(5, 8)), data.draw(st.integers(3, 7)))
+    x = random_qtensor(rng, shape, bits)
+    winograd = engine == "winograd"
+    conv = conv_winograd if winograd else conv_direct
+    low, high = TIERS[tier]
+    width = data.draw(st.sampled_from([w for w in range(1, 65) if low <= lockstep_bound(spec, w, w, winograd) < high]))
+    units = data.draw(st.integers(2, 4))
+    ids = sorted({i for _ in range(units) for i in _one_unit_at_every_stage(data, spec, shape, winograd)})
+    copies = data.draw(st.sampled_from([1, 3]))
+    mask = st.integers(0, width - 1).flatmap(lambda b: st.integers(1 << b, (2 << b) - 1))  # top bit b
+    table = {i: [data.draw(mask) for _ in range(copies)] for i in ids}
+
+    def reference(op_id, layer_id, op_type, stage, value):
+        m = table.get(op_id)
+        return value if m is None else sorted(value ^ v for v in m)[len(m) // 2]
+
+    faults = OpFaults(np.array(ids, dtype=np.int64), np.array([table[i] for i in ids], dtype=np.uint64),
+                      width, width, lambda: None, reference)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine_module, "_SLAB", 1)
+        fast = conv(x, spec, hook=faults)
+    assert fast == conv(x, spec, hook=reference)
 
 
 @pytest.mark.parametrize("padding", [0, 1])

@@ -19,12 +19,13 @@ from winofi.inject import (
     Scope,
     draw_neuron_flips,
     draw_op_flips,
+    _record_table,
     neuron_level_inject,
     op_level_hook,
 )
 from winofi.modelio import generate_dataset, generate_toy_model
 from winofi.rng import STREAM_NEURON
-from winofi.runtime import enumerate_ops, top1
+from winofi.runtime import enumerate_ops, run_inference, top1
 from winofi.tmr import make_segment_eval, measure_segment_vulnerability, plan_tmr, segment_ops
 
 # at this BER most of these inferences draw no flip, and some draw several
@@ -300,3 +301,40 @@ def test_neuron_layer_vulnerability_draws_once_and_runs_distinct_tables_once(mod
                             for lid in camp.opspace.conv_layer_ids()]
     assert len(inferences) == distinct
     assert all(faults.ids.size for faults in inferences)
+
+
+class _EagerTrace(FaultTrace):
+    """A trace that builds each recorded table's events at once."""
+
+    def record(self, trial, sample, kind, ids, masks):
+        _record_table(self.events, trial, sample, kind, ids, masks)
+
+
+def _traced_runs(model, dataset, engine, trace_type) -> list:
+    """The events of four traces: a saved op-level sweep, one under TMR (its
+    copies 1-2 recorded), a neuron-level sweep, and fast-path inferences
+    interleaved with reference-hook ones, which write their records
+    themselves, in one trace."""
+    camp = Campaign(model, dataset, engine, seed=74)
+    traces = [trace_type() for _ in range(4)]
+    camp.run_point(1e-3, 3, trace=traces[0])
+    camp.run_point(1e-3, 2, trace=traces[1], protected=[(0, camp.opspace.total_ops // 2)])
+    _neuron_campaign(model, dataset, engine).run_point(3e-3, 3, trace=traces[2])
+    for trial in range(3):
+        for i in range(len(dataset)):
+            draw = draw_op_flips(camp.opspace, 74, 1e-3, trial=trial, sample=i)
+            faults, _ = op_level_hook(camp.opspace, draw, trial=trial, sample=i, trace=traces[3])
+            hook = faults.reference if (trial + i) % 2 else faults
+            run_inference(model, dataset.samples[i], engine, hook, program=camp.program)
+    return [t.events for t in traces]
+
+
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+def test_deferred_trace_records_equal_their_eager_expansion(model, dataset, engine):
+    # A trace keeps each recorded table and builds its events only when they
+    # are read: they must be the events built at once, in the same order,
+    # also where reference-hook records fall between recorded tables.
+    deferred = _traced_runs(model, dataset, engine, FaultTrace)
+    eager = _traced_runs(model, dataset, engine, _EagerTrace)
+    assert all(deferred) and {e[5] for e in deferred[1]} == {0, 1, 2}
+    assert deferred == eager

@@ -16,6 +16,8 @@ from winofi.rng import (
     SKIP_SAMPLING_BER,
     _chunk_keys,
     _geometric_draw,
+    _raw_limit,
+    _reset,
     sample_flip_positions,
 )
 
@@ -66,11 +68,40 @@ def test_geometric_regime_equals_per_chunk_reference(seed, labels, total_bits, b
     assert np.array_equal(pos, reference_positions(seed, labels, total_bits, ber))
 
 
+# The uniform regime compares raw Philox words against a limit derived from
+# the BER; the reference thresholds random() < ber. These BERs sit where that
+# limit could be off by one: the smallest BER of the regime, BERs whose
+# ber * 2^53 is an integer, and 1.0, whose limit is the largest uint64.
+UNIFORM_BERS = [float(np.nextafter(SKIP_SAMPLING_BER, 1)), 1.0001e-4, 2.0**-10, 3e-3, 0.25, 0.5, 1.0]
+
+
 @pytest.mark.parametrize("total_bits", [777, CHUNK_BITS, CHUNK_BITS + 1])
-@pytest.mark.parametrize("ber", [1.0001e-4, 3e-3])
+@pytest.mark.parametrize("ber", UNIFORM_BERS)
 def test_uniform_regime_equals_per_chunk_reference(total_bits, ber):
     pos = sample_flip_positions(5, (0, 2, 1, 0), total_bits, ber)
     assert np.array_equal(pos, reference_positions(5, (0, 2, 1, 0), total_bits, ber))
+
+
+@pytest.mark.parametrize("ber", UNIFORM_BERS + [1 / 3, 0.999])
+def test_raw_word_limit_is_the_uniform_threshold(ber):
+    # random() is a raw Philox word shifted right by 11 bits, times 2^-53 ...
+    gen = np.random.Generator(np.random.Philox(7))
+    raw = _reset(gen, [3, 4]).bit_generator.random_raw(1000)
+    assert np.array_equal(_reset(gen, [3, 4]).random(1000), (raw >> np.uint64(11)) * 2.0**-53)
+    # ... so random() < ber holds exactly for the words at or below the limit
+    limit = int(_raw_limit(ber))
+    words = np.array([w for w in (limit - 2**11, limit - 1, limit, limit + 1, limit + 2**11) if w < 2**64],
+                     dtype=np.uint64)
+    assert np.array_equal((words >> np.uint64(11)) * 2.0**-53 < ber, words <= np.uint64(limit))
+    assert (words <= np.uint64(limit)).sum() == 3
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, labels=LABELS, total_bits=st.sampled_from([777, 100_000, CHUNK_BITS + 1]),
+       ber=st.floats(SKIP_SAMPLING_BER, 1.0, exclude_min=True))
+def test_uniform_regime_equals_per_chunk_reference_at_any_ber(seed, labels, total_bits, ber):
+    pos = sample_flip_positions(seed, labels, total_bits, ber)
+    assert np.array_equal(pos, reference_positions(seed, labels, total_bits, ber))
 
 
 @pytest.mark.parametrize("est", [1, 2, 7])
