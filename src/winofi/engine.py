@@ -25,15 +25,16 @@ reads a flipped value is linear in it (an add, or a multiply by a static
 filter value), and the integer arithmetic is exact, so each flip changes the
 values after it by ``_flip(v, m) - v`` through fixed maps, where v is the
 value the hook would see. The direct kernel adds each flip's change to its
-pixel's accumulator. The Winograd kernel keeps its channel sums and
-recomputes each tile holding a flip one stage at a time, from the input
-transform to the inverse transform, each stage's flips changing the values
-the next stage reads. Only the values that flips read are computed, in NumPy
-lockstep over every flip of the layer: products one by one, running sums
-from their chains' prefixes, and the transforms' add chains in dependency
-order (:func:`_add_flips`, :func:`_lockstep`). A struck layer pays a few
-dozen NumPy calls; the rest of its work scales with its flips and struck
-tiles, and a stage without a flip costs nothing. Every value and change
+pixel's accumulator. The Winograd kernel recomputes each unit whose
+values a flip changes (every unit of a tile whose input transform is
+struck) one stage at a time, from the input transform to the inverse
+transform, each stage's flips changing the values the next stage reads.
+Only the values that flips read are computed, in NumPy lockstep over every
+flip of the layer: products one by one, running sums from their chains'
+prefixes, and the transforms' add chains in dependency order
+(:func:`_add_flips`, :func:`_lockstep`). A struck layer pays a few dozen
+NumPy calls; the rest of its work scales with its flips and struck units,
+and a stage without a flip costs nothing. Every value and change
 stays exact (:func:`lockstep_bound`): in float64 for a Winograd layer below
 2^53, whose transforms then run as BLAS products, in int64 below 2^63, else
 on Python ints. Any other hook sees every op; that hooked path is the
@@ -594,7 +595,7 @@ def _direct_struck(xp: np.ndarray, spec: ConvSpec, shift: int, acc: np.ndarray,
     c_ = spec.in_channels
     corners, ks, taps = _window_layout(*xp.shape, *acc.shape[1:])
     unit, step = np.divmod(offs, 18 * c_)
-    mac, is_add = np.divmod(step, 2)
+    mac, is_add = step >> 1, step & 1
     corner, k = corners[unit], ks[unit]
     w = spec.weights.array.reshape(-1, 9 * c_)
     flat = xp.reshape(-1)
@@ -612,6 +613,8 @@ def _direct_struck(xp: np.ndarray, spec: ConvSpec, shift: int, acc: np.ndarray,
             s += spec.bias[k[add]]
         delta[add] = _add_flips(s, i[add], masks[add])
     if dt != object:
+        # cheaper than the per-pixel sums below by about 6 us of a 60-110 us
+        # struck call on toycnn-int16 (BENCH_29.json "direct_add_at")
         np.add.at(acc.reshape(-1), unit, delta)
         return acc
     first = np.flatnonzero(_starts(unit))
@@ -712,9 +715,10 @@ def conv_winograd(
     A (tile, k) unit owns the tile's element-wise multiplies, channel sums
     and inverse transform of output channel k; a tile's input transform feeds
     all of its units. With ``hook`` None the vectorized kernel computes the
-    output. Given an :class:`OpFaults` table as ``hook``, the tiles holding
-    a struck op are recomputed with its flips from the kernel's channel sums
-    before the accumulators are requantized (see :func:`_winograd_struck`).
+    output. Given an :class:`OpFaults` table as ``hook``, the units whose
+    values its flips change are recomputed with them from the struck tiles'
+    inputs before the accumulators are requantized (see
+    :func:`_winograd_struck`).
     Any other hook sees every op; that is the reference.
     """
     n_, c_, h, w = _check_input(x, spec)
@@ -728,11 +732,10 @@ def conv_winograd(
     tile_ops = c_ * n_itf + 32 * k_ * c_ + k_ * n_inv
     if hook is None or isinstance(hook, OpFaults):
         xp = _padded(x, pad, 2 * ty_ + 2, 2 * tx_ + 2, np.float64)
+        acc = _winograd_acc(xp, spec)
         struck = hook and _layer_faults(hook, op_base, n_ * ty_ * tx_ * tile_ops, spec, winograd=True)
-        sums = np.empty((n_ * ty_ * tx_, k_, 16)) if struck else None
-        acc = _winograd_acc(xp, spec, sums)
         if struck:
-            acc = _winograd_struck(xp, spec, shift, acc, sums, *struck)
+            acc = _winograd_struck(xp, spec, shift, acc, *struck)
         out = requant_array(acc[:, :, :oh, :ow], shift, oq.int_min, oq.int_max).astype(np.int64, copy=False)
         return QTensor.trusted(out.shape, out, oq)
 
@@ -789,25 +792,27 @@ def conv_winograd(
     return QTensor.trusted(out.shape, out, oq)
 
 
-def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, acc: np.ndarray, sums: np.ndarray,
+def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, acc: np.ndarray,
                      offs: np.ndarray, masks: np.ndarray, dt) -> np.ndarray:
     """The accumulator plane ``acc`` (the dense pass's, 4 * bias included,
-    (N, K, 2 TY, 2 TX)) with every tile holding a struck op recomputed in
-    ``dt`` from the dense pass's channel sums ``sums`` (tiles, K, 16), one
-    stage at a time, each stage's flips changing the values that the next
-    stage reads. ``xp`` is the float64 padded input; ``offs`` are the ops'
-    offsets from the layer's first op.
+    (N, K, 2 TY, 2 TX)) with every unit whose values flips change
+    recomputed in ``dt``, one stage at a time, each stage's flips changing
+    the values that the next stage reads: every unit of a tile holding an
+    input-transform flip, and each unit holding another flip. ``xp`` is the
+    float64 padded input; ``offs`` are the ops' offsets from the layer's
+    first op.
 
     - V: the struck tiles' inputs times kron(B^T, B^T), one float64 product,
       plus the changes of the input-transform flips (see :func:`_lockstep`).
-      A changed row (tile, c) of V adds U[k, c, e] dV[e] to the channel sums
-      of every unit k of its tile.
-    - S: a chain (unit, e) holding an element-wise or channel-sum flip is
-      summed again from its C products U[k, c, e] V[tile, c, e], a product
-      flip flipping its product and a sum flip its running sum; a chain's
-      sum flips apply in turn (see :func:`_add_flips`).
-    - The outputs: S of all K units times kron(A^T, A^T), plus the changes
-      of the inverse-transform flips, which read the faulty S.
+    - S: the units' channel sums, from the clean V in float64, exact under
+      ConvSpec's bound as in the dense pass. A changed row (tile, c) of V
+      adds U[k, c, e] dV[e] to the sums of every unit k of its tile. A chain
+      (unit, e) holding an element-wise or channel-sum flip is summed again
+      from its C products U[k, c, e] V[tile, c, e], a product flip flipping
+      its product and a sum flip its running sum; a chain's sum flips apply
+      in turn (see :func:`_add_flips`).
+    - The outputs: S times kron(A^T, A^T), plus the changes of the
+      inverse-transform flips, which read the faulty S.
 
     Every value stays below :func:`lockstep_bound`, and a flip moves its
     value by less than 2^width, so ``dt`` float64 is exact when that bound
@@ -824,11 +829,18 @@ def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, acc: np.ndarray
     if order is not None:
         t, o, masks = t[order], o[order], masks[order]
     row = tiles.searchsorted(t)  # each flip's struck tile
-    place, col = ops[1:, o]  # each flip's row and column in its stage's tile values
+    place, col, k = ops[1:, o]  # each flip's row and column in its stage's tile values, and its k
+    # the units (tile, k) that flips change, then each one's row of S
+    srow = np.zeros((tiles.size, k_), dtype=np.intp)
+    srow[row[:a]] = 1
+    srow[row[a:], k[a:]] = 1
+    ut, uk = np.nonzero(srow)
+    srow[ut, uk] = np.arange(ut.size)
     corners, outs, cgrid = _tile_layout(n_, c_, hp, wp, k_)
     d = xp.reshape(-1)[cgrid + corners[tiles, None, None]]  # (tiles, C, 16)
-    v = _exact(d @ _KRON_BT.T, dt)
-    s = _exact(sums[tiles].reshape(-1, 16), dt)  # (tiles * K, 16)
+    v = d @ _KRON_BT.T
+    s = _exact((spec.u @ v.T)[:, uk, ut].T, dt)  # (units, 16)
+    v = _exact(v, dt)
     if a:
         d = _exact(d.reshape(-1, 16), dt)
         rows, dv = _lockstep(_INPUT_TF, d, row[:a] * c_ + place[:a], col[:a], masks[:a], dt)
@@ -836,10 +848,9 @@ def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, acc: np.ndarray
         # every unit's channel sums take U[k, c, e] dV[e] from each changed row (tile, c)
         tr, rc = np.divmod(rows, c_)
         first = np.flatnonzero(_starts(tr))
-        ds = np.add.reduceat(spec.u_int[:, rc].T.reshape(-1, k_, 16) * dv[:, None], first)
-        s.reshape(-1, k_, 16)[tr[first]] += ds
+        s[srow[tr[first]]] += np.add.reduceat(spec.u_int[:, rc].T.reshape(-1, k_, 16) * dv[:, None], first)
     if a < c:
-        chain = row[a:c] * 16 * k_ + place[a:c]  # each flip's chain (unit, e), flat in s
+        chain = row[a:c] * 16 * k_ + place[a:c]  # each flip's chain (tile, k, e)
         chains = _distinct(np.sort(chain))
         ct, ke = np.divmod(chains, 16 * k_)
         p = spec.u_int[ke] * v[ct, :, ke & 15]  # (chains, C): each chain's products
@@ -848,14 +859,14 @@ def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, acc: np.ndarray
         p[mul] = _flip(p[mul], masks[a:b])
         if b < c:
             p[add] += _add_flips(p.cumsum(axis=1)[add], add[0], masks[b:c])
-        s.reshape(-1)[chains] = p.sum(axis=1)
-    out = s @ (_KRON_AT if dt == _F64 else _INVERSE_TF.linear[dt][2]).T  # (tiles * K, 4)
+        s[srow[ct, ke >> 4], ke & 15] = p.sum(axis=1)
+    out = s @ (_KRON_AT if dt == _F64 else _INVERSE_TF.linear[dt][2]).T  # (units, 4)
     if c < m:
-        units, dy = _lockstep(_INVERSE_TF, s, row[c:] * k_ + place[c:], col[c:], masks[c:], dt)
-        out[units] += dy
+        j, dy = _lockstep(_INVERSE_TF, s, srow[row[c:], place[c:]], col[c:], masks[c:], dt)
+        out[j] += dy
     if spec.bias is not None:
-        out += np.tile(4 * spec.bias, tiles.size)[:, None]
-    return _put(acc, outs[tiles], out.reshape(-1, k_, 4), shift, spec.out_qparams)
+        out += 4 * spec.bias[uk, None]
+    return _put(acc, outs[tiles[ut], uk], out, shift, spec.out_qparams)
 
 
 @functools.lru_cache(maxsize=64)
@@ -863,16 +874,17 @@ def _tile_ops(c_: int, k_: int) -> np.ndarray:
     """Column i describes op i of a Winograd tile with c_ input and k_
     output channels: its stage (0 to 3: input transform, element-wise
     multiply, channel sum, inverse transform), its row in its stage's tile
-    values (input channel c, chain 16 k + e, or output channel k) and its
-    column there (transform step, or input channel c). Shared read-only by
-    every struck call."""
+    values (input channel c, chain 16 k + e, or output channel k), its
+    column there (transform step, or input channel c) and its output
+    channel k (0 in the input transform). Shared read-only by every struck
+    call."""
     n_itf, n_inv = len(_INPUT_TF.steps), len(_INVERSE_TF.steps)
     i, j = np.arange(c_ * n_itf), np.arange(k_ * n_inv)
     k, c, e = np.unravel_index(np.arange(16 * k_ * c_), (k_, c_, 16))
     ops = np.concatenate([
-        [0 * i, i // n_itf, i % n_itf],
-        *([0 * k + stage, 16 * k + e, c] for stage in (1, 2)),
-        [0 * j + 3, j // n_inv, j % n_inv],
+        [0 * i, i // n_itf, i % n_itf, 0 * i],
+        *([0 * k + stage, 16 * k + e, c, k] for stage in (1, 2)),
+        [0 * j + 3, j // n_inv, j % n_inv, j // n_inv],
     ], axis=1)
     ops.setflags(write=False)
     return ops
@@ -897,7 +909,7 @@ def _tile_layout(n_: int, c_: int, hp: int, wp: int, k_: int) -> tuple:
     return layout
 
 
-def _winograd_acc(xp: np.ndarray, spec: ConvSpec, sums: Optional[np.ndarray] = None) -> np.ndarray:
+def _winograd_acc(xp: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """The int64 (N, K, 2 TY, 2 TX) accumulators, 4 * bias included (4 times
     the direct ones), of every tile of the float64 padded input ``xp``, ragged
     edge tiles' included, from three float64 matrix products over tiles
@@ -907,8 +919,7 @@ def _winograd_acc(xp: np.ndarray, spec: ConvSpec, sums: Optional[np.ndarray] = N
     kron(A^T, A^T). They run per sample and block of tile rows, on 4x4 tiles
     read from a view of ``xp`` that steps 2 rows and 2 columns per tile; a
     block's tiles hold about ``_SLAB`` values, at least one tile row. Exact
-    under ConvSpec's magnitude bound. Given ``sums``, a float64 (tiles, K,
-    16) array, the channel sums of tile t land in ``sums[t]``."""
+    under ConvSpec's magnitude bound."""
     n_, c_, hp, wp = xp.shape
     k_ = spec.out_channels
     ty_, tx_ = (hp - 2) // 2, (wp - 2) // 2
@@ -921,11 +932,7 @@ def _winograd_acc(xp: np.ndarray, spec: ConvSpec, sums: Optional[np.ndarray] = N
         tiles = _view(xp, n * s_n, (4, 4, c_, ty_, tx_), (s_y, s_x, s_c, 2 * s_y, 2 * s_x))
         for r in range(0, ty_, rows):
             v = (_KRON_BT @ tiles[..., r : r + rows, :].reshape(16, -1)).reshape(16, c_, -1)
-            s = uk @ v  # (16, K, tiles)
-            if sums is not None:
-                t0 = (n * ty_ + r) * tx_
-                sums[t0 : t0 + s.shape[2]] = s.T
-            s = _KRON_AT @ s.reshape(16, -1)  # (4, K * tiles)
+            s = _KRON_AT @ (uk @ v).reshape(16, -1)  # (4, K * tiles)
             y[n, :, r : r + rows] = s.reshape(2, 2, k_, -1, tx_).transpose(2, 3, 0, 4, 1)
     plane = y.reshape(n_, k_, 2 * ty_, 2 * tx_).astype(np.int64)
     if spec.bias is not None:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -345,7 +346,10 @@ def test_flips_at_every_stage_of_several_tiles_match_their_reference(engine, tie
     low, high = TIERS[tier]
     width = data.draw(st.sampled_from([w for w in range(1, 65) if low <= lockstep_bound(spec, w, w, winograd) < high]))
     units = data.draw(st.integers(2, 4))
-    ids = sorted({i for _ in range(units) for i in _one_unit_at_every_stage(data, spec, shape, winograd)})
+    # op 0 is a Winograd unit's input-transform flip, which changes every
+    # unit of its tile, or a direct MAC's MUL; some units go without it
+    ids = sorted({i for _ in range(units)
+                  for i in _one_unit_at_every_stage(data, spec, shape, winograd)[data.draw(st.integers(0, 1)):]})
     copies = data.draw(st.sampled_from([1, 3]))
     mask = st.integers(0, width - 1).flatmap(lambda b: st.integers(1 << b, (2 << b) - 1))  # top bit b
     table = {i: [data.draw(mask) for _ in range(copies)] for i in ids}
@@ -360,6 +364,17 @@ def test_flips_at_every_stage_of_several_tiles_match_their_reference(engine, tie
         mp.setattr(engine_module, "_SLAB", 1)
         fast = conv(x, spec, hook=faults)
     assert fast == conv(x, spec, hook=reference)
+
+
+@pytest.mark.parametrize("bias", [37, -37])
+def test_direct_add_flips_read_running_sums_from_the_bias(rng, bias):
+    # A direct pixel's running sum starts at its bias. On a zero input every
+    # sum of its chain is the bias, so flipping its first ADD gives
+    # bias ^ mask, which requantization at shift 0 passes unchanged.
+    spec = dataclasses.replace(make_spec(rng, c=1, k=1, bit_width=8), bias=np.array([bias]))
+    x = QTensor((1, 1, 3, 3), np.zeros((1, 1, 3, 3), dtype=np.int64), QuantParams(8, 1.0))
+    faults = OpFaults(np.array([1]), np.array([[0b1010101]], dtype=np.uint64), 8, 8, lambda: None, None)
+    assert conv_direct(x, spec, hook=faults).array.tolist() == [[[[bias ^ 0b1010101]]]]
 
 
 @pytest.mark.parametrize("padding", [0, 1])
