@@ -11,11 +11,15 @@ can be routed through an instrumentation hook:
 The hook sees each operation's widened integer result exactly once, in a
 canonical order that is stable for a fixed (weights, input shape, engine), and
 may return a modified integer. ``hook=None`` selects a vectorized fault-free
-path that matches the hooked path element-exactly. It runs as float64 BLAS
-matrix products over the integer operands, which give the integer result
-bit for bit because every conv input is requantized to 8 or 16 bits and
-:class:`ConvSpec` rejects (ShapeError, CLI exit 2) any layer with enough
-input channels for a partial sum to reach 2^53.
+path that matches the hooked path element-exactly. Both engines run it as
+one dense pass, the direct convolution as BLAS matrix products over the
+integer operands: F(2x2, 3x3) is exact, so a Winograd layer's accumulators
+are 4 times the direct ones, bias included, on every tile. The products
+give the integer sums bit for bit because every conv input is requantized
+to 8 or 16 bits: they run in float32 when no partial sum can reach 2^24,
+else in float64 (:attr:`ConvSpec.gemm_weights`), and :class:`ConvSpec`
+rejects (ShapeError, CLI exit 2) any layer with enough input channels for
+a Winograd partial sum to reach 2^53.
 
 A layer's ops group into output units: a direct output pixel, or a Winograd
 (tile, output channel). Passed an :class:`OpFaults` table of the ops to flip
@@ -181,9 +185,8 @@ _INVERSE_TF = _Transform.of(AT_F2X2_3X3, 4)
 # The transforms on a row-major flat tile: vec(M X M^T) = kron(M, M) vec(X).
 _KRON_BT = _INPUT_TF.linear[np.dtype(np.float64)][2]
 _KRON_G2 = np.kron(G2_F2X2_3X3, G2_F2X2_3X3).astype(np.float64)
-_KRON_AT = _INVERSE_TF.linear[np.dtype(np.float64)][2]
-# About the most float64 values that a block of the vectorized kernels copies
-# out of its input at once: a direct im2col slab or a block of Winograd tiles.
+# About the most values that a block of the dense GEMM copies out of its
+# input at once, as its im2col slab.
 _SLAB = 1 << 15
 _I64_MAX = (1 << 63) - 1
 _F64 = np.dtype(np.float64)
@@ -213,7 +216,7 @@ WINOGRAD_F2X2_3X3 = namedtuple("WinogradF2x2_3x3", "instrument_filter_transform"
 class ConvSpec:
     """One 3x3 stride-1 convolution layer: weights, bias, and requant target.
 
-    The kernels' static operands (the float64 weights, the transformed
+    The kernels' static operands (the dense GEMM's weights, the transformed
     filters) are derived from it once, on first use.
     """
 
@@ -242,23 +245,30 @@ class ConvSpec:
                 raise ShapeError(f"bias must have length {self.out_channels}")
         if self.out_qparams.bit_width != self.weights.qparams.bit_width:
             raise ShapeError("weights and output must share one bit width")
-        # The fault-free kernels sum integers in float64, exact while every
-        # partial sum stays below 2^53. Winograd's worst case is 81*C*4^b:
-        # |V| <= 2^(b+1), |U| <= 9*2^(b-1), and the inverse transform gains 9.
+        # A struck Winograd layer sums its clean channel sums in float64,
+        # exact while every partial sum stays below 2^53. Their worst case is
+        # 81*C*4^b: |V| <= 2^(b+1), |U| <= 9*2^(b-1), and the inverse
+        # transform gains 9. The dense GEMM's sums stay far below it.
         b = self.weights.qparams.bit_width
         if 81 * self.in_channels * 4**b >= 2**53:
             raise ShapeError(
                 f"{self.in_channels} input channels at {b} bits can exceed 2^53 in the float64 kernels"
             )
-        # Winograd then adds 4 * bias to those sums in int64.
+        # Winograd's accumulators then hold 4 * bias too, in int64.
         object.__setattr__(self, "bias_max", max_abs(self.bias))  # largest bias magnitude, 0 without a bias
         if 81 * self.in_channels * 4**b + 4 * self.bias_max >= 2**63:
             raise ShapeError(f"conv bias magnitude {self.bias_max} can exceed 2^63 in the int64 kernels")
 
     @functools.cached_property
-    def weights_f64(self) -> np.ndarray:
-        """The (K, C, 3, 3) weights as float64, the direct GEMMs' operand."""
-        return self.weights.array.astype(np.float64)
+    def gemm_weights(self) -> np.ndarray:
+        """The (K, C, 3, 3) weights in the dense GEMM's dtype: float32 when
+        max_k sum|w_k| * 2^(b-1) < 2^24, else float64. Every input has
+        magnitude at most 2^(b-1), so every partial sum of output channel
+        k, in any order BLAS takes, is an integer of magnitude at most
+        sum|w_k| * 2^(b-1), which float32 then holds exactly."""
+        b = self.weights.qparams.bit_width
+        bound = int(np.abs(self.weights.array).reshape(self.out_channels, -1).sum(axis=1).max()) << (b - 1)
+        return self.weights.array.astype(np.float32 if bound < 2**24 else np.float64)
 
     @functools.cached_property
     def u(self) -> np.ndarray:
@@ -360,8 +370,9 @@ def _check_input(x: QTensor, spec: ConvSpec) -> tuple[int, int, int, int]:
     return n, c, h, w
 
 
-def _padded(x: QTensor, pad: int, hp: int, wp: int, dtype=np.int64) -> np.ndarray:
-    """``x`` zero-padded by ``pad`` at the top and left into an (N, C, hp, wp) array."""
+def _padded(x: QTensor, pad: int, hp: int, wp: int, dtype) -> np.ndarray:
+    """``x`` zero-padded by ``pad`` at the top and left into an (N, C, hp, wp)
+    array of ``dtype``."""
     n_, c_, h, w = x.shape
     xp = np.zeros((n_, c_, hp, wp), dtype=dtype)
     xp[:, :, pad : pad + h, pad : pad + w] = x.array
@@ -544,8 +555,9 @@ def conv_direct(
     shift = spec.requant_shift(x.qparams)
     oq = spec.out_qparams
     pad, k_ = spec.padding, spec.out_channels
-    xp = _padded(x, pad, h + 2 * pad, w + 2 * pad)
-    if hook is None or isinstance(hook, OpFaults):
+    fast = hook is None or isinstance(hook, OpFaults)
+    xp = _padded(x, pad, h + 2 * pad, w + 2 * pad, spec.gemm_weights.dtype if fast else np.int64)
+    if fast:
         acc = _direct_acc(xp, spec)
         struck = hook and _layer_faults(hook, op_base, acc.size * 18 * c_, spec)
         if struck:
@@ -590,7 +602,8 @@ def _direct_struck(xp: np.ndarray, spec: ConvSpec, shift: int, acc: np.ndarray,
     product. An ADD flip's is its running sum: only the pixels holding one
     gather their products, which take the changes of their MUL flips, and a
     chain's ADD flips apply in turn (see :func:`_add_flips`). See
-    :func:`_put` for the plane's dtype.
+    :func:`_put` for the plane's dtype. ``xp`` is the padded input in the
+    dense GEMM's dtype, whose integers gather exactly into int64.
     """
     c_ = spec.in_channels
     corners, ks, taps = _window_layout(*xp.shape, *acc.shape[1:])
@@ -599,12 +612,12 @@ def _direct_struck(xp: np.ndarray, spec: ConvSpec, shift: int, acc: np.ndarray,
     corner, k = corners[unit], ks[unit]
     w = spec.weights.array.reshape(-1, 9 * c_)
     flat = xp.reshape(-1)
-    v = (w[k, mac] * flat[corner + taps[mac]]).astype(dt, copy=False)  # each flip's product
+    v = (w[k, mac] * flat[corner + taps[mac]].astype(np.int64)).astype(dt, copy=False)  # each flip's product
     delta = _flip(v, masks) - v  # the MUL flips' changes; the ADD flips' follow
     add = np.flatnonzero(is_add)
     if add.size:
         first = add[_starts(unit[add])]
-        p = (w[k[first]] * flat[corner[first, None] + taps]).astype(dt, copy=False)  # (pixels, 9C)
+        p = (w[k[first]] * flat[corner[first, None] + taps].astype(np.int64)).astype(dt, copy=False)  # (pixels, 9C)
         i, found = _find(unit[first], unit)
         mul = found & (is_add == 0)
         p[i[mul], mac[mul]] += delta[mul]
@@ -663,19 +676,19 @@ def _view(a: np.ndarray, offset: int, shape: tuple, strides: tuple) -> np.ndarra
 
 
 def conv3x3_gemm(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Float64 (N, K, OH, OW) sums of the padded input ``xp`` (N, C, OH+2,
-    OW+2) against the 3x3 weights ``w`` (K, C, 3, 3). Per sample and block
-    of output rows, one (K x 9C) @ (9C x rows*OW) GEMM runs over a read-only
-    3x3 window view of ``xp``; a block's im2col slab holds about ``_SLAB``
-    values, at least one output row."""
+    """The (N, K, OH, OW) sums of the padded input ``xp`` (N, C, OH+2, OW+2)
+    against the 3x3 weights ``w`` (K, C, 3, 3), in ``w``'s float dtype. Per
+    sample and block of output rows, one (K x 9C) @ (9C x rows*OW) GEMM runs
+    over a read-only 3x3 window view of ``xp``; a block's im2col slab holds
+    about ``_SLAB`` values, at least one output row."""
     n_, c_, hp, wp = xp.shape
     oh, ow = hp - 2, wp - 2
     k_ = w.shape[0]
-    xp = np.ascontiguousarray(xp, dtype=np.float64)
+    xp = np.ascontiguousarray(xp, dtype=w.dtype)
     s_n, s_c, s_y, s_x = xp.strides
     wm = w.reshape(k_, 9 * c_)
     rows = max(1, _SLAB // (9 * c_ * ow))
-    out = np.empty((n_, k_, oh, ow))
+    out = np.empty((n_, k_, oh, ow), dtype=w.dtype)
     for n in range(n_):
         # win[c, ry, rx, oy, ox] = xp[n, c, oy + ry, ox + rx], in the row order of wm
         win = _view(xp, n * s_n, (c_, 3, 3, oh, ow), (s_c, s_y, s_x, s_y, s_x))
@@ -686,8 +699,9 @@ def conv3x3_gemm(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _direct_acc(xp: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """The int64 (N, K, OH, OW) accumulators, bias included, of the padded
-    input ``xp``: float64 GEMMs, exact under ConvSpec's magnitude bound."""
-    acc = conv3x3_gemm(xp, spec.weights_f64).astype(np.int64)
+    input ``xp``: GEMMs in the dtype of :attr:`ConvSpec.gemm_weights`, which
+    hold every partial sum exactly."""
+    acc = conv3x3_gemm(xp, spec.gemm_weights).astype(np.int64)
     if spec.bias is not None:
         acc += spec.bias[None, :, None, None]
     return acc
@@ -714,11 +728,13 @@ def conv_winograd(
 
     A (tile, k) unit owns the tile's element-wise multiplies, channel sums
     and inverse transform of output channel k; a tile's input transform feeds
-    all of its units. With ``hook`` None the vectorized kernel computes the
-    output. Given an :class:`OpFaults` table as ``hook``, the units whose
-    values its flips change are recomputed with them from the struck tiles'
-    inputs before the accumulators are requantized (see
-    :func:`_winograd_struck`).
+    all of its units. With ``hook`` None the output comes from the direct
+    GEMM's accumulators on the tile-padded input, shifted left by 2: the
+    transforms are exact, so each tile's sums are 4 times the direct ones,
+    as the doubled filter transform makes them. Given an :class:`OpFaults`
+    table as ``hook``, the units whose values its flips change are
+    recomputed with them from the struck tiles' inputs before the
+    accumulators are requantized (see :func:`_winograd_struck`).
     Any other hook sees every op; that is the reference.
     """
     n_, c_, h, w = _check_input(x, spec)
@@ -730,16 +746,16 @@ def conv_winograd(
     ty_, tx_ = tile_grid(oh, ow)
     n_itf, n_inv = len(_INPUT_TF.steps), len(_INVERSE_TF.steps)
     tile_ops = c_ * n_itf + 32 * k_ * c_ + k_ * n_inv
-    if hook is None or isinstance(hook, OpFaults):
-        xp = _padded(x, pad, 2 * ty_ + 2, 2 * tx_ + 2, np.float64)
-        acc = _winograd_acc(xp, spec)
+    fast = hook is None or isinstance(hook, OpFaults)
+    xp = _padded(x, pad, 2 * ty_ + 2, 2 * tx_ + 2, spec.gemm_weights.dtype if fast else np.int64)
+    if fast:
+        acc = _direct_acc(xp, spec)
+        acc <<= 2
         struck = hook and _layer_faults(hook, op_base, n_ * ty_ * tx_ * tile_ops, spec, winograd=True)
         if struck:
             acc = _winograd_struck(xp, spec, shift, acc, *struck)
         out = requant_array(acc[:, :, :oh, :ow], shift, oq.int_min, oq.int_max).astype(np.int64, copy=False)
         return QTensor.trusted(out.shape, out, oq)
-
-    xp = _padded(x, pad, 2 * ty_ + 2, 2 * tx_ + 2)
 
     out = np.empty((n_, k_, oh, ow), dtype=np.int64)
     b4 = [4 * int(b) for b in spec.bias] if spec.bias is not None else [0] * k_
@@ -799,18 +815,18 @@ def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, acc: np.ndarray
     recomputed in ``dt``, one stage at a time, each stage's flips changing
     the values that the next stage reads: every unit of a tile holding an
     input-transform flip, and each unit holding another flip. ``xp`` is the
-    float64 padded input; ``offs`` are the ops' offsets from the layer's
-    first op.
+    padded input in the dense GEMM's dtype, whose integers gather exactly
+    into float64; ``offs`` are the ops' offsets from the layer's first op.
 
     - V: the struck tiles' inputs times kron(B^T, B^T), one float64 product,
       plus the changes of the input-transform flips (see :func:`_lockstep`).
     - S: the units' channel sums, from the clean V in float64, exact under
-      ConvSpec's bound as in the dense pass. A changed row (tile, c) of V
-      adds U[k, c, e] dV[e] to the sums of every unit k of its tile. A chain
-      (unit, e) holding an element-wise or channel-sum flip is summed again
-      from its C products U[k, c, e] V[tile, c, e], a product flip flipping
-      its product and a sum flip its running sum; a chain's sum flips apply
-      in turn (see :func:`_add_flips`).
+      ConvSpec's bound. A changed row (tile, c) of V adds U[k, c, e] dV[e]
+      to the sums of every unit k of its tile. A chain (unit, e) holding an
+      element-wise or channel-sum flip is summed again from its C products
+      U[k, c, e] V[tile, c, e], a product flip flipping its product and a
+      sum flip its running sum; a chain's sum flips apply in turn (see
+      :func:`_add_flips`).
     - The outputs: S times kron(A^T, A^T), plus the changes of the
       inverse-transform flips, which read the faulty S.
 
@@ -837,7 +853,7 @@ def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, acc: np.ndarray
     ut, uk = np.nonzero(srow)
     srow[ut, uk] = np.arange(ut.size)
     corners, outs, cgrid = _tile_layout(n_, c_, hp, wp, k_)
-    d = xp.reshape(-1)[cgrid + corners[tiles, None, None]]  # (tiles, C, 16)
+    d = xp.reshape(-1)[cgrid + corners[tiles, None, None]].astype(np.float64)  # (tiles, C, 16)
     v = d @ _KRON_BT.T
     s = _exact((spec.u @ v.T)[:, uk, ut].T, dt)  # (units, 16)
     v = _exact(v, dt)
@@ -860,7 +876,7 @@ def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, acc: np.ndarray
         if b < c:
             p[add] += _add_flips(p.cumsum(axis=1)[add], add[0], masks[b:c])
         s[srow[ct, ke >> 4], ke & 15] = p.sum(axis=1)
-    out = s @ (_KRON_AT if dt == _F64 else _INVERSE_TF.linear[dt][2]).T  # (units, 4)
+    out = s @ _INVERSE_TF.linear[dt][2].T  # (units, 4)
     if c < m:
         j, dy = _lockstep(_INVERSE_TF, s, srow[row[c:], place[c:]], col[c:], masks[c:], dt)
         out[j] += dy
@@ -907,37 +923,6 @@ def _tile_layout(n_: int, c_: int, hp: int, wp: int, k_: int) -> tuple:
     for x in layout:
         x.setflags(write=False)
     return layout
-
-
-def _winograd_acc(xp: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """The int64 (N, K, 2 TY, 2 TX) accumulators, 4 * bias included (4 times
-    the direct ones), of every tile of the float64 padded input ``xp``, ragged
-    edge tiles' included, from three float64 matrix products over tiles
-    flattened row-major to 16 elements: the input
-    transform kron(B^T, B^T), 16 per-element (K x C) @ (C x tiles) GEMMs
-    that multiply and sum over channels, and the inverse transform
-    kron(A^T, A^T). They run per sample and block of tile rows, on 4x4 tiles
-    read from a view of ``xp`` that steps 2 rows and 2 columns per tile; a
-    block's tiles hold about ``_SLAB`` values, at least one tile row. Exact
-    under ConvSpec's magnitude bound."""
-    n_, c_, hp, wp = xp.shape
-    k_ = spec.out_channels
-    ty_, tx_ = (hp - 2) // 2, (wp - 2) // 2
-    s_n, s_c, s_y, s_x = xp.strides
-    uk = spec.u
-    rows = max(1, _SLAB // (16 * c_ * tx_))
-    y = np.empty((n_, k_, ty_, 2, tx_, 2))
-    for n in range(n_):
-        # tiles[i, j, c, ty, tx] = xp[n, c, 2 ty + i, 2 tx + j]
-        tiles = _view(xp, n * s_n, (4, 4, c_, ty_, tx_), (s_y, s_x, s_c, 2 * s_y, 2 * s_x))
-        for r in range(0, ty_, rows):
-            v = (_KRON_BT @ tiles[..., r : r + rows, :].reshape(16, -1)).reshape(16, c_, -1)
-            s = _KRON_AT @ (uk @ v).reshape(16, -1)  # (4, K * tiles)
-            y[n, :, r : r + rows] = s.reshape(2, 2, k_, -1, tx_).transpose(2, 3, 0, 4, 1)
-    plane = y.reshape(n_, k_, 2 * ty_, 2 * tx_).astype(np.int64)
-    if spec.bias is not None:
-        plane += 4 * spec.bias[None, :, None, None]
-    return plane
 
 
 # Per-layer op counting (must match the hooked emission exactly; checked in tests).

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from winofi.engine import (
@@ -17,7 +17,6 @@ from winofi.engine import (
     _SLAB,
     _direct_acc,
     _padded,
-    _winograd_acc,
     ConvSpec,
     OpFaults,
     OpType,
@@ -293,7 +292,12 @@ def test_every_stage_of_one_unit_struck_at_once_matches_its_reference(engine, da
     # float64 and int64 switches. Masks of every magnitude, and requant
     # shifts that leave most outputs inside the output range, keep a flip
     # that misses another's change from being lost to saturation.
-    bits = data.draw(st.sampled_from([8, 16]))
+    _strike_one_unit(data, engine, data.draw(st.sampled_from([8, 16])))
+
+
+def _strike_one_unit(data, engine, bits, tier=None):
+    """The body of the test above at ``bits``, with the fault width drawn
+    from ``tier`` (see TIERS) when one is given; returns the layer."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     c, k = data.draw(st.integers(1, 16)), data.draw(st.integers(1, 3))
     spec = make_spec(rng, c, k, bits, data.draw(st.integers(0, 1)), data.draw(st.booleans()),
@@ -303,7 +307,11 @@ def test_every_stage_of_one_unit_struck_at_once_matches_its_reference(engine, da
     winograd = engine == "winograd"
     conv = conv_winograd if winograd else conv_direct
     switches = [max(w for w in range(1, 65) if lockstep_bound(spec, w, w, winograd) < s) for s in (2**53, 2**63)]
-    width = data.draw(st.sampled_from(sorted({bits, 2 * bits} | {min(w + d, 64) for w in switches for d in (0, 1)})))
+    widths = sorted({bits, 2 * bits} | {min(w + d, 64) for w in switches for d in (0, 1)})
+    if tier is not None:
+        low, high = TIERS[tier]
+        widths = [w for w in widths if low <= lockstep_bound(spec, w, w, winograd) < high]
+    width = data.draw(st.sampled_from(widths))
     ids = sorted(set(_one_unit_at_every_stage(data, spec, shape, winograd)))
     copies = data.draw(st.sampled_from([1, 3]))
     mask = st.integers(0, width - 1).flatmap(lambda b: st.integers(1 << b, (2 << b) - 1))  # top bit b
@@ -316,6 +324,7 @@ def test_every_stage_of_one_unit_struck_at_once_matches_its_reference(engine, da
     faults = OpFaults(np.array(ids, dtype=np.int64), np.array([table[i] for i in ids], dtype=np.uint64),
                       width, width, lambda: None, reference)
     assert conv(x, spec, hook=faults) == conv(x, spec, hook=reference)
+    return spec
 
 
 # the fast path's dtype tiers, by the layer's lockstep_bound: [low, high)
@@ -331,10 +340,14 @@ def test_flips_at_every_stage_of_several_tiles_match_their_reference(engine, tie
     # next stage reads, and its accumulator plane, struck pixels and tiles
     # included, requantizes once. Here several pixels or tiles of 2-3
     # stacked samples take flips at every stage, with the dense kernels cut
-    # into one row block per output or tile row, and a fault window whose
-    # values the fast path holds in float64 (Winograd; direct uses int64
-    # there), int64 or Python ints.
-    bits = data.draw(st.sampled_from([8, 16]))
+    # into one row block per output row, and a fault window whose values
+    # the fast path holds in float64 (Winograd; direct uses int64 there),
+    # int64 or Python ints.
+    _strike_several_tiles(data, engine, data.draw(st.sampled_from([8, 16])), tier)
+
+
+def _strike_several_tiles(data, engine, bits, tier):
+    """The body of the test above at ``bits``; returns the layer."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     c, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
     spec = make_spec(rng, c, k, bits, data.draw(st.integers(0, 1)), data.draw(st.booleans()),
@@ -364,6 +377,21 @@ def test_flips_at_every_stage_of_several_tiles_match_their_reference(engine, tie
         mp.setattr(engine_module, "_SLAB", 1)
         fast = conv(x, spec, hook=faults)
     assert fast == conv(x, spec, hook=reference)
+    return spec
+
+
+@pytest.mark.parametrize("tier", sorted(TIERS))
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_int8_struck_layers_gather_from_float32_inputs(engine, tier, data):
+    # An int8 layer of at most 16 channels takes the float32 GEMM tier, so
+    # its dense pass pads its input in float32 and the struck paths gather
+    # their inputs from that array. The two struck oracle tests above draw
+    # int8 layers at random; here they run at int8 under every fault-value
+    # tier, and each layer must take the float32 tier.
+    for strike in (_strike_one_unit, _strike_several_tiles):
+        assert strike(data, engine, 8, tier).gemm_weights.dtype == np.float32
 
 
 @pytest.mark.parametrize("bias", [37, -37])
@@ -381,19 +409,97 @@ def test_direct_add_flips_read_running_sums_from_the_bias(rng, bias):
 @pytest.mark.parametrize("hw", [(5, 7), (6, 6)], ids=["odd", "even"])
 def test_kept_accumulator_planes_are_the_exact_convolutions(rng, padding, hw):
     # The struck paths start from the dense pass's int64 accumulators, bias
-    # included: the direct plane is the convolution unshifted and unclamped,
-    # and the Winograd plane holds 4 times it on every tile, whose outputs
-    # past an odd plane's edge are dropped.
-    spec = make_spec(rng, c=3, k=2, bit_width=16, padding=padding, bias=True)
-    x = random_qtensor(rng, (2, 3, *hw), 16)
-    expect = brute_force_conv3x3(x.array, spec.weights.array, spec.bias, padding, 0, -(1 << 62), 1 << 62)
-    oh, ow = expect.shape[2:]
-    ty, tx = tile_grid(oh, ow)
+    # included: the direct GEMM's plane is the convolution unshifted and
+    # unclamped, on the input padded in the GEMM's dtype (float32 at int8
+    # here, float64 at int16). Winograd runs the same GEMM on its
+    # tile-padded input and shifts the plane left by 2; its outputs past an
+    # odd plane's edge are dropped.
     h, w = hw
-    assert np.array_equal(_direct_acc(_padded(x, padding, h + 2 * padding, w + 2 * padding), spec), expect)
-    plane = _winograd_acc(_padded(x, padding, 2 * ty + 2, 2 * tx + 2, np.float64), spec)
-    assert plane.shape == (2, 2, 2 * ty, 2 * tx) and plane.dtype == np.int64
-    assert np.array_equal(plane[:, :, :oh, :ow], 4 * expect)
+    for bits, dtype in ((8, np.float32), (16, np.float64)):
+        spec = make_spec(rng, c=3, k=2, bit_width=bits, padding=padding, bias=True)
+        assert spec.gemm_weights.dtype == dtype
+        x = random_qtensor(rng, (2, 3, *hw), bits)
+        expect = brute_force_conv3x3(x.array, spec.weights.array, spec.bias, padding, 0, -(1 << 62), 1 << 62)
+        oh, ow = expect.shape[2:]
+        ty, tx = tile_grid(oh, ow)
+        assert np.array_equal(_direct_acc(_padded(x, padding, h + 2 * padding, w + 2 * padding, dtype), spec), expect)
+        plane = _direct_acc(_padded(x, padding, 2 * ty + 2, 2 * tx + 2, dtype), spec)
+        assert plane.shape == (2, 2, 2 * ty, 2 * tx) and plane.dtype == np.int64
+        assert np.array_equal(plane[:, :, :oh, :ow], expect)
+
+
+def _tier_layer(bits, c, bound, sign):
+    """A 2-output-channel layer whose weights reach max_k sum|w_k| *
+    2^(bits-1) = ``bound``: every weight of channel 0 has ``sign``, every
+    weight of channel 1 the other, and their magnitudes spread the sum
+    evenly over the 9c taps. Requant shift 26 - bits keeps every output
+    inside the output range."""
+    mags = np.full(9 * c, (bound >> (bits - 1)) // (9 * c))
+    mags[: (bound >> (bits - 1)) % (9 * c)] += 1
+    assert mags.max() < 1 << (bits - 1) and mags.sum() << (bits - 1) == bound
+    w = np.stack([sign * mags, -sign * mags]).reshape(2, c, 3, 3)
+    qp = QuantParams(bits, 1.0)
+    return ConvSpec(c, 2, 0, QTensor(w.shape, w, qp), QuantParams(bits, 2.0 ** (26 - bits)), bias=[5, -7])
+
+
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("below", [True, False], ids=["below-2^24", "at-2^24"])
+@pytest.mark.parametrize("bits, c", [(8, 128), (16, 2)])
+def test_gemm_tier_boundary_is_exact(engine, sign, below, bits, c):
+    # The dense GEMM runs in float32 when max_k sum|w_k| * 2^(b-1) < 2^24,
+    # where every partial sum is an integer float32 holds, and in float64
+    # from 2^24 on. Inputs of -2^(b-1) and 2^(b-1) - 1 in stacked samples
+    # make the sums of the unpadded pixels reach that bound with either
+    # sign, and a one-value slab runs the GEMM one output row at a time.
+    bound = (1 << 24) - ((1 << (bits - 1)) if below else 0)
+    spec = _tier_layer(bits, c, bound, sign)
+    assert spec.gemm_weights.dtype == (np.float32 if below else np.float64)
+    qp = spec.weights.qparams
+    rng = np.random.default_rng(bits)
+    xs = [np.full((c, 4, 5), qp.int_min), np.full((c, 4, 5), qp.int_max), rng.choice([qp.int_min, qp.int_max], (c, 4, 5))]
+    x = QTensor((3, c, 4, 5), np.stack(xs), qp)
+    acc = brute_force_conv3x3(x.array, spec.weights.array, spec.bias, 0, 0, -(1 << 62), 1 << 62)
+    assert np.abs(acc[0] - spec.bias[:, None, None]).max() == bound
+    expect = brute_force_conv3x3(x.array, spec.weights.array, spec.bias, 0, 26 - bits, qp.int_min, qp.int_max)
+    conv = conv_direct if engine == "direct" else _conv_winograd
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine_module, "_SLAB", 1)
+        assert np.array_equal(_direct_acc(_padded(x, 0, 4, 5, spec.gemm_weights.dtype), spec), acc)
+        assert np.array_equal(conv(x, spec).array, expect)
+
+
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dense_gemm_tiers_match_the_oracle(engine, data):
+    # Weight magnitudes from 1 to 2^(b-1) put int16 layers on both sides of
+    # the float32 tier's bound (int8 layers of up to 40 channels stay below
+    # it), and inputs drawn from the two extremes push their sums towards
+    # it. The dense pass's accumulators, on the engine's padded input, and
+    # its outputs must be the oracle's, on odd and even planes, with a bias.
+    bits = data.draw(st.sampled_from([8, 16]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    c, k, padding = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 2)), data.draw(st.integers(0, 1))
+    qp = QuantParams(bits, 1.0)
+    wmax = 1 << data.draw(st.integers(0, bits - 1))
+    w = rng.integers(-wmax, min(wmax, qp.int_max) + 1, size=(k, c, 3, 3))
+    shift = data.draw(st.integers(0, 2 * bits))
+    spec = ConvSpec(c, k, padding, QTensor(w.shape, w, qp), QuantParams(bits, 2.0**shift),
+                    bias=rng.integers(-1000, 1001, size=k))
+    event(f"int{bits} in {spec.gemm_weights.dtype}")
+    shape = (data.draw(st.integers(1, 2)), c, data.draw(st.integers(3, 7)), data.draw(st.integers(3, 7)))
+    extreme = data.draw(st.booleans())
+    xa = rng.choice([qp.int_min, qp.int_max], shape) if extreme else rng.integers(qp.int_min, qp.int_max + 1, shape)
+    x = QTensor(shape, xa, qp)
+    acc = brute_force_conv3x3(xa, w, spec.bias, padding, 0, -(1 << 62), 1 << 62)
+    oh, ow = acc.shape[2:]
+    ty, tx = tile_grid(oh, ow)
+    hp, wp = (oh + 2, ow + 2) if engine == "direct" else (2 * ty + 2, 2 * tx + 2)
+    assert np.array_equal(_direct_acc(_padded(x, padding, hp, wp, spec.gemm_weights.dtype), spec)[:, :, :oh, :ow], acc)
+    conv = conv_direct if engine == "direct" else _conv_winograd
+    expect = brute_force_conv3x3(xa, w, spec.bias, padding, shift, qp.int_min, qp.int_max)
+    assert np.array_equal(conv(x, spec).array, expect)
 
 
 def test_determinism_and_canonical_op_order(rng):
@@ -578,30 +684,33 @@ def test_worst_case_magnitude_is_exact(engine, sign):
 
 
 def _row_blocks(c, oh, ow):
-    """Sizes of the row blocks of one sample: output rows in the direct
-    kernel, tile rows in the Winograd kernel."""
-    def blocks(n, per_row):
-        rows = max(1, _SLAB // per_row)
-        return [min(rows, n - r) for r in range(0, n, rows)]
+    """Sizes of the dense GEMM's output-row blocks of one sample: on the
+    direct engine's plane, and on the Winograd engine's tile-padded one."""
+    def blocks(rows_, cols):
+        rows = max(1, _SLAB // (9 * c * cols))
+        return [min(rows, rows_ - r) for r in range(0, rows_, rows)]
 
     ty, tx = tile_grid(oh, ow)
-    return blocks(oh, 9 * c * ow), blocks(ty, 16 * c * tx)
+    return blocks(oh, ow), blocks(2 * ty, 2 * tx)
 
 
-# Three samples of a 9x21 output of 64 channels: the direct kernel runs each
-# sample in output-row blocks of 2, 2, 2, 2 and a ragged 1, Winograd in tile-
-# row blocks of 2, 2 and a ragged 1, and the odd plane leaves ragged edge tiles.
-BLOCKED = (3, 64, 9, 21)
+# Three samples of a 7x17 output of 64 channels: the direct engine's GEMM
+# runs each sample in output-row blocks of 3, 3 and a ragged 1, Winograd's,
+# on its 8x18 tile-padded plane, in blocks of 3, 3 and a ragged 2, and the
+# odd plane leaves ragged edge tiles.
+BLOCKED = (3, 64, 7, 17)
 
 
 @pytest.mark.parametrize("padding", [0, 1])
 def test_vectorized_kernels_match_the_oracle_across_row_blocks(rng, padding):
+    # int8 at 64 channels: the float32 GEMM tier
     n, c, oh, ow = BLOCKED
-    assert _row_blocks(c, oh, ow) == ([2, 2, 2, 2, 1], [2, 2, 1])
+    assert _row_blocks(c, oh, ow) == ([3, 3, 1], [3, 3, 2])
     spec = make_spec(rng, c=c, k=2, bit_width=8, padding=padding, bias=True, out_scale=2.0**10)
     x = random_qtensor(rng, (n, c, oh + 2 - 2 * padding, ow + 2 - 2 * padding), 8)
     expect = brute_force_conv3x3(x.array, spec.weights.array, spec.bias, padding, 10, -128, 127)
     assert 0 < np.count_nonzero(np.abs(expect) < 127)  # not every output saturates
+    assert spec.gemm_weights.dtype == np.float32
     assert np.array_equal(conv_direct(x, spec).array, expect)
     assert np.array_equal(conv_winograd(x, spec).array, expect)
 
@@ -609,10 +718,10 @@ def test_vectorized_kernels_match_the_oracle_across_row_blocks(rng, padding):
 @pytest.mark.parametrize("engine", ["direct", "winograd"])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_worst_case_magnitude_is_exact_across_row_blocks(engine, sign):
-    # The worst-case inputs at the blocked shape; the tie sits in the last
-    # sample's ragged last block.
+    # The worst-case inputs at the blocked shape (the float64 GEMM tier);
+    # the tie sits in the last sample's ragged last block.
     n, c, oh, ow = BLOCKED
-    assert _row_blocks(c, oh, ow) == ([2, 2, 2, 2, 1], [2, 2, 1])
+    assert _row_blocks(c, oh, ow) == ([3, 3, 1], [3, 3, 2])
     x, spec, expect = _worst_case(sign, n, oh, ow, (n - 1, oh - 1, 1))
     conv = conv_direct if engine == "direct" else _conv_winograd
     assert np.array_equal(conv(x, spec).array, expect)
@@ -641,10 +750,11 @@ def test_conv3x3_gemm_bounds_its_im2col_slab():
     assert np.array_equal(y, sum(shifted))
 
 
-def test_vectorized_winograd_bounds_its_tile_blocks():
-    # The same layer through conv_winograd: the padded input, the output
-    # plane and their copies take about 6.7 MB, where the tiles, transformed
-    # inputs and channel sums of the whole batch at once reach 15 MB.
+def test_vectorized_winograd_bounds_its_im2col_slab():
+    # The same layer through conv_winograd, whose dense pass is the direct
+    # GEMM on its tile-padded input, here in float32: the padded input, the
+    # GEMM's output and the int64 planes take about 3.6 MB, where an im2col
+    # slab of the whole batch would add 4.5 MB.
     rng = np.random.default_rng(3)
     spec = make_spec(rng, c=32, k=32, bit_width=8, padding=1, out_scale=2.0**10)
     x = random_qtensor(rng, (4, 32, 32, 32), 8)
@@ -654,8 +764,9 @@ def test_vectorized_winograd_bounds_its_tile_blocks():
 
 
 def test_convspec_rejects_channels_past_the_float64_bound():
-    # The Winograd kernel's partial sums reach 81 * C * 4^16 at int16, which
-    # must stay below 2^53: C = 25890 is the last count that fits.
+    # A struck Winograd layer's clean channel sums reach 81 * C * 4^16 at
+    # int16, which must stay below 2^53: C = 25890 is the last count that
+    # fits.
     qp = QuantParams(16, 1.0)
     for c, fits in ((25890, True), (25891, False)):
         assert (81 * c * 4**16 < 2**53) == fits
