@@ -14,12 +14,15 @@ may return a modified integer. ``hook=None`` selects a vectorized fault-free
 path that matches the hooked path element-exactly. Both engines run it as
 one dense pass, the direct convolution as BLAS matrix products over the
 integer operands: F(2x2, 3x3) is exact, so a Winograd layer's accumulators
-are 4 times the direct ones, bias included, on every tile. The products
-give the integer sums bit for bit because every conv input is requantized
-to 8 or 16 bits: they run in float32 when no partial sum can reach 2^24,
-else in float64 (:attr:`ConvSpec.gemm_weights`), and :class:`ConvSpec`
-rejects (ShapeError, CLI exit 2) any layer with enough input channels for
-a Winograd partial sum to reach 2^53.
+are 4 times the direct ones, bias included, on every tile, and its requant
+shift is 2 more, which rounds and saturates them alike. The products give
+the integer sums bit for bit because every conv input is requantized to 8
+or 16 bits: they run in float32 when no partial sum can reach 2^24, else
+in float64 (:attr:`ConvSpec.gemm_weights`), and :class:`ConvSpec` rejects
+(ShapeError, CLI exit 2) any layer with enough input channels for a
+Winograd partial sum to reach 2^53. The accumulators then take the bias
+and their requantization in int32 when neither they nor the rounding add
+on them can leave it, else in int64 (:meth:`ConvSpec.acc_dtype`).
 
 A layer's ops group into output units: a direct output pixel, or a Winograd
 (tile, output channel). Passed an :class:`OpFaults` table of the ops to flip
@@ -189,7 +192,7 @@ _KRON_G2 = np.kron(G2_F2X2_3X3, G2_F2X2_3X3).astype(np.float64)
 # input at once, as its im2col slab.
 _SLAB = 1 << 15
 _I64_MAX = (1 << 63) - 1
-_F64 = np.dtype(np.float64)
+_I32, _I64, _F64 = np.dtype(np.int32), np.dtype(np.int64), np.dtype(np.float64)
 
 
 def _hooked_transform(tf: _Transform, x: list, hook: Hook, op_id: int, layer_id: int, stage: int) -> list:
@@ -260,15 +263,28 @@ class ConvSpec:
             raise ShapeError(f"conv bias magnitude {self.bias_max} can exceed 2^63 in the int64 kernels")
 
     @functools.cached_property
+    def _gemm(self) -> tuple[np.ndarray, int]:
+        """(:attr:`gemm_weights`, the largest magnitude of a fault-free
+        accumulator, bias included), from one pass over the weights."""
+        b = self.weights.qparams.bit_width
+        bound = max(np.abs(self.weights.array.reshape(self.out_channels, -1)).sum(axis=1).tolist()) << (b - 1)
+        return self.weights.array.astype(np.float32 if bound < 2**24 else np.float64), bound + self.bias_max
+
+    @property
     def gemm_weights(self) -> np.ndarray:
         """The (K, C, 3, 3) weights in the dense GEMM's dtype: float32 when
         max_k sum|w_k| * 2^(b-1) < 2^24, else float64. Every input has
         magnitude at most 2^(b-1), so every partial sum of output channel
         k, in any order BLAS takes, is an integer of magnitude at most
         sum|w_k| * 2^(b-1), which float32 then holds exactly."""
-        b = self.weights.qparams.bit_width
-        bound = int(np.abs(self.weights.array).reshape(self.out_channels, -1).sum(axis=1).max()) << (b - 1)
-        return self.weights.array.astype(np.float32 if bound < 2**24 else np.float64)
+        return self._gemm[0]
+
+    def acc_dtype(self, shift: int) -> np.dtype:
+        """The dtype of the fault-free accumulators requantized at ``shift``:
+        int32 when the shift is positive and acc_bound + 2^(shift-1) < 2^31,
+        where acc_bound = max_k sum|w_k| * 2^(b-1) + max|bias| bounds every
+        accumulator, so the rounding add cannot wrap; else int64."""
+        return _I32 if shift > 0 and self._gemm[1] + (1 << (shift - 1)) < 2**31 else _I64
 
     @functools.cached_property
     def u(self) -> np.ndarray:
@@ -324,12 +340,16 @@ def requant_scalar(acc: int, shift: int, int_min: int, int_max: int) -> int:
 
 
 def requant_array(acc: np.ndarray, shift: int, int_min: int, int_max: int) -> np.ndarray:
-    """:func:`requant_scalar` over an int64 array, exact for every acc above
-    -2^63, or over an object array of Python ints of any size."""
+    """:func:`requant_scalar` over an int32 or int64 array, exact for every
+    acc above the dtype's minimum, or over an object array of Python ints of
+    any size, in ``acc``'s dtype: int32 holds a fault-free layer's
+    accumulators under :meth:`ConvSpec.acc_dtype`, int64 the others' (the
+    dense GEMM that makes them runs in float32 or float64), and Python ints
+    the struck values past 2^63."""
     if shift <= 0:
         # Saturate before a left shift too: a value outside the output range
         # saturates at any shift, and once the shift reaches the output width
-        # every nonzero value does.
+        # every nonzero value does (still inside int32: int_min << 16 is -2^31).
         v = np.maximum(acc, int_min)
         np.minimum(v, int_max, out=v)
         if shift:
@@ -338,18 +358,20 @@ def requant_array(acc: np.ndarray, shift: int, int_min: int, int_max: int) -> np
             np.minimum(v, int_max, out=v)
         return v
     # Saturate first, at the accumulators that round to the output bounds
-    # (an int64 acc lies inside them once they pass int64), then round: half
+    # (an acc lies inside them once they pass its dtype), then round: half
     # away from zero is half up on acc - 1 for negative acc.
     half, lo, hi = 1 << (shift - 1), int_min << shift, int_max << shift
+    top = _I64_MAX
     if acc.dtype != object:
-        lo, hi = max(lo, -_I64_MAX), min(hi, _I64_MAX)
+        top = (1 << (8 * acc.itemsize - 1)) - 1
+        lo, hi = max(lo, -top), min(hi, top)
     v = np.maximum(acc, lo)
     np.minimum(v, hi, out=v)
     if v.dtype == object:  # Python ints, where v >> 63 is -1 only down to -2^63
         v -= v < 0
     else:
-        v += v >> 63
-    if hi + half <= _I64_MAX or v.dtype == object:
+        v += v >> (8 * v.itemsize - 1)
+    if hi + half <= top or v.dtype == object:
         v += half
         v >>= shift
     else:  # the rounding add could wrap: halve first
@@ -555,16 +577,16 @@ def conv_direct(
     shift = spec.requant_shift(x.qparams)
     oq = spec.out_qparams
     pad, k_ = spec.padding, spec.out_channels
-    fast = hook is None or isinstance(hook, OpFaults)
-    xp = _padded(x, pad, h + 2 * pad, w + 2 * pad, spec.gemm_weights.dtype if fast else np.int64)
-    if fast:
-        acc = _direct_acc(xp, spec)
-        struck = hook and _layer_faults(hook, op_base, acc.size * 18 * c_, spec)
-        if struck:
-            acc = _direct_struck(xp, spec, shift, acc, *struck)
+    if hook is None or isinstance(hook, OpFaults):
+        struck = hook and _layer_faults(hook, op_base, n_ * k_ * oh * ow * 18 * c_, spec)
+        if not struck:
+            return _dense(x, spec, shift)
+        xp = _padded(x, pad, h + 2 * pad, w + 2 * pad, spec.gemm_weights.dtype)
+        acc = _direct_struck(xp, spec, shift, _direct_acc(xp, spec), *struck)
         out = requant_array(acc, shift, oq.int_min, oq.int_max).astype(np.int64, copy=False)
         return QTensor.trusted(out.shape, out, oq)
 
+    xp = _padded(x, pad, h + 2 * pad, w + 2 * pad, np.int64)
     chain = 18 * c_
     out = np.empty(n_ * k_ * oh * ow, dtype=np.int64)
     xl = xp.tolist()
@@ -680,7 +702,8 @@ def conv3x3_gemm(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
     against the 3x3 weights ``w`` (K, C, 3, 3), in ``w``'s float dtype. Per
     sample and block of output rows, one (K x 9C) @ (9C x rows*OW) GEMM runs
     over a read-only 3x3 window view of ``xp``; a block's im2col slab holds
-    about ``_SLAB`` values, at least one output row."""
+    about ``_SLAB`` values, at least one output row. A sample of one block
+    is written in place."""
     n_, c_, hp, wp = xp.shape
     oh, ow = hp - 2, wp - 2
     k_ = w.shape[0]
@@ -692,19 +715,35 @@ def conv3x3_gemm(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
     for n in range(n_):
         # win[c, ry, rx, oy, ox] = xp[n, c, oy + ry, ox + rx], in the row order of wm
         win = _view(xp, n * s_n, (c_, 3, 3, oh, ow), (s_c, s_y, s_x, s_y, s_x))
+        if rows >= oh:  # one block: the GEMM writes the sample's outputs in place
+            np.matmul(wm, win.reshape(9 * c_, -1), out=out[n].reshape(k_, -1))
+            continue
         for r in range(0, oh, rows):
             out[n, :, r : r + rows] = (wm @ win[..., r : r + rows, :].reshape(9 * c_, -1)).reshape(k_, -1, ow)
     return out
 
 
-def _direct_acc(xp: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """The int64 (N, K, OH, OW) accumulators, bias included, of the padded
-    input ``xp``: GEMMs in the dtype of :attr:`ConvSpec.gemm_weights`, which
-    hold every partial sum exactly."""
-    acc = conv3x3_gemm(xp, spec.gemm_weights).astype(np.int64)
+def _direct_acc(xp: np.ndarray, spec: ConvSpec, dtype=_I64) -> np.ndarray:
+    """The (N, K, OH, OW) accumulators, bias included, of the padded input
+    ``xp``, in ``dtype`` (int64, or int32 under :meth:`ConvSpec.acc_dtype`):
+    GEMMs in the dtype of :attr:`ConvSpec.gemm_weights`, which hold every
+    partial sum exactly."""
+    acc = conv3x3_gemm(xp, spec.gemm_weights).astype(dtype)
     if spec.bias is not None:
-        acc += spec.bias[None, :, None, None]
+        acc += spec.bias.astype(dtype, copy=False)[:, None, None]
     return acc
+
+
+def _dense(x: QTensor, spec: ConvSpec, shift: int) -> QTensor:
+    """The fault-free output of either engine: the direct GEMM's
+    accumulators, requantized by the direct engine's ``shift`` in
+    :meth:`ConvSpec.acc_dtype`. A Winograd layer's accumulators are 4 times
+    these and its shift 2 more, which rounds and saturates them alike."""
+    _, _, h, w = x.shape
+    pad, oq = spec.padding, spec.out_qparams
+    acc = _direct_acc(_padded(x, pad, h + 2 * pad, w + 2 * pad, spec.gemm_weights.dtype), spec, spec.acc_dtype(shift))
+    out = requant_array(acc, shift, oq.int_min, oq.int_max).astype(np.int64, copy=False)
+    return QTensor.trusted(out.shape, out, oq)
 
 
 def conv_winograd(
@@ -728,13 +767,14 @@ def conv_winograd(
 
     A (tile, k) unit owns the tile's element-wise multiplies, channel sums
     and inverse transform of output channel k; a tile's input transform feeds
-    all of its units. With ``hook`` None the output comes from the direct
-    GEMM's accumulators on the tile-padded input, shifted left by 2: the
-    transforms are exact, so each tile's sums are 4 times the direct ones,
-    as the doubled filter transform makes them. Given an :class:`OpFaults`
-    table as ``hook``, the units whose values its flips change are
-    recomputed with them from the struck tiles' inputs before the
-    accumulators are requantized (see :func:`_winograd_struck`).
+    all of its units. The transforms are exact, so each tile's sums are 4
+    times the direct ones, as the doubled filter transform makes them, and
+    with ``hook`` None, or an :class:`OpFaults` table without a flip in the
+    layer, the output is the direct engine's (see :func:`_dense`). Given a
+    table that strikes the layer, the direct GEMM's accumulators on the
+    tile-padded input are shifted left by 2, and the units whose values its
+    flips change are recomputed with them from the struck tiles' inputs
+    before the accumulators are requantized (see :func:`_winograd_struck`).
     Any other hook sees every op; that is the reference.
     """
     n_, c_, h, w = _check_input(x, spec)
@@ -746,17 +786,18 @@ def conv_winograd(
     ty_, tx_ = tile_grid(oh, ow)
     n_itf, n_inv = len(_INPUT_TF.steps), len(_INVERSE_TF.steps)
     tile_ops = c_ * n_itf + 32 * k_ * c_ + k_ * n_inv
-    fast = hook is None or isinstance(hook, OpFaults)
-    xp = _padded(x, pad, 2 * ty_ + 2, 2 * tx_ + 2, spec.gemm_weights.dtype if fast else np.int64)
-    if fast:
+    if hook is None or isinstance(hook, OpFaults):
+        struck = hook and _layer_faults(hook, op_base, n_ * ty_ * tx_ * tile_ops, spec, winograd=True)
+        if not struck:
+            return _dense(x, spec, shift - 2)
+        xp = _padded(x, pad, 2 * ty_ + 2, 2 * tx_ + 2, spec.gemm_weights.dtype)
         acc = _direct_acc(xp, spec)
         acc <<= 2
-        struck = hook and _layer_faults(hook, op_base, n_ * ty_ * tx_ * tile_ops, spec, winograd=True)
-        if struck:
-            acc = _winograd_struck(xp, spec, shift, acc, *struck)
+        acc = _winograd_struck(xp, spec, shift, acc, *struck)
         out = requant_array(acc[:, :, :oh, :ow], shift, oq.int_min, oq.int_max).astype(np.int64, copy=False)
         return QTensor.trusted(out.shape, out, oq)
 
+    xp = _padded(x, pad, 2 * ty_ + 2, 2 * tx_ + 2, np.int64)
     out = np.empty((n_, k_, oh, ow), dtype=np.int64)
     b4 = [4 * int(b) for b in spec.bias] if spec.bias is not None else [0] * k_
     lo, hi = oq.int_min, oq.int_max

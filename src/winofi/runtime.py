@@ -211,11 +211,15 @@ class Step(NamedTuple):
 
     A conv step runs ``spec`` and owns the ``n_ops`` op ids from ``op_base``
     on: the (stage, op count) ``regions`` in emission order, ``repeats``
-    times (once per Winograd tile). A linear step multiplies by ``weights``
-    (the layer's weights, transposed), adds ``bias`` and requantizes to
-    ``qparams`` by ``shift``. Last, a step whose output is the activation
-    point of conv layer ``act_of`` applies its ``clamp``, the checked (lo,
-    hi, mode) of the range profile's bounds for that layer, or None.
+    times (once per Winograd tile). A linear step multiplies by the
+    transpose of ``weights``, the layer's (F, D) weights: in float64, a BLAS
+    product, when D * 4^(b-1) + max|bias| < 2^53, where every partial sum
+    and the bias are integers float64 holds, else in int64. It then adds
+    ``bias`` and requantizes to ``qparams`` by ``shift``. Last, a step whose
+    output is the activation point of conv layer ``act_of`` applies its
+    ``clamp``, the checked (lo, hi, mode) of the range profile's bounds for
+    that layer, or None; a relu step applies it in the same pass (see
+    :func:`relu`).
     """
 
     layer_id: int
@@ -241,13 +245,14 @@ class Program:
     layout :class:`OpSpace` reads.
 
     A Program is a snapshot: every operand and clamp it applies is compiled
-    into its steps, so mutating the model's layers afterwards changes
-    nothing it runs. ``ranges`` maps conv layer_id -> (lo, hi) bounds, which
-    ``range_mode`` applies at that layer's activation point (after the
-    following relu, or after the conv itself when no relu follows). Layer
-    ids that are not conv layers, an unknown ``range_mode`` and clamp bounds
-    that are reversed or leave the model's integer range raise ConfigError
-    here (see :func:`check_clamp_bounds`).
+    into its steps, the linear head's weights converted once to the dtype
+    its product runs in (see :class:`Step`), so mutating the model's layers
+    afterwards changes nothing it runs. ``ranges`` maps conv layer_id ->
+    (lo, hi) bounds, which ``range_mode`` applies at that layer's activation
+    point (after the following relu, or after the conv itself when no relu
+    follows). Layer ids that are not conv layers, an unknown ``range_mode``
+    and clamp bounds that are reversed or leave the model's integer range
+    raise ConfigError here (see :func:`check_clamp_bounds`).
     """
 
     def __init__(self, model: ModelDef, engine: Optional[str] = None, ranges=None, range_mode: str = "clamp"):
@@ -278,7 +283,10 @@ class Program:
                 n_ops = repeats * sum(n for _, n in regions)
                 qp, pending = spec.out_qparams, layer_id
             elif isinstance(layer, LinearLayer):
-                weights, bias = layer.weights.array.T, layer.bias
+                # BLAS sums the D products of two b-bit values, and the bias, exactly below 2^53
+                exact = in_shape[0] * 4 ** (model.bit_width - 1) + eng.max_abs(layer.bias) < 2**53
+                weights = layer.weights.array.astype(np.float64 if exact else np.int64, copy=False)
+                bias = layer.bias
                 out_qp = QuantParams(model.bit_width, layer.out_scale)
                 shift = out_qp.scale_exponent() - qp.scale_exponent() - layer.weights.qparams.scale_exponent()
                 qp = out_qp
@@ -371,6 +379,21 @@ def constrain(arr: np.ndarray, lo: int, hi: int, mode: str) -> np.ndarray:
     return np.where((arr < lo) | (arr > hi), 0, arr)
 
 
+def relu(arr: np.ndarray, clamp: Optional[tuple] = None) -> np.ndarray:
+    """``constrain(np.maximum(arr, 0), *clamp)``, or the ReLU alone when
+    ``clamp`` is None, in one fresh array: a clamp to [lo, hi] is one pass
+    of a maximum with max(lo, 0), then a minimum with hi (``np.clip``), and
+    zeroing writes into the ReLU's own output."""
+    if clamp is None:
+        return np.maximum(arr, 0)
+    lo, hi, mode = clamp
+    if mode == "clamp":
+        return np.clip(arr, max(lo, 0), hi)
+    v = np.maximum(arr, 0)
+    np.copyto(v, 0, where=(v < lo) | (v > hi))
+    return v
+
+
 def run_inference(
     model: ModelDef,
     x: QTensor,
@@ -411,7 +434,7 @@ def run_inference(
     res = InferenceResult(output=x)
     cur = x
     for step in program.steps:
-        layer, layer_id = step.layer, step.layer_id
+        layer, layer_id, clamp = step.layer, step.layer_id, step.clamp
         if step.spec is not None:
             if direct:
                 cur = eng.conv_direct(cur, step.spec, hook, layer_id=layer_id, op_base=step.op_base)
@@ -422,17 +445,19 @@ def run_inference(
             if layer_id in capture:
                 res.conv_outputs[layer_id] = cur
         elif isinstance(layer, ReluLayer):
-            cur = QTensor.trusted(cur.shape, np.maximum(cur.data, 0), cur.qparams)
+            cur = QTensor.trusted(cur.shape, relu(cur.data, clamp), cur.qparams)
+            clamp = None
         elif isinstance(layer, FlattenLayer):
             cur = QTensor.trusted((cur.shape[0], cur.size // cur.shape[0]), cur.data, cur.qparams)
         elif isinstance(layer, LinearLayer):
-            acc = cur.array @ step.weights
+            w = step.weights
+            acc = (cur.array.astype(w.dtype, copy=False) @ w.T).astype(np.int64, copy=False)
             if step.bias is not None:
-                acc = acc + step.bias[None, :]
+                acc += step.bias
             qp = step.qparams
             cur = QTensor.trusted(acc.shape, eng.requant_array(acc, step.shift, qp.int_min, qp.int_max), qp)
-        if step.clamp is not None:
-            cur = QTensor.trusted(cur.shape, constrain(cur.data, *step.clamp), cur.qparams)
+        if clamp is not None:
+            cur = QTensor.trusted(cur.shape, constrain(cur.data, *clamp), cur.qparams)
         if step.act_of in capture_act:
             res.activations[step.act_of] = cur
     for faults in (hook, neuron_fn):

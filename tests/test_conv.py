@@ -502,6 +502,117 @@ def test_dense_gemm_tiers_match_the_oracle(engine, data):
     assert np.array_equal(conv(x, spec).array, expect)
 
 
+def _requant_dtypes(mp):
+    """Spy on engine.requant_array through ``mp``: the dtypes it is called on, in order."""
+    seen, real = [], engine_module.requant_array
+    mp.setattr(engine_module, "requant_array", lambda acc, *a: seen.append(acc.dtype) or real(acc, *a))
+    return seen
+
+
+def _acc_tier_layer(bits, c, shift, total, sign):
+    """A 2-output-channel layer, with its input of 3 stacked samples on an
+    odd 5x7 plane, whose acc_bound + 2^(shift-1) is ``total``: acc_bound =
+    max_k sum|w_k| * 2^(bits-1) + max|bias|. Output channel 0 has weights
+    of ``sign`` and the bias -sign * (acc_bound - its weight sum *
+    2^(bits-1)), so that the first sample, all -2^(bits-1), drives its
+    accumulators to -sign * acc_bound, the bound itself; the second sample
+    is all 2^(bits-1) - 1 and the third mixes both. Output channel 1, of
+    the other sign, has a bias that puts its first output of sample 0 at a
+    rounding tie, so an accumulator off by one changes an output."""
+    qp = QuantParams(bits, 1.0)
+    half = 1 << (shift - 1)
+    mag = min(qp.int_max, ((total - half) >> bits) // (9 * c))  # at most about half of acc_bound is weights
+    w = np.stack([np.full((c, 3, 3), sign * mag), np.full((c, 3, 3), -sign * (mag // 2 + 1))])
+    b0 = total - half - (9 * c * mag << (bits - 1))
+    rng = np.random.default_rng(bits + shift)
+    xa = np.stack([np.full((c, 5, 7), qp.int_min), np.full((c, 5, 7), qp.int_max),
+                   rng.choice([qp.int_min, qp.int_max], (c, 5, 7))])
+    a = brute_force_conv3x3(xa[:1], w, None, 0, 0, -(1 << 62), 1 << 62)[0, 1, 0, 0].item()
+    b1 = int(np.sign(a)) * (half - abs(a) % (1 << shift))
+    assert abs(b1) <= b0
+    spec = ConvSpec(c, 2, 0, QTensor(w.shape, w, qp), QuantParams(bits, 2.0**shift), bias=[-sign * b0, b1])
+    return QTensor(xa.shape, xa, qp), spec
+
+
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("slab", [1, _SLAB], ids=["row-blocks", "one-block"])
+@pytest.mark.parametrize("total, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)], ids=["int32", "int64"])
+@pytest.mark.parametrize("bits, c, shift", [(8, 3, 25), (8, 2, 20), (16, 2, 18), (16, 1, 27)])
+def test_accumulator_tier_boundary_is_exact(engine, sign, slab, total, dtype, bits, c, shift):
+    # A fault-free layer's accumulators and their requantization run in
+    # int32 when the shift is positive and acc_bound + 2^(shift-1) < 2^31,
+    # where no accumulator and no rounding add on it can leave int32; from
+    # 2^31 on they run in int64. At both sides of the boundary the
+    # accumulators reach -sign * acc_bound, on an odd 3x5 output plane
+    # (ragged for Winograd's tile grid), in whole-sample and one-row GEMM
+    # blocks, and a rounding tie checks every output against the oracle.
+    x, spec = _acc_tier_layer(bits, c, shift, total, sign)
+    qp = spec.weights.qparams
+    acc = brute_force_conv3x3(x.array, spec.weights.array, spec.bias, 0, 0, -(1 << 62), 1 << 62)
+    assert np.abs(acc).max() + (1 << (shift - 1)) == total
+    assert spec.acc_dtype(shift) == dtype
+    expect = brute_force_conv3x3(x.array, spec.weights.array, spec.bias, 0, shift, qp.int_min, qp.int_max)
+    assert 0 < np.count_nonzero(np.abs(expect) < qp.int_max)  # not every output saturates
+    conv = conv_direct if engine == "direct" else _conv_winograd
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine_module, "_SLAB", slab)
+        seen = _requant_dtypes(mp)
+        assert np.array_equal(conv(x, spec).array, expect)
+    assert seen == [dtype]
+
+
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+@pytest.mark.parametrize("shift", [0, -1, -9])
+def test_accumulators_at_shifts_up_to_zero_stay_int64(engine, shift):
+    # Without a right shift there is no rounding to bound, and a left shift
+    # widens every value: such layers stay int64 however small their sums.
+    rng = np.random.default_rng(-shift)
+    spec = make_spec(rng, c=2, k=2, bit_width=8, padding=1, bias=True, out_scale=2.0**shift)
+    x = random_qtensor(rng, (2, 2, 5, 3), 8)
+    assert spec.acc_dtype(shift) == np.int64
+    expect = brute_force_conv3x3(x.array, spec.weights.array, spec.bias, 1, shift, -128, 127)
+    conv = conv_direct if engine == "direct" else _conv_winograd
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _requant_dtypes(mp)
+        assert np.array_equal(conv(x, spec).array, expect)
+    assert seen == [np.int64]
+
+
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_accumulator_tiers_match_the_oracle(engine, data):
+    # Weights, biases and shifts that put layers on both sides of the int32
+    # tier's bound, and past 2^32, where an accumulator no longer fits
+    # int32; inputs from the two extremes push the sums to it. Each layer
+    # takes the tier its bound gives, and its outputs are the oracle's.
+    bits = data.draw(st.sampled_from([8, 16]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    c, k, padding = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 2)), data.draw(st.integers(0, 1))
+    qp = QuantParams(bits, 1.0)
+    wmax = 1 << data.draw(st.integers(0, bits - 1))
+    w = rng.integers(-wmax, min(wmax, qp.int_max) + 1, size=(k, c, 3, 3))
+    bmax = data.draw(st.sampled_from([0, 1 << 10, 1 << 28, 1 << 30, 1 << 31, 1 << 33]))
+    bias = rng.integers(-bmax, bmax + 1, size=k)
+    shift = data.draw(st.integers(-2, 34))
+    spec = ConvSpec(c, k, padding, QTensor(w.shape, w, qp), QuantParams(bits, 2.0**shift), bias=bias)
+    bound = max(int(np.abs(wk).sum()) for wk in w) << (bits - 1)
+    bound += max(abs(int(b)) for b in bias)
+    tier = np.int32 if shift > 0 and bound + (1 << (shift - 1)) < 2**31 else np.int64
+    assert spec.acc_dtype(shift) == tier
+    event(f"int{bits} accumulators in {np.dtype(tier)}")
+    shape = (data.draw(st.integers(1, 2)), c, data.draw(st.integers(3, 6)), data.draw(st.integers(3, 6)))
+    extreme = data.draw(st.booleans())
+    xa = rng.choice([qp.int_min, qp.int_max], shape) if extreme else rng.integers(qp.int_min, qp.int_max + 1, shape)
+    expect = brute_force_conv3x3(xa, w, spec.bias, padding, shift, qp.int_min, qp.int_max)
+    conv = conv_direct if engine == "direct" else _conv_winograd
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _requant_dtypes(mp)
+        assert np.array_equal(conv(QTensor(shape, xa, qp), spec).array, expect)
+    assert seen == [tier]
+
+
 def test_determinism_and_canonical_op_order(rng):
     spec = make_spec(rng, c=2, k=2, bit_width=8, padding=1)
     x = random_qtensor(rng, (1, 2, 6, 6), 8)

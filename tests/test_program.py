@@ -15,9 +15,9 @@ from winofi.analyze import Campaign
 from winofi.engine import OpFaults
 from winofi.errors import ConfigError
 from winofi.mitigate import RangeProfile, profile_ranges
-from winofi.modelio import builtin_model, generate_dataset, generate_toy_model
+from winofi.modelio import FlattenLayer, LinearLayer, ModelDef, builtin_model, generate_dataset, generate_toy_model
 from winofi.qtensor import QTensor, QuantParams
-from winofi.runtime import NeuronFaults, Program, enumerate_ops, run_inference
+from winofi.runtime import NeuronFaults, Program, constrain, enumerate_ops, relu, run_inference
 
 
 @functools.lru_cache(maxsize=None)
@@ -213,3 +213,78 @@ def test_trusted_wraps_without_a_copy():
     assert np.shares_memory(q.data, data)
     assert not q.data.flags.writeable
     assert q == QTensor((2, 2), data, QuantParams(8, 1.0))
+
+
+def _head_model(bits, total, shift):
+    """A flatten and a 2-output linear head over D = 256 inputs at ``bits``
+    whose D * 4^(bits-1) + max|bias| is ``total``, and 3 stacked samples.
+    Output 0 has weights -2^(bits-1) and the bias total - D * 4^(bits-1),
+    so the first sample, all -2^(bits-1), drives its sum to ``total``;
+    output 1 has weights 2^(bits-1) - 1 and a bias that puts the first
+    sample's output at a rounding tie of ``shift``."""
+    qp, d = QuantParams(bits, 1.0), 256
+    bias0 = total - d * 4 ** (bits - 1)
+    xs = np.stack([np.full(d, qp.int_min), np.full(d, qp.int_max),
+                   np.random.default_rng(bits).choice([qp.int_min, qp.int_max], d)]).reshape(3, 1, 1, d)
+    a = d * qp.int_max * qp.int_min
+    bias1 = -((1 << (shift - 1)) - abs(a) % (1 << shift))
+    w = np.stack([np.full(d, qp.int_min), np.full(d, qp.int_max)])
+    head = LinearLayer(2, QTensor(w.shape, w, qp), 2.0**shift, np.array([bias0, bias1]))
+    model = ModelDef("head", bits, (1, 1, d), 1.0, [FlattenLayer(), head])
+    return model, QTensor(xs.shape, xs, qp), w.tolist(), [bias0, bias1]
+
+
+@pytest.mark.parametrize("total, dtype", [(2**53 - 1, np.float64), (2**53, np.int64)], ids=["float64", "int64"])
+@pytest.mark.parametrize("bits, shift", [(8, 47), (16, 39)])
+def test_head_tier_boundary_is_exact(total, dtype, bits, shift):
+    # The head runs as a float64 (BLAS) product when D * 4^(b-1) + max|bias|
+    # < 2^53, where every partial sum and the bias are integers float64
+    # holds, and in int64 from 2^53 on. The first sample reaches that sum,
+    # and a rounding tie checks the outputs against Python ints.
+    model, x, w, bias = _head_model(bits, total, shift)
+    program = Program(model, "direct")
+    assert program.steps[-1].weights.dtype == dtype
+    qp = model.input_qparams
+    want = []
+    for sample in x.array.reshape(3, -1).tolist():
+        accs = [sum(a * b for a, b in zip(sample, wf)) + bf for wf, bf in zip(w, bias)]
+        want.append([min(max(-((-a + (1 << (shift - 1))) >> shift) if a < 0 else (a + (1 << (shift - 1))) >> shift,
+                             qp.int_min), qp.int_max) for a in accs])
+        assert max(map(abs, accs)) <= total
+    assert max(abs(v) for row in want for v in row) < qp.int_max  # no output saturates
+    assert run_inference(model, x, program=program).output.array.tolist() == want
+
+
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+@pytest.mark.parametrize("mode", ["clamp", "zero"])
+@pytest.mark.parametrize("lo, hi", [(5, 40), (-40, -5), (-3, 60)], ids=["lo-above-0", "hi-below-0", "around-0"])
+def test_relu_and_clamp_in_one_fresh_array(engine, mode, lo, hi):
+    # A relu step that carries its conv layer's clamp computes both at once.
+    # It must not write into the conv output that capture holds: the
+    # captured conv outputs up to the clamped layer are those of an
+    # unclamped run, byte for byte, and the activation is constrain applied
+    # after the ReLU.
+    model, x = _model(8)
+    conv_ids = tuple(model.conv_layer_ids())
+    plain = run_inference(model, x, engine, capture=conv_ids, capture_act=conv_ids)
+    for layer in conv_ids:
+        program = Program(model, engine, {layer: (lo, hi)}, mode)
+        got = run_inference(model, x, engine, capture=conv_ids, capture_act=conv_ids, program=program)
+        for lid in conv_ids[: conv_ids.index(layer) + 1]:
+            assert got.conv_outputs[lid].data.tobytes() == plain.conv_outputs[lid].data.tobytes()
+        conv, act = got.conv_outputs[layer].data, got.activations[layer].data
+        assert np.array_equal(act, constrain(np.maximum(conv, 0), lo, hi, mode))
+        assert not np.shares_memory(conv, act)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(1 << 40), 1 << 40), max_size=40), st.integers(-(1 << 41), 1 << 41),
+       st.integers(0, 1 << 42), st.sampled_from(["clamp", "zero"]))
+def test_relu_equals_constrain_after_the_relu(values, lo, width, mode):
+    arr = np.array(values, dtype=np.int64)
+    arr.flags.writeable = False
+    hi = lo + width
+    assert np.array_equal(relu(arr), np.maximum(arr, 0))
+    got = relu(arr, (lo, hi, mode))
+    assert got.dtype == np.int64 and np.array_equal(got, constrain(np.maximum(arr, 0), lo, hi, mode))
+    assert not np.shares_memory(got, arr)
