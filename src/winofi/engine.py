@@ -343,13 +343,14 @@ def requant_array(acc: np.ndarray, shift: int, int_min: int, int_max: int) -> np
     """:func:`requant_scalar` over an int32 or int64 array, exact for every
     acc above the dtype's minimum, or over an object array of Python ints of
     any size, in ``acc``'s dtype: int32 holds a fault-free layer's
-    accumulators under :meth:`ConvSpec.acc_dtype`, int64 the others' (the
-    dense GEMM that makes them runs in float32 or float64), and Python ints
-    the struck values past 2^63."""
+    accumulators under :meth:`ConvSpec.acc_dtype`, which gives int32 only
+    at a positive shift, int64 the others' (the dense GEMM that makes them
+    runs in float32 or float64), and Python ints the struck values past
+    2^63."""
     if shift <= 0:
         # Saturate before a left shift too: a value outside the output range
         # saturates at any shift, and once the shift reaches the output width
-        # every nonzero value does (still inside int32: int_min << 16 is -2^31).
+        # every nonzero value does.
         v = np.maximum(acc, int_min)
         np.minimum(v, int_max, out=v)
         if shift:
@@ -702,8 +703,8 @@ def conv3x3_gemm(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
     against the 3x3 weights ``w`` (K, C, 3, 3), in ``w``'s float dtype. Per
     sample and block of output rows, one (K x 9C) @ (9C x rows*OW) GEMM runs
     over a read-only 3x3 window view of ``xp``; a block's im2col slab holds
-    about ``_SLAB`` values, at least one output row. A sample of one block
-    is written in place."""
+    about ``_SLAB`` values, at least one output row, and writes its outputs
+    in place."""
     n_, c_, hp, wp = xp.shape
     oh, ow = hp - 2, wp - 2
     k_ = w.shape[0]
@@ -715,11 +716,9 @@ def conv3x3_gemm(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
     for n in range(n_):
         # win[c, ry, rx, oy, ox] = xp[n, c, oy + ry, ox + rx], in the row order of wm
         win = _view(xp, n * s_n, (c_, 3, 3, oh, ow), (s_c, s_y, s_x, s_y, s_x))
-        if rows >= oh:  # one block: the GEMM writes the sample's outputs in place
-            np.matmul(wm, win.reshape(9 * c_, -1), out=out[n].reshape(k_, -1))
-            continue
         for r in range(0, oh, rows):
-            out[n, :, r : r + rows] = (wm @ win[..., r : r + rows, :].reshape(9 * c_, -1)).reshape(k_, -1, ow)
+            # the block's (K, rows*OW) outputs are a view of whole output rows
+            np.matmul(wm, win[..., r : r + rows, :].reshape(9 * c_, -1), out=out[n, :, r : r + rows].reshape(k_, -1))
     return out
 
 

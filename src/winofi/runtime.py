@@ -214,12 +214,12 @@ class Step(NamedTuple):
     times (once per Winograd tile). A linear step multiplies by the
     transpose of ``weights``, the layer's (F, D) weights: in float64, a BLAS
     product, when D * 4^(b-1) + max|bias| < 2^53, where every partial sum
-    and the bias are integers float64 holds, else in int64. It then adds
-    ``bias`` and requantizes to ``qparams`` by ``shift``. Last, a step whose
-    output is the activation point of conv layer ``act_of`` applies its
-    ``clamp``, the checked (lo, hi, mode) of the range profile's bounds for
-    that layer, or None; a relu step applies it in the same pass (see
-    :func:`relu`).
+    is an integer float64 holds (the bias, added after in int64, is a
+    margin), else in int64. It then adds ``bias`` and requantizes to
+    ``qparams`` by ``shift``. Last, a step whose output is the activation
+    point of conv layer ``act_of`` applies its ``clamp``, the checked (lo,
+    hi, mode) of the range profile's bounds for that layer, or None; a relu
+    step applies it with the ReLU (see :func:`relu`).
     """
 
     layer_id: int
@@ -283,7 +283,8 @@ class Program:
                 n_ops = repeats * sum(n for _, n in regions)
                 qp, pending = spec.out_qparams, layer_id
             elif isinstance(layer, LinearLayer):
-                # BLAS sums the D products of two b-bit values, and the bias, exactly below 2^53
+                # BLAS sums the D products of two b-bit values exactly below
+                # 2^53; the bias, added after in int64, is only a margin there
                 exact = in_shape[0] * 4 ** (model.bit_width - 1) + eng.max_abs(layer.bias) < 2**53
                 weights = layer.weights.array.astype(np.float64 if exact else np.int64, copy=False)
                 bias = layer.bias
@@ -381,17 +382,14 @@ def constrain(arr: np.ndarray, lo: int, hi: int, mode: str) -> np.ndarray:
 
 def relu(arr: np.ndarray, clamp: Optional[tuple] = None) -> np.ndarray:
     """``constrain(np.maximum(arr, 0), *clamp)``, or the ReLU alone when
-    ``clamp`` is None, in one fresh array: a clamp to [lo, hi] is one pass
-    of a maximum with max(lo, 0), then a minimum with hi (``np.clip``), and
-    zeroing writes into the ReLU's own output."""
+    ``clamp`` is None, in a fresh array. A clamp to [lo, hi] runs as one
+    pass, a maximum with max(lo, 0), then a minimum with hi (``np.clip``)."""
     if clamp is None:
         return np.maximum(arr, 0)
     lo, hi, mode = clamp
     if mode == "clamp":
         return np.clip(arr, max(lo, 0), hi)
-    v = np.maximum(arr, 0)
-    np.copyto(v, 0, where=(v < lo) | (v > hi))
-    return v
+    return constrain(np.maximum(arr, 0), lo, hi, mode)
 
 
 def run_inference(
@@ -450,8 +448,7 @@ def run_inference(
         elif isinstance(layer, FlattenLayer):
             cur = QTensor.trusted((cur.shape[0], cur.size // cur.shape[0]), cur.data, cur.qparams)
         elif isinstance(layer, LinearLayer):
-            w = step.weights
-            acc = (cur.array.astype(w.dtype, copy=False) @ w.T).astype(np.int64, copy=False)
+            acc = (cur.array @ step.weights.T).astype(np.int64, copy=False)
             if step.bias is not None:
                 acc += step.bias
             qp = step.qparams

@@ -238,9 +238,10 @@ def _head_model(bits, total, shift):
 @pytest.mark.parametrize("bits, shift", [(8, 47), (16, 39)])
 def test_head_tier_boundary_is_exact(total, dtype, bits, shift):
     # The head runs as a float64 (BLAS) product when D * 4^(b-1) + max|bias|
-    # < 2^53, where every partial sum and the bias are integers float64
-    # holds, and in int64 from 2^53 on. The first sample reaches that sum,
-    # and a rounding tie checks the outputs against Python ints.
+    # < 2^53, where every partial sum is an integer float64 holds (the
+    # bias, added after in int64, is a margin), and in int64 from 2^53 on.
+    # The first sample reaches that sum, and a rounding tie checks the
+    # outputs against Python ints.
     model, x, w, bias = _head_model(bits, total, shift)
     program = Program(model, "direct")
     assert program.steps[-1].weights.dtype == dtype
