@@ -135,8 +135,12 @@ class Campaign:
         if not scope.admitted_layers(self.opspace):
             conv = self.opspace.conv_layer_ids()
             raise ConfigError(f"scope admits none of the conv layers {conv}, so no fault can strike")
-        if not (set(OpType) if scope.include_optypes is None else scope.include_optypes) - scope.exclude_optypes:
+        if not scope.admitted_optypes():
             raise ConfigError("scope admits neither MUL nor ADD ops, so no fault can strike")
+        # base scope only: the derived scopes of a vulnerability run may exclude every op
+        if scope.exclude_op_ranges and not scope.ops_left(self.opspace):
+            raise ConfigError(f"scope's exclude_ops ranges {list(scope.exclude_op_ranges)} cover every op of its "
+                              "admitted layers and op types, so no fault can strike")
         clean = [self._infer(i).output for i in range(len(dataset))]
         self.clean_top1 = [top1(o) for o in clean]
         if use_labels:

@@ -11,14 +11,15 @@ can be routed through an instrumentation hook:
 The hook sees each operation's widened integer result exactly once, in a
 canonical order that is stable for a fixed (weights, input shape, engine), and
 may return a modified integer. ``hook=None`` selects a vectorized fault-free
-path that matches the hooked path element-exactly. Both engines run it as
-one dense pass, the direct convolution as BLAS matrix products over the
-integer operands: F(2x2, 3x3) is exact, so a Winograd layer's accumulators
-are 4 times the direct ones, bias included, on every tile, and its requant
-shift is 2 more, which rounds and saturates them alike. The products give
-the integer sums bit for bit because every conv input is requantized to 8
-or 16 bits: they run in float32 when no partial sum can reach 2^24, else
-in float64 (:attr:`ConvSpec.gemm_weights`), and :class:`ConvSpec` rejects
+path that matches the hooked path element-exactly. Each engine runs it as
+one block of its own around the same dense pass, the direct convolution as
+BLAS matrix products over the integer operands: F(2x2, 3x3) is exact, so a
+Winograd layer's accumulators are 4 times the direct ones, bias included,
+on every tile, and its requant shift is 2 more, which rounds and saturates
+them alike. The products give the integer sums bit for bit because every
+conv input is requantized to 8 or 16 bits: they run in float32 when no
+partial sum can reach 2^24, else in float64
+(:attr:`ConvSpec.gemm_weights`), and :class:`ConvSpec` rejects
 (ShapeError, CLI exit 2) any layer with enough input channels for a
 Winograd partial sum to reach 2^53. The accumulators then take the bias
 and their requantization in int32 when neither they nor the rounding add
@@ -567,11 +568,12 @@ def conv_direct(
 
     Canonical op order: output channel, output row, output col, input channel,
     kernel row, kernel col; each MAC emits its MUL then its accumulation ADD.
-    The 18*C ops of one output pixel form its unit. With ``hook`` None the
-    vectorized kernel computes the output. Given an :class:`OpFaults` table
-    as ``hook``, its flips' changes enter the kernel's accumulators before
-    they are requantized (see :func:`_direct_struck`). Any other hook sees
-    every op; that is the reference.
+    The 18*C ops of one output pixel form its unit. With ``hook`` None or
+    an :class:`OpFaults` table, one vectorized block takes the GEMM's
+    accumulators (:func:`_direct_acc`), in :meth:`ConvSpec.acc_dtype` or,
+    when the table strikes the layer, in int64 with its flips' changes
+    added (see :func:`_direct_struck`), and requantizes them once. Any
+    other hook sees every op; that is the reference.
     """
     n_, c_, h, w = _check_input(x, spec)
     oh, ow = spec.out_hw(h, w)
@@ -580,10 +582,10 @@ def conv_direct(
     pad, k_ = spec.padding, spec.out_channels
     if hook is None or isinstance(hook, OpFaults):
         struck = hook and _layer_faults(hook, op_base, n_ * k_ * oh * ow * 18 * c_, spec)
-        if not struck:
-            return _dense(x, spec, shift)
         xp = _padded(x, pad, h + 2 * pad, w + 2 * pad, spec.gemm_weights.dtype)
-        acc = _direct_struck(xp, spec, shift, _direct_acc(xp, spec), *struck)
+        acc = _direct_acc(xp, spec, _I64 if struck else spec.acc_dtype(shift))
+        if struck:
+            acc = _direct_struck(xp, spec, shift, acc, *struck)
         out = requant_array(acc, shift, oq.int_min, oq.int_max).astype(np.int64, copy=False)
         return QTensor.trusted(out.shape, out, oq)
 
@@ -733,18 +735,6 @@ def _direct_acc(xp: np.ndarray, spec: ConvSpec, dtype=_I64) -> np.ndarray:
     return acc
 
 
-def _dense(x: QTensor, spec: ConvSpec, shift: int) -> QTensor:
-    """The fault-free output of either engine: the direct GEMM's
-    accumulators, requantized by the direct engine's ``shift`` in
-    :meth:`ConvSpec.acc_dtype`. A Winograd layer's accumulators are 4 times
-    these and its shift 2 more, which rounds and saturates them alike."""
-    _, _, h, w = x.shape
-    pad, oq = spec.padding, spec.out_qparams
-    acc = _direct_acc(_padded(x, pad, h + 2 * pad, w + 2 * pad, spec.gemm_weights.dtype), spec, spec.acc_dtype(shift))
-    out = requant_array(acc, shift, oq.int_min, oq.int_max).astype(np.int64, copy=False)
-    return QTensor.trusted(out.shape, out, oq)
-
-
 def conv_winograd(
     x: QTensor,
     spec: ConvSpec,
@@ -767,14 +757,14 @@ def conv_winograd(
     A (tile, k) unit owns the tile's element-wise multiplies, channel sums
     and inverse transform of output channel k; a tile's input transform feeds
     all of its units. The transforms are exact, so each tile's sums are 4
-    times the direct ones, as the doubled filter transform makes them, and
-    with ``hook`` None, or an :class:`OpFaults` table without a flip in the
-    layer, the output is the direct engine's (see :func:`_dense`). Given a
-    table that strikes the layer, the direct GEMM's accumulators on the
-    tile-padded input are shifted left by 2, and the units whose values its
-    flips change are recomputed with them from the struck tiles' inputs
-    before the accumulators are requantized (see :func:`_winograd_struck`).
-    Any other hook sees every op; that is the reference.
+    times the direct ones, as the doubled filter transform makes them. With
+    ``hook`` None or an :class:`OpFaults` table, one vectorized block
+    requantizes once: the direct engine's accumulators at its shift when no
+    flip of the table strikes the layer, else the direct GEMM's on the
+    input padded to whole tiles, shifted left by 2, with the units whose
+    values the flips change recomputed (see :func:`_winograd_struck`) and
+    the ragged edge tiles' outputs cropped. Any other hook sees every op;
+    that is the reference.
     """
     n_, c_, h, w = _check_input(x, spec)
     oh, ow = spec.out_hw(h, w)
@@ -787,13 +777,16 @@ def conv_winograd(
     tile_ops = c_ * n_itf + 32 * k_ * c_ + k_ * n_inv
     if hook is None or isinstance(hook, OpFaults):
         struck = hook and _layer_faults(hook, op_base, n_ * ty_ * tx_ * tile_ops, spec, winograd=True)
-        if not struck:
-            return _dense(x, spec, shift - 2)
-        xp = _padded(x, pad, 2 * ty_ + 2, 2 * tx_ + 2, spec.gemm_weights.dtype)
-        acc = _direct_acc(xp, spec)
-        acc <<= 2
-        acc = _winograd_struck(xp, spec, shift, acc, *struck)
-        out = requant_array(acc[:, :, :oh, :ow], shift, oq.int_min, oq.int_max).astype(np.int64, copy=False)
+        if struck:
+            xp = _padded(x, pad, 2 * ty_ + 2, 2 * tx_ + 2, spec.gemm_weights.dtype)
+            acc = _direct_acc(xp, spec)
+            acc <<= 2
+            acc = _winograd_struck(xp, spec, shift, acc, *struck)[:, :, :oh, :ow]
+        else:  # the direct engine's accumulators, at its shift
+            shift -= 2
+            xp = _padded(x, pad, h + 2 * pad, w + 2 * pad, spec.gemm_weights.dtype)
+            acc = _direct_acc(xp, spec, spec.acc_dtype(shift))
+        out = requant_array(acc, shift, oq.int_min, oq.int_max).astype(np.int64, copy=False)
         return QTensor.trusted(out.shape, out, oq)
 
     xp = _padded(x, pad, 2 * ty_ + 2, 2 * tx_ + 2, np.int64)

@@ -109,6 +109,26 @@ class Scope:
         return [lid for lid in opspace.conv_layer_ids()
                 if lid not in self.exclude_layers and (self.include_layers is None or lid in self.include_layers)]
 
+    def admitted_optypes(self) -> set:
+        """The op types whose ops this scope lets faults strike."""
+        return (set(OpType) if self.include_optypes is None else set(self.include_optypes)) - self.exclude_optypes
+
+    def ops_left(self, opspace: OpSpace) -> int:
+        """How many ops of its admitted layers and op types this scope
+        leaves outside its excluded op ranges, counted gap by gap with
+        :meth:`OpSpace.mul_add_in_range`."""
+        types, left = self.admitted_optypes(), 0
+        for lid in self.admitted_layers(opspace):
+            i = opspace.layers.tolist().index(lid)
+            start = int(opspace.starts[i])
+            end = start + int(opspace.tiles[i] * opspace.tile_ops[i])
+            for lo, hi in (*self.exclude_op_ranges, (end, end)):  # sorted and disjoint
+                if start < min(lo, end):
+                    muls, adds = opspace.mul_add_in_range(start, min(lo, end))
+                    left += muls * (OpType.MUL in types) + adds * (OpType.ADD in types)
+                start = max(start, hi)
+        return left
+
     # -- derived scopes (used by vulnerability campaigns) ---------------------
 
     def excluding_layer(self, layer_id: int) -> "Scope":

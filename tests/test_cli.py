@@ -459,6 +459,45 @@ def test_scope_that_strikes_nothing_exits_2(assets, tmp_path, capsys, granularit
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def toy_assets(tmp_path_factory):
+    """toycnn-int16 (direct op space: layers 0, 2 and 4 at op ids 0, 4608
+    and 23040, 41472 ops in all) and 4 samples, as the README walkthrough
+    writes them."""
+    from winofi.modelio import builtin_model
+
+    root = tmp_path_factory.mktemp("toy")
+    model = builtin_model("toycnn-int16")
+    save_model(model, str(root / "m"))
+    save_dataset(generate_dataset(model, 4, seed=1), str(root / "d"))
+    return {"model": str(root / "m"), "dataset": str(root / "d")}
+
+
+@pytest.mark.parametrize("scope, ranges", [
+    ("exclude_ops=0-41472", "[(0, 41472)]"),
+    ("exclude_layers=0,2;exclude_ops=23040-41472", "[(23040, 41472)]"),
+])
+def test_scope_whose_op_ranges_cover_every_admitted_op_exits_2(toy_assets, tmp_path, capsys, scope, ranges):
+    # every op the scope's layers and op types admit lies in its excluded
+    # ranges, so every row would read the clean accuracy
+    out = tmp_path / "r.csv"
+    code = run_cli("sweep", "--model", toy_assets["model"], "--dataset", toy_assets["dataset"],
+                   "--ber", "1e-3,1e-2", "--trials", "2", "--scope", scope, "--out", str(out))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and "no fault can strike" in err["message"] and ranges in err["message"]
+    assert not out.exists()
+
+
+def test_one_segment_plan_tmr_runs(assets, tmp_path):
+    # its one segment subject excludes every op; only the base scope must leave one
+    out = tmp_path / "plan.json"
+    code = run_cli("plan-tmr", "--model", assets["model"], "--dataset", assets["dataset"], "--ber", "2e-4",
+                   "--trials", "2", "--segment-size", "100000000", "--target-acc", "0.9", "--out", str(out))
+    assert code == 0
+    assert len(json.loads(out.read_text())["order"]) == 1
+
+
 @pytest.mark.parametrize("target", ["1.5", "-0.5", "nan"])
 def test_plan_tmr_target_outside_unit_interval_exits_2(assets, tmp_path, capsys, monkeypatch, target):
     # 1.5 would run every planner evaluation and protect every segment, and

@@ -77,15 +77,23 @@ def _expected_reports(camp, kind, subjects, ber, trials):
 
 
 @st.composite
-def _base_scopes(draw, conv_layers, total_ops):
+def _base_scopes(draw, space):
+    total_ops, conv_layers = space.total_ops, space.conv_layer_ids()
     layers, types = st.sampled_from(conv_layers), st.sampled_from(list(OpType))
     ranges = st.lists(st.tuples(st.integers(0, total_ops - 1), st.integers(1, total_ops // 4))
                       .map(lambda r: (r[0], min(total_ops, r[0] + r[1]))), max_size=2)
-    # a base scope must leave a conv layer and an op type to strike
+    # a base scope must leave a conv layer, an op type and an op of them to strike
     include = draw(st.none() | st.frozensets(layers, min_size=1))
     struck = draw(st.sampled_from(sorted(include or conv_layers)))
+    excluded_types = draw(st.frozensets(types, max_size=1))
+    i = space.layers.tolist().index(struck)
+    start = int(space.starts[i])
+    kept = draw(st.integers(start, start + int(space.tiles[i] * space.tile_ops[i]) - 1)
+                .filter(lambda op: space.classify([op])[2][0] not in excluded_types))
+    # the ranges, cut around the op ``kept``
+    cut = [r for a, b in draw(ranges) for r in ((a, min(b, kept)), (max(a, kept + 1), b)) if r[0] < r[1]]
     return Scope(include_layers=include, exclude_layers=draw(st.frozensets(layers)) - {struck},
-                 exclude_optypes=draw(st.frozensets(types, max_size=1)), exclude_op_ranges=tuple(draw(ranges)))
+                 exclude_optypes=excluded_types, exclude_op_ranges=tuple(cut))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -96,8 +104,9 @@ def test_paired_scope_reuse_matches_fresh_campaigns(model, dataset, engine, work
     ber = data.draw(st.sampled_from([SPARSE_BER, 1e-4, 1e-3, 1e-2]) | st.floats(1e-6, 3e-3), label="ber")
     seed = data.draw(st.integers(0, 2**63 - 1), label="seed")
     trials = data.draw(st.integers(1, 3), label="trials")
-    total = enumerate_ops(model, engine).total_ops
-    scope = data.draw(_base_scopes(model.conv_layer_ids(), total), label="base scope")
+    space = enumerate_ops(model, engine)
+    total = space.total_ops
+    scope = data.draw(_base_scopes(space), label="base scope")
     camp = Campaign(model, dataset, engine, seed=seed, scope=scope, workers=workers)
 
     layer_subjects = [(lid, scope.excluding_layer(lid)) for lid in camp.opspace.conv_layer_ids()]
