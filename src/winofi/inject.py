@@ -344,12 +344,22 @@ def draw_op_flips(
     holds one uint64 column per copy (three when ``protected`` is given), and
     ``voted`` marks the ids inside the sorted [start, end) ``protected``
     ranges, the only ones whose copies 1-2 keep their flips. Flips are
-    sampled at ``ber`` for (seed, trial, sample) or taken from ``replay``."""
+    sampled at ``ber`` for (seed, trial, sample) or taken from ``replay``,
+    one {op_id: mask} table per copy. One copy's table already has distinct
+    ids and nonzero masks, so it is only sorted by id (a replayed table
+    comes in trace-file order); three copies merge their tables' ids and
+    keep the ids with a flip left after the vote's ranges."""
     copies = 3 if protected else 1
     if replay is not None:
         tables = [replay.masks_for(trial, sample, KIND_OP, copy=c) for c in range(copies)]
     else:
         tables = [sample_op_flips(opspace, seed, trial, sample, ber, copy=c) for c in range(copies)]
+    if copies == 1:
+        (table,) = tables
+        ids = np.fromiter(table, dtype=np.int64, count=len(table))
+        order = np.argsort(ids, kind="stable")
+        masks = np.fromiter(table.values(), dtype=np.uint64, count=len(table))[order, None]
+        return ids[order], masks, np.zeros(ids.size, dtype=bool)
     ids = np.sort(np.fromiter(set().union(*tables), dtype=np.int64))
     masks = np.zeros((ids.size, copies), dtype=np.uint64)
     for c, table in enumerate(tables):

@@ -10,7 +10,9 @@ other operation untouched.
 A draw computes every chunk's key in one vectorized pass and builds its own
 generator, which it resets to each key in turn: Philox is counter-based, so
 a key and a zero counter are the whole stream (Salmon et al., SC 2011).
-Draws share no mutable state, so they may run in threads.
+Above ``SKIP_SAMPLING_BER`` a chunk's raw words are read from its stream a
+block at a time, so a draw's memory does not grow with the chunk. Draws
+share no mutable state, so they may run in threads.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ import math
 import numpy as np
 
 CHUNK_BITS = 1 << 20
+
+# Raw words a uniform-regime draw holds at once: 512 KiB of them and 64 KiB
+# of comparison, which stay in a core's L2 cache, where a whole chunk's
+# words and mask would take 9 MiB of fresh memory per chunk.
+_BLOCK = 1 << 16
 
 # Below this rate the sampler walks geometric gaps between flips instead of
 # thresholding one uniform per bit; the flip process is Bernoulli either way.
@@ -142,6 +149,11 @@ def sample_flip_positions(seed: int, labels: tuple, total_bits: int, ber: float)
     if ber <= SKIP_SAMPLING_BER:
         return _geometric_draw(gen, keys, starts, ends, ber, _gap_count(int(ends[0]), ber))
     limit = _raw_limit(ber)
-    parts = [np.flatnonzero(_reset(gen, key).bit_generator.random_raw(end - start) <= limit) + start
-             for key, start, end in zip(keys, starts.tolist(), ends.tolist())]
+    parts = []
+    for key, start, end in zip(keys, starts.tolist(), ends.tolist()):
+        words = _reset(gen, key).bit_generator
+        # Philox carries its counter across calls: these are the words of one
+        # random_raw(end - start) call, read one block at a time
+        parts += [np.flatnonzero(words.random_raw(min(_BLOCK, end - lo)) <= limit) + lo
+                  for lo in range(start, end, _BLOCK)]
     return np.concatenate(parts) if len(parts) > 1 else parts[0]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import shutil
 
 import pytest
@@ -471,6 +472,22 @@ def toy_assets(tmp_path_factory):
     save_model(model, str(root / "m"))
     save_dataset(generate_dataset(model, 4, seed=1), str(root / "d"))
     return {"model": str(root / "m"), "dataset": str(root / "d")}
+
+
+def test_replay_of_a_shuffled_one_copy_trace_is_byte_identical(toy_assets, tmp_path):
+    # a replayed table arrives in trace-file order, which need not be op order;
+    # at BER 1e-3 the draws over the 1,327,104-bit op space read two chunks
+    out, trace = tmp_path / "run.csv", tmp_path / "run.jsonl"
+    assert run_cli("sweep", "--model", toy_assets["model"], "--dataset", toy_assets["dataset"], "--ber", "1e-3",
+                   "--trials", "2", "--seed", "0", "--out", str(out), "--save-trace", str(trace)) == 0
+    lines = trace.read_text().splitlines()
+    shuffled = list(lines)
+    random.Random(7).shuffle(shuffled)
+    assert shuffled != lines and len(lines) > 1000
+    trace.write_text("\n".join(shuffled) + "\n")
+    replayed = tmp_path / "replay.csv"
+    assert run_cli("replay", "--results", str(out), "--trace", str(trace), "--out", str(replayed)) == 0
+    assert replayed.read_bytes() == out.read_bytes()
 
 
 @pytest.mark.parametrize("scope, ranges", [

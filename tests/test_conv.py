@@ -705,15 +705,17 @@ def test_extreme_requant_shifts_do_not_wrap(shift, expect):
         assert conv(x, spec).array.item() == conv(x, spec, CountingHook()).array.item() == expect
 
 
-@given(
-    st.lists(st.integers(-(1 << 63) + 1, (1 << 63) - 1), min_size=1, max_size=8),
-    st.integers(-70, 70),
-    st.sampled_from([8, 16]),
-)
+@given(st.data(), st.sampled_from([np.int64, np.int32]), st.sampled_from([8, 16]))
 @settings(max_examples=300, deadline=None)
-def test_requant_array_matches_requant_scalar(accs, shift, bits):
+def test_requant_array_matches_requant_scalar(data, dtype, bits):
+    # ConvSpec.acc_dtype gives int32 accumulators only at a positive shift;
+    # every acc above the dtype's minimum, its bounds included, must match
+    top = int(np.iinfo(dtype).max)
+    accs = data.draw(st.lists(st.integers(-top, top) | st.sampled_from([-top, top]), min_size=1, max_size=8))
+    shift = data.draw(st.integers(-70, 70) if dtype is np.int64 else st.integers(1, 70))
     lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-    got = requant_array(np.array(accs, dtype=np.int64), shift, lo, hi)
+    got = requant_array(np.array(accs, dtype=dtype), shift, lo, hi)
+    assert got.dtype == dtype
     assert got.tolist() == [requant_scalar(a, shift, lo, hi) for a in accs]
 
 

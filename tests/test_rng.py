@@ -4,6 +4,7 @@ thresholded one uniform per bit (above)."""
 
 import hashlib
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from winofi.rng import (
     CHUNK_BITS,
     SKIP_SAMPLING_BER,
+    _BLOCK,
     _chunk_keys,
     _geometric_draw,
     _raw_limit,
@@ -75,11 +77,29 @@ def test_geometric_regime_equals_per_chunk_reference(seed, labels, total_bits, b
 UNIFORM_BERS = [float(np.nextafter(SKIP_SAMPLING_BER, 1)), 1.0001e-4, 2.0**-10, 3e-3, 0.25, 0.5, 1.0]
 
 
-@pytest.mark.parametrize("total_bits", [777, CHUNK_BITS, CHUNK_BITS + 1])
+# A chunk's words are read _BLOCK at a time; these totals end a draw on
+# either side of a block's and a chunk's edge.
+UNIFORM_BITS = [777, _BLOCK - 1, _BLOCK, _BLOCK + 1, CHUNK_BITS, CHUNK_BITS + 1, CHUNK_BITS + _BLOCK + 1]
+
+
+@pytest.mark.parametrize("total_bits", UNIFORM_BITS)
 @pytest.mark.parametrize("ber", UNIFORM_BERS)
 def test_uniform_regime_equals_per_chunk_reference(total_bits, ber):
     pos = sample_flip_positions(5, (0, 2, 1, 0), total_bits, ber)
     assert np.array_equal(pos, reference_positions(5, (0, 2, 1, 0), total_bits, ber))
+
+
+def test_uniform_draw_holds_one_block_of_words_at_a_time():
+    # a whole chunk's words and their comparison would take 9 MiB
+    args = (0, (0, 1, 2, 0), 2 * CHUNK_BITS + 5, 1e-3)
+    sample_flip_positions(*args)  # fill the key cache first
+    tracemalloc.start()
+    try:
+        sample_flip_positions(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("ber", UNIFORM_BERS + [1 / 3, 0.999])
@@ -97,7 +117,7 @@ def test_raw_word_limit_is_the_uniform_threshold(ber):
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=SEEDS, labels=LABELS, total_bits=st.sampled_from([777, 100_000, CHUNK_BITS + 1]),
+@given(seed=SEEDS, labels=LABELS, total_bits=st.sampled_from([777, 100_000, 3 * _BLOCK + 1, CHUNK_BITS + 1]),
        ber=st.floats(SKIP_SAMPLING_BER, 1.0, exclude_min=True))
 def test_uniform_regime_equals_per_chunk_reference_at_any_ber(seed, labels, total_bits, ber):
     pos = sample_flip_positions(seed, labels, total_bits, ber)

@@ -40,23 +40,26 @@ def test_tracer_counts_match_and_uninstall_restores(tmp_path):
 
     tracer = _tracer_class()()
     tracer.install()
-    applied = {}
+    applied, drawn = {}, {}
     try:
         assert winofi.engine.conv_direct is not conv_direct
         for engine in ("direct", "winograd"):
-            counted = tracer.counts["inject.flips_applied"]
+            counted, sampled = tracer.counts["inject.flips_applied"], tracer.counts["inject.flips_drawn"]
             code = main(["sweep", "--model", model, "--dataset", data, "--engine", engine,
                          "--ber", "1e-4", "--trials", "2", "--seed", "0", "--out", str(tmp_path / f"{engine}.csv"),
                          "--save-trace", str(tmp_path / f"{engine}.jsonl")])
             assert code == 0
             applied[engine] = tracer.counts["inject.flips_applied"] - counted
+            drawn[engine] = tracer.counts["inject.flips_drawn"] - sampled
     finally:
         tracer.uninstall()
 
-    # the tracer counts the flips the inferences wrote to the trace
+    # the tracer counts the flips the inferences wrote to the trace, and sees
+    # every op draw: an unscoped sweep applies each flip it draws
     for engine, count in applied.items():
         lines = (tmp_path / f"{engine}.jsonl").read_text().splitlines()
         assert count == len(lines) > 0, engine
+        assert drawn[engine] == count, engine
 
     assert tracer.count_mismatches() == []
     assert tracer.counts["engine.ops_emitted"] > 0
