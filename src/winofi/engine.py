@@ -45,8 +45,9 @@ NumPy calls; the rest of its work scales with its flips and struck units,
 and a stage without a flip costs nothing. Every value and change
 stays exact (:func:`lockstep_bound`): in float64 for a Winograd layer below
 2^53, whose transforms then run as BLAS products, in int64 below 2^63, else
-on Python ints. Any other hook sees every op; that hooked path is the
-reference for the fast path.
+on Python ints, whose struck outputs requantize on their own over the
+int64 plane's (:func:`_requant`). Any other hook sees every op; that
+hooked path is the reference for the fast path.
 """
 
 from __future__ import annotations
@@ -590,9 +591,7 @@ def conv_direct(
         struck = hook and _layer_faults(hook, op_base, n_ * k_ * oh * ow * 18 * c_, spec)
         xp = _padded(x, pad, h + 2 * pad, w + 2 * pad, spec.gemm_weights.dtype)
         acc = _direct_acc(xp, spec, _I64 if struck else spec.acc_dtype(shift))
-        if struck:
-            acc = _direct_struck(xp, spec, shift, acc, *struck)
-        out = requant_array(acc, shift, oq.int_min, oq.int_max).astype(np.int64, copy=False)
+        out = _requant(acc, shift, oq, struck and _direct_struck(xp, spec, acc, *struck))
         return QTensor.trusted(out.shape, out, oq)
 
     xp = _padded(x, pad, h + 2 * pad, w + 2 * pad, np.int64)
@@ -623,19 +622,18 @@ def conv_direct(
     return QTensor.trusted((n_, k_, oh, ow), out, oq)
 
 
-def _direct_struck(xp: np.ndarray, spec: ConvSpec, shift: int, acc: np.ndarray,
-                   offs: np.ndarray, masks: np.ndarray, dt) -> np.ndarray:
-    """The accumulator plane ``acc`` (the dense pass's, bias included) with
-    the flips at the struck op offsets ``offs`` applied: each adds its change
-    ``_flip(v, m) - v``, in ``dt``, to its pixel, where v is the value the
-    hook would see. Every op reading a flipped value adds it, so the change
-    passes unaltered to the pixel's final sum. A MUL flip's v is its one
-    product. An ADD flip's is its running sum: only the pixels holding one
-    gather their products, which take the changes of their MUL flips, and a
-    chain's ADD flips apply in turn (see :func:`_add_flips`). See
-    :func:`_put` for the plane's dtype. ``xp`` is the padded input in the
-    dense GEMM's dtype, whose integers gather exactly into int64.
-    """
+def _direct_struck(xp: np.ndarray, spec: ConvSpec, acc: np.ndarray, offs: np.ndarray, masks: np.ndarray, dt):
+    """Adds each flip's change ``_flip(v, m) - v`` at the struck op offsets
+    ``offs``, in ``dt``, to its pixel of the int64 accumulator plane ``acc``
+    (the dense pass's, bias included), where v is the value the hook would
+    see; every op reading a flipped value adds it, so the change passes
+    unaltered to the pixel's final sum. A MUL flip's v is its one product.
+    An ADD flip's is its running sum: only the pixels holding one gather
+    their products, which take the changes of their MUL flips, and a chain's
+    ADD flips apply in turn (see :func:`_add_flips`). Object ``dt`` leaves
+    ``acc`` as it is and returns the struck pixels' (flat offsets, faulty
+    accumulators) for :func:`_requant`. ``xp`` is the padded input in the
+    dense GEMM's dtype, whose integers gather exactly into int64."""
     c_ = spec.in_channels
     corners, ks, taps = _window_layout(*xp.shape, *acc.shape[1:])
     unit, step = np.divmod(offs, 18 * c_)
@@ -656,31 +654,23 @@ def _direct_struck(xp: np.ndarray, spec: ConvSpec, shift: int, acc: np.ndarray,
         if spec.bias is not None:
             s += spec.bias[k[add]]
         delta[add] = _add_flips(s, i[add], masks[add])
-    if dt != object:
-        # cheaper than the per-pixel sums below by about 6 us of a 60-110 us
-        # struck call on toycnn-int16 (BENCH_29.json "direct_add_at")
-        np.add.at(acc.reshape(-1), unit, delta)
-        return acc
-    first = np.flatnonzero(_starts(unit))
-    units = unit[first]
-    return _put(acc, units, acc.reshape(-1)[units] + np.add.reduceat(delta, first), shift, spec.out_qparams)
+    if dt == object:
+        first = np.flatnonzero(_starts(unit))
+        return unit[first], acc.reshape(-1)[unit[first]] + np.add.reduceat(delta, first)
+    # cheaper than such per-pixel sums by about 6 us of a 60-110 us struck
+    # call on toycnn-int16 (BENCH_29.json "direct_add_at")
+    np.add.at(acc.reshape(-1), unit, delta)
 
 
-def _put(acc: np.ndarray, at: np.ndarray, y: np.ndarray, shift: int, oq: QuantParams) -> np.ndarray:
-    """The int64 accumulator plane ``acc`` with the faulty accumulators
-    ``y`` written at its flat offsets ``at``: their integer values, or, for
-    Python ints, clipped to where :func:`requant_array` saturates, which
-    leaves their outputs as they are. Only when that range passes int64 (a
-    requant shift past about 63 minus the bit width) does the plane become
-    Python ints, so that it requantizes once, faulty and clean pixels alike."""
-    if y.dtype == object:
-        lo, hi = (oq.int_min << shift, oq.int_max << shift) if shift > 0 else (oq.int_min, oq.int_max)
-        if -_I64_MAX <= lo and hi <= _I64_MAX:
-            y = np.clip(y, lo, hi)
-        else:
-            acc = acc.astype(object)
-    acc.reshape(-1)[at] = y
-    return acc
+def _requant(acc: np.ndarray, shift: int, oq: QuantParams, faulty=None) -> np.ndarray:
+    """``acc`` requantized at ``shift`` to int64 outputs, then the ``faulty``
+    (flat offsets, Python-int accumulators) that a struck path returns, on
+    their own, over their outputs."""
+    out = requant_array(acc, shift, oq.int_min, oq.int_max).astype(np.int64, copy=False)
+    if faulty:
+        at, y = faulty
+        out.reshape(-1)[at] = requant_array(y, shift, oq.int_min, oq.int_max)
+    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -768,9 +758,9 @@ def conv_winograd(
     requantizes once: the direct engine's accumulators at its shift when no
     flip of the table strikes the layer, else the direct GEMM's on the
     input padded to whole tiles, shifted left by 2, with the units whose
-    values the flips change recomputed (see :func:`_winograd_struck`) and
-    the ragged edge tiles' outputs cropped. Any other hook sees every op;
-    that is the reference.
+    values the flips change recomputed (see :func:`_winograd_struck`), and
+    the ragged edge tiles' outputs cropped after it. Any other hook sees
+    every op; that is the reference.
     """
     n_, c_, h, w = _check_input(x, spec)
     oh, ow = spec.out_hw(h, w)
@@ -787,12 +777,11 @@ def conv_winograd(
             xp = _padded(x, pad, 2 * ty_ + 2, 2 * tx_ + 2, spec.gemm_weights.dtype)
             acc = _direct_acc(xp, spec)
             acc <<= 2
-            acc = _winograd_struck(xp, spec, shift, acc, *struck)[:, :, :oh, :ow]
+            out = _requant(acc, shift, oq, _winograd_struck(xp, spec, acc, *struck))[:, :, :oh, :ow]
         else:  # the direct engine's accumulators, at its shift
             shift -= 2
             xp = _padded(x, pad, h + 2 * pad, w + 2 * pad, spec.gemm_weights.dtype)
-            acc = _direct_acc(xp, spec, spec.acc_dtype(shift))
-        out = requant_array(acc, shift, oq.int_min, oq.int_max).astype(np.int64, copy=False)
+            out = _requant(_direct_acc(xp, spec, spec.acc_dtype(shift)), shift, oq)
         return QTensor.trusted(out.shape, out, oq)
 
     xp = _padded(x, pad, 2 * ty_ + 2, 2 * tx_ + 2, np.int64)
@@ -847,11 +836,10 @@ def conv_winograd(
     return QTensor.trusted(out.shape, out, oq)
 
 
-def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, acc: np.ndarray,
-                     offs: np.ndarray, masks: np.ndarray, dt) -> np.ndarray:
-    """The accumulator plane ``acc`` (the dense pass's, 4 * bias included,
-    (N, K, 2 TY, 2 TX)) with every unit whose values flips change
-    recomputed in ``dt``, one stage at a time, each stage's flips changing
+def _winograd_struck(xp: np.ndarray, spec: ConvSpec, acc: np.ndarray, offs: np.ndarray, masks: np.ndarray, dt):
+    """Recomputes in ``dt`` every unit of the int64 accumulator plane
+    ``acc`` (the dense pass's, 4 * bias included, (N, K, 2 TY, 2 TX)) whose
+    values flips change, one stage at a time, each stage's flips changing
     the values that the next stage reads: every unit of a tile holding an
     input-transform flip, and each unit holding another flip. ``xp`` is the
     padded input in the dense GEMM's dtype, whose integers gather exactly
@@ -871,7 +859,8 @@ def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, acc: np.ndarray
 
     Every value stays below :func:`lockstep_bound`, and a flip moves its
     value by less than 2^width, so ``dt`` float64 is exact when that bound
-    is below 2^53. See :func:`_put` for the plane's dtype.
+    is below 2^53. Object ``dt`` returns the units' (flat offsets, faulty
+    accumulators) for :func:`_requant`, else writes them into ``acc``.
     """
     n_, c_, hp, wp = xp.shape
     k_ = spec.out_channels
@@ -921,7 +910,9 @@ def _winograd_struck(xp: np.ndarray, spec: ConvSpec, shift: int, acc: np.ndarray
         out[j] += dy
     if spec.bias is not None:
         out += 4 * spec.bias[uk, None]
-    return _put(acc, outs[tiles[ut], uk], out, shift, spec.out_qparams)
+    if dt == object:
+        return outs[tiles[ut], uk], out
+    acc.reshape(-1)[outs[tiles[ut], uk]] = out
 
 
 @functools.lru_cache(maxsize=64)

@@ -31,17 +31,23 @@ class Granularity(Enum):
     NEURON_LEVEL = "neuron"
 
 
-def _parse_ranges(text: str) -> tuple:
+def _scope_int(text: str, item: str) -> int:
+    """``int(text)``, or a ConfigError naming the scope item ``item``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"scope item {item!r}: {text!r} is not an integer") from None
+
+
+def _parse_ranges(text: str, item: str) -> tuple:
     out = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        if "-" in part:
-            a, b = part.split("-")
-            out.append((int(a), int(b)))
-        else:
-            out.append((int(part), int(part) + 1))
+        a, dash, b = part.partition("-")
+        a = _scope_int(a, item)
+        out.append((a, _scope_int(b, item) if dash else a + 1))
     return tuple(out)
 
 
@@ -157,7 +163,7 @@ class Scope:
                     raise ConfigError(f"scope key {key!r} is given twice")
                 seen.add(key)
                 if key in ("include_layers", "exclude_layers"):
-                    kw[key] = frozenset(int(v) for v in val.split(",") if v)
+                    kw[key] = frozenset(_scope_int(v, item) for v in val.split(",") if v)
                 elif key in ("include_optypes", "exclude_optypes"):
                     names = [v.strip().upper() for v in val.split(",") if v]
                     unknown = sorted(set(names) - set(OpType.__members__))
@@ -165,7 +171,7 @@ class Scope:
                         raise ConfigError(f"unknown op type(s) {unknown} in {key}; expected MUL or ADD")
                     kw[key] = frozenset(OpType[v] for v in names)
                 elif key == "exclude_ops":
-                    kw["exclude_op_ranges"] = _parse_ranges(val)
+                    kw["exclude_op_ranges"] = _parse_ranges(val, item)
                 else:
                     raise ConfigError(f"unknown scope key {key!r}")
         return Scope(**kw)

@@ -419,8 +419,10 @@ def generate_toy_model(
     """Deterministic random-weight CNN: ``depth`` conv3x3+relu blocks, then
     flatten and a linear classifier head. Scales are power-of-two, calibrated
     on a small random batch so clean activations rarely saturate."""
-    if depth < 1 or channels < 1 or hw < 4:
-        raise ConfigError("toy model needs depth >= 1, channels >= 1, hw >= 4")
+    for arg, value, least in (("depth", depth, 1), ("channels", channels, 1), ("hw", hw, 4),
+                              ("in_channels", in_channels, 1), ("classes", classes, 1)):
+        if value < least:
+            raise ConfigError(f"toy model needs {arg} >= {least}, got {value}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x70F)))
     cal = rng.normal(0.0, 1.0, size=(4, in_channels, hw, hw))
     input_scale = pow2_scale_for(float(np.abs(cal).max()), bit_width)

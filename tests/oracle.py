@@ -46,13 +46,17 @@ def _hooked_top1(model, x, engine, hook):
     return top1(run_inference(model, x, engine, hook).output)
 
 
-def oracle_point(model, dataset, engine, seed, ber, trials, scope, protected=()):
+def oracle_point(model, dataset, engine, seed, ber, trials, scope, protected=(), fault_bits=None):
     """(per-trial correct counts, trace records) of the op-level point at
-    ``ber`` with the model's default fault windows: a sample is correct when
-    its faulty top-1 equals its clean one, and each applied flip is one
-    record (trial, sample, "op", op id, bit, copy), ordered by trial,
-    sample, op id, copy and bit."""
-    widths = {OpType.MUL: 2 * model.bit_width, OpType.ADD: model.bit_width}
+    ``ber``: a sample is correct when its faulty top-1 equals its clean one,
+    and each applied flip is one record (trial, sample, "op", op id, bit,
+    copy), ordered by trial, sample, op id, copy and bit. Both op types'
+    fault windows are ``fault_bits`` wide, or by default the model's: 2b
+    bits for MUL and b for ADD."""
+    if fault_bits is None:
+        widths = {OpType.MUL: 2 * model.bit_width, OpType.ADD: model.bit_width}
+    else:
+        widths = dict.fromkeys(OpType, fault_bits)
     width_pad = max(widths.values())
     calls = []
 

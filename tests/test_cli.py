@@ -326,6 +326,15 @@ def test_gen_model_and_dataset_commands(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("flag, value", [("--classes", "0"), ("--classes", "-2"), ("--in-channels", "0")])
+def test_gen_model_rejects_sizes_below_one_by_name(tmp_path, capsys, flag, value):
+    code = run_cli("gen-model", "--name", "custom", flag, value, "--out", str(tmp_path / "m"))
+    assert code == 2
+    rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert rec["error"] == "ConfigError"
+    assert f"{flag[2:].replace('-', '_')} >= 1, got {value}" in rec["message"]
+
+
 def test_stdout_output(assets, capsys):
     code = run_cli(
         "sweep", "--model", assets["model"], "--dataset", assets["dataset"],

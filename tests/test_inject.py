@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,8 +215,15 @@ def test_scope_parse_roundtrip():
     assert s.exclude_layers == frozenset({0, 2})
     assert s.exclude_optypes == frozenset({OpType.MUL})
     assert s.exclude_op_ranges == ((10, 20), (40, 50))
+    assert Scope.parse("exclude_ops=5").exclude_op_ranges == ((5, 6),)
     with pytest.raises(ConfigError):
         Scope.parse("bogus=1")
+
+
+@pytest.mark.parametrize("item", ["exclude_ops=-", "exclude_ops=1-2-3", "exclude_ops=a", "exclude_layers=x"])
+def test_malformed_scope_integers_name_their_item(item):
+    with pytest.raises(ConfigError, match=re.escape(f"scope item {item!r}")):
+        Scope.parse(f"exclude_optypes=MUL;{item}")
 
 
 def test_scope_ranges_merge_canonically():

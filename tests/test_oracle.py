@@ -3,9 +3,11 @@ their definitions (see ``oracle.py``): the sampled flips, their windows, the
 scope, the TMR vote and the hooked per-op inference.
 
 It fails, for example, when ``engine._direct_struck`` drops one flip
-(``np.add.at(acc.reshape(-1), unit[1:], delta[1:])``) or when
+(``np.add.at(acc.reshape(-1), unit[1:], delta[1:])``), when
 ``engine._flip`` takes copy 0 in place of the vote (``return v ^
-masks[:, 0]`` for three copies too)."""
+masks[:, 0]`` for three copies too), or when ``engine._requant`` skips
+the faulty accumulators of a layer on Python ints (``if False:`` in place
+of ``if faulty:``), which every struck layer is at 64-bit windows."""
 
 import functools
 
@@ -35,16 +37,18 @@ def _toy(bits: int, hw: int):
 @given(data=st.data())
 def test_op_level_points_and_traces_equal_the_oracle(tmp_path_factory, engine, bits, data):
     model, dataset = _toy(bits, data.draw(st.sampled_from([5, 6]), label="hw"))
-    space = enumerate_ops(model, engine)
+    fault_bits = data.draw(st.sampled_from([None, 32, 64]), label="fault_bits")
+    space = enumerate_ops(model, engine, fault_bits)
     camp = Campaign(model, dataset, engine, seed=data.draw(st.integers(0, 2**63 - 1), label="seed"),
-                    scope=data.draw(_base_scopes(space), label="base scope"))
+                    scope=data.draw(_base_scopes(space), label="base scope"), fault_bits=fault_bits)
     total = space.total_ops
     ber = data.draw(st.sampled_from([1e-4, 1e-3, 1e-2]) | st.floats(1e-4, 1e-2), label="ber")
     trials = data.draw(st.integers(1, 2), label="trials")
     protected = data.draw(st.lists(st.tuples(st.integers(0, total - 1), st.integers(1, total // 2))
                                    .map(lambda r: (r[0], min(total, r[0] + r[1]))), max_size=2), label="protected")
 
-    correct, records = oracle_point(model, dataset, engine, camp.seed, ber, trials, camp.base_scope, protected)
+    correct, records = oracle_point(model, dataset, engine, camp.seed, ber, trials, camp.base_scope, protected,
+                                    fault_bits)
     assert camp.run_point(ber, trials, protected=protected).per_trial_correct == correct
     trace, path = FaultTrace(), str(tmp_path_factory.mktemp("trace") / "t.jsonl")
     assert camp.run_point(ber, trials, trace=trace, protected=protected).per_trial_correct == correct

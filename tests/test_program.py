@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from winofi.analyze import Campaign
 from winofi.engine import OpFaults
 from winofi.errors import ConfigError
+from winofi.inject import draw_op_flips, op_level_hook
 from winofi.mitigate import RangeProfile, profile_ranges
 from winofi.modelio import FlattenLayer, LinearLayer, ModelDef, builtin_model, generate_dataset, generate_toy_model
 from winofi.qtensor import QTensor, QuantParams
@@ -276,6 +277,34 @@ def test_relu_and_clamp_in_one_fresh_array(engine, mode, lo, hi):
         conv, act = got.conv_outputs[layer].data, got.activations[layer].data
         assert np.array_equal(act, constrain(np.maximum(conv, 0), lo, hi, mode))
         assert not np.shares_memory(conv, act)
+
+
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+@pytest.mark.parametrize("mode", ["clamp", "zero"])
+def test_a_conv_without_a_relu_after_it_is_clamped_on_its_own(engine, mode):
+    # A conv layer that no relu follows is its own activation point, so its
+    # clamp runs as a step of its own after the conv. Layer 0 of conv ->
+    # conv -> relu -> flatten -> linear takes the range profile: its
+    # activation is constrain of its unclamped conv output, and a faulty
+    # op-level inference equals its reference run under the same Program.
+    base, x = _model(8)
+    model = dataclasses.replace(base, layers=[base.layers[0], *base.layers[2:]])
+    conv = run_inference(model, x, engine, capture=(0,)).conv_outputs[0].data
+    lo, hi = (int(v) for v in np.percentile(conv, [20, 80]))
+    program = Program(model, engine, {0: (lo, hi)}, mode)
+    assert program.steps[0].clamp == (lo, hi, mode)
+    got = run_inference(model, x, engine, capture=(0,), capture_act=(0,), program=program)
+    assert got.conv_outputs[0].data.tobytes() == conv.tobytes()
+    want = constrain(conv, lo, hi, mode)
+    assert not np.array_equal(want, conv)  # the bounds act
+    assert np.array_equal(got.activations[0].data, want)
+    space = enumerate_ops(model, engine)
+    faults, _ = op_level_hook(space, draw_op_flips(space, 7, 1e-3))
+    assert faults.ids.size and faults.ids[0] < space.count(0)  # layer 0 is struck
+    fast, ref = (run_inference(model, x, engine, hook, capture_act=(0,), program=program)
+                 for hook in (faults, faults.reference))
+    assert fast.activations == ref.activations
+    assert fast.output == ref.output
 
 
 @settings(max_examples=200, deadline=None)
