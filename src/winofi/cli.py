@@ -137,12 +137,21 @@ def _meta(cfg: dict) -> dict:
     }
 
 
+def _flag_number(kind, text: str, flag: str, item: str):
+    """``kind(text)`` (int or float), or a ConfigError naming ``flag`` and its item ``item``."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{flag} item {item!r}: {text.strip()!r} is not {'an integer' if kind is int else 'a number'}"
+                          ) from None
+
+
 def _parse_ber_list(cfg: dict) -> list:
     out = []
     for part in str(cfg.get("ber", "0")).split(","):
         part = part.strip()
         if part:
-            out.append(float(part))
+            out.append(_flag_number(float, part, "--ber", part))
     if not out:
         raise ConfigError("empty --ber list")
     return out
@@ -159,13 +168,15 @@ def _parse_fault_bits(text: str):
     if ":" in text:
         out = {}
         for item in text.split(","):
-            key, val = item.split(":")
+            key, colon, val = item.partition(":")
+            if not colon:
+                raise ConfigError(f"--fault-bits item {item!r} is not TYPE:BITS, as in 'MUL:32,ADD:16'")
             key = key.strip().upper()
             if key in out:
                 raise ConfigError(f"--fault-bits sets {key} twice")
-            out[key] = int(val)
+            out[key] = _flag_number(int, val, "--fault-bits", item)
         return out
-    return int(text)
+    return _flag_number(int, text, "--fault-bits", text)
 
 
 def _write_output(cfg: dict, text: str) -> None:

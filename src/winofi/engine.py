@@ -23,7 +23,10 @@ partial sum can reach 2^24, else in float64
 (ShapeError, CLI exit 2) any layer with enough input channels for a
 Winograd partial sum to reach 2^53. The accumulators then take the bias
 and their requantization in int32 when neither they nor the rounding add
-on them can leave it, else in int64 (:meth:`ConvSpec.acc_dtype`).
+on them can leave it, else in int64 (:meth:`ConvSpec.acc_dtype`), and so
+do the outputs. A conv takes an (N, C, H, W) integer array of any dtype at
+``in_qparams`` and returns a fresh C-contiguous (N, K, OH, OW) array at
+``spec.out_qparams``, in int64 when the layer is struck or hooked.
 
 A layer's ops group into output units: a direct output pixel, or a Winograd
 (tile, output channel). Passed an :class:`OpFaults` table of the ops to flip
@@ -342,7 +345,7 @@ def requant_scalar(acc: int, shift: int, int_min: int, int_max: int) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _bounds(dtype: np.dtype, lo: int, hi: int) -> tuple:
+def clip_bounds(dtype: np.dtype, lo: int, hi: int) -> tuple:
     """[lo, hi] as clip bounds for an array of ``dtype``: scalars of an int
     dtype, against which NumPy's int clip loop runs about five times faster
     than against Python ints on a large plane (and converting them anew
@@ -362,10 +365,10 @@ def requant_array(acc: np.ndarray, shift: int, int_min: int, int_max: int) -> np
         # Saturate before a left shift too: a value outside the output range
         # saturates at any shift, and once the shift reaches the output width
         # every nonzero value does.
-        v = acc.clip(*_bounds(acc.dtype, int_min, int_max))
+        v = acc.clip(*clip_bounds(acc.dtype, int_min, int_max))
         if shift:
             v <<= min(-shift, int_max.bit_length() + 1)
-            v.clip(*_bounds(v.dtype, int_min, int_max), out=v)
+            v.clip(*clip_bounds(v.dtype, int_min, int_max), out=v)
         return v
     # Saturate first, at the accumulators that round to the output bounds
     # (an acc lies inside them once they pass its dtype), then round: half
@@ -375,7 +378,7 @@ def requant_array(acc: np.ndarray, shift: int, int_min: int, int_max: int) -> np
     if acc.dtype != object:
         top = (1 << (8 * acc.itemsize - 1)) - 1
         lo, hi = max(lo, -top), min(hi, top)
-    v = acc.clip(*_bounds(acc.dtype, lo, hi))
+    v = acc.clip(*clip_bounds(acc.dtype, lo, hi))
     if v.dtype == object:  # Python ints, where v >> 63 is -1 only down to -2^63
         v -= v < 0
     else:
@@ -390,23 +393,23 @@ def requant_array(acc: np.ndarray, shift: int, int_min: int, int_max: int) -> np
     return v
 
 
-def _check_input(x: QTensor, spec: ConvSpec) -> tuple[int, int, int, int]:
-    if len(x.shape) != 4:
+def _check_input(x: np.ndarray, spec: ConvSpec, in_qparams: QuantParams) -> tuple[int, int, int, int]:
+    if x.ndim != 4:
         raise ShapeError(f"input must be (N, C, H, W), got {x.shape}")
     n, c, h, w = x.shape
     if c != spec.in_channels:
         raise ShapeError(f"input has {c} channels, spec expects {spec.in_channels}")
-    if x.qparams.bit_width != spec.weights.qparams.bit_width:
+    if in_qparams.bit_width != spec.weights.qparams.bit_width:
         raise ShapeError("input and weights must share one bit width")
     return n, c, h, w
 
 
-def _padded(x: QTensor, pad: int, hp: int, wp: int, dtype) -> np.ndarray:
-    """``x`` zero-padded by ``pad`` at the top and left into an (N, C, hp, wp)
-    array of ``dtype``."""
+def _padded(x: np.ndarray, pad: int, hp: int, wp: int, dtype) -> np.ndarray:
+    """The (N, C, H, W) array ``x`` zero-padded by ``pad`` at the top and
+    left into an (N, C, hp, wp) array of ``dtype``."""
     n_, c_, h, w = x.shape
     xp = np.zeros((n_, c_, hp, wp), dtype=dtype)
-    xp[:, :, pad : pad + h, pad : pad + w] = x.array
+    xp[:, :, pad : pad + h, pad : pad + w] = x
     return xp
 
 
@@ -564,13 +567,14 @@ def _lockstep(tf: _Transform, x: np.ndarray, row: np.ndarray, steps: np.ndarray,
 
 
 def conv_direct(
-    x: QTensor,
+    x: np.ndarray,
     spec: ConvSpec,
     hook: Optional[Hook | OpFaults] = None,
     *,
+    in_qparams: QuantParams,
     layer_id: int = 0,
     op_base: int = 0,
-) -> QTensor:
+) -> np.ndarray:
     """Stride-1 cross-correlation with per-MAC instrumentation.
 
     Canonical op order: output channel, output row, output col, input channel,
@@ -582,17 +586,16 @@ def conv_direct(
     added (see :func:`_direct_struck`), and requantizes them once. Any
     other hook sees every op; that is the reference.
     """
-    n_, c_, h, w = _check_input(x, spec)
+    n_, c_, h, w = _check_input(x, spec, in_qparams)
     oh, ow = spec.out_hw(h, w)
-    shift = spec.requant_shift(x.qparams)
+    shift = spec.requant_shift(in_qparams)
     oq = spec.out_qparams
     pad, k_ = spec.padding, spec.out_channels
     if hook is None or isinstance(hook, OpFaults):
         struck = hook and _layer_faults(hook, op_base, n_ * k_ * oh * ow * 18 * c_, spec)
         xp = _padded(x, pad, h + 2 * pad, w + 2 * pad, spec.gemm_weights.dtype)
         acc = _direct_acc(xp, spec, _I64 if struck else spec.acc_dtype(shift))
-        out = _requant(acc, shift, oq, struck and _direct_struck(xp, spec, acc, *struck))
-        return QTensor.trusted(out.shape, out, oq)
+        return _requant(acc, shift, oq, struck and _direct_struck(xp, spec, acc, *struck))
 
     xp = _padded(x, pad, h + 2 * pad, w + 2 * pad, np.int64)
     chain = 18 * c_
@@ -619,7 +622,7 @@ def conv_direct(
                     acc = hook(op_id, layer_id, add, stg, acc + p)
                     op_id += 1
         out[u] = requant_scalar(acc, shift, lo, hi)
-    return QTensor.trusted((n_, k_, oh, ow), out, oq)
+    return out.reshape(n_, k_, oh, ow)
 
 
 def _direct_struck(xp: np.ndarray, spec: ConvSpec, acc: np.ndarray, offs: np.ndarray, masks: np.ndarray, dt):
@@ -663,10 +666,10 @@ def _direct_struck(xp: np.ndarray, spec: ConvSpec, acc: np.ndarray, offs: np.nda
 
 
 def _requant(acc: np.ndarray, shift: int, oq: QuantParams, faulty=None) -> np.ndarray:
-    """``acc`` requantized at ``shift`` to int64 outputs, then the ``faulty``
-    (flat offsets, Python-int accumulators) that a struck path returns, on
-    their own, over their outputs."""
-    out = requant_array(acc, shift, oq.int_min, oq.int_max).astype(np.int64, copy=False)
+    """``acc`` requantized at ``shift`` to outputs in its dtype, then the
+    ``faulty`` (flat offsets, Python-int accumulators) that a struck path
+    returns, on their own, over their outputs."""
+    out = requant_array(acc, shift, oq.int_min, oq.int_max)
     if faulty:
         at, y = faulty
         out.reshape(-1)[at] = requant_array(y, shift, oq.int_min, oq.int_max)
@@ -732,13 +735,14 @@ def _direct_acc(xp: np.ndarray, spec: ConvSpec, dtype=_I64) -> np.ndarray:
 
 
 def conv_winograd(
-    x: QTensor,
+    x: np.ndarray,
     spec: ConvSpec,
     *,
+    in_qparams: QuantParams,
     hook: Optional[Hook | OpFaults] = None,
     layer_id: int = 0,
     op_base: int = 0,
-) -> QTensor:
+) -> np.ndarray:
     """F(2x2,3x3) convolution, element-exact with :func:`conv_direct`.
 
     The filter transform (2G) g (2G)^T runs on static weights, as an offline
@@ -762,10 +766,10 @@ def conv_winograd(
     the ragged edge tiles' outputs cropped after it. Any other hook sees
     every op; that is the reference.
     """
-    n_, c_, h, w = _check_input(x, spec)
+    n_, c_, h, w = _check_input(x, spec, in_qparams)
     oh, ow = spec.out_hw(h, w)
     # +2: Winograd folds the deferred /4 of the doubled filter transform here.
-    shift = spec.requant_shift(x.qparams) + 2
+    shift = spec.requant_shift(in_qparams) + 2
     oq = spec.out_qparams
     k_, pad = spec.out_channels, spec.padding
     ty_, tx_ = tile_grid(oh, ow)
@@ -777,21 +781,18 @@ def conv_winograd(
             xp = _padded(x, pad, 2 * ty_ + 2, 2 * tx_ + 2, spec.gemm_weights.dtype)
             acc = _direct_acc(xp, spec)
             acc <<= 2
-            out = _requant(acc, shift, oq, _winograd_struck(xp, spec, acc, *struck))[:, :, :oh, :ow]
-        else:  # the direct engine's accumulators, at its shift
-            shift -= 2
-            xp = _padded(x, pad, h + 2 * pad, w + 2 * pad, spec.gemm_weights.dtype)
-            out = _requant(_direct_acc(xp, spec, spec.acc_dtype(shift)), shift, oq)
-        return QTensor.trusted(out.shape, out, oq)
+            out = _requant(acc, shift, oq, _winograd_struck(xp, spec, acc, *struck))
+            return np.ascontiguousarray(out[:, :, :oh, :ow])
+        shift -= 2  # the direct engine's accumulators, at its shift
+        xp = _padded(x, pad, h + 2 * pad, w + 2 * pad, spec.gemm_weights.dtype)
+        return _requant(_direct_acc(xp, spec, spec.acc_dtype(shift)), shift, oq)
 
     xp = _padded(x, pad, 2 * ty_ + 2, 2 * tx_ + 2, np.int64)
     out = np.empty((n_, k_, oh, ow), dtype=np.int64)
     b4 = [4 * int(b) for b in spec.bias] if spec.bias is not None else [0] * k_
     lo, hi = oq.int_min, oq.int_max
     mul = int(OpType.MUL)
-    s_itf, s_ew, s_cs, s_inv = (
-        int(Stage.WG_INPUT_TF), int(Stage.WG_EWMUL), int(Stage.WG_CHANNEL_SUM), int(Stage.WG_INVERSE_TF)
-    )
+    s_itf, s_ew, s_cs, s_inv = map(int, (Stage.WG_INPUT_TF, Stage.WG_EWMUL, Stage.WG_CHANNEL_SUM, Stage.WG_INVERSE_TF))
 
     # Filter transform (2G) g (2G)^T, one flat 4x4 U per (k, c) in that order.
     u_all = np.matmul(np.matmul(G2_F2X2_3X3, spec.weights.array), G2_F2X2_3X3.T).reshape(k_ * c_, 16).tolist()
@@ -833,7 +834,7 @@ def conv_winograd(
                 oy, ox = y0 + e // 2, x0 + e % 2
                 if oy < oh and ox < ow:
                     out[n, k, oy, ox] = requant_scalar(y[e] + b4[k], shift, lo, hi)
-    return QTensor.trusted(out.shape, out, oq)
+    return out
 
 
 def _winograd_struck(xp: np.ndarray, spec: ConvSpec, acc: np.ndarray, offs: np.ndarray, masks: np.ndarray, dt):

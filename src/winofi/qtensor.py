@@ -2,8 +2,8 @@
 
 All activations and weights are symmetric two's-complement integers with a
 per-tensor scale (real value = stored integer * scale). Arithmetic on stored
-values happens in widened accumulators (plain Python ints or int64 arrays);
-narrowing back to the storage width always saturates.
+values happens in widened accumulators (plain Python ints, or int32 and
+int64 arrays); narrowing back to the storage width always saturates.
 """
 
 from __future__ import annotations
@@ -50,10 +50,13 @@ class QTensor:
     """Integer tensor in two's complement at ``qparams.bit_width``.
 
     Data is stored flat as int64 and frozen after construction, so a QTensor
-    can be shared read-only across concurrent trial workers.
+    can be shared read-only across concurrent trial workers. QTensors hold
+    the edges of an inference: weights, inputs, captured layer outputs and
+    logits. Between layers, an inference passes plain arrays in narrower
+    dtypes (see :func:`winofi.runtime.run_inference`).
     """
 
-    __slots__ = ("shape", "data", "qparams")
+    __slots__ = ("shape", "data", "qparams", "_casts")
 
     def __init__(self, shape, data, qparams: QuantParams):
         shape = tuple(int(d) for d in shape)
@@ -69,6 +72,7 @@ class QTensor:
         self.shape = shape
         self.data = flat
         self.qparams = qparams
+        self._casts = {}
 
     @classmethod
     def trusted(cls, shape: tuple, data: np.ndarray, qparams: QuantParams) -> "QTensor":
@@ -86,6 +90,7 @@ class QTensor:
         t.data = data.reshape(-1)
         t.data.flags.writeable = False
         t.qparams = qparams
+        t._casts = {}
         return t
 
     @property
@@ -96,6 +101,16 @@ class QTensor:
     @property
     def size(self) -> int:
         return self.data.size
+
+    def cast(self, dtype) -> np.ndarray:
+        """:attr:`array` in ``dtype``, read-only, converted on the first call
+        for each dtype and then reused: the data is frozen."""
+        dtype = np.dtype(dtype)
+        out = self._casts.get(dtype)
+        if out is None:
+            out = self._casts[dtype] = self.array.astype(dtype, copy=False)
+            out.flags.writeable = False
+        return out
 
     def __eq__(self, other):
         return (
@@ -138,17 +153,17 @@ def flip_with_mask(x: int, mask: int, bit_width: int) -> int:
     return v
 
 
-def flip_array_with_masks(values: np.ndarray, indices: np.ndarray, masks: np.ndarray, bit_width: int) -> np.ndarray:
-    """XOR per-element masks into ``values[indices]``, reinterpreting at ``bit_width``.
-
-    Returns a new int64 array; the input is left untouched.
-    """
-    out = values.astype(np.int64, copy=True)
+def flip_array_with_masks(values: np.ndarray, indices: np.ndarray, masks: np.ndarray, bit_width: int,
+                          out=None) -> np.ndarray:
+    """XOR per-element masks into ``values[indices]``, reinterpreting at
+    ``bit_width``, and return ``out``: ``values`` itself to flip in place,
+    or by default a new int64 array, leaving ``values`` untouched."""
+    if out is None:
+        out = values.astype(np.int64, copy=True)
     if len(indices) == 0:
         return out
     lim = np.int64(1) << np.int64(bit_width)
     half = np.int64(1) << np.int64(bit_width - 1)
-    v = (out[indices] ^ masks.astype(np.int64)) & (lim - 1)
-    v = np.where(v >= half, v - lim, v)
-    out[indices] = v
+    v = (values[indices] ^ masks.astype(np.int64)) & (lim - 1)
+    out[indices] = np.where(v >= half, v - lim, v)
     return out

@@ -209,17 +209,19 @@ class Step(NamedTuple):
     of the model, read for its type only, and its output shape without the
     batch axis.
 
-    A conv step runs ``spec`` and owns the ``n_ops`` op ids from ``op_base``
-    on: the (stage, op count) ``regions`` in emission order, ``repeats``
-    times (once per Winograd tile). A linear step multiplies by the
-    transpose of ``weights``, the layer's (F, D) weights: in float64, a BLAS
-    product, when D * 4^(b-1) + max|bias| < 2^53, where every partial sum
-    is an integer float64 holds (the bias, added after in int64, is a
-    margin), else in int64. It then adds ``bias`` and requantizes to
-    ``qparams`` by ``shift``. Last, a step whose output is the activation
-    point of conv layer ``act_of`` applies its ``clamp``, the checked (lo,
-    hi, mode) of the range profile's bounds for that layer, or None; a relu
-    step applies it with the ReLU (see :func:`relu`).
+    Its output is at ``qparams``. A conv step runs ``spec`` and owns the
+    ``n_ops`` op ids from ``op_base`` on: the (stage, op count) ``regions``
+    in emission order, ``repeats`` times (once per Winograd tile). A linear
+    step multiplies by the transpose of ``weights``, the layer's (F, D)
+    weights: in float64, a BLAS product, when D * 4^(b-1) + max|bias| <
+    2^53, where every partial sum is an integer float64 holds (the bias,
+    added after in int64, is a margin), else in int64. It then adds
+    ``bias`` and requantizes by ``shift``. Last, a step whose output is the
+    activation point of conv layer ``act_of`` applies its ``clamp``, or
+    None: the checked (lo, hi, mode) of the range profile's bounds for that
+    layer, each moved into [int_min - 1, int_max + 1], where it acts alike
+    and fits any output dtype; a relu step applies it with the ReLU (see
+    :func:`relu`).
     """
 
     layer_id: int
@@ -245,12 +247,12 @@ class Program:
     layout :class:`OpSpace` reads.
 
     A Program is a snapshot: every operand and clamp it applies is compiled
-    into its steps, the linear head's weights converted once to the dtype
-    its product runs in (see :class:`Step`), so mutating the model's layers
-    afterwards changes nothing it runs. ``ranges`` maps conv layer_id ->
-    (lo, hi) bounds, which ``range_mode`` applies at that layer's activation
-    point (after the following relu, or after the conv itself when no relu
-    follows). Layer ids that are not conv layers, an unknown ``range_mode``
+    into its steps, the linear head's weights in the dtype its product runs
+    in (see :class:`Step`), converted once per weights QTensor (see
+    :meth:`QTensor.cast`), so mutating the model's layers afterwards changes
+    nothing it runs. ``ranges`` maps conv layer_id -> (lo, hi) bounds, which
+    ``range_mode`` applies at that layer's activation point (after the
+    following relu, or after the conv itself when no relu follows). Layer ids that are not conv layers, an unknown ``range_mode``
     and clamp bounds that are reversed or leave the model's integer range
     raise ConfigError here (see :func:`check_clamp_bounds`).
     """
@@ -264,11 +266,10 @@ class Program:
         self.input_shape, self.input_qparams = model.input_shape, model.input_qparams
         profile = getattr(ranges, "ranges", ranges) if ranges else {}  # a RangeProfile's or a plain dict's bounds
         plan = model.execution_plan()
-        steps, convs = [], []
+        steps = []
         qp, op_base, pending = self.input_qparams, 0, None  # pending: a conv before its activation point
         for layer_id, (layer, in_shape, out_shape, spec) in enumerate(plan):
-            n_ops, regions, repeats, weights, bias, out_qp, shift = 0, (), 0, None, None, None, 0
-            clamp, act_of = None, None
+            n_ops, regions, repeats, weights, bias, shift, clamp, act_of = 0, (), 0, None, None, 0, None, None
             if spec is not None:
                 c, h, w = in_shape
                 oh, ow = spec.out_hw(h, w)
@@ -286,11 +287,10 @@ class Program:
                 # BLAS sums the D products of two b-bit values exactly below
                 # 2^53; the bias, added after in int64, is only a margin there
                 exact = in_shape[0] * 4 ** (model.bit_width - 1) + eng.max_abs(layer.bias) < 2**53
-                weights = layer.weights.array.astype(np.float64 if exact else np.int64, copy=False)
+                weights = layer.weights.cast(np.float64 if exact else np.int64)
                 bias = layer.bias
-                out_qp = QuantParams(model.bit_width, layer.out_scale)
-                shift = out_qp.scale_exponent() - qp.scale_exponent() - layer.weights.qparams.scale_exponent()
-                qp = out_qp
+                qp, in_qp = QuantParams(model.bit_width, layer.out_scale), qp
+                shift = qp.scale_exponent() - in_qp.scale_exponent() - layer.weights.qparams.scale_exponent()
             # a conv layer's activation point: the relu right after it, or
             # the conv itself when no relu follows
             relu_next = layer_id + 1 < len(plan) and isinstance(plan[layer_id + 1][0], ReluLayer)
@@ -299,13 +299,12 @@ class Program:
                 bounds = profile.get(act_of)
                 if bounds is not None:
                     check_clamp_bounds(f"range profile layer {act_of}", *bounds, range_mode, qp)
-                    clamp = (*bounds, range_mode)
+                    clamp = (*(min(max(b, qp.int_min - 1), qp.int_max + 1) for b in bounds), range_mode)
             steps.append(Step(layer_id, layer, out_shape, spec, op_base, n_ops, regions, repeats, weights, bias,
-                              out_qp, shift, clamp, act_of))
-            if spec is not None:
-                convs.append(steps[-1])
+                              qp, shift, clamp, act_of))
             op_base += n_ops
-        self.steps, self.convs = tuple(steps), tuple(convs)
+        self.steps = tuple(steps)
+        self.convs = tuple(step for step in steps if step.spec is not None)
         if profile:
             self.check_conv_layers("range profile", profile)
 
@@ -315,11 +314,6 @@ class Program:
         stray = sorted(set(layer_ids) - set(conv))
         if stray:
             raise ConfigError(f"{what} layer ids {stray} are not conv layers of this model (conv layers: {conv})")
-
-    def check_compiled_for(self, model: ModelDef, engine: Optional[str]) -> None:
-        """Raise ConfigError unless this Program was compiled for ``model`` and ``engine``."""
-        if not (model is self.model and (engine or model.engine) == self.engine):
-            raise ConfigError("the program was compiled for another model or engine")
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +332,12 @@ class NeuronFaults:
     ranges: dict
     record: Callable[[], None]
 
-    def __call__(self, layer_id: int, out: QTensor) -> QTensor:
+    def __call__(self, layer_id: int, out: np.ndarray, bit_width: int) -> None:
+        """Flip conv layer ``layer_id``'s C-contiguous output ``out`` in place."""
         start, end = self.ranges[layer_id]
         lo, hi = np.searchsorted(self.ids, (start, end))
-        flipped = flip_array_with_masks(out.data, self.ids[lo:hi] - start, self.masks[lo:hi], out.qparams.bit_width)
-        return QTensor.trusted(out.shape, flipped, out.qparams)
+        flat = out.reshape(-1)
+        flip_array_with_masks(flat, self.ids[lo:hi] - start, self.masks[lo:hi], bit_width, out=flat)
 
 
 @dataclass
@@ -371,25 +366,29 @@ def check_clamp_bounds(what: str, lo, hi, mode: str, qp: QuantParams) -> None:
                           f"[{qp.int_min}, {qp.int_max}]")
 
 
-def constrain(arr: np.ndarray, lo: int, hi: int, mode: str) -> np.ndarray:
+def constrain(arr: np.ndarray, lo: int, hi: int, mode: str, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Suppress out-of-range values: saturate to the violated bound (clamp)
-    or zero them out (zero)."""
+    or zero them out (zero), into ``out``, ``arr`` itself to constrain in
+    place, or else a fresh array. The bounds must fit ``arr``'s dtype."""
     check_range_mode(mode)
+    lo, hi = eng.clip_bounds(arr.dtype, lo, hi)
     if mode == "clamp":
-        return np.minimum(np.maximum(arr, lo), hi)
-    return np.where((arr < lo) | (arr > hi), 0, arr)
+        return np.clip(arr, lo, hi, out=out)
+    return np.multiply(arr, (arr >= lo) & (arr <= hi), out=out)
 
 
-def relu(arr: np.ndarray, clamp: Optional[tuple] = None) -> np.ndarray:
+def relu(arr: np.ndarray, clamp: Optional[tuple] = None, out: Optional[np.ndarray] = None) -> np.ndarray:
     """``constrain(np.maximum(arr, 0), *clamp)``, or the ReLU alone when
-    ``clamp`` is None, in a fresh array. A clamp to [lo, hi] runs as one
-    pass, a maximum with max(lo, 0), then a minimum with hi (``np.clip``)."""
+    ``clamp`` is None, into ``out`` as :func:`constrain` takes it. A clamp
+    to [lo, hi] runs as one pass, a maximum with max(lo, 0), then a minimum
+    with hi (``np.clip``)."""
     if clamp is None:
-        return np.maximum(arr, 0)
+        return np.maximum(arr, arr.dtype.type(0), out=out)
     lo, hi, mode = clamp
     if mode == "clamp":
-        return np.clip(arr, max(lo, 0), hi)
-    return constrain(np.maximum(arr, 0), lo, hi, mode)
+        return np.clip(arr, *eng.clip_bounds(arr.dtype, max(lo, 0), hi), out=out)
+    arr = np.maximum(arr, arr.dtype.type(0), out=out)
+    return constrain(arr, lo, hi, mode, out=arr)
 
 
 def run_inference(
@@ -419,48 +418,47 @@ def run_inference(
     inference only through it. One compiled for another model object or
     engine raises ConfigError, and an input whose qparams or shape (past the
     batch axis) differ from the model's raises ShapeError. Layer outputs
-    pass from layer to layer unchecked (see :meth:`QTensor.trusted`).
+    pass from layer to layer unchecked, as the arrays the convs return
+    (see :mod:`winofi.engine`), which neuron flips, ReLUs and clamps
+    overwrite; captures are int64 ``QTensor`` copies, as is the output.
     """
     if program is None:
         program = Program(model, engine)
-    else:
-        program.check_compiled_for(model, engine)
+    elif not (model is program.model and (engine or model.engine) == program.engine):
+        raise ConfigError("the program was compiled for another model or engine")
     if x.qparams != program.input_qparams or x.shape[1:] != program.input_shape:
         raise ShapeError(f"input {x.shape[1:]} at {x.qparams} does not match model input "
                          f"{program.input_shape} at {program.input_qparams}")
-    direct = program.engine == "direct"
     res = InferenceResult(output=x)
-    cur = x
+    cur, in_qp = x.array, x.qparams
     for step in program.steps:
-        layer, layer_id, clamp = step.layer, step.layer_id, step.clamp
+        layer, layer_id, clamp, qp = step.layer, step.layer_id, step.clamp, step.qparams
         if step.spec is not None:
-            if direct:
-                cur = eng.conv_direct(cur, step.spec, hook, layer_id=layer_id, op_base=step.op_base)
-            else:
-                cur = eng.conv_winograd(cur, step.spec, hook=hook, layer_id=layer_id, op_base=step.op_base)
+            conv = eng.conv_direct if program.engine == "direct" else eng.conv_winograd
+            cur = conv(cur, step.spec, hook=hook, in_qparams=in_qp, layer_id=layer_id, op_base=step.op_base)
             if neuron_fn is not None:
-                cur = neuron_fn(layer_id, cur)
+                neuron_fn(layer_id, cur, qp.bit_width)
             if layer_id in capture:
-                res.conv_outputs[layer_id] = cur
+                res.conv_outputs[layer_id] = QTensor.trusted(cur.shape, cur.astype(np.int64), qp)
         elif isinstance(layer, ReluLayer):
-            cur = QTensor.trusted(cur.shape, relu(cur.data, clamp), cur.qparams)
+            cur = relu(cur, clamp, out=cur if cur.flags.writeable else None)  # not the input itself
             clamp = None
         elif isinstance(layer, FlattenLayer):
-            cur = QTensor.trusted((cur.shape[0], cur.size // cur.shape[0]), cur.data, cur.qparams)
+            cur = cur.reshape(len(cur), -1)
         elif isinstance(layer, LinearLayer):
-            acc = (cur.array @ step.weights.T).astype(np.int64, copy=False)
+            acc = (cur @ step.weights.T).astype(np.int64, copy=False)
             if step.bias is not None:
                 acc += step.bias
-            qp = step.qparams
-            cur = QTensor.trusted(acc.shape, eng.requant_array(acc, step.shift, qp.int_min, qp.int_max), qp)
+            cur = eng.requant_array(acc, step.shift, qp.int_min, qp.int_max)
         if clamp is not None:
-            cur = QTensor.trusted(cur.shape, constrain(cur.data, *clamp), cur.qparams)
+            constrain(cur, *clamp, out=cur)
         if step.act_of in capture_act:
-            res.activations[step.act_of] = cur
+            res.activations[step.act_of] = QTensor.trusted(cur.shape, cur.astype(np.int64), qp)
+        in_qp = qp
     for faults in (hook, neuron_fn):
         if isinstance(faults, (eng.OpFaults, NeuronFaults)):
             faults.record()
-    res.output = cur
+    res.output = QTensor.trusted(cur.shape, cur.astype(np.int64, copy=False), in_qp)
     return res
 
 

@@ -44,6 +44,13 @@ def random_qtensor(rng: np.random.Generator, shape, bit_width: int, scale: float
     return QTensor(shape, data, qp)
 
 
+def conv_q(conv, x: QTensor, spec, hook=None, **kw) -> QTensor:
+    """The engine kernel ``conv`` on the QTensor ``x``: its output array,
+    range-checked into a QTensor at the layer's output qparams."""
+    out = conv(x.array, spec, hook=hook, in_qparams=x.qparams, **kw)
+    return QTensor(out.shape, out, spec.out_qparams)
+
+
 class CountingHook:
     """Counts hook invocations per (layer, stage, type) and checks op_id density."""
 

@@ -1,5 +1,7 @@
-"""An op-level campaign point recomputed from its definitions, written to be
-obvious rather than fast.
+"""Op- and neuron-level campaign points recomputed from their definitions,
+written to be obvious rather than fast.
+
+Op level (:func:`oracle_point`):
 
 Per (trial, sample, copy) the flips are drawn chunk by chunk with a fresh
 Philox generator per chunk (:func:`test_rng.reference_positions`) over
@@ -12,12 +14,28 @@ call's layer and op type and by its op id. An op inside a protected range
 takes its copies 1-2 as well and returns the median of its three flipped
 values, the majority vote. Every inference, the clean one included, runs
 through the hooked per-op path and is scored by its top-1.
+
+Neuron level (:func:`oracle_neuron_point`): each conv layer that the scope
+admits draws its flips from its own labels (STREAM_NEURON, trial, sample,
+layer) over its output neurons times the bit width; position p is bit p %
+bits of the layer's neuron p // bits. Every inference runs through a
+Python-int interpreter of the model that shares no code with
+``winofi.runtime``: the brute-force convolution of ``conftest``, then the
+layer's neuron flips, each XOR-ed in and read back at the bit width, then
+its ReLU, if one follows, and last its range, which saturates (clamp) or
+zeroes (zero) every value outside it at the layer's activation point: the
+ReLU right after it, else the conv itself.
 """
 
+import math
+
+import numpy as np
+from conftest import brute_force_conv3x3
 from test_rng import reference_positions
 
 from winofi.engine import OpType
-from winofi.rng import STREAM_OP
+from winofi.modelio import ConvLayer, FlattenLayer, LinearLayer, ReluLayer
+from winofi.rng import STREAM_NEURON, STREAM_OP
 from winofi.runtime import run_inference, top1
 
 
@@ -88,3 +106,88 @@ def oracle_point(model, dataset, engine, seed, ber, trials, scope, protected=(),
             correct[-1] += int(_hooked_top1(model, x, engine, hook) == clean[sample])
             records.extend(sorted(applied, key=lambda r: (r[3], r[5], r[4])))  # op id, copy, bit
     return correct, records
+
+
+def _exponent(scale):
+    return int(math.log2(scale))
+
+
+def _saturate(v, bits):
+    return min(max(v, -(1 << (bits - 1))), (1 << (bits - 1)) - 1)
+
+
+def _flipped(v, mask, bits):
+    v = (v ^ mask) & ((1 << bits) - 1)
+    return v - (1 << bits) if v >> (bits - 1) else v
+
+
+def _interpret(model, x, flips, ranges, mode):
+    """(logits, {conv layer id: neuron count}) of the QTensor ``x``:
+    ``flips`` maps a conv layer id to its {neuron: mask}, ``ranges`` a conv
+    layer id to its (lo, hi), applied in ``mode``."""
+    bits, layers = model.bit_width, model.layers
+    vals, shape, exp = x.array.ravel().tolist(), x.shape, _exponent(model.input_scale)
+    sizes, constrained = {}, None  # constrained: (lo, hi) due after this layer
+    for i, layer in enumerate(layers):
+        if isinstance(layer, ConvLayer):
+            w_exp, out_exp = _exponent(layer.weights.qparams.scale), _exponent(layer.out_scale)
+            out = brute_force_conv3x3(np.array(vals).reshape(shape), layer.weights.array, layer.bias, layer.padding,
+                                      out_exp - exp - w_exp, -(1 << (bits - 1)), (1 << (bits - 1)) - 1)
+            vals, shape, exp = out.ravel().tolist(), out.shape, out_exp
+            sizes[i] = len(vals)
+            vals = [_flipped(v, flips.get(i, {}).get(j, 0), bits) for j, v in enumerate(vals)]
+            relu_next = i + 1 < len(layers) and isinstance(layers[i + 1], ReluLayer)
+            constrained = ranges.get(i)
+            if relu_next:
+                continue
+        elif isinstance(layer, ReluLayer):
+            vals = [max(v, 0) for v in vals]
+        elif isinstance(layer, FlattenLayer):
+            shape = (1, len(vals))
+        elif isinstance(layer, LinearLayer):
+            w, bias = layer.weights.array.tolist(), layer.bias
+            out_exp = _exponent(layer.out_scale)
+            shift = out_exp - exp - _exponent(layer.weights.qparams.scale)
+            accs = [sum(a * b for a, b in zip(row, vals)) + (0 if bias is None else int(bias[f]))
+                    for f, row in enumerate(w)]
+            half = 1 << (shift - 1) if shift > 0 else 0
+            vals = [_saturate(((a + half) >> shift if a >= 0 else -((-a + half) >> shift)) if shift > 0
+                              else a << -shift, bits) for a in accs]
+            shape, exp = (1, len(vals)), out_exp
+        if constrained is not None:
+            lo, hi = constrained
+            vals = [v if lo <= v <= hi else (min(max(v, lo), hi) if mode == "clamp" else 0) for v in vals]
+        constrained = None
+    return vals, sizes
+
+
+def oracle_neuron_point(model, dataset, seed, ber, trials, scope, ranges=None, mode="clamp"):
+    """(per-trial correct counts, trace records, logits) of the neuron-level
+    point at ``ber`` under ``scope`` and the range profile ``ranges`` ({conv
+    layer id: (lo, hi)}) in ``mode``: a sample is correct when its faulty
+    top-1 equals its clean one, each applied flip is one record (trial,
+    sample, "neuron", neuron id, bit, 0), ordered by trial, sample, neuron id
+    and bit, and the logits are each faulty inference's, trial by trial."""
+    ranges, bits = dict(ranges or {}), model.bit_width
+    clean = [_interpret(model, x, {}, ranges, mode) for x in dataset.samples]
+    sizes = clean[0][1]
+    firsts = dict(zip(sizes, [sum(list(sizes.values())[:k]) for k in range(len(sizes))]))  # each layer's first id
+    admitted = [lid for lid in sizes if lid not in scope.exclude_layers
+                and (scope.include_layers is None or lid in scope.include_layers)]
+    correct, records, logits = [], [], []
+    for trial in range(trials):
+        correct.append(0)
+        for sample, x in enumerate(dataset.samples):
+            flips, applied = {}, []
+            for lid in admitted:
+                labels = (STREAM_NEURON, trial, sample, lid)
+                for pos in reference_positions(seed, labels, sizes[lid] * bits, ber).tolist():
+                    neuron, bit = divmod(pos, bits)
+                    layer = flips.setdefault(lid, {})
+                    layer[neuron] = layer.get(neuron, 0) | 1 << bit
+                    applied.append((trial, sample, "neuron", firsts[lid] + neuron, bit, 0))
+            out, _ = _interpret(model, x, flips, ranges, mode)
+            logits.append(out)
+            correct[-1] += int(out.index(max(out)) == clean[sample][0].index(max(clean[sample][0])))
+            records.extend(sorted(applied))
+    return correct, records, logits

@@ -79,9 +79,9 @@ def test_criterion_01_engine_equivalence():
             bias=bias,
         )
         x = QTensor((1, c, h, w), rng.integers(qp.int_min, qp.int_max + 1, size=(1, c, h, w)), qp)
-        d = conv_direct(x, spec)
-        g = conv_winograd(x, spec)
-        assert np.array_equal(d.array, g.array), f"case {i}: {bit_width}b C{c} K{k} {h}x{w} p{pad}"
+        d = conv_direct(x.array, spec, in_qparams=qp)
+        g = conv_winograd(x.array, spec, in_qparams=qp)
+        assert np.array_equal(d, g), f"case {i}: {bit_width}b C{c} K{k} {h}x{w} p{pad}"
     _report(1, f"conv_winograd == conv_direct element-exactly on {cases} randomized cases (tolerance 0)")
 
 

@@ -494,3 +494,43 @@ def test_threaded_points_equal_serial_points():
     with ThreadPoolExecutor(4) as pool:
         threaded = list(pool.map(per_trial(campaigns()), points, timeout=300))
     assert threaded == serial
+
+
+@pytest.mark.parametrize("mode", ["clamp", "zero"])
+def test_threaded_neuron_points_under_a_range_profile_equal_serial_points(mode):
+    """Neuron-level points under a range profile, whose flips, ReLUs and
+    clamps overwrite each layer's array in place, read from 4 threads at
+    once as they do one by one, logits and conv outputs included: no
+    inference shares a buffer with another."""
+    import hashlib
+    from concurrent.futures import ThreadPoolExecutor
+
+    from winofi.mitigate import profile_ranges
+    from winofi.modelio import builtin_model
+
+    model = builtin_model("toycnn-int8")  # its fault-free layers run on int32 planes
+    dataset = generate_dataset(model, 4, seed=1)
+    conv_ids = tuple(model.conv_layer_ids())
+    runs = [(engine, seed) for engine in ("direct", "winograd") for seed in range(2)]
+    points = [(run, ber) for run in runs for ber in (3e-3, 3e-2)]
+
+    def outcome(camps):
+        def point_of(point):
+            camp, ber = camps[point[0]], point[1]
+            h = hashlib.sha256()
+            for trial in range(2):
+                for s in range(len(dataset)):
+                    res = camp.corrupted_output(trial, s, ber, camp.base_scope, capture=conv_ids)
+                    for q in (res.output, *res.conv_outputs.values()):
+                        h.update(q.data.tobytes())
+            return camp.run_point(ber, 2).per_trial_correct, h.hexdigest()
+        return point_of
+
+    def campaigns():
+        return {run: Campaign(model, dataset, run[0], granularity="neuron", seed=run[1],
+                              ranges=profile_ranges(model, dataset, run[0]), range_mode=mode) for run in runs}
+
+    serial = list(map(outcome(campaigns()), points))
+    with ThreadPoolExecutor(4) as pool:
+        threaded = list(pool.map(outcome(campaigns()), points, timeout=300))
+    assert threaded == serial

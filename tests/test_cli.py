@@ -969,3 +969,33 @@ def test_gen_dataset_labels_span_the_output_of_a_model_without_a_linear_head(tmp
     assert max(labels) >= 4  # more than the 4 classes of the linear head
     assert run_cli("sweep", "--model", str(tmp_path / "m"), "--dataset", str(tmp_path / "d"), "--ber", "1e-4",
                    "--trials", "1", "--use-labels", "--out", str(tmp_path / "r.csv")) == 0
+
+
+@pytest.mark.parametrize("flag, value, item", [
+    ("--fault-bits", "MUL", "'MUL'"),
+    ("--fault-bits", "MUL:x", "'MUL:x'"),
+    ("--fault-bits", " ", "' '"),
+    ("--fault-bits", "8,ADD:4", "'8'"),
+    ("--fault-bits", "MUL:8:9", "'MUL:8:9'"),
+    ("--ber", "1e-4,abc", "'abc'"),
+], ids=["type-alone", "bits-not-int", "blank", "bits-without-type", "two-colons", "ber-not-number"])
+def test_malformed_fault_bits_and_ber_items_exit_2_by_name(assets, tmp_path, capsys, flag, value, item):
+    # Python's own messages ("invalid literal for int()", "not enough values
+    # to unpack") name neither the flag nor the item
+    flags = {"--ber": "1e-4", flag: value}
+    code = run_cli("sweep", "--model", assets["model"], "--dataset", assets["dataset"], "--trials", "1",
+                   *(x for kv in flags.items() for x in kv), "--out", str(tmp_path / "r.csv"))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and flag in err["message"] and item in err["message"], err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_fault_bits_and_ber_items_with_spaces_keep_their_result_bytes(assets, tmp_path):
+    outs = []
+    for bers, bits in (("1e-4,1e-3", "MUL:20,ADD:12"), (" 1e-4 , 1e-3 ", " mul : 20 , ADD:12 ")):
+        outs.append(tmp_path / f"r{len(outs)}.csv")
+        assert run_cli("sweep", "--model", assets["model"], "--dataset", assets["dataset"], "--trials", "1",
+                       "--ber", bers, "--fault-bits", bits, "--out", str(outs[-1])) == 0
+    strip = [b"".join(l for l in p.read_bytes().splitlines(True) if not l.startswith(b"#")) for p in outs]
+    assert strip[0] == strip[1]

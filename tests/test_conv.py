@@ -35,7 +35,15 @@ from winofi.modelio import generate_dataset, generate_toy_model
 from winofi.qtensor import QTensor, QuantParams
 from winofi.runtime import run_inference
 
-from conftest import CountingHook, brute_force_conv3x3, random_qtensor
+from conftest import CountingHook, brute_force_conv3x3, conv_q, random_qtensor
+
+
+def run_direct(x, spec, hook=None, **kw):
+    return conv_q(conv_direct, x, spec, hook, **kw)
+
+
+def run_winograd(x, spec, hook=None, **kw):
+    return conv_q(conv_winograd, x, spec, hook, **kw)
 
 
 def make_spec(rng, c, k, bit_width, padding=0, bias=False, out_scale=1.0, w_scale=1.0):
@@ -88,9 +96,9 @@ def test_shape_mismatch_raises(rng):
     spec = make_spec(rng, c=2, k=1, bit_width=8)
     x = random_qtensor(rng, (1, 3, 6, 6), 8)
     with pytest.raises(ShapeError):
-        conv_direct(x, spec)
+        run_direct(x, spec)
     with pytest.raises(ShapeError):
-        conv_winograd(x, spec)
+        run_winograd(x, spec)
 
 
 def test_identity_kernel_direct(rng):
@@ -98,10 +106,10 @@ def test_identity_kernel_direct(rng):
     w[0, 0, 1, 1] = 1
     spec = ConvSpec(1, 1, 1, QTensor((1, 1, 3, 3), w, QuantParams(8, 1.0)), QuantParams(8, 1.0))
     x = random_qtensor(rng, (1, 1, 4, 4), 8)
-    out = conv_direct(x, spec)
+    out = run_direct(x, spec)
     assert np.array_equal(out.array, x.array)
     hook = CountingHook()
-    out2 = conv_direct(x, spec, hook)
+    out2 = run_direct(x, spec, hook)
     assert np.array_equal(out2.array, x.array)
 
 
@@ -110,7 +118,7 @@ def test_direct_emits_36_muls_for_4x4_valid(rng):
     spec = make_spec(rng, c=1, k=1, bit_width=8)
     x = random_qtensor(rng, (1, 1, 4, 4), 8)
     hook = CountingHook()
-    conv_direct(x, spec, hook)
+    run_direct(x, spec, hook)
     assert hook.total(op_type=OpType.MUL) == 36
     assert hook.total(op_type=OpType.ADD) == 36
     assert hook.total(stage=Stage.DIRECT_MAC) == 72
@@ -122,7 +130,7 @@ def test_winograd_single_tile_op_counts(rng):
     spec = make_spec(rng, c=1, k=1, bit_width=8)
     x = random_qtensor(rng, (1, 1, 4, 4), 8)
     hook = CountingHook()
-    conv_winograd(x, spec, hook=hook)
+    run_winograd(x, spec, hook=hook)
     assert hook.total(stage=Stage.WG_EWMUL, op_type=OpType.MUL) == 16
     assert hook.total(op_type=OpType.MUL) == 16
     assert 36 / hook.total(op_type=OpType.MUL) == 2.25
@@ -139,9 +147,9 @@ def test_direct_matches_brute_force_oracle(rng):
     spec = make_spec(rng, c=2, k=3, bit_width=8, padding=0)
     x = random_qtensor(rng, (1, 2, 6, 6), 8)
     expect = brute_force_conv3x3(x.array, spec.weights.array, None, 0, 0, -128, 127)
-    out = conv_direct(x, spec)
+    out = run_direct(x, spec)
     assert np.array_equal(out.array, expect)
-    hooked = conv_direct(x, spec, CountingHook())
+    hooked = run_direct(x, spec, CountingHook())
     assert np.array_equal(hooked.array, expect)
 
 
@@ -151,8 +159,8 @@ def test_direct_matches_oracle_with_padding_bias_shift(rng):
     shift = spec.requant_shift(x.qparams)
     assert shift == 2
     expect = brute_force_conv3x3(x.array, spec.weights.array, spec.bias, 1, shift, -128, 127)
-    assert np.array_equal(conv_direct(x, spec).array, expect)
-    assert np.array_equal(conv_direct(x, spec, CountingHook()).array, expect)
+    assert np.array_equal(run_direct(x, spec).array, expect)
+    assert np.array_equal(run_direct(x, spec, CountingHook()).array, expect)
 
 
 def test_winograd_equals_direct_exactly(rng):
@@ -160,10 +168,10 @@ def test_winograd_equals_direct_exactly(rng):
         for c, k, h, w, pad in [(1, 1, 4, 4, 0), (2, 3, 6, 6, 1), (4, 4, 8, 8, 1), (3, 2, 5, 7, 1)]:
             spec = make_spec(rng, c=c, k=k, bit_width=bit_width, padding=pad, bias=True)
             x = random_qtensor(rng, (1, c, h, w), bit_width)
-            ref = conv_direct(x, spec)
-            got = conv_winograd(x, spec)
+            ref = run_direct(x, spec)
+            got = run_winograd(x, spec)
             assert np.array_equal(got.array, ref.array), (bit_width, c, k, h, w, pad)
-            got_hooked = conv_winograd(x, spec, hook=CountingHook())
+            got_hooked = run_winograd(x, spec, hook=CountingHook())
             assert np.array_equal(got_hooked.array, ref.array)
 
 
@@ -171,8 +179,8 @@ def test_winograd_handles_odd_output_dims(rng):
     # 5x5 output: tiles cover 6x6, padded outputs are discarded.
     spec = make_spec(rng, c=2, k=2, bit_width=8, padding=0)
     x = random_qtensor(rng, (1, 2, 7, 7), 8)
-    ref = conv_direct(x, spec)
-    got = conv_winograd(x, spec)
+    ref = run_direct(x, spec)
+    got = run_winograd(x, spec)
     assert ref.shape == (1, 2, 5, 5)
     assert np.array_equal(got.array, ref.array)
 
@@ -180,8 +188,8 @@ def test_winograd_handles_odd_output_dims(rng):
 def test_hooked_and_vectorized_paths_agree(rng):
     spec = make_spec(rng, c=3, k=2, bit_width=16, padding=1, bias=True, out_scale=16.0)
     x = random_qtensor(rng, (1, 3, 6, 6), 16)
-    assert np.array_equal(conv_direct(x, spec).array, conv_direct(x, spec, CountingHook()).array)
-    assert np.array_equal(conv_winograd(x, spec).array, conv_winograd(x, spec, hook=CountingHook()).array)
+    assert np.array_equal(run_direct(x, spec).array, run_direct(x, spec, CountingHook()).array)
+    assert np.array_equal(run_winograd(x, spec).array, run_winograd(x, spec, hook=CountingHook()).array)
 
 
 @given(st.data())
@@ -198,7 +206,7 @@ def test_winograd_direct_equivalence_property(data):
     spec = make_spec(rng, c=c, k=k, bit_width=bit_width, padding=pad,
                      bias=data.draw(st.booleans()), out_scale=2.0)
     x = random_qtensor(rng, (1, c, h, w), bit_width)
-    assert np.array_equal(conv_winograd(x, spec).array, conv_direct(x, spec).array)
+    assert np.array_equal(run_winograd(x, spec).array, run_direct(x, spec).array)
 
 
 @pytest.mark.parametrize("engine", ["direct", "winograd"])
@@ -217,7 +225,7 @@ def test_fault_table_on_stacked_samples_matches_its_reference(engine, data):
                      out_scale=2.0 ** data.draw(st.integers(0, 2 * bits)))
     shape = (data.draw(st.integers(2, 3)), c, data.draw(st.integers(3, 6)), data.draw(st.integers(3, 6)))
     x = random_qtensor(rng, shape, bits)
-    conv = conv_direct if engine == "direct" else conv_winograd
+    conv = run_direct if engine == "direct" else run_winograd
     seen = []
     conv(x, spec, hook=lambda op_id, layer_id, op_type, stage, value: seen.append(op_id) or value)
     switches = [max(w for w in range(1, 65) if lockstep_bound(spec, w, w, engine == "winograd") < s)
@@ -305,7 +313,7 @@ def _strike_one_unit(data, engine, bits, tier=None):
     shape = (data.draw(st.integers(1, 2)), c, data.draw(st.integers(3, 6)), data.draw(st.integers(3, 6)))
     x = random_qtensor(rng, shape, bits)
     winograd = engine == "winograd"
-    conv = conv_winograd if winograd else conv_direct
+    conv = run_winograd if winograd else run_direct
     switches = [max(w for w in range(1, 65) if lockstep_bound(spec, w, w, winograd) < s) for s in (2**53, 2**63)]
     widths = sorted({bits, 2 * bits} | {min(w + d, 64) for w in switches for d in (0, 1)})
     if tier is not None:
@@ -355,7 +363,7 @@ def _strike_several_tiles(data, engine, bits, tier):
     shape = (data.draw(st.integers(2, 3)), c, data.draw(st.integers(5, 8)), data.draw(st.integers(3, 7)))
     x = random_qtensor(rng, shape, bits)
     winograd = engine == "winograd"
-    conv = conv_winograd if winograd else conv_direct
+    conv = run_winograd if winograd else run_direct
     low, high = TIERS[tier]
     width = data.draw(st.sampled_from([w for w in range(1, 65) if low <= lockstep_bound(spec, w, w, winograd) < high]))
     units = data.draw(st.integers(2, 4))
@@ -402,7 +410,7 @@ def test_direct_add_flips_read_running_sums_from_the_bias(rng, bias):
     spec = dataclasses.replace(make_spec(rng, c=1, k=1, bit_width=8), bias=np.array([bias]))
     x = QTensor((1, 1, 3, 3), np.zeros((1, 1, 3, 3), dtype=np.int64), QuantParams(8, 1.0))
     faults = OpFaults(np.array([1]), np.array([[0b1010101]], dtype=np.uint64), 8, 8, lambda: None, None)
-    assert conv_direct(x, spec, hook=faults).array.tolist() == [[[[bias ^ 0b1010101]]]]
+    assert run_direct(x, spec, hook=faults).array.tolist() == [[[[bias ^ 0b1010101]]]]
 
 
 @pytest.mark.parametrize("padding", [0, 1])
@@ -422,8 +430,8 @@ def test_kept_accumulator_planes_are_the_exact_convolutions(rng, padding, hw):
         expect = brute_force_conv3x3(x.array, spec.weights.array, spec.bias, padding, 0, -(1 << 62), 1 << 62)
         oh, ow = expect.shape[2:]
         ty, tx = tile_grid(oh, ow)
-        assert np.array_equal(_direct_acc(_padded(x, padding, h + 2 * padding, w + 2 * padding, dtype), spec), expect)
-        plane = _direct_acc(_padded(x, padding, 2 * ty + 2, 2 * tx + 2, dtype), spec)
+        assert np.array_equal(_direct_acc(_padded(x.array, padding, h + 2 * padding, w + 2 * padding, dtype), spec), expect)
+        plane = _direct_acc(_padded(x.array, padding, 2 * ty + 2, 2 * tx + 2, dtype), spec)
         assert plane.shape == (2, 2, 2 * ty, 2 * tx) and plane.dtype == np.int64
         assert np.array_equal(plane[:, :, :oh, :ow], expect)
 
@@ -462,10 +470,10 @@ def test_gemm_tier_boundary_is_exact(engine, sign, below, bits, c):
     acc = brute_force_conv3x3(x.array, spec.weights.array, spec.bias, 0, 0, -(1 << 62), 1 << 62)
     assert np.abs(acc[0] - spec.bias[:, None, None]).max() == bound
     expect = brute_force_conv3x3(x.array, spec.weights.array, spec.bias, 0, 26 - bits, qp.int_min, qp.int_max)
-    conv = conv_direct if engine == "direct" else _conv_winograd
+    conv = run_direct if engine == "direct" else run_winograd
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine_module, "_SLAB", 1)
-        assert np.array_equal(_direct_acc(_padded(x, 0, 4, 5, spec.gemm_weights.dtype), spec), acc)
+        assert np.array_equal(_direct_acc(_padded(x.array, 0, 4, 5, spec.gemm_weights.dtype), spec), acc)
         assert np.array_equal(conv(x, spec).array, expect)
 
 
@@ -496,8 +504,8 @@ def test_dense_gemm_tiers_match_the_oracle(engine, data):
     oh, ow = acc.shape[2:]
     ty, tx = tile_grid(oh, ow)
     hp, wp = (oh + 2, ow + 2) if engine == "direct" else (2 * ty + 2, 2 * tx + 2)
-    assert np.array_equal(_direct_acc(_padded(x, padding, hp, wp, spec.gemm_weights.dtype), spec)[:, :, :oh, :ow], acc)
-    conv = conv_direct if engine == "direct" else _conv_winograd
+    assert np.array_equal(_direct_acc(_padded(x.array, padding, hp, wp, spec.gemm_weights.dtype), spec)[:, :, :oh, :ow], acc)
+    conv = run_direct if engine == "direct" else run_winograd
     expect = brute_force_conv3x3(xa, w, spec.bias, padding, shift, qp.int_min, qp.int_max)
     assert np.array_equal(conv(x, spec).array, expect)
 
@@ -554,7 +562,7 @@ def test_accumulator_tier_boundary_is_exact(engine, sign, slab, total, dtype, bi
     assert spec.acc_dtype(shift) == dtype
     expect = brute_force_conv3x3(x.array, spec.weights.array, spec.bias, 0, shift, qp.int_min, qp.int_max)
     assert 0 < np.count_nonzero(np.abs(expect) < qp.int_max)  # not every output saturates
-    conv = conv_direct if engine == "direct" else _conv_winograd
+    conv = run_direct if engine == "direct" else run_winograd
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine_module, "_SLAB", slab)
         seen = _requant_dtypes(mp)
@@ -572,7 +580,7 @@ def test_accumulators_at_shifts_up_to_zero_stay_int64(engine, shift):
     x = random_qtensor(rng, (2, 2, 5, 3), 8)
     assert spec.acc_dtype(shift) == np.int64
     expect = brute_force_conv3x3(x.array, spec.weights.array, spec.bias, 1, shift, -128, 127)
-    conv = conv_direct if engine == "direct" else _conv_winograd
+    conv = run_direct if engine == "direct" else run_winograd
     with pytest.MonkeyPatch.context() as mp:
         seen = _requant_dtypes(mp)
         assert np.array_equal(conv(x, spec).array, expect)
@@ -606,7 +614,7 @@ def test_accumulator_tiers_match_the_oracle(engine, data):
     extreme = data.draw(st.booleans())
     xa = rng.choice([qp.int_min, qp.int_max], shape) if extreme else rng.integers(qp.int_min, qp.int_max + 1, shape)
     expect = brute_force_conv3x3(xa, w, spec.bias, padding, shift, qp.int_min, qp.int_max)
-    conv = conv_direct if engine == "direct" else _conv_winograd
+    conv = run_direct if engine == "direct" else run_winograd
     with pytest.MonkeyPatch.context() as mp:
         seen = _requant_dtypes(mp)
         assert np.array_equal(conv(QTensor(shape, xa, qp), spec).array, expect)
@@ -619,7 +627,7 @@ def test_determinism_and_canonical_op_order(rng):
     runs = []
     for _ in range(2):
         hook = CountingHook()
-        out = conv_winograd(x, spec, hook=hook)
+        out = run_winograd(x, spec, hook=hook)
         runs.append((out, hook.op_ids))
     assert runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
@@ -632,7 +640,7 @@ def test_op_base_offsets_ids(rng):
     spec = make_spec(rng, c=1, k=1, bit_width=8)
     x = random_qtensor(rng, (1, 1, 4, 4), 8)
     hook = CountingHook()
-    conv_direct(x, spec, hook, op_base=100)
+    run_direct(x, spec, hook, op_base=100)
     assert hook.op_ids[0] == 100
     assert hook.op_ids == list(range(100, 100 + 72))
 
@@ -643,14 +651,14 @@ def test_hook_can_corrupt_results(rng):
     spec = ConvSpec(1, 1, 0, QTensor((1, 1, 3, 3), w, QuantParams(8, 1.0)),
                     QuantParams(8, 4.0))
     x = QTensor((1, 1, 4, 4), rng.integers(-5, 6, size=(1, 1, 4, 4)), QuantParams(8, 1.0))
-    clean = conv_direct(x, spec)
+    clean = run_direct(x, spec)
 
     def hook(op_id, layer_id, op_type, stage, value):
         if op_id == 0:  # first MUL of output (0,0,0,0)
             return value ^ (1 << 7)
         return value
 
-    faulty = conv_direct(x, spec, hook)
+    faulty = run_direct(x, spec, hook)
     diff = faulty.array != clean.array
     assert diff.sum() == 1
     assert diff[0, 0, 0, 0]
@@ -677,10 +685,6 @@ def test_winograd_op_stream_digest(digest):
     assert h.hexdigest() == digest
 
 
-def _conv_winograd(x, spec, hook=None):
-    return conv_winograd(x, spec, hook=hook)
-
-
 def _pointwise_spec(shift):
     # One output pixel whose accumulator is 3 * 1000 = 3000: the centre
     # weight is 3, the rest 0, over an int16 3x3 input of 1000s.
@@ -701,7 +705,7 @@ def test_extreme_requant_shifts_do_not_wrap(shift, expect):
     spec, x = _pointwise_spec(shift)
     assert spec.requant_shift(x.qparams) == shift
     assert requant_scalar(3000, shift, -(1 << 15), (1 << 15) - 1) == expect
-    for conv in (conv_direct, _conv_winograd):
+    for conv in (run_direct, run_winograd):
         assert conv(x, spec).array.item() == conv(x, spec, CountingHook()).array.item() == expect
 
 
@@ -749,7 +753,7 @@ def test_64_bit_faults_at_large_requant_shifts_match_their_reference(engine, dat
     spec = make_spec(rng, c, k, 16, data.draw(st.integers(0, 1)), data.draw(st.booleans()),
                      out_scale=2.0 ** data.draw(st.integers(48, 68)))
     x = random_qtensor(rng, (data.draw(st.integers(1, 2)), c, data.draw(st.integers(3, 5)), 4), 16)
-    conv = conv_direct if engine == "direct" else conv_winograd
+    conv = run_direct if engine == "direct" else run_winograd
     assert spec.requant_shift(x.qparams) >= 48
     seen = []
     conv(x, spec, hook=lambda op_id, layer_id, op_type, stage, value: seen.append(op_id) or value)
@@ -791,7 +795,7 @@ def _worst_case(sign, n, h, w, at):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_worst_case_magnitude_is_exact(engine, sign):
     x, spec, expect = _worst_case(sign, 1, 4, 5, (0, 1, 1))
-    conv = conv_direct if engine == "direct" else _conv_winograd
+    conv = run_direct if engine == "direct" else run_winograd
     assert np.array_equal(conv(x, spec).array, expect)
     assert np.array_equal(conv(x, spec, CountingHook()).array, expect)
 
@@ -824,8 +828,8 @@ def test_vectorized_kernels_match_the_oracle_across_row_blocks(rng, padding):
     expect = brute_force_conv3x3(x.array, spec.weights.array, spec.bias, padding, 10, -128, 127)
     assert 0 < np.count_nonzero(np.abs(expect) < 127)  # not every output saturates
     assert spec.gemm_weights.dtype == np.float32
-    assert np.array_equal(conv_direct(x, spec).array, expect)
-    assert np.array_equal(conv_winograd(x, spec).array, expect)
+    assert np.array_equal(run_direct(x, spec).array, expect)
+    assert np.array_equal(run_winograd(x, spec).array, expect)
 
 
 @pytest.mark.parametrize("engine", ["direct", "winograd"])
@@ -836,7 +840,7 @@ def test_worst_case_magnitude_is_exact_across_row_blocks(engine, sign):
     n, c, oh, ow = BLOCKED
     assert _row_blocks(c, oh, ow) == ([3, 3, 1], [3, 3, 2])
     x, spec, expect = _worst_case(sign, n, oh, ow, (n - 1, oh - 1, 1))
-    conv = conv_direct if engine == "direct" else _conv_winograd
+    conv = run_direct if engine == "direct" else run_winograd
     assert np.array_equal(conv(x, spec).array, expect)
 
 
@@ -871,9 +875,9 @@ def test_vectorized_winograd_bounds_its_im2col_slab():
     rng = np.random.default_rng(3)
     spec = make_spec(rng, c=32, k=32, bit_width=8, padding=1, out_scale=2.0**10)
     x = random_qtensor(rng, (4, 32, 32, 32), 8)
-    y, peak = _traced_peak(lambda: conv_winograd(x, spec))
+    y, peak = _traced_peak(lambda: run_winograd(x, spec))
     assert peak <= 8 << 20, peak
-    assert y == conv_direct(x, spec)
+    assert y == run_direct(x, spec)
 
 
 def test_convspec_rejects_channels_past_the_float64_bound():

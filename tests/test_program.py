@@ -4,6 +4,7 @@ passes along."""
 
 import dataclasses
 import functools
+import itertools
 import pickle
 
 import numpy as np
@@ -16,9 +17,12 @@ from winofi.engine import OpFaults
 from winofi.errors import ConfigError
 from winofi.inject import draw_op_flips, op_level_hook
 from winofi.mitigate import RangeProfile, profile_ranges
-from winofi.modelio import FlattenLayer, LinearLayer, ModelDef, builtin_model, generate_dataset, generate_toy_model
+from winofi.modelio import (FlattenLayer, LinearLayer, ModelDef, ReluLayer, builtin_model, generate_dataset,
+                            generate_toy_model)
 from winofi.qtensor import QTensor, QuantParams
-from winofi.runtime import NeuronFaults, Program, constrain, enumerate_ops, relu, run_inference
+from winofi.runtime import NeuronFaults, Program, constrain, enumerate_ops, relu, run_inference, top1
+
+from conftest import CountingHook
 
 
 @functools.lru_cache(maxsize=None)
@@ -318,3 +322,113 @@ def test_relu_equals_constrain_after_the_relu(values, lo, width, mode):
     got = relu(arr, (lo, hi, mode))
     assert got.dtype == np.int64 and np.array_equal(got, constrain(np.maximum(arr, 0), lo, hi, mode))
     assert not np.shares_memory(got, arr)
+
+
+def _reference_of(faults):
+    """The per-op hook applying the OpFaults table ``faults``: each struck
+    op's result XOR-ed with its mask, or the median of its three flipped
+    copies."""
+    table = dict(zip(faults.ids.tolist(), faults.masks.tolist()))
+
+    def hook(op_id, layer_id, op_type, stage, value):
+        m = table.get(op_id)
+        return value if m is None else sorted(value ^ v for v in m)[len(m) // 2]
+    return hook
+
+
+@pytest.mark.parametrize("bits", [8, 16])
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_run_inference_equals_the_hooked_reference_on_random_models(engine, bits, data):
+    # Layer outputs pass between layers as narrow arrays that neuron flips,
+    # ReLUs and clamps overwrite in place; the hooked reference sees every
+    # op of the same loop through Python ints. On random models, with op
+    # faults, neuron faults and range profiles in clamp and zero mode, both
+    # must give the same logits, conv outputs and activations, and every
+    # capture must be an int64 QTensor that shares no memory with another.
+    depth = data.draw(st.integers(1, 3), label="depth")
+    model = generate_toy_model(depth=depth, channels=data.draw(st.integers(1, 3), label="channels"), bit_width=bits,
+                               seed=data.draw(st.integers(0, 2**16), label="model seed"),
+                               hw=data.draw(st.integers(4, 7), label="hw"),
+                               in_channels=data.draw(st.integers(1, 2), label="in_channels"))
+    relus = [i for i, layer in enumerate(model.layers) if layer.type == "relu"]
+    dropped = data.draw(st.sets(st.sampled_from(relus)), label="relus dropped")
+    model = dataclasses.replace(model, layers=[layer for i, layer in enumerate(model.layers) if i not in dropped])
+    x = generate_dataset(model, 1, seed=data.draw(st.integers(0, 2**16), label="input seed")).samples[0]
+    space = enumerate_ops(model, engine)
+    conv_ids = tuple(space.conv_layer_ids())
+    faults = _op_faults(data, space) if data.draw(st.booleans(), label="op faults") else None
+    neuron_fn = _neuron_faults(data, space) if data.draw(st.booleans(), label="neuron faults") else None
+    mode = data.draw(st.sampled_from(["clamp", "zero"]), label="range mode")
+    qp = QuantParams(bits, 1.0)
+    ranges = data.draw(st.dictionaries(st.sampled_from(conv_ids), _bounds(qp, mode)), label="ranges")
+    program = Program(model, engine, ranges, mode)
+    kw = dict(neuron_fn=neuron_fn, capture=conv_ids, capture_act=conv_ids, program=program)
+    fast = run_inference(model, x, engine, faults, **kw)
+    ref = run_inference(model, x, engine, _reference_of(faults) if faults else CountingHook(), **kw)
+    assert fast.output == ref.output
+    assert fast.conv_outputs == ref.conv_outputs and fast.activations == ref.activations
+    captured = [fast.output, *fast.conv_outputs.values(), *fast.activations.values()]
+    assert all(q.data.dtype == np.int64 and not q.data.flags.writeable for q in captured)
+    assert not any(np.shares_memory(a.data, b.data) for a, b in itertools.combinations(captured, 2))
+
+
+@pytest.mark.parametrize("name", ["toycnn-int8", "toycnn-int16"])  # int32 and int64 planes
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+def test_captures_and_clean_outputs_stay_unchanged_by_later_steps_and_inferences(name, engine):
+    # Captures are int64 copies taken before any later step writes into the
+    # layer's array, so neither the later ReLUs, clamps and neuron flips of
+    # the same inference nor later inferences on the same Program change
+    # them; nor do a Campaign's points change its clean outputs.
+    model = builtin_model(name)
+    data = generate_dataset(model, 3, seed=7)
+    conv_ids = tuple(model.conv_layer_ids())
+    camp = Campaign(model, data, engine, granularity="neuron", seed=3, ranges=profile_ranges(model, data, engine))
+    first = camp.corrupted_output(0, 0, 3e-3, camp.base_scope, capture=conv_ids)
+    clean = run_inference(model, data.samples[0], engine, capture=conv_ids, capture_act=conv_ids,
+                          program=camp.program)
+    kept = [(q, q.data.tobytes()) for res in (first, clean)
+            for q in (res.output, *res.conv_outputs.values(), *res.activations.values())]
+    camp.run_point(3e-3, 2)
+    for s in range(3):
+        camp.corrupted_output(1, s, 1e-2, camp.base_scope, capture=conv_ids)
+        run_inference(model, data.samples[s], engine, capture=conv_ids, capture_act=conv_ids, program=camp.program)
+    assert all(q.data.tobytes() == b for q, b in kept)
+    again = run_inference(model, data.samples[0], engine, capture=conv_ids, capture_act=conv_ids, program=camp.program)
+    assert (again.output, again.conv_outputs, again.activations) == (clean.output, clean.conv_outputs,
+                                                                     clean.activations)
+    assert [top1(camp._infer(i).output) for i in range(3)] == camp.clean_top1
+
+
+@pytest.mark.parametrize("engine", ["direct", "winograd"])
+def test_a_relu_on_the_input_leaves_the_input_as_it_is(engine):
+    # A relu step overwrites its layer's array in place, but never the
+    # input's, which belongs to the caller's QTensor.
+    base = builtin_model("toycnn-int16")
+    model = dataclasses.replace(base, layers=[ReluLayer(), *base.layers])
+    x = generate_dataset(model, 1, seed=5).samples[0]
+    before = x.data.tobytes()
+    got = run_inference(model, x, engine, capture=(1,))
+    assert x.data.tobytes() == before and x.data.min() < 0
+    positive = QTensor(x.shape, np.maximum(x.data, 0), x.qparams)
+    assert got.output == run_inference(base, positive, engine).output
+    assert got.conv_outputs[1] == run_inference(base, positive, engine, capture=(0,)).conv_outputs[0]
+
+
+def test_head_weights_convert_once_per_weights_qtensor():
+    # The head's weights are converted to their product's dtype once per
+    # weights QTensor, whose data is frozen, and shared by every Program
+    # compiled on it; replacing layer.weights compiles the new weights.
+    model = builtin_model("toycnn-int16")
+    x = generate_dataset(model, 1, seed=5).samples[0]
+    head = model.layers[-1]
+    old = Program(model)
+    assert Program(model).steps[-1].weights is old.steps[-1].weights
+    assert not old.steps[-1].weights.flags.writeable
+    want = run_inference(model, x, program=old).output
+    head.weights = QTensor(head.weights.shape, -head.weights.data, head.weights.qparams)
+    new = Program(model)
+    assert np.array_equal(new.steps[-1].weights, -old.steps[-1].weights)
+    assert run_inference(model, x, program=old).output == want
+    assert run_inference(model, x).output == run_inference(model, x, program=new).output != want
