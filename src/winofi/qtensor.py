@@ -72,7 +72,7 @@ class QTensor:
         self.shape = shape
         self.data = flat
         self.qparams = qparams
-        self._casts = {}
+        self._casts = None
 
     @classmethod
     def trusted(cls, shape: tuple, data: np.ndarray, qparams: QuantParams) -> "QTensor":
@@ -90,7 +90,7 @@ class QTensor:
         t.data = data.reshape(-1)
         t.data.flags.writeable = False
         t.qparams = qparams
-        t._casts = {}
+        t._casts = None
         return t
 
     @property
@@ -106,6 +106,7 @@ class QTensor:
         """:attr:`array` in ``dtype``, read-only, converted on the first call
         for each dtype and then reused: the data is frozen."""
         dtype = np.dtype(dtype)
+        self._casts = self._casts or {}
         out = self._casts.get(dtype)
         if out is None:
             out = self._casts[dtype] = self.array.astype(dtype, copy=False)
@@ -160,10 +161,11 @@ def flip_array_with_masks(values: np.ndarray, indices: np.ndarray, masks: np.nda
     or by default a new int64 array, leaving ``values`` untouched."""
     if out is None:
         out = values.astype(np.int64, copy=True)
-    if len(indices) == 0:
-        return out
-    lim = np.int64(1) << np.int64(bit_width)
-    half = np.int64(1) << np.int64(bit_width - 1)
-    v = (values[indices] ^ masks.astype(np.int64)) & (lim - 1)
-    out[indices] = np.where(v >= half, v - lim, v)
+    if len(indices):
+        half = 1 << (bit_width - 1)
+        v = values[indices] ^ masks.astype(np.int64)
+        v &= 2 * half - 1
+        v ^= half  # then less half: the low bit_width bits as a signed value
+        v -= half
+        out[indices] = v
     return out

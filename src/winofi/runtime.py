@@ -373,7 +373,7 @@ def constrain(arr: np.ndarray, lo: int, hi: int, mode: str, out: Optional[np.nda
     check_range_mode(mode)
     lo, hi = eng.clip_bounds(arr.dtype, lo, hi)
     if mode == "clamp":
-        return np.clip(arr, lo, hi, out=out)
+        return arr.clip(lo, hi, out=out)
     return np.multiply(arr, (arr >= lo) & (arr <= hi), out=out)
 
 
@@ -386,7 +386,7 @@ def relu(arr: np.ndarray, clamp: Optional[tuple] = None, out: Optional[np.ndarra
         return np.maximum(arr, arr.dtype.type(0), out=out)
     lo, hi, mode = clamp
     if mode == "clamp":
-        return np.clip(arr, *eng.clip_bounds(arr.dtype, max(lo, 0), hi), out=out)
+        return arr.clip(*eng.clip_bounds(arr.dtype, max(lo, 0), hi), out=out)
     arr = np.maximum(arr, arr.dtype.type(0), out=out)
     return constrain(arr, lo, hi, mode, out=arr)
 
