@@ -9,6 +9,7 @@ int64 arrays); narrowing back to the storage width always saturates.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,10 @@ class QuantParams:
         return self._exponent
 
 
+# a weak reference to the one QTensor that keeps its cast() (see QTensor.cast)
+_kept_cast = [lambda: None]
+
+
 class QTensor:
     """Integer tensor in two's complement at ``qparams.bit_width``.
 
@@ -56,7 +61,7 @@ class QTensor:
     dtypes (see :func:`winofi.runtime.run_inference`).
     """
 
-    __slots__ = ("shape", "data", "qparams", "_casts")
+    __slots__ = ("shape", "data", "qparams", "_cast", "__weakref__")
 
     def __init__(self, shape, data, qparams: QuantParams):
         shape = tuple(int(d) for d in shape)
@@ -72,7 +77,7 @@ class QTensor:
         self.shape = shape
         self.data = flat
         self.qparams = qparams
-        self._casts = None
+        self._cast = None
 
     @classmethod
     def trusted(cls, shape: tuple, data: np.ndarray, qparams: QuantParams) -> "QTensor":
@@ -90,7 +95,7 @@ class QTensor:
         t.data = data.reshape(-1)
         t.data.flags.writeable = False
         t.qparams = qparams
-        t._casts = None
+        t._cast = None
         return t
 
     @property
@@ -103,15 +108,20 @@ class QTensor:
         return self.data.size
 
     def cast(self, dtype) -> np.ndarray:
-        """:attr:`array` in ``dtype``, read-only, converted on the first call
-        for each dtype and then reused: the data is frozen."""
+        """:attr:`array` in ``dtype``, read-only. The data is frozen, so the
+        conversion is kept and reused, as by a Program compiled anew on the
+        same weights; but by one QTensor at a time, so that at most one kept
+        conversion outlives the Programs that hold it: converting another
+        QTensor drops it first."""
         dtype = np.dtype(dtype)
-        self._casts = self._casts or {}
-        out = self._casts.get(dtype)
-        if out is None:
-            out = self._casts[dtype] = self.array.astype(dtype, copy=False)
-            out.flags.writeable = False
-        return out
+        if self._cast is None or self._cast.dtype != dtype:
+            kept = _kept_cast[0]()
+            if kept is not None:
+                kept._cast = None
+            self._cast = self.array.astype(dtype, copy=False)
+            self._cast.flags.writeable = False
+            _kept_cast[0] = weakref.ref(self)
+        return self._cast
 
     def __eq__(self, other):
         return (

@@ -418,17 +418,22 @@ def test_a_relu_on_the_input_leaves_the_input_as_it_is(engine):
 
 def test_head_weights_convert_once_per_weights_qtensor():
     # The head's weights are converted to their product's dtype once per
-    # weights QTensor, whose data is frozen, and shared by every Program
-    # compiled on it; replacing layer.weights compiles the new weights.
+    # weights QTensor, whose data is frozen, and shared by the Programs
+    # compiled on it in a row; replacing layer.weights compiles the new
+    # weights, and the Programs compiled before keep theirs.
     model = builtin_model("toycnn-int16")
     x = generate_dataset(model, 1, seed=5).samples[0]
     head = model.layers[-1]
     old = Program(model)
-    assert Program(model).steps[-1].weights is old.steps[-1].weights
-    assert not old.steps[-1].weights.flags.writeable
+    assert Program(model, "winograd").steps[-1].weights is old.steps[-1].weights
+    assert old.steps[-1].weights.dtype == np.float64 and not old.steps[-1].weights.flags.writeable
     want = run_inference(model, x, program=old).output
-    head.weights = QTensor(head.weights.shape, -head.weights.data, head.weights.qparams)
+    old_weights, head.weights = head.weights, QTensor(head.weights.shape, -head.weights.data, head.weights.qparams)
     new = Program(model)
     assert np.array_equal(new.steps[-1].weights, -old.steps[-1].weights)
     assert run_inference(model, x, program=old).output == want
     assert run_inference(model, x).output == run_inference(model, x, program=new).output != want
+    # one QTensor keeps its conversion at a time: the old weights convert anew
+    again = old_weights.cast(np.float64)
+    assert again is not old.steps[-1].weights and np.array_equal(again, old.steps[-1].weights)
+    assert old_weights.cast(np.float64) is again
