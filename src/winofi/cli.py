@@ -142,8 +142,8 @@ def _flag_number(kind, text: str, flag: str, item: str):
     try:
         return kind(text)
     except ValueError:
-        raise ConfigError(f"{flag} item {item!r}: {text.strip()!r} is not {'an integer' if kind is int else 'a number'}"
-                          ) from None
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{flag} item {item!r}: {text.strip()!r} is not {what}") from None
 
 
 def _parse_ber_list(cfg: dict) -> list:

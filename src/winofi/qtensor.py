@@ -47,7 +47,8 @@ class QuantParams:
         return self._exponent
 
 
-# a weak reference to the one QTensor that keeps its cast() (see QTensor.cast)
+# A weak reference to the one QTensor that keeps its cast(). Threads may race
+# on it, which at worst converts a tensor again (see QTensor.cast).
 _kept_cast = [lambda: None]
 
 
@@ -113,15 +114,15 @@ class QTensor:
         same weights; but by one QTensor at a time, so that at most one kept
         conversion outlives the Programs that hold it: converting another
         QTensor drops it first."""
-        dtype = np.dtype(dtype)
-        if self._cast is None or self._cast.dtype != dtype:
+        out = self._cast
+        if out is None or out.dtype != dtype:
             kept = _kept_cast[0]()
             if kept is not None:
                 kept._cast = None
-            self._cast = self.array.astype(dtype, copy=False)
-            self._cast.flags.writeable = False
-            _kept_cast[0] = weakref.ref(self)
-        return self._cast
+            out = self.array.astype(dtype, copy=False)
+            out.flags.writeable = False
+            self._cast, _kept_cast[0] = out, weakref.ref(self)
+        return out
 
     def __eq__(self, other):
         return (
@@ -175,7 +176,7 @@ def flip_array_with_masks(values: np.ndarray, indices: np.ndarray, masks: np.nda
         half = 1 << (bit_width - 1)
         v = values[indices] ^ masks.astype(np.int64)
         v &= 2 * half - 1
-        v ^= half  # then less half: the low bit_width bits as a signed value
+        v ^= half  # and less half: the low bit_width bits, sign-extended
         v -= half
         out[indices] = v
     return out

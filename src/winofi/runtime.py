@@ -252,9 +252,10 @@ class Program:
     :meth:`QTensor.cast`), so mutating the model's layers afterwards changes
     nothing it runs. ``ranges`` maps conv layer_id -> (lo, hi) bounds, which
     ``range_mode`` applies at that layer's activation point (after the
-    following relu, or after the conv itself when no relu follows). Layer ids that are not conv layers, an unknown ``range_mode``
-    and clamp bounds that are reversed or leave the model's integer range
-    raise ConfigError here (see :func:`check_clamp_bounds`).
+    following relu, or after the conv itself when no relu follows). Layer
+    ids that are not conv layers, an unknown ``range_mode`` and clamp bounds
+    that are reversed or leave the model's integer range raise ConfigError
+    here (see :func:`check_clamp_bounds`).
     """
 
     def __init__(self, model: ModelDef, engine: Optional[str] = None, ranges=None, range_mode: str = "clamp"):

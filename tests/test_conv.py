@@ -893,3 +893,20 @@ def test_convspec_rejects_channels_past_the_float64_bound():
         else:
             with pytest.raises(ShapeError, match="2\\^53"):
                 ConvSpec(c, 1, 1, w, qp)
+
+
+@pytest.mark.parametrize("conv", [conv_direct, conv_winograd])
+def test_outputs_stay_in_the_narrowest_exact_dtype(conv):
+    # A fault-free vectorized layer returns its accumulators' dtype (int32
+    # here, under ConvSpec.acc_dtype), a struck or hooked one int64; each
+    # output is a fresh C-contiguous array, which an inference flips, clips
+    # and clamps in place, also on an odd plane that Winograd crops.
+    rng = np.random.default_rng(9)
+    spec = make_spec(rng, c=2, k=3, bit_width=8, padding=0, bias=True, out_scale=2.0**8)
+    x = random_qtensor(rng, (1, 2, 7, 7), 8)
+    assert spec.acc_dtype(8) == np.int32
+    struck = OpFaults(np.array([5]), np.array([[1 << 20]], dtype=np.uint64), 32, 32, lambda: None, None)
+    outs = [conv(x.array, spec, hook=hook, in_qparams=x.qparams) for hook in (None, struck, CountingHook())]
+    assert [out.dtype for out in outs] == [np.int32, np.int64, np.int64]
+    assert all(out.flags.c_contiguous and out.flags.writeable and out.shape == (1, 3, 5, 5) for out in outs)
+    assert np.array_equal(outs[0], outs[2])

@@ -437,3 +437,26 @@ def test_head_weights_convert_once_per_weights_qtensor():
     again = old_weights.cast(np.float64)
     assert again is not old.steps[-1].weights and np.array_equal(again, old.steps[-1].weights)
     assert old_weights.cast(np.float64) is again
+
+
+def test_head_weight_conversions_under_thread_races():
+    # QTensor.cast keeps one conversion process-wide; threads that compile
+    # Programs on two models at once may convert again, but every Program
+    # must still hold its own head's weights.
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    models = [builtin_model("toycnn-int16"), builtin_model("toycnn-int8")]
+    want = [m.layers[-1].weights.array.astype(np.float64) for m in models]
+
+    def compile_many(i):
+        return all(np.array_equal(Program(models[(i + j) % 2]).steps[-1].weights, want[(i + j) % 2])
+                   for j in range(40))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            assert all(pool.map(compile_many, range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
