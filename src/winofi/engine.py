@@ -23,10 +23,9 @@ partial sum can reach 2^24, else in float64
 (ShapeError, CLI exit 2) any layer with enough input channels for a
 Winograd partial sum to reach 2^53. The accumulators then take the bias
 and their requantization in int32 when neither they nor the rounding add
-on them can leave it, else in int64 (:meth:`ConvSpec.acc_dtype`), and so
-do the outputs. A conv takes an (N, C, H, W) integer array of any dtype at
-``in_qparams`` and returns a fresh C-contiguous (N, K, OH, OW) array at
-``spec.out_qparams``, in int64 when the layer is struck or hooked.
+on them can leave it, else in int64 (:meth:`ConvSpec.acc_dtype`). A conv
+takes an (N, C, H, W) integer array at ``in_qparams`` and returns a fresh
+C-contiguous plane in that dtype, or in int64 when struck or hooked.
 
 A layer's ops group into output units: a direct output pixel, or a Winograd
 (tile, output channel). Passed an :class:`OpFaults` table of the ops to flip
@@ -781,8 +780,7 @@ def conv_winograd(
             xp = _padded(x, pad, 2 * ty_ + 2, 2 * tx_ + 2, spec.gemm_weights.dtype)
             acc = _direct_acc(xp, spec)
             acc <<= 2
-            out = _requant(acc, shift, oq, _winograd_struck(xp, spec, acc, *struck))
-            return np.ascontiguousarray(out[:, :, :oh, :ow])
+            return np.ascontiguousarray(_requant(acc, shift, oq, _winograd_struck(xp, spec, acc, *struck))[:, :, :oh, :ow])
         shift -= 2  # the direct engine's accumulators, at its shift
         xp = _padded(x, pad, h + 2 * pad, w + 2 * pad, spec.gemm_weights.dtype)
         return _requant(_direct_acc(xp, spec, spec.acc_dtype(shift)), shift, oq)
@@ -792,7 +790,9 @@ def conv_winograd(
     b4 = [4 * int(b) for b in spec.bias] if spec.bias is not None else [0] * k_
     lo, hi = oq.int_min, oq.int_max
     mul = int(OpType.MUL)
-    s_itf, s_ew, s_cs, s_inv = map(int, (Stage.WG_INPUT_TF, Stage.WG_EWMUL, Stage.WG_CHANNEL_SUM, Stage.WG_INVERSE_TF))
+    s_itf, s_ew, s_cs, s_inv = (
+        int(Stage.WG_INPUT_TF), int(Stage.WG_EWMUL), int(Stage.WG_CHANNEL_SUM), int(Stage.WG_INVERSE_TF)
+    )
 
     # Filter transform (2G) g (2G)^T, one flat 4x4 U per (k, c) in that order.
     u_all = np.matmul(np.matmul(G2_F2X2_3X3, spec.weights.array), G2_F2X2_3X3.T).reshape(k_ * c_, 16).tolist()

@@ -382,7 +382,7 @@ def relu(arr: np.ndarray, clamp: Optional[tuple] = None, out: Optional[np.ndarra
     """``constrain(np.maximum(arr, 0), *clamp)``, or the ReLU alone when
     ``clamp`` is None, into ``out`` as :func:`constrain` takes it. A clamp
     to [lo, hi] runs as one pass, a maximum with max(lo, 0), then a minimum
-    with hi (``np.clip``)."""
+    with hi (``clip``)."""
     if clamp is None:
         return np.maximum(arr, arr.dtype.type(0), out=out)
     lo, hi, mode = clamp

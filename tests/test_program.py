@@ -460,3 +460,21 @@ def test_head_weight_conversions_under_thread_races():
             assert all(pool.map(compile_many, range(8), timeout=120))
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("mode", ["clamp", "zero"])
+@pytest.mark.parametrize("lo, hi", [(-(1 << 40), 40), (-(1 << 40), 1 << 40), (5, 1 << 40)])
+def test_profile_bounds_past_int32_act_on_int32_planes(mode, lo, hi):
+    # toycnn-int8's fault-free layers run on int32 planes, which a clamp
+    # constrains in place; a bound past int32 acts there as it does on
+    # Python ints: clamp saturates to the bound inside the 8-bit range, and
+    # zero mode zeroes only the values outside [lo, hi].
+    model = builtin_model("toycnn-int8")
+    x = generate_dataset(model, 1, seed=5).samples[0]
+    conv_ids = tuple(model.conv_layer_ids())
+    plain = run_inference(model, x, capture_act=conv_ids).activations
+    program = Program(model, "direct", {lid: (lo, hi) for lid in conv_ids}, mode)
+    got = run_inference(model, x, capture_act=conv_ids[:1], program=program).activations[conv_ids[0]]
+    want = [v if lo <= v <= hi else (min(max(v, lo), hi) if mode == "clamp" else 0)
+            for v in plain[conv_ids[0]].data.tolist()]
+    assert got.data.tolist() == want
